@@ -6,7 +6,7 @@ from .fields import FieldSpec, GFElement
 from .groups import (GradeGroup, GroupElement, SubgroupSpec, coset_index,
                      coset_label, quotient_invariants, derived_subgroup)
 from .algebra import (Algebra, AlgebraElement, Subspace, center,
-                      commutator_subspace, is_central_simple,
+                      commutator_subspace, is_central_simple, psi_matrix,
                       minimal_polynomial, try_invert, two_sided_ideal_closure)
 from .graded import (GradedAlgebra, HomogeneousElement, TwistedGroupAlgebra,
                      graded_center, graded_module_basis, graded_tensor,
@@ -14,14 +14,15 @@ from .graded import (GradedAlgebra, HomogeneousElement, TwistedGroupAlgebra,
                      is_strongly_graded, opposite, support, support_subgroup,
                      trivially_graded, validate_grading,
                      dimension_formula_check)
-from .matrixring import (ShiftedMatrixAlgebra, build_shifted_matrix,
-                         canonical_shift, identity_component, is_good_grading,
+from .matrixring import (ShiftedMatrixAlgebra, canonical_shift,
+                         identity_component, is_good_grading,
                          is_graded_simple_matrix, is_strongly_graded_matrix,
                          central_scalar_check, shifted_iso_decision,
                          solve_shift_matrix)
-from .azumaya import (braun_check, build_enveloping, group_ring_azumaya,
+from .azumaya import (EnvelopingAlgebra, braun_check, group_ring_azumaya,
                       is_graded_azumaya_csa, psi_bijective,
                       psi_bijective_matrix_over_graded_field,
+                      standard_separability_idempotent,
                       verify_separability_idempotent)
 from .ktheory import (CsaShape, FGAbelianGroup, INFINITE_RANK_FREE,
                       SemisimpleDecomposition, ck0_zk0, compare_localized,

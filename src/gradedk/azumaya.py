@@ -4,14 +4,17 @@ criterion."""
 
 from __future__ import annotations
 
+import itertools
+from functools import cached_property
+
 from . import linalg
-from .algebra import center, left_regular_matrix, right_regular_matrix
+from .algebra import center, left_regular_matrix, psi_matrix
 from .graded import graded_tensor, opposite, graded_center, is_graded_simple
 from .groups import derived_subgroup
 from .matrixring import (ShiftedMatrixAlgebra, is_graded_simple_matrix,
                          central_scalar_check)
 from .verdict import (VerdictReport, TRUE, FALSE, UNDECIDED,
-                      EXHAUSTIVE, CONSTRUCTIVE, SAMPLED)
+                      EXHAUSTIVE, CONSTRUCTIVE, combine)
 
 
 class EnvelopingAlgebra:
@@ -19,8 +22,12 @@ class EnvelopingAlgebra:
 
     def __init__(self, graded):
         self.source = graded
-        self.tensor = graded_tensor(graded, opposite(graded))
         self.n = graded.dim
+
+    @cached_property
+    def tensor(self):
+        """A (x) A^op, built on first use: psi and star do not need it."""
+        return graded_tensor(self.source, opposite(self.source))
 
     def embed_left(self, a):
         """a |-> a (x) 1."""
@@ -60,35 +67,20 @@ class EnvelopingAlgebra:
     def psi_matrix(self):
         """The n^2 x n^2 matrix of psi(a (x) b)(x) = a x b; column (i, j) is
         the vectorization of x |-> e_i x e_j."""
-        src = self.source.algebra
-        n = self.n
-        cols = []
-        for i in range(n):
-            li = left_regular_matrix(src.basis_element(i))
-            for j in range(n):
-                rj = right_regular_matrix(src.basis_element(j))
-                m = linalg.mat_mul(li, rj)
-                cols.append([m[r][c] for r in range(n) for c in range(n)])
-        return [[cols[c][r] for c in range(n * n)] for r in range(n * n)]
-
-
-def build_enveloping(graded):
-    return EnvelopingAlgebra(graded)
+        return psi_matrix(self.source.algebra)
 
 
 def psi_bijective(graded):
     """Full-rank test for psi: A (x) A^op -> End(A) over the base field."""
-    env = build_enveloping(graded)
-    m = env.psi_matrix()
-    r = linalg.rank(m)
+    env = EnvelopingAlgebra(graded)
+    kernel = linalg.nullspace(env.psi_matrix(), graded.field)
     full = env.n * env.n
-    if r == full:
-        return VerdictReport("psi-bijective", TRUE, EXHAUSTIVE,
-                             details={"rank": r, "size": full})
-    kernel = linalg.nullspace(m, graded.field)
+    details = {"rank": full - len(kernel), "size": full}
+    if not kernel:
+        return VerdictReport("psi-bijective", TRUE, EXHAUSTIVE, details=details)
     return VerdictReport("psi-bijective", FALSE, EXHAUSTIVE,
                          counterexample=("kernel-vector", kernel[0]),
-                         details={"rank": r, "size": full})
+                         details=details)
 
 
 def psi_bijective_matrix_over_graded_field(m):
@@ -102,34 +94,21 @@ def psi_bijective_matrix_over_graded_field(m):
     if not m.base.is_commutative():
         raise ValueError("base graded field must be commutative")
     n = m.n
-    field = m.base.field
     # psi(E_ij (x) E_kl)(E_pq) = delta_jp delta_qk E_il -- grading-independent,
-    # so the specialized matrix is the psi matrix of M_n(K).
-    size = n * n
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    col = [field.zero] * (size * size)
-                    for p in range(n):
-                        for q in range(n):
-                            if j == p and q == k:
-                                col[(i * n + l) * size + p * n + q] = field.one
-                    cols.append(col)
-    mat = [[cols[c][r] for c in range(len(cols))] for r in range(size * size)]
-    r = linalg.rank(mat)
-    if r == size * size:
-        return VerdictReport("psi-bijective", TRUE, CONSTRUCTIVE,
-                             details={"strategy": "specialization u_g -> 1",
-                                      "rank": r})
-    return VerdictReport("psi-bijective", UNDECIDED, SAMPLED,
-                         details={"specialized-rank": r})
+    # so the specialized matrix is the psi matrix of M_n(K): column (i, j, k, l)
+    # has a single 1, in row ((i, l), (j, k)). It is a permutation matrix, of
+    # rank n^4, because that index map is injective.
+    rank = len({(i, l, j, k)
+                for i, j, k, l in itertools.product(range(n), repeat=4)})
+    assert rank == n ** 4
+    return VerdictReport("psi-bijective", TRUE, CONSTRUCTIVE,
+                         details={"strategy": "specialization u_g -> 1",
+                                  "rank": rank})
 
 
 def verify_separability_idempotent(graded, e, env=None):
     """e * 1 = 1, (a (x) 1) e = (1 (x) a) e for every basis a, and e^2 = e."""
-    env = env or build_enveloping(graded)
+    env = env or EnvelopingAlgebra(graded)
     src = graded.algebra
     if env.star(e, src.one) != src.one:
         return VerdictReport("separability-idempotent", FALSE, EXHAUSTIVE,
@@ -145,6 +124,41 @@ def verify_separability_idempotent(graded, e, env=None):
     return VerdictReport("separability-idempotent", TRUE, EXHAUSTIVE)
 
 
+def standard_separability_idempotent(g, env):
+    """Solve the separability-idempotent equations linearly, then pick an
+    actual idempotent among the affine solution set (direct solve suffices
+    for the algebras handled here)."""
+    alg = env.tensor.algebra
+    n2 = alg.dim
+    rows = []
+    rhs = []
+    src = g.algebra
+    # (a x 1) e - (1 x a) e = 0 for basis a; e * 1 = 1
+    for i in range(src.dim):
+        a = src.basis_element(i)
+        diff = left_regular_matrix(env.embed_left(a))
+        other = left_regular_matrix(env.embed_right(a))
+        for r in range(n2):
+            rows.append([diff[r][c] - other[r][c] for c in range(n2)])
+            rhs.append(alg.field.zero)
+    # star-unit condition is linear in e
+    star_cols = []
+    for t in range(n2):
+        i, j = divmod(t, env.n)
+        v = src.basis_element(i) * src.one * src.basis_element(j)
+        star_cols.append(list(v.coords))
+    for r in range(src.dim):
+        rows.append([star_cols[c][r] for c in range(n2)])
+        rhs.append(src.one.coords[r])
+    sol = linalg.solve(rows, rhs)
+    if sol is None:
+        return None
+    e = alg.element(sol)
+    if e * e != e:
+        return None
+    return e
+
+
 def braun_check(graded, e, env=None):
     """Braun: A central over R plus e with e * 1 = 1 and e * A inside R."""
     src = graded.algebra
@@ -153,7 +167,7 @@ def braun_check(graded, e, env=None):
     if z != one_span:
         bad = next(src.element(r) for r in z.rows if not one_span.contains(src.element(r)))
         raise ValueError("centrality precondition fails; witness %r" % bad)
-    env = env or build_enveloping(graded)
+    env = env or EnvelopingAlgebra(graded)
     if env.star(e, src.one) != src.one:
         return VerdictReport("braun-azumaya", FALSE, EXHAUSTIVE,
                              counterexample=("star-unit", env.star(e, src.one)))
@@ -181,11 +195,12 @@ def is_graded_azumaya_csa(a, rng=None):
             central = VerdictReport("centre-is-base", FALSE, EXHAUSTIVE,
                                     counterexample=("centre-dim", gc.subspace.dim))
     details = {"graded-simple": simple, "centre": central}
+    strategy = combine(simple.strategy, central.strategy)
     if simple.is_undecided or central.is_undecided:
-        return VerdictReport("graded-azumaya-csa", UNDECIDED, simple.strategy,
+        return VerdictReport("graded-azumaya-csa", UNDECIDED, strategy,
                              details=details)
     if simple and central:
-        return VerdictReport("graded-azumaya-csa", TRUE, simple.strategy,
+        return VerdictReport("graded-azumaya-csa", TRUE, strategy,
                              details=details)
     bad = simple if simple.is_false else central
     return VerdictReport("graded-azumaya-csa", FALSE, bad.strategy,

@@ -106,7 +106,7 @@ def cmd_check(args):
         elif pred == "graded-simple":
             report = is_graded_simple(g, rng=rng)
         elif pred == "central-simple":
-            report = is_central_simple(g.algebra, rng=rng)
+            report = is_central_simple(g.algebra)
         elif pred == "azumaya":
             report = _azumaya_route(g, args.via, rng)
         else:
@@ -129,49 +129,12 @@ def _azumaya_route(g, via, rng):
             raise ValueError("group-ring route needs a finite-table grade group")
         return az.group_ring_azumaya(g.field, g.group)
     if via == "braun":
-        env = az.build_enveloping(g)
-        e = _standard_separability_idempotent(g, env)
+        env = az.EnvelopingAlgebra(g)
+        e = az.standard_separability_idempotent(g, env)
         if e is None:
             raise ValueError("no separability idempotent found for the braun route")
         return az.braun_check(g, e, env=env)
     raise ValueError("unknown azumaya route %r" % via)
-
-
-def _standard_separability_idempotent(g, env):
-    """Solve the separability-idempotent equations linearly, then pick an
-    actual idempotent among the affine solution set (direct solve suffices
-    for the algebras handled here)."""
-    from . import linalg
-    alg = env.tensor.algebra
-    n2 = alg.dim
-    rows = []
-    rhs = []
-    src = g.algebra
-    # (a x 1) e - (1 x a) e = 0 for basis a; e * 1 = 1
-    for i in range(src.dim):
-        a = src.basis_element(i)
-        from .algebra import left_regular_matrix
-        diff = left_regular_matrix(env.embed_left(a))
-        other = left_regular_matrix(env.embed_right(a))
-        for r in range(n2):
-            rows.append([diff[r][c] - other[r][c] for c in range(n2)])
-            rhs.append(alg.field.zero)
-    # star-unit condition is linear in e
-    star_cols = []
-    for t in range(n2):
-        i, j = divmod(t, env.n)
-        v = src.basis_element(i) * src.one * src.basis_element(j)
-        star_cols.append(list(v.coords))
-    for r in range(src.dim):
-        rows.append([star_cols[c][r] for c in range(n2)])
-        rhs.append(src.one.coords[r])
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        return None
-    e = alg.element(sol)
-    if e * e != e:
-        return None
-    return e
 
 
 def cmd_k0(args):
@@ -182,6 +145,10 @@ def cmd_k0(args):
         if args.localize:
             print("ck0_localized=%r" % kt.localize(data.ck0, args.localize))
         return 0
+    if args.file is None:
+        print("error: k0 needs a definition file or --exact-sequence",
+              file=sys.stderr)
+        return 3
     g = _load(args.file)
     if isinstance(g, TwistedGroupAlgebra):
         out = kt.k0gr_graded_division(g.group, g.support)

@@ -45,8 +45,16 @@ def _sections(text):
     return out
 
 
+class _KeyValues(dict):
+    """key = value pairs of one section; a missing required key is a
+    FormatError, not a KeyError."""
+
+    def __missing__(self, key):
+        raise FormatError("missing key %r" % key)
+
+
 def _keyvalues(lines):
-    out = {}
+    out = _KeyValues()
     for lineno, line in lines:
         if "=" not in line:
             raise FormatError("line %d: expected key = value" % lineno)

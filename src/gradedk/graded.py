@@ -17,16 +17,13 @@ from .algebra import (Algebra, AlgebraElement, Subspace, center,
                       ENUMERATION_BUDGET)
 from .groups import SubgroupSpec, coset_index
 from .verdict import (VerdictReport, TRUE, FALSE, UNDECIDED,
-                      EXHAUSTIVE, CONSTRUCTIVE, SAMPLED)
+                      EXHAUSTIVE, CONSTRUCTIVE, SAMPLED, combine)
 
 
 @dataclass
 class HomogeneousElement:
     element: AlgebraElement
     degree: object  # GroupElement
-
-    def __post_init__(self):
-        pass
 
 
 class GradedAlgebra:
@@ -174,16 +171,6 @@ def support_subgroup(g):
     return SubgroupSpec(g.group, sorted(support(g), key=lambda d: d.coords))
 
 
-def component_basis(g, degree):
-    """Basis of the degree component as homogeneous elements."""
-    if isinstance(g, TwistedGroupAlgebra):
-        if g.has_component(degree):
-            return [HomogeneousElement(("u", degree), degree)]
-        return []
-    return [HomogeneousElement(g.algebra.basis_element(i), degree)
-            for i in g.component_indices(degree)]
-
-
 def _strongly_graded_at(g, gamma):
     """Certificate that 1 lies in R_gamma * R_{gamma^-1}, or None."""
     alg = g.algebra
@@ -265,7 +252,7 @@ def is_crossed_product(g, rng=None):
         return VerdictReport("crossed-product", TRUE, CONSTRUCTIVE,
                              witness="monomials u_g")
     witnesses = {}
-    strategy = CONSTRUCTIVE
+    strategies = []
     gens = support_subgroup(g).generators
     if not gens:  # support {e}
         gens = [g.group.identity]
@@ -278,11 +265,9 @@ def is_crossed_product(g, rng=None):
             return VerdictReport("crossed-product", UNDECIDED, strat,
                                  details={"degree": gamma})
         witnesses[gamma] = x
-        if strat == SAMPLED:
-            strategy = SAMPLED
-        elif strat == EXHAUSTIVE and strategy != SAMPLED:
-            strategy = EXHAUSTIVE
-    return VerdictReport("crossed-product", TRUE, strategy, witness=witnesses)
+        strategies.append(strat)
+    return VerdictReport("crossed-product", TRUE, combine(*strategies),
+                         witness=witnesses)
 
 
 def is_graded_division(g, rng=None, samples=32):

@@ -276,12 +276,6 @@ class SubgroupSpec:
         return all(c == 0 for c in coset_label(self.group, self, g))
 
 
-def group_combine(g, h):
-    """The group law g*h; for fg-abelian groups this is coordinate addition
-    with torsion reduction."""
-    return g.group.combine(g, h)
-
-
 def _closure(group, generators):
     seen = {group.identity}
     frontier = [group.identity]

@@ -285,9 +285,6 @@ def _corner_dim(algebra, u, block_basis):
 
 def k0_of_semisimple(dec):
     """K0 of a semisimple algebra: free abelian on the simple blocks."""
-    if not dec.fully_resolved:
-        # the rank only needs the number of blocks, not their inner structure
-        pass
     return FGAbelianGroup(len(dec.blocks))
 
 

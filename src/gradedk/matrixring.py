@@ -151,10 +151,6 @@ class ShiftedMatrixAlgebra:
         return "M_%d(%r)%r" % (self.n, self.base, tuple(self.shift))
 
 
-def build_shifted_matrix(base, shift):
-    return ShiftedMatrixAlgebra(base, shift)
-
-
 def _base_support(base):
     if isinstance(base, TwistedGroupAlgebra):
         return base.support

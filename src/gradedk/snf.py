@@ -97,7 +97,3 @@ def smith_normal_form(matrix):
     factors = [m[i][i] for i in range(min(rows, cols))]
     return factors, u, v, m
 
-
-def invariant_factors(matrix):
-    """Nonzero part handling left to callers; just the diagonal of the SNF."""
-    return smith_normal_form(matrix)[0]

@@ -42,3 +42,12 @@ class VerdictReport:
 
     def summary(self):
         return "%s: %s (%s)" % (self.predicate, self.verdict, self.strategy)
+
+
+_WEAKEST_LAST = (CONSTRUCTIVE, EXHAUSTIVE, SAMPLED)
+
+
+def combine(*strategies):
+    """The strategy of a verdict built from parts: the weakest of theirs,
+    sampled > exhaustive > constructive; constructive when there are none."""
+    return max(strategies, key=_WEAKEST_LAST.index, default=CONSTRUCTIVE)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from gradedk import linalg
 from gradedk.algebra import commutator_subspace, left_regular_matrix
-from gradedk.azumaya import (braun_check, build_enveloping,
+from gradedk.azumaya import (EnvelopingAlgebra, braun_check,
                              group_ring_azumaya, is_graded_azumaya_csa,
                              psi_bijective, verify_separability_idempotent)
 from gradedk.constructors import (construct_group_ring, construct_laurent,
@@ -26,7 +26,7 @@ from gradedk.ktheory import (CsaShape, FGAbelianGroup, ck0_zk0,
                              compare_localized, k0gr_graded_division,
                              k0gr_strongly_graded, localize,
                              torsion_bound_check)
-from gradedk.matrixring import (build_shifted_matrix, is_good_grading,
+from gradedk.matrixring import (ShiftedMatrixAlgebra, is_good_grading,
                                 is_strongly_graded_matrix,
                                 shifted_iso_decision)
 from gradedk.trace import (nrd, trd, trd_graded_surjective_check,
@@ -74,7 +74,7 @@ def test_criterion_1_quaternion_azumaya_chain():
         rep = psi_bijective(H)
         assert rep.verdict == "true"
         assert rep.details["rank"] == 16 and rep.details["size"] == 16
-        env = build_enveloping(H)
+        env = EnvelopingAlgebra(H)
         e = _quaternion_idempotent(H, env)
         assert verify_separability_idempotent(H, e, env).verdict == "true"
         assert braun_check(H, e, env).verdict == "true"
@@ -103,7 +103,7 @@ def test_criterion_3_laurent_matrix_k0():
         for field in (Q, F5):
             L = construct_laurent(field, step=2)
             g = L.group
-            m = build_shifted_matrix(
+            m = ShiftedMatrixAlgebra(
                 L, [g.element((0,)), g.element((1,)), g.element((1,))])
             sg = is_strongly_graded_matrix(m)
             assert sg.verdict == "true" and sg.witness

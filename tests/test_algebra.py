@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from gradedk import linalg
 from gradedk.algebra import (center, commutator_subspace, is_central_simple,
                              left_regular_matrix, minimal_polynomial,
-                             right_regular_matrix, try_invert,
+                             psi_matrix, right_regular_matrix, try_invert,
                              two_sided_ideal_closure, evaluate_poly)
 from gradedk.constructors import (construct_matrix_algebra,
-                                  construct_quaternion)
+                                  construct_quaternion,
+                                  construct_symbol_algebra)
 from gradedk.fields import FieldSpec
 from gradedk.algebra import Algebra
 
@@ -74,9 +76,10 @@ def test_ideal_closure():
 
 
 def test_central_simple_exhaustive_gf2():
-    m2 = construct_matrix_algebra(F2, 2)
-    rep = is_central_simple(m2)
-    assert rep.verdict == "true" and rep.strategy == "exhaustive"
+    for p in (2, 5, 7):
+        m2 = construct_matrix_algebra(FieldSpec.prime_field(p), 2)
+        rep = is_central_simple(m2)
+        assert rep.verdict == "true" and rep.strategy == "exhaustive"
     prod = {(0, 0): {0: 1}, (1, 1): {1: 1}}
     qq = Algebra(F2, ["a", "b"], prod, unit=[1, 1])
     rep = is_central_simple(qq)
@@ -86,8 +89,54 @@ def test_central_simple_exhaustive_gf2():
 
 def test_central_simple_quaternions_sampled():
     H = construct_quaternion(Q, -1, -1)
-    rep = is_central_simple(H.algebra, rng=random.Random(0))
+    rep = is_central_simple(H.algebra)
     assert rep.verdict == "true"
+
+
+def upper_triangular_algebra(field, basis):
+    """T_2(F) on a basis of upper-triangular matrices given as (m11, m12, m22)."""
+    cols = [[field.scalar(b[r]) for b in basis] for r in range(3)]
+    products = {}
+    for i, (a11, a12, a22) in enumerate(basis):
+        for j, (b11, b12, b22) in enumerate(basis):
+            ab = [a11 * b11, a11 * b12 + a12 * b22, a22 * b22]
+            coords = linalg.solve(cols, [field.scalar(x) for x in ab])
+            products[(i, j)] = dict(enumerate(coords))
+    return Algebra(field, ["b0", "b1", "b2"], products)
+
+
+def test_central_simple_false_on_triangular_units():
+    # every basis vector is a unit, so each generates the whole algebra as a
+    # two-sided ideal; only the kernel of psi shows T_2 is not simple
+    for field in (Q, FieldSpec.prime_field(5)):
+        t2 = upper_triangular_algebra(field, [(1, 0, 1), (1, 0, 2), (1, 1, 1)])
+        rep = is_central_simple(t2)
+        assert rep.verdict == "false" and rep.strategy == "exhaustive"
+        tag, v = rep.counterexample
+        assert tag == "psi-kernel-vector" and any(v)
+        n = t2.dim
+        basis = [t2.basis_element(i) for i in range(n)]
+        for ek in basis:
+            image = t2.zero
+            for i in range(n):
+                for j in range(n):
+                    image = image + (basis[i] * ek * basis[j]).scale(v[i * n + j])
+            assert image.is_zero()
+
+
+def test_psi_matrix_matches_regular_representations():
+    for alg in (construct_quaternion(Q, -2, 5).algebra,
+                construct_symbol_algebra(FieldSpec.prime_field(7), 3, 2, 3, 2).algebra):
+        n = alg.dim
+        reference = [[None] * (n * n) for _ in range(n * n)]
+        for i in range(n):
+            li = left_regular_matrix(alg.basis_element(i))
+            for j in range(n):
+                m = linalg.mat_mul(li, right_regular_matrix(alg.basis_element(j)))
+                for r in range(n):
+                    for c in range(n):
+                        reference[r * n + c][i * n + j] = m[r][c]
+        assert psi_matrix(alg) == reference
 
 
 def test_minimal_polynomial():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gradedk.algebra import Algebra
-from gradedk.azumaya import (braun_check, build_enveloping,
+from gradedk.azumaya import (EnvelopingAlgebra, braun_check,
                              group_ring_azumaya, is_graded_azumaya_csa,
                              psi_bijective,
                              psi_bijective_matrix_over_graded_field,
@@ -14,7 +14,7 @@ from gradedk.constructors import (construct_laurent, construct_quaternion,
 from gradedk.fields import FieldSpec
 from gradedk.graded import trivially_graded
 from gradedk.groups import GradeGroup
-from gradedk.matrixring import build_shifted_matrix
+from gradedk.matrixring import ShiftedMatrixAlgebra
 
 Q = FieldSpec.rationals()
 
@@ -48,7 +48,7 @@ def test_psi_fails_for_commutative_extension():
 
 def test_separability_idempotent_checks():
     H = construct_quaternion(Q, -1, -1)
-    env = build_enveloping(H)
+    env = EnvelopingAlgebra(H)
     e = quaternion_idempotent(H, env)
     assert verify_separability_idempotent(H, e, env)
     # star action really averages: e * x = Trd-like projection onto the centre
@@ -61,7 +61,7 @@ def test_separability_idempotent_checks():
 
 def test_braun_criterion_quaternions():
     H = construct_quaternion(Q, -1, -1)
-    env = build_enveloping(H)
+    env = EnvelopingAlgebra(H)
     e = quaternion_idempotent(H, env)
     assert braun_check(H, e, env)
 
@@ -70,7 +70,7 @@ def test_braun_rejects_noncentral_precondition():
     products = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1}}
     c = Algebra(Q, ["1", "i"], products)
     g = trivially_graded(c, GradeGroup.trivial())
-    env = build_enveloping(g)
+    env = EnvelopingAlgebra(g)
     with pytest.raises(ValueError):
         braun_check(g, env.pure_tensor(c.one, c.one), env)
 
@@ -87,9 +87,28 @@ def test_graded_csa_route():
 def test_graded_csa_route_lazy_matrix():
     L = construct_laurent(Q, step=2)
     g = L.group
-    m = build_shifted_matrix(L, [g.element((0,)), g.element((1,)), g.element((1,))])
-    assert is_graded_azumaya_csa(m)
+    m = ShiftedMatrixAlgebra(L, [g.element((0,)), g.element((1,)), g.element((1,))])
+    rep = is_graded_azumaya_csa(m)
+    assert rep
+    # the centre check only inspects a window of components, so the combined
+    # verdict is sampled even though graded simplicity is constructive
+    assert rep.details["graded-simple"].strategy == "constructive"
+    assert rep.details["centre"].strategy == "sampled"
+    assert rep.strategy == "sampled"
     assert psi_bijective_matrix_over_graded_field(m)
+    m5 = ShiftedMatrixAlgebra(L, [g.element((c,)) for c in (0, 1, 1, 3, 4)])
+    rep = psi_bijective_matrix_over_graded_field(m5)
+    assert rep.verdict == "true" and rep.details["rank"] == 5 ** 4
+
+
+def test_psi_bijective_does_not_build_the_enveloping_algebra(monkeypatch):
+    seen = []
+    psi = EnvelopingAlgebra.psi_matrix
+    monkeypatch.setattr(EnvelopingAlgebra, "psi_matrix",
+                        lambda env: seen.append(env) or psi(env))
+    assert psi_bijective(construct_quaternion(Q, -1, -1))
+    assert len(seen) == 1
+    assert "tensor" not in vars(seen[0])
 
 
 def test_group_ring_azumaya_s3():
@@ -114,7 +133,7 @@ def test_group_ring_azumaya_dihedral():
 
 def test_enveloping_star_action():
     H = construct_quaternion(Q, -1, -1)
-    env = build_enveloping(H)
+    env = EnvelopingAlgebra(H)
     rng = random.Random(5)
     for _ in range(20):
         a = H.algebra.random_element(rng)

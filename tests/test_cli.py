@@ -83,6 +83,21 @@ def test_malformed_file_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "check", "grading", str(path))
     assert code == 3
     assert "error" in err
+    # an [algebra] section missing a required key
+    for missing in ("group", "basis"):
+        keys = {"field": "Q", "group": "trivial", "basis": "1", "degrees": "()"}
+        del keys[missing]
+        path.write_text("[algebra]\n%s\n[products]\n0 0 0 1\n"
+                        % "\n".join("%s = %s" % kv for kv in keys.items()))
+        code, _, err = run(capsys, "check", "grading", str(path))
+        assert code == 3
+        assert err.startswith("error:") and missing in err
+
+
+def test_k0_without_input_exit_3(capsys):
+    code, _, err = run(capsys, "k0")
+    assert code == 3
+    assert err.startswith("error:")
 
 
 def test_k0_exact_sequence(capsys):

@@ -17,7 +17,7 @@ from gradedk.ktheory import (INFINITE_RANK_FREE, CsaShape, FGAbelianGroup,
                              k0gr_graded_division, k0gr_strongly_graded,
                              localize, split_identity_component,
                              torsion_bound_check)
-from gradedk.matrixring import build_shifted_matrix, identity_component, \
+from gradedk.matrixring import ShiftedMatrixAlgebra, identity_component, \
     is_strongly_graded_matrix
 
 Q = FieldSpec.rationals()
@@ -76,7 +76,7 @@ def test_quaternion_vs_trivial_grading_localized():
 def _laurent_block_pipeline(field):
     L = construct_laurent(field, step=2)
     g = L.group
-    m = build_shifted_matrix(L, [g.element((0,)), g.element((1,)), g.element((1,))])
+    m = ShiftedMatrixAlgebra(L, [g.element((0,)), g.element((1,)), g.element((1,))])
     sg = is_strongly_graded_matrix(m)
     assert sg.verdict == "true"
     k0, dec = k0gr_strongly_graded(m, sg)

@@ -9,10 +9,9 @@ from gradedk.constructors import construct_laurent, construct_quaternion
 from gradedk.fields import FieldSpec
 from gradedk.graded import GradedAlgebra, trivially_graded, validate_grading
 from gradedk.groups import GradeGroup, SubgroupSpec
-from gradedk.matrixring import (ShiftedMatrixAlgebra, build_shifted_matrix,
-                                canonical_shift, central_scalar_check,
-                                identity_component, is_good_grading,
-                                is_graded_simple_matrix,
+from gradedk.matrixring import (ShiftedMatrixAlgebra, canonical_shift,
+                                central_scalar_check, identity_component,
+                                is_good_grading, is_graded_simple_matrix,
                                 is_strongly_graded_matrix,
                                 shifted_iso_decision, solve_shift_matrix)
 
@@ -25,7 +24,7 @@ def laurent_matrix(field=Q):
     L = construct_laurent(field, step=2)
     g = L.group
     shift = [g.element((0,)), g.element((1,)), g.element((1,))]
-    return build_shifted_matrix(L, shift)
+    return ShiftedMatrixAlgebra(L, shift)
 
 
 def trivially_graded_field(field, group):
@@ -82,8 +81,8 @@ def test_graded_simple_and_centre_lazy():
 
 def test_shift_translation_gives_same_identity_component():
     L = construct_laurent(Q, step=2)
-    m1 = build_shifted_matrix(L, [Z.element((c,)) for c in (0, 1, 1)])
-    m2 = build_shifted_matrix(L, [Z.element((c,)) for c in (4, 5, 5)])
+    m1 = ShiftedMatrixAlgebra(L, [Z.element((c,)) for c in (0, 1, 1)])
+    m2 = ShiftedMatrixAlgebra(L, [Z.element((c,)) for c in (4, 5, 5)])
     a1, a2 = identity_component(m1), identity_component(m2)
     assert a1.dim == a2.dim == 5
     assert a1.products == a2.products
@@ -92,7 +91,7 @@ def test_shift_translation_gives_same_identity_component():
 def test_materialized_matrix_over_quaternions():
     H = construct_quaternion(Q, -1, -1)
     g22 = H.group
-    m = build_shifted_matrix(H, [g22.identity, g22.element((1, 0))])
+    m = ShiftedMatrixAlgebra(H, [g22.identity, g22.element((1, 0))])
     mat = m.materialized
     assert mat.dim == 16
     assert validate_grading(mat)
