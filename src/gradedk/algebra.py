@@ -328,18 +328,17 @@ def minimal_polynomial(x):
     """Least-degree monic f with f(x) = 0, ascending coefficient list."""
     alg = x.owner
     field = alg.field
-    powers = [alg.one]
-    rows = [list(alg.one.coords)]
+    power = alg.one
+    rows = [list(power.coords)]
     while True:
-        nxt = powers[-1] * x
-        if linalg.rank(rows + [list(nxt.coords)]) == len(linalg.rref(rows)[0]):
-            # nxt is dependent on lower powers: solve for coefficients
-            mat = [[rows[i][k] for i in range(len(rows))] for k in range(alg.dim)]
-            sol = linalg.solve(mat, list(nxt.coords))
-            coeffs = [-c for c in sol] + [field.one]
-            return coeffs
-        powers.append(nxt)
-        rows.append(list(nxt.coords))
+        power = power * x
+        # the lower powers are independent, so a solution exists exactly
+        # when this power depends on them, and it is unique
+        mat = [[row[k] for row in rows] for k in range(alg.dim)]
+        sol = linalg.solve(mat, list(power.coords))
+        if sol is not None:
+            return [-c for c in sol] + [field.one]
+        rows.append(list(power.coords))
 
 
 def evaluate_poly(coeffs, x):

@@ -452,8 +452,8 @@ def dimension_formula_check(d, gamma_f=None):
     if gamma_f is None:
         gamma_f = SubgroupSpec(d.group, [])
     # index |Gamma_D : Gamma_F| inside the subgroup generated by the support
-    if d.group.is_finite() or d.group.kind == "finite-table":
-        index = len(_subgroup_elements(supp_sub)) // max(1, len(_subgroup_elements(gamma_f)))
+    if d.group.is_finite():
+        index = supp_sub.order // gamma_f.order
     else:
         ambient_index_f = coset_index(d.group, gamma_f)
         ambient_index_d = coset_index(d.group, supp_sub)
@@ -467,8 +467,3 @@ def dimension_formula_check(d, gamma_f=None):
         counterexample=None if ok else (total, d0, index),
         details={"total": total, "identity_component": d0, "support_index": index})
 
-
-def _subgroup_elements(spec):
-    if spec.group.kind == "finite-table" or spec.group.is_finite():
-        return spec.element_set()
-    raise ValueError("infinite ambient group")

@@ -6,6 +6,7 @@ multiplicative degree composition corresponds to coordinate addition here).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .snf import smith_normal_form
@@ -252,26 +253,41 @@ class SubgroupSpec:
 
     def __init__(self, group, generators):
         self.group = group
-        self.generators = list(generators)
+        self.generators = tuple(generators)
         for g in self.generators:
             if g.group is not group and g.group != group:
                 raise ValueError("generator from a different group")
 
     def element_set(self):
-        """The subgroup's elements; only for finite ambient groups or finitely
-        many elements reachable (finite-table closure)."""
-        if self.group.kind == "finite-table":
-            return _closure(self.group, self.generators)
+        """The subgroup's elements; only for finite ambient groups."""
+        return self._elements
+
+    @functools.cached_property
+    def _elements(self):
         if not self.group.is_finite():
             raise ValueError("cannot enumerate subgroup of an infinite group")
-        return _closure(self.group, self.generators)
+        return frozenset(_closure(self.group, self.generators))
+
+    @functools.cached_property
+    def _smith_form(self):
+        """(factors, U) for an fg-abelian ambient group: the invariant factors
+        of the relation lattice of G/H inside Z^dim, one per coordinate, and
+        the left transform U of its Smith normal form. The lattice's columns
+        are H's generators and the torsion relations n_i e_(rank+i)."""
+        group = self.group
+        cols = [g.coords for g in self.generators]
+        cols += [tuple(n if k == group.rank + i else 0 for k in range(group.dim))
+                 for i, n in enumerate(group.torsion)]
+        factors, u, _, _ = smith_normal_form(
+            [[col[k] for col in cols] for k in range(group.dim)])
+        return factors + [0] * (group.dim - len(factors)), u
 
     @property
     def order(self):
         return len(self.element_set())
 
     def contains(self, g):
-        if self.group.kind == "finite-table" or self.group.is_finite():
+        if self.group.is_finite():
             return g in self.element_set()
         return all(c == 0 for c in coset_label(self.group, self, g))
 
@@ -290,34 +306,12 @@ def _closure(group, generators):
     return seen
 
 
-def _relation_matrix(group, subgroup):
-    """Columns generating the full relation lattice of G/H inside Z^dim."""
-    m = group.dim
-    cols = []
-    for g in subgroup.generators:
-        cols.append(list(g.coords))
-    for i, n in enumerate(group.torsion):
-        col = [0] * m
-        col[group.rank + i] = n
-        cols.append(col)
-    if not cols:
-        return [[] for _ in range(m)]
-    return [[col[i] for col in cols] for i in range(m)]
-
-
 def quotient_invariants(group, subgroup):
     """(free_rank, torsion_factors) of G/H for fg-abelian G."""
     if group.kind != "fg-abelian":
         raise ValueError("quotient invariants only for fg-abelian groups")
-    m = group.dim
-    if m == 0:
-        return 0, []
-    mat = _relation_matrix(group, subgroup)
-    factors, _, _, _ = smith_normal_form(mat)
-    nonzero = [d for d in factors if d != 0]
-    free_rank = m - len(nonzero)
-    torsion = [d for d in nonzero if d > 1]
-    return free_rank, torsion
+    factors, _ = subgroup._smith_form
+    return factors.count(0), [d for d in factors if d > 1]
 
 
 def coset_index(group, subgroup):
@@ -337,19 +331,10 @@ def coset_label(group, subgroup, g):
     """A canonical label for the coset g + H, as a tuple comparable across
     elements; labels are equal iff the cosets coincide."""
     if group.kind == "finite-table":
-        elems = subgroup.element_set()
-        return min(group.combine(g, h).coords for h in elems)
-    m = group.dim
-    if m == 0:
-        return ()
-    mat = _relation_matrix(group, subgroup)
-    factors, u, _, _ = smith_normal_form(mat)
-    y = [sum(u[i][j] * g.coords[j] for j in range(m)) for i in range(m)]
-    label = []
-    for i in range(m):
-        d = factors[i] if i < len(factors) else 0
-        label.append(y[i] % d if d else y[i])
-    return tuple(label)
+        return min(group.combine(g, h).coords for h in subgroup.element_set())
+    factors, u = subgroup._smith_form
+    y = (sum(a * c for a, c in zip(row, g.coords)) for row in u)
+    return tuple(v % d if d else v for v, d in zip(y, factors))
 
 
 def derived_subgroup(group):

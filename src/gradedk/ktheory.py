@@ -328,15 +328,12 @@ class ExactSequenceData:
 
 def ck0_zk0(shape):
     """K0(F) -> K0(M_n(D)) is multiplication by n * ind(D) on Z; ZK0 is the
-    kernel and CK0 the cokernel, computed from the Smith form of (n ind)."""
+    kernel (Z exactly when the map is 0) and CK0 the cokernel Z/(n ind)."""
     n = shape.n * shape.index
-    mat = [[n]]
-    factors, _, _, _ = smith_normal_form(mat)
-    coker = FGAbelianGroup.from_presentation(0, [d for d in factors if d > 1]) \
-        if all(d != 0 for d in factors) else FGAbelianGroup(1)
-    kernel_rank = 1 if n == 0 else 0
-    zk0 = FGAbelianGroup(kernel_rank)
-    return ExactSequenceData(zk0=zk0, ck0=coker, map_matrix=mat)
+    d = abs(n)
+    ck0 = FGAbelianGroup(1) if d == 0 else FGAbelianGroup(0, (d,) if d > 1 else ())
+    return ExactSequenceData(zk0=FGAbelianGroup(1 if d == 0 else 0), ck0=ck0,
+                             map_matrix=[[n]])
 
 
 def torsion_bound_check(g, deg):

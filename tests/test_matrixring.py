@@ -166,6 +166,33 @@ def test_canonical_shift_torsion_translation_invariance():
     assert canonical_shift(Z4, triv, s) == canonical_shift(Z4, triv, t)
 
 
+def test_shift_classification_computes_one_smith_form(monkeypatch):
+    # canonical_shift labels n^2 entries and the witness search tests O(n^3)
+    # memberships; all of them read the subgroup's one cached Smith form
+    import gradedk.groups as groups
+    real = groups.smith_normal_form
+    calls = []
+    monkeypatch.setattr(groups, "smith_normal_form",
+                        lambda matrix: calls.append(matrix) or real(matrix))
+    G = GradeGroup.fg_abelian(2, (6,))
+    gamma_d = SubgroupSpec(G, [G.element((2, 0, 0)), G.element((0, 1, 3))])
+    lam = [G.element(c) for c in [(0, 0, 0), (1, 0, 1), (1, 2, 5), (3, 1, 2),
+                                  (0, 5, 4), (2, 2, 2)]]
+    tau = [G.element(c) for c in [(2, 0, 0), (0, 1, 3), (-2, 2, 0), (0, 0, 0),
+                                  (4, -1, 3), (2, 3, 3)]]
+    sigma = G.element((1, -1, 5))
+    pi = [3, 0, 5, 1, 4, 2]
+    gam = [tau[i] * lam[pi[i]] * sigma for i in range(6)]
+    assert canonical_shift(G, gamma_d, lam) == canonical_shift(G, gamma_d, gam)
+    rep = shifted_iso_decision(G, gamma_d, lam, gam)
+    assert rep.verdict == "true"
+    w = rep.witness
+    for i in range(6):
+        assert gamma_d.contains(w["tau"][i])
+        assert gam[i] == w["tau"][i] * lam[w["pi"][i]] * w["sigma"]
+    assert len(calls) == 1
+
+
 # -- brute-force oracle over GF(2), n = 2 ------------------------------
 
 
