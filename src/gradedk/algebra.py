@@ -27,7 +27,11 @@ class Algebra:
         self.dim = len(self.labels)
         self.products = {}
         for (i, j), terms in products.items():
-            cleaned = {k: field.scalar(v) for k, v in terms.items() if field.scalar(v)}
+            cleaned = {}
+            for k, v in terms.items():
+                v = field.scalar(v)
+                if v:
+                    cleaned[k] = v
             if cleaned:
                 self.products[(i, j)] = cleaned
         if unit is None:
@@ -57,24 +61,43 @@ class Algebra:
         return u
 
     def _check_unit(self):
-        one = self.element(self.unit_coords)
+        # column j of L_1 and of R_1 must be e_j
+        identity = [self.basis_element(j).coords for j in range(self.dim)]
+        left = _regular_columns(self, self.unit_coords, left=True)
+        right = _regular_columns(self, self.unit_coords, left=False)
         for j in range(self.dim):
-            b = self.basis_element(j)
-            if one * b != b or b * one != b:
+            if tuple(left[j]) != identity[j] or tuple(right[j]) != identity[j]:
                 raise ValueError("unit axiom fails on basis element %s" % self.labels[j])
 
     def _check_associativity(self):
+        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, compared on
+        the constants: sum_s c_ij^s c_sk^t against sum_u c_jk^u c_iu^t.
+        For each pair (i, j) the difference is accumulated over all k; a
+        triple that neither side reaches is 0 = 0."""
         n = self.dim
+        zero = self.field.zero
+        products = self.products
+        rows = [[] for _ in range(n)]  # rows[s]: (k, e_s e_k) for e_s e_k != 0
+        for (s, k), terms in products.items():
+            rows[s].append((k, terms))
         for i in range(n):
-            ei = self.basis_element(i)
             for j in range(n):
-                left = ei * self.basis_element(j)
-                for k in range(n):
-                    ek = self.basis_element(k)
-                    if left * ek != ei * (self.basis_element(j) * ek):
-                        raise ValueError(
-                            "associativity fails on basis triple (%s, %s, %s)"
-                            % (self.labels[i], self.labels[j], self.labels[k]))
+                diff = {}
+                for s, a in products.get((i, j), {}).items():
+                    for k, terms in rows[s]:
+                        out = diff.setdefault(k, {})
+                        for t, c in terms.items():
+                            out[t] = out.get(t, zero) + a * c
+                for k, terms in rows[j]:
+                    out = diff.setdefault(k, {})
+                    for u, a in terms.items():
+                        for t, c in products.get((i, u), {}).items():
+                            out[t] = out.get(t, zero) - a * c
+                bad = [k for k, out in diff.items() if any(out.values())]
+                if bad:
+                    raise ValueError(
+                        "associativity fails on basis triple (%s, %s, %s)"
+                        % (self.labels[i], self.labels[j], self.labels[min(bad)]))
 
     # -- elements -----------------------------------------------------
 
@@ -85,16 +108,16 @@ class Algebra:
         return AlgebraElement(self, coords)
 
     def basis_element(self, i):
-        return self.element([self.field.one if k == i else self.field.zero
-                             for k in range(self.dim)])
+        return AlgebraElement(self, [self.field.one if k == i else self.field.zero
+                                     for k in range(self.dim)])
 
     @property
     def zero(self):
-        return self.element([self.field.zero] * self.dim)
+        return AlgebraElement(self, [self.field.zero] * self.dim)
 
     @property
     def one(self):
-        return self.element(self.unit_coords)
+        return AlgebraElement(self, self.unit_coords)
 
     def from_label_dict(self, terms):
         coords = [self.field.zero] * self.dim
@@ -126,6 +149,10 @@ class Algebra:
 
 
 class AlgebraElement:
+    """An element by its coordinates. The constructor trusts its input to be
+    field scalars of the owner's field (the kernel's own results);
+    `Algebra.element` coerces outside input."""
+
     __slots__ = ("owner", "coords")
 
     def __init__(self, owner, coords):
@@ -217,34 +244,50 @@ class Subspace:
 
 
 def multiply(x, y):
-    """Bilinear product via structure constants."""
+    """Bilinear product via structure constants, over the nonzero
+    coordinates of both factors."""
     alg = x.owner
     if y.owner is not alg:
         raise ValueError("elements of different algebras")
+    products = alg.products
     out = [alg.field.zero] * alg.dim
+    ys = [(j, b) for j, b in enumerate(y.coords) if b]
     for i, a in enumerate(x.coords):
         if not a:
             continue
-        for j, b in enumerate(y.coords):
-            if not b:
-                continue
-            ab = a * b
-            for k, c in alg.products.get((i, j), {}).items():
-                out[k] = out[k] + ab * c
-    return alg.element(out)
+        for j, b in ys:
+            terms = products.get((i, j))
+            if terms:
+                ab = a * b
+                for k, c in terms.items():
+                    out[k] += ab * c
+    return AlgebraElement(alg, out)
+
+
+def _regular_columns(alg, coords, left):
+    """Coordinates of x e_j (left) or e_j x (right) for every j: column j of
+    L_x is sum_i x_i c_ij, of R_x sum_i x_i c_ji."""
+    zero = alg.field.zero
+    cols = [[zero] * alg.dim for _ in range(alg.dim)]
+    for (i, j), terms in alg.products.items():
+        if not left:
+            i, j = j, i
+        a = coords[i]
+        if a:
+            col = cols[j]
+            for k, c in terms.items():
+                col[k] += a * c
+    return cols
 
 
 def left_regular_matrix(x):
     """L_x with column j = coordinates of x * e_j."""
-    alg = x.owner
-    cols = [(x * alg.basis_element(j)).coords for j in range(alg.dim)]
-    return [[cols[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
+    return linalg.transpose(_regular_columns(x.owner, x.coords, left=True))
 
 
 def right_regular_matrix(x):
-    alg = x.owner
-    cols = [(alg.basis_element(j) * x).coords for j in range(alg.dim)]
-    return [[cols[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
+    """R_x with column j = coordinates of e_j * x."""
+    return linalg.transpose(_regular_columns(x.owner, x.coords, left=False))
 
 
 def try_invert(x):
@@ -260,36 +303,36 @@ def try_invert(x):
 
 
 def center(algebra):
-    """The centralizer of the whole algebra, as a canonical subspace."""
+    """The centralizer of the whole algebra, as a canonical subspace: the
+    kernel of x |-> (e_m x - x e_m)_m, whose row (m, k) has entry
+    c_jm^k - c_mj^k in column j."""
     n = algebra.dim
-    rows = []
-    for i in range(n):
-        b = algebra.basis_element(i)
-        l = left_regular_matrix(b)
-        r = right_regular_matrix(b)
-        for k in range(n):
-            rows.append([r[k][j] - l[k][j] for j in range(n)])
+    zero = algebra.field.zero
+    rows = [[zero] * n for _ in range(n * n)]
+    for (i, j), terms in algebra.products.items():
+        for k, c in terms.items():
+            rows[i * n + k][j] -= c
+            rows[j * n + k][i] += c
     basis = linalg.nullspace(rows, algebra.field)
     return Subspace(algebra, basis)
 
 
 def two_sided_ideal_closure(algebra, generators):
     """Smallest subspace containing the generators closed under left and
-    right multiplication by basis elements."""
-    rows = [list(g.coords) for g in generators]
-    span, _ = linalg.rref(rows)
-    while True:
-        new_rows = [list(r) for r in span]
-        for r in span:
-            v = algebra.element(r)
-            for i in range(algebra.dim):
-                b = algebra.basis_element(i)
-                new_rows.append(list((b * v).coords))
-                new_rows.append(list((v * b).coords))
-        grown, _ = linalg.rref(new_rows)
-        if len(grown) == len(span):
-            return Subspace(algebra, grown)
-        span = grown
+    right multiplication by basis elements. Each round multiplies only the
+    echelon rows whose pivot is new: with the old span they span the grown
+    one, and the old rows' products are already inside it."""
+    span, pivots = linalg.rref([list(g.coords) for g in generators])
+    new = span
+    while new:
+        rows = list(span)
+        for v in new:
+            rows += _regular_columns(algebra, v, left=True)
+            rows += _regular_columns(algebra, v, left=False)
+        grown, grown_pivots = linalg.rref(rows)
+        new = [r for r, c in zip(grown, grown_pivots) if c not in pivots]
+        span, pivots = grown, set(grown_pivots)
+    return Subspace(algebra, span)
 
 
 def psi_matrix(algebra):
@@ -353,11 +396,17 @@ def evaluate_poly(coeffs, x):
 
 
 def commutator_subspace(algebra):
-    """Additive span of all commutators [x, y] (basis pairs suffice)."""
+    """Additive span of all commutators [x, y]; the basis pairs i < j
+    suffice, with [e_i, e_j] = sum_k (c_ij^k - c_ji^k) e_k."""
+    n = algebra.dim
+    zero = algebra.field.zero
     rows = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            a = algebra.basis_element(i)
-            b = algebra.basis_element(j)
-            rows.append(list((a * b - b * a).coords))
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = [zero] * n
+            for k, c in algebra.products.get((i, j), {}).items():
+                row[k] += c
+            for k, c in algebra.products.get((j, i), {}).items():
+                row[k] -= c
+            rows.append(row)
     return Subspace(algebra, linalg.rref(rows)[0])

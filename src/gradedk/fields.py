@@ -115,6 +115,8 @@ class FieldSpec:
                 raise ValueError("prime-field characteristic must be prime, got %r" % p)
         self.kind = kind
         self.characteristic = characteristic
+        self.zero = self.scalar(0)
+        self.one = self.scalar(1)
 
     @staticmethod
     def rationals():
@@ -124,21 +126,13 @@ class FieldSpec:
     def prime_field(p):
         return FieldSpec("prime-field", p)
 
-    @property
-    def zero(self):
-        return self.scalar(0)
-
-    @property
-    def one(self):
-        return self.scalar(1)
-
     def scalar(self, x):
         """Coerce an int, Fraction, 'p/q' string, or field element."""
         if self.kind == "rationals":
+            if isinstance(x, Fraction):
+                return x  # immutable, so no copy is needed
             if isinstance(x, GFElement):
                 raise ValueError("cannot coerce GF element into the rationals")
-            if isinstance(x, str):
-                return Fraction(x)
             return Fraction(x)
         p = self.characteristic
         if isinstance(x, GFElement):

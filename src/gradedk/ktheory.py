@@ -13,8 +13,8 @@ from math import gcd
 import sympy
 
 from . import linalg
-from .algebra import (Algebra, center, left_regular_matrix,
-                      minimal_polynomial, evaluate_poly, ENUMERATION_BUDGET)
+from .algebra import (Algebra, center, minimal_polynomial, evaluate_poly,
+                      ENUMERATION_BUDGET)
 from .groups import coset_index
 from .matrixring import identity_component
 from .snf import smith_normal_form
@@ -105,15 +105,19 @@ class SemisimpleDecomposition:
 
 def _semisimplicity_radical(algebra):
     """Radical of the trace form B(x, y) = Tr(L_xy); over char 0 or char p
-    with p not dividing dim this detects any nonzero nil ideal."""
+    with p not dividing dim this detects any nonzero nil ideal. From the
+    constants: B(e_i, e_j) = sum_k c_ij^k t_k with t_k = Tr(L_{e_k}) =
+    sum_m c_km^m."""
     n = algebra.dim
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = algebra.basis_element(i) * algebra.basis_element(j)
-            row.append(linalg.trace(left_regular_matrix(prod)))
-        gram.append(row)
+    zero = algebra.field.zero
+    t = [zero] * n
+    for (k, m), terms in algebra.products.items():
+        if m in terms:
+            t[k] += terms[m]
+    gram = [[zero] * n for _ in range(n)]
+    for (i, j), terms in algebra.products.items():
+        for k, c in terms.items():
+            gram[i][j] += c * t[k]
     return linalg.nullspace(gram, algebra.field)
 
 

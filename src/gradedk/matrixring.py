@@ -485,18 +485,23 @@ def canonical_shift(group, gamma_d, shift):
 
     Entries are reduced to Gamma_D-cosets; the common translation sigma is
     absorbed by minimizing the sorted label multiset over translations by the
-    negatives of the entries present.
+    negatives of the entries present. Over an fg-abelian group a label is
+    linear, label(s - b) = (U s - U b) mod d for the Smith form (d, U) of
+    Gamma_D, so each entry is transformed once.
     """
     if not group.is_abelian():
         raise ValueError("classification requires an abelian grade group")
     shift = list(shift)
-    best = None
-    for base in shift:
-        labels = sorted(coset_label(group, gamma_d, s * base.inverse()) for s in shift)
-        cand = tuple(labels)
-        if best is None or cand < best:
-            best = cand
-    return ShiftCanonicalForm(best)
+    if group.kind == "fg-abelian":
+        factors, u = gamma_d._smith_form
+        ys = [[sum(a * c for a, c in zip(row, s.coords)) for row in u] for s in shift]
+        forms = (sorted(tuple((a - b) % d if d else a - b
+                              for a, b, d in zip(y, base, factors)) for y in ys)
+                 for base in ys)
+    else:
+        forms = (sorted(coset_label(group, gamma_d, s * base.inverse()) for s in shift)
+                 for base in shift)
+    return ShiftCanonicalForm(min((tuple(f) for f in forms), default=None))
 
 
 def shifted_iso_decision(group, gamma_d, lam, gam):
@@ -516,30 +521,24 @@ def shifted_iso_decision(group, gamma_d, lam, gam):
         return VerdictReport("shifted-matrix-isomorphic", FALSE, EXHAUSTIVE,
                              counterexample=("coset-multiset", dict(diff)),
                              details={"left": cf_l, "right": cf_g})
-    # reconstruct (pi, tau, sigma): try sigma candidates gam[0] - lam[j]
-    n = len(lam)
-    for j0 in range(n):
+    # reconstruct (pi, tau, sigma): try sigma candidates gam[0] - lam[j]. For
+    # a fixed sigma, tau[i] = gam[i] sigma^-1 lam[j]^-1 lies in Gamma_D iff
+    # gam[i] sigma^-1 and lam[j] share a coset, so lam is bucketed by label.
+    buckets = {}
+    for j, l in enumerate(lam):
+        buckets.setdefault(coset_label(group, gamma_d, l), []).append(j)
+    for j0 in range(len(lam)):
         sigma = gam[0] * lam[j0].inverse()
-        used = [False] * n
-        pi = [None] * n
-        tau = [None] * n
-        ok = True
-        for i in range(n):
-            found = False
-            for j in range(n):
-                if used[j]:
-                    continue
-                t = gam[i] * sigma.inverse() * lam[j].inverse()
-                if gamma_d.contains(t):
-                    used[j] = True
-                    pi[i] = j
-                    tau[i] = t
-                    found = True
-                    break
-            if not found:
-                ok = False
+        sigma_inv = sigma.inverse()
+        unused = {label: iter(js) for label, js in buckets.items()}
+        pi = []
+        for g in gam:
+            j = next(unused.get(coset_label(group, gamma_d, g * sigma_inv), iter(())), None)
+            if j is None:
                 break
-        if ok:
+            pi.append(j)
+        else:
+            tau = [g * sigma_inv * lam[j].inverse() for g, j in zip(gam, pi)]
             return VerdictReport("shifted-matrix-isomorphic", TRUE, CONSTRUCTIVE,
                                  witness={"pi": pi, "tau": tau, "sigma": sigma})
     raise AssertionError("canonical forms equal but no witness found")

@@ -38,6 +38,40 @@ def test_nonassociative_rejected():
         Algebra(Q, ["1", "x"], bad)
 
 
+def _with_unit(labels, products):
+    """Products among the labels after the first, with label 0 as the unit."""
+    table = {}
+    for i in range(len(labels)):
+        table[(0, i)] = {i: 1}
+        table[(i, 0)] = {i: 1}
+    table.update(products)
+    return table
+
+
+def test_nonassociative_rejected_where_one_side_is_absent():
+    # a*b = 0 (no key), but a*(b*c) = a*a = a
+    table = _with_unit(["1", "a", "b", "c"], {(1, 1): {1: 1}, (2, 3): {1: 1}})
+    with pytest.raises(ValueError, match=r"basis triple \(a, b, c\)"):
+        Algebra(Q, ["1", "a", "b", "c"], table, unit=[1, 0, 0, 0])
+
+
+def test_nonassociative_rejected_where_one_side_vanishes_mod_p():
+    # over GF(3): (x*x)*y = x*y + y*y = y + 2y = 0, but x*(x*y) = y; the
+    # triple (x, x, x) holds, so (x, x, y) is the first failure
+    table = _with_unit(["1", "x", "y"], {(1, 1): {1: 1, 2: 1}, (1, 2): {2: 1},
+                                         (2, 1): {2: 1}, (2, 2): {2: 2}})
+    with pytest.raises(ValueError, match=r"basis triple \(x, x, y\)"):
+        Algebra(FieldSpec.prime_field(3), ["1", "x", "y"], table, unit=[1, 0, 0])
+
+
+def test_left_unit_that_is_not_a_right_unit_rejected():
+    # u*u = u, u*v = v, v*u = 0: u is a left unit only
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}}
+    for unit in ([1, 0], None):
+        with pytest.raises(ValueError, match="unit axiom fails on basis element v"):
+            Algebra(Q, ["u", "v"], table, unit=unit)
+
+
 def test_matrix_algebra_products():
     m2 = construct_matrix_algebra(Q, 2)
     e11, e12, e21, e22 = (m2.basis_element(i) for i in range(4))

@@ -1,13 +1,16 @@
 """Seeded property suites, >= 200 instances each."""
 
 import random
+from fractions import Fraction
 
 from gradedk import linalg
+from gradedk.algebra import (center, commutator_subspace, left_regular_matrix,
+                             right_regular_matrix, two_sided_ideal_closure)
 from gradedk.constructors import (construct_group_ring,
                                   construct_quaternion,
                                   construct_symbol_algebra,
                                   construct_truncated_polynomial)
-from gradedk.fields import FieldSpec
+from gradedk.fields import FieldSpec, GFElement
 from gradedk.graded import is_crossed_product, is_strongly_graded
 from gradedk.groups import GradeGroup, SubgroupSpec
 from gradedk.matrixring import canonical_shift
@@ -61,6 +64,78 @@ def test_associativity_of_constructed_algebras():
             z = alg.random_element(rng, height=3)
             assert (x * y) * z == x * (y * z)
             assert alg.one * x == x and x * alg.one == x
+
+
+def _dense_product(alg, x, y):
+    """x*y = sum_ijk x_i y_j c_ij^k e_k, coordinate by coordinate (a pair
+    with a zero factor adds nothing and is skipped)."""
+    n = alg.dim
+    zero = alg.field.zero
+    out = [zero] * n
+    for i in range(n):
+        for j in range(n):
+            if not (x[i] and y[j]):
+                continue
+            for k in range(n):
+                c = alg.products.get((i, j), {}).get(k, zero)
+                out[k] = out[k] + x[i] * y[j] * c
+    return out
+
+
+def _is_field_scalar(alg, c):
+    if alg.field.kind == "rationals":
+        return type(c) is Fraction
+    return type(c) is GFElement and c.p == alg.field.characteristic
+
+
+def test_sparse_kernel_matches_dense_reference():
+    rng = random.Random(737373)
+    for _ in range(200):
+        alg = _random_constructed(rng).algebra
+        n = alg.dim
+        basis = [alg.basis_element(i).coords for i in range(n)]
+        x = alg.random_element(rng, height=3)
+        y = alg.random_element(rng, height=3)
+        # column j of L_x is x e_j, of R_x e_j x
+        lx = [list(r) for r in zip(*(_dense_product(alg, x.coords, b) for b in basis))]
+        rx = [list(r) for r in zip(*(_dense_product(alg, b, x.coords) for b in basis))]
+        outputs = {
+            "multiply": ([(x * y).coords], [_dense_product(alg, x.coords, y.coords)]),
+            "left": (left_regular_matrix(x), lx),
+            "right": (right_regular_matrix(x), rx),
+        }
+        for name, (got, want) in outputs.items():
+            assert [list(r) for r in got] == want, name
+        # centre: kernel of x |-> e_m x - x e_m over all m
+        rows = []
+        for b in basis:
+            diff = [[p - q for p, q in zip(_dense_product(alg, b, e),
+                                           _dense_product(alg, e, b))]
+                    for e in basis]
+            rows += [list(r) for r in zip(*diff)]
+        comm = [[p - q for p, q in zip(_dense_product(alg, a, b),
+                                       _dense_product(alg, b, a))]
+                for a in basis for b in basis]
+        span = linalg.rref([list(x.coords)])[0]
+        while True:
+            grown = linalg.rref(span + [_dense_product(alg, *pair)
+                                        for v in span for b in basis
+                                        for pair in ((b, v), (v, b))])[0]
+            if len(grown) == len(span):
+                break
+            span = grown
+        subspaces = {
+            "center": (center(alg), linalg.nullspace(rows, alg.field)),
+            "commutator": (commutator_subspace(alg), comm),
+            "ideal": (two_sided_ideal_closure(alg, [x]), span),
+        }
+        for name, (got, want) in subspaces.items():
+            assert (linalg.rref([list(r) for r in got.rows])[0]
+                    == linalg.rref(want)[0]), name
+        produced = [(x * y).coords, (x * alg.zero).coords]
+        produced += left_regular_matrix(x) + right_regular_matrix(x)
+        produced += [r for got, _ in subspaces.values() for r in got.rows]
+        assert all(_is_field_scalar(alg, c) for row in produced for c in row)
 
 
 def test_crossed_product_implies_strongly_graded():
