@@ -142,7 +142,8 @@ class Algebra:
         return Subspace(self, linalg.rref(rows)[0])
 
     def full_subspace(self):
-        return self.subspace([self.basis_element(i) for i in range(self.dim)])
+        """A itself; the identity rows are already its canonical echelon form."""
+        return Subspace(self, [self.basis_element(i).coords for i in range(self.dim)])
 
     def __repr__(self):
         return "Algebra(dim=%d over %r)" % (self.dim, self.field)
@@ -224,7 +225,7 @@ class Subspace:
 
     def contains(self, x):
         coords = x.coords if isinstance(x, AlgebraElement) else x
-        return linalg.row_space_contains([list(r) for r in self.rows], list(coords))
+        return linalg.row_space_contains(self.rows, coords)
 
     def basis_elements(self):
         return [self.owner.element(r) for r in self.rows]
@@ -319,20 +320,38 @@ def center(algebra):
 
 def two_sided_ideal_closure(algebra, generators):
     """Smallest subspace containing the generators closed under left and
-    right multiplication by basis elements. Each round multiplies only the
-    echelon rows whose pivot is new: with the old span they span the grown
-    one, and the old rows' products are already inside it."""
-    span, pivots = linalg.rref([list(g.coords) for g in generators])
-    new = span
-    while new:
-        rows = list(span)
-        for v in new:
-            rows += _regular_columns(algebra, v, left=True)
-            rows += _regular_columns(algebra, v, left=False)
-        grown, grown_pivots = linalg.rref(rows)
-        new = [r for r, c in zip(grown, grown_pivots) if c not in pivots]
-        span, pivots = grown, set(grown_pivots)
-    return Subspace(algebra, span)
+    right multiplication by basis elements, by spinning: each generator and
+    each product x e_j, e_j x of a newly added basis vector x is reduced
+    against an echelon basis, and a nonzero remainder joins the basis and
+    the queue. The spin stops as soon as the basis spans A."""
+    n = algebra.dim
+    one = algebra.field.one
+    basis = {}  # pivot column -> row with 1 there and 0 at the earlier pivots
+    queue = []
+
+    def add(v):
+        # True once the basis spans A; reducing in insertion order leaves
+        # every earlier pivot at 0
+        for c, row in basis.items():
+            f = v[c]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        c = next((c for c, a in enumerate(v) if a), None)
+        if c is None:
+            return False
+        inv = one / v[c]
+        basis[c] = [a * inv for a in v]
+        queue.append(basis[c])
+        return len(basis) == n
+
+    if any(add(g.coords) for g in generators):
+        return algebra.full_subspace()
+    while queue:
+        v = queue.pop()
+        for left in (True, False):
+            if any(add(col) for col in _regular_columns(algebra, v, left)):
+                return algebra.full_subspace()
+    return Subspace(algebra, linalg.rref(basis.values())[0])
 
 
 def psi_matrix(algebra):

@@ -119,10 +119,12 @@ def test_criterion_4_symbol_algebras():
         for field, n, xi in ((F5, 2, 4), (F7, 3, 2)):
             D = construct_symbol_algebra(field, n, 2, 3, xi)
             assert is_graded_division(D).verdict == "true"
-            # exhaustive scan: every nonzero homogeneous element inverts
+            # exhaustive scan: every nonzero homogeneous element inverts; the
+            # scan yields one element per line, so take every multiple
             from gradedk.algebra import try_invert
             for _, x in D.nonzero_homogeneous_elements():
-                assert try_invert(x) is not None
+                for c in field.elements()[1:]:
+                    assert try_invert(x.scale(c)) is not None
             assert len(support(D)) == n * n
             lemma = supp_commutator_lemma_check(D)
             assert lemma.verdict == "true"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedk import linalg
+from gradedk import algebra as algebra_module, linalg
 from gradedk.algebra import (center, commutator_subspace, is_central_simple,
                              left_regular_matrix, minimal_polynomial,
                              psi_matrix, right_regular_matrix, try_invert,
@@ -107,6 +107,47 @@ def test_ideal_closure():
     qq = Algebra(Q, ["a", "b"], prod, unit=[1, 1])
     ideal = two_sided_ideal_closure(qq, [qq.basis_element(0)])
     assert ideal.dim == 1
+
+
+def test_ideal_closure_stops_at_full_dimension(monkeypatch):
+    m3 = construct_matrix_algebra(FieldSpec.prime_field(5), 3)
+    calls = []
+    regular_columns = algebra_module._regular_columns
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return regular_columns(*args, **kwargs)
+
+    monkeypatch.setattr(algebra_module, "_regular_columns", counted)
+    ideal = two_sided_ideal_closure(m3, [m3.one])
+    # the left products of 1 already span A
+    assert len(calls) <= 2
+    assert ideal == m3.full_subspace()
+
+
+def _reference_ideal_closure(alg, x):
+    """The rref fixed-point loop: close the span under products with every
+    basis element until the dimension stops growing."""
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    span = linalg.rref([list(x.coords)])[0]
+    while True:
+        rows = [alg.element(r) for r in span]
+        grown = linalg.rref(span + [list((v * b).coords) for v in rows for b in basis]
+                            + [list((b * v).coords) for v in rows for b in basis])[0]
+        if len(grown) == len(span):
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime_field(5), Q])
+def test_ideal_closure_of_proper_ideal_in_triangular(field):
+    # T_2 on {E11, E12, E22}: E12 spans an ideal, E11 generates {E11, E12}
+    products = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}}
+    t2 = Algebra(field, ["E11", "E12", "E22"], products, unit=[1, 0, 1])
+    for gen, dim in ((t2.basis_element(1), 1), (t2.basis_element(0), 2)):
+        ideal = two_sided_ideal_closure(t2, [gen])
+        assert ideal.dim == dim
+        assert ideal.rows == [tuple(r) for r in _reference_ideal_closure(t2, gen)]
 
 
 def test_central_simple_exhaustive_gf2():

@@ -1,8 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from gradedk.algebra import Algebra, center
+from gradedk import linalg
+from gradedk.algebra import (Algebra, center, left_regular_matrix, try_invert,
+                             two_sided_ideal_closure)
 from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_matrix_algebra,
                                   construct_quaternion,
@@ -17,8 +20,10 @@ from gradedk.graded import (GradedAlgebra, HomogeneousElement,
                             support, support_subgroup, trivially_graded,
                             validate_grading)
 from gradedk.groups import GradeGroup
+from gradedk.matrixring import ShiftedMatrixAlgebra
 
 Q = FieldSpec.rationals()
+F3 = FieldSpec.prime_field(3)
 F5 = FieldSpec.prime_field(5)
 
 
@@ -114,6 +119,77 @@ def test_graded_simple_finds_ideal():
     rep = is_graded_simple(g)
     assert rep.verdict == "false"
     assert rep.counterexample[0] == "proper-ideal-generator"
+
+
+def _full_scan(g, d):
+    """Every nonzero element of the degree-d component, in itertools.product
+    order over its coordinates."""
+    alg = g.algebra
+    idx = g.component_indices(d)
+    for coords in itertools.product(alg.field.elements(), repeat=len(idx)):
+        if any(coords):
+            full = [alg.field.zero] * alg.dim
+            for i, c in zip(idx, coords):
+                full[i] = c
+            yield alg.element(full)
+
+
+def _first_failing(g, fails):
+    return next(x for d in support(g) for x in _full_scan(g, d) if fails(x))
+
+
+def _shifted_matrix_f3(shift):
+    z2 = GradeGroup.cyclic(2)
+    scalars = trivially_graded(Algebra(F3, ["1"], {(0, 0): {0: 1}}, unit=[1]), z2)
+    return ShiftedMatrixAlgebra(scalars, [z2.element((s,)) for s in shift]).materialized
+
+
+def _f3_cyclic3_trivially_graded():
+    # F_3[Z/3] = F_3[x]/(x - 1)^3 is local: x is a unit iff its augmentation is
+    return trivially_graded(construct_group_ring(F3, GradeGroup.cyclic(3)).algebra,
+                            GradeGroup.trivial())
+
+
+def test_graded_simple_witness_matches_full_scan():
+    f3xf3 = trivially_graded(Algebra(F3, ["a", "b"], {(0, 0): {0: 1}, (1, 1): {1: 1}},
+                                     unit=[1, 1]), GradeGroup.trivial())
+    for g in (f3xf3, _f3_cyclic3_trivially_graded()):
+        alg = g.algebra
+        full = alg.full_subspace()
+        rep = is_graded_simple(g)
+        assert rep.verdict == "false"
+        x = rep.counterexample[1]
+        assert x == _first_failing(g, lambda y: two_sided_ideal_closure(alg, [y]) != full)
+        # both algebras are commutative, so the ideal of x is x*A, the
+        # column space of L_x
+        assert linalg.rank(left_regular_matrix(x)) < alg.dim
+
+
+def test_graded_division_witness_matches_full_scan():
+    for g in (_shifted_matrix_f3([0, 1]), _f3_cyclic3_trivially_graded()):
+        rep = is_graded_division(g)
+        assert rep.verdict == "false"
+        x = rep.counterexample[1]
+        assert x == _first_failing(g, lambda y: try_invert(y) is None)
+        assert try_invert(x) is None
+    g = _f3_cyclic3_trivially_graded()
+    rep = is_crossed_product(g)
+    unit = _first_failing(g, lambda y: try_invert(y) is not None)
+    assert rep.witness == {g.group.identity: unit}
+
+
+def test_component_elements_one_per_line():
+    for g in (_shifted_matrix_f3([0, 1]), _shifted_matrix_f3([0, 1, 1]),
+              _f3_cyclic3_trivially_graded()):
+        for d in support(g):
+            k = len(g.component_indices(d))
+            lines = list(g.component_elements(d))
+            assert len(lines) == (3 ** k - 1) // 2
+            for x in lines:
+                assert next(c for c in x.coords if c) == 1
+            multiples = {x.scale(c) for x in lines for c in (1, 2)}
+            assert len(multiples) == 2 * len(lines)
+            assert multiples == set(_full_scan(g, d))
 
 
 def test_graded_center_group_ring_s3():
