@@ -16,7 +16,7 @@ ENUMERATION_BUDGET = 1 << 20
 
 
 class Algebra:
-    def __init__(self, field, labels, products, unit=None, check=True):
+    def __init__(self, field, labels, products, unit=None):
         """products: {(i, j): {k: scalar}} with zero entries omitted.
 
         unit: coordinate vector of 1; if None it is located by solving the
@@ -37,9 +37,8 @@ class Algebra:
         if unit is None:
             unit = self._find_unit()
         self.unit_coords = tuple(field.scalar(v) for v in unit)
-        if check:
-            self._check_unit()
-            self._check_associativity()
+        self._check_unit()
+        self._check_associativity()
 
     # -- construction helpers -----------------------------------------
 

@@ -77,8 +77,8 @@ class GFElement:
         return GFElement(self.p, -self.v)
 
     def __pow__(self, n):
-        if n < 0:
-            return (GFElement(self.p, 1) / self) ** (-n)
+        if n < 0 and not self.v:
+            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
         return GFElement(self.p, pow(self.v, n, self.p))
 
     def __eq__(self, other):

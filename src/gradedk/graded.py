@@ -19,6 +19,8 @@ from .groups import SubgroupSpec, coset_index
 from .verdict import (VerdictReport, TRUE, FALSE, UNDECIDED,
                       EXHAUSTIVE, CONSTRUCTIVE, SAMPLED, combine)
 
+SAMPLES = 32  # random elements per component tried by the sampled branches
+
 
 @dataclass
 class HomogeneousElement:
@@ -216,7 +218,7 @@ def is_strongly_graded(g):
     return VerdictReport("strongly-graded", TRUE, CONSTRUCTIVE, witness=certificates)
 
 
-def _invertible_in_component(g, degree, rng=None, samples=32):
+def _invertible_in_component(g, degree, rng=None):
     """(element, strategy) with the element invertible homogeneous of the
     given degree, or (None, strategy)."""
     alg = g.algebra
@@ -238,7 +240,7 @@ def _invertible_in_component(g, degree, rng=None, samples=32):
         if try_invert(b) is not None:
             return b, SAMPLED
     if rng is not None:
-        for _ in range(samples):
+        for _ in range(SAMPLES):
             coords = [alg.field.zero] * alg.dim
             for i in idx:
                 coords[i] = alg.field.random_scalar(rng)
@@ -274,7 +276,7 @@ def is_crossed_product(g, rng=None):
                          witness=witnesses)
 
 
-def is_graded_division(g, rng=None, samples=32):
+def is_graded_division(g, rng=None):
     """Every nonzero homogeneous element invertible.
 
     One-dimensional components with invertible basis vectors give an exact
@@ -311,7 +313,7 @@ def is_graded_division(g, rng=None, samples=32):
                 return VerdictReport("graded-division", FALSE, SAMPLED,
                                      counterexample=("noninvertible", alg.basis_element(i)))
         if rng is not None:
-            for _ in range(samples):
+            for _ in range(SAMPLES):
                 coords = [alg.field.zero] * alg.dim
                 for i in g.component_indices(d):
                     coords[i] = alg.field.random_scalar(rng)
@@ -322,7 +324,7 @@ def is_graded_division(g, rng=None, samples=32):
     return VerdictReport("graded-division", TRUE, SAMPLED)
 
 
-def is_graded_simple(g, rng=None, samples=32):
+def is_graded_simple(g, rng=None):
     """Only homogeneous two-sided ideals are 0 and R; homogeneous generators
     suffice for homogeneous ideals."""
     alg = g.algebra
@@ -346,7 +348,7 @@ def is_graded_simple(g, rng=None, samples=32):
         for i in g.component_indices(d):
             candidates.append(alg.basis_element(i))
         if rng is not None:
-            for _ in range(samples):
+            for _ in range(SAMPLES):
                 coords = [alg.field.zero] * alg.dim
                 for i in g.component_indices(d):
                     coords[i] = alg.field.random_scalar(rng)

@@ -150,7 +150,7 @@ def _primitive_idempotents_finite(zalg):
             if not any(f != e and f * e == f for f in idems)]
 
 
-def _primitive_idempotents_rational(zalg, tries=64):
+def _primitive_idempotents_rational(zalg):
     """Primitive idempotents of a commutative semisimple Q-algebra via a
     primitive element and CRT on its factored minimal polynomial."""
     k = zalg.dim
@@ -158,7 +158,7 @@ def _primitive_idempotents_rational(zalg, tries=64):
     x = sympy.symbols("x")
     import random
     rng = random.Random(20230711)
-    for _ in range(tries):
+    for _ in range(64):
         cand.append(zalg.element([Fraction(rng.randint(-4, 4)) for _ in range(k)]))
     for z in cand:
         f = minimal_polynomial(z)
@@ -214,7 +214,7 @@ def split_identity_component(algebra):
         bdim = len(block_basis)
         # centre of the block = Z(A)e
         zrows = [list((e * zb).coords) for zb in zbasis]
-        cdim = len(linalg.rref(zrows)[0])
+        cdim = linalg.rank(zrows)
         summary = BlockSummary(dim=bdim, centre_dim=cdim)
         if cdim == 1:
             # central simple over the base field: dim = n^2 * [D:F]
@@ -283,8 +283,7 @@ def _block_is_split(algebra, e, block_basis):
 
 
 def _corner_dim(algebra, u, block_basis):
-    rows = [list((u * algebra.element(r) * u).coords) for r in block_basis]
-    return len(linalg.rref(rows)[0])
+    return linalg.rank([list((u * algebra.element(r) * u).coords) for r in block_basis])
 
 
 def k0_of_semisimple(dec):

@@ -1,11 +1,17 @@
-"""Exact dense linear algebra over a field.
+"""Exact linear algebra over a field.
 
-Matrices are lists of lists of field scalars (Fraction or GFElement); all
-routines return canonical exact results. Row spaces are canonicalized via
+Matrices are dense lists of lists of field scalars (Fraction or GFElement);
+all routines return canonical exact results. Row spaces are canonicalized via
 reduced row echelon form so subspace equality is a data comparison.
+Elimination is sympy's sparse ``sdm`` routines, run on dict rows of these
+scalars with no domain conversion; ``charpoly`` and the polynomial helpers
+are local.
 """
 
 from __future__ import annotations
+
+from sympy.polys.matrices.sdm import (
+    sdm_irref, sdm_nullspace_from_rref, sdm_particular_from_rref)
 
 
 def zeros(field, rows, cols):
@@ -51,42 +57,43 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def _dict_rows(rows):
+    """(sdm dict rows of the nonzero entries, column count) of dense rows."""
+    sparse, ncols = {}, 0
+    for i, row in enumerate(rows):
+        ncols = len(row)
+        nz = {j: x for j, x in enumerate(row) if x}
+        if nz:
+            sparse[i] = nz
+    return sparse, ncols
+
+
+def _dense_rows(sparse, ncols, zero):
+    out = []
+    for nz in sparse:
+        row = [zero] * ncols
+        for j, x in nz.items():
+            row[j] = x
+        out.append(row)
+    return out
+
+
 def rref(rows):
     """Reduced row echelon form with unit pivots; returns (rows, pivot_cols).
 
     Zero rows are dropped, so the result is the canonical basis of the row
     space.
     """
-    m = [list(r) for r in rows]
-    if not m:
+    sparse, ncols = _dict_rows(rows)
+    red, pivots, _ = sdm_irref(sparse)
+    if not pivots:
         return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    one = red[0][pivots[0]]
+    return _dense_rows(red.values(), ncols, one - one), pivots
 
 
 def rank(a):
-    return len(rref(a)[0])
+    return len(sdm_irref(_dict_rows(a)[0])[1])
 
 
 def row_space_contains(echelon, vec):
@@ -102,42 +109,31 @@ def row_space_contains(echelon, vec):
 
 def solve(a, b):
     """One solution of A x = b, or None if inconsistent."""
-    rows = len(a)
-    if rows == 0:
+    if not a:
         return []
-    cols = len(a[0])
-    aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
+    sparse, cols = _dict_rows(a)
+    for i, bi in enumerate(b):
+        if bi:
+            sparse.setdefault(i, {})[cols] = bi
+    red, pivots, _ = sdm_irref(sparse)
+    if pivots and pivots[-1] == cols:
         return None
-    zero = (b[0] - b[0]) if rows else None
-    x = [zero] * cols
-    for row, c in zip(red, pivots):
-        x[c] = row[-1]
-    return x
+    particular = sdm_particular_from_rref(red, cols + 1, pivots)
+    return _dense_rows([particular], cols, b[0] - b[0])[0]
 
 
 def nullspace(a, field):
     """Canonical basis (rows) of {x : A x = 0}."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * cols
-        v[fc] = field.one
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return rref(basis)[0]
+    sparse, cols = _dict_rows(a)
+    red, pivots, nonzero_cols = sdm_irref(sparse)
+    kernel, _ = sdm_nullspace_from_rref(red, field.one, cols, pivots, nonzero_cols)
+    return _dense_rows(sdm_irref(dict(enumerate(kernel)))[0].values(), cols, field.zero)
 
 
 def inverse(a, field):
     """Matrix inverse, or None if singular."""
     n = len(a)
-    aug = [list(a[i]) + list(identity_matrix(field, n)[i]) for i in range(n)]
-    red, pivots = rref(aug)
+    red, pivots = rref([list(row) + e for row, e in zip(a, identity_matrix(field, n))])
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in red]

@@ -22,6 +22,8 @@ from .groups import SubgroupSpec, coset_label
 from .verdict import (VerdictReport, TRUE, FALSE, UNDECIDED,
                       EXHAUSTIVE, CONSTRUCTIVE, SAMPLED)
 
+CENTRE_WINDOW = 2  # longest generator word in the degrees central_scalar_check visits
+
 
 class ShiftedMatrixAlgebra:
     """M_n(R)(d) for R a finite-dimensional GradedAlgebra (materialized) or a
@@ -252,7 +254,7 @@ def is_graded_simple_matrix(m):
                          witness="matrix-unit reduction with monomial inverses")
 
 
-def central_scalar_check(m, window=2):
+def central_scalar_check(m):
     """Check that the centre of a lazy M_n(R)(d) is exactly R (scalar
     matrices with entries in the base graded field), on a finite window of
     components around the identity degree."""
@@ -260,10 +262,10 @@ def central_scalar_check(m, window=2):
         raise ValueError("lazy base expected")
     field = m.base.field
     gens = m.support_subgroup().generators
-    # degrees to inspect: words of length <= window in the generators
+    # degrees to inspect: words of length <= CENTRE_WINDOW in the generators
     seen = {m.group.identity}
     frontier = [m.group.identity]
-    for _ in range(window):
+    for _ in range(CENTRE_WINDOW):
         nxt = []
         for x in frontier:
             for g in gens:
@@ -315,7 +317,7 @@ def central_scalar_check(m, window=2):
                 return VerdictReport("centre-is-base", FALSE, SAMPLED,
                                      counterexample=("nonscalar-centre", lam))
     return VerdictReport("centre-is-base", TRUE, SAMPLED,
-                         details={"window": window})
+                         details={"window": CENTRE_WINDOW})
 
 
 # -- GL_{n x m}(R)[d][a] ----------------------------------------------
@@ -339,16 +341,16 @@ def _pattern_inverse(base_graded, r, d, a):
     rhs = []
 
     def add_eq(prod_terms, target):
-        # prod_terms: list of (slot, AlgebraElement multiplier, side)
-        for coord in range(alg.dim):
-            row = [field.zero] * len(slots)
-            for (slot, mult, side) in prod_terms:
-                j, i, k = slot
-                b = alg.basis_element(k)
-                z = (mult * b) if side == "left" else (b * mult)
-                row[cols[slot]] = row[cols[slot]] + z.coords[coord]
-            rows.append(row)
-            rhs.append(target.coords[coord])
+        # prod_terms: (slot, AlgebraElement multiplier, side); one row per coordinate
+        block = [[field.zero] * len(slots) for _ in range(alg.dim)]
+        for (slot, mult, side) in prod_terms:
+            b = alg.basis_element(slot[2])
+            z = (mult * b) if side == "left" else (b * mult)
+            for coord, x in enumerate(z.coords):
+                if x:
+                    block[coord][cols[slot]] += x
+        rows.extend(block)
+        rhs.extend(target.coords)
 
     one, zero = alg.one, alg.zero
     # r t = I_n : sum_j r[i][j] t[j][l] = delta_il
@@ -376,7 +378,7 @@ def _pattern_inverse(base_graded, r, d, a):
     return t
 
 
-def solve_shift_matrix(base_graded, d, a, budget=ENUMERATION_BUDGET, rng=None):
+def solve_shift_matrix(base_graded, d, a):
     """Search GL_{n x m}(R)[d][a]; a witness certifies R^n(d) ~gr R^m(a).
 
     Strategy: permutation matrices of invertible homogeneous entries first,
@@ -427,7 +429,7 @@ def solve_shift_matrix(base_graded, d, a, budget=ENUMERATION_BUDGET, rng=None):
             for j in range(m):
                 for k in base_graded.component_indices(d[i].inverse() * a[j]):
                     slots.append((i, j, k))
-        if field.order ** len(slots) <= budget:
+        if field.order ** len(slots) <= ENUMERATION_BUDGET:
             for values in itertools.product(field.elements(), repeat=len(slots)):
                 r = [[alg.zero for _ in range(m)] for _ in range(n)]
                 for (i, j, k), c in zip(slots, values):

@@ -48,6 +48,9 @@ def test_gf_pow_negative_exponent():
     assert x ** -1 == F.scalar(3)  # 2*3 = 6 = 1
     assert x ** -2 == (x ** 2) ** -1
     assert x ** 0 == F.one
+    assert F.scalar(4) ** -3 == F.scalar(4)  # 4 = -1
+    with pytest.raises(ZeroDivisionError):
+        F.zero ** -1
 
 
 def test_gf_fraction_coercion():

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from gradedk import linalg
+from gradedk.algebra import is_central_simple
+from gradedk.azumaya import psi_bijective
+from gradedk.constructors import construct_matrix_algebra, construct_symbol_algebra
 from gradedk.fields import FieldSpec
 
 Q = FieldSpec.rationals()
@@ -116,3 +120,99 @@ def test_row_space_contains():
                            [Fraction(0), Fraction(0), Fraction(1)]])
     assert linalg.row_space_contains(rows, [Fraction(2), Fraction(4), Fraction(7)])
     assert not linalg.row_space_contains(rows, [Fraction(0), Fraction(1), Fraction(0)])
+
+
+# -- differential test against sympy's dense elimination ---------------
+
+
+def _oracle_rref(m, field):
+    """(rows, pivots) of m from sympy's dense DomainMatrix elimination.
+
+    The dense methods share no code with the sparse ``sdm`` path linalg
+    runs on: over GF(p) Gauss-Jordan ``ddm_irref``, over Q fraction-free
+    elimination after clearing denominators. (``sympy.Matrix.rref`` hands
+    rational matrices to ``DomainMatrix.rref`` in auto mode, which picks
+    ``sdm_irref`` for sparse inputs, so it is not used here.)
+    """
+    if field.kind == "rationals":
+        dom, method = sympy.QQ, "CD_dense"
+        to_dom = lambda x: dom(x.numerator, x.denominator)
+        back = lambda e: Fraction(int(e.numerator), int(e.denominator))
+    else:
+        dom, method = sympy.GF(field.characteristic), "GJ_dense"
+        to_dom = lambda x: dom(x.v)
+        back = lambda e: field.scalar(int(e))
+    dm = DomainMatrix([[to_dom(x) for x in row] for row in m],
+                      (len(m), len(m[0])), dom)
+    red, pivots = dm.rref(method=method)
+    return [[back(e) for e in row] for row in red.to_list()[:len(pivots)]], list(pivots)
+
+
+def _oracle_nullspace(m, field):
+    """Kernel basis read off the oracle rref, put in canonical form by it."""
+    red, pivots = _oracle_rref(m, field)
+    cols = len(m[0])
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [field.zero] * cols
+        v[fc] = field.one
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return _oracle_rref(basis, field)[0] if basis else []
+
+
+def _differential_cases():
+    rng = random.Random(2011)
+    shapes = [(1, 1), (1, 6), (6, 1), (3, 7), (7, 3), (5, 5), (8, 8)]
+    for field in (Q, FieldSpec.prime_field(2), F5, FieldSpec.prime_field(11)):
+        yield field, linalg.zeros(field, 4, 6)  # the all-zero matrix
+        for rows, cols in shapes * 8:
+            density = rng.choice((0.15, 0.4, 0.7, 1.0))
+            m = [[field.random_scalar(rng, 4) if rng.random() < density else field.zero
+                  for _ in range(cols)] for _ in range(rows)]
+            if rows > 1 and rng.random() < 0.5:
+                m[rng.randrange(rows)] = [field.zero] * cols  # a zero row
+            if cols > 1 and rng.random() < 0.5:
+                c = rng.randrange(cols)  # a zero column
+                for row in m:
+                    row[c] = field.zero
+            if rows > 2 and rng.random() < 0.3:
+                m[-1] = [a + b for a, b in zip(m[0], m[1])]  # a dependent row
+            yield field, m
+
+
+def test_rref_nullspace_solve_match_dense_sympy():
+    rng = random.Random(17)
+    count = 0
+    for field, m in _differential_cases():
+        count += 1
+        want_rows, want_pivots = _oracle_rref(m, field)
+        assert linalg.rref(m) == (want_rows, want_pivots)
+        assert linalg.rank(m) == len(want_pivots)
+        assert linalg.nullspace(m, field) == _oracle_nullspace(m, field)
+        b = [field.random_scalar(rng, 4) for _ in m]
+        aug = [row + [bi] for row, bi in zip(m, b)]
+        consistent = len(want_pivots) == len(_oracle_rref(aug, field)[1])
+        sol = linalg.solve(m, b)
+        assert (sol is not None) == consistent
+        if consistent:
+            assert linalg.mat_vec(m, sol) == b
+        x = [field.random_scalar(rng, 4) for _ in m[0]]
+        sol = linalg.solve(m, linalg.mat_vec(m, x))
+        assert sol is not None and linalg.mat_vec(m, sol) == linalg.mat_vec(m, x)
+    assert count > 200
+
+
+# -- exactness on large sparse eliminations ----------------------------
+
+
+def test_central_simple_m5_rationals():
+    rep = is_central_simple(construct_matrix_algebra(Q, 5))
+    assert rep.verdict == "true" and rep.details["psi-rank"] == 625
+
+
+def test_psi_bijective_degree5_symbol_gf11():
+    g = construct_symbol_algebra(FieldSpec.prime_field(11), 5, 2, 3, 3)
+    rep = psi_bijective(g)
+    assert rep.verdict == "true" and rep.details["rank"] == 625
