@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 = true / success, 1 = false, 2 = undecided, 3 = usage or
-input error. Output is deterministic for a fixed --seed.
+input error, 4 = internal error (an unexpected exception: its traceback,
+then an `internal error:` line, on stderr). Output is deterministic for a
+fixed --seed.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import traceback
 
 from . import azumaya as az
 from . import fileformat as ff
@@ -174,9 +177,9 @@ def cmd_k0(args):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    blocks = ["dim=%d,centre=%d,n=%r" % (b.dim, b.centre_dim, b.matrix_size)
-              for b in dec.blocks]
-    print("k0gr=%r; blocks=[%s]" % (k0, "; ".join(blocks)))
+    blocks = ["dim=%d,centre=%d,n=%r,div=%r"
+              % (b.dim, b.centre_dim, b.matrix_size, b.division_dim) for b in dec.blocks]
+    print("k0gr=%r; radical=%d; blocks=[%s]" % (k0, dec.radical_dim, "; ".join(blocks)))
     if args.localize:
         print("k0gr_localized=%r" % kt.localize(k0, args.localize))
     return code
@@ -286,6 +289,10 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 3
+    except Exception as exc:
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ floating point anywhere.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 
@@ -157,6 +158,18 @@ class FieldSpec:
             raise ValueError("cannot enumerate an infinite field")
         p = self.characteristic
         return [GFElement(p, v) for v in range(p)]
+
+    def line_representatives(self, k):
+        """One nonzero vector per line of GF(p)^k, the one whose first
+        nonzero coordinate is 1, as tuples. They come in the order of all
+        nonzero vectors in `itertools.product` order with the other multiples
+        left out; a line's first vector in that order is this one, so a scan
+        for a property shared by each line finds the same first vector as a
+        scan over all vectors."""
+        zero, one, elements = self.zero, self.one, self.elements()
+        for t in reversed(range(k)):
+            for tail in itertools.product(elements, repeat=k - 1 - t):
+                yield (zero,) * t + (one,) + tail
 
     @property
     def order(self):

@@ -75,21 +75,14 @@ class GradedAlgebra:
         return next(iter(comps))
 
     def component_elements(self, degree):
-        """One nonzero element per line of a component, the one whose first
-        nonzero coordinate is 1; prime fields only. The order is that of all
-        nonzero component elements in `itertools.product` order with the
-        other multiples left out. A line's first element in that order is
-        this one, so a scan for a property shared by each line finds the same
-        first element as a scan over all elements."""
+        """One nonzero element per line of a component, in the order of
+        `FieldSpec.line_representatives`; prime fields only."""
         idx = self.component_indices(degree)
-        zero, one = self.field.zero, self.field.one
-        for t in reversed(range(len(idx))):
-            for tail in itertools.product(self.field.elements(), repeat=len(idx) - 1 - t):
-                full = [zero] * self.dim
-                full[idx[t]] = one
-                for i, c in zip(idx[t + 1:], tail):
-                    full[i] = c
-                yield AlgebraElement(self.algebra, full)
+        for values in self.field.line_representatives(len(idx)):
+            full = [self.field.zero] * self.dim
+            for i, c in zip(idx, values):
+                full[i] = c
+            yield AlgebraElement(self.algebra, full)
 
     def nonzero_homogeneous_elements(self):
         for d in support(self):

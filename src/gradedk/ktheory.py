@@ -5,16 +5,16 @@ CK0 / ZK0 exact-sequence data with torsion bounds and localization."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import sympy
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from . import linalg
-from .algebra import (Algebra, center, minimal_polynomial, evaluate_poly,
-                      ENUMERATION_BUDGET)
+from .algebra import (Algebra, Subspace, center, evaluate_poly,
+                      left_regular_matrix, minimal_polynomial)
 from .groups import coset_index
 from .matrixring import identity_component
 from .snf import smith_normal_form
@@ -94,196 +94,214 @@ class BlockSummary:
 
 @dataclass
 class SemisimpleDecomposition:
-    algebra: Algebra
+    algebra: Algebra         # A/J: the input itself when its radical J is 0
     blocks: list             # list of BlockSummary
-    idempotents: list        # central primitive idempotents, matching order
+    idempotents: list        # central primitive idempotents of A/J, matching order
+    radical_dim: int = 0     # dim J
 
     @property
     def fully_resolved(self):
         return all(b.resolved for b in self.blocks)
 
 
-def _semisimplicity_radical(algebra):
-    """Radical of the trace form B(x, y) = Tr(L_xy); over char 0 or char p
-    with p not dividing dim this detects any nonzero nil ideal. From the
-    constants: B(e_i, e_j) = sum_k c_ij^k t_k with t_k = Tr(L_{e_k}) =
-    sum_m c_km^m."""
+def _lifted_trace_digit(x, i):
+    """g_i(x) = (Tr(L~^(p^i)) mod p^(i+1)) / p^i, with L~ the integer lift of
+    L_x; x must lie in I_(i-1), where the trace is divisible by p^i."""
+    p = x.owner.field.characteristic
+    lift = DomainMatrix([[ZZ(c.v) for c in row] for row in left_regular_matrix(x)],
+                        (x.owner.dim, x.owner.dim), ZZ)
+    t = int(sum((lift ** p ** i).diagonal())) % p ** (i + 1)
+    assert t % p ** i == 0
+    return t // p ** i
+
+
+def jacobson_radical(algebra):
+    """The radical J as a canonical subspace (Cohen-Ivanyos-Wales, JPAA
+    117/118 (1997)). I_(-1) = A and I_i = {a in I_(i-1) : g_i(ab) = 0 for all
+    b}, for i = 0 .. floor(log_p dim); J is the last one. g_0 is the trace
+    Tr(L_x), linear on A; g_i (i >= 1) is linear on I_(i-1), so it is read
+    on a basis of I_(i-1) and extended to a functional w, and each round is
+    one nullspace of the Gram matrix of w. Over Q (Dickson) and over GF(p)
+    with p > dim, round 0 is the only round."""
+    field = algebra.field
     n = algebra.dim
-    zero = algebra.field.zero
-    t = [zero] * n
+    # g_0: t_k = Tr(L_{e_k}) = sum_m c_km^m
+    w = [field.zero] * n
     for (k, m), terms in algebra.products.items():
         if m in terms:
-            t[k] += terms[m]
-    gram = [[zero] * n for _ in range(n)]
-    for (i, j), terms in algebra.products.items():
-        for k, c in terms.items():
-            gram[i][j] += c * t[k]
-    return linalg.nullspace(gram, algebra.field)
+            w[k] += terms[m]
+    rows = algebra.full_subspace().rows
+    i = 0
+    while True:
+        gram = [[field.zero] * n for _ in range(n)]  # w(e_i e_j)
+        for (r, c), terms in algebra.products.items():
+            for k, v in terms.items():
+                gram[r][c] += v * w[k]
+        # a = sum_s lam_s rows_s is kept iff w(a e_t) = (lam R G)_t = 0 for all t
+        kept = linalg.nullspace(linalg.transpose(linalg.mat_mul(rows, gram)), field)
+        rows = linalg.rref(linalg.mat_mul(kept, rows))[0] if kept else []
+        i += 1
+        if not rows or field.kind == "rationals" or field.characteristic ** i > n:
+            return Subspace(algebra, rows)
+        values = [field.scalar(_lifted_trace_digit(algebra.element(r), i)) for r in rows]
+        w = linalg.solve(rows, values)
 
 
-def _centre_algebra(algebra):
-    """The centre as a commutative Algebra, plus the inclusion rows."""
-    z = center(algebra)
-    rows = [list(r) for r in z.rows]
-    basis = [algebra.element(r) for r in rows]
-    k = len(basis)
-    mat = [[rows[i][c] for i in range(k)] for c in range(algebra.dim)]
-    products = {}
-    for i in range(k):
-        for j in range(k):
-            prod = basis[i] * basis[j]
-            sol = linalg.solve(mat, list(prod.coords))
-            products[(i, j)] = {t: c for t, c in enumerate(sol) if c}
-    unit = linalg.solve(mat, list(algebra.unit_coords))
-    zalg = Algebra(algebra.field, ["z%d" % i for i in range(k)], products, unit=unit)
-    return zalg, basis
+def _quotient(algebra, radical):
+    """A/J on the basis vectors at the non-pivot columns of J's echelon rows:
+    a vector is reduced by the rows, which leaves it 0 at every pivot."""
+    pivots = [next(c for c, a in enumerate(r) if a) for r in radical.rows]
+    keep = [c for c in range(algebra.dim) if c not in pivots]
+
+    def reduce(v):
+        v = list(v)
+        for c, row in zip(pivots, radical.rows):
+            f = v[c]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        return [v[c] for c in keep]
+
+    basis = [algebra.basis_element(c) for c in keep]
+    products = {(s, t): dict(enumerate(reduce((x * y).coords)))
+                for s, x in enumerate(basis) for t, y in enumerate(basis)}
+    return Algebra(algebra.field, [algebra.labels[c] for c in keep], products,
+                   unit=reduce(algebra.unit_coords))
 
 
-def _primitive_idempotents_finite(zalg):
-    """All primitive idempotents of a commutative algebra over GF(p) by
-    exhaustive scan."""
-    if zalg.field.order ** zalg.dim > ENUMERATION_BUDGET:
-        raise ValueError("centre too large to enumerate")
-    idems = [x for x in zalg.elements() if not x.is_zero() and x * x == x]
-    # e is primitive iff no nonzero idempotent other than e sits under it
-    return [e for e in idems
-            if not any(f != e and f * e == f for f in idems)]
+def _spectral_idempotents(x):
+    """(idempotent, degree of f_i) for each irreducible factor f_i of the
+    minimal polynomial f = prod f_i^(m_i) of x: the CRT idempotent g_i(x)
+    h_i(x), with g_i = f / f_i^(m_i) and h_i its inverse mod f_i^(m_i). They
+    are orthogonal and sum to 1; f is factored by sympy over QQ or GF(p)."""
+    field = x.owner.field
+    f = linalg.to_sympy_poly(minimal_polynomial(x), field)
+    out = []
+    for fi, m in f.factor_list()[1]:
+        q = fi ** m
+        g = f.exquo(q)
+        coeffs = linalg.from_sympy_poly((g * g.invert(q)) % f, field)
+        out.append((evaluate_poly(coeffs, x), fi.degree()))
+    return out
 
 
-def _primitive_idempotents_rational(zalg):
-    """Primitive idempotents of a commutative semisimple Q-algebra via a
-    primitive element and CRT on its factored minimal polynomial."""
-    k = zalg.dim
-    cand = [zalg.basis_element(i) for i in range(k)]
-    x = sympy.symbols("x")
-    import random
-    rng = random.Random(20230711)
-    for _ in range(64):
-        cand.append(zalg.element([Fraction(rng.randint(-4, 4)) for _ in range(k)]))
-    for z in cand:
-        f = minimal_polynomial(z)
-        if len(f) - 1 != k:
-            continue
-        poly = sympy.Poly(sum(sympy.Rational(c) * x ** i for i, c in enumerate(f)), x)
-        factors = sympy.factor_list(poly)[1]
-        if any(mult > 1 for _, mult in factors):
-            continue  # not squarefree: z not separable enough, try another
-        idems = []
-        for fi, _ in factors:
-            gi = sympy.Poly(poly.div(fi)[0], x)
-            # e_i = g_i(z) * h_i(z) with h_i the inverse of g_i mod f_i
-            h, _, d = sympy.gcdex(gi, fi)
-            eh = (gi * sympy.Poly(h / d, x)) % poly
-            coeffs = [Fraction(sympy.Rational(c)) for c in reversed(eh.all_coeffs())]
-            idems.append(evaluate_poly(coeffs, z))
-        for e in idems:
-            assert e * e == e
-        return idems
-    raise ValueError("no primitive element found for the centre")
+def _central_primitive_idempotents(algebra, zbasis):
+    """Refine {1} by the spectral idempotents of each centre basis element,
+    keeping the nonzero products; no search is needed. Two field components
+    K_1, K_2 of Z stay together only if every basis element projects to a
+    pair (z_1, z_2) with equal minimal polynomials, and such pairs lie in a
+    proper subspace of Z, which a basis cannot. Over Q it is the kernel of
+    d_2 Tr_1 - d_1 Tr_2 (d_i = [K_i : Q]). Over GF(p), z_1 and z_2 lie in
+    the largest common subfield of K_1 and K_2; when that is all of both,
+    the pairs lie in the kernel of Tr_1 - Tr_2 (absolute traces). Each
+    idempotent e carries a lower bound for the degree of the field Ze; once
+    the bounds add up to dim Z every Ze is a field and the refinement
+    stops."""
+    idems = [(algebra.one, 1)]
+    for z in zbasis:
+        if sum(d for _, d in idems) == len(zbasis):
+            break
+        parts = _spectral_idempotents(z)
+        refined = []
+        for e, d in idems:
+            for u, du in parts:
+                eu = e * u
+                if not eu.is_zero():
+                    refined.append((eu, max(d, du)))
+        idems = refined
+    return [e for e, _ in idems]
 
 
 def split_identity_component(algebra):
-    """Decompose a semisimple algebra into its simple blocks via central
-    primitive idempotents, and match blocks to matrix rings when possible."""
-    if algebra.field.kind == "rationals" or algebra.dim % algebra.field.order:
-        if _semisimplicity_radical(algebra):
-            raise ValueError("algebra is not semisimple (trace-form radical)")
-    zalg, zbasis = _centre_algebra(algebra)
-    if algebra.field.kind == "prime-field":
-        prim_z = _primitive_idempotents_finite(zalg)
-    else:
-        prim_z = _primitive_idempotents_rational(zalg)
-    # push idempotents back into the ambient algebra
-    idems = []
-    for e in prim_z:
-        amb = algebra.zero
-        for c, b in zip(e.coords, zbasis):
-            amb = amb + b.scale(c)
-        idems.append(amb)
-    total = idems[0]
-    for e in idems[1:]:
-        total = total + e
-    if total != algebra.one:
-        raise ValueError("central idempotents do not sum to 1")
+    """Wedderburn splitting of A/J, with J the radical: K0(A) = K0(A/J),
+    because idempotents lift modulo a nilpotent ideal. The central primitive
+    idempotents of A/J cut it into simple blocks, each matched to M_n(D)
+    where the type is decided."""
+    radical = jacobson_radical(algebra)
+    semisimple = _quotient(algebra, radical) if radical.dim else algebra
+    zbasis = center(semisimple).basis_elements()
+    idems = _central_primitive_idempotents(semisimple, zbasis)
+    basis = [semisimple.basis_element(i) for i in range(semisimple.dim)]
     blocks = []
     for e in idems:
-        rows = []
-        for i in range(algebra.dim):
-            rows.append(list((e * algebra.basis_element(i) * e).coords))
-        block_basis, _ = linalg.rref(rows)
-        bdim = len(block_basis)
-        # centre of the block = Z(A)e
-        zrows = [list((e * zb).coords) for zb in zbasis]
-        cdim = linalg.rank(zrows)
-        summary = BlockSummary(dim=bdim, centre_dim=cdim)
-        if cdim == 1:
-            # central simple over the base field: dim = n^2 * [D:F]
-            n = 1
-            while n * n <= bdim:
-                if n * n == bdim:
-                    break
-                n += 1
-            if n * n == bdim and _block_is_split(algebra, e, block_basis):
-                summary.matrix_size = n
-                summary.division_dim = 1
-        blocks.append(summary)
+        block_basis, _ = linalg.rref([list((e * b).coords) for b in basis])
+        cdim = linalg.rank([list((e * z).coords) for z in zbasis])
+        n, ddim = _block_type(semisimple, e, block_basis, cdim)
+        blocks.append(BlockSummary(len(block_basis), cdim, n, ddim))
     order = sorted(range(len(blocks)), key=lambda t: (blocks[t].dim, blocks[t].centre_dim))
-    return SemisimpleDecomposition(algebra,
+    return SemisimpleDecomposition(semisimple,
                                    [blocks[t] for t in order],
-                                   [idems[t] for t in order])
+                                   [idems[t] for t in order],
+                                   radical_dim=radical.dim)
 
 
-def _block_is_split(algebra, e, block_basis):
-    """True if the block eAe is a full matrix algebra over the base field:
-    certified by a rank-one idempotent, i.e. an idempotent u with dim uAu = 1.
-    Squares of dimension 1 or 4 over GF(p) and Q split automatically when a
-    noncentral idempotent exists; we search directly."""
+def _block_type(algebra, e, block_basis, cdim):
+    """(n, dim D) with the block eA = M_n(D), or (None, None) if undecided.
+
+    A block of dim c * n^2 over its centre K of dim c is M_n(D) with D a
+    division algebra central over K. Over GF(p), D = K (Wedderburn's little
+    theorem). A block equal to its centre is a field. Over Q with K = Q, a
+    dim-4 block is a quaternion algebra decided by Hilbert symbols, and a
+    larger one is M_n(Q) when a spectral idempotent of a block basis element
+    has a 1-dimensional corner; otherwise it is left undecided."""
     bdim = len(block_basis)
-    if bdim == 1:
-        return True
-    field = algebra.field
-    if field.kind == "prime-field" and field.order ** bdim <= ENUMERATION_BUDGET:
-        for coords in itertools.product(field.elements(), repeat=bdim):
-            if not any(coords):
-                continue
-            u = algebra.zero
-            for c, row in zip(coords, block_basis):
-                u = u + algebra.element(row).scale(c)
-            if u * u == u and _corner_dim(algebra, u, block_basis) == 1:
-                return True
-        return False
-    # rationals: look for separable elements whose minimal polynomial splits
-    # into linear factors; their spectral idempotents cut out corners
-    x = sympy.symbols("x")
-    import random
-    rng = random.Random(987123)
-    candidates = [algebra.element(row) for row in block_basis]
-    for _ in range(120):
-        z = algebra.zero
-        for row in block_basis:
-            z = z + algebra.element(row).scale(Fraction(rng.randint(-3, 3)))
-        candidates.append(z)
-    for z in candidates:
-        f = minimal_polynomial(z)
-        poly = sympy.Poly(sum(sympy.Rational(c) * x ** i for i, c in enumerate(f)), x)
-        factors = sympy.factor_list(poly)[1]
-        if any(m > 1 for _, m in factors) or any(fi.degree() > 1 for fi, _ in factors):
-            continue
-        if len(factors) < 2:
-            continue
-        for fi, _ in factors:
-            gi = sympy.Poly(poly.div(fi)[0], x)
-            h, _, d = sympy.gcdex(gi, fi)
-            eh = (gi * sympy.Poly(h / d, x)) % poly
-            coeffs = [Fraction(sympy.Rational(c)) for c in reversed(eh.all_coeffs())]
-            u = evaluate_poly(coeffs, z)
-            if u * u == u and not u.is_zero() and _corner_dim(algebra, u, block_basis) == 1:
-                return True
-    return False
+    if algebra.field.kind == "prime-field" or bdim == cdim:
+        return isqrt(bdim // cdim), cdim
+    n = isqrt(bdim)
+    if cdim > 1:
+        return None, None
+    if n == 2:
+        return (2, 1) if _quaternion_block_splits(algebra, e, block_basis) else (1, 4)
+    for row in block_basis:
+        for u, _ in _spectral_idempotents(algebra.element(row)):
+            if _corner_dim(algebra, u, block_basis) == 1:
+                return n, 1
+    return None, None
 
 
 def _corner_dim(algebra, u, block_basis):
     return linalg.rank([list((u * algebra.element(r) * u).coords) for r in block_basis])
+
+
+def _quaternion_block_splits(algebra, e, block_basis):
+    """A 4-dim block B with centre Q e is the quaternion algebra (a, b): x in
+    B off Q e, shifted to trace zero, has x^2 = a e, and j != 0 with
+    xj = -jx has j^2 = b e. B = M_2(Q) iff a or b is 0, or the Hilbert
+    symbol (a, b)_v is 1 at every place v (Serre, A Course in Arithmetic,
+    ch. III). It is 1 at the odd primes not dividing ab, and by Hilbert
+    reciprocity (the product over all places is 1) the place 2 follows from
+    the others, so infinity and the odd primes dividing ab decide it."""
+    basis = [algebra.element(r) for r in block_basis]
+    x = next(b for b in basis if linalg.rank([b.coords, e.coords]) == 2)
+    # x^2 = c1 x + c0 e
+    columns = [[xc, ec] for xc, ec in zip(x.coords, e.coords)]
+    c1, c0 = linalg.solve(columns, list((x * x).coords))
+    x = x - e.scale(c1 / 2)
+    a = c0 + c1 * c1 / 4
+    if not a:
+        return True
+    lam = linalg.nullspace(linalg.transpose([list((x * b + b * x).coords) for b in basis]),
+                           algebra.field)[0]
+    j = algebra.zero
+    for c, b in zip(lam, basis):
+        j = j + b.scale(c)
+    k = next(k for k, c in enumerate(e.coords) if c)
+    b = (j * j).coords[k] / e.coords[k]
+    if not b:
+        return True
+    a, b = a.numerator * a.denominator, b.numerator * b.denominator
+    if a < 0 and b < 0:
+        return False  # (a, b) is -1 at infinity
+    return all(_hilbert_symbol(a, b, p) == 1 for p in sympy.primefactors(a * b) if p != 2)
+
+
+def _hilbert_symbol(a, b, p):
+    """(a, b)_p for nonzero integers a, b and an odd prime p (Serre, ch. III,
+    Theorem 1)."""
+    alpha, beta = sympy.multiplicity(p, a), sympy.multiplicity(p, b)
+    u, v = a // p ** alpha, b // p ** beta
+    legendre = lambda t: 0 if pow(t, (p - 1) // 2, p) == 1 else 1
+    exponent = alpha * beta * (p - 1) // 2 + beta * legendre(u) + alpha * legendre(v)
+    return -1 if exponent % 2 else 1
 
 
 def k0_of_semisimple(dec):

@@ -5,11 +5,15 @@ all routines return canonical exact results. Row spaces are canonicalized via
 reduced row echelon form so subspace equality is a data comparison.
 Elimination is sympy's sparse ``sdm`` routines, run on dict rows of these
 scalars with no domain conversion; ``charpoly`` and the polynomial helpers
-are local.
+are local, and ``to_sympy_poly``/``from_sympy_poly`` carry a coefficient
+list to a sympy ``Poly`` (for factoring) and back.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+import sympy
 from sympy.polys.matrices.sdm import (
     sdm_irref, sdm_nullspace_from_rref, sdm_particular_from_rref)
 
@@ -177,6 +181,23 @@ def poly_sub(p, q, field):
     p = list(p) + [z] * (n - len(p))
     q = list(q) + [z] * (n - len(q))
     return poly_trim([a - b for a, b in zip(p, q)], z)
+
+
+_X = sympy.Symbol("x")
+
+
+def to_sympy_poly(coeffs, field):
+    """An ascending coefficient list as a sympy Poly in x over QQ or GF(p)."""
+    desc = list(reversed(coeffs))
+    if field.kind == "rationals":
+        return sympy.Poly.from_list([sympy.QQ(c.numerator, c.denominator) for c in desc],
+                                    _X, domain=sympy.QQ)
+    return sympy.Poly.from_list([c.v for c in desc], _X, modulus=field.characteristic)
+
+
+def from_sympy_poly(poly, field):
+    """The ascending coefficient list, in field scalars, of a sympy Poly."""
+    return [field.scalar(Fraction(int(c.p), int(c.q))) for c in reversed(poly.all_coeffs())]
 
 
 def charpoly(a, field):

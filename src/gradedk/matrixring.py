@@ -11,7 +11,6 @@ matrix example.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -430,7 +429,8 @@ def solve_shift_matrix(base_graded, d, a):
                 for k in base_graded.component_indices(d[i].inverse() * a[j]):
                     slots.append((i, j, k))
         if field.order ** len(slots) <= ENUMERATION_BUDGET:
-            for values in itertools.product(field.elements(), repeat=len(slots)):
+            # c r is invertible exactly when r is: one pattern per line
+            for values in field.line_representatives(len(slots)):
                 r = [[alg.zero for _ in range(m)] for _ in range(n)]
                 for (i, j, k), c in zip(slots, values):
                     if c:

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy
-
 from . import linalg
 from .algebra import (Subspace, center, commutator_subspace,
                       left_regular_matrix, minimal_polynomial)
@@ -32,19 +30,6 @@ def _degree(algebra):
     return n
 
 
-def _is_irreducible(coeffs, field):
-    if field.kind == "rationals":
-        x = sympy.symbols("x")
-        poly = sympy.Poly(sum(sympy.Rational(c) * x ** i
-                              for i, c in enumerate(coeffs)), x, domain="QQ")
-        factors = sympy.factor_list(poly)[1]
-        return len(factors) == 1 and factors[0][1] == 1
-    from sympy.polys.galoistools import gf_irreducible_p
-    from sympy.polys.domains import ZZ
-    desc = [ZZ(int(c.v)) for c in reversed(coeffs)]
-    return bool(gf_irreducible_p(desc, field.order, ZZ))
-
-
 def reduced_char_poly(algebra, a):
     """The reduced characteristic polynomial of a in a central simple algebra
     of degree n = sqrt(dim).
@@ -57,7 +42,7 @@ def reduced_char_poly(algebra, a):
     n = _degree(algebra)
     f = minimal_polynomial(a)
     m = len(f) - 1
-    if n % m == 0 and _is_irreducible(f, field):
+    if n % m == 0 and linalg.to_sympy_poly(f, field).is_irreducible:
         q = linalg.poly_pow(f, n // m, field)
         route = "min-poly-power"
     else:

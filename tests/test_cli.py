@@ -1,6 +1,13 @@
 import pytest
 
+import gradedk.cli
 from gradedk.cli import main
+from gradedk.constructors import construct_group_ring, construct_matrix_algebra
+from gradedk.fields import FieldSpec
+from gradedk.fileformat import save_graded_algebra
+from gradedk.graded import trivially_graded
+from gradedk.groups import GradeGroup
+from test_ktheory import product_algebra, scalars, upper_triangular
 
 
 def run(capsys, *argv):
@@ -164,3 +171,36 @@ def test_seed_determinism(capsys, quat_file):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+F2, F3, F5 = (FieldSpec.prime_field(p) for p in (2, 3, 5))
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: construct_matrix_algebra(F5, 3), ["k0gr=Z;", "radical=0", "n=3"]),
+    (lambda: upper_triangular(F3), ["k0gr=Z^2;", "radical=1"]),
+    (lambda: product_algebra(scalars(F2), construct_matrix_algebra(F2, 2)),
+     ["k0gr=Z^2;", "radical=0",
+      "blocks=[dim=1,centre=1,n=1,div=1; dim=4,centre=1,n=2,div=1]"]),
+    (lambda: construct_group_ring(F3, GradeGroup.symmetric_3()).algebra,
+     ["k0gr=Z^2;", "radical=4"]),
+], ids=["M3_GF5", "T2_GF3", "GF2xM2_GF2", "GF3_S3"])
+def test_k0_strongly_graded_splits_identity_component(capsys, tmp_path, build, expected):
+    # trivially graded over Z/2, so the algebra is its own identity component
+    path = tmp_path / "a.alg"
+    save_graded_algebra(trivially_graded(build(), GradeGroup.cyclic(2)), str(path))
+    code, out, err = run(capsys, "k0", str(path))
+    assert code == 0 and not err
+    for text in expected:
+        assert text in out
+
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def broken(args):
+        raise TypeError("unexpected input")
+    monkeypatch.setattr(gradedk.cli, "cmd_k0", broken)
+    code, out, err = run(capsys, "k0", "--exact-sequence", "2")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "internal error: TypeError: unexpected input"
