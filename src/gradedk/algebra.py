@@ -124,9 +124,6 @@ class Algebra:
             coords[self.labels.index(label)] = self.field.scalar(v)
         return self.element(coords)
 
-    def random_element(self, rng, height=5):
-        return self.element([self.field.random_scalar(rng, height) for _ in range(self.dim)])
-
     def elements(self):
         """All elements; only for prime fields within the enumeration budget."""
         if self.field.kind != "prime-field":

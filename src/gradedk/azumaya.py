@@ -185,14 +185,14 @@ def braun_check(graded, e, env=None):
     return VerdictReport("braun-azumaya", TRUE, EXHAUSTIVE)
 
 
-def is_graded_azumaya_csa(a, rng=None):
+def is_graded_azumaya_csa(a):
     """Graded Azumaya via the graded-CSA criterion: graded simple with graded
     centre exactly the base graded field."""
     if isinstance(a, ShiftedMatrixAlgebra) and a.lazy:
         simple = is_graded_simple_matrix(a)
         central = central_scalar_check(a)
     else:
-        simple = is_graded_simple(a, rng=rng)
+        simple = is_graded_simple(a)
         gc = graded_center(a)
         one_span = a.algebra.subspace([a.algebra.one])
         if gc.subspace == one_span and gc.is_graded:

@@ -177,11 +177,6 @@ class FieldSpec:
             return None
         return self.characteristic
 
-    def random_scalar(self, rng, height=10):
-        if self.kind == "prime-field":
-            return GFElement(self.characteristic, rng.randrange(self.characteristic))
-        return Fraction(rng.randint(-height, height), rng.randint(1, height))
-
     def format_scalar(self, x):
         if self.kind == "rationals":
             f = Fraction(x)

@@ -4,6 +4,10 @@ A GradedAlgebra is always presented on a homogeneous basis, so homogeneous
 components are coordinate slices. Infinite-support graded fields (Laurent-type
 twisted group algebras) get a lazy representation with one-dimensional
 components.
+
+Each predicate is one deterministic procedure over Q and GF(p); none samples.
+`ktheory` imports this module through `matrixring`, so it is imported at
+call time.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ from .algebra import (Algebra, AlgebraElement, Subspace, center,
                       ENUMERATION_BUDGET)
 from .groups import SubgroupSpec, coset_index
 from .verdict import (VerdictReport, TRUE, FALSE, UNDECIDED,
-                      EXHAUSTIVE, CONSTRUCTIVE, SAMPLED, combine)
-
-SAMPLES = 32  # random elements per component tried by the sampled branches
+                      EXHAUSTIVE, CONSTRUCTIVE, combine)
 
 
 @dataclass
@@ -74,20 +76,19 @@ class GradedAlgebra:
             raise ValueError("element is not homogeneous (or is zero)")
         return next(iter(comps))
 
+    def component_element(self, degree, values):
+        """The element with the given field scalars as its coordinates on a
+        component, in basis order, and 0 elsewhere."""
+        full = [self.field.zero] * self.dim
+        for i, c in zip(self.component_indices(degree), values):
+            full[i] = c
+        return AlgebraElement(self.algebra, full)
+
     def component_elements(self, degree):
         """One nonzero element per line of a component, in the order of
         `FieldSpec.line_representatives`; prime fields only."""
-        idx = self.component_indices(degree)
-        for values in self.field.line_representatives(len(idx)):
-            full = [self.field.zero] * self.dim
-            for i, c in zip(idx, values):
-                full[i] = c
-            yield AlgebraElement(self.algebra, full)
-
-    def nonzero_homogeneous_elements(self):
-        for d in support(self):
-            for x in self.component_elements(d):
-                yield d, x
+        for values in self.field.line_representatives(len(self.component_indices(degree))):
+            yield self.component_element(degree, values)
 
 
 class TwistedGroupAlgebra:
@@ -125,13 +126,14 @@ class TwistedGroupAlgebra:
         t = self.cocycle(g, g.inverse())
         return self.field.one / (c * t), g.inverse()
 
-    def is_commutative(self):
+    def noncommuting_pair(self):
+        """Support generators a, b with u_a u_b != u_b u_a, or None."""
         gens = list(self.support.generators)
-        for a in gens:
-            for b in gens:
-                if self.cocycle(a, b) != self.cocycle(b, a):
-                    return False
-        return True
+        return next(((a, b) for a in gens for b in gens
+                     if self.cocycle(a, b) != self.cocycle(b, a)), None)
+
+    def is_commutative(self):
+        return self.noncommuting_pair() is None
 
 
 # -- predicates -------------------------------------------------------
@@ -211,39 +213,42 @@ def is_strongly_graded(g):
     return VerdictReport("strongly-graded", TRUE, CONSTRUCTIVE, witness=certificates)
 
 
-def _invertible_in_component(g, degree, rng=None):
-    """(element, strategy) with the element invertible homogeneous of the
-    given degree, or (None, strategy)."""
+def _invertible_in_component(g, degree):
+    """(x, strategy) with x an invertible element of the given degree;
+    (None, EXHAUSTIVE) when there is none, (None, None) over budget. A unit
+    of degree gamma puts 1 in R_gamma R_gamma^-1, so a failed strong-grading
+    certificate rules units out. Over GF(p) the lines of the component are
+    scanned, or past the budget its basis. Over Q, det(L_x) on R_gamma has
+    degree <= dim A in each of its k coordinates, so it is 0 or nonzero
+    somewhere on {0..dim A}^k (Alon, Combinatorial Nullstellensatz, 1999)."""
     alg = g.algebra
-    idx = g.component_indices(degree)
-    if not idx:
-        return None, EXHAUSTIVE
     w = g.unit_witnesses.get(degree)
     if w is not None and try_invert(w) is not None:
         return w, CONSTRUCTIVE
-    if (alg.field.kind == "prime-field"
-            and alg.field.order ** len(idx) <= ENUMERATION_BUDGET):
+    if _strongly_graded_at(g, degree) is None:
+        return None, EXHAUSTIVE
+    idx = g.component_indices(degree)
+    prime = alg.field.kind == "prime-field"
+    if prime and alg.field.order ** len(idx) <= ENUMERATION_BUDGET:
         for x in g.component_elements(degree):
             if try_invert(x) is not None:
                 return x, EXHAUSTIVE
         return None, EXHAUSTIVE
-    # infinite field: basis directions then seeded samples
     for i in idx:
         b = alg.basis_element(i)
         if try_invert(b) is not None:
-            return b, SAMPLED
-    if rng is not None:
-        for _ in range(SAMPLES):
-            coords = [alg.field.zero] * alg.dim
-            for i in idx:
-                coords[i] = alg.field.random_scalar(rng)
-            x = alg.element(coords)
-            if try_invert(x) is not None:
-                return x, SAMPLED
-    return None, SAMPLED
+            return b, CONSTRUCTIVE
+    if prime or (alg.dim + 1) ** len(idx) > ENUMERATION_BUDGET:
+        return None, None
+    points = [alg.field.scalar(c) for c in range(alg.dim + 1)]
+    for values in itertools.product(points, repeat=len(idx)):
+        x = g.component_element(degree, values)
+        if try_invert(x) is not None:
+            return x, CONSTRUCTIVE
+    return None, EXHAUSTIVE
 
 
-def is_crossed_product(g, rng=None):
+def is_crossed_product(g):
     """Invertible homogeneous element in every component of the support
     subgroup; checked on generators since homogeneous-unit degrees form a
     group."""
@@ -256,103 +261,131 @@ def is_crossed_product(g, rng=None):
     if not gens:  # support {e}
         gens = [g.group.identity]
     for gamma in gens:
-        x, strat = _invertible_in_component(g, gamma, rng=rng)
+        x, strat = _invertible_in_component(g, gamma)
         if x is None:
             if strat == EXHAUSTIVE:
                 return VerdictReport("crossed-product", FALSE, EXHAUSTIVE,
                                      counterexample=("degree", gamma))
-            return VerdictReport("crossed-product", UNDECIDED, strat,
-                                 details={"degree": gamma})
+            return VerdictReport("crossed-product", UNDECIDED, EXHAUSTIVE,
+                                 details={"degree": gamma, "reason": "budget"})
         witnesses[gamma] = x
         strategies.append(strat)
     return VerdictReport("crossed-product", TRUE, combine(*strategies),
                          witness=witnesses)
 
 
-def is_graded_division(g, rng=None):
-    """Every nonzero homogeneous element invertible.
+def _non_unit(g, a0, dec):
+    """A nonzero non-unit of A_e as an element of A, given the splitting dec
+    of A_e = a0 when it is not one division block: a radical vector, a
+    central idempotent other than 1, or a spectral idempotent other than 1 of
+    a basis vector or a sum of two; None when none of these is one."""
+    from .ktheory import _spectral_idempotents, jacobson_radical
+    basis = [a0.basis_element(i) for i in range(a0.dim)]
+    candidates = itertools.chain(basis, (x + y for x, y in itertools.combinations(basis, 2)))
+    if dec.radical_dim:
+        x = a0.element(jacobson_radical(a0).rows[0])
+    elif len(dec.idempotents) > 1:
+        x = dec.idempotents[0]
+    else:
+        x = next((p[0][0] for p in map(_spectral_idempotents, candidates) if len(p) > 1), None)
+    return None if x is None else g.component_element(g.group.identity, x.coords)
 
-    One-dimensional components with invertible basis vectors give an exact
-    constructive certificate over any field; finite fields fall back to
-    exhaustive component scans, infinite fields to sampling.
-    """
+
+def is_graded_division(g):
+    """Every nonzero homogeneous element invertible, which holds iff A_e is a
+    division algebra and A is strongly graded: for nonzero x in A_g, x A_g^-1
+    is a right ideal of A_e, nonzero because 1 is in A_g^-1 A_g. Checked in
+    turn: the basis vectors of A_e, the strong grading (A_d holds no unit
+    where it fails), and the Wedderburn splitting of A_e."""
+    from .ktheory import split_identity_component
+    from .matrixring import identity_component
     if isinstance(g, TwistedGroupAlgebra):
         return VerdictReport("graded-division", TRUE, CONSTRUCTIVE,
                              witness="closed-form monomial inverses")
     alg = g.algebra
-    supp = support(g)
-    if all(len(g.component_indices(d)) == 1 for d in supp):
-        for d in supp:
-            b = alg.basis_element(g.component_indices(d)[0])
-            if try_invert(b) is None:
-                return VerdictReport("graded-division", FALSE, CONSTRUCTIVE,
-                                     counterexample=("noninvertible", b))
-        return VerdictReport("graded-division", TRUE, CONSTRUCTIVE,
-                             witness="1-dimensional components with invertible generators")
-    if alg.field.kind == "prime-field":
-        total = sum(alg.field.order ** len(g.component_indices(d)) for d in supp)
-        if total <= ENUMERATION_BUDGET:
-            for d, x in g.nonzero_homogeneous_elements():
-                if try_invert(x) is None:
-                    return VerdictReport("graded-division", FALSE, EXHAUSTIVE,
-                                         counterexample=("noninvertible", x))
-            return VerdictReport("graded-division", TRUE, EXHAUSTIVE)
-        return VerdictReport("graded-division", UNDECIDED, EXHAUSTIVE,
-                             details={"reason": "budget"})
-    # infinite field: probe basis vectors and samples; sound for "false"
-    for d in supp:
-        for i in g.component_indices(d):
-            if try_invert(alg.basis_element(i)) is None:
-                return VerdictReport("graded-division", FALSE, SAMPLED,
-                                     counterexample=("noninvertible", alg.basis_element(i)))
-        if rng is not None:
-            for _ in range(SAMPLES):
-                coords = [alg.field.zero] * alg.dim
-                for i in g.component_indices(d):
-                    coords[i] = alg.field.random_scalar(rng)
-                x = alg.element(coords)
-                if not x.is_zero() and try_invert(x) is None:
-                    return VerdictReport("graded-division", FALSE, SAMPLED,
-                                         counterexample=("noninvertible", x))
-    return VerdictReport("graded-division", TRUE, SAMPLED)
+    for i in g.component_indices(g.group.identity):
+        b = alg.basis_element(i)
+        if try_invert(b) is None:
+            return VerdictReport("graded-division", FALSE, CONSTRUCTIVE,
+                                 counterexample=("noninvertible", b))
+    sg = is_strongly_graded(g)
+    if not sg:
+        d = sg.counterexample[1]
+        idx = g.component_indices(d)
+        bad = ("noninvertible", alg.basis_element(idx[0])) if idx else ("degree", d)
+        return VerdictReport("graded-division", FALSE, EXHAUSTIVE, counterexample=bad)
+    a0 = identity_component(g)
+    dec = split_identity_component(a0)
+    if dec.radical_dim == 0 and len(dec.blocks) == 1:
+        block = dec.blocks[0]
+        if block.matrix_size == 1:
+            return VerdictReport("graded-division", TRUE, EXHAUSTIVE,
+                                 witness={"identity-component": block,
+                                          "strongly-graded": sg.witness})
+        if block.matrix_size is None:
+            return VerdictReport("graded-division", UNDECIDED, EXHAUSTIVE,
+                                 details={"reason": "identity-component-untyped"})
+    x = _non_unit(g, a0, dec)
+    bad = ("noninvertible", x) if x is not None else ("identity-component", dec.blocks)
+    return VerdictReport("graded-division", FALSE, EXHAUSTIVE, counterexample=bad)
 
 
-def is_graded_simple(g, rng=None):
-    """Only homogeneous two-sided ideals are 0 and R; homogeneous generators
-    suffice for homogeneous ideals."""
-    alg = g.algebra
-    full = alg.full_subspace()
-    if alg.field.kind == "prime-field":
-        total = sum(alg.field.order ** len(g.component_indices(d)) for d in support(g))
-        if total <= ENUMERATION_BUDGET:
-            for d, x in g.nonzero_homogeneous_elements():
-                if two_sided_ideal_closure(alg, [x]) != full:
-                    return VerdictReport("graded-simple", FALSE, EXHAUSTIVE,
-                                         counterexample=("proper-ideal-generator", x))
-            return VerdictReport("graded-simple", TRUE, EXHAUSTIVE)
-        return VerdictReport("graded-simple", UNDECIDED, EXHAUSTIVE,
-                             details={"reason": "budget"})
-    division = is_graded_division(g, rng=rng)
-    if division.verdict == TRUE and division.strategy in (CONSTRUCTIVE, EXHAUSTIVE):
+def is_graded_simple(g):
+    """Only homogeneous two-sided ideals are 0 and R. A graded division ring
+    is graded simple. A graded radical J (always over Q, and over GF(p) when
+    p does not divide the torsion: Cohen-Montgomery, Trans. AMS 282 (1984))
+    decides it: J != 0 is a proper graded ideal, and for J = 0 every graded
+    ideal is A f for a central idempotent f, of degree e as the unit of the
+    graded ring A f, so A is graded simple iff Z(A) n A_e has one primitive
+    idempotent. Otherwise GF(p) inputs scan one element per line of each
+    component, homogeneous generators sufficing for homogeneous ideals."""
+    from .ktheory import _central_primitive_idempotents, jacobson_radical
+    division = is_graded_division(g)
+    if division:
         return VerdictReport("graded-simple", TRUE, CONSTRUCTIVE,
                              witness="graded division ring")
-    candidates = []
+    alg = g.algebra
+    radical = jacobson_radical(alg)
+    if _ungraded_row(g, radical) is None:
+        if radical.dim:
+            x = alg.element(radical.rows[0])
+            comp = next(iter(g.homogeneous_components(x).values()))
+            return VerdictReport("graded-simple", FALSE, EXHAUSTIVE,
+                                 counterexample=("proper-ideal-generator", comp))
+        # Z(A) n A_e: the combinations of the centre's rows vanishing off degree e
+        z = center(alg).rows
+        off = [[row[i] for row in z] for i, d in enumerate(g.degrees) if d != g.group.identity]
+        kept = linalg.nullspace(off or [[g.field.zero] * len(z)], g.field)
+        idems = _central_primitive_idempotents(
+            alg, [alg.element(r) for r in linalg.mat_mul(kept, z)])
+        if len(idems) == 1:
+            return VerdictReport("graded-simple", TRUE, EXHAUSTIVE)
+        return VerdictReport("graded-simple", FALSE, EXHAUSTIVE,
+                             counterexample=("proper-ideal-generator", idems[0]))
+    if alg.field.kind != "prime-field":
+        return VerdictReport("graded-simple", UNDECIDED, EXHAUSTIVE,
+                             details={"reason": "radical-not-graded"})
+    full = alg.full_subspace()
+    total = sum(alg.field.order ** len(g.component_indices(d)) for d in support(g))
+    if total > ENUMERATION_BUDGET:
+        return VerdictReport("graded-simple", UNDECIDED, EXHAUSTIVE,
+                             details={"reason": "budget"})
     for d in support(g):
-        for i in g.component_indices(d):
-            candidates.append(alg.basis_element(i))
-        if rng is not None:
-            for _ in range(SAMPLES):
-                coords = [alg.field.zero] * alg.dim
-                for i in g.component_indices(d):
-                    coords[i] = alg.field.random_scalar(rng)
-                x = alg.element(coords)
-                if not x.is_zero():
-                    candidates.append(x)
-    for x in candidates:
-        if two_sided_ideal_closure(alg, [x]) != full:
-            return VerdictReport("graded-simple", FALSE, SAMPLED,
-                                 counterexample=("proper-ideal-generator", x))
-    return VerdictReport("graded-simple", TRUE, SAMPLED)
+        for x in g.component_elements(d):
+            if two_sided_ideal_closure(alg, [x]) != full:
+                return VerdictReport("graded-simple", FALSE, EXHAUSTIVE,
+                                     counterexample=("proper-ideal-generator", x))
+    return VerdictReport("graded-simple", TRUE, EXHAUSTIVE)
+
+
+def _ungraded_row(g, subspace):
+    """A row of the subspace with a homogeneous component outside it, or
+    None when the subspace is graded."""
+    for row in subspace.rows:
+        x = g.algebra.element(row)
+        if any(not subspace.contains(c) for c in g.homogeneous_components(x).values()):
+            return x
+    return None
 
 
 @dataclass
@@ -364,14 +397,9 @@ class GradedCenterResult:
 
 def graded_center(g):
     """Z(A) plus whether it decomposes into homogeneous pieces."""
-    alg = g.algebra
-    z = center(alg)
-    for row in z.rows:
-        x = alg.element(row)
-        for d, comp in g.homogeneous_components(x).items():
-            if not z.contains(comp):
-                return GradedCenterResult(z, False, x)
-    return GradedCenterResult(z, True)
+    z = center(g.algebra)
+    x = _ungraded_row(g, z)
+    return GradedCenterResult(z, x is None, x)
 
 
 def graded_module_basis(g, generators):

@@ -11,7 +11,6 @@ UNDECIDED = "undecided"
 
 EXHAUSTIVE = "exhaustive"
 CONSTRUCTIVE = "constructive"
-SAMPLED = "sampled"
 
 
 @dataclass
@@ -44,10 +43,7 @@ class VerdictReport:
         return "%s: %s (%s)" % (self.predicate, self.verdict, self.strategy)
 
 
-_WEAKEST_LAST = (CONSTRUCTIVE, EXHAUSTIVE, SAMPLED)
-
-
 def combine(*strategies):
     """The strategy of a verdict built from parts: the weakest of theirs,
-    sampled > exhaustive > constructive; constructive when there are none."""
-    return max(strategies, key=_WEAKEST_LAST.index, default=CONSTRUCTIVE)
+    exhaustive > constructive; constructive when there are none."""
+    return EXHAUSTIVE if EXHAUSTIVE in strategies else CONSTRUCTIVE

@@ -15,6 +15,7 @@ from gradedk.fields import FieldSpec
 from gradedk.graded import trivially_graded
 from gradedk.groups import GradeGroup
 from gradedk.matrixring import ShiftedMatrixAlgebra
+from randomdata import random_element
 
 Q = FieldSpec.rationals()
 
@@ -77,7 +78,7 @@ def test_braun_rejects_noncentral_precondition():
 
 def test_graded_csa_route():
     H = construct_quaternion(Q, -1, -1)
-    assert is_graded_azumaya_csa(H, rng=random.Random(0))
+    assert is_graded_azumaya_csa(H)
     S5 = construct_symbol_algebra(FieldSpec.prime_field(5), 2, 2, 3, 4)
     assert is_graded_azumaya_csa(S5)
     S7 = construct_symbol_algebra(FieldSpec.prime_field(7), 3, 2, 3, 2)
@@ -90,11 +91,11 @@ def test_graded_csa_route_lazy_matrix():
     m = ShiftedMatrixAlgebra(L, [g.element((0,)), g.element((1,)), g.element((1,))])
     rep = is_graded_azumaya_csa(m)
     assert rep
-    # the centre check only inspects a window of components, so the combined
-    # verdict is sampled even though graded simplicity is constructive
+    # the centre check decides every component from one degree per coset of
+    # the base support, so the combined verdict is exhaustive
     assert rep.details["graded-simple"].strategy == "constructive"
-    assert rep.details["centre"].strategy == "sampled"
-    assert rep.strategy == "sampled"
+    assert rep.details["centre"].strategy == "exhaustive"
+    assert rep.strategy == "exhaustive"
     assert psi_bijective_matrix_over_graded_field(m)
     m5 = ShiftedMatrixAlgebra(L, [g.element((c,)) for c in (0, 1, 1, 3, 4)])
     rep = psi_bijective_matrix_over_graded_field(m5)
@@ -136,7 +137,7 @@ def test_enveloping_star_action():
     env = EnvelopingAlgebra(H)
     rng = random.Random(5)
     for _ in range(20):
-        a = H.algebra.random_element(rng)
-        b = H.algebra.random_element(rng)
-        x = H.algebra.random_element(rng)
+        a = random_element(H.algebra, rng)
+        b = random_element(H.algebra, rng)
+        x = random_element(H.algebra, rng)
         assert env.star(env.pure_tensor(a, b), x) == a * x * b

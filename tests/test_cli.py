@@ -173,6 +173,16 @@ def test_seed_determinism(capsys, quat_file):
     assert runs[0] == runs[1]
 
 
+def test_check_graded_division_split_quaternion_exit_1(capsys, tmp_path):
+    # (1, 1 / Q) trivially graded is M_2(Q), which has zero divisors
+    path = tmp_path / "split.alg"
+    run(capsys, "construct", "quaternion", "--field", "Q", "-a", "1", "-b", "1",
+        "--grading", "trivial", "-o", str(path))
+    code, out, _ = run(capsys, "--seed", "3", "check", "graded-division", str(path))
+    assert code == 1
+    assert "verdict=false" in out and "noninvertible" in out
+
+
 F2, F3, F5 = (FieldSpec.prime_field(p) for p in (2, 3, 5))
 
 

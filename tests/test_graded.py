@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,11 @@ from gradedk.graded import (GradedAlgebra, HomogeneousElement,
                             validate_grading)
 from gradedk.groups import GradeGroup
 from gradedk.matrixring import ShiftedMatrixAlgebra
+from test_ktheory import product_algebra, scalars, upper_triangular
+from test_properties import _random_constructed
 
 Q = FieldSpec.rationals()
+F2 = FieldSpec.prime_field(2)
 F3 = FieldSpec.prime_field(3)
 F5 = FieldSpec.prime_field(5)
 
@@ -135,13 +139,29 @@ def _full_scan(g, d):
 
 
 def _first_failing(g, fails):
-    return next(x for d in support(g) for x in _full_scan(g, d) if fails(x))
+    """The first nonzero homogeneous element, in a full scan of every
+    component, for which fails holds; None if there is none. With try_invert
+    and the two-sided ideal closure this is the exhaustive GF(p) scan the
+    graded predicates once ran, kept here as their reference."""
+    return next((x for d in support(g) for x in _full_scan(g, d) if fails(x)), None)
+
+
+def _non_unit(g):
+    return _first_failing(g, lambda y: try_invert(y) is None)
+
+
+def _proper_ideal_generator(g):
+    full = g.algebra.full_subspace()
+    return _first_failing(g, lambda y: two_sided_ideal_closure(g.algebra, [y]) != full)
+
+
+def _shifted_matrix(base, shift):
+    return ShiftedMatrixAlgebra(base, [base.group.element((s,)) for s in shift]).materialized
 
 
 def _shifted_matrix_f3(shift):
     z2 = GradeGroup.cyclic(2)
-    scalars = trivially_graded(Algebra(F3, ["1"], {(0, 0): {0: 1}}, unit=[1]), z2)
-    return ShiftedMatrixAlgebra(scalars, [z2.element((s,)) for s in shift]).materialized
+    return _shifted_matrix(trivially_graded(scalars(F3), z2), shift)
 
 
 def _f3_cyclic3_trivially_graded():
@@ -150,32 +170,161 @@ def _f3_cyclic3_trivially_graded():
                             GradeGroup.trivial())
 
 
+def _f2_cyclic2_pair():
+    # F_2[C_2] (x) (F_2 x F_2): the radical (1 + g) (x) (F_2 x F_2) is not
+    # graded, so graded simplicity falls back to the line scan
+    c2 = GradeGroup.cyclic(2)
+    return graded_tensor(construct_group_ring(F2, c2),
+                         trivially_graded(product_algebra(scalars(F2), scalars(F2)), c2))
+
+
+def _assert_division_witness(g, rep):
+    kind, x = rep.counterexample[:2]
+    if kind == "noninvertible":
+        assert g.is_homogeneous(x) and not x.is_zero()
+        assert try_invert(x) is None
+    else:
+        assert kind in ("degree", "identity-component")
+
+
+def _assert_simple_witness(g, rep):
+    kind, x = rep.counterexample
+    assert kind == "proper-ideal-generator"
+    assert g.is_homogeneous(x) and not x.is_zero()
+    assert two_sided_ideal_closure(g.algebra, [x]) != g.algebra.full_subspace()
+
+
 def test_graded_simple_witness_matches_full_scan():
     f3xf3 = trivially_graded(Algebra(F3, ["a", "b"], {(0, 0): {0: 1}, (1, 1): {1: 1}},
                                      unit=[1, 1]), GradeGroup.trivial())
-    for g in (f3xf3, _f3_cyclic3_trivially_graded()):
-        alg = g.algebra
-        full = alg.full_subspace()
+    for g in (f3xf3, _f3_cyclic3_trivially_graded(), _f2_cyclic2_pair()):
         rep = is_graded_simple(g)
         assert rep.verdict == "false"
-        x = rep.counterexample[1]
-        assert x == _first_failing(g, lambda y: two_sided_ideal_closure(alg, [y]) != full)
-        # both algebras are commutative, so the ideal of x is x*A, the
-        # column space of L_x
-        assert linalg.rank(left_regular_matrix(x)) < alg.dim
+        _assert_simple_witness(g, rep)
+    # only the ungraded radical still runs the line scan, whose first
+    # failing line is the full scan's first failing element
+    g = _f2_cyclic2_pair()
+    assert is_graded_simple(g).counterexample[1] == _proper_ideal_generator(g)
+    # F_3[Z/3] is commutative, so the ideal of x is x*A, the column space of L_x
+    x = is_graded_simple(_f3_cyclic3_trivially_graded()).counterexample[1]
+    assert linalg.rank(left_regular_matrix(x)) < 3
 
 
 def test_graded_division_witness_matches_full_scan():
     for g in (_shifted_matrix_f3([0, 1]), _f3_cyclic3_trivially_graded()):
         rep = is_graded_division(g)
         assert rep.verdict == "false"
-        x = rep.counterexample[1]
-        assert x == _first_failing(g, lambda y: try_invert(y) is None)
-        assert try_invert(x) is None
+        _assert_division_witness(g, rep)
     g = _f3_cyclic3_trivially_graded()
     rep = is_crossed_product(g)
     unit = _first_failing(g, lambda y: try_invert(y) is not None)
     assert rep.witness == {g.group.identity: unit}
+
+
+def _oracle_inputs():
+    """Small GF(p) inputs for the differential test against the full scans."""
+    rng = random.Random(8080)
+    drawn = (_random_constructed(rng) for _ in range(150))
+    out = [g for g in drawn if g.field.kind == "prime-field"][:80]
+    for p in (2, 3, 5):
+        f = FieldSpec.prime_field(p)
+        trivial = GradeGroup.trivial()
+        out += [trivially_graded(a, trivial)
+                for a in (product_algebra(scalars(f), scalars(f)),
+                          construct_matrix_algebra(f, 2), upper_triangular(f))]
+        for q in (2, 3):
+            base = trivially_graded(scalars(f), GradeGroup.cyclic(q))
+            out += [_shifted_matrix(base, s) for s in itertools.product(range(q), repeat=2)]
+            # a common translation of the shift gives the same grading
+            if p ** 2 * q <= 18:
+                out += [_shifted_matrix(base, (0,) + s)
+                        for s in itertools.product(range(q), repeat=2) if p < 3 or any(s)]
+        cp = GradeGroup.cyclic(p)
+        group_ring = construct_group_ring(f, cp)
+        out += [group_ring,
+                graded_tensor(group_ring, trivially_graded(
+                    product_algebra(scalars(f), scalars(f)), cp))]
+        if p < 5:
+            out += [_shifted_matrix(group_ring, s) for s in ((0, 0), (0, 1))]
+        # over F_p[C_q], p prime to q, J = 0 and Z(A) has idempotents outside A_e
+        coprime = construct_group_ring(f, GradeGroup.cyclic(3 if p == 2 else 2))
+        out += [_shifted_matrix(coprime, s) for s in ((0, 0), (0, 1))]
+    return out
+
+
+def test_graded_predicates_match_full_scan_oracle():
+    inputs = _oracle_inputs()
+    assert len(inputs) >= 150
+    for g in inputs:
+        division, simple = is_graded_division(g), is_graded_simple(g)
+        assert division.verdict == ("false" if _non_unit(g) else "true"), g.algebra
+        assert simple.verdict == ("false" if _proper_ideal_generator(g) else "true"), g.algebra
+        if division.is_false:
+            _assert_division_witness(g, division)
+        if simple.is_false:
+            _assert_simple_witness(g, simple)
+
+
+def test_split_quaternions_are_not_graded_division_over_q():
+    # (1, 1), (1, -1) and (2, -1) are M_2(Q), which has zero divisors
+    for a, b in ((1, 1), (1, -1), (2, -1)):
+        H = construct_quaternion(Q, a, b, grading="trivial")
+        rep = is_graded_division(H)
+        assert rep.verdict == "false"
+        assert rep.counterexample[0] == "noninvertible"
+        _assert_division_witness(H, rep)
+        assert is_graded_simple(H).verdict == "true"
+    # Z2 grading: A_0 = Q[i] is Q x Q for i^2 = 1 and the field Q(sqrt 2) for i^2 = 2
+    H = construct_quaternion(Q, 1, 1, grading="Z2")
+    rep = is_graded_division(H)
+    assert rep.verdict == "false"
+    _assert_division_witness(H, rep)
+    assert is_graded_division(construct_quaternion(Q, 2, -1, grading="Z2")).verdict == "true"
+
+
+def test_untyped_identity_component_is_undecided_with_reason():
+    # (1, 1 / Q) (x) Q(sqrt 2) is M_2(Q(sqrt 2)) on a basis of units; the
+    # splitter leaves blocks with a centre larger than Q untyped
+    H = construct_quaternion(Q, 1, 1, grading="trivial")
+    root2 = Algebra(Q, ["1", "s"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                                    (1, 1): {0: 2}}, unit=[1, 0])
+    g = graded_tensor(H, trivially_graded(root2, H.group))
+    rep = is_graded_division(g)
+    assert (rep.verdict, rep.details["reason"]) == ("undecided", "identity-component-untyped")
+    assert is_graded_simple(g).verdict == "true"
+
+
+def test_q_times_q_is_neither_graded_division_nor_simple():
+    # basis u = (1, 1), v = (1, 2): v^2 = -2u + 3v
+    qq = Algebra(Q, ["u", "v"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                                 (1, 1): {0: -2, 1: 3}}, unit=[1, 0])
+    g = trivially_graded(qq, GradeGroup.trivial())
+    for predicate in (is_graded_division, is_graded_simple):
+        rep = predicate(g)
+        assert rep.verdict == "false"
+        f = rep.counterexample[1]
+        assert f * f == f and f not in (qq.zero, qq.one)
+
+
+def test_crossed_product_over_q_is_exact():
+    rep = is_crossed_product(construct_truncated_polynomial(Q, 3))
+    assert (rep.verdict, rep.strategy) == ("false", "exhaustive")
+    # no matrix unit of M_2(Q) is invertible; the Nullstellensatz grid finds a unit
+    g = trivially_graded(construct_matrix_algebra(Q, 2), GradeGroup.trivial())
+    rep = is_crossed_product(g)
+    assert (rep.verdict, rep.strategy) == ("true", "constructive")
+    assert try_invert(rep.witness[g.group.identity]) is not None
+
+
+def test_crossed_product_unit_search_budget():
+    # 5^9 lines exceed the enumeration budget: the basis is tried, and
+    # without a basis unit the search stops with a reason
+    trivial = GradeGroup.trivial()
+    rep = is_crossed_product(trivially_graded(construct_matrix_algebra(F5, 3), trivial))
+    assert (rep.verdict, rep.details["reason"]) == ("undecided", "budget")
+    g = trivially_graded(construct_group_ring(F5, GradeGroup.cyclic(9)).algebra, trivial)
+    rep = is_crossed_product(g)
+    assert (rep.verdict, rep.strategy) == ("true", "constructive")
 
 
 def test_component_elements_one_per_line():

@@ -9,13 +9,14 @@ from gradedk.algebra import is_central_simple
 from gradedk.azumaya import psi_bijective
 from gradedk.constructors import construct_matrix_algebra, construct_symbol_algebra
 from gradedk.fields import FieldSpec
+from randomdata import random_scalar
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
 
 
 def rand_matrix(rng, field, rows, cols, height=6):
-    return [[field.random_scalar(rng, height) for _ in range(cols)]
+    return [[random_scalar(field, rng, height) for _ in range(cols)]
             for _ in range(rows)]
 
 
@@ -40,7 +41,7 @@ def test_solve_and_nullspace_agree():
         for _ in range(40):
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
             a = rand_matrix(rng, field, rows, cols)
-            x = [field.random_scalar(rng) for _ in range(cols)]
+            x = [random_scalar(field, rng) for _ in range(cols)]
             b = linalg.mat_vec(a, x)
             sol = linalg.solve(a, b)
             assert sol is not None
@@ -169,7 +170,7 @@ def _differential_cases():
         yield field, linalg.zeros(field, 4, 6)  # the all-zero matrix
         for rows, cols in shapes * 8:
             density = rng.choice((0.15, 0.4, 0.7, 1.0))
-            m = [[field.random_scalar(rng, 4) if rng.random() < density else field.zero
+            m = [[random_scalar(field, rng, 4) if rng.random() < density else field.zero
                   for _ in range(cols)] for _ in range(rows)]
             if rows > 1 and rng.random() < 0.5:
                 m[rng.randrange(rows)] = [field.zero] * cols  # a zero row
@@ -191,14 +192,14 @@ def test_rref_nullspace_solve_match_dense_sympy():
         assert linalg.rref(m) == (want_rows, want_pivots)
         assert linalg.rank(m) == len(want_pivots)
         assert linalg.nullspace(m, field) == _oracle_nullspace(m, field)
-        b = [field.random_scalar(rng, 4) for _ in m]
+        b = [random_scalar(field, rng, 4) for _ in m]
         aug = [row + [bi] for row, bi in zip(m, b)]
         consistent = len(want_pivots) == len(_oracle_rref(aug, field)[1])
         sol = linalg.solve(m, b)
         assert (sol is not None) == consistent
         if consistent:
             assert linalg.mat_vec(m, sol) == b
-        x = [field.random_scalar(rng, 4) for _ in m[0]]
+        x = [random_scalar(field, rng, 4) for _ in m[0]]
         sol = linalg.solve(m, linalg.mat_vec(m, x))
         assert sol is not None and linalg.mat_vec(m, sol) == linalg.mat_vec(m, x)
     assert count > 200

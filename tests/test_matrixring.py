@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,8 @@ from gradedk import linalg
 from gradedk.algebra import Algebra, try_invert
 from gradedk.constructors import construct_laurent, construct_quaternion
 from gradedk.fields import FieldSpec
-from gradedk.graded import GradedAlgebra, trivially_graded, validate_grading
+from gradedk.graded import (GradedAlgebra, TwistedGroupAlgebra, trivially_graded,
+                            validate_grading)
 from gradedk.groups import GradeGroup, SubgroupSpec
 from gradedk.matrixring import (ShiftedMatrixAlgebra, canonical_shift,
                                 central_scalar_check, identity_component,
@@ -77,6 +79,24 @@ def test_graded_simple_and_centre_lazy():
     m = laurent_matrix()
     assert is_graded_simple_matrix(m)
     assert central_scalar_check(m)
+
+
+def test_centre_check_one_degree_per_coset():
+    # shift (0, 1, 1) over the support 2Z leaves two cosets to inspect, however
+    # far apart the shift entries lie
+    for shift in ((0, 1, 1), (0, 7, 9)):
+        m = ShiftedMatrixAlgebra(construct_laurent(Q, step=2), [Z.element((c,)) for c in shift])
+        rep = central_scalar_check(m)
+        assert (rep.verdict, rep.strategy, rep.details["cosets"]) == ("true", "exhaustive", 2)
+    # the bilinear cocycle 2^(a_1 b_2) gives u_(1,0) u_(0,1) = 2 u_(0,1) u_(1,0):
+    # a non-commutative base is not central in the matrix ring
+    z2 = GradeGroup.fg_abelian(2)
+    quantum_torus = TwistedGroupAlgebra(
+        Q, z2, SubgroupSpec(z2, [z2.element((1, 0)), z2.element((0, 1))]),
+        lambda a, b: Fraction(2) ** (a.coords[0] * b.coords[1]))
+    rep = central_scalar_check(ShiftedMatrixAlgebra(quantum_torus, [z2.identity] * 2))
+    assert (rep.verdict, rep.strategy) == ("false", "exhaustive")
+    assert rep.counterexample[0] == "noncommuting-base"
 
 
 def test_shift_translation_gives_same_identity_component():

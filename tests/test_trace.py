@@ -17,6 +17,7 @@ from gradedk.trace import (central_commutators_imply_commutative_check,
                            supp_commutator_lemma_check, trd, trd_kernel_check,
                            trd_graded_surjective_check,
                            trd_na_plus_commutator_check)
+from randomdata import random_element, random_scalar
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
@@ -64,9 +65,9 @@ def test_trd_linear_nrd_multiplicative():
         alg = g.algebra
         n = round(alg.dim ** 0.5)
         for _ in range(100):
-            a = alg.random_element(rng, height=4)
-            b = alg.random_element(rng, height=4)
-            s = alg.field.random_scalar(rng, height=4)
+            a = random_element(alg, rng, height=4)
+            b = random_element(alg, rng, height=4)
+            s = random_scalar(alg.field, rng, height=4)
             assert trd(alg, a + b) == trd(alg, a) + trd(alg, b)
             assert trd(alg, a.scale(s)) == s * trd(alg, a)
             assert nrd(alg, a * b) == nrd(alg, a) * nrd(alg, b)
@@ -95,7 +96,7 @@ def test_na_minus_trd_in_commutators():
         for i in range(alg.dim):
             assert trd_na_plus_commutator_check(alg, alg.basis_element(i))
         for _ in range(10):
-            assert trd_na_plus_commutator_check(alg, alg.random_element(rng))
+            assert trd_na_plus_commutator_check(alg, random_element(alg, rng))
 
 
 def test_commutator_support_lemma_symbol_algebras():
