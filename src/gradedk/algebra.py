@@ -2,12 +2,15 @@
 
 All arithmetic is exact; structure constants are stored sparsely as
 {(i, j): {k: scalar}} meaning e_i * e_j = sum_k c[k] e_k. Associativity and
-the unit axiom are checked at construction.
+the unit axiom are checked at construction, on every basis triple, in plain
+ints: the residues over GF(p), and over Q the constants times D, the lcm of
+their denominators (and the unit's).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import linalg
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE
@@ -37,8 +40,9 @@ class Algebra:
         if unit is None:
             unit = self._find_unit()
         self.unit_coords = tuple(field.scalar(v) for v in unit)
-        self._check_unit()
-        self._check_associativity()
+        table, unit_ints, one, p = self._integer_constants()
+        self._check_unit(table, unit_ints, one, p)
+        self._check_associativity(table, p)
 
     # -- construction helpers -----------------------------------------
 
@@ -59,44 +63,75 @@ class Algebra:
             raise ValueError("algebra has no left unit")
         return u
 
-    def _check_unit(self):
-        # column j of L_1 and of R_1 must be e_j
-        identity = [self.basis_element(j).coords for j in range(self.dim)]
-        left = _regular_columns(self, self.unit_coords, left=True)
-        right = _regular_columns(self, self.unit_coords, left=False)
-        for j in range(self.dim):
-            if tuple(left[j]) != identity[j] or tuple(right[j]) != identity[j]:
+    def _integer_constants(self):
+        """The structure constants and the unit as plain ints, for the
+        construction checks. Over GF(p) they are the residues and a sum is
+        zero when it is 0 mod p. Over Q they are the values times D, the lcm
+        of all their denominators, and p is 0 (no reduction): a product of
+        two scaled values is D^2 times the true product, so a sum of such
+        products is zero exactly when the true sum is. Returns
+        (table, unit, one, p) with `one` the scaled value of 1 * 1."""
+        unit = self.unit_coords
+        if self.field.kind == "prime-field":
+            p, one, value = self.field.characteristic, 1, lambda c: c.v
+        else:
+            d = math.lcm(*(c.denominator for terms in self.products.values()
+                           for c in terms.values()),
+                         *(u.denominator for u in unit))
+            p, one, value = 0, d * d, lambda c: c.numerator * (d // c.denominator)
+        table = {key: {k: value(c) for k, c in terms.items()}
+                 for key, terms in self.products.items()}
+        return table, [value(u) for u in unit], one, p
+
+    def _check_unit(self, table, unit, one, p):
+        """Column j of L_1 and of R_1 must be e_j: sum_i u_i c_ij^k and
+        sum_i u_i c_ji^k are `one` at k = j and zero elsewhere."""
+        n = self.dim
+        left = [{j: -one} for j in range(n)]
+        right = [{j: -one} for j in range(n)]
+        for (i, j), terms in table.items():
+            a, b = unit[i], unit[j]
+            for k, c in terms.items():
+                if a:
+                    left[j][k] = left[j].get(k, 0) + a * c
+                if b:
+                    right[i][k] = right[i].get(k, 0) + b * c
+        for j in range(n):
+            if any(v % p if p else v
+                   for col in (left[j], right[j]) for v in col.values()):
                 raise ValueError("unit axiom fails on basis element %s" % self.labels[j])
 
-    def _check_associativity(self):
+    def _check_associativity(self, table, p):
         """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, compared on
-        the constants: sum_s c_ij^s c_sk^t against sum_u c_jk^u c_iu^t.
-        For each pair (i, j) the difference is accumulated over all k; a
-        triple that neither side reaches is 0 = 0."""
+        the integer constants: sum_s c_ij^s c_sk^t against
+        sum_u c_jk^u c_iu^t. For each pair (i, j) the differences over all
+        k and t go into one dict keyed k*n + t; a triple that neither side
+        reaches is 0 = 0."""
         n = self.dim
-        zero = self.field.zero
-        products = self.products
-        rows = [[] for _ in range(n)]  # rows[s]: (k, e_s e_k) for e_s e_k != 0
-        for (s, k), terms in products.items():
-            rows[s].append((k, terms))
+        # flat[s]: (k*n + t, c_sk^t) for every nonzero constant of a row e_s e_k
+        flat = [[] for _ in range(n)]
+        rows = [[] for _ in range(n)]  # rows[s]: (k*n, e_s e_k items) when nonzero
+        for (s, k), terms in table.items():
+            items = list(terms.items())
+            flat[s].extend((k * n + t, c) for t, c in items)
+            rows[s].append((k * n, items))
         for i in range(n):
+            left = [list(table.get((i, u), {}).items()) for u in range(n)]  # e_i e_u
             for j in range(n):
                 diff = {}
-                for s, a in products.get((i, j), {}).items():
-                    for k, terms in rows[s]:
-                        out = diff.setdefault(k, {})
-                        for t, c in terms.items():
-                            out[t] = out.get(t, zero) + a * c
-                for k, terms in rows[j]:
-                    out = diff.setdefault(k, {})
-                    for u, a in terms.items():
-                        for t, c in products.get((i, u), {}).items():
-                            out[t] = out.get(t, zero) - a * c
-                bad = [k for k, out in diff.items() if any(out.values())]
+                for s, a in table.get((i, j), {}).items():
+                    for key, c in flat[s]:
+                        diff[key] = diff.get(key, 0) + a * c
+                for kn, terms in rows[j]:
+                    for u, a in terms:
+                        for t, c in left[u]:
+                            key = kn + t
+                            diff[key] = diff.get(key, 0) - a * c
+                bad = [key for key, v in diff.items() if (v % p if p else v)]
                 if bad:
                     raise ValueError(
                         "associativity fails on basis triple (%s, %s, %s)"
-                        % (self.labels[i], self.labels[j], self.labels[min(bad)]))
+                        % (self.labels[i], self.labels[j], self.labels[min(bad) // n]))
 
     # -- elements -----------------------------------------------------
 

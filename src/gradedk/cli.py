@@ -4,11 +4,15 @@ Exit codes: 0 = true / success, 1 = false, 2 = undecided, 3 = usage or
 input error, 4 = internal error (an unexpected exception: its traceback,
 then an `internal error:` line, on stderr). Every strategy is deterministic:
 the output depends on the input alone, and --seed is accepted and ignored.
+
+The argparse tree is built once per process and shared by every `main`
+call; `main` looks the subcommand's `cmd_*` function up when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -221,6 +225,7 @@ def cmd_commutators(args):
     return _exit_code(report)
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="gradedk",
                                 description="exact computations with graded "
@@ -241,7 +246,6 @@ def build_parser():
     c.add_argument("--group", default="S3")
     c.add_argument("--grading", default="Z2xZ2")
     c.add_argument("-o", "--output")
-    c.set_defaults(func=cmd_construct)
 
     c = sub.add_parser("check", help="run a structural predicate")
     c.add_argument("predicate",
@@ -251,7 +255,6 @@ def build_parser():
     c.add_argument("file")
     c.add_argument("--via", default="graded-csa",
                    choices=["psi", "braun", "graded-csa", "group-ring"])
-    c.set_defaults(func=cmd_check)
 
     c = sub.add_parser("k0", help="K0-level invariants")
     c.add_argument("file", nargs="?")
@@ -261,7 +264,6 @@ def build_parser():
     c.add_argument("--compare-localized", type=int, default=None,
                    help="compare graded K0 against the trivially graded base "
                         "field after inverting the given integer")
-    c.set_defaults(func=cmd_k0)
 
     c = sub.add_parser("classify-shift", help="canonical forms and the "
                                               "graded-iso decision for shifts")
@@ -272,19 +274,17 @@ def build_parser():
                    help="generators of the homogeneous-unit degree subgroup")
     c.add_argument("shifts", nargs="+",
                    help="one or two shift vectors, e.g. \"(0) (1) (1)\"")
-    c.set_defaults(func=cmd_classify_shift)
 
     c = sub.add_parser("commutators", help="commutator-subspace analysis")
     c.add_argument("file")
-    c.set_defaults(func=cmd_commutators)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    func = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 3
     except Exception as exc:

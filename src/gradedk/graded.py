@@ -144,10 +144,17 @@ def validate_grading(g):
     if isinstance(g, TwistedGroupAlgebra):
         return VerdictReport("valid-grading", TRUE, CONSTRUCTIVE)
     alg = g.algebra
+    degrees = g.degrees
+    index = {}  # distinct degree -> small int id
+    ids = [index.setdefault(d, len(index)) for d in degrees]
+    combined = {}  # (id_i, id_j) -> id of deg_i * deg_j, -1 if no basis degree
     for (i, j), terms in alg.products.items():
-        want = g.degrees[i] * g.degrees[j]
+        pair = (ids[i], ids[j])
+        want = combined.get(pair)
+        if want is None:
+            want = combined[pair] = index.get(degrees[i] * degrees[j], -1)
         for k in terms:
-            if g.degrees[k] != want:
+            if ids[k] != want:
                 return VerdictReport("valid-grading", FALSE, EXHAUSTIVE,
                                      counterexample=("closure", i, j, k))
     e = g.group.identity

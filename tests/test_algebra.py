@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from gradedk.constructors import (construct_matrix_algebra,
                                   construct_symbol_algebra)
 from gradedk.fields import FieldSpec
 from gradedk.algebra import Algebra
-from randomdata import random_element
+from randomdata import random_constructed, random_element, random_scalar
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -63,6 +64,79 @@ def test_nonassociative_rejected_where_one_side_vanishes_mod_p():
                                          (2, 1): {2: 1}, (2, 2): {2: 2}})
     with pytest.raises(ValueError, match=r"basis triple \(x, x, y\)"):
         Algebra(FieldSpec.prime_field(3), ["1", "x", "y"], table, unit=[1, 0, 0])
+
+
+def _reference_construction_error(field, labels, products, unit):
+    """The construction checks on field scalars, triple by triple: the
+    message `Algebra` must raise, or None."""
+    n = len(labels)
+    zero = field.zero
+    table = {key: {k: field.scalar(c) for k, c in terms.items()}
+             for key, terms in products.items()}
+
+    def times(x, y):
+        out = [zero] * n
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                if a and b:
+                    for k, c in table.get((i, j), {}).items():
+                        out[k] = out[k] + a * b * c
+        return out
+
+    basis = [[field.one if k == i else zero for k in range(n)] for i in range(n)]
+    one = [field.scalar(c) for c in unit]
+    for j in range(n):
+        if times(one, basis[j]) != basis[j] or times(basis[j], one) != basis[j]:
+            return "unit axiom fails on basis element %s" % labels[j]
+    pairs = [[times(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if times(pairs[i][j], basis[k]) != times(basis[i], pairs[j][k]):
+            return ("associativity fails on basis triple (%s, %s, %s)"
+                    % (labels[i], labels[j], labels[k]))
+    return None
+
+
+def _construction_error(field, labels, products, unit):
+    try:
+        Algebra(field, labels, products, unit=unit)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_integer_checks_match_scalar_reference():
+    # each random instance as built, then with one structure constant c_ij^k
+    # moved by a random nonzero scalar (a new key when (i, j) or k was absent)
+    rng = random.Random(424242)
+    rejected = 0
+    for _ in range(200):
+        alg = random_constructed(rng).algebra
+        field, labels, unit = alg.field, alg.labels, alg.unit_coords
+        assert _reference_construction_error(field, labels, alg.products, unit) is None
+        assert _construction_error(field, labels, alg.products, unit) is None
+        i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+        delta = field.zero
+        while not delta:
+            delta = random_scalar(field, rng)
+        perturbed = {key: dict(terms) for key, terms in alg.products.items()}
+        terms = perturbed.setdefault((i, j), {})
+        terms[k] = terms.get(k, field.zero) + delta
+        want = _reference_construction_error(field, labels, perturbed, unit)
+        assert _construction_error(field, labels, perturbed, unit) == want
+        rejected += want is not None
+    assert rejected > 150
+
+
+def test_rational_constants_with_different_denominators():
+    H = construct_quaternion(Q, Fraction(1, 2), Fraction(-1, 3)).algebra
+    assert H.products[(3, 3)] == {0: Fraction(1, 6)}  # k^2 = -ab
+    products = {key: dict(terms) for key, terms in H.products.items()}
+    products[(3, 3)][0] += Fraction(1, 6)
+    # (ij)k = k^2 = 1/3 but i(jk) = i(-bi) = -ab = 1/6
+    with pytest.raises(ValueError, match=r"basis triple \(i, j, k\)"):
+        Algebra(Q, H.labels, products, unit=H.unit_coords)
+    assert (_reference_construction_error(Q, H.labels, products, H.unit_coords)
+            == "associativity fails on basis triple (i, j, k)")
 
 
 def test_left_unit_that_is_not_a_right_unit_rejected():

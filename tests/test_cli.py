@@ -214,3 +214,24 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     assert out == ""
     assert "Traceback" in err
     assert err.splitlines()[-1] == "internal error: TypeError: unexpected input"
+
+
+def test_shared_parser_keeps_calls_independent(capsys, quat_file):
+    # one parser serves every call in a process: a flag given to one call
+    # must not change the defaults a later call sees
+    calls = [("check", "azumaya", quat_file, "--via", "psi"),
+             ("check", "azumaya", quat_file),
+             ("k0", "--exact-sequence", "3", "--localize", "3"),
+             ("k0", "--exact-sequence", "3"),
+             ("--seed", "7", "check", "grading", quat_file),
+             ("check", "grading", quat_file),
+             ("classify-shift", "--group", "Z", "--subgroup", "(2)", "(0) (1)"),
+             ("k0", quat_file)]
+    first = []
+    for argv in calls:
+        gradedk.cli.build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    for argv, want in zip(calls, first):
+        assert run(capsys, *argv) == want, argv
+    assert "psi-bijective" in first[0][1] and "psi-bijective" not in first[1][1]
+    assert "ck0_localized" in first[2][1] and "ck0_localized" not in first[3][1]

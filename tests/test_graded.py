@@ -22,8 +22,8 @@ from gradedk.graded import (GradedAlgebra, HomogeneousElement,
                             validate_grading)
 from gradedk.groups import GradeGroup
 from gradedk.matrixring import ShiftedMatrixAlgebra
+from randomdata import random_constructed
 from test_ktheory import product_algebra, scalars, upper_triangular
-from test_properties import _random_constructed
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -224,7 +224,7 @@ def test_graded_division_witness_matches_full_scan():
 def _oracle_inputs():
     """Small GF(p) inputs for the differential test against the full scans."""
     rng = random.Random(8080)
-    drawn = (_random_constructed(rng) for _ in range(150))
+    drawn = (random_constructed(rng) for _ in range(150))
     out = [g for g in drawn if g.field.kind == "prime-field"][:80]
     for p in (2, 3, 5):
         f = FieldSpec.prime_field(p)

@@ -6,57 +6,17 @@ from fractions import Fraction
 from gradedk import linalg
 from gradedk.algebra import (center, commutator_subspace, left_regular_matrix,
                              right_regular_matrix, two_sided_ideal_closure)
-from gradedk.constructors import (construct_group_ring,
-                                  construct_quaternion,
-                                  construct_symbol_algebra,
-                                  construct_truncated_polynomial)
-from gradedk.fields import FieldSpec, GFElement
+from gradedk.fields import GFElement
 from gradedk.graded import is_crossed_product, is_strongly_graded
 from gradedk.groups import GradeGroup, SubgroupSpec
 from gradedk.matrixring import canonical_shift
-from randomdata import random_element
-
-Q = FieldSpec.rationals()
-
-SMALL_FIELDS = [Q, FieldSpec.prime_field(3), FieldSpec.prime_field(5),
-                FieldSpec.prime_field(7), FieldSpec.prime_field(11)]
-
-
-def _random_constructed(rng):
-    """A random instance from the constructor families (construction itself
-    re-checks associativity and the unit axiom)."""
-    kind = rng.randrange(5)
-    if kind == 0:
-        field = rng.choice([Q, FieldSpec.prime_field(3),
-                            FieldSpec.prime_field(5), FieldSpec.prime_field(7)])
-        a = rng.choice([-3, -2, -1, 1, 2, 3])
-        b = rng.choice([-3, -2, -1, 1, 2, 3])
-        if not (field.is_invertible_int(a) and field.is_invertible_int(b)):
-            a = b = 1
-        return construct_quaternion(field, field.scalar(a), field.scalar(b))
-    if kind == 1:
-        # n = 2 over GF(5): xi must be the primitive square root of unity, 4
-        return construct_symbol_algebra(FieldSpec.prime_field(5), 2,
-                                        rng.choice([1, 2, 3, 4]),
-                                        rng.choice([1, 2, 3, 4]), 4)
-    if kind == 2:
-        group = rng.choice([GradeGroup.cyclic(rng.randrange(2, 6)),
-                            GradeGroup.product_of_cyclic(2, 2),
-                            GradeGroup.symmetric_3(),
-                            GradeGroup.dihedral(4)])
-        return construct_group_ring(rng.choice(SMALL_FIELDS), group)
-    if kind == 3:
-        return construct_truncated_polynomial(rng.choice(SMALL_FIELDS),
-                                              rng.randrange(2, 6))
-    field = FieldSpec.prime_field(7)
-    return construct_symbol_algebra(field, 3, rng.choice([1, 2, 3]),
-                                    rng.choice([1, 2, 3]), rng.choice([2, 4]))
+from randomdata import random_constructed, random_element
 
 
 def test_associativity_of_constructed_algebras():
     rng = random.Random(20260823)
     for _ in range(200):
-        g = _random_constructed(rng)
+        g = random_constructed(rng)
         alg = g.algebra
         # builder already enumerated all basis triples; re-check random ones
         for _ in range(3):
@@ -92,7 +52,7 @@ def _is_field_scalar(alg, c):
 def test_sparse_kernel_matches_dense_reference():
     rng = random.Random(737373)
     for _ in range(200):
-        alg = _random_constructed(rng).algebra
+        alg = random_constructed(rng).algebra
         n = alg.dim
         basis = [alg.basis_element(i).coords for i in range(n)]
         x = random_element(alg, rng, height=3)
@@ -143,7 +103,7 @@ def test_crossed_product_implies_strongly_graded():
     rng = random.Random(424242)
     hits = 0
     for _ in range(200):
-        g = _random_constructed(rng)
+        g = random_constructed(rng)
         cp = is_crossed_product(g)
         if cp.verdict == "true":
             hits += 1
@@ -158,7 +118,7 @@ def test_graded_module_dimension_additivity():
     # ambient basis modulo an echelon basis of N
     rng = random.Random(515151)
     for _ in range(200):
-        g = _random_constructed(rng)
+        g = random_constructed(rng)
         alg = g.algebra
         k = rng.randrange(alg.dim + 1)
         vectors = [list(random_element(alg, rng, height=3).coords)
