@@ -13,8 +13,8 @@ from .graded import graded_tensor, opposite, graded_center, is_graded_simple
 from .groups import derived_subgroup
 from .matrixring import (ShiftedMatrixAlgebra, is_graded_simple_matrix,
                          central_scalar_check)
-from .verdict import (VerdictReport, TRUE, FALSE, UNDECIDED,
-                      EXHAUSTIVE, CONSTRUCTIVE, combine)
+from .verdict import (VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE,
+                      combine)
 
 
 class EnvelopingAlgebra:
@@ -201,13 +201,9 @@ def is_graded_azumaya_csa(a):
             central = VerdictReport("centre-is-base", FALSE, EXHAUSTIVE,
                                     counterexample=("centre-dim", gc.subspace.dim))
     details = {"graded-simple": simple, "centre": central}
-    strategy = combine(simple.strategy, central.strategy)
-    if simple.is_undecided or central.is_undecided:
-        return VerdictReport("graded-azumaya-csa", UNDECIDED, strategy,
-                             details=details)
     if simple and central:
-        return VerdictReport("graded-azumaya-csa", TRUE, strategy,
-                             details=details)
+        return VerdictReport("graded-azumaya-csa", TRUE,
+                             combine(simple.strategy, central.strategy), details=details)
     bad = simple if simple.is_false else central
     return VerdictReport("graded-azumaya-csa", FALSE, bad.strategy,
                          counterexample=bad.counterexample, details=details)

@@ -58,31 +58,21 @@ def _load(path):
         raise SystemExit(3)
 
 
+# constructor kind -> the options it writes into its [construct] section
+_CONSTRUCT_KEYS = {
+    "quaternion": ("a", "b", "grading"),
+    "symbol": ("n", "a", "b", "xi"),
+    "laurent": ("step",),
+    "group-ring": ("group",),
+    "truncated": ("m",),
+}
+
+
 def cmd_construct(args):
+    keys = ("field",) + _CONSTRUCT_KEYS[args.kind]
+    section = "".join("%s = %s\n" % (k, getattr(args, k)) for k in keys)
     try:
-        if args.kind == "quaternion":
-            g = ff.parse_graded_algebra(
-                "[construct]\nkind = quaternion\nfield = %s\na = %s\nb = %s\n"
-                "grading = %s\n" % (args.field, args.a, args.b, args.grading))
-        elif args.kind == "symbol":
-            g = ff.parse_graded_algebra(
-                "[construct]\nkind = symbol\nfield = %s\nn = %s\na = %s\n"
-                "b = %s\nxi = %s\n" % (args.field, args.n, args.a, args.b, args.xi))
-        elif args.kind == "laurent":
-            g = ff.parse_graded_algebra(
-                "[construct]\nkind = laurent\nfield = %s\nstep = %s\n"
-                % (args.field, args.step))
-        elif args.kind == "group-ring":
-            g = ff.parse_graded_algebra(
-                "[construct]\nkind = group-ring\nfield = %s\ngroup = %s\n"
-                % (args.field, args.group))
-        elif args.kind == "truncated":
-            g = ff.parse_graded_algebra(
-                "[construct]\nkind = truncated\nfield = %s\nm = %s\n"
-                % (args.field, args.m))
-        else:
-            print("error: unknown constructor %r" % args.kind, file=sys.stderr)
-            return 3
+        g = ff.parse_graded_algebra("[construct]\nkind = %s\n%s" % (args.kind, section))
     except (ff.FormatError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
@@ -234,8 +224,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="write a named algebra definition")
-    c.add_argument("kind", choices=["quaternion", "symbol", "laurent",
-                                    "group-ring", "truncated"])
+    c.add_argument("kind", choices=list(_CONSTRUCT_KEYS))
     c.add_argument("--field", default="Q")
     c.add_argument("-a", default="-1")
     c.add_argument("-b", default="-1")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -14,13 +15,13 @@ from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
 from gradedk.graded import (GradedAlgebra, HomogeneousElement,
-                            dimension_formula_check, graded_center,
-                            graded_module_basis, graded_tensor,
+                            TwistedGroupAlgebra, dimension_formula_check,
+                            graded_center, graded_module_basis, graded_tensor,
                             is_crossed_product, is_graded_division,
                             is_graded_simple, is_strongly_graded, opposite,
                             support, support_subgroup, trivially_graded,
                             validate_grading)
-from gradedk.groups import GradeGroup
+from gradedk.groups import GradeGroup, SubgroupSpec
 from gradedk.matrixring import ShiftedMatrixAlgebra
 from randomdata import random_constructed
 from test_ktheory import product_algebra, scalars, upper_triangular
@@ -108,6 +109,14 @@ def test_laurent_twisted_group_algebra():
     assert L.is_commutative()
 
 
+def test_zero_cocycle_value_is_rejected():
+    # u_g u_(g^-1) = 0 would make every u_g a zero divisor, not a unit
+    z = GradeGroup.integers()
+    with pytest.raises(ValueError, match="vanishes"):
+        TwistedGroupAlgebra(Q, z, SubgroupSpec(z, [z.element((1,))]),
+                            cocycle=lambda g, h: 0)
+
+
 def test_graded_division_vs_simple_symbol():
     S = construct_symbol_algebra(F5, 2, 2, 3, 4)
     assert is_graded_division(S)
@@ -170,12 +179,18 @@ def _f3_cyclic3_trivially_graded():
                             GradeGroup.trivial())
 
 
+def _group_ring_tensor(p, factor):
+    # F_p[C_p] (x) B with B in degree e: the radical contains (1 - g) (x) B,
+    # which is not graded
+    cp = GradeGroup.cyclic(p)
+    return graded_tensor(construct_group_ring(FieldSpec.prime_field(p), cp),
+                         trivially_graded(factor, cp))
+
+
 def _f2_cyclic2_pair():
-    # F_2[C_2] (x) (F_2 x F_2): the radical (1 + g) (x) (F_2 x F_2) is not
-    # graded, so graded simplicity falls back to the line scan
-    c2 = GradeGroup.cyclic(2)
-    return graded_tensor(construct_group_ring(F2, c2),
-                         trivially_graded(product_algebra(scalars(F2), scalars(F2)), c2))
+    # the radical (1 + g) (x) (F_2 x F_2) has graded part 0, so the central
+    # idempotents of degree e decide
+    return _group_ring_tensor(2, product_algebra(scalars(F2), scalars(F2)))
 
 
 def _assert_division_witness(g, rep):
@@ -201,13 +216,26 @@ def test_graded_simple_witness_matches_full_scan():
         rep = is_graded_simple(g)
         assert rep.verdict == "false"
         _assert_simple_witness(g, rep)
-    # only the ungraded radical still runs the line scan, whose first
-    # failing line is the full scan's first failing element
+    # an ungraded radical with graded part 0 leaves Z(A) n A_e to decide; its
+    # first primitive idempotent is the full scan's first failing element
     g = _f2_cyclic2_pair()
     assert is_graded_simple(g).counterexample[1] == _proper_ideal_generator(g)
     # F_3[Z/3] is commutative, so the ideal of x is x*A, the column space of L_x
     x = is_graded_simple(_f3_cyclic3_trivially_graded()).counterexample[1]
     assert linalg.rank(left_regular_matrix(x)) < 3
+
+
+def test_group_ring_tensor_over_the_line_budget_is_decided():
+    # F_3[C_3] (x) F_3^12 has 3 * 3^12 homogeneous elements, past the
+    # enumeration budget; J^gr = 0 and 1 (x) F_3^12 is Z(A) n A_e
+    g = _group_ring_tensor(3, functools.reduce(product_algebra, [scalars(F3)] * 12))
+    assert g.dim == 36
+    rep = is_graded_simple(g)
+    assert rep.verdict == "false"
+    _assert_simple_witness(g, rep)
+    f = rep.counterexample[1]
+    assert f * f == f and g.degree_of(f) == g.group.identity
+    assert center(g.algebra).contains(f)
 
 
 def test_graded_division_witness_matches_full_scan():
@@ -241,11 +269,11 @@ def _oracle_inputs():
                         for s in itertools.product(range(q), repeat=2) if p < 3 or any(s)]
         cp = GradeGroup.cyclic(p)
         group_ring = construct_group_ring(f, cp)
-        out += [group_ring,
-                graded_tensor(group_ring, trivially_graded(
-                    product_algebra(scalars(f), scalars(f)), cp))]
+        out += [group_ring, _group_ring_tensor(p, product_algebra(scalars(f), scalars(f)))]
         if p < 5:
             out += [_shifted_matrix(group_ring, s) for s in ((0, 0), (0, 1))]
+            # F_p[t]/(t^2) in degree e: J is not graded, J^gr = F_p[C_p] (x) t
+            out.append(_group_ring_tensor(p, construct_truncated_polynomial(f, 2).algebra))
         # over F_p[C_q], p prime to q, J = 0 and Z(A) has idempotents outside A_e
         coprime = construct_group_ring(f, GradeGroup.cyclic(3 if p == 2 else 2))
         out += [_shifted_matrix(coprime, s) for s in ((0, 0), (0, 1))]
