@@ -322,6 +322,26 @@ def right_regular_matrix(x):
     return linalg.transpose(_regular_columns(x.owner, x.coords, left=False))
 
 
+def regular_traces(algebra):
+    """t with t_k = Tr(L_{e_k}) = sum_m c_km^m, so Tr(L_x) = sum_k t_k x_k."""
+    t = [algebra.field.zero] * algebra.dim
+    for (k, m), terms in algebra.products.items():
+        if m in terms:
+            t[k] += terms[m]
+    return t
+
+
+def product_form(algebra, w):
+    """The bilinear form (x, y) -> w(xy) of the linear form with coordinates
+    w, as {(r, c): w(e_r e_c)} over its nonzero values."""
+    form = {}
+    for key, terms in algebra.products.items():
+        v = sum((c * w[k] for k, c in terms.items() if w[k]), algebra.field.zero)
+        if v:
+            form[key] = v
+    return form
+
+
 def try_invert(x):
     """Two-sided inverse of x, or None."""
     alg = x.owner

@@ -169,8 +169,9 @@ def cmd_k0(args):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    blocks = ["dim=%d,centre=%d,n=%r,div=%r"
-              % (b.dim, b.centre_dim, b.matrix_size, b.division_dim) for b in dec.blocks]
+    blocks = ["dim=%d,centre=%d,n=%r,div=%r" % (b.dim, b.centre_dim, b.matrix_size,
+                                                b.division_dim)
+              + ("" if b.resolved else ",reason=%s" % b.reason) for b in dec.blocks]
     print("k0gr=%r; radical=%d; blocks=[%s]" % (k0, dec.radical_dim, "; ".join(blocks)))
     if args.localize:
         print("k0gr_localized=%r" % kt.localize(k0, args.localize))

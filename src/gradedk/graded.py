@@ -223,9 +223,10 @@ def is_strongly_graded(g):
 
 def _invertible_in_component(g, degree):
     """(x, strategy) with x an invertible element of the given degree;
-    (None, EXHAUSTIVE) when there is none, (None, None) over budget. A unit
-    of degree gamma puts 1 in R_gamma R_gamma^-1, so a failed strong-grading
-    certificate rules units out. Over GF(p) the lines of the component are
+    (None, EXHAUSTIVE) when there is none, (None, None) over budget. The
+    identity degree holds 1. A unit of degree gamma puts 1 in
+    R_gamma R_gamma^-1, so a failed strong-grading certificate rules units
+    out. Over GF(p) the lines of the component are
     scanned, or past the budget its basis. Over Q, det(L_x) on R_gamma has
     degree <= dim A in each of its k coordinates, so it is 0 or nonzero
     somewhere on {0..dim A}^k (Alon, Combinatorial Nullstellensatz, 1999)."""
@@ -233,6 +234,8 @@ def _invertible_in_component(g, degree):
     w = g.unit_witnesses.get(degree)
     if w is not None and try_invert(w) is not None:
         return w, CONSTRUCTIVE
+    if degree == g.group.identity:
+        return alg.one, CONSTRUCTIVE
     if _strongly_graded_at(g, degree) is None:
         return None, EXHAUSTIVE
     idx = g.component_indices(degree)
@@ -332,7 +335,8 @@ def is_graded_division(g):
                                           "strongly-graded": sg.witness})
         if block.matrix_size is None:
             return VerdictReport("graded-division", UNDECIDED, EXHAUSTIVE,
-                                 details={"reason": "identity-component-untyped"})
+                                 details={"reason": "identity-component-untyped",
+                                          "block-reason": block.reason})
     x = _non_unit(g, a0, dec)
     bad = ("noninvertible", x) if x is not None else ("identity-component", dec.blocks)
     return VerdictReport("graded-division", FALSE, EXHAUSTIVE, counterexample=bad)

@@ -14,7 +14,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from . import linalg
 from .algebra import (Algebra, Subspace, center, evaluate_poly,
-                      left_regular_matrix, minimal_polynomial)
+                      left_regular_matrix, minimal_polynomial, product_form,
+                      regular_traces)
 from .groups import coset_index
 from .matrixring import identity_component
 from .snf import smith_normal_form
@@ -86,6 +87,8 @@ class BlockSummary:
     centre_dim: int          # dimension of the block's centre
     matrix_size: int = None  # n with block = M_n(division), when identified
     division_dim: int = None # dim of the division part over the base field
+    reason: str = None       # why a block is untyped: "proper-centre" or
+                             # "no-rank-one-corner"; None when resolved
 
     @property
     def resolved(self):
@@ -125,18 +128,12 @@ def jacobson_radical(algebra):
     with p > dim, round 0 is the only round."""
     field = algebra.field
     n = algebra.dim
-    # g_0: t_k = Tr(L_{e_k}) = sum_m c_km^m
-    w = [field.zero] * n
-    for (k, m), terms in algebra.products.items():
-        if m in terms:
-            w[k] += terms[m]
+    w = regular_traces(algebra)  # g_0
     rows = algebra.full_subspace().rows
     i = 0
     while True:
-        gram = [[field.zero] * n for _ in range(n)]  # w(e_i e_j)
-        for (r, c), terms in algebra.products.items():
-            for k, v in terms.items():
-                gram[r][c] += v * w[k]
+        form = product_form(algebra, w)
+        gram = [[form.get((r, c), field.zero) for c in range(n)] for r in range(n)]
         # a = sum_s lam_s rows_s is kept iff w(a e_t) = (lam R G)_t = 0 for all t
         kept = linalg.nullspace(linalg.transpose(linalg.mat_mul(rows, gram)), field)
         rows = linalg.rref(linalg.mat_mul(kept, rows))[0] if kept else []
@@ -170,11 +167,29 @@ def _quotient(algebra, radical):
 
 def _spectral_idempotents(x):
     """(idempotent, degree of f_i) for each irreducible factor f_i of the
-    minimal polynomial f = prod f_i^(m_i) of x: the CRT idempotent g_i(x)
-    h_i(x), with g_i = f / f_i^(m_i) and h_i its inverse mod f_i^(m_i). They
-    are orthogonal and sum to 1; f is factored by sympy over QQ or GF(p)."""
+    minimal polynomial f = prod f_i^(m_i) of x, in the order of sympy's
+    factorization. A scalar (deg f = 1) gives 1, and an idempotent
+    (f = x^2 - x) gives x and 1 - x with no factoring; otherwise see
+    `_crt_idempotents`."""
+    alg = x.owner
+    field = alg.field
+    f = minimal_polynomial(x)
+    if len(f) == 2:
+        return [(alg.one, 1)]
+    if f == [field.zero, -field.one, field.one]:
+        # sympy lists x - 1 before x over QQ and after it over GF(p)
+        pair = [(x, 1), (alg.one - x, 1)]
+        return pair if field.kind == "rationals" else pair[::-1]
+    return _crt_idempotents(x, f)
+
+
+def _crt_idempotents(x, f):
+    """The CRT idempotents g_i(x) h_i(x) of the factors f_i^(m_i) of the
+    minimal polynomial f of x, with g_i = f / f_i^(m_i) and h_i its inverse
+    mod f_i^(m_i). They are orthogonal and sum to 1; f is factored by sympy
+    over QQ or GF(p)."""
     field = x.owner.field
-    f = linalg.to_sympy_poly(minimal_polynomial(x), field)
+    f = linalg.to_sympy_poly(f, field)
     out = []
     for fi, m in f.factor_list()[1]:
         q = fi ** m
@@ -225,8 +240,8 @@ def split_identity_component(algebra):
     for e in idems:
         block_basis, _ = linalg.rref([list((e * b).coords) for b in basis])
         cdim = linalg.rank([list((e * z).coords) for z in zbasis])
-        n, ddim = _block_type(semisimple, e, block_basis, cdim)
-        blocks.append(BlockSummary(len(block_basis), cdim, n, ddim))
+        blocks.append(BlockSummary(len(block_basis), cdim,
+                                   *_block_type(semisimple, e, block_basis, cdim)))
     order = sorted(range(len(blocks)), key=lambda t: (blocks[t].dim, blocks[t].centre_dim))
     return SemisimpleDecomposition(semisimple,
                                    [blocks[t] for t in order],
@@ -235,27 +250,30 @@ def split_identity_component(algebra):
 
 
 def _block_type(algebra, e, block_basis, cdim):
-    """(n, dim D) with the block eA = M_n(D), or (None, None) if undecided.
+    """(n, dim D, None) with the block eA = M_n(D), or (None, None, reason)
+    if undecided.
 
     A block of dim c * n^2 over its centre K of dim c is M_n(D) with D a
     division algebra central over K. Over GF(p), D = K (Wedderburn's little
     theorem). A block equal to its centre is a field. Over Q with K = Q, a
     dim-4 block is a quaternion algebra decided by Hilbert symbols, and a
     larger one is M_n(Q) when a spectral idempotent of a block basis element
-    has a 1-dimensional corner; otherwise it is left undecided."""
+    has a 1-dimensional corner; otherwise it is left undecided, as is every
+    other block whose centre is bigger than Q."""
     bdim = len(block_basis)
     if algebra.field.kind == "prime-field" or bdim == cdim:
-        return isqrt(bdim // cdim), cdim
+        return isqrt(bdim // cdim), cdim, None
     n = isqrt(bdim)
     if cdim > 1:
-        return None, None
+        return None, None, "proper-centre"
     if n == 2:
-        return (2, 1) if _quaternion_block_splits(algebra, e, block_basis) else (1, 4)
+        split = _quaternion_block_splits(algebra, e, block_basis)
+        return (2, 1, None) if split else (1, 4, None)
     for row in block_basis:
         for u, _ in _spectral_idempotents(algebra.element(row)):
             if _corner_dim(algebra, u, block_basis) == 1:
-                return n, 1
-    return None, None
+                return n, 1, None
+    return None, None, "no-rank-one-corner"
 
 
 def _corner_dim(algebra, u, block_basis):

@@ -168,13 +168,6 @@ def poly_mul(p, q, field):
     return poly_trim(out, z)
 
 
-def poly_pow(p, n, field):
-    out = [field.one]
-    for _ in range(n):
-        out = poly_mul(out, p, field)
-    return out
-
-
 def poly_sub(p, q, field):
     z = field.zero
     n = max(len(p), len(q))
@@ -241,29 +234,3 @@ def charpoly(a, field):
         polys.append(term)
     return polys[n]
 
-
-def poly_nth_root(p, n, field):
-    """The monic q with q**n == p, or None.
-
-    Requires char(field) not dividing n (coefficients are recovered by
-    successive division by n).
-    """
-    if n == 1:
-        return list(p)
-    deg = len(p) - 1
-    if deg % n or not p[-1] == field.one:
-        return None
-    m = deg // n
-    n_scalar = field.scalar(n)
-    if not n_scalar:
-        return None
-    q = [field.zero] * m + [field.one]
-    for k in range(1, m + 1):
-        # fix coefficient of x^(m-k) by matching degree n*m - k of q^n
-        cur = poly_pow(q, n, field)
-        target = p[deg - k] if deg - k < len(p) else field.zero
-        have = cur[deg - k] if deg - k < len(cur) else field.zero
-        q[m - k] = q[m - k] + (target - have) / n_scalar
-    if poly_pow(q, n, field) != p:
-        return None
-    return q

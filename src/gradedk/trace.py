@@ -3,11 +3,12 @@ commutator-subspace lemmas they control."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import linalg
 from .algebra import (Subspace, center, commutator_subspace,
-                      left_regular_matrix, minimal_polynomial)
+                      left_regular_matrix, product_form, regular_traces)
 from .graded import support
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE
 
@@ -18,7 +19,7 @@ class ReducedCharPoly:
     deg: int       # deg(A) = sqrt(dim)
     trd: object    # reduced trace
     nrd: object    # reduced norm
-    route: str     # "min-poly-power" or "regular-charpoly-root"
+    route: str     # "trace-power-sums" (char 0 or > deg) or "charpoly-factor-root"
 
 
 def _degree(algebra):
@@ -31,27 +32,40 @@ def _degree(algebra):
 
 
 def reduced_char_poly(algebra, a):
-    """The reduced characteristic polynomial of a in a central simple algebra
-    of degree n = sqrt(dim).
+    """The reduced characteristic polynomial q of a in a central simple
+    algebra of degree n = sqrt(dim). Over a splitting field A is M_n, which
+    acts on itself as n copies of the column space, so charpoly(L_a) = q^n
+    and Tr(L_a) = n Trd(a) (Reiner, Maximal Orders, section 9).
 
-    Primary route: f_a^(n/m) when the minimal polynomial f_a is irreducible of
-    degree m | n. Fallback: the regular characteristic polynomial factors as
-    q^n; its n-th root is extracted when char does not divide n.
+    For char 0 or char > n: the power sums Trd(a^k) = Tr(L_(a^k)) / n,
+    k = 1..n, give q by Newton's identities. Otherwise: q is the product of
+    g^(k/n) over the irreducible factors g^k of charpoly(L_a), factored by
+    sympy over GF(p).
     """
     field = algebra.field
     n = _degree(algebra)
-    f = minimal_polynomial(a)
-    m = len(f) - 1
-    if n % m == 0 and linalg.to_sympy_poly(f, field).is_irreducible:
-        q = linalg.poly_pow(f, n // m, field)
-        route = "min-poly-power"
+    if field.characteristic == 0 or field.characteristic > n:
+        form = product_form(algebra, regular_traces(algebra))  # Tr(L_(xy))
+        powers = [algebra.one, a]
+        for _ in range(1, (n + 1) // 2):
+            powers.append(powers[-1] * a)
+        inv_n = field.one / field.scalar(n)
+        sums = []  # Trd(a^k) = Tr(L_(a^ceil(k/2) a^floor(k/2))) / n
+        for k in range(1, n + 1):
+            x, y = powers[(k + 1) // 2].coords, powers[k // 2].coords
+            sums.append(inv_n * sum((v * x[r] * y[c] for (r, c), v in form.items()
+                                     if x[r] and y[c]), field.zero))
+        # Newton: q = sum_i c_i x^i, k c_(n-k) = -sum_(i=1..k) p_i c_(n-k+i), p_i = sums[i-1]
+        q = [field.zero] * n + [field.one]
+        for k in range(1, n + 1):
+            s = linalg.sum_scalars(sums[i - 1] * q[n - k + i] for i in range(1, k + 1))
+            q[n - k] = -s / field.scalar(k)
+        route = "trace-power-sums"
     else:
-        cp = linalg.charpoly(left_regular_matrix(a), field)
-        q = linalg.poly_nth_root(cp, n, field)
-        if q is None:
-            raise ValueError("cannot extract the reduced characteristic "
-                             "polynomial (char divides the degree)")
-        route = "regular-charpoly-root"
+        cp = linalg.to_sympy_poly(linalg.charpoly(left_regular_matrix(a), field), field)
+        q = linalg.from_sympy_poly(math.prod(g ** (k // n) for g, k in cp.factor_list()[1]),
+                                   field)
+        route = "charpoly-factor-root"
     trd = -q[n - 1]
     nrd = q[0] if n % 2 == 0 else -q[0]
     return ReducedCharPoly(coeffs=q, deg=n, trd=trd, nrd=nrd, route=route)

@@ -7,7 +7,8 @@ from gradedk.fields import FieldSpec
 from gradedk.fileformat import save_graded_algebra
 from gradedk.graded import trivially_graded
 from gradedk.groups import GradeGroup
-from test_ktheory import product_algebra, scalars, upper_triangular
+from test_ktheory import (cyclic_cubic_division_algebra, m2_over_q_sqrt2,
+                          product_algebra, scalars, upper_triangular)
 
 
 def run(capsys, *argv):
@@ -203,6 +204,18 @@ def test_k0_strongly_graded_splits_identity_component(capsys, tmp_path, build, e
     assert code == 0 and not err
     for text in expected:
         assert text in out
+
+
+@pytest.mark.parametrize("build, block", [
+    (m2_over_q_sqrt2, "dim=8,centre=2,n=None,div=None,reason=proper-centre"),
+    (cyclic_cubic_division_algebra, "dim=9,centre=1,n=None,div=None,reason=no-rank-one-corner"),
+], ids=["M2_Q_sqrt2", "cyclic_cubic"])
+def test_k0_unresolved_block_reason(capsys, tmp_path, build, block):
+    path = tmp_path / "a.alg"
+    save_graded_algebra(trivially_graded(build(), GradeGroup.cyclic(2)), str(path))
+    code, out, err = run(capsys, "k0", str(path))
+    assert code == 0 and not err
+    assert out.splitlines()[0] == "k0gr=Z; radical=0; blocks=[%s]" % block
 
 
 def test_internal_error_exit_4(capsys, monkeypatch):

@@ -24,7 +24,8 @@ from gradedk.graded import (GradedAlgebra, HomogeneousElement,
 from gradedk.groups import GradeGroup, SubgroupSpec
 from gradedk.matrixring import ShiftedMatrixAlgebra
 from randomdata import random_constructed
-from test_ktheory import product_algebra, scalars, upper_triangular
+from test_ktheory import (cyclic_cubic_division_algebra, m2_over_q_sqrt2,
+                          product_algebra, scalars, upper_triangular)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -243,10 +244,13 @@ def test_graded_division_witness_matches_full_scan():
         rep = is_graded_division(g)
         assert rep.verdict == "false"
         _assert_division_witness(g, rep)
+    # degree e holds 1; the unit of another degree is the scan's first
     g = _f3_cyclic3_trivially_graded()
-    rep = is_crossed_product(g)
-    unit = _first_failing(g, lambda y: try_invert(y) is not None)
-    assert rep.witness == {g.group.identity: unit}
+    assert is_crossed_product(g).witness == {g.group.identity: g.algebra.one}
+    g = _shifted_matrix_f3([0, 1])
+    odd = g.group.element((1,))
+    unit = next(x for x in _full_scan(g, odd) if try_invert(x) is not None)
+    assert is_crossed_product(g).witness == {g.group.identity: g.algebra.one, odd: unit}
 
 
 def _oracle_inputs():
@@ -313,13 +317,18 @@ def test_split_quaternions_are_not_graded_division_over_q():
 def test_untyped_identity_component_is_undecided_with_reason():
     # (1, 1 / Q) (x) Q(sqrt 2) is M_2(Q(sqrt 2)) on a basis of units; the
     # splitter leaves blocks with a centre larger than Q untyped
-    H = construct_quaternion(Q, 1, 1, grading="trivial")
-    root2 = Algebra(Q, ["1", "s"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
-                                    (1, 1): {0: 2}}, unit=[1, 0])
-    g = graded_tensor(H, trivially_graded(root2, H.group))
+    g = trivially_graded(m2_over_q_sqrt2(), GradeGroup.trivial())
     rep = is_graded_division(g)
-    assert (rep.verdict, rep.details["reason"]) == ("undecided", "identity-component-untyped")
+    assert rep.verdict == "undecided"
+    assert rep.details == {"reason": "identity-component-untyped",
+                           "block-reason": "proper-centre"}
     assert is_graded_simple(g).verdict == "true"
+    # a degree-3 division algebra over Q: no block basis element has a
+    # spectral idempotent with a rank-one corner
+    g = trivially_graded(cyclic_cubic_division_algebra(), GradeGroup.trivial())
+    rep = is_graded_division(g)
+    assert rep.verdict == "undecided"
+    assert rep.details["block-reason"] == "no-rank-one-corner"
 
 
 def test_q_times_q_is_neither_graded_division_nor_simple():
@@ -337,22 +346,42 @@ def test_q_times_q_is_neither_graded_division_nor_simple():
 def test_crossed_product_over_q_is_exact():
     rep = is_crossed_product(construct_truncated_polynomial(Q, 3))
     assert (rep.verdict, rep.strategy) == ("false", "exhaustive")
-    # no matrix unit of M_2(Q) is invertible; the Nullstellensatz grid finds a unit
-    g = trivially_graded(construct_matrix_algebra(Q, 2), GradeGroup.trivial())
+    # M_2(Q)[C_2] graded by C_2: no basis vector e_ij g of A_1 is invertible;
+    # the Nullstellensatz grid finds a unit
+    c2 = GradeGroup.cyclic(2)
+    g = graded_tensor(trivially_graded(construct_matrix_algebra(Q, 2), c2),
+                      construct_group_ring(Q, c2))
     rep = is_crossed_product(g)
     assert (rep.verdict, rep.strategy) == ("true", "constructive")
-    assert try_invert(rep.witness[g.group.identity]) is not None
+    odd = c2.element((1,))
+    assert g.degree_of(rep.witness[odd]) == odd and try_invert(rep.witness[odd]) is not None
 
 
 def test_crossed_product_unit_search_budget():
-    # 5^9 lines exceed the enumeration budget: the basis is tried, and
-    # without a basis unit the search stops with a reason
-    trivial = GradeGroup.trivial()
-    rep = is_crossed_product(trivially_graded(construct_matrix_algebra(F5, 3), trivial))
+    # M_3(F_5)[C_2] graded by C_2: the 5^9 lines of A_1 = M_3(F_5) g exceed
+    # the enumeration budget, the basis is tried, and without a basis unit
+    # the search stops with a reason
+    c2 = GradeGroup.cyclic(2)
+    g = graded_tensor(trivially_graded(construct_matrix_algebra(F5, 3), c2),
+                      construct_group_ring(F5, c2))
+    rep = is_crossed_product(g)
     assert (rep.verdict, rep.details["reason"]) == ("undecided", "budget")
-    g = trivially_graded(construct_group_ring(F5, GradeGroup.cyclic(9)).algebra, trivial)
+    # the same size, with basis units h g in A_1: F_5[C_9][C_2]
+    g = graded_tensor(trivially_graded(construct_group_ring(F5, GradeGroup.cyclic(9)).algebra,
+                                       c2),
+                      construct_group_ring(F5, c2))
     rep = is_crossed_product(g)
     assert (rep.verdict, rep.strategy) == ("true", "constructive")
+
+
+def test_crossed_product_identity_degree_holds_one():
+    # no matrix unit of M_3(F_5) is invertible and its 5^9 lines exceed the
+    # budget, but degree e always holds 1
+    for group in (GradeGroup.trivial(), GradeGroup.cyclic(2)):
+        g = trivially_graded(construct_matrix_algebra(F5, 3), group)
+        rep = is_crossed_product(g)
+        assert (rep.verdict, rep.strategy) == ("true", "constructive")
+        assert rep.witness == {group.identity: g.algebra.one}
 
 
 def test_component_elements_one_per_line():

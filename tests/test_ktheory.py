@@ -4,16 +4,18 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from gradedk.algebra import Algebra
+from gradedk.algebra import Algebra, minimal_polynomial
 from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_matrix_algebra, construct_quaternion,
                                   construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
-from gradedk.graded import support_subgroup
+from gradedk.graded import graded_tensor, support_subgroup, trivially_graded
 from gradedk.groups import GradeGroup, SubgroupSpec
 from gradedk.ktheory import (INFINITE_RANK_FREE, CsaShape, FGAbelianGroup,
+                             _crt_idempotents, _spectral_idempotents,
                              ck0_zk0, compare_localized, jacobson_radical,
                              k0_of_semisimple, k0gr_graded_division,
                              k0gr_strongly_graded, localize,
@@ -33,6 +35,37 @@ def product_algebra(a, b):
         products[(i + n, j + n)] = {k + n: c for k, c in terms.items()}
     return Algebra(a.field, list(a.labels) + ["%s'" % lab for lab in b.labels],
                    products, unit=list(a.unit_coords) + list(b.unit_coords))
+
+
+def m2_over_q_sqrt2():
+    """M_2(Q(sqrt 2)) = (1, 1 / Q) (x) Q(sqrt 2) on a basis of units."""
+    root2 = Algebra(Q, ["1", "r"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                                    (1, 1): {0: 2}}, unit=[1, 0])
+    trivial = GradeGroup.trivial()
+    return graded_tensor(trivially_graded(construct_quaternion(Q, 1, 1).algebra, trivial),
+                         trivially_graded(root2, trivial)).algebra
+
+
+def cyclic_cubic_division_algebra():
+    """(K/Q, sigma, 2) on the basis a^i u^j (index 3i + j), with K = Q(a),
+    a = 2 cos(2 pi / 7), a^3 = 2a + 1 - a^2, sigma(a) = a^2 - 2, u^3 = 2 and
+    u x = sigma(x) u. The prime 2 is inert in K, so the local invariant at 2
+    is 1/3 and the algebra is a division algebra of degree 3."""
+    x = sympy.Symbol("x")
+    f = sympy.Poly(x ** 3 + x ** 2 - 2 * x - 1, x, domain=sympy.QQ)
+    sigma = [sympy.Poly(x, x, domain=sympy.QQ)]
+    for _ in range(2):
+        sigma.append(sigma[-1].compose(sympy.Poly(x ** 2 - 2, x, domain=sympy.QQ)).rem(f))
+    products = {}
+    for i, j, k, l in itertools.product(range(3), repeat=4):
+        # a^i u^j a^k u^l = a^i sigma^j(a)^k u^(j+l)
+        coeffs = (sympy.Poly(x ** i, x, domain=sympy.QQ) * sigma[j] ** k).rem(f).all_coeffs()
+        scale, m = (2, j + l - 3) if j + l >= 3 else (1, j + l)
+        products[(3 * i + j, 3 * k + l)] = {
+            3 * e + m: scale * Fraction(int(c.p), int(c.q))
+            for e, c in enumerate(reversed(coeffs)) if c}
+    labels = ["a%du%d" % (i, j) for i in range(3) for j in range(3)]
+    return Algebra(Q, labels, products, unit=[1] + [0] * 8)
 
 
 def scalars(field):
@@ -394,3 +427,27 @@ def test_split_rational_group_rings_block_counts():
 def test_split_larger_rational_block_by_basis_idempotents():
     dec = checked_split(construct_matrix_algebra(Q, 3))
     assert _blocks(dec) == [(9, 1, 3, 1)]
+
+
+def test_untyped_blocks_carry_a_reason():
+    dec = checked_split(m2_over_q_sqrt2())
+    assert [(b.dim, b.centre_dim, b.matrix_size, b.reason) for b in dec.blocks] \
+        == [(8, 2, None, "proper-centre")]
+    dec = checked_split(cyclic_cubic_division_algebra())
+    assert [(b.dim, b.centre_dim, b.matrix_size, b.reason) for b in dec.blocks] \
+        == [(9, 1, None, "no-rank-one-corner")]
+    assert all(b.reason is None for b in checked_split(construct_matrix_algebra(Q, 3)).blocks)
+
+
+def test_spectral_idempotents_shortcuts_match_factoring():
+    # scalars and idempotents skip sympy; the result, order included, is
+    # the one the factoring path gives
+    for field in (Q, F5, FieldSpec.prime_field(2)):
+        m2 = construct_matrix_algebra(field, 2)
+        e11 = m2.basis_element(0)
+        elements = [m2.one, m2.zero, m2.one.scale(3), e11, m2.one - e11,
+                    e11 + m2.basis_element(1)]
+        for x in elements:
+            got = _spectral_idempotents(x)
+            assert got == _crt_idempotents(x, minimal_polynomial(x))
+            assert len(got) == (1 if len(minimal_polynomial(x)) == 2 else 2)

@@ -98,24 +98,6 @@ def test_charpoly_gf():
         assert [g.v for g in got] == want
 
 
-def test_poly_nth_root():
-    # (x^2 + 3x + 1)^3 recovered
-    p = [Fraction(1), Fraction(3), Fraction(1)]
-    cube = linalg.poly_pow(p, 3, Q)
-    assert linalg.poly_nth_root(cube, 3, Q) == p
-    # x^3 + 1 is not the cube of a monic linear polynomial
-    assert linalg.poly_nth_root([Fraction(1), Fraction(0), Fraction(0),
-                                 Fraction(1)], 3, Q) is None
-
-
-def test_poly_nth_root_gf():
-    p = [F5.scalar(2), F5.scalar(1)]
-    sq = linalg.poly_pow(p, 2, F5)
-    assert linalg.poly_nth_root(sq, 2, F5) == p
-    # char divides n: no root extraction
-    assert linalg.poly_nth_root(linalg.poly_pow(p, 5, F5), 5, F5) is None
-
-
 def test_row_space_contains():
     rows, _ = linalg.rref([[Fraction(1), Fraction(2), Fraction(0)],
                            [Fraction(0), Fraction(0), Fraction(1)]])

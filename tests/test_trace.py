@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from gradedk import linalg
 from gradedk.algebra import commutator_subspace, left_regular_matrix
@@ -22,6 +23,7 @@ from randomdata import random_element, random_scalar
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
 F7 = FieldSpec.prime_field(7)
+F11 = FieldSpec.prime_field(11)
 
 
 def algebras():
@@ -37,7 +39,7 @@ def test_reduced_char_poly_quaternion_generators():
         rc = reduced_char_poly(alg, alg.basis_element(t))
         assert rc.coeffs == [Fraction(1), Fraction(0), Fraction(1)]
         assert rc.trd == 0 and rc.nrd == want_nrd
-        assert rc.route == "min-poly-power"
+        assert rc.route == "trace-power-sums"
     x = alg.element([1, 2, 3, 4])
     rc = reduced_char_poly(alg, x)
     assert rc.trd == 2            # 2 * real part
@@ -51,12 +53,54 @@ def test_reduced_char_poly_scalars():
 
 
 def test_reduced_char_poly_fallback_route():
-    # e11 in M_2(Q): min poly x^2 - x splits, so the charpoly root route runs
+    # e11 in M_2(Q): a split element takes the same power-sum route
     m2 = construct_matrix_algebra(Q, 2)
     rc = reduced_char_poly(m2, m2.basis_element(0))
-    assert rc.route == "regular-charpoly-root"
+    assert rc.route == "trace-power-sums"
     assert rc.coeffs == [Fraction(0), Fraction(-1), Fraction(1)]  # x^2 - x
     assert rc.trd == 1 and rc.nrd == 0
+
+
+def test_reduced_char_poly_power_sums_against_regular_charpoly():
+    # q^n = charpoly(L_a) and n Trd(a) = Tr(L_a) on 220 random elements;
+    # xi is a primitive n-th root of unity: -1, 2 in GF(7), 3 in GF(11)
+    cases = [(construct_quaternion(Q, -1, 3).algebra, 30),
+             (construct_matrix_algebra(Q, 2), 30),
+             (construct_matrix_algebra(Q, 3), 30),
+             (construct_matrix_algebra(Q, 4), 20),
+             (construct_symbol_algebra(F5, 2, 2, 3, -1).algebra, 25),
+             (construct_symbol_algebra(F7, 2, 3, 5, -1).algebra, 25),
+             (construct_symbol_algebra(F11, 2, 2, 7, -1).algebra, 25),
+             (construct_symbol_algebra(F7, 3, 2, 3, 2).algebra, 20),
+             (construct_symbol_algebra(F11, 5, 2, 3, 3).algebra, 15)]
+    rng = random.Random(47)
+    for alg, count in cases:
+        field, n = alg.field, round(alg.dim ** 0.5)
+        for _ in range(count):
+            a = random_element(alg, rng, height=4)
+            rc = reduced_char_poly(alg, a)
+            assert rc.route == "trace-power-sums"
+            lx = left_regular_matrix(a)
+            assert linalg.to_sympy_poly(rc.coeffs, field) ** n \
+                == linalg.to_sympy_poly(linalg.charpoly(lx, field), field)
+            assert field.scalar(n) * rc.trd == linalg.trace(lx)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
+def test_reduced_char_poly_small_characteristic(p, n):
+    # char p <= n: q is the charpoly of the n x n coordinate matrix, also
+    # for e11 and e12, which the old n-th-root extraction could not handle
+    field = FieldSpec.prime_field(p)
+    alg = construct_matrix_algebra(field, n)
+    rng = random.Random(p * 10 + n)
+    x = sympy.Symbol("x")
+    for a in [alg.basis_element(0), alg.basis_element(1)] \
+            + [random_element(alg, rng) for _ in range(8)]:
+        rc = reduced_char_poly(alg, a)
+        assert rc.route == "charpoly-factor-root"
+        mat = sympy.Matrix(n, n, [c.v for c in a.coords])
+        want = [int(c) % p for c in reversed(mat.charpoly(x).all_coeffs())]
+        assert [c.v for c in rc.coeffs] == want
 
 
 def test_trd_linear_nrd_multiplicative():
