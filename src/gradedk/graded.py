@@ -16,8 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import (Algebra, AlgebraElement, Subspace, center,
-                      try_invert, ENUMERATION_BUDGET)
+from .algebra import Algebra, AlgebraElement, Subspace, center, try_invert
 from .groups import SubgroupSpec, coset_index
 from .verdict import (VerdictReport, TRUE, FALSE, UNDECIDED,
                       EXHAUSTIVE, CONSTRUCTIVE, combine)
@@ -175,9 +174,20 @@ def support(g):
 
 
 def support_subgroup(g):
+    """The subgroup generated by the support. Over a finite group its
+    generators are the support degrees (in coordinate order) that the
+    earlier ones do not already generate; over an infinite group, where a
+    membership test costs a Smith normal form, the whole support."""
     if isinstance(g, TwistedGroupAlgebra):
         return g.support
-    return SubgroupSpec(g.group, sorted(support(g), key=lambda d: d.coords))
+    degrees = sorted(support(g), key=lambda d: d.coords)
+    if not g.group.is_finite():
+        return SubgroupSpec(g.group, degrees)
+    sub = SubgroupSpec(g.group, [])
+    for d in degrees:
+        if not sub.contains(d):
+            sub = SubgroupSpec(g.group, sub.generators + (d,))
+    return sub
 
 
 def _strongly_graded_at(g, gamma):
@@ -221,66 +231,28 @@ def is_strongly_graded(g):
     return VerdictReport("strongly-graded", TRUE, CONSTRUCTIVE, witness=certificates)
 
 
-def _invertible_in_component(g, degree):
-    """(x, strategy) with x an invertible element of the given degree;
-    (None, EXHAUSTIVE) when there is none, (None, None) over budget. The
-    identity degree holds 1. A unit of degree gamma puts 1 in
-    R_gamma R_gamma^-1, so a failed strong-grading certificate rules units
-    out. Over GF(p) the lines of the component are
-    scanned, or past the budget its basis. Over Q, det(L_x) on R_gamma has
-    degree <= dim A in each of its k coordinates, so it is 0 or nonzero
-    somewhere on {0..dim A}^k (Alon, Combinatorial Nullstellensatz, 1999)."""
-    alg = g.algebra
-    w = g.unit_witnesses.get(degree)
-    if w is not None and try_invert(w) is not None:
-        return w, CONSTRUCTIVE
-    if degree == g.group.identity:
-        return alg.one, CONSTRUCTIVE
-    if _strongly_graded_at(g, degree) is None:
-        return None, EXHAUSTIVE
-    idx = g.component_indices(degree)
-    prime = alg.field.kind == "prime-field"
-    if prime and alg.field.order ** len(idx) <= ENUMERATION_BUDGET:
-        for x in g.component_elements(degree):
-            if try_invert(x) is not None:
-                return x, EXHAUSTIVE
-        return None, EXHAUSTIVE
-    for i in idx:
-        b = alg.basis_element(i)
-        if try_invert(b) is not None:
-            return b, CONSTRUCTIVE
-    if prime or (alg.dim + 1) ** len(idx) > ENUMERATION_BUDGET:
-        return None, None
-    points = [alg.field.scalar(c) for c in range(alg.dim + 1)]
-    for values in itertools.product(points, repeat=len(idx)):
-        x = g.component_element(degree, values)
-        if try_invert(x) is not None:
-            return x, CONSTRUCTIVE
-    return None, EXHAUSTIVE
-
-
 def is_crossed_product(g):
-    """Invertible homogeneous element in every component of the support
-    subgroup; checked on generators since homogeneous-unit degrees form a
-    group."""
+    """A homogeneous unit in every degree of the support subgroup, checked
+    on its generators since the degrees of the homogeneous units form a
+    group. A_gamma holds a unit iff A(gamma) ~gr A, the n = 1 case of
+    `matrixring.solve_shift_matrix` with d = (e) and a = (gamma). The
+    witness maps each generator to a unit from the structured search, or to
+    the top-dimension certificate of the covering-algebra test."""
+    from .matrixring import solve_shift_matrix
     if isinstance(g, TwistedGroupAlgebra):
         return VerdictReport("crossed-product", TRUE, CONSTRUCTIVE,
                              witness="monomials u_g")
+    e = g.group.identity
     witnesses = {}
     strategies = []
-    gens = support_subgroup(g).generators
-    if not gens:  # support {e}
-        gens = [g.group.identity]
-    for gamma in gens:
-        x, strat = _invertible_in_component(g, gamma)
-        if x is None:
-            if strat == EXHAUSTIVE:
-                return VerdictReport("crossed-product", FALSE, EXHAUSTIVE,
-                                     counterexample=("degree", gamma))
-            return VerdictReport("crossed-product", UNDECIDED, EXHAUSTIVE,
-                                 details={"degree": gamma, "reason": "budget"})
-        witnesses[gamma] = x
-        strategies.append(strat)
+    for gamma in support_subgroup(g).generators or [e]:
+        rep = solve_shift_matrix(g, [e], [gamma])
+        if not rep:
+            return VerdictReport("crossed-product", FALSE, EXHAUSTIVE,
+                                 counterexample=("degree", gamma, rep.counterexample))
+        # a constructive witness is (r, t) with r = (x) for the unit x
+        witnesses[gamma] = rep.witness[0][0][0] if rep.strategy == CONSTRUCTIVE else rep.witness
+        strategies.append(rep.strategy)
     return VerdictReport("crossed-product", TRUE, combine(*strategies),
                          witness=witnesses)
 

@@ -145,8 +145,11 @@ def jacobson_radical(algebra):
 
 
 def _quotient(algebra, radical):
-    """A/J on the basis vectors at the non-pivot columns of J's echelon rows:
-    a vector is reduced by the rows, which leaves it 0 at every pivot."""
+    """(A/J, project): A/J on the basis vectors at the non-pivot columns of
+    J's echelon rows, and the map from A onto it. A vector is reduced by the
+    rows, which leaves it 0 at every pivot. For J = 0 it is (A, identity)."""
+    if not radical.dim:
+        return algebra, lambda x: x
     pivots = [next(c for c, a in enumerate(r) if a) for r in radical.rows]
     keep = [c for c in range(algebra.dim) if c not in pivots]
 
@@ -161,8 +164,9 @@ def _quotient(algebra, radical):
     basis = [algebra.basis_element(c) for c in keep]
     products = {(s, t): dict(enumerate(reduce((x * y).coords)))
                 for s, x in enumerate(basis) for t, y in enumerate(basis)}
-    return Algebra(algebra.field, [algebra.labels[c] for c in keep], products,
-                   unit=reduce(algebra.unit_coords))
+    quotient = Algebra(algebra.field, [algebra.labels[c] for c in keep], products,
+                       unit=reduce(algebra.unit_coords))
+    return quotient, lambda x: quotient.element(reduce(x.coords))
 
 
 def _spectral_idempotents(x):
@@ -232,7 +236,7 @@ def split_identity_component(algebra):
     idempotents of A/J cut it into simple blocks, each matched to M_n(D)
     where the type is decided."""
     radical = jacobson_radical(algebra)
-    semisimple = _quotient(algebra, radical) if radical.dim else algebra
+    semisimple, _ = _quotient(algebra, radical)
     zbasis = center(semisimple).basis_elements()
     idems = _central_primitive_idempotents(semisimple, zbasis)
     basis = [semisimple.basis_element(i) for i in range(semisimple.dim)]

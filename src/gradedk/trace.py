@@ -80,7 +80,15 @@ def nrd(algebra, a):
 
 
 def trd_functional(algebra):
-    """Coordinates of the reduced-trace linear functional on the basis."""
+    """Coordinates of the reduced-trace linear functional on the basis: for
+    char 0 or char > n, Trd(e_i) = Tr(L_(e_i)) / n read from the regular
+    traces (the condition of the trace-power-sums route); otherwise one
+    reduced characteristic polynomial per basis element."""
+    field = algebra.field
+    n = _degree(algebra)
+    if field.characteristic == 0 or field.characteristic > n:
+        inv_n = field.one / field.scalar(n)
+        return [inv_n * t for t in regular_traces(algebra)]
     return [trd(algebra, algebra.basis_element(i)) for i in range(algebra.dim)]
 
 

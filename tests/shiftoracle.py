@@ -1,0 +1,135 @@
+"""Reference checks for the graded-isomorphism decision R^n(d) ~gr R^n(a)
+of `gradedk.matrixring.solve_shift_matrix`: the exhaustive GF(p) pattern
+search it replaced, kept here as the oracle, and re-checks of its (r, t)
+witnesses and of its top-dimension certificates."""
+
+import itertools
+
+from gradedk import linalg
+from gradedk.algebra import center, left_regular_matrix
+from gradedk.ktheory import _central_primitive_idempotents, _quotient, jacobson_radical
+from gradedk.matrixring import ShiftedMatrixAlgebra, identity_component
+
+
+def pattern_inverse(g, r, d, a):
+    """Two-sided inverse t of r (entries in the materialized base g) with
+    t_ji in R_(a_j^-1 d_i), or None. Linear in the unknown t."""
+    alg = g.algebra
+    field = alg.field
+    n, m = len(d), len(a)
+    slots = [(j, i, k) for j in range(m) for i in range(n)
+             for k in g.component_indices(a[j].inverse() * d[i])]
+    if not slots:
+        return None
+    cols = {s: c for c, s in enumerate(slots)}
+    rows, rhs = [], []
+
+    def add_eq(terms, target):
+        block = [[field.zero] * len(slots) for _ in range(alg.dim)]
+        for slot, mult, side in terms:
+            b = alg.basis_element(slot[2])
+            z = mult * b if side == "left" else b * mult
+            for coord, x in enumerate(z.coords):
+                block[coord][cols[slot]] += x
+        rows.extend(block)
+        rhs.extend(target.coords)
+
+    for i in range(n):  # r t = I_n
+        for l in range(n):
+            add_eq([((j, l, k), r[i][j], "left") for j in range(m)
+                    for k in g.component_indices(a[j].inverse() * d[l])],
+                   alg.one if i == l else alg.zero)
+    for j in range(m):  # t r = I_m
+        for l in range(m):
+            add_eq([((j, i, k), r[i][l], "right") for i in range(n)
+                    for k in g.component_indices(a[j].inverse() * d[i])],
+                   alg.one if j == l else alg.zero)
+    sol = linalg.solve(rows, rhs)
+    if sol is None:
+        return None
+    t = [[alg.zero] * n for _ in range(m)]
+    for (j, i, k), c in zip(slots, sol):
+        t[j][i] = t[j][i] + alg.basis_element(k).scale(c)
+    return t
+
+
+def exhaustive_shift_search(g, d, a):
+    """Whether GL_n(R)[d][a] is nonempty over GF(p): every r with r_ij in
+    R_(d_i^-1 a_j), one per line (first nonzero coordinate 1, since c r is
+    invertible exactly when r is), is tried with `pattern_inverse`."""
+    alg = g.algebra
+    field = alg.field
+    n = len(d)
+    slots = [(i, j, k) for i in range(n) for j in range(n)
+             for k in g.component_indices(d[i].inverse() * a[j])]
+    for values in itertools.product(field.elements(), repeat=len(slots)):
+        if next((c for c in values if c), None) != field.one:
+            continue
+        r = [[alg.zero] * n for _ in range(n)]
+        for (i, j, k), c in zip(slots, values):
+            r[i][j] = r[i][j] + alg.basis_element(k).scale(c)
+        if pattern_inverse(g, r, d, a) is not None:
+            return True
+    return False
+
+
+def assert_shift_witness(g, d, a, r, t):
+    """r_ij in R_(d_i^-1 a_j), t_ji in R_(a_j^-1 d_i), and r t = t r = I."""
+    alg = g.algebra
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            for x, deg in ((r[i][j], d[i].inverse() * a[j]), (t[j][i], a[j].inverse() * d[i])):
+                assert x.is_zero() or g.degree_of(x) == deg
+    for u, w in ((r, t), (t, r)):
+        for i in range(n):
+            for j in range(n):
+                s = alg.zero
+                for k in range(n):
+                    s = s + u[i][k] * w[k][j]
+                assert s == (alg.one if i == j else alg.zero)
+
+
+def recompute_top_dimensions(g, cover):
+    """({s: v(s)}, [f_b]) recomputed from a covering algebra built here as
+    the identity component of M_|S|(R)(s_1^-1, ...): its (i, j) entries lie
+    in R_(s_i^-1 s_j) and eps_i is its i-th diagonal unit."""
+    e_alg = identity_component(ShiftedMatrixAlgebra(g, [s.inverse() for s in cover]))
+    top, project = _quotient(e_alg, jacobson_radical(e_alg))
+    idems = _central_primitive_idempotents(top, center(top).basis_elements())
+    dims = {}
+    for i, s in enumerate(cover):
+        diagonal = "E%d%d*" % (i + 1, i + 1)
+        eps = e_alg.element([c if label.startswith(diagonal) else 0
+                             for c, label in zip(e_alg.unit_coords, e_alg.labels)])
+        dims[s] = tuple(linalg.rank(left_regular_matrix(project(eps) * f)) for f in idems)
+    return dims, idems
+
+
+def assert_top_certificate(g, d, a, rep):
+    """Recompute the v(s) of a top-test verdict of solve_shift_matrix(g, d,
+    a) and check that its f_b are orthogonal central idempotents with sum 1
+    and that the verdict is sum_i v(d_i) == sum_j v(a_j)."""
+    assert rep.strategy == "exhaustive"
+    cert = rep.witness if rep.verdict == "true" else rep.counterexample
+    assert cert[0] == "top-dimensions"
+    cover = cert[1]
+    assert set(cover) == set(d) | set(a)
+    dims, idems = recompute_top_dimensions(g, cover)
+    assert rep.details["dimensions"] == dims
+    top = idems[0].owner
+    given = [top.element(f.coords) for f in rep.details["idempotents"]]
+    assert given == idems
+    basis = [top.basis_element(k) for k in range(top.dim)]
+    total = top.zero
+    for f in given:
+        assert f * f == f and all(f * b == b * f for b in basis)
+        assert all((f * h).is_zero() for h in given if h is not f)
+        total = total + f
+    assert total == top.one
+    side = lambda degrees: tuple(map(sum, zip(*(dims[s] for s in degrees))))
+    if rep.verdict == "true":
+        assert cert[2] == dims and side(d) == side(a)
+    else:
+        assert cert[2:] == (side(d), side(a)) and side(d) != side(a)
+    return dims

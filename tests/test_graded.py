@@ -22,8 +22,9 @@ from gradedk.graded import (GradedAlgebra, HomogeneousElement,
                             support, support_subgroup, trivially_graded,
                             validate_grading)
 from gradedk.groups import GradeGroup, SubgroupSpec
-from gradedk.matrixring import ShiftedMatrixAlgebra
+from gradedk.matrixring import ShiftedMatrixAlgebra, solve_shift_matrix
 from randomdata import random_constructed
+from shiftoracle import assert_top_certificate
 from test_ktheory import (cyclic_cubic_division_algebra, m2_over_q_sqrt2,
                           product_algebra, scalars, upper_triangular)
 
@@ -244,13 +245,36 @@ def test_graded_division_witness_matches_full_scan():
         rep = is_graded_division(g)
         assert rep.verdict == "false"
         _assert_division_witness(g, rep)
-    # degree e holds 1; the unit of another degree is the scan's first
+    # degree e holds 1; A_1 = span(E12, E21) holds the unit E12 + E21, but
+    # no basis unit, so the covering-algebra tops decide it
     g = _f3_cyclic3_trivially_graded()
     assert is_crossed_product(g).witness == {g.group.identity: g.algebra.one}
     g = _shifted_matrix_f3([0, 1])
     odd = g.group.element((1,))
-    unit = next(x for x in _full_scan(g, odd) if try_invert(x) is not None)
-    assert is_crossed_product(g).witness == {g.group.identity: g.algebra.one, odd: unit}
+    assert any(try_invert(x) is not None for x in _full_scan(g, odd))
+    rep = is_crossed_product(g)
+    assert (rep.verdict, rep.strategy, list(rep.witness)) == ("true", "exhaustive", [odd])
+    _assert_crossed_product_certificates(g, rep)
+
+
+def _assert_crossed_product_certificates(g, rep):
+    """Each degree's witness is a homogeneous unit of that degree or a top
+    certificate that the covering-algebra test recomputes; a false names
+    the degree and carries the recomputed certificate of A(gamma) vs A."""
+    e = g.group.identity
+    if rep.is_false:
+        _, gamma, cert = rep.counterexample
+        shift = solve_shift_matrix(g, [e], [gamma])
+        assert shift.counterexample == cert
+        assert_top_certificate(g, [e], [gamma], shift)
+        return
+    for gamma, w in rep.witness.items():
+        if isinstance(w, tuple):
+            shift = solve_shift_matrix(g, [e], [gamma])
+            assert shift.witness == w
+            assert_top_certificate(g, [e], [gamma], shift)
+        else:
+            assert g.degree_of(w) == gamma and try_invert(w) is not None
 
 
 def _oracle_inputs():
@@ -295,6 +319,16 @@ def test_graded_predicates_match_full_scan_oracle():
             _assert_division_witness(g, division)
         if simple.is_false:
             _assert_simple_witness(g, simple)
+
+
+def test_crossed_product_matches_full_scan_oracle():
+    # A is a crossed product iff every support degree holds a unit
+    for g in _oracle_inputs():
+        rep = is_crossed_product(g)
+        units = all(any(try_invert(x) is not None for x in _full_scan(g, d))
+                    for d in support(g))
+        assert rep.verdict == ("true" if units else "false"), g.algebra
+        _assert_crossed_product_certificates(g, rep)
 
 
 def test_split_quaternions_are_not_graded_division_over_q():
@@ -344,28 +378,38 @@ def test_q_times_q_is_neither_graded_division_nor_simple():
 
 
 def test_crossed_product_over_q_is_exact():
-    rep = is_crossed_product(construct_truncated_polynomial(Q, 3))
+    # Q[t]/t^3: E = End_gr(A + A(1)) has top Q x Q, with eps_0 and eps_1 in
+    # different blocks
+    g = construct_truncated_polynomial(Q, 3)
+    rep = is_crossed_product(g)
     assert (rep.verdict, rep.strategy) == ("false", "exhaustive")
+    one = g.group.element((1,))
+    assert rep.counterexample == ("degree", one,
+                                  ("top-dimensions", (g.group.identity, one), (1, 0), (0, 1)))
+    _assert_crossed_product_certificates(g, rep)
     # M_2(Q)[C_2] graded by C_2: no basis vector e_ij g of A_1 is invertible;
-    # the Nullstellensatz grid finds a unit
+    # the tops of E = End_gr(A + A(1)) decide it
     c2 = GradeGroup.cyclic(2)
     g = graded_tensor(trivially_graded(construct_matrix_algebra(Q, 2), c2),
                       construct_group_ring(Q, c2))
     rep = is_crossed_product(g)
-    assert (rep.verdict, rep.strategy) == ("true", "constructive")
-    odd = c2.element((1,))
-    assert g.degree_of(rep.witness[odd]) == odd and try_invert(rep.witness[odd]) is not None
+    assert (rep.verdict, rep.strategy) == ("true", "exhaustive")
+    assert list(rep.witness) == [c2.element((1,))]
+    _assert_crossed_product_certificates(g, rep)
 
 
 def test_crossed_product_unit_search_budget():
-    # M_3(F_5)[C_2] graded by C_2: the 5^9 lines of A_1 = M_3(F_5) g exceed
-    # the enumeration budget, the basis is tried, and without a basis unit
-    # the search stops with a reason
+    # M_3(F_5)[C_2] graded by C_2: A_1 = M_3(F_5) g has 5^9 lines and no
+    # basis unit; the 36-dim covering algebra is M_6(F_5), one block
     c2 = GradeGroup.cyclic(2)
     g = graded_tensor(trivially_graded(construct_matrix_algebra(F5, 3), c2),
                       construct_group_ring(F5, c2))
     rep = is_crossed_product(g)
-    assert (rep.verdict, rep.details["reason"]) == ("undecided", "budget")
+    assert (rep.verdict, rep.strategy) == ("true", "exhaustive")
+    odd = c2.element((1,))
+    assert rep.witness == {odd: ("top-dimensions", (c2.identity, odd),
+                                 {c2.identity: (18,), odd: (18,)})}
+    _assert_crossed_product_certificates(g, rep)
     # the same size, with basis units h g in A_1: F_5[C_9][C_2]
     g = graded_tensor(trivially_graded(construct_group_ring(F5, GradeGroup.cyclic(9)).algebra,
                                        c2),

@@ -6,16 +6,20 @@ import pytest
 
 from gradedk import linalg
 from gradedk.algebra import Algebra, try_invert
-from gradedk.constructors import construct_laurent, construct_quaternion
+from gradedk.constructors import (construct_group_ring, construct_laurent,
+                                  construct_quaternion)
 from gradedk.fields import FieldSpec
 from gradedk.graded import (GradedAlgebra, TwistedGroupAlgebra, trivially_graded,
                             validate_grading)
 from gradedk.groups import GradeGroup, SubgroupSpec
 from gradedk.matrixring import (ShiftedMatrixAlgebra, canonical_shift,
-                                central_scalar_check, identity_component,
-                                is_good_grading, is_graded_simple_matrix,
+                                central_scalar_check, covering_algebra,
+                                identity_component, is_good_grading,
+                                is_graded_simple_matrix,
                                 is_strongly_graded_matrix,
                                 shifted_iso_decision, solve_shift_matrix)
+from shiftoracle import (assert_shift_witness, assert_top_certificate,
+                         exhaustive_shift_search)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -143,12 +147,91 @@ def test_solve_shift_matrix_false_exhaustive():
     rep = solve_shift_matrix(base, d, a)
     assert rep.verdict == "false"
     assert rep.strategy == "exhaustive"
+    assert_top_certificate(base, d, a, rep)
 
 
 def test_solve_shift_matrix_rank_mismatch():
     base = trivially_graded_field(F2, Z)
     rep = solve_shift_matrix(base, [Z.identity], [Z.identity, Z.identity])
     assert rep.verdict == "false"
+
+
+def _graded(algebra, group, degrees):
+    return GradedAlgebra(algebra, group, [group.element((c,)) for c in degrees])
+
+
+def _differential_bases():
+    """Small GF(p) bases graded over C_q, p, q in {2, 3}: F_p x F_p in
+    degree 0, the group ring F_p[C_q] (p | q or not), F_p[t]/t^2 with t in
+    degree 1, and M_2(F_p)(0, 1), whose units of degree 1 are not basis
+    vectors."""
+    for p, q in itertools.product((2, 3), repeat=2):
+        f = FieldSpec.prime_field(p)
+        cq = GradeGroup.cyclic(q)
+        yield _graded(Algebra(f, ["a", "b"], {(0, 0): {0: 1}, (1, 1): {1: 1}}, unit=[1, 1]),
+                      cq, [0, 0])
+        yield _graded(Algebra(f, ["1", "t"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                              unit=[1, 0]), cq, [0, 1])
+        yield construct_group_ring(f, cq)
+        yield ShiftedMatrixAlgebra(trivially_graded_field(f, cq),
+                                   [cq.identity, cq.element((1,))]).materialized
+
+
+def test_solve_shift_matrix_matches_exhaustive_search():
+    # one (d, a) per class up to permutations of d and of a and a common
+    # translation: d_1 = 0, d and a sorted
+    top_tests = 0
+    for g in _differential_bases():
+        elems = g.group.elements()
+        pairs = [((elems[0],), (y,)) for y in elems]
+        pairs += [((elems[0], x), a) for x in elems
+                  for a in itertools.combinations_with_replacement(elems, 2)]
+        for d, a in pairs:
+            if g.dim == 4 and g.field.order == 3 and len(d) == 2:
+                continue  # 3^8 patterns: M_2(F_3) is covered for n = 1
+            rep = solve_shift_matrix(g, d, a)
+            assert rep.verdict == ("true" if exhaustive_shift_search(g, d, a) else "false"), \
+                (g.algebra, g.group, d, a)
+            if rep.strategy == "constructive":
+                assert_shift_witness(g, d, a, *rep.witness)
+            else:
+                assert_top_certificate(g, d, a, rep)
+                top_tests += 1
+    assert top_tests >= 40
+
+
+def test_covering_algebra_is_the_shifted_identity_component():
+    # E_S = sum R_(s^-1 t) is the identity component of M_|S|(R)(s^-1), on
+    # the same basis order
+    c3 = GradeGroup.cyclic(3)
+    g = construct_group_ring(FieldSpec.prime_field(3), c3)
+    cover = [c3.element((1,)), c3.identity, c3.element((2,))]
+    e_alg, eps = covering_algebra(g, cover + cover[:1])
+    ref = identity_component(ShiftedMatrixAlgebra(g, [s.inverse() for s in cover]))
+    assert e_alg.dim == ref.dim == 9
+    assert e_alg.products == ref.products and e_alg.unit_coords == ref.unit_coords
+    assert list(eps) == cover
+    total = e_alg.zero
+    for s, x in eps.items():
+        assert x * x == x
+        total = total + x
+    assert total == e_alg.one
+
+
+def test_shift_matrix_over_q_times_q_is_decided():
+    # Q x Q in degree 0 over C_2: 1 is a unit of degree e, so (e, o) ~ (o, e)
+    # by a permutation matrix; (e, e) and (e, o) have different tops
+    c2 = GradeGroup.cyclic(2)
+    base = trivially_graded(Algebra(Q, ["a", "b"], {(0, 0): {0: 1}, (1, 1): {1: 1}},
+                                    unit=[1, 1]), c2)
+    e, o = c2.identity, c2.element((1,))
+    rep = solve_shift_matrix(base, [e, o], [o, e])
+    assert (rep.verdict, rep.strategy) == ("true", "constructive")
+    assert_shift_witness(base, [e, o], [o, e], *rep.witness)
+    rep = solve_shift_matrix(base, [e, e], [e, o])
+    assert (rep.verdict, rep.strategy) == ("false", "exhaustive")
+    dims = assert_top_certificate(base, [e, e], [e, o], rep)
+    assert sorted(dims.values()) == [(0, 0, 1, 1), (1, 1, 0, 0)]
 
 
 def test_canonical_shift_trivial_subgroup():

@@ -15,8 +15,8 @@ from gradedk.graded import trivially_graded
 from gradedk.groups import GradeGroup
 from gradedk.trace import (central_commutators_imply_commutative_check,
                            commutator_support, nrd, reduced_char_poly,
-                           supp_commutator_lemma_check, trd, trd_kernel_check,
-                           trd_graded_surjective_check,
+                           supp_commutator_lemma_check, trd, trd_functional,
+                           trd_kernel_check, trd_graded_surjective_check,
                            trd_na_plus_commutator_check)
 from randomdata import random_element, random_scalar
 
@@ -118,6 +118,18 @@ def test_trd_linear_nrd_multiplicative():
             # n * Trd(a) = trace of the regular representation
             assert alg.field.scalar(n) * trd(alg, a) \
                 == linalg.trace(left_regular_matrix(a))
+
+
+def test_trd_functional_matches_per_element_trd():
+    # from the regular traces where char is 0 or > n; M_2(GF(2)) keeps the
+    # per-element route
+    cases = [construct_matrix_algebra(Q, n) for n in (2, 3, 4)]
+    cases += [construct_symbol_algebra(F5, 2, 2, 3, 4).algebra,
+              construct_symbol_algebra(F7, 3, 2, 3, 2).algebra,
+              construct_symbol_algebra(F7, 2, 3, 5, -1).algebra,
+              construct_matrix_algebra(FieldSpec.prime_field(2), 2)]
+    for alg in cases:
+        assert trd_functional(alg) == [trd(alg, alg.basis_element(i)) for i in range(alg.dim)]
 
 
 def test_trd_kernel_is_commutator_space():

@@ -42,3 +42,25 @@ def test_no_sampling_left():
         imported |= {node.module for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.level == 0}
         assert "random" not in imported, module.__name__
+
+
+def test_no_enumeration_or_budget_exit_left():
+    # the shift and crossed-product predicates decide through the covering
+    # algebra: no scan of field elements and no budget exit. The tracer-only
+    # GradedAlgebra.component_elements is the one definition allowed to use
+    # the line scan
+    scans = {"ENUMERATION_BUDGET", "line_representatives", "component_elements"}
+    for name in ("graded", "matrixring"):
+        tree = ast.parse(inspect.getsource(importlib.import_module("gradedk." + name)))
+        kept = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and node.name == "component_elements"]
+        skip = {id(n) for fn in kept for n in ast.walk(fn)}
+        used = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in skip}
+        used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        assert not used & scans, (name, used & scans)
+    for info in pkgutil.iter_modules(gradedk.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module("gradedk." + info.name)))
+        reasons = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        assert not reasons & {"budget", "no-structured-witness"}, info.name
