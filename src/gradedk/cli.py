@@ -150,8 +150,8 @@ def cmd_k0(args):
         print("k0gr=%r" % (out,))
         return 0
     if args.compare_localized is not None:
-        # graded K0 of the algebra (graded-division route over its
-        # homogeneous-unit degrees) against the trivially graded base field
+        # the graded-division formula Z[Gamma/Gamma_D], with Gamma_D the
+        # support subgroup, against Z[Gamma] of the trivially graded base field
         from .graded import support_subgroup
         n = args.compare_localized
         left = kt.k0gr_graded_division(g.group, support_subgroup(g))
@@ -252,8 +252,9 @@ def build_parser():
                    help="n for the CK0/ZK0 data of M_n(F)")
     c.add_argument("--localize", type=int, default=None)
     c.add_argument("--compare-localized", type=int, default=None,
-                   help="compare graded K0 against the trivially graded base "
-                        "field after inverting the given integer")
+                   help="compare the graded-division formula Z[G/G_D], G_D "
+                        "the support subgroup, against the trivially graded "
+                        "base field after inverting the given integer")
 
     c = sub.add_parser("classify-shift", help="canonical forms and the "
                                               "graded-iso decision for shifts")

@@ -13,11 +13,12 @@ call time.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import linalg
 from .algebra import Algebra, AlgebraElement, Subspace, center, try_invert
-from .groups import SubgroupSpec, coset_index
+from .groups import SubgroupSpec, quotient_invariants
 from .verdict import (VerdictReport, TRUE, FALSE, UNDECIDED,
                       EXHAUSTIVE, CONSTRUCTIVE, combine)
 
@@ -262,11 +263,11 @@ def _non_unit(g, a0, dec):
     of A_e = a0 when it is not one division block: a radical vector, a
     central idempotent other than 1, or a spectral idempotent other than 1 of
     a basis vector or a sum of two; None when none of these is one."""
-    from .ktheory import _spectral_idempotents, jacobson_radical
+    from .ktheory import _spectral_idempotents
     basis = [a0.basis_element(i) for i in range(a0.dim)]
     candidates = itertools.chain(basis, (x + y for x, y in itertools.combinations(basis, 2)))
     if dec.radical_dim:
-        x = a0.element(jacobson_radical(a0).rows[0])
+        x = a0.element(dec.radical.rows[0])
     elif len(dec.idempotents) > 1:
         x = dec.idempotents[0]
     else:
@@ -452,25 +453,24 @@ def trivially_graded(algebra, group):
 
 def dimension_formula_check(d, gamma_f=None):
     """[D:F] = [D_0:F_0] |Gamma_D : Gamma_F| for F the base field (trivially
-    graded, so F_0 = F and Gamma_F is trivial unless supplied)."""
+    graded, so F_0 = F and Gamma_F is trivial unless supplied), with
+    Gamma_D the support subgroup. Over an infinite group the index is read
+    off G/Gamma_F -> G/Gamma_D, whose kernel is Gamma_D/Gamma_F: it is
+    infinite iff the two quotients differ in free rank, and otherwise the
+    ratio of their torsion orders. An infinite index fails the formula."""
     total = d.dim
     d0 = len(d.component_indices(d.group.identity))
     supp_sub = support_subgroup(d)
     if gamma_f is None:
         gamma_f = SubgroupSpec(d.group, [])
-    # index |Gamma_D : Gamma_F| inside the subgroup generated by the support
     if d.group.is_finite():
         index = supp_sub.order // gamma_f.order
     else:
-        ambient_index_f = coset_index(d.group, gamma_f)
-        ambient_index_d = coset_index(d.group, supp_sub)
-        if ambient_index_f == "infinite" and ambient_index_d == "infinite":
-            return VerdictReport("dimension-formula", TRUE, CONSTRUCTIVE,
-                                 details={"index": "consistent-infinite"})
-        index = ambient_index_f // ambient_index_d
-    ok = total == d0 * index
+        (rank_f, torsion_f), (rank_d, torsion_d) = (
+            quotient_invariants(d.group, h) for h in (gamma_f, supp_sub))
+        index = "infinite" if rank_f != rank_d else math.prod(torsion_f) // math.prod(torsion_d)
+    ok = index != "infinite" and total == d0 * index
     return VerdictReport(
         "dimension-formula", TRUE if ok else FALSE, EXHAUSTIVE,
         counterexample=None if ok else (total, d0, index),
         details={"total": total, "identity_component": d0, "support_index": index})
-

@@ -100,7 +100,11 @@ class SemisimpleDecomposition:
     algebra: Algebra         # A/J: the input itself when its radical J is 0
     blocks: list             # list of BlockSummary
     idempotents: list        # central primitive idempotents of A/J, matching order
-    radical_dim: int = 0     # dim J
+    radical: Subspace        # the radical J of the input
+
+    @property
+    def radical_dim(self):
+        return self.radical.dim
 
     @property
     def fully_resolved(self):
@@ -249,8 +253,7 @@ def split_identity_component(algebra):
     order = sorted(range(len(blocks)), key=lambda t: (blocks[t].dim, blocks[t].centre_dim))
     return SemisimpleDecomposition(semisimple,
                                    [blocks[t] for t in order],
-                                   [idems[t] for t in order],
-                                   radical_dim=radical.dim)
+                                   [idems[t] for t in order], radical)
 
 
 def _block_type(algebra, e, block_basis, cdim):

@@ -31,16 +31,14 @@ def identity_matrix(field, n):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
+    """a b, adding x * (row k of b) for each nonzero entry x = a_ik only."""
+    zero = b[0][0] - b[0][0]
     out = []
-    for i in range(rows):
-        row = []
-        ai = a[i]
-        for j in range(cols):
-            s = ai[0] * b[0][j]
-            for k in range(1, inner):
-                s = s + ai[k] * b[k][j]
-            row.append(s)
+    for ai in a:
+        row = [zero] * len(b[0])
+        for x, bk in zip(ai, b):
+            if x:
+                row = [s + x * y for s, y in zip(row, bk)]
         out.append(row)
     return out
 

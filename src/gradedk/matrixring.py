@@ -1,5 +1,12 @@
 """Shifted graded matrix rings M_n(R)(d) and the classification of shifts.
 
+One private builder, `_matrix_algebra`, lays out every matrix ring here:
+entry (i, j) holds a chosen list of R's basis keys k, on the basis
+(i, j, k), with (i, j, x)(j, l, y) = (i, l, xy). `materialized` takes every
+key of R; the covering algebra End_gr(sum_i R(s_i)) takes the keys of
+R_(s_i^-1 s_j); and the identity component of M_n(R)(d), lazy or not, is
+the covering algebra of (d_1^-1, ..., d_n^-1).
+
 Degree conventions (abelian groups written additively):
   * the ij-entry of the lam-component lies in R_{delta_i + lam - delta_j};
   * a matrix with a single entry of degree eps at (i, j) is homogeneous of
@@ -11,6 +18,7 @@ matrix example.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import linalg
@@ -37,7 +45,6 @@ class ShiftedMatrixAlgebra:
             if d.group is not self.group and d.group != self.group:
                 raise ValueError("shift entries must live in the base grade group")
         self.lazy = isinstance(base, TwistedGroupAlgebra)
-        self._materialized = None
 
     # -- degree bookkeeping -------------------------------------------
 
@@ -50,7 +57,7 @@ class ShiftedMatrixAlgebra:
         return self.shift[i].inverse() * eps * self.shift[j]
 
     def support_subgroup(self):
-        gens = list(_base_support(self.base).generators)
+        gens = list(algebra_support_subgroup(self.base).generators)
         for i in range(self.n):
             for j in range(self.n):
                 g = self.shift[i].inverse() * self.shift[j]
@@ -82,86 +89,75 @@ class ShiftedMatrixAlgebra:
                                           self.base.field.one, g2)
         return (i, l, g), c
 
-    def identity_component(self):
-        """A_e as a plain Algebra over the base field; lazy base only."""
-        monomials = self.component_monomials(self.group.identity)
-        index = {m: t for t, m in enumerate(monomials)}
-        labels = ["E%d%d[%r]" % (i + 1, j + 1, g) for (i, j, g) in monomials]
-        field = self.base.field
-        products = {}
-        for a, m1 in enumerate(monomials):
-            for b, m2 in enumerate(monomials):
-                res = self.monomial_product(m1, m2)
-                if res is None:
-                    continue
-                m3, c = res
-                products[(a, b)] = {index[m3]: c}
-        unit = [field.zero] * len(monomials)
-        for t, (i, j, g) in enumerate(monomials):
-            if i == j and g.is_identity():
-                unit[t] = field.one
-        return Algebra(field, labels, products, unit=unit)
-
     # -- materialized view --------------------------------------------
 
-    @property
+    @functools.cached_property
     def materialized(self):
         """The full GradedAlgebra on the basis {E_ij b_t}; finite base only."""
         if self.lazy:
             raise ValueError("infinite base components cannot be materialized")
-        if self._materialized is not None:
-            return self._materialized
         base = self.base
-        nb = base.dim
-        n = self.n
-        field = base.field
-
-        def idx(i, j, t):
-            return (i * n + j) * nb + t
-
-        labels = []
-        degrees = []
-        for i in range(n):
-            for j in range(n):
-                for t in range(nb):
-                    labels.append("E%d%d*%s" % (i + 1, j + 1, base.algebra.labels[t]))
-                    degrees.append(self.element_degree(i, j, base.degrees[t]))
-        products = {}
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    for (t1, t2), terms in base.algebra.products.items():
-                        products[(idx(i, j, t1), idx(j, l, t2))] = {
-                            idx(i, l, k): c for k, c in terms.items()}
-        unit = [field.zero] * (n * n * nb)
-        for i in range(n):
-            for t in range(nb):
-                unit[idx(i, i, t)] = base.algebra.unit_coords[t]
-        alg = Algebra(field, labels, products, unit=unit)
-        out = GradedAlgebra(alg, self.group, degrees)
+        alg, basis = _matrix_algebra(base, self.n, lambda i, j: range(base.dim))
+        out = GradedAlgebra(alg, self.group, [self.element_degree(i, j, base.degrees[t])
+                                              for i, j, t in basis])
         v = validate_grading(out)
         if not v:
             raise ValueError("shifted matrix grading closure failed: %r"
                              % (v.counterexample,))
-        self._materialized = out
         return out
 
     def __repr__(self):
         return "M_%d(%r)%r" % (self.n, self.base, tuple(self.shift))
 
 
-def _base_support(base):
+def _matrix_algebra(base, n, entry_keys):
+    """(A, basis): the span A of the E_ij x_k inside M_n(R), with k running
+    over entry_keys(i, j), on the basis [(i, j, k)] in row-major order. The
+    product is (i, j, x)(j, l, y) = (i, l, xy), and 1 = sum_i E_ii 1; the
+    keys chosen for (i, l) must hold every such xy. A key is a basis index
+    of a GradedAlgebra R, or a support degree g of a TwistedGroupAlgebra R,
+    where u_g u_h = c(g, h) u_gh and 1 = u_e."""
+    field = base.field
     if isinstance(base, TwistedGroupAlgebra):
-        return base.support
-    return algebra_support_subgroup(base)
+        key_product = lambda g, h: {g * h: base.cocycle(g, h)}
+        one, label = {base.group.identity: field.one}, repr
+    else:
+        key_product = lambda k1, k2: base.algebra.products.get((k1, k2), {})
+        one, label = dict(enumerate(base.algebra.unit_coords)), base.algebra.labels.__getitem__
+    keys = [[list(entry_keys(i, j)) for j in range(n)] for i in range(n)]
+    basis = [(i, j, k) for i in range(n) for j in range(n) for k in keys[i][j]]
+    index = {b: pos for pos, b in enumerate(basis)}
+    products = {}
+    for x, (i, j, k1) in enumerate(basis):
+        for l in range(n):
+            for k2 in keys[j][l]:
+                terms = key_product(k1, k2)
+                if terms:
+                    products[(x, index[(j, l, k2)])] = {index[(i, l, k)]: c
+                                                        for k, c in terms.items()}
+    unit = [one.get(k, field.zero) if i == j else field.zero for i, j, k in basis]
+    labels = ["E%d%d*%s" % (i + 1, j + 1, label(k)) for i, j, k in basis]
+    return Algebra(field, labels, products, unit=unit), basis
+
+
+def _covering(base, degrees):
+    """`_matrix_algebra` with the keys of R_(s_i^-1 s_j) at (i, j), for the
+    given degrees s_1, ..., s_n, repeats kept."""
+    if isinstance(base, TwistedGroupAlgebra):
+        keys = lambda g: [g] if base.has_component(g) else []
+    else:
+        keys = base.component_indices
+    return _matrix_algebra(base, len(degrees),
+                           lambda i, j: keys(degrees[i].inverse() * degrees[j]))
 
 
 def identity_component(m):
-    """The identity-degree subalgebra of M_n(R)(d) or of a GradedAlgebra."""
+    """The identity-degree subalgebra of M_n(R)(d) or of a GradedAlgebra.
+    For M_n(R)(d), lazy or not, it is End_gr(sum_i R(d_i^-1)), the covering
+    algebra of (d_1^-1, ..., d_n^-1) with repeated entries kept: its
+    (i, j)-entry is R_(d_i d_j^-1)."""
     if isinstance(m, ShiftedMatrixAlgebra):
-        if m.lazy:
-            return m.identity_component()
-        m = m.materialized
+        return _covering(m.base, [d.inverse() for d in m.shift])[0]
     g = m
     idx = g.component_indices(g.group.identity)
     pos = {i: t for t, i in enumerate(idx)}
@@ -175,57 +171,34 @@ def identity_component(m):
 
 
 def is_strongly_graded_matrix(m):
-    """Strong gradedness of a lazy M_n(R)(d): for each support-subgroup
-    generator lam, express I_n in the span of A_lam * A_{-lam} basis products."""
+    """Strong gradedness of a lazy M_n(R)(d), on each support-subgroup
+    generator lam and its inverse. I lies in A_lam A_(lam^-1) iff every row
+    i has a j with g = d_i lam d_j^-1 in the support of R: then
+    (E_ij u_g)(E_ji u_(g^-1)) = c(g, g^-1) E_ii, and a row with no such j is
+    0 in every product. The certificate pairs ((i, j, g), (j, i, g^-1)) at
+    the first such j of each row, with coefficient 1 / c(g, g^-1)."""
     if not m.lazy:
         raise ValueError("materialized algebras use graded.is_strongly_graded")
-    field = m.base.field
+    base = m.base
     certificates = {}
     for lam in m.support_subgroup().generators:
         for d in (lam, lam.inverse()):
             if d in certificates:
                 continue
-            cert = _identity_in_product(m, d)
-            if cert is None:
-                return VerdictReport("strongly-graded", FALSE, EXHAUSTIVE,
-                                     counterexample=("degree", d))
+            cert = []
+            for i in range(m.n):
+                for j in range(m.n):
+                    g = m.entry_degree(i, j, d)
+                    if base.has_component(g):
+                        cert.append((((i, j, g), (j, i, g.inverse())),
+                                     base.field.one / base.cocycle(g, g.inverse())))
+                        break
+                else:
+                    return VerdictReport("strongly-graded", FALSE, EXHAUSTIVE,
+                                         counterexample=("degree", d))
             certificates[d] = cert
     return VerdictReport("strongly-graded", TRUE, CONSTRUCTIVE,
                          witness=certificates)
-
-
-def _identity_in_product(m, lam):
-    left = m.component_monomials(lam)
-    right = m.component_monomials(lam.inverse())
-    if not left or not right:
-        return None
-    e = m.group.identity
-    zero_monos = m.component_monomials(e)
-    index = {mono: t for t, mono in enumerate(zero_monos)}
-    field = m.base.field
-    pairs = []
-    cols = []
-    for m1 in left:
-        for m2 in right:
-            res = m.monomial_product(m1, m2)
-            if res is None:
-                continue
-            m3, c = res
-            col = [field.zero] * len(zero_monos)
-            col[index[m3]] = c
-            pairs.append((m1, m2))
-            cols.append(col)
-    target = [field.zero] * len(zero_monos)
-    for t, (i, j, g) in enumerate(zero_monos):
-        if i == j and g.is_identity():
-            target[t] = field.one
-    if not pairs:
-        return None
-    mat = [[cols[c][r] for c in range(len(cols))] for r in range(len(zero_monos))]
-    sol = linalg.solve(mat, target)
-    if sol is None:
-        return None
-    return [(pairs[c], sol[c]) for c in range(len(pairs)) if sol[c]]
 
 
 def is_graded_simple_matrix(m):
@@ -292,31 +265,14 @@ def central_scalar_check(m):
 def covering_algebra(g, degrees):
     """(E, eps) with E = End_gr(sum_s R(s)) = sum_(s,t in S) R_(s^-1 t) for
     the distinct degrees S, on the basis (s, t, k) with k a basis vector of
-    R_(s^-1 t). The product is (s, t, x)(t, u, y) = (s, u, xy) and 0 when the
-    middle degrees differ; eps[s] = (s, s, 1) is the idempotent of R(s)."""
-    alg = g.algebra
-    field = alg.field
+    R_(s^-1 t), laid out by `_matrix_algebra`. The product is
+    (s, t, x)(t, u, y) = (s, u, xy) and 0 when the middle degrees differ;
+    eps[s] = (s, s, 1) is the idempotent of R(s)."""
     degrees = tuple(dict.fromkeys(degrees))
-    basis = [(s, t, k) for s in degrees for t in degrees
-             for k in g.component_indices(s.inverse() * t)]
-    index = {}  # (s, t) -> {k: position of (s, t, k)}
-    for pos, (s, t, k) in enumerate(basis):
-        index.setdefault((s, t), {})[k] = pos
-    products = {}
-    for (s, t), left in index.items():
-        for u in degrees:
-            right, out = index.get((t, u), {}), index.get((s, u), {})
-            for k1, x in left.items():
-                for k2, y in right.items():
-                    terms = alg.products.get((k1, k2))
-                    if terms:
-                        products[(x, y)] = {out[k]: c for k, c in terms.items()}
-    unit = [alg.unit_coords[k] if s == t else field.zero for s, t, k in basis]
-    labels = ["[%r,%r]%s" % (s, t, alg.labels[k]) for s, t, k in basis]
-    cover = Algebra(field, labels, products, unit=unit)
-    eps = {s: AlgebraElement(cover, [c if b[0] == s else field.zero
-                                     for c, b in zip(unit, basis)])
-           for s in degrees}
+    cover, basis = _covering(g, degrees)
+    eps = {s: AlgebraElement(cover, [c if i == t else cover.field.zero
+                                     for c, (i, _, _) in zip(cover.unit_coords, basis)])
+           for t, s in enumerate(degrees)}
     return cover, eps
 
 

@@ -92,9 +92,10 @@ def assert_shift_witness(g, d, a, r, t):
 
 def recompute_top_dimensions(g, cover):
     """({s: v(s)}, [f_b]) recomputed from a covering algebra built here as
-    the identity component of M_|S|(R)(s_1^-1, ...): its (i, j) entries lie
-    in R_(s_i^-1 s_j) and eps_i is its i-th diagonal unit."""
-    e_alg = identity_component(ShiftedMatrixAlgebra(g, [s.inverse() for s in cover]))
+    the degree-e restriction of the materialized M_|S|(R)(s_1^-1, ...): its
+    (i, j) entries lie in R_(s_i^-1 s_j) and eps_i is its i-th diagonal
+    unit."""
+    e_alg = identity_component(ShiftedMatrixAlgebra(g, [s.inverse() for s in cover]).materialized)
     top, project = _quotient(e_alg, jacobson_radical(e_alg))
     idems = _central_primitive_idempotents(top, center(top).basis_elements())
     dims = {}

@@ -500,6 +500,46 @@ def test_dimension_formula():
     assert dimension_formula_check(T)  # 4 = 4 * 1
 
 
+def test_dimension_formula_index_over_an_infinite_group():
+    # |Gamma_D : Gamma_F| is infinite when G/Gamma_F and G/Gamma_D differ in
+    # free rank, and the ratio of their torsion orders otherwise
+    for m in (2, 3, 4):
+        rep = dimension_formula_check(construct_truncated_polynomial(Q, m))
+        assert (rep.verdict, rep.counterexample) == ("false", (m, 1, "infinite"))
+    z2 = GradeGroup.fg_abelian(2)
+    dual = Algebra(Q, ["1", "t"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                   unit=[1, 0])
+    rep = dimension_formula_check(GradedAlgebra(dual, z2, [z2.identity, z2.element((1, 0))]))
+    assert (rep.verdict, rep.details["support_index"]) == ("false", "infinite")
+    # Q(sqrt 2) with sqrt 2 in degree (0, 2) of Z x Z/4: 2 = 1 * |<(0, 2)> : 0|
+    g = GradeGroup.fg_abelian(1, (4,))
+    sqrt2 = Algebra(Q, ["1", "r"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                                    (1, 1): {0: 2}}, unit=[1, 0])
+    rep = dimension_formula_check(GradedAlgebra(sqrt2, g, [g.identity, g.element((0, 2))]))
+    assert (rep.verdict, rep.details["support_index"]) == ("true", 2)
+    # Q[t]/t^2 over Z against Gamma_F = 2Z: |Z : 2Z| = 2
+    rep = dimension_formula_check(construct_truncated_polynomial(Q, 2),
+                                  SubgroupSpec(GradeGroup.integers(),
+                                               [GradeGroup.integers().element((2,))]))
+    assert (rep.verdict, rep.details["support_index"]) == ("true", 2)
+
+
+def test_graded_division_reads_the_radical_of_the_splitting(monkeypatch):
+    # Q[t]/t^2 on the basis 1, u = 1 + t, both units, trivially graded: the
+    # non-unit t is the radical vector the splitting already computed
+    import gradedk.ktheory as kt
+    calls = []
+    real = kt.jacobson_radical
+    monkeypatch.setattr(kt, "jacobson_radical", lambda a: calls.append(a) or real(a))
+    dual = Algebra(Q, ["1", "u"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                                   (1, 1): {0: -1, 1: 2}}, unit=[1, 0])
+    rep = is_graded_division(trivially_graded(dual, GradeGroup.cyclic(2)))
+    assert (rep.verdict, rep.strategy) == ("false", "exhaustive")
+    kind, x = rep.counterexample
+    assert kind == "noninvertible" and (x * x).is_zero() and not x.is_zero()
+    assert len(calls) == 1
+
+
 def test_support_subgroup():
     H = construct_quaternion(Q, -1, -1, grading="Z2")
     s = support_subgroup(H)

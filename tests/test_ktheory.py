@@ -208,7 +208,7 @@ def test_split_quotients_the_radical():
     products = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
     dual = Algebra(Q, ["1", "t"], products)
     dec = checked_split(dual)
-    assert dec.radical_dim == 1
+    assert dec.radical_dim == 1 and dec.radical.rows == [(0, 1)]
     assert [(b.dim, b.matrix_size) for b in dec.blocks] == [(1, 1)]
 
 

@@ -72,6 +72,21 @@ def test_inverse():
             assert linalg.mat_mul(inv, a) == linalg.identity_matrix(field, 3)
 
 
+def test_mat_mul_skips_zero_entries_and_matches_the_dense_sum():
+    rng = random.Random(11)
+    for field in (Q, F5):
+        for rows, inner, cols in ((1, 1, 1), (3, 4, 2), (5, 5, 5)):
+            a = [[random_scalar(field, rng, 3) if rng.random() < 0.4 else field.zero
+                  for _ in range(inner)] for _ in range(rows)]
+            a[0] = [field.zero] * inner
+            b = rand_matrix(rng, field, inner, cols, 3)
+            want = [[linalg.sum_scalars(a[i][k] * b[k][j] for k in range(inner))
+                     for j in range(cols)] for i in range(rows)]
+            got = linalg.mat_mul(a, b)
+            assert got == want
+            assert all(type(x) is type(field.zero) for row in got for x in row)
+
+
 def test_charpoly_against_sympy():
     rng = random.Random(4)
     x = sympy.symbols("x")

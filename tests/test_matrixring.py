@@ -59,24 +59,99 @@ def test_lazy_identity_component_dimension():
     # associativity and the unit axiom are checked in Algebra.__init__
 
 
+def replay_strong_grading(m, rep):
+    """Each certificate of a true is_strongly_graded_matrix report, summed as
+    sum c * (m1 m2) over its pairs, must be I_n u_e exactly."""
+    field, e = m.base.field, m.group.identity
+    for lam, cert in rep.witness.items():
+        acc = {}
+        for (m1, m2), c in cert:
+            assert m1 in m.component_monomials(lam)
+            assert m2 in m.component_monomials(lam.inverse())
+            res = m.monomial_product(m1, m2)
+            assert res is not None
+            mono, coeff = res
+            acc[mono] = acc.get(mono, field.zero) + c * coeff
+        assert {mono: v for mono, v in acc.items() if v} == {
+            (i, i, e): field.one for i in range(m.n)}
+
+
+def _identity_in_product_by_solve(m, lam):
+    """Reference for `is_strongly_graded_matrix` at one degree: I_n solved
+    for in the span of the products of basis monomials of A_lam and
+    A_(lam^-1), as [((m1, m2), c)], or None when it is not in that span."""
+    left = m.component_monomials(lam)
+    right = m.component_monomials(lam.inverse())
+    zero_monos = m.component_monomials(m.group.identity)
+    index = {mono: t for t, mono in enumerate(zero_monos)}
+    field = m.base.field
+    pairs, cols = [], []
+    for m1 in left:
+        for m2 in right:
+            res = m.monomial_product(m1, m2)
+            if res is not None:
+                col = [field.zero] * len(zero_monos)
+                col[index[res[0]]] = res[1]
+                pairs.append((m1, m2))
+                cols.append(col)
+    if not pairs:
+        return None
+    target = [field.one if i == j and g.is_identity() else field.zero
+              for i, j, g in zero_monos]
+    sol = linalg.solve([list(row) for row in zip(*cols)], target)
+    if sol is None:
+        return None
+    return [(pairs[c], sol[c]) for c in range(len(pairs)) if sol[c]]
+
+
+def strongly_graded_by_solve(m):
+    """(verdict, certificates or the failing degree) from one linear solve
+    per support-subgroup generator and inverse, in the closed form's order."""
+    certificates = {}
+    for lam in m.support_subgroup().generators:
+        for d in (lam, lam.inverse()):
+            if d not in certificates:
+                cert = _identity_in_product_by_solve(m, d)
+                if cert is None:
+                    return "false", ("degree", d)
+                certificates[d] = cert
+    return "true", certificates
+
+
 def test_strongly_graded_with_replayed_certificate():
     m = laurent_matrix()
     rep = is_strongly_graded_matrix(m)
     assert rep.verdict == "true"
-    one = Z.identity
-    for lam, cert in rep.witness.items():
-        # replay: weighted sum of monomial products must equal I_3 u_0
-        acc = {}
-        for (m1, m2), c in cert:
-            res = m.monomial_product(m1, m2)
-            assert res is not None
-            mono, coeff = res
-            acc[mono] = acc.get(mono, Q.zero) + c * coeff
-        for (i, j, g), v in acc.items():
-            if v:
-                assert i == j and g == one and v == Q.one
-        diag = [acc.get((i, i, one), Q.zero) for i in range(3)]
-        assert diag == [Q.one] * 3
+    replay_strong_grading(m, rep)
+
+
+def test_strong_grading_closed_form_matches_linear_solve():
+    # Laurent bases of step 1-4 under shifts of length 1-4, and the quantum
+    # torus with cocycle 2^(a_1 b_2) on the support 2Z x Z of Z^2: the
+    # closed form gives the verdicts and certificates of the linear solve
+    z2 = GradeGroup.fg_abelian(2)
+    torus = TwistedGroupAlgebra(
+        Q, z2, SubgroupSpec(z2, [z2.element((2, 0)), z2.element((0, 1))]),
+        lambda a, b: Fraction(2) ** (a.coords[0] * b.coords[1]))
+    cases = [ShiftedMatrixAlgebra(construct_laurent(Q, step=step),
+                                  [Z.element((c,)) for c in (0,) + rest])
+             for step in (1, 2, 3, 4) for n in (1, 2, 3, 4)
+             for rest in itertools.product(range(3), repeat=n - 1)]
+    torus_shifts = [z2.element(c) for c in itertools.product(range(2), repeat=2)]
+    cases += [ShiftedMatrixAlgebra(torus, [z2.identity] + list(rest)) for n in (1, 2, 3)
+              for rest in itertools.product(torus_shifts, repeat=n - 1)]
+    verdicts = []
+    for m in cases:
+        rep = is_strongly_graded_matrix(m)
+        verdict, ref = strongly_graded_by_solve(m)
+        assert rep.verdict == verdict, m
+        if verdict == "true":
+            assert rep.witness == ref, m
+            replay_strong_grading(m, rep)
+        else:
+            assert rep.counterexample == ref, m
+        verdicts.append(verdict)
+    assert verdicts.count("true") > 20 and verdicts.count("false") > 20
 
 
 def test_graded_simple_and_centre_lazy():
@@ -201,21 +276,38 @@ def test_solve_shift_matrix_matches_exhaustive_search():
 
 
 def test_covering_algebra_is_the_shifted_identity_component():
-    # E_S = sum R_(s^-1 t) is the identity component of M_|S|(R)(s^-1), on
-    # the same basis order
+    # the builder's identity component of M_n(R)(d), and its covering
+    # algebra E_S = sum R_(s^-1 t) with S = {d_i^-1}, against the degree-e
+    # restriction of the materialized M_n(R)(d), on the same labelled basis
     c3 = GradeGroup.cyclic(3)
-    g = construct_group_ring(FieldSpec.prime_field(3), c3)
-    cover = [c3.element((1,)), c3.identity, c3.element((2,))]
-    e_alg, eps = covering_algebra(g, cover + cover[:1])
-    ref = identity_component(ShiftedMatrixAlgebra(g, [s.inverse() for s in cover]))
-    assert e_alg.dim == ref.dim == 9
-    assert e_alg.products == ref.products and e_alg.unit_coords == ref.unit_coords
-    assert list(eps) == cover
-    total = e_alg.zero
-    for s, x in eps.items():
-        assert x * x == x
-        total = total + x
-    assert total == e_alg.one
+    f3c3 = construct_group_ring(FieldSpec.prime_field(3), c3)
+    H = construct_quaternion(Q, -1, -1)
+    k4 = H.group
+    s3 = GradeGroup.symmetric_3()
+    r, t = s3.elements()[1], s3.elements()[3]
+    cases = [(f3c3, [c3.element((2,)), c3.identity, c3.element((1,))]),
+             (H, [k4.identity, k4.element((1, 0)), k4.element((1, 1))]),
+             (f3c3, [c3.element((2,)), c3.identity, c3.element((2,))]),
+             (construct_group_ring(FieldSpec.prime_field(3), s3), [s3.identity, r, t, r])]
+    for g, shift in cases:
+        m = ShiftedMatrixAlgebra(g, shift)
+        ref = identity_component(m.materialized)
+        got = identity_component(m)
+        assert (got.labels, got.products, got.unit_coords) == (ref.labels, ref.products,
+                                                               ref.unit_coords)
+        cover = list(dict.fromkeys(s.inverse() for s in shift))
+        e_alg, eps = covering_algebra(g, [s.inverse() for s in shift])
+        ref = identity_component(
+            ShiftedMatrixAlgebra(g, [s.inverse() for s in cover]).materialized)
+        assert (e_alg.labels, e_alg.products, e_alg.unit_coords) == (ref.labels, ref.products,
+                                                                     ref.unit_coords)
+        assert list(eps) == cover
+        total = e_alg.zero
+        for x in eps.values():
+            assert x * x == x
+            total = total + x
+        assert total == e_alg.one
+    assert identity_component(ShiftedMatrixAlgebra(*cases[2])).dim == 9
 
 
 def test_shift_matrix_over_q_times_q_is_decided():
