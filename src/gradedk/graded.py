@@ -235,11 +235,15 @@ def is_strongly_graded(g):
 def is_crossed_product(g):
     """A homogeneous unit in every degree of the support subgroup, checked
     on its generators since the degrees of the homogeneous units form a
-    group. A_gamma holds a unit iff A(gamma) ~gr A, the n = 1 case of
-    `matrixring.solve_shift_matrix` with d = (e) and a = (gamma). The
-    witness maps each generator to a unit from the structured search, or to
-    the top-dimension certificate of the covering-algebra test."""
-    from .matrixring import solve_shift_matrix
+    group. A generator is settled by a unit from the structured search of
+    `matrixring.solve_shift_matrix` if it finds one. Otherwise a unit u of
+    degree gamma would give 1 = u u^-1 in A_gamma A_(gamma^-1), so a
+    generator where that fails refutes it, with the counterexample
+    ("degree", gamma, ("not-strongly-graded", gamma)). Otherwise A_gamma
+    holds a unit iff A(gamma) ~gr A, the n = 1 case of `solve_shift_matrix`
+    with d = (e) and a = (gamma), and its top-dimension certificate is the
+    witness."""
+    from .matrixring import _homogeneous_unit, solve_shift_matrix
     if isinstance(g, TwistedGroupAlgebra):
         return VerdictReport("crossed-product", TRUE, CONSTRUCTIVE,
                              witness="monomials u_g")
@@ -247,12 +251,20 @@ def is_crossed_product(g):
     witnesses = {}
     strategies = []
     for gamma in support_subgroup(g).generators or [e]:
+        unit = _homogeneous_unit(g, gamma)
+        if unit is not None:
+            witnesses[gamma] = unit[0]
+            strategies.append(CONSTRUCTIVE)
+            continue
+        if _strongly_graded_at(g, gamma) is None:
+            return VerdictReport("crossed-product", FALSE, EXHAUSTIVE,
+                                 counterexample=("degree", gamma,
+                                                 ("not-strongly-graded", gamma)))
         rep = solve_shift_matrix(g, [e], [gamma])
         if not rep:
             return VerdictReport("crossed-product", FALSE, EXHAUSTIVE,
                                  counterexample=("degree", gamma, rep.counterexample))
-        # a constructive witness is (r, t) with r = (x) for the unit x
-        witnesses[gamma] = rep.witness[0][0][0] if rep.strategy == CONSTRUCTIVE else rep.witness
+        witnesses[gamma] = rep.witness
         strategies.append(rep.strategy)
     return VerdictReport("crossed-product", TRUE, combine(*strategies),
                          witness=witnesses)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import add, mod, neg
 
 from .snf import smith_normal_form
 
@@ -167,16 +168,15 @@ class GradeGroup:
             if not 0 <= i < self.size:
                 raise ValueError("table index out of range")
             return GroupElement(self, i)
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != self.dim:
             raise ValueError("expected %d coordinates, got %d" % (self.dim, len(coords)))
         return GroupElement(self, self._normalize(coords))
 
     def _normalize(self, coords):
-        out = list(coords[: self.rank])
-        for c, n in zip(coords[self.rank:], self.torsion):
-            out.append(c % n)
-        return tuple(out)
+        if not self.torsion:
+            return coords
+        return coords[:self.rank] + tuple(map(mod, coords[self.rank:], self.torsion))
 
     @property
     def identity(self):
@@ -190,15 +190,14 @@ class GradeGroup:
             raise ValueError("elements belong to a different group")
         if self.kind == "finite-table":
             return GroupElement(self, self.table[g.coords][h.coords])
-        return GroupElement(self, self._normalize(
-            tuple(a + b for a, b in zip(g.coords, h.coords))))
+        return GroupElement(self, self._normalize(tuple(map(add, g.coords, h.coords))))
 
     def inverse(self, g):
         if g.group is not self and g.group != self:
             raise ValueError("element belongs to a different group")
         if self.kind == "finite-table":
             return GroupElement(self, self._inverse_table[g.coords])
-        return GroupElement(self, self._normalize(tuple(-c for c in g.coords)))
+        return GroupElement(self, self._normalize(tuple(map(neg, g.coords))))
 
     def is_abelian(self):
         if self.kind == "fg-abelian":

@@ -19,7 +19,9 @@ matrix example.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .algebra import (Algebra, AlgebraElement, center, left_regular_matrix,
@@ -404,25 +406,66 @@ def canonical_shift(group, gamma_d, shift):
     """Canonical form of a shift vector over a graded division ring with
     homogeneous-unit degrees gamma_d (a SubgroupSpec of the abelian group).
 
-    Entries are reduced to Gamma_D-cosets; the common translation sigma is
-    absorbed by minimizing the sorted label multiset over translations by the
-    negatives of the entries present. Over an fg-abelian group a label is
-    linear, label(s - b) = (U s - U b) mod d for the Smith form (d, U) of
-    Gamma_D, so each entry is transformed once.
+    The common translation sigma is absorbed by minimizing the sorted
+    multiset of Gamma_D-coset labels over translations by the negatives of
+    the entries. Entries of one coset give the same translate, so after n
+    label computations only the m <= min(n, |G : Gamma_D|) distinct labels
+    are tried, each a sort of m runs (label, -multiplicity); for multisets
+    of one size, sorted runs compare as the expanded sorted labels do. Over
+    an fg-abelian group label(s - b) = (label(s) - label(b)) mod d for the
+    invariant factors d of G/Gamma_D, one pass per label coordinate.
     """
+    shift = list(shift)
+    return ShiftCanonicalForm(_canonical_labels(group, gamma_d, shift,
+                                                _coset_labels(group, gamma_d, shift)))
+
+
+def _coset_labels(group, gamma_d, elements):
+    """Each element's `coset_label` as a tuple: over an fg-abelian group
+    (U g) mod d for the Smith form (d, U) of Gamma_D, one coordinate at a
+    time; over a finite table the 1-tuple (coset_label(g),)."""
     if not group.is_abelian():
         raise ValueError("classification requires an abelian grade group")
-    shift = list(shift)
+    if group.kind != "fg-abelian":
+        return [(coset_label(group, gamma_d, g),) for g in elements]
+    factors, u = gamma_d._smith_form
+    points = [g.coords for g in elements]
+    cols = [[sum(map(mul, row, p)) for p in points] for row in u]
+    return _rows([[y % d for y in col] if d else col for col, d in zip(cols, factors)],
+                 len(points))
+
+
+def _rows(cols, m):
+    """The m labels read across the label columns, also with no columns."""
+    return list(zip(*cols)) if cols else [()] * m
+
+
+def _translate(group, gamma_d, labels, reps, offset):
+    """The label columns of the cosets x + offset for the labels x: over an
+    fg-abelian group offset is in label coordinates, added modulo the
+    invariant factors; over a finite table it is an element, and the one
+    column holds coset_label(reps[x] + offset)."""
+    if group.kind != "fg-abelian":
+        return [[coset_label(group, gamma_d, reps[x] * offset) for x in labels]]
+    return [[(x + t) % d for x in col] if d else [x + t for x in col]
+            for col, t, d in zip(zip(*labels), offset, gamma_d._smith_form[0])]
+
+
+def _canonical_labels(group, gamma_d, entries, labels):
+    """`canonical_shift` from the entries and their `_coset_labels`."""
+    counts = Counter(labels)
+    if not counts:
+        return None
+    distinct, negs = list(counts), [-c for c in counts.values()]
+    reps = dict(zip(labels, entries))
     if group.kind == "fg-abelian":
-        factors, u = gamma_d._smith_form
-        ys = [[sum(a * c for a, c in zip(row, s.coords)) for row in u] for s in shift]
-        forms = (sorted(tuple((a - b) % d if d else a - b
-                              for a, b, d in zip(y, base, factors)) for y in ys)
-                 for base in ys)
+        offsets = [[-v for v in b] for b in distinct]
     else:
-        forms = (sorted(coset_label(group, gamma_d, s * base.inverse()) for s in shift)
-                 for base in shift)
-    return ShiftCanonicalForm(min((tuple(f) for f in forms), default=None))
+        offsets = [reps[b].inverse() for b in distinct]
+    runs = min(sorted(zip(*_translate(group, gamma_d, distinct, reps, t), negs))
+               for t in offsets)
+    out = tuple(run[:-1] for run in runs for _ in range(-run[-1]))
+    return out if group.kind == "fg-abelian" else tuple(x for (x,) in out)
 
 
 def shifted_iso_decision(group, gamma_d, lam, gam):
@@ -433,32 +476,41 @@ def shifted_iso_decision(group, gamma_d, lam, gam):
     gam = list(gam)
     if len(lam) != len(gam):
         raise ValueError("shift vectors must have equal length (n = n')")
-    cf_l = canonical_shift(group, gamma_d, lam)
-    cf_g = canonical_shift(group, gamma_d, gam)
+    lab_l = _coset_labels(group, gamma_d, lam)
+    lab_g = _coset_labels(group, gamma_d, gam)
+    cf_l = ShiftCanonicalForm(_canonical_labels(group, gamma_d, lam, lab_l))
+    cf_g = ShiftCanonicalForm(_canonical_labels(group, gamma_d, gam, lab_g))
     if cf_l != cf_g:
-        from collections import Counter
         diff = (Counter(cf_g.labels) - Counter(cf_l.labels)) + \
                (Counter(cf_l.labels) - Counter(cf_g.labels))
         return VerdictReport("shifted-matrix-isomorphic", FALSE, EXHAUSTIVE,
                              counterexample=("coset-multiset", dict(diff)),
                              details={"left": cf_l, "right": cf_g})
-    # reconstruct (pi, tau, sigma): try sigma candidates gam[0] - lam[j]. For
+    # reconstruct (pi, tau, sigma): try sigma candidates gam[0] - lam[j0]. For
     # a fixed sigma, tau[i] = gam[i] sigma^-1 lam[j]^-1 lies in Gamma_D iff
-    # gam[i] sigma^-1 and lam[j] share a coset, so lam is bucketed by label.
+    # gam[i] sigma^-1 and lam[j] share a coset, so lam is bucketed by label
+    # and gam[i] takes the next unused j of its translated label. That works
+    # iff gam's translated label multiset is lam's, which depends on j0 only
+    # through the label of lam[j0], so each label is tried once, at its
+    # first j0.
     buckets = {}
-    for j, l in enumerate(lam):
-        buckets.setdefault(coset_label(group, gamma_d, l), []).append(j)
-    for j0 in range(len(lam)):
-        sigma = gam[0] * lam[j0].inverse()
-        sigma_inv = sigma.inverse()
-        unused = {label: iter(js) for label, js in buckets.items()}
-        pi = []
-        for g in gam:
-            j = next(unused.get(coset_label(group, gamma_d, g * sigma_inv), iter(())), None)
-            if j is None:
-                break
-            pi.append(j)
+    for j, x in enumerate(lab_l):
+        buckets.setdefault(x, []).append(j)
+    counts = Counter(lab_g)
+    distinct = list(counts)
+    reps = dict(zip(lab_g, gam))
+    for x0, js in buckets.items():
+        sigma = gam[0] * lam[js[0]].inverse()
+        if group.kind == "fg-abelian":
+            offset = [a - b for a, b in zip(x0, lab_g[0])]
         else:
+            offset = sigma.inverse()
+        moved = dict(zip(distinct, _rows(_translate(group, gamma_d, distinct, reps, offset),
+                                          len(distinct))))
+        if all(len(buckets.get(moved[y], ())) == c for y, c in counts.items()):
+            unused = {x: iter(js) for x, js in buckets.items()}
+            pi = [next(unused[moved[y]]) for y in lab_g]
+            sigma_inv = sigma.inverse()
             tau = [g * sigma_inv * lam[j].inverse() for g, j in zip(gam, pi)]
             return VerdictReport("shifted-matrix-isomorphic", TRUE, CONSTRUCTIVE,
                                  witness={"pi": pi, "tau": tau, "sigma": sigma})

@@ -1,14 +1,23 @@
-"""Reference checks for the graded-isomorphism decision R^n(d) ~gr R^n(a)
-of `gradedk.matrixring.solve_shift_matrix`: the exhaustive GF(p) pattern
-search it replaced, kept here as the oracle, and re-checks of its (r, t)
-witnesses and of its top-dimension certificates."""
+"""Reference checks for the shift decisions of `gradedk.matrixring`.
+
+For the graded-isomorphism decision R^n(d) ~gr R^n(a) of
+`solve_shift_matrix`: the exhaustive GF(p) pattern search it replaced, kept
+here as the oracle, and re-checks of its (r, t) witnesses and of its
+top-dimension certificates. For the classification of shift vectors over a
+graded division ring: the direct canonical form and witness search that
+`canonical_shift` and `shifted_iso_decision` replaced, which label every
+translate of every entry with `coset_label`, and a replay of their
+(pi, tau, sigma) witnesses."""
 
 import itertools
+from collections import Counter
 
 from gradedk import linalg
 from gradedk.algebra import center, left_regular_matrix
+from gradedk.groups import coset_label
 from gradedk.ktheory import _central_primitive_idempotents, _quotient, jacobson_radical
-from gradedk.matrixring import ShiftedMatrixAlgebra, identity_component
+from gradedk.matrixring import ShiftCanonicalForm, ShiftedMatrixAlgebra, identity_component
+from gradedk.verdict import CONSTRUCTIVE, EXHAUSTIVE, FALSE, TRUE, VerdictReport
 
 
 def pattern_inverse(g, r, d, a):
@@ -134,3 +143,68 @@ def assert_top_certificate(g, d, a, rep):
     else:
         assert cert[2:] == (side(d), side(a)) and side(d) != side(a)
     return dims
+
+
+def reference_canonical_shift(group, gamma_d, shift):
+    """The minimum over the entries b of the sorted labels of s - b, all n^2
+    of them computed: over an fg-abelian group through the Smith form (d, U)
+    of Gamma_D as (U s - U b) mod d, otherwise with `coset_label`."""
+    if not group.is_abelian():
+        raise ValueError("classification requires an abelian grade group")
+    shift = list(shift)
+    if group.kind == "fg-abelian":
+        factors, u = gamma_d._smith_form
+        ys = [[sum(a * c for a, c in zip(row, s.coords)) for row in u] for s in shift]
+        forms = (sorted(tuple((a - b) % d if d else a - b
+                              for a, b, d in zip(y, base, factors)) for y in ys)
+                 for base in ys)
+    else:
+        forms = (sorted(coset_label(group, gamma_d, s * base.inverse()) for s in shift)
+                 for base in shift)
+    return ShiftCanonicalForm(min((tuple(f) for f in forms), default=None))
+
+
+def reference_shifted_iso_decision(group, gamma_d, lam, gam):
+    """Canonical forms compared, then every sigma = gam[0] lam[j0]^-1 tried
+    in order of j0, matching each gam[i] greedily to the next unused j whose
+    lam[j] shares the coset of gam[i] sigma^-1, each label by `coset_label`."""
+    lam = list(lam)
+    gam = list(gam)
+    if len(lam) != len(gam):
+        raise ValueError("shift vectors must have equal length (n = n')")
+    cf_l = reference_canonical_shift(group, gamma_d, lam)
+    cf_g = reference_canonical_shift(group, gamma_d, gam)
+    if cf_l != cf_g:
+        diff = (Counter(cf_g.labels) - Counter(cf_l.labels)) + \
+               (Counter(cf_l.labels) - Counter(cf_g.labels))
+        return VerdictReport("shifted-matrix-isomorphic", FALSE, EXHAUSTIVE,
+                             counterexample=("coset-multiset", dict(diff)),
+                             details={"left": cf_l, "right": cf_g})
+    buckets = {}
+    for j, l in enumerate(lam):
+        buckets.setdefault(coset_label(group, gamma_d, l), []).append(j)
+    for j0 in range(len(lam)):
+        sigma = gam[0] * lam[j0].inverse()
+        sigma_inv = sigma.inverse()
+        unused = {label: iter(js) for label, js in buckets.items()}
+        pi = []
+        for g in gam:
+            j = next(unused.get(coset_label(group, gamma_d, g * sigma_inv), iter(())), None)
+            if j is None:
+                break
+            pi.append(j)
+        else:
+            tau = [g * sigma_inv * lam[j].inverse() for g, j in zip(gam, pi)]
+            return VerdictReport("shifted-matrix-isomorphic", TRUE, CONSTRUCTIVE,
+                                 witness={"pi": pi, "tau": tau, "sigma": sigma})
+    raise AssertionError("canonical forms equal but no witness found")
+
+
+def assert_shift_classification_witness(gamma_d, lam, gam, witness):
+    """pi is a permutation, every tau_i lies in Gamma_D, and
+    gam_i = tau_i lam_pi(i) sigma for every i."""
+    pi, tau, sigma = witness["pi"], witness["tau"], witness["sigma"]
+    assert sorted(pi) == list(range(len(lam)))
+    for i, g in enumerate(gam):
+        assert gamma_d.contains(tau[i])
+        assert g == tau[i] * lam[pi[i]] * sigma

@@ -260,11 +260,22 @@ def test_graded_division_witness_matches_full_scan():
 def _assert_crossed_product_certificates(g, rep):
     """Each degree's witness is a homogeneous unit of that degree or a top
     certificate that the covering-algebra test recomputes; a false names
-    the degree and carries the recomputed certificate of A(gamma) vs A."""
+    the degree gamma, where A(gamma) and A are not isomorphic, and carries
+    either the recomputed certificate of A(gamma) vs A or the degree where 1
+    lies outside A_gamma A_(gamma^-1), a span recomputed here."""
     e = g.group.identity
     if rep.is_false:
         _, gamma, cert = rep.counterexample
         shift = solve_shift_matrix(g, [e], [gamma])
+        assert shift.is_false
+        if cert[0] == "not-strongly-graded":
+            assert cert == ("not-strongly-graded", gamma)
+            alg = g.algebra
+            products = [list((alg.basis_element(i) * alg.basis_element(j)).coords)
+                        for i in g.component_indices(gamma)
+                        for j in g.component_indices(gamma.inverse())]
+            assert linalg.rank(products + [list(alg.unit_coords)]) == linalg.rank(products) + 1
+            return
         assert shift.counterexample == cert
         assert_top_certificate(g, [e], [gamma], shift)
         return
@@ -378,14 +389,25 @@ def test_q_times_q_is_neither_graded_division_nor_simple():
 
 
 def test_crossed_product_over_q_is_exact():
-    # Q[t]/t^3: E = End_gr(A + A(1)) has top Q x Q, with eps_0 and eps_1 in
-    # different blocks
+    # Q[t]/t^3: A_1 A_-1 = 0, since A_-1 = 0, so A_1 holds no unit
     g = construct_truncated_polynomial(Q, 3)
     rep = is_crossed_product(g)
     assert (rep.verdict, rep.strategy) == ("false", "exhaustive")
     one = g.group.element((1,))
-    assert rep.counterexample == ("degree", one,
-                                  ("top-dimensions", (g.group.identity, one), (1, 0), (0, 1)))
+    assert rep.counterexample == ("degree", one, ("not-strongly-graded", one))
+    _assert_crossed_product_certificates(g, rep)
+    # M_3(Q)(0,0,1) over C_2 is strongly graded (E13 E31 = E11, E23 E32 =
+    # E22, E31 E13 = E33 lie in A_1 A_1), but every element of A_1 =
+    # span(E13, E23, E31, E32) has rank <= 2; the tops of E = End_gr(A +
+    # A(1)) tell A(1) from A
+    c2 = GradeGroup.cyclic(2)
+    g = _shifted_matrix(trivially_graded(scalars(Q), c2), [0, 0, 1])
+    assert is_strongly_graded(g)
+    rep = is_crossed_product(g)
+    assert (rep.verdict, rep.strategy) == ("false", "exhaustive")
+    odd = c2.element((1,))
+    assert rep.counterexample == ("degree", odd, ("top-dimensions", (c2.identity, odd),
+                                                  (6, 3), (3, 6)))
     _assert_crossed_product_certificates(g, rep)
     # M_2(Q)[C_2] graded by C_2: no basis vector e_ij g of A_1 is invertible;
     # the tops of E = End_gr(A + A(1)) decide it

@@ -18,8 +18,9 @@ from gradedk.matrixring import (ShiftedMatrixAlgebra, canonical_shift,
                                 is_graded_simple_matrix,
                                 is_strongly_graded_matrix,
                                 shifted_iso_decision, solve_shift_matrix)
-from shiftoracle import (assert_shift_witness, assert_top_certificate,
-                         exhaustive_shift_search)
+from shiftoracle import (assert_shift_classification_witness, assert_shift_witness,
+                         assert_top_certificate, exhaustive_shift_search,
+                         reference_canonical_shift, reference_shifted_iso_decision)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -362,8 +363,9 @@ def test_canonical_shift_torsion_translation_invariance():
 
 
 def test_shift_classification_computes_one_smith_form(monkeypatch):
-    # canonical_shift labels n^2 entries and the witness search tests O(n^3)
-    # memberships; all of them read the subgroup's one cached Smith form
+    # both vectors are labelled entry by entry, and every translate and
+    # witness check after that is label arithmetic; all of it reads the
+    # subgroup's one cached Smith form
     import gradedk.groups as groups
     real = groups.smith_normal_form
     calls = []
@@ -386,6 +388,121 @@ def test_shift_classification_computes_one_smith_form(monkeypatch):
         assert gamma_d.contains(w["tau"][i])
         assert gam[i] == w["tau"][i] * lam[w["pi"][i]] * w["sigma"]
     assert len(calls) == 1
+
+
+def _cyclic_table(n):
+    return GradeGroup.from_table([[(i + j) % n for j in range(n)] for i in range(n)])
+
+
+def _classification_spaces():
+    """(name, group, Gamma_D generators) over the groups and Gamma_D kinds
+    of the differential test: trivial, finite-index and infinite-index
+    Gamma_D, finite-table cyclic groups, and the trivial group, whose
+    labels have no coordinates."""
+    Z2 = GradeGroup.fg_abelian(2)
+    Z2T6 = GradeGroup.fg_abelian(2, (6,))
+    Z4Z6 = GradeGroup.product_of_cyclic(4, 6)
+    ZT2 = GradeGroup.fg_abelian(1, (2,))
+    C6, C8 = _cyclic_table(6), _cyclic_table(8)
+    el = lambda G, *cs: [G.element(c) for c in cs]
+    return [
+        ("Z/1", Z, []), ("Z/3", Z, el(Z, (3,))), ("Z/4+6", Z, el(Z, (4,), (6,))),
+        ("Z2/1", Z2, []), ("Z2/fin", Z2, el(Z2, (2, 1), (0, 3))),
+        ("Z2/inf", Z2, el(Z2, (2, 2))),
+        ("Z2xZ6/1", Z2T6, []), ("Z2xZ6/fin", Z2T6, el(Z2T6, (2, 0, 0), (0, 1, 3))),
+        ("Z2xZ6/inf", Z2T6, el(Z2T6, (1, 1, 2))),
+        ("Z4xZ6/1", Z4Z6, []), ("Z4xZ6/sub", Z4Z6, el(Z4Z6, (2, 3))),
+        ("ZxZ2/1", ZT2, []), ("ZxZ2/fin", ZT2, el(ZT2, (2, 1))),
+        ("ZxZ2/inf", ZT2, el(ZT2, (0, 1))),
+        ("C6/1", C6, []), ("C6/3", C6, el(C6, 2)), ("C8/2", C8, el(C8, 4)),
+        ("1/1", GradeGroup.trivial(), []),
+    ]
+
+
+def _random_shift_pair(rng, group, gens, n):
+    """(lam, gam) with gam drawn afresh, or made from lam by permuting,
+    moving each entry within its coset and translating by one sigma, then
+    possibly moving one entry by a random element."""
+    if group.kind == "finite-table":
+        rand = lambda: group.element(rng.randrange(group.size))
+    else:
+        rand = lambda: group.element([rng.randint(-6, 6) for _ in range(group.dim)])
+    lam = [rand() for _ in range(n)]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return lam, [rand() for _ in range(n)]
+    sigma = rand()
+    gam = []
+    for x in lam:
+        for g in gens:
+            k = rng.randint(-2, 2)
+            for _ in range(abs(k)):
+                x = x * (g if k > 0 else g.inverse())
+        gam.append(x * sigma)
+    rng.shuffle(gam)
+    if kind == 2:
+        k = rng.randrange(n)
+        gam[k] = gam[k] * rand()
+    return lam, gam
+
+
+def test_shift_classification_matches_reference():
+    # canonical forms, verdicts, strategies, witnesses, counterexamples and
+    # details agree in repr with the direct O(n^2) reference on 1,530
+    # seeded pairs, and every witness replays
+    rng = random.Random(1405)
+    spaces = _classification_spaces()
+    for t in range(1530):
+        name, group, gens = spaces[t % len(spaces)]
+        gamma_d = SubgroupSpec(group, gens)
+        n = rng.choice([1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 40]) if t % 5 else rng.randint(1, 40)
+        lam, gam = _random_shift_pair(rng, group, gens, n)
+        for vec in (lam, gam):
+            assert repr(canonical_shift(group, gamma_d, vec)) == \
+                repr(reference_canonical_shift(group, gamma_d, vec)), (name, vec)
+        rep = shifted_iso_decision(group, gamma_d, lam, gam)
+        ref = reference_shifted_iso_decision(group, gamma_d, lam, gam)
+        assert repr(rep) == repr(ref), (name, lam, gam)
+        if rep:
+            assert_shift_classification_witness(gamma_d, lam, gam, rep.witness)
+    S3 = GradeGroup.symmetric_3()
+    for classify in (canonical_shift, reference_canonical_shift):
+        with pytest.raises(ValueError):
+            classify(S3, SubgroupSpec(S3, []), S3.elements())
+
+
+def test_shift_classification_labels_each_entry_once(monkeypatch):
+    # n = 40 over Z^2 with |G : Gamma_D| = 9: every entry is labelled once,
+    # and coset_label runs at most once per distinct label tried for sigma
+    import gradedk.groups as groups
+    import gradedk.matrixring as matrixring
+    real_labels, real_coset_label = matrixring._coset_labels, groups.coset_label
+    labelled, coset_calls = [], []
+
+    def count_labels(group, gamma_d, elements):
+        elements = list(elements)
+        labelled.extend(elements)
+        return real_labels(group, gamma_d, elements)
+
+    def count_coset_label(*args):
+        coset_calls.append(args)
+        return real_coset_label(*args)
+
+    monkeypatch.setattr(matrixring, "_coset_labels", count_labels)
+    monkeypatch.setattr(matrixring, "coset_label", count_coset_label)
+    monkeypatch.setattr(groups, "coset_label", count_coset_label)
+    G = GradeGroup.fg_abelian(2)
+    gamma_d = SubgroupSpec(G, [G.element((3, 0)), G.element((0, 3))])
+    rng = random.Random(9)
+    lam = [G.element((rng.randint(-9, 9), rng.randint(-9, 9))) for _ in range(40)]
+    sigma = G.element((4, -7))
+    gam = [G.element((3 * rng.randint(-2, 2), 3 * rng.randint(-2, 2))) * x * sigma
+           for x in reversed(lam)]
+    rep = shifted_iso_decision(G, gamma_d, lam, gam)
+    assert rep.verdict == "true"
+    assert len(labelled) == 80
+    assert len(coset_calls) <= 9
+    assert_shift_classification_witness(gamma_d, lam, gam, rep.witness)
 
 
 # -- brute-force oracle over GF(2), n = 2 ------------------------------
