@@ -383,10 +383,7 @@ def two_sided_ideal_closure(algebra, generators):
     def add(v):
         # True once the basis spans A; reducing in insertion order leaves
         # every earlier pivot at 0
-        for c, row in basis.items():
-            f = v[c]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
+        v = linalg.reduce_vector(basis.items(), v)
         c = next((c for c, a in enumerate(v) if a), None)
         if c is None:
             return False

@@ -188,15 +188,11 @@ def cmd_classify_shift(args):
         for text in args.shifts:
             shifts.append([ff.parse_group_element(group, t)
                            for t in ff._split_tuples(text)])
-    except (ff.FormatError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    if len(shifts) == 1:
-        print("canonical=%r" % (canonical_shift(group, gamma_d, shifts[0]),))
-        return 0
-    try:
+        if len(shifts) == 1:
+            print("canonical=%r" % (canonical_shift(group, gamma_d, shifts[0]),))
+            return 0
         report = shifted_iso_decision(group, gamma_d, shifts[0], shifts[1])
-    except ValueError as exc:
+    except (ff.FormatError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     _emit(report)

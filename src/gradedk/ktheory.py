@@ -154,15 +154,12 @@ def _quotient(algebra, radical):
     rows, which leaves it 0 at every pivot. For J = 0 it is (A, identity)."""
     if not radical.dim:
         return algebra, lambda x: x
-    pivots = [next(c for c, a in enumerate(r) if a) for r in radical.rows]
+    echelon = linalg.echelon_pairs(radical.rows)
+    pivots = {c for c, _ in echelon}
     keep = [c for c in range(algebra.dim) if c not in pivots]
 
     def reduce(v):
-        v = list(v)
-        for c, row in zip(pivots, radical.rows):
-            f = v[c]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
+        v = linalg.reduce_vector(echelon, v)
         return [v[c] for c in keep]
 
     basis = [algebra.basis_element(c) for c in keep]

@@ -1,12 +1,13 @@
-"""Exact linear algebra over a field.
+"""Exact linear algebra over a field: adapters to sympy.
 
 Matrices are dense lists of lists of field scalars (Fraction or GFElement);
 all routines return canonical exact results. Row spaces are canonicalized via
 reduced row echelon form so subspace equality is a data comparison.
 Elimination is sympy's sparse ``sdm`` routines, run on dict rows of these
-scalars with no domain conversion; ``charpoly`` and the polynomial helpers
-are local, and ``to_sympy_poly``/``from_sympy_poly`` carry a coefficient
-list to a sympy ``Poly`` (for factoring) and back.
+scalars with no domain conversion. The characteristic polynomial is sympy's
+``DomainMatrix.charpoly`` over QQ or GF(p), and ``to_sympy_poly``/
+``from_sympy_poly`` carry a coefficient list to a sympy ``Poly`` (for
+factoring) and back; no polynomial arithmetic is done here.
 """
 
 from __future__ import annotations
@@ -14,20 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.sdm import (
     sdm_irref, sdm_nullspace_from_rref, sdm_particular_from_rref)
-
-
-def zeros(field, rows, cols):
-    z = field.zero
-    return [[z for _ in range(cols)] for _ in range(rows)]
-
-
-def identity_matrix(field, n):
-    m = zeros(field, n, n)
-    for i in range(n):
-        m[i][i] = field.one
-    return m
 
 
 def mat_mul(a, b):
@@ -41,18 +31,6 @@ def mat_mul(a, b):
                 row = [s + x * y for s, y in zip(row, bk)]
         out.append(row)
     return out
-
-
-def mat_vec(a, x):
-    return [sum_scalars(row[k] * x[k] for k in range(len(x))) for row in a]
-
-
-def sum_scalars(it):
-    it = iter(it)
-    s = next(it)
-    for v in it:
-        s = s + v
-    return s
 
 
 def transpose(a):
@@ -98,15 +76,27 @@ def rank(a):
     return len(sdm_irref(_dict_rows(a)[0])[1])
 
 
+def echelon_pairs(rows):
+    """(pivot column, row) for each row of an echelon basis."""
+    return [(next(c for c, x in enumerate(row) if x), row) for row in rows]
+
+
+def reduce_vector(echelon, vec):
+    """vec less the multiples of the echelon rows that clear it at their
+    pivots. echelon is (pivot, row) pairs, each row 1 at its pivot and 0 at
+    the pivots of the pairs before it, so the result is 0 at every pivot,
+    and it is 0 iff vec lies in the span of the rows."""
+    v = vec
+    for c, row in echelon:
+        f = v[c]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
 def row_space_contains(echelon, vec):
     """Membership of vec in the row space given by canonical echelon rows."""
-    v = list(vec)
-    for row in echelon:
-        c = next(i for i, x in enumerate(row) if x)
-        if v[c]:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
+    return not any(reduce_vector(echelon_pairs(echelon), vec))
 
 
 def solve(a, b):
@@ -132,103 +122,38 @@ def nullspace(a, field):
     return _dense_rows(sdm_irref(dict(enumerate(kernel)))[0].values(), cols, field.zero)
 
 
-def inverse(a, field):
-    """Matrix inverse, or None if singular."""
-    n = len(a)
-    red, pivots = rref([list(row) + e for row, e in zip(a, identity_matrix(field, n))])
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red]
-
-
-def trace(a):
-    return sum_scalars(a[i][i] for i in range(len(a)))
-
-
-# -- polynomials ------------------------------------------------------
-# Polynomials are coefficient lists in ascending degree order.
-
-
-def poly_trim(p, zero):
-    while len(p) > 1 and not p[-1]:
-        p = p[:-1]
-    return p if p else [zero]
-
-
-def poly_mul(p, q, field):
-    z = field.zero
-    out = [z] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return poly_trim(out, z)
-
-
-def poly_sub(p, q, field):
-    z = field.zero
-    n = max(len(p), len(q))
-    p = list(p) + [z] * (n - len(p))
-    q = list(q) + [z] * (n - len(q))
-    return poly_trim([a - b for a, b in zip(p, q)], z)
+# -- sympy domains; polynomials are ascending coefficient lists --------
 
 
 _X = sympy.Symbol("x")
 
 
+def _domain(field):
+    """sympy's QQ or GF(p) for the field, and the map of a scalar into it."""
+    if field.kind == "rationals":
+        return sympy.QQ, lambda c: sympy.QQ(c.numerator, c.denominator)
+    dom = sympy.GF(field.characteristic)
+    return dom, lambda c: dom(c.v)
+
+
+def _scalar(field, x):
+    """The field scalar of a sympy Integer or Rational."""
+    return field.scalar(Fraction(int(x.p), int(x.q)))
+
+
 def to_sympy_poly(coeffs, field):
     """An ascending coefficient list as a sympy Poly in x over QQ or GF(p)."""
-    desc = list(reversed(coeffs))
-    if field.kind == "rationals":
-        return sympy.Poly.from_list([sympy.QQ(c.numerator, c.denominator) for c in desc],
-                                    _X, domain=sympy.QQ)
-    return sympy.Poly.from_list([c.v for c in desc], _X, modulus=field.characteristic)
+    dom, conv = _domain(field)
+    return sympy.Poly.from_list([conv(c) for c in reversed(coeffs)], _X, domain=dom)
 
 
 def from_sympy_poly(poly, field):
     """The ascending coefficient list, in field scalars, of a sympy Poly."""
-    return [field.scalar(Fraction(int(c.p), int(c.q))) for c in reversed(poly.all_coeffs())]
+    return [_scalar(field, c) for c in reversed(poly.all_coeffs())]
 
 
 def charpoly(a, field):
-    """Characteristic polynomial det(xI - A), ascending coefficients.
-
-    Hessenberg reduction followed by the leading-minor recurrence; valid over
-    any field (divisions are only by nonzero field elements).
-    """
-    n = len(a)
-    if n == 0:
-        return [field.one]
-    h = [list(row) for row in a]
-    for j in range(n - 2):
-        piv = None
-        for i in range(j + 1, n):
-            if h[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[piv], h[j + 1] = h[j + 1], h[piv]
-            for row in h:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        for i in range(j + 2, n):
-            if h[i][j]:
-                f = h[i][j] / h[j + 1][j]
-                h[i] = [x - f * y for x, y in zip(h[i], h[j + 1])]
-                for row in h:
-                    row[j + 1] = row[j + 1] + f * row[i]
-    # p_m = charpoly of the leading m x m block of the Hessenberg form
-    polys = [[field.one]]
-    for m in range(1, n + 1):
-        term = poly_mul([-h[m - 1][m - 1], field.one], polys[m - 1], field)
-        prod = field.one
-        for i in range(1, m):
-            prod = prod * h[m - i][m - i - 1]
-            coeff = h[m - 1 - i][m - 1] * prod
-            if coeff:
-                term = poly_sub(term, [c * coeff for c in polys[m - 1 - i]], field)
-        polys.append(term)
-    return polys[n]
-
+    """Characteristic polynomial det(xI - A), ascending coefficients."""
+    dom, conv = _domain(field)
+    dm = DomainMatrix([[conv(x) for x in row] for row in a], (len(a), len(a)), dom)
+    return [_scalar(field, dom.to_sympy(c)) for c in reversed(dm.charpoly())]

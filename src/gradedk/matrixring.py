@@ -416,6 +416,8 @@ def canonical_shift(group, gamma_d, shift):
     invariant factors d of G/Gamma_D, one pass per label coordinate.
     """
     shift = list(shift)
+    if not shift:
+        raise ValueError("empty shift vector")
     return ShiftCanonicalForm(_canonical_labels(group, gamma_d, shift,
                                                 _coset_labels(group, gamma_d, shift)))
 
@@ -454,8 +456,6 @@ def _translate(group, gamma_d, labels, reps, offset):
 def _canonical_labels(group, gamma_d, entries, labels):
     """`canonical_shift` from the entries and their `_coset_labels`."""
     counts = Counter(labels)
-    if not counts:
-        return None
     distinct, negs = list(counts), [-c for c in counts.values()]
     reps = dict(zip(labels, entries))
     if group.kind == "fg-abelian":
@@ -474,6 +474,8 @@ def shifted_iso_decision(group, gamma_d, lam, gam):
     witness is (pi, tau, sigma) with gam[i] = tau[i] * lam[pi[i]] * sigma."""
     lam = list(lam)
     gam = list(gam)
+    if not lam or not gam:
+        raise ValueError("empty shift vector")
     if len(lam) != len(gam):
         raise ValueError("shift vectors must have equal length (n = n')")
     lab_l = _coset_labels(group, gamma_d, lam)

@@ -58,7 +58,7 @@ def reduced_char_poly(algebra, a):
         # Newton: q = sum_i c_i x^i, k c_(n-k) = -sum_(i=1..k) p_i c_(n-k+i), p_i = sums[i-1]
         q = [field.zero] * n + [field.one]
         for k in range(1, n + 1):
-            s = linalg.sum_scalars(sums[i - 1] * q[n - k + i] for i in range(1, k + 1))
+            s = sum((sums[i - 1] * q[n - k + i] for i in range(1, k + 1)), field.zero)
             q[n - k] = -s / field.scalar(k)
         route = "trace-power-sums"
     else:
@@ -117,16 +117,12 @@ def trd_graded_surjective_check(g):
     Trd(b) is a base-field scalar, so it can only be nonzero on identity-degree
     elements; the check verifies exactly that, plus surjectivity.
     """
-    alg = g.algebra
-    hit = False
-    for i in range(alg.dim):
-        t = trd(alg, alg.basis_element(i))
-        if t and g.degrees[i] != g.group.identity:
+    func = trd_functional(g.algebra)
+    for t, d in zip(func, g.degrees):
+        if t and d != g.group.identity:
             return VerdictReport("trd-graded", FALSE, EXHAUSTIVE,
-                                 counterexample=("degree", g.degrees[i], "trd", t))
-        if t:
-            hit = True
-    if not hit:
+                                 counterexample=("degree", d, "trd", t))
+    if not any(func):
         return VerdictReport("trd-graded", FALSE, EXHAUSTIVE,
                              counterexample="trd vanishes on every basis element")
     return VerdictReport("trd-graded", TRUE, EXHAUSTIVE)

@@ -158,6 +158,15 @@ def test_classify_shift_bad_group_exit_3(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("shifts", [("",), ("", "")], ids=["one-vector", "two-vectors"])
+def test_classify_shift_empty_vector_exit_3(capsys, shifts):
+    # an empty shift vector is bad input for the canonical form and the decision
+    code, out, err = run(capsys, "classify-shift", "--group", "Z", *shifts)
+    assert code == 3
+    assert out == ""
+    assert err == "error: empty shift vector\n"
+
+
 def test_commutators_quaternion(capsys, quat_file):
     code, out, _ = run(capsys, "commutators", quat_file)
     assert code == 0

@@ -353,6 +353,14 @@ def test_shifted_iso_decision_witness_and_refutation():
         shifted_iso_decision(Z, triv, s1, s1[:2])
 
 
+def test_empty_shift_vector_rejected():
+    triv = SubgroupSpec(Z, [])
+    with pytest.raises(ValueError, match="empty shift vector"):
+        canonical_shift(Z, triv, [])
+    with pytest.raises(ValueError, match="empty shift vector"):
+        shifted_iso_decision(Z, triv, [], [])
+
+
 def test_canonical_shift_torsion_translation_invariance():
     # regression: common translation in Z/4 must not change the class
     Z4 = GradeGroup.cyclic(4)
@@ -512,12 +520,21 @@ def _mat_of(coords):
     return [[coords[0], coords[1]], [coords[2], coords[3]]]
 
 
+def _inverse_2x2(m):
+    """m^-1 by the adjugate, or None if det m = 0."""
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    if not det:
+        return None
+    return [[d / det, -b / det], [-c / det, a / det]]
+
+
 def _gl2_f2():
     one, zero = F2.one, F2.zero
     out = []
     for bits in itertools.product([zero, one], repeat=4):
         m = _mat_of(list(bits))
-        if linalg.inverse(m, F2) is not None:
+        if _inverse_2x2(m) is not None:
             out.append(m)
     return out
 
@@ -535,7 +552,7 @@ def _brute_force_graded_iso(d, a):
         return degs
 
     for p in _gl2_f2():
-        pinv = linalg.inverse(p, F2)
+        pinv = _inverse_2x2(p)
         ok = True
         for i in range(2):
             for j in range(2):
@@ -582,7 +599,7 @@ def _m2_in_basis(field, basis_mats, degrees, group):
             prod = linalg.mat_mul(x, y)
             sol = linalg.solve(cols, flat(prod))
             products[(i, j)] = {k: c for k, c in enumerate(sol) if c}
-    ident = linalg.identity_matrix(field, 2)
+    ident = [[field.one, field.zero], [field.zero, field.one]]
     unit = linalg.solve(cols, flat(ident))
     alg = Algebra(field, ["v%d" % (t + 1) for t in range(4)], products, unit=unit)
     return GradedAlgebra(alg, group, degrees)
