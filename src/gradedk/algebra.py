@@ -1,10 +1,23 @@
 """Finite-dimensional unital algebras given by structure constants.
 
-All arithmetic is exact; structure constants are stored sparsely as
-{(i, j): {k: scalar}} meaning e_i * e_j = sum_k c[k] e_k. Associativity and
-the unit axiom are checked at construction, on every basis triple, in plain
-ints: the residues over GF(p), and over Q the constants times D, the lcm of
-their denominators (and the unit's).
+All arithmetic is exact. The structure constants come sparsely as
+{(i, j): {k: scalar}}, meaning e_i * e_j = sum_k c[k] e_k, and
+`Algebra.products` keeps them so, as field scalars. It must not be mutated
+after construction: the kernel below is built from it once.
+
+The kernel. Construction also keeps the constants as plain ints,
+`Algebra.table`, with row i = {j: ((k, c), ...)} over the nonzero products
+e_i e_j, and their scale `Algebra.scale`. Over GF(p) the ints are the
+residues and the scale is 1. Over Q they are the constants times the scale
+D, the lcm of their denominators (and the unit's). Associativity and the
+unit axiom are checked on this table at construction, on every basis
+triple. Every structure-constant loop runs on it too: products, regular
+matrices and ideal closure, the regular traces and product forms, psi, the
+rows of the centre and of the commutator subspace, and the star action of
+A (x) A^op. Each input vector becomes integer numerators over one common
+denominator (`FieldSpec.to_ints`), the sums run on ints, and each output
+coordinate is converted once at the end (`FieldSpec.from_ints`), so the
+same loop serves Q and GF(p).
 """
 
 from __future__ import annotations
@@ -40,9 +53,10 @@ class Algebra:
         if unit is None:
             unit = self._find_unit()
         self.unit_coords = tuple(field.scalar(v) for v in unit)
-        table, unit_ints, one, p = self._integer_constants()
-        self._check_unit(table, unit_ints, one, p)
-        self._check_associativity(table, p)
+        self.table, self.scale, unit_ints = self._integer_constants()
+        p = field.characteristic
+        self._check_unit(unit_ints, self.scale ** 2, p)
+        self._check_associativity(p)
 
     # -- construction helpers -----------------------------------------
 
@@ -64,62 +78,63 @@ class Algebra:
         return u
 
     def _integer_constants(self):
-        """The structure constants and the unit as plain ints, for the
-        construction checks. Over GF(p) they are the residues and a sum is
-        zero when it is 0 mod p. Over Q they are the values times D, the lcm
-        of all their denominators, and p is 0 (no reduction): a product of
-        two scaled values is D^2 times the true product, so a sum of such
-        products is zero exactly when the true sum is. Returns
-        (table, unit, one, p) with `one` the scaled value of 1 * 1."""
+        """(table, scale, unit): the structure constants and the unit as
+        plain ints. Over GF(p) they are the residues, the scale is 1, and a
+        sum is zero when it is 0 mod p. Over Q they are the values times the
+        scale D, the lcm of all their denominators: a product of two scaled
+        values is D^2 times the true product, so a sum of such products is
+        zero exactly when the true sum is."""
         unit = self.unit_coords
         if self.field.kind == "prime-field":
-            p, one, value = self.field.characteristic, 1, lambda c: c.v
+            d, value = 1, lambda c: c.v
         else:
             d = math.lcm(*(c.denominator for terms in self.products.values()
                            for c in terms.values()),
                          *(u.denominator for u in unit))
-            p, one, value = 0, d * d, lambda c: c.numerator * (d // c.denominator)
-        table = {key: {k: value(c) for k, c in terms.items()}
-                 for key, terms in self.products.items()}
-        return table, [value(u) for u in unit], one, p
+            value = lambda c: c.numerator * (d // c.denominator)
+        table = [{} for _ in range(self.dim)]
+        for (i, j), terms in self.products.items():
+            table[i][j] = tuple((k, value(c)) for k, c in terms.items())
+        return table, d, [value(u) for u in unit]
 
-    def _check_unit(self, table, unit, one, p):
+    def _check_unit(self, unit, one, p):
         """Column j of L_1 and of R_1 must be e_j: sum_i u_i c_ij^k and
-        sum_i u_i c_ji^k are `one` at k = j and zero elsewhere."""
+        sum_i u_i c_ji^k are `one` (the scaled value of 1 * 1) at k = j and
+        zero elsewhere."""
         n = self.dim
         left = [{j: -one} for j in range(n)]
         right = [{j: -one} for j in range(n)]
-        for (i, j), terms in table.items():
-            a, b = unit[i], unit[j]
-            for k, c in terms.items():
-                if a:
-                    left[j][k] = left[j].get(k, 0) + a * c
-                if b:
-                    right[i][k] = right[i].get(k, 0) + b * c
+        for i, row in enumerate(self.table):
+            for j, terms in row.items():
+                a, b = unit[i], unit[j]
+                for k, c in terms:
+                    if a:
+                        left[j][k] = left[j].get(k, 0) + a * c
+                    if b:
+                        right[i][k] = right[i].get(k, 0) + b * c
         for j in range(n):
             if any(v % p if p else v
                    for col in (left[j], right[j]) for v in col.values()):
                 raise ValueError("unit axiom fails on basis element %s" % self.labels[j])
 
-    def _check_associativity(self, table, p):
+    def _check_associativity(self, p):
         """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, compared on
         the integer constants: sum_s c_ij^s c_sk^t against
         sum_u c_jk^u c_iu^t. For each pair (i, j) the differences over all
         k and t go into one dict keyed k*n + t; a triple that neither side
         reaches is 0 = 0."""
         n = self.dim
+        table = self.table
         # flat[s]: (k*n + t, c_sk^t) for every nonzero constant of a row e_s e_k
-        flat = [[] for _ in range(n)]
-        rows = [[] for _ in range(n)]  # rows[s]: (k*n, e_s e_k items) when nonzero
-        for (s, k), terms in table.items():
-            items = list(terms.items())
-            flat[s].extend((k * n + t, c) for t, c in items)
-            rows[s].append((k * n, items))
+        flat = [[(k * n + t, c) for k, terms in row.items() for t, c in terms]
+                for row in table]
+        rows = [[(k * n, terms) for k, terms in row.items()]  # (k*n, e_s e_k)
+                for row in table]
         for i in range(n):
-            left = [list(table.get((i, u), {}).items()) for u in range(n)]  # e_i e_u
+            left = [table[i].get(u, ()) for u in range(n)]  # e_i e_u
             for j in range(n):
                 diff = {}
-                for s, a in table.get((i, j), {}).items():
+                for s, a in table[i].get(j, ()):
                     for key, c in flat[s]:
                         diff[key] = diff.get(key, 0) + a * c
                 for kn, terms in rows[j]:
@@ -276,70 +291,97 @@ class Subspace:
 
 
 def multiply(x, y):
-    """Bilinear product via structure constants, over the nonzero
-    coordinates of both factors."""
+    """Bilinear product via the integer table, over the nonzero coordinates
+    of x and the nonzero products of their rows."""
     alg = x.owner
     if y.owner is not alg:
         raise ValueError("elements of different algebras")
-    products = alg.products
-    out = [alg.field.zero] * alg.dim
-    ys = [(j, b) for j, b in enumerate(y.coords) if b]
-    for i, a in enumerate(x.coords):
-        if not a:
-            continue
-        for j, b in ys:
-            terms = products.get((i, j))
-            if terms:
-                ab = a * b
-                for k, c in terms.items():
-                    out[k] += ab * c
-    return AlgebraElement(alg, out)
+    xs, dx = alg.field.to_ints(x.coords)
+    ys, dy = alg.field.to_ints(y.coords)
+    out = [0] * alg.dim
+    for a, row in zip(xs, alg.table):
+        if a:
+            for j, terms in row.items():
+                b = ys[j]
+                if b:
+                    ab = a * b
+                    for k, c in terms:
+                        out[k] += ab * c
+    return AlgebraElement(alg, alg.field.from_ints(out, dx * dy * alg.scale))
+
+
+def integer_regular_columns(alg, coords, left=True):
+    """(cols, den): column j of L_x (left) or R_x (right) for the vector x
+    with these coordinates, that is x e_j or e_j x, as ints over den.
+    Column j of L_x is sum_i x_i c_ij, of R_x sum_i x_i c_ji."""
+    xs, dx = alg.field.to_ints(coords)
+    cols = [[0] * alg.dim for _ in range(alg.dim)]
+    for i, row in enumerate(alg.table):
+        if left:  # x_i c_ij into column j
+            a = xs[i]
+            if a:
+                for j, terms in row.items():
+                    col = cols[j]
+                    for k, c in terms:
+                        col[k] += a * c
+        else:  # x_j c_ij into column i
+            col = cols[i]
+            for j, terms in row.items():
+                a = xs[j]
+                if a:
+                    for k, c in terms:
+                        col[k] += a * c
+    return cols, dx * alg.scale
 
 
 def _regular_columns(alg, coords, left):
-    """Coordinates of x e_j (left) or e_j x (right) for every j: column j of
-    L_x is sum_i x_i c_ij, of R_x sum_i x_i c_ji."""
-    zero = alg.field.zero
-    cols = [[zero] * alg.dim for _ in range(alg.dim)]
-    for (i, j), terms in alg.products.items():
-        if not left:
-            i, j = j, i
-        a = coords[i]
-        if a:
-            col = cols[j]
-            for k, c in terms.items():
-                col[k] += a * c
-    return cols
+    """The columns of `integer_regular_columns` as field scalars."""
+    cols, den = integer_regular_columns(alg, coords, left)
+    return [alg.field.from_ints(col, den) for col in cols]
+
+
+def _regular_matrix(x, left):
+    cols, den = integer_regular_columns(x.owner, x.coords, left)
+    return [x.owner.field.from_ints(row, den) for row in zip(*cols)]
 
 
 def left_regular_matrix(x):
     """L_x with column j = coordinates of x * e_j."""
-    return linalg.transpose(_regular_columns(x.owner, x.coords, left=True))
+    return _regular_matrix(x, left=True)
 
 
 def right_regular_matrix(x):
     """R_x with column j = coordinates of e_j * x."""
-    return linalg.transpose(_regular_columns(x.owner, x.coords, left=False))
+    return _regular_matrix(x, left=False)
 
 
 def regular_traces(algebra):
     """t with t_k = Tr(L_{e_k}) = sum_m c_km^m, so Tr(L_x) = sum_k t_k x_k."""
-    t = [algebra.field.zero] * algebra.dim
-    for (k, m), terms in algebra.products.items():
-        if m in terms:
-            t[k] += terms[m]
-    return t
+    t = [sum(c for m, terms in row.items() for k, c in terms if k == m)
+         for row in algebra.table]
+    return algebra.field.from_ints(t, algebra.scale)
+
+
+def integer_product_form(algebra, w):
+    """(form, den): the bilinear form (x, y) -> w(xy) of the linear form
+    with coordinates w, as {(r, c): w(e_r e_c) * den} over the products
+    e_r e_c that are nonzero. Over GF(p) a value may be 0 mod p."""
+    ws, dw = algebra.field.to_ints(w)
+    form = {}
+    for r, row in enumerate(algebra.table):
+        for c, terms in row.items():
+            v = sum(x * ws[k] for k, x in terms)
+            if v:
+                form[(r, c)] = v
+    return form, dw * algebra.scale
 
 
 def product_form(algebra, w):
     """The bilinear form (x, y) -> w(xy) of the linear form with coordinates
     w, as {(r, c): w(e_r e_c)} over its nonzero values."""
-    form = {}
-    for key, terms in algebra.products.items():
-        v = sum((c * w[k] for k, c in terms.items() if w[k]), algebra.field.zero)
-        if v:
-            form[key] = v
-    return form
+    form, den = integer_product_form(algebra, w)
+    values = algebra.field.from_ints(form.values(), den)
+    return {key: v for key, v in zip(form, values) if v}
 
 
 def try_invert(x):
@@ -359,14 +401,16 @@ def center(algebra):
     kernel of x |-> (e_m x - x e_m)_m, whose row (m, k) has entry
     c_jm^k - c_mj^k in column j."""
     n = algebra.dim
-    zero = algebra.field.zero
-    rows = [[zero] * n for _ in range(n * n)]
-    for (i, j), terms in algebra.products.items():
-        for k, c in terms.items():
-            rows[i * n + k][j] -= c
-            rows[j * n + k][i] += c
-    basis = linalg.nullspace(rows, algebra.field)
-    return Subspace(algebra, basis)
+    rows = [[0] * n for _ in range(n * n)]
+    for i, row in enumerate(algebra.table):
+        for j, terms in row.items():
+            for k, c in terms:
+                rows[i * n + k][j] -= c
+                rows[j * n + k][i] += c
+    # a zero row constrains nothing; one is kept so that there are n columns
+    rows = [algebra.field.from_ints(r, algebra.scale) for r in rows if any(r)]
+    rows = rows or [[algebra.field.zero] * n]
+    return Subspace(algebra, linalg.nullspace(rows, algebra.field))
 
 
 def two_sided_ideal_closure(algebra, generators):
@@ -408,14 +452,35 @@ def psi_matrix(algebra):
     vectorization of x |-> e_i x e_j: row r*n + c holds the coefficient of
     e_r in e_i e_c e_j."""
     n = algebra.dim
-    products = algebra.products
-    m = [[algebra.field.zero] * (n * n) for _ in range(n * n)]
-    for (i, c), left in products.items():
-        for s, a in left.items():
-            for j in range(n):
-                for r, b in products.get((s, j), {}).items():
-                    m[r * n + c][i * n + j] += a * b
-    return m
+    table = algebra.table
+    m = [[0] * (n * n) for _ in range(n * n)]
+    for i, row in enumerate(table):
+        for c, left in row.items():
+            for s, a in left:
+                for j, right in table[s].items():
+                    for r, b in right:
+                        m[r * n + c][i * n + j] += a * b
+    return [algebra.field.from_ints(r, algebra.scale ** 2) for r in m]
+
+
+def sandwich(algebra, coeffs, x):
+    """sum_(i,j) coeffs[i*n + j] e_i x e_j, the star action of
+    A (x) A^op on A, with e_i x e_j = sum_m sum_s x_m c_im^s e_s e_j."""
+    n, table = algebra.dim, algebra.table
+    cs, dc = algebra.field.to_ints(coeffs)
+    xs, dx = algebra.field.to_ints(x.coords)
+    xs = [(m, a) for m, a in enumerate(xs) if a]
+    out = [0] * n
+    for t, c in enumerate(cs):
+        if not c:
+            continue
+        i, j = divmod(t, n)
+        for m, a in xs:
+            for s, b in table[i].get(m, ()):
+                cab = c * a * b
+                for r, d in table[s].get(j, ()):
+                    out[r] += cab * d
+    return AlgebraElement(algebra, algebra.field.from_ints(out, dc * dx * algebra.scale ** 2))
 
 
 def is_central_simple(algebra):
@@ -466,14 +531,15 @@ def commutator_subspace(algebra):
     """Additive span of all commutators [x, y]; the basis pairs i < j
     suffice, with [e_i, e_j] = sum_k (c_ij^k - c_ji^k) e_k."""
     n = algebra.dim
-    zero = algebra.field.zero
+    table = algebra.table
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            row = [zero] * n
-            for k, c in algebra.products.get((i, j), {}).items():
+            row = [0] * n
+            for k, c in table[i].get(j, ()):
                 row[k] += c
-            for k, c in algebra.products.get((j, i), {}).items():
+            for k, c in table[j].get(i, ()):
                 row[k] -= c
-            rows.append(row)
+            if any(row):  # rref drops a zero row
+                rows.append(algebra.field.from_ints(row, algebra.scale))
     return Subspace(algebra, linalg.rref(rows)[0])

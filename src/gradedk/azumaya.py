@@ -8,7 +8,7 @@ import itertools
 from functools import cached_property
 
 from . import linalg
-from .algebra import AlgebraElement, center, left_regular_matrix, psi_matrix
+from .algebra import center, left_regular_matrix, psi_matrix, sandwich
 from .graded import graded_tensor, opposite, graded_center, is_graded_simple
 from .groups import derived_subgroup
 from .matrixring import (ShiftedMatrixAlgebra, is_graded_simple_matrix,
@@ -53,22 +53,8 @@ class EnvelopingAlgebra:
         return self._embed(a, b)
 
     def star(self, e, x):
-        """(sum c_ij e_i (x) e_j) * x = sum c_ij e_i x e_j in A, from the
-        constants: e_i x e_j = sum_m sum_s x_m c_im^s e_s e_j."""
-        src = self.source.algebra
-        products = src.products
-        xs = [(m, a) for m, a in enumerate(x.coords) if a]
-        out = [src.field.zero] * self.n
-        for t, c in enumerate(e.coords):
-            if not c:
-                continue
-            i, j = divmod(t, self.n)
-            for m, a in xs:
-                for s, b in products.get((i, m), {}).items():
-                    cab = c * a * b
-                    for r, d in products.get((s, j), {}).items():
-                        out[r] += cab * d
-        return AlgebraElement(src, out)
+        """(sum c_ij e_i (x) e_j) * x = sum c_ij e_i x e_j in A."""
+        return sandwich(self.source.algebra, e.coords, x)
 
     def psi_matrix(self):
         """The n^2 x n^2 matrix of psi(a (x) b)(x) = a x b; column (i, j) is

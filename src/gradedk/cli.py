@@ -180,6 +180,8 @@ def cmd_k0(args):
 
 def cmd_classify_shift(args):
     try:
+        if len(args.shifts) > 2:
+            raise ValueError("expected one or two shift vectors, got %d" % len(args.shifts))
         group = ff.parse_group(args.group)
         gens = [ff.parse_group_element(group, t)
                 for t in ff._split_tuples(args.subgroup)] if args.subgroup else []
@@ -260,7 +262,8 @@ def build_parser():
     c.add_argument("--subgroup", default="",
                    help="generators of the homogeneous-unit degree subgroup")
     c.add_argument("shifts", nargs="+",
-                   help="one or two shift vectors, e.g. \"(0) (1) (1)\"")
+                   help="one or two shift vectors, e.g. \"(0) (1) (1)\"; "
+                        "a third is bad input (exit 3)")
 
     c = sub.add_parser("commutators", help="commutator-subspace analysis")
     c.add_argument("file")

@@ -7,6 +7,7 @@ floating point anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -145,6 +146,33 @@ class FieldSpec:
         if isinstance(x, Fraction):
             return GFElement(p, 1)._coerce(x)
         return GFElement(p, x)
+
+    def to_ints(self, coords):
+        """(numerators, den) with coords[i] = numerators[i] / den: the
+        residues and 1 over GF(p); over Q, den is the lcm of the
+        denominators, and when that is 1 the numerators are taken as they
+        are, with no rescaling pass. Reads Fraction's slots directly: the
+        public properties cost a Python call each."""
+        if self.kind == "prime-field":
+            return [c.v for c in coords], 1
+        den = math.lcm(*[c._denominator for c in coords])
+        if den == 1:
+            return [c._numerator for c in coords], 1
+        return [c._numerator * (den // c._denominator) for c in coords], den
+
+    def from_ints(self, values, den=1):
+        """The scalars values[i] / den, one conversion each; a zero is
+        `self.zero`."""
+        zero = self.zero
+        if self.kind == "prime-field":
+            p = self.characteristic
+            if den != 1:
+                inv = pow(den, -1, p)
+                values = [v * inv for v in values]
+            return [GFElement(p, v) if v % p else zero for v in values]
+        if den == 1:
+            return [Fraction(v) if v else zero for v in values]
+        return [Fraction(v, den) if v else zero for v in values]
 
     def is_invertible_int(self, m):
         """Whether the integer m is invertible in this field."""

@@ -14,8 +14,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from . import linalg
 from .algebra import (Algebra, Subspace, center, evaluate_poly,
-                      left_regular_matrix, minimal_polynomial, product_form,
-                      regular_traces)
+                      integer_product_form, integer_regular_columns,
+                      minimal_polynomial, regular_traces)
 from .groups import coset_index
 from .matrixring import identity_component
 from .snf import smith_normal_form
@@ -115,7 +115,10 @@ def _lifted_trace_digit(x, i):
     """g_i(x) = (Tr(L~^(p^i)) mod p^(i+1)) / p^i, with L~ the integer lift of
     L_x; x must lie in I_(i-1), where the trace is divisible by p^i."""
     p = x.owner.field.characteristic
-    lift = DomainMatrix([[ZZ(c.v) for c in row] for row in left_regular_matrix(x)],
+    # the residue columns of L_x are the rows of the lift's transpose, whose
+    # powers have the same traces
+    cols, _ = integer_regular_columns(x.owner, x.coords)
+    lift = DomainMatrix([[ZZ(c % p) for c in col] for col in cols],
                         (x.owner.dim, x.owner.dim), ZZ)
     t = int(sum((lift ** p ** i).diagonal())) % p ** (i + 1)
     assert t % p ** i == 0
@@ -136,8 +139,9 @@ def jacobson_radical(algebra):
     rows = algebra.full_subspace().rows
     i = 0
     while True:
-        form = product_form(algebra, w)
-        gram = [[form.get((r, c), field.zero) for c in range(n)] for r in range(n)]
+        form, den = integer_product_form(algebra, w)
+        gram = [field.from_ints([form.get((r, c), 0) for c in range(n)], den)
+                for r in range(n)]
         # a = sum_s lam_s rows_s is kept iff w(a e_t) = (lam R G)_t = 0 for all t
         kept = linalg.nullspace(linalg.transpose(linalg.mat_mul(rows, gram)), field)
         rows = linalg.rref(linalg.mat_mul(kept, rows))[0] if kept else []

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import (Subspace, center, commutator_subspace,
-                      left_regular_matrix, product_form, regular_traces)
+                      integer_product_form, left_regular_matrix, regular_traces)
 from .graded import support
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE
 
@@ -45,16 +45,17 @@ def reduced_char_poly(algebra, a):
     field = algebra.field
     n = _degree(algebra)
     if field.characteristic == 0 or field.characteristic > n:
-        form = product_form(algebra, regular_traces(algebra))  # Tr(L_(xy))
+        # Tr(L_(xy)) = sum_(r,c) form[r, c] x_r y_c / den, on ints
+        form, den = integer_product_form(algebra, regular_traces(algebra))
         powers = [algebra.one, a]
         for _ in range(1, (n + 1) // 2):
             powers.append(powers[-1] * a)
-        inv_n = field.one / field.scalar(n)
+        powers = [field.to_ints(x.coords) for x in powers]
         sums = []  # Trd(a^k) = Tr(L_(a^ceil(k/2) a^floor(k/2))) / n
         for k in range(1, n + 1):
-            x, y = powers[(k + 1) // 2].coords, powers[k // 2].coords
-            sums.append(inv_n * sum((v * x[r] * y[c] for (r, c), v in form.items()
-                                     if x[r] and y[c]), field.zero))
+            (x, dx), (y, dy) = powers[(k + 1) // 2], powers[k // 2]
+            s = sum(v * x[r] * y[c] for (r, c), v in form.items())
+            sums.append(field.from_ints([s], n * den * dx * dy)[0])
         # Newton: q = sum_i c_i x^i, k c_(n-k) = -sum_(i=1..k) p_i c_(n-k+i), p_i = sums[i-1]
         q = [field.zero] * n + [field.one]
         for k in range(1, n + 1):

@@ -167,6 +167,14 @@ def test_classify_shift_empty_vector_exit_3(capsys, shifts):
     assert err == "error: empty shift vector\n"
 
 
+def test_classify_shift_three_vectors_exit_3(capsys):
+    # the decision compares two vectors; a third is bad input, not ignored
+    code, out, err = run(capsys, "classify-shift", "--group", "Z", "(0)", "(1)", "(5) (6)")
+    assert code == 3
+    assert out == ""
+    assert err == "error: expected one or two shift vectors, got 3\n"
+
+
 def test_commutators_quaternion(capsys, quat_file):
     code, out, _ = run(capsys, "commutators", quat_file)
     assert code == 0
