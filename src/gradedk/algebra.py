@@ -376,14 +376,6 @@ def integer_product_form(algebra, w):
     return form, dw * algebra.scale
 
 
-def product_form(algebra, w):
-    """The bilinear form (x, y) -> w(xy) of the linear form with coordinates
-    w, as {(r, c): w(e_r e_c)} over its nonzero values."""
-    form, den = integer_product_form(algebra, w)
-    values = algebra.field.from_ints(form.values(), den)
-    return {key: v for key, v in zip(form, values) if v}
-
-
 def try_invert(x):
     """Two-sided inverse of x, or None."""
     alg = x.owner

@@ -327,31 +327,54 @@ def is_graded_division(g):
     return VerdictReport("graded-division", FALSE, EXHAUSTIVE, counterexample=bad)
 
 
+def graded_radical(g):
+    """J^gr as a canonical subspace of A, on homogeneous echelon rows: its
+    degree-d part is {x in A_d : x A_(d^-1) in J(A_e)} (Nastasescu-Van
+    Oystaeyen, Methods of Graded Rings, LNM 1836, 2004, 2.9). One call of
+    `jacobson_radical` on A_e gives the functionals w_r cutting out J(A_e)
+    (coordinates if J(A_e) = 0) and image[k], the nonzero w_r(e_k); then one
+    nullspace per support degree d of the w_r(x e_j), j in A_(d^-1)."""
+    from .ktheory import jacobson_radical
+    from .matrixring import identity_component
+    comps = {d: g.component_indices(d) for d in support(g)}
+    e_idx = comps[g.group.identity]
+    radical = jacobson_radical(identity_component(g)).rows or [[g.field.zero] * len(e_idx)]
+    ws = [g.field.to_ints(w)[0] for w in linalg.nullspace(radical, g.field)]
+    image = {k: [(r, w[c]) for r, w in enumerate(ws) if w[c]] for c, k in enumerate(e_idx)}
+    parts = []
+    for d, idx in comps.items():
+        rows = {}  # (j, r) -> coefficients over A_d of w_r(x e_j)
+        for t, i in enumerate(idx):
+            for j in comps.get(d.inverse(), ()):
+                for k, a in g.algebra.table[i].get(j, ()):
+                    for r, b in image[k]:
+                        rows.setdefault((j, r), [0] * len(idx))[t] += a * b
+        rows = [g.field.from_ints(row) for row in rows.values()] or [[g.field.zero] * len(idx)]
+        parts += [g.component_element(d, v) for v in linalg.nullspace(rows, g.field)]
+    return g.algebra.subspace(parts)
+
+
 def is_graded_simple(g):
     """Only homogeneous two-sided ideals are 0 and R. Decided in every
-    characteristic by the graded radical J^gr, the sum of the J n A_d, which
-    is the largest graded ideal inside the radical J: J^gr != 0 is a proper
-    graded ideal. For J^gr = 0, A is a product of graded simple algebras
-    (graded Wedderburn-Artin: Nastasescu-Van Oystaeyen, Methods of Graded
-    Rings, LNM 1836, 2004, 2.9) A f for central idempotents f, of degree e as
-    the unit of the graded ring A f, so A is graded simple iff Z(A) n A_e has
-    one primitive idempotent."""
-    from .ktheory import _central_primitive_idempotents, jacobson_radical
-    # the radical and the centre cost several times the division check on
-    # group rings such as F_3[S3], which it decides alone
+    characteristic by J^gr, defined from A_e (`graded_radical`), which over
+    a finite grade group is the sum of the J n A_d, the largest graded ideal
+    in the radical J (Cohen-Montgomery, Trans. AMS 282 (1984)): J^gr != 0 is
+    a proper graded ideal. For J^gr = 0, A is a product of graded simple
+    algebras A f for central idempotents f of degree e (graded
+    Wedderburn-Artin: Nastasescu-Van Oystaeyen, LNM 1836, 2.9), so A is
+    graded simple iff Z(A) n A_e has one primitive idempotent."""
+    from .ktheory import _central_primitive_idempotents
+    # the division check decides group rings such as F_3[S3] alone, and
+    # faster than the graded radical and the centre together
     division = is_graded_division(g)
     if division:
         return VerdictReport("graded-simple", TRUE, CONSTRUCTIVE,
                              witness="graded division ring")
     alg = g.algebra
-    radical = jacobson_radical(alg)
-    graded_radical = alg.subspace(
-        row for d in support(g) for row in _component_part(g, radical, d))
-    if graded_radical.dim:
-        x = alg.element(graded_radical.rows[0])
-        comp = next(iter(g.homogeneous_components(x).values()))
-        return VerdictReport("graded-simple", FALSE, EXHAUSTIVE,
-                             counterexample=("proper-ideal-generator", comp))
+    radical = graded_radical(g)
+    if radical.dim:
+        return VerdictReport("graded-simple", FALSE, EXHAUSTIVE, counterexample=(
+            "proper-ideal-generator", alg.element(radical.rows[0])))
     idems = _central_primitive_idempotents(
         alg, [alg.element(r) for r in _component_part(g, center(alg), g.group.identity)])
     if len(idems) == 1:
@@ -361,11 +384,9 @@ def is_graded_simple(g):
 
 
 def _component_part(g, subspace, degree):
-    """Rows spanning subspace n A_degree: the combinations of the subspace's
-    rows that vanish off the degree's component."""
+    """Rows spanning subspace n A_degree (a nonzero subspace): the
+    combinations of the subspace's rows that vanish off the component."""
     rows = subspace.rows
-    if not rows:
-        return []
     off = [[row[i] for row in rows] for i, d in enumerate(g.degrees) if d != degree]
     kept = linalg.nullspace(off or [[g.field.zero] * len(rows)], g.field)
     return linalg.mat_mul(kept, rows)

@@ -120,19 +120,22 @@ def _lifted_trace_digit(x, i):
     cols, _ = integer_regular_columns(x.owner, x.coords)
     lift = DomainMatrix([[ZZ(c % p) for c in col] for col in cols],
                         (x.owner.dim, x.owner.dim), ZZ)
-    t = int(sum((lift ** p ** i).diagonal())) % p ** (i + 1)
+    half = lift ** (p ** i // 2)  # Tr(L^k) = sum_ab H_ab K_ba with H K = L^k, k = p^i
+    rest = (half if p ** i % 2 == 0 else half * lift).transpose().to_list_flat()
+    t = int(sum(h * r for h, r in zip(half.to_list_flat(), rest))) % p ** (i + 1)
     assert t % p ** i == 0
     return t // p ** i
 
 
 def jacobson_radical(algebra):
     """The radical J as a canonical subspace (Cohen-Ivanyos-Wales, JPAA
-    117/118 (1997)). I_(-1) = A and I_i = {a in I_(i-1) : g_i(ab) = 0 for all
-    b}, for i = 0 .. floor(log_p dim); J is the last one. g_0 is the trace
-    Tr(L_x), linear on A; g_i (i >= 1) is linear on I_(i-1), so it is read
-    on a basis of I_(i-1) and extended to a functional w, and each round is
-    one nullspace of the Gram matrix of w. Over Q (Dickson) and over GF(p)
-    with p > dim, round 0 is the only round."""
+    117/118 (1997)): I_(-1) = A, I_i = {a in I_(i-1) : g_i(ab) = 0 for all b}
+    for i = 0 .. floor(log_p dim), and J is the last one. g_0 = Tr(L_x) is
+    linear on A, g_i (i >= 1) on I_(i-1), where it is read on a basis and
+    extended to a functional w; a round is one nullspace of w's Gram matrix,
+    and over Q (Dickson) or GF(p) with p > dim round 0 is the only one. The
+    two callers pass ungraded algebras: A_e in `graded.graded_radical`, and
+    the input of `split_identity_component`."""
     field = algebra.field
     n = algebra.dim
     w = regular_traces(algebra)  # g_0

@@ -26,8 +26,8 @@ from operator import mul
 from . import linalg
 from .algebra import (Algebra, AlgebraElement, center, left_regular_matrix,
                       try_invert)
-from .graded import (GradedAlgebra, TwistedGroupAlgebra, validate_grading,
-                     support_subgroup as algebra_support_subgroup)
+from .graded import (GradedAlgebra, TwistedGroupAlgebra, graded_radical,
+                     validate_grading, support_subgroup as algebra_support_subgroup)
 from .groups import SubgroupSpec, coset_label
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE
 
@@ -280,15 +280,19 @@ def covering_algebra(g, degrees):
 
 def _top_dimensions(g, degrees):
     """({s: v(s)}, [f_b]) with f_b the central primitive idempotents of E/J,
-    E the covering algebra of the degrees and J its radical, and
-    v(s)_b = dim eps_s f_b (E/J). The projective E-module eps_s E has top
-    eps_s (E/J), whose part in the simple block f_b (E/J) is a sum of
-    v(s)_b / dim(simple module) copies of the simple module."""
-    from .ktheory import _central_primitive_idempotents, _quotient, jacobson_radical
-    cover, eps = covering_algebra(g, degrees)
-    top, project = _quotient(cover, jacobson_radical(cover))
+    for E the covering algebra of the degrees and J its radical, and v(s)_b
+    = dim eps_s f_b (E/J): the top eps_s (E/J) of eps_s E holds v(s)_b /
+    dim(simple module) copies of the simple module of the block f_b. E/J is
+    the covering algebra of R/J^gr, as J(E) has the J^gr_(s^-1 t) as its
+    (s, t) entries (Peirce decomposition; Lam, GTM 131, 21)."""
+    from .ktheory import _central_primitive_idempotents, _quotient
+    radical = graded_radical(g)
+    pivots = {c for c, _ in linalg.echelon_pairs(radical.rows)}
+    quotient = GradedAlgebra(_quotient(g.algebra, radical)[0], g.group,
+                             [d for c, d in enumerate(g.degrees) if c not in pivots])
+    top, eps = covering_algebra(quotient, degrees)
     idems = _central_primitive_idempotents(top, center(top).basis_elements())
-    dims = {s: tuple(linalg.rank(left_regular_matrix(project(x) * f)) for f in idems)
+    dims = {s: tuple(linalg.rank(left_regular_matrix(x * f)) for f in idems)
             for s, x in eps.items()}
     return dims, idems
 
@@ -342,11 +346,11 @@ def solve_shift_matrix(base_graded, d, a):
     1836, 2004): R^n(d) ~gr R^n(a) iff sum_i eps_(d_i) E ~ sum_j eps_(a_j) E
     as projective modules over the covering algebra E (see
     `covering_algebra`), and projective modules over a finite-dimensional
-    algebra are isomorphic iff their tops are, i.e. iff
-    sum_i v(d_i) = sum_j v(a_j) (see `_top_dimensions`). That verdict is
-    exhaustive. A true carries ("top-dimensions", S, {s: v(s)}) and a false
-    ("top-dimensions", S, sum_i v(d_i), sum_j v(a_j)), with the f_b and the
-    v(s) in details.
+    algebra are isomorphic iff their tops are, i.e. iff sum_i v(d_i) =
+    sum_j v(a_j), read off E/J, the covering algebra of R/J^gr (see
+    `_top_dimensions`). That verdict is exhaustive. A true carries
+    ("top-dimensions", S, {s: v(s)}) and a false ("top-dimensions", S,
+    sum_i v(d_i), sum_j v(a_j)), with the f_b and the v(s) in details.
     """
     d = tuple(d)
     a = tuple(a)

@@ -16,12 +16,14 @@ from gradedk.constructors import (construct_group_ring, construct_laurent,
 from gradedk.fields import FieldSpec
 from gradedk.graded import (GradedAlgebra, HomogeneousElement,
                             TwistedGroupAlgebra, dimension_formula_check,
-                            graded_center, graded_module_basis, graded_tensor,
+                            graded_center, graded_module_basis, graded_radical,
+                            graded_tensor,
                             is_crossed_product, is_graded_division,
                             is_graded_simple, is_strongly_graded, opposite,
                             support, support_subgroup, trivially_graded,
                             validate_grading)
 from gradedk.groups import GradeGroup, SubgroupSpec
+from gradedk.ktheory import jacobson_radical
 from gradedk.matrixring import ShiftedMatrixAlgebra, solve_shift_matrix
 from randomdata import random_constructed
 from shiftoracle import assert_top_certificate
@@ -340,6 +342,90 @@ def test_crossed_product_matches_full_scan_oracle():
                     for d in support(g))
         assert rep.verdict == ("true" if units else "false"), g.algebra
         _assert_crossed_product_certificates(g, rep)
+
+
+def reference_graded_radical(g):
+    """J^gr as the sum of the J n A_d, from the radical J of all of A: the
+    computation `graded_radical` replaced, kept as its reference. Each
+    J n A_d is the combinations of J's rows that vanish off A_d."""
+    alg, field = g.algebra, g.field
+    rows = jacobson_radical(alg).rows
+    parts = []
+    for d in support(g) if rows else ():
+        off = [[row[i] for row in rows] for i, e in enumerate(g.degrees) if e != d]
+        kept = linalg.nullspace(off or [[field.zero] * len(rows)], field)
+        parts += linalg.mat_mul(kept, rows) if kept else []
+    return alg.subspace(parts)
+
+
+def _random_shifted_matrices(count):
+    """Materialized M_2(R)(s) over random constructed bases R of dimension
+    at most 6, with s drawn from the support of R, or from -2..2 over Z."""
+    rng = random.Random(5)
+    out = []
+    while len(out) < count:
+        base = random_constructed(rng)
+        if base.dim > 6:
+            continue
+        if base.group.is_finite():
+            degrees = sorted(support(base), key=lambda d: d.coords)
+            shift = [rng.choice(degrees) for _ in range(2)]
+        else:
+            shift = [base.group.element((rng.randrange(-2, 3),)) for _ in range(2)]
+        out.append(ShiftedMatrixAlgebra(base, shift).materialized)
+    return out
+
+
+def test_graded_radical_matches_the_graded_part_of_the_radical():
+    # Cohen-Montgomery for finite groups; over Z (truncated polynomials and
+    # matrix rings over them) the comparison is the evidence
+    rng = random.Random(17)
+    inputs = (_oracle_inputs() + [random_constructed(rng) for _ in range(200)]
+              + _random_shifted_matrices(100))
+    assert len(inputs) >= 312
+    nonzero = 0
+    for g in inputs:
+        radical = graded_radical(g)
+        assert radical == reference_graded_radical(g), g.algebra
+        assert all(g.is_homogeneous(x) for x in radical.basis_elements())
+        nonzero += radical.dim > 0
+    assert nonzero >= 52
+
+
+def test_crossed_product_over_gf3_reads_the_identity_component():
+    # M_3(M_3(F_3))(0, 0, 1) over C_2: 3 divides both block sizes of
+    # A_e = M_6(F_3) x M_3(F_3), so its trace form vanishes, and the radical
+    # of the whole 162-dim covering algebra once took minutes
+    c2 = GradeGroup.cyclic(2)
+    g = _shifted_matrix(trivially_graded(construct_matrix_algebra(F3, 3), c2), (0, 0, 1))
+    assert g.dim == 81
+    rep = is_crossed_product(g)
+    assert rep.verdict == "false"
+    e, one = c2.identity, c2.element((1,))
+    assert rep.counterexample == ("degree", one,
+                                  ("top-dimensions", (e, one), (27, 54), (54, 27)))
+    shift = solve_shift_matrix(g, [e], [one])
+    assert shift.counterexample == rep.counterexample[2]
+    idems = shift.details["idempotents"]
+    top = idems[0].owner
+    basis = [top.basis_element(k) for k in range(top.dim)]
+    total = top.zero
+    for f in idems:
+        assert f * f == f and all(f * b == b * f for b in basis)
+        assert all((f * h).is_zero() for h in idems if h is not f)
+        total = total + f
+    assert total == top.one
+    # the eps_s sum to 1, so the v(s)_b add up to dim E/J
+    assert sum(map(sum, shift.details["dimensions"].values())) == top.dim
+
+
+def test_graded_simple_on_a_45_dim_shifted_matrix_ring():
+    # M_3(F_5[C_5])(0, 1, 2): its radical is 36-dim, its graded radical 0
+    c5 = GradeGroup.cyclic(5)
+    g = _shifted_matrix(construct_group_ring(F5, c5), (0, 1, 2))
+    assert g.dim == 45
+    assert graded_radical(g).dim == 0
+    assert is_graded_simple(g).verdict == "true"
 
 
 def test_split_quaternions_are_not_graded_division_over_q():
