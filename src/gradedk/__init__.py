@@ -6,7 +6,7 @@ from .fields import FieldSpec, GFElement
 from .groups import (GradeGroup, GroupElement, SubgroupSpec, coset_index,
                      coset_label, quotient_invariants, derived_subgroup)
 from .algebra import (Algebra, AlgebraElement, Subspace, center,
-                      commutator_subspace, is_central_simple, psi_matrix,
+                      commutator_subspace, integer_psi_matrix, is_central_simple,
                       minimal_polynomial, try_invert, two_sided_ideal_closure)
 from .graded import (GradedAlgebra, HomogeneousElement, TwistedGroupAlgebra,
                      graded_center, graded_module_basis, graded_tensor,

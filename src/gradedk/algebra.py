@@ -7,9 +7,10 @@ after construction: the kernel below is built from it once.
 
 The kernel. Construction also keeps the constants as plain ints,
 `Algebra.table`, with row i = {j: ((k, c), ...)} over the nonzero products
-e_i e_j, and their scale `Algebra.scale`. Over GF(p) the ints are the
-residues and the scale is 1. Over Q they are the constants times the scale
-D, the lcm of their denominators (and the unit's). Associativity and the
+e_i e_j, and their scale `Algebra.scale`, with the unit at the same
+scale in `Algebra.unit_ints`. Over GF(p) the ints are the residues and the
+scale is 1. Over Q they are the constants times the scale D, the lcm of
+their denominators (and the unit's). Associativity and the
 unit axiom are checked on this table at construction, on every basis
 triple. Every structure-constant loop runs on it too: products, regular
 matrices and ideal closure, the regular traces and product forms, psi, the
@@ -17,11 +18,13 @@ rows of the centre and of the commutator subspace, and the star action of
 A (x) A^op. Each input vector becomes integer numerators over one common
 denominator (`FieldSpec.to_ints`), the sums run on ints, and each output
 coordinate is converted once at the end (`FieldSpec.from_ints`), so the
-same loop serves Q and GF(p).
+same loop serves Q and GF(p). The rows that the centre, the commutator
+subspace, psi and the inverse hand to `linalg` stay integer rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -53,9 +56,9 @@ class Algebra:
         if unit is None:
             unit = self._find_unit()
         self.unit_coords = tuple(field.scalar(v) for v in unit)
-        self.table, self.scale, unit_ints = self._integer_constants()
+        self.table, self.scale, self.unit_ints = self._integer_constants()
         p = field.characteristic
-        self._check_unit(unit_ints, self.scale ** 2, p)
+        self._check_unit(self.unit_ints, self.scale ** 2, p)
         self._check_associativity(p)
 
     # -- construction helpers -----------------------------------------
@@ -63,16 +66,16 @@ class Algebra:
     def _find_unit(self):
         # solve u * e_j = e_j for all j as one linear system in u
         n = self.dim
-        rows = []
-        rhs = []
+        zero, one = self.field.zero, self.field.one
+        rows = []  # [A | b]
         for j in range(n):
             for k in range(n):
                 row = []
                 for i in range(n):
-                    row.append(self.products.get((i, j), {}).get(k, self.field.zero))
+                    row.append(self.products.get((i, j), {}).get(k, zero))
+                row.append(one if k == j else zero)
                 rows.append(row)
-                rhs.append(self.field.one if k == j else self.field.zero)
-        u = linalg.solve(rows, rhs)
+        u = linalg.solve(linalg.int_rows(rows, self.field), self.field)
         if u is None:
             raise ValueError("algebra has no left unit")
         return u
@@ -184,12 +187,19 @@ class Algebra:
             yield self.element(coords)
 
     def subspace(self, vectors):
-        rows = [list(v.coords if isinstance(v, AlgebraElement) else v) for v in vectors]
-        return Subspace(self, linalg.rref(rows)[0])
+        rows = [v.coords if isinstance(v, AlgebraElement) else v for v in vectors]
+        return Subspace(self, linalg.rref(linalg.int_rows(rows, self.field), self.field)[0])
 
     def full_subspace(self):
         """A itself; the identity rows are already its canonical echelon form."""
         return Subspace(self, [self.basis_element(i).coords for i in range(self.dim)])
+
+    @functools.cached_property
+    def trace_form(self):
+        """(form, den): the trace form (x, y) -> Tr(L_(xy)) as
+        `integer_product_form` of the regular traces, built on first use;
+        it depends on the structure constants alone."""
+        return integer_product_form(self, regular_traces(self))
 
     def __repr__(self):
         return "Algebra(dim=%d over %r)" % (self.dim, self.field)
@@ -379,7 +389,11 @@ def integer_product_form(algebra, w):
 def try_invert(x):
     """Two-sided inverse of x, or None."""
     alg = x.owner
-    y = linalg.solve(left_regular_matrix(x), list(alg.unit_coords))
+    # L_x = cols / (dx * scale) and 1 = unit_ints / scale, so L_x y = 1
+    # reads cols y = dx * unit_ints
+    cols, den = integer_regular_columns(alg, x.coords)
+    dx = den // alg.scale
+    y = linalg.solve([[*row, dx * u] for row, u in zip(zip(*cols), alg.unit_ints)], alg.field)
     if y is None:
         return None
     y = alg.element(y)
@@ -400,8 +414,7 @@ def center(algebra):
                 rows[i * n + k][j] -= c
                 rows[j * n + k][i] += c
     # a zero row constrains nothing; one is kept so that there are n columns
-    rows = [algebra.field.from_ints(r, algebra.scale) for r in rows if any(r)]
-    rows = rows or [[algebra.field.zero] * n]
+    rows = [r for r in rows if any(r)] or [[0] * n]
     return Subspace(algebra, linalg.nullspace(rows, algebra.field))
 
 
@@ -435,14 +448,16 @@ def two_sided_ideal_closure(algebra, generators):
         for left in (True, False):
             if any(add(col) for col in _regular_columns(algebra, v, left)):
                 return algebra.full_subspace()
-    return Subspace(algebra, linalg.rref(basis.values())[0])
+    return Subspace(algebra, linalg.rref(linalg.int_rows(basis.values(), algebra.field),
+                                         algebra.field)[0])
 
 
-def psi_matrix(algebra):
-    """The n^2 x n^2 matrix of psi: A (x) A^op -> End(A), psi(a (x) b)(x) =
-    a x b, straight from the structure constants. Column i*n + j is the
-    vectorization of x |-> e_i x e_j: row r*n + c holds the coefficient of
-    e_r in e_i e_c e_j."""
+def integer_psi_matrix(algebra):
+    """(rows, den): the n^2 x n^2 matrix of psi: A (x) A^op -> End(A),
+    psi(a (x) b)(x) = a x b, as integer rows over den, straight from the
+    structure constants. Column i*n + j is the vectorization of
+    x |-> e_i x e_j: row r*n + c holds the coefficient of e_r in
+    e_i e_c e_j."""
     n = algebra.dim
     table = algebra.table
     m = [[0] * (n * n) for _ in range(n * n)]
@@ -452,7 +467,7 @@ def psi_matrix(algebra):
                 for j, right in table[s].items():
                     for r, b in right:
                         m[r * n + c][i * n + j] += a * b
-    return [algebra.field.from_ints(r, algebra.scale ** 2) for r in m]
+    return m, algebra.scale ** 2
 
 
 def sandwich(algebra, coeffs, x):
@@ -483,7 +498,7 @@ def is_central_simple(algebra):
     if z.dim != 1:
         return VerdictReport("central-simple", FALSE, EXHAUSTIVE,
                              counterexample=("center-dim", z.dim))
-    kernel = linalg.nullspace(psi_matrix(algebra), algebra.field)
+    kernel = linalg.nullspace(integer_psi_matrix(algebra)[0], algebra.field)
     if kernel:
         return VerdictReport("central-simple", FALSE, EXHAUSTIVE,
                              counterexample=("psi-kernel-vector", kernel[0]))
@@ -496,16 +511,15 @@ def minimal_polynomial(x):
     alg = x.owner
     field = alg.field
     power = alg.one
-    rows = [list(power.coords)]
+    powers = [power.coords]
     while True:
         power = power * x
         # the lower powers are independent, so a solution exists exactly
         # when this power depends on them, and it is unique
-        mat = [[row[k] for row in rows] for k in range(alg.dim)]
-        sol = linalg.solve(mat, list(power.coords))
+        sol = linalg.solve(linalg.int_rows(zip(*powers, power.coords), field), field)
         if sol is not None:
             return [-c for c in sol] + [field.one]
-        rows.append(list(power.coords))
+        powers.append(power.coords)
 
 
 def evaluate_poly(coeffs, x):
@@ -533,5 +547,5 @@ def commutator_subspace(algebra):
             for k, c in table[j].get(i, ()):
                 row[k] -= c
             if any(row):  # rref drops a zero row
-                rows.append(algebra.field.from_ints(row, algebra.scale))
-    return Subspace(algebra, linalg.rref(rows)[0])
+                rows.append(row)
+    return Subspace(algebra, linalg.rref(rows, algebra.field)[0])

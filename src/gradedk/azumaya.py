@@ -8,7 +8,7 @@ import itertools
 from functools import cached_property
 
 from . import linalg
-from .algebra import center, left_regular_matrix, psi_matrix, sandwich
+from .algebra import center, integer_psi_matrix, left_regular_matrix, sandwich
 from .graded import graded_tensor, opposite, graded_center, is_graded_simple
 from .groups import derived_subgroup
 from .matrixring import (ShiftedMatrixAlgebra, is_graded_simple_matrix,
@@ -57,15 +57,16 @@ class EnvelopingAlgebra:
         return sandwich(self.source.algebra, e.coords, x)
 
     def psi_matrix(self):
-        """The n^2 x n^2 matrix of psi(a (x) b)(x) = a x b; column (i, j) is
-        the vectorization of x |-> e_i x e_j."""
-        return psi_matrix(self.source.algebra)
+        """(rows, den): the n^2 x n^2 matrix of psi(a (x) b)(x) = a x b as
+        integer rows over den; column (i, j) is the vectorization of
+        x |-> e_i x e_j."""
+        return integer_psi_matrix(self.source.algebra)
 
 
 def psi_bijective(graded):
     """Full-rank test for psi: A (x) A^op -> End(A) over the base field."""
     env = EnvelopingAlgebra(graded)
-    kernel = linalg.nullspace(env.psi_matrix(), graded.field)
+    kernel = linalg.nullspace(env.psi_matrix()[0], graded.field)
     full = env.n * env.n
     details = {"rank": full - len(kernel), "size": full}
     if not kernel:
@@ -122,8 +123,7 @@ def standard_separability_idempotent(g, env):
     for the algebras handled here)."""
     alg = env.tensor.algebra
     n2 = alg.dim
-    rows = []
-    rhs = []
+    rows = []  # [A | b]
     src = g.algebra
     # (a x 1) e - (1 x a) e = 0 for basis a; e * 1 = 1
     for i in range(src.dim):
@@ -131,8 +131,7 @@ def standard_separability_idempotent(g, env):
         diff = left_regular_matrix(env.embed_left(a))
         other = left_regular_matrix(env.embed_right(a))
         for r in range(n2):
-            rows.append([diff[r][c] - other[r][c] for c in range(n2)])
-            rhs.append(alg.field.zero)
+            rows.append([diff[r][c] - other[r][c] for c in range(n2)] + [alg.field.zero])
     # star-unit condition is linear in e
     star_cols = []
     for t in range(n2):
@@ -140,9 +139,8 @@ def standard_separability_idempotent(g, env):
         v = src.basis_element(i) * src.one * src.basis_element(j)
         star_cols.append(list(v.coords))
     for r in range(src.dim):
-        rows.append([star_cols[c][r] for c in range(n2)])
-        rhs.append(src.one.coords[r])
-    sol = linalg.solve(rows, rhs)
+        rows.append([star_cols[c][r] for c in range(n2)] + [src.one.coords[r]])
+    sol = linalg.solve(linalg.int_rows(rows, alg.field), alg.field)
     if sol is None:
         return None
     e = alg.element(sol)

@@ -192,21 +192,21 @@ def support_subgroup(g):
 
 
 def _strongly_graded_at(g, gamma):
-    """Certificate that 1 lies in R_gamma * R_{gamma^-1}, or None."""
+    """Certificate that 1 lies in R_gamma * R_{gamma^-1}, or None: a
+    solution of sum c_ij e_i e_j = 1 over i in R_gamma, j in R_(gamma^-1).
+    The column of e_i e_j is read off `Algebra.table`, at the scale of
+    `Algebra.unit_ints`."""
     alg = g.algebra
     left = g.component_indices(gamma)
     right = g.component_indices(gamma.inverse())
     if not left or not right:
         return None
-    pairs = []
-    cols = []
-    for i in left:
-        for j in right:
-            prod = alg.basis_element(i) * alg.basis_element(j)
-            pairs.append((i, j))
-            cols.append(list(prod.coords))
-    mat = [[cols[c][r] for c in range(len(cols))] for r in range(alg.dim)]
-    sol = linalg.solve(mat, list(alg.unit_coords))
+    pairs = [(i, j) for i in left for j in right]
+    rows = [[0] * len(pairs) + [u] for u in alg.unit_ints]  # [A | 1]
+    for c, (i, j) in enumerate(pairs):
+        for k, v in alg.table[i].get(j, ()):
+            rows[k][c] = v
+    sol = linalg.solve(rows, alg.field)
     if sol is None:
         return None
     return [(pairs[c], sol[c]) for c in range(len(pairs)) if sol[c]]
@@ -242,8 +242,9 @@ def is_crossed_product(g):
     ("degree", gamma, ("not-strongly-graded", gamma)). Otherwise A_gamma
     holds a unit iff A(gamma) ~gr A, the n = 1 case of `solve_shift_matrix`
     with d = (e) and a = (gamma), and its top-dimension certificate is the
-    witness."""
-    from .matrixring import _homogeneous_unit, solve_shift_matrix
+    witness. Its structured search would scan the degree for units again,
+    so only its tops are compared."""
+    from .matrixring import _homogeneous_unit, _shift_by_tops
     if isinstance(g, TwistedGroupAlgebra):
         return VerdictReport("crossed-product", TRUE, CONSTRUCTIVE,
                              witness="monomials u_g")
@@ -260,7 +261,7 @@ def is_crossed_product(g):
             return VerdictReport("crossed-product", FALSE, EXHAUSTIVE,
                                  counterexample=("degree", gamma,
                                                  ("not-strongly-graded", gamma)))
-        rep = solve_shift_matrix(g, [e], [gamma])
+        rep = _shift_by_tops(g, (e,), (gamma,))
         if not rep:
             return VerdictReport("crossed-product", FALSE, EXHAUSTIVE,
                                  counterexample=("degree", gamma, rep.counterexample))
@@ -338,8 +339,9 @@ def graded_radical(g):
     from .matrixring import identity_component
     comps = {d: g.component_indices(d) for d in support(g)}
     e_idx = comps[g.group.identity]
-    radical = jacobson_radical(identity_component(g)).rows or [[g.field.zero] * len(e_idx)]
-    ws = [g.field.to_ints(w)[0] for w in linalg.nullspace(radical, g.field)]
+    radical = linalg.int_rows(jacobson_radical(identity_component(g)).rows, g.field)
+    ws = [g.field.to_ints(w)[0]
+          for w in linalg.nullspace(radical or [[0] * len(e_idx)], g.field)]
     image = {k: [(r, w[c]) for r, w in enumerate(ws) if w[c]] for c, k in enumerate(e_idx)}
     parts = []
     for d, idx in comps.items():
@@ -349,7 +351,7 @@ def graded_radical(g):
                 for k, a in g.algebra.table[i].get(j, ()):
                     for r, b in image[k]:
                         rows.setdefault((j, r), [0] * len(idx))[t] += a * b
-        rows = [g.field.from_ints(row) for row in rows.values()] or [[g.field.zero] * len(idx)]
+        rows = list(rows.values()) or [[0] * len(idx)]
         parts += [g.component_element(d, v) for v in linalg.nullspace(rows, g.field)]
     return g.algebra.subspace(parts)
 
@@ -388,7 +390,7 @@ def _component_part(g, subspace, degree):
     combinations of the subspace's rows that vanish off the component."""
     rows = subspace.rows
     off = [[row[i] for row in rows] for i, d in enumerate(g.degrees) if d != degree]
-    kept = linalg.nullspace(off or [[g.field.zero] * len(rows)], g.field)
+    kept = linalg.nullspace(linalg.int_rows(off, g.field) or [[0] * len(rows)], g.field)
     return linalg.mat_mul(kept, rows)
 
 
@@ -430,7 +432,7 @@ def graded_module_basis(g, generators):
         by_degree.setdefault(h.degree, []).append(list(h.element.coords))
     basis = []
     for d in sorted(by_degree, key=lambda e: e.coords):
-        reduced, _ = linalg.rref(by_degree[d])
+        reduced, _ = linalg.rref(linalg.int_rows(by_degree[d], g.field), g.field)
         for row in reduced:
             basis.append(HomogeneousElement(g.algebra.element(row), d))
     return basis, len(basis)

@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 from . import linalg
 from .algebra import (Algebra, Subspace, center, evaluate_poly,
                       integer_product_form, integer_regular_columns,
-                      minimal_polynomial, regular_traces)
+                      minimal_polynomial)
 from .groups import coset_index
 from .matrixring import identity_component
 from .snf import smith_normal_form
@@ -138,21 +138,22 @@ def jacobson_radical(algebra):
     the input of `split_identity_component`."""
     field = algebra.field
     n = algebra.dim
-    w = regular_traces(algebra)  # g_0
-    rows = algebra.full_subspace().rows
+    form = algebra.trace_form[0]  # w(e_r e_c) for g_0, times a constant
+    basis = [[int(r == c) for c in range(n)] for r in range(n)]  # R, the rows of I_(i-1)
     i = 0
     while True:
-        form, den = integer_product_form(algebra, w)
-        gram = [field.from_ints([form.get((r, c), 0) for c in range(n)], den)
-                for r in range(n)]
-        # a = sum_s lam_s rows_s is kept iff w(a e_t) = (lam R G)_t = 0 for all t
-        kept = linalg.nullspace(linalg.transpose(linalg.mat_mul(rows, gram)), field)
-        rows = linalg.rref(linalg.mat_mul(kept, rows))[0] if kept else []
+        gram = [[form.get((r, c), 0) for c in range(n)] for r in range(n)]
+        # a = sum_s lam_s R_s is kept iff w(a e_t) = (lam R G)_t = 0 for all t
+        kept = linalg.int_rows(
+            linalg.nullspace(linalg.transpose(linalg.mat_mul(basis, gram)), field), field)
+        rows = linalg.rref(linalg.mat_mul(kept, basis), field)[0] if kept else []
         i += 1
         if not rows or field.kind == "rationals" or field.characteristic ** i > n:
             return Subspace(algebra, rows)
-        values = [field.scalar(_lifted_trace_digit(algebra.element(r), i)) for r in rows]
-        w = linalg.solve(rows, values)
+        basis = linalg.int_rows(rows, field)  # the residues: R exactly
+        values = [_lifted_trace_digit(algebra.element(r), i) for r in rows]
+        w = linalg.solve([r + [v] for r, v in zip(basis, values)], field)
+        form = integer_product_form(algebra, w)[0]
 
 
 def _quotient(algebra, radical):
@@ -248,10 +249,12 @@ def split_identity_component(algebra):
     zbasis = center(semisimple).basis_elements()
     idems = _central_primitive_idempotents(semisimple, zbasis)
     basis = [semisimple.basis_element(i) for i in range(semisimple.dim)]
+    field = semisimple.field
     blocks = []
     for e in idems:
-        block_basis, _ = linalg.rref([list((e * b).coords) for b in basis])
-        cdim = linalg.rank([list((e * z).coords) for z in zbasis])
+        block_basis, _ = linalg.rref(linalg.int_rows([(e * b).coords for b in basis], field),
+                                     field)
+        cdim = linalg.rank(linalg.int_rows([(e * z).coords for z in zbasis], field), field)
         blocks.append(BlockSummary(len(block_basis), cdim,
                                    *_block_type(semisimple, e, block_basis, cdim)))
     order = sorted(range(len(blocks)), key=lambda t: (blocks[t].dim, blocks[t].centre_dim))
@@ -288,7 +291,8 @@ def _block_type(algebra, e, block_basis, cdim):
 
 
 def _corner_dim(algebra, u, block_basis):
-    return linalg.rank([list((u * algebra.element(r) * u).coords) for r in block_basis])
+    return linalg.rank(linalg.int_rows([(u * algebra.element(r) * u).coords
+                                        for r in block_basis], algebra.field), algebra.field)
 
 
 def _quaternion_block_splits(algebra, e, block_basis):
@@ -299,17 +303,19 @@ def _quaternion_block_splits(algebra, e, block_basis):
     ch. III). It is 1 at the odd primes not dividing ab, and by Hilbert
     reciprocity (the product over all places is 1) the place 2 follows from
     the others, so infinity and the odd primes dividing ab decide it."""
+    field = algebra.field
     basis = [algebra.element(r) for r in block_basis]
-    x = next(b for b in basis if linalg.rank([b.coords, e.coords]) == 2)
+    x = next(b for b in basis
+             if linalg.rank(linalg.int_rows([b.coords, e.coords], field), field) == 2)
     # x^2 = c1 x + c0 e
-    columns = [[xc, ec] for xc, ec in zip(x.coords, e.coords)]
-    c1, c0 = linalg.solve(columns, list((x * x).coords))
+    c1, c0 = linalg.solve(linalg.int_rows(zip(x.coords, e.coords, (x * x).coords), field),
+                          field)
     x = x - e.scale(c1 / 2)
     a = c0 + c1 * c1 / 4
     if not a:
         return True
-    lam = linalg.nullspace(linalg.transpose([list((x * b + b * x).coords) for b in basis]),
-                           algebra.field)[0]
+    lam = linalg.nullspace(linalg.int_rows(zip(*[(x * b + b * x).coords for b in basis]),
+                                           field), field)[0]
     j = algebra.zero
     for c, b in zip(lam, basis):
         j = j + b.scale(c)

@@ -1,23 +1,36 @@
-"""Exact linear algebra over a field: adapters to sympy.
+"""Exact linear algebra over Q and GF(p), eliminating on integers.
 
-Matrices are dense lists of lists of field scalars (Fraction or GFElement);
-all routines return canonical exact results. Row spaces are canonicalized via
-reduced row echelon form so subspace equality is a data comparison.
-Elimination is sympy's sparse ``sdm`` routines, run on dict rows of these
-scalars with no domain conversion. The characteristic polynomial is sympy's
-``DomainMatrix.charpoly`` over QQ or GF(p), and ``to_sympy_poly``/
-``from_sympy_poly`` carry a coefficient list to a sympy ``Poly`` (for
-factoring) and back; no polynomial arithmetic is done here.
+The four eliminations, `rref`, `rank`, `nullspace` and `solve`, take
+integer rows and the field, and return field scalars. Over GF(p) a row
+counts by its residues. Over Q a row counts up to a nonzero factor, since
+scaling a row changes neither the row space nor the kernel; `int_rows`
+turns rows of field scalars into such rows with `FieldSpec.to_ints`, and
+the structure-constant kernel passes its integer rows as they are. `solve`
+takes the rows of the augmented matrix [A | b], so a row is scaled
+together with its right-hand side.
+
+There is one elimination per field. Over GF(p) it is a sparse Gauss-Jordan
+on residues, the loop of sympy's `sdm_irref` with `% p` and
+`pow(a, -1, p)`. Over Q it is sympy's fraction-free `sdm_rref_den` over ZZ
+(Bareiss-style). Each output coordinate is converted once, by
+`FieldSpec.from_ints`. The results are canonical: rref rows have unit
+pivots and no zero rows, and a kernel basis is its own rref, so subspace
+equality is a data comparison.
+
+`mat_mul` multiplies ints or field scalars alike. The characteristic
+polynomial is sympy's ``DomainMatrix.charpoly`` over QQ or GF(p), and
+``to_sympy_poly``/``from_sympy_poly`` carry a coefficient list to a sympy
+``Poly`` (for factoring) and back; no polynomial arithmetic is done here.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.sdm import (
-    sdm_irref, sdm_nullspace_from_rref, sdm_particular_from_rref)
+from sympy.polys.matrices.sdm import sdm_rref_den
 
 
 def mat_mul(a, b):
@@ -37,43 +50,111 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def _dict_rows(rows):
-    """(sdm dict rows of the nonzero entries, column count) of dense rows."""
-    sparse, ncols = {}, 0
-    for i, row in enumerate(rows):
+def int_rows(rows, field):
+    """Rows of field scalars as integer rows with the same row space and
+    kernel: each row's numerators over the lcm of its denominators."""
+    return [field.to_ints(row)[0] for row in rows]
+
+
+def _irref_mod(rows, p):
+    """(rows, pivots): the reduced row echelon form over GF(p) of nonzero
+    residue dict rows, one row per pivot in pivot order, 1 at its pivot.
+    Each new row is cleared at the earlier pivots; its leading entry then
+    becomes a pivot, scaled to 1, and is cleared from the earlier rows that
+    hold its column. A row that is its pivot alone needs no more work."""
+    pivot_row = {}  # pivot column -> its row
+    single, multi = set(), set()  # pivots of rows with one / more entries
+    holding = defaultdict(set)  # column -> pivots of the multi rows nonzero there
+    for a in rows:
+        a = {j: x for j, x in a.items() if j not in single}
+        for c in multi & a.keys():
+            f = a.pop(c)
+            for k, y in pivot_row[c].items():
+                if k != c:
+                    v = (a.get(k, 0) - f * y) % p
+                    if v:
+                        a[k] = v
+                    else:
+                        a.pop(k, None)
+        if not a:
+            continue
+        j = min(a)
+        inv = pow(a[j], -1, p)
+        a = {k: x * inv % p for k, x in a.items()}
+        for c in holding.pop(j, ()):
+            b = pivot_row[c]
+            f = b.pop(j)
+            for k, y in a.items():
+                if k != j:
+                    v = (b.get(k, 0) - f * y) % p
+                    if v:
+                        b[k] = v
+                        holding[k].add(c)
+                    elif b.pop(k, None) is not None:
+                        holding[k].discard(c)
+            if len(b) == 1:
+                multi.discard(c)
+                single.add(c)
+        pivot_row[j] = a
+        if len(a) == 1:
+            single.add(j)
+        else:
+            multi.add(j)
+            for k in a:
+                if k != j:
+                    holding[k].add(j)
+    pivots = sorted(pivot_row)
+    return [pivot_row[j] for j in pivots], pivots
+
+
+def _eliminate(rows, p):
+    """(rows, den, pivots): the rref of nonzero dict rows of ints, one row
+    per pivot in pivot order, holding den at its pivot. Over GF(p) (p > 0)
+    the entries are residues and den is 1; over Q (p = 0) the row of
+    pivots[i] is den times the rref row."""
+    if p:
+        red, pivots = _irref_mod(rows, p)
+        return red, 1, pivots
+    red, den, pivots = sdm_rref_den(dict(enumerate(rows)), sympy.ZZ)
+    return list(red.values()), den, pivots
+
+
+def _reduced(rows, field):
+    """(rows, den, pivots, column count) of `_eliminate` on integer rows."""
+    p = field.characteristic
+    sparse, ncols = [], 0
+    for row in rows:
         ncols = len(row)
-        nz = {j: x for j, x in enumerate(row) if x}
+        if p:
+            nz = {j: r for j, x in enumerate(row) if x and (r := x % p)}
+        else:
+            nz = {j: x for j, x in enumerate(row) if x}
         if nz:
-            sparse[i] = nz
-    return sparse, ncols
+            sparse.append(nz)
+    return (*_eliminate(sparse, p), ncols)
 
 
-def _dense_rows(sparse, ncols, zero):
+def _scalars(rows, den, ncols, field):
+    """Dense rows of field scalars from dict rows of ints over den."""
     out = []
-    for nz in sparse:
-        row = [zero] * ncols
+    for nz in rows:
+        row = [0] * ncols
         for j, x in nz.items():
             row[j] = x
-        out.append(row)
+        out.append(field.from_ints(row, den))
     return out
 
 
-def rref(rows):
-    """Reduced row echelon form with unit pivots; returns (rows, pivot_cols).
-
-    Zero rows are dropped, so the result is the canonical basis of the row
-    space.
-    """
-    sparse, ncols = _dict_rows(rows)
-    red, pivots, _ = sdm_irref(sparse)
-    if not pivots:
-        return [], []
-    one = red[0][pivots[0]]
-    return _dense_rows(red.values(), ncols, one - one), pivots
+def rref(rows, field):
+    """Reduced row echelon form with unit pivots of integer rows; returns
+    (rows, pivot_cols). Zero rows are dropped, so the result is the
+    canonical basis of the row space."""
+    red, den, pivots, ncols = _reduced(rows, field)
+    return _scalars(red, den, ncols, field), pivots
 
 
-def rank(a):
-    return len(sdm_irref(_dict_rows(a)[0])[1])
+def rank(rows, field):
+    return len(_reduced(rows, field)[2])
 
 
 def echelon_pairs(rows):
@@ -99,27 +180,36 @@ def row_space_contains(echelon, vec):
     return not any(reduce_vector(echelon_pairs(echelon), vec))
 
 
-def solve(a, b):
-    """One solution of A x = b, or None if inconsistent."""
-    if not a:
+def solve(rows, field):
+    """One solution of A x = b, given the integer rows of [A | b], with
+    every free variable 0; None if inconsistent."""
+    if not rows:
         return []
-    sparse, cols = _dict_rows(a)
-    for i, bi in enumerate(b):
-        if bi:
-            sparse.setdefault(i, {})[cols] = bi
-    red, pivots, _ = sdm_irref(sparse)
+    red, den, pivots, ncols = _reduced(rows, field)
+    cols = ncols - 1
     if pivots and pivots[-1] == cols:
         return None
-    particular = sdm_particular_from_rref(red, cols + 1, pivots)
-    return _dense_rows([particular], cols, b[0] - b[0])[0]
+    x = [0] * cols
+    for row, c in zip(red, pivots):
+        x[c] = row.get(cols, 0)
+    return field.from_ints(x, den)
 
 
-def nullspace(a, field):
-    """Canonical basis (rows) of {x : A x = 0}."""
-    sparse, cols = _dict_rows(a)
-    red, pivots, nonzero_cols = sdm_irref(sparse)
-    kernel, _ = sdm_nullspace_from_rref(red, field.one, cols, pivots, nonzero_cols)
-    return _dense_rows(sdm_irref(dict(enumerate(kernel)))[0].values(), cols, field.zero)
+def nullspace(rows, field):
+    """Canonical basis (rows) of {x : A x = 0} for integer rows A: a
+    kernel vector per free column j, den at j and minus the rref entries at
+    the pivots, put in rref."""
+    p = field.characteristic
+    red, den, pivots, ncols = _reduced(rows, field)
+    kernel = {j: {j: den} for j in range(ncols)}
+    for c in pivots:
+        del kernel[c]
+    for row, c in zip(red, pivots):
+        for j, x in row.items():
+            if j != c:
+                kernel[j][c] = -x % p if p else -x
+    basis, den, _ = _eliminate(list(kernel.values()), p)
+    return _scalars(basis, den, ncols, field)
 
 
 # -- sympy domains; polynomials are ascending coefficient lists --------

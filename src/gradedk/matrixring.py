@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import linalg
-from .algebra import (Algebra, AlgebraElement, center, left_regular_matrix,
+from .algebra import (Algebra, AlgebraElement, center, integer_regular_columns,
                       try_invert)
 from .graded import (GradedAlgebra, TwistedGroupAlgebra, graded_radical,
                      validate_grading, support_subgroup as algebra_support_subgroup)
@@ -252,7 +252,7 @@ def central_scalar_check(m):
                 rows.append([coeffs.get(t, field.zero) for t in range(len(monos))])
         # what commutes with every matrix unit is a scalar matrix, so Z(A)_lam
         # is u_lam I for lam in Gamma_R and 0 elsewhere
-        dim = len(linalg.nullspace(rows, field))
+        dim = len(linalg.nullspace(linalg.int_rows(rows, field), field))
         want = 1 if m.base.has_component(lam) else 0
         if dim != want:
             return VerdictReport("centre-is-base", FALSE, EXHAUSTIVE,
@@ -292,7 +292,9 @@ def _top_dimensions(g, degrees):
                              [d for c, d in enumerate(g.degrees) if c not in pivots])
     top, eps = covering_algebra(quotient, degrees)
     idems = _central_primitive_idempotents(top, center(top).basis_elements())
-    dims = {s: tuple(linalg.rank(left_regular_matrix(x * f)) for f in idems)
+    # rank L_y is the rank of its integer columns
+    dims = {s: tuple(linalg.rank(integer_regular_columns(top, (x * f).coords)[0], top.field)
+                     for f in idems)
             for s, x in eps.items()}
     return dims, idems
 
@@ -360,6 +362,12 @@ def solve_shift_matrix(base_graded, d, a):
     found = _structured_witness(base_graded, d, a)
     if found is not None:
         return VerdictReport("shift-matrix", TRUE, CONSTRUCTIVE, witness=found)
+    return _shift_by_tops(base_graded, d, a)
+
+
+def _shift_by_tops(base_graded, d, a):
+    """The exhaustive half of `solve_shift_matrix`, for tuples d and a of
+    equal length: compare sum_i v(d_i) with sum_j v(a_j)."""
     cover = tuple(dict.fromkeys(d + a))
     dims, idems = _top_dimensions(base_graded, cover)
     v_d, v_a = ([sum(col) for col in zip(*(dims[s] for s in side))] for side in (d, a))

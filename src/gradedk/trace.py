@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import (Subspace, center, commutator_subspace,
-                      integer_product_form, left_regular_matrix, regular_traces)
+from .algebra import (Subspace, center, commutator_subspace, left_regular_matrix,
+                      regular_traces)
 from .graded import support
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE
 
@@ -46,7 +46,7 @@ def reduced_char_poly(algebra, a):
     n = _degree(algebra)
     if field.characteristic == 0 or field.characteristic > n:
         # Tr(L_(xy)) = sum_(r,c) form[r, c] x_r y_c / den, on ints
-        form, den = integer_product_form(algebra, regular_traces(algebra))
+        form, den = algebra.trace_form
         powers = [algebra.one, a]
         for _ in range(1, (n + 1) // 2):
             powers.append(powers[-1] * a)
@@ -98,7 +98,8 @@ def trd_kernel_check(algebra):
     of degree n over a field with char not dividing n."""
     n = _degree(algebra)
     func = trd_functional(algebra)
-    kernel = Subspace(algebra, linalg.nullspace([func], algebra.field))
+    kernel = Subspace(algebra, linalg.nullspace(linalg.int_rows([func], algebra.field),
+                                                algebra.field))
     comm = commutator_subspace(algebra)
     details = {"kernel-dim": kernel.dim, "commutator-dim": comm.dim,
                "expected": n * n - 1}

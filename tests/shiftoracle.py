@@ -53,7 +53,7 @@ def pattern_inverse(g, r, d, a):
             add_eq([((j, i, k), r[i][l], "right") for i in range(n)
                     for k in g.component_indices(a[j].inverse() * d[i])],
                    alg.one if j == l else alg.zero)
-    sol = linalg.solve(rows, rhs)
+    sol = linalg.solve(linalg.int_rows([row + [b] for row, b in zip(rows, rhs)], field), field)
     if sol is None:
         return None
     t = [[alg.zero] * n for _ in range(m)]
@@ -112,7 +112,9 @@ def recompute_top_dimensions(g, cover):
         diagonal = "E%d%d*" % (i + 1, i + 1)
         eps = e_alg.element([c if label.startswith(diagonal) else 0
                              for c, label in zip(e_alg.unit_coords, e_alg.labels)])
-        dims[s] = tuple(linalg.rank(left_regular_matrix(project(eps) * f)) for f in idems)
+        dims[s] = tuple(linalg.rank(linalg.int_rows(left_regular_matrix(project(eps) * f),
+                                                    top.field), top.field)
+                        for f in idems)
     return dims, idems
 
 

@@ -217,7 +217,8 @@ def test_criterion_8_good_gradings():
                 assert f(x * y) == f(x) * f(y)
             assert s.degree_of(img[i]) == r.degrees[i]
         assert f(r.algebra.one) == alg.one
-        assert linalg.rank([list(img[t].coords) for t in range(4)]) == 4
+        assert linalg.rank(linalg.int_rows([img[t].coords for t in range(4)], alg.field),
+                           alg.field) == 4
     _run(8, "good grading detected for R, refuted for S, graded iso R -> S", body)
 
 

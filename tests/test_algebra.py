@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from gradedk import algebra as algebra_module, linalg
-from gradedk.algebra import (center, commutator_subspace, is_central_simple,
-                             left_regular_matrix, minimal_polynomial,
-                             psi_matrix, right_regular_matrix, try_invert,
+from gradedk.algebra import (center, commutator_subspace, integer_psi_matrix,
+                             is_central_simple, left_regular_matrix, minimal_polynomial,
+                             right_regular_matrix, try_invert,
                              two_sided_ideal_closure, evaluate_poly)
 from gradedk.constructors import (construct_matrix_algebra,
                                   construct_quaternion,
@@ -204,11 +204,12 @@ def _reference_ideal_closure(alg, x):
     """The rref fixed-point loop: close the span under products with every
     basis element until the dimension stops growing."""
     basis = [alg.basis_element(i) for i in range(alg.dim)]
-    span = linalg.rref([list(x.coords)])[0]
+    rref = lambda vectors: linalg.rref(linalg.int_rows(vectors, alg.field), alg.field)[0]
+    span = rref([x.coords])
     while True:
         rows = [alg.element(r) for r in span]
-        grown = linalg.rref(span + [list((v * b).coords) for v in rows for b in basis]
-                            + [list((b * v).coords) for v in rows for b in basis])[0]
+        grown = rref(span + [(v * b).coords for v in rows for b in basis]
+                     + [(b * v).coords for v in rows for b in basis])
         if len(grown) == len(span):
             return span
         span = grown
@@ -250,7 +251,8 @@ def upper_triangular_algebra(field, basis):
     for i, (a11, a12, a22) in enumerate(basis):
         for j, (b11, b12, b22) in enumerate(basis):
             ab = [a11 * b11, a11 * b12 + a12 * b22, a22 * b22]
-            coords = linalg.solve(cols, [field.scalar(x) for x in ab])
+            coords = linalg.solve(linalg.int_rows([row + [field.scalar(x)]
+                                                   for row, x in zip(cols, ab)], field), field)
             products[(i, j)] = dict(enumerate(coords))
     return Algebra(field, ["b0", "b1", "b2"], products)
 
@@ -286,7 +288,8 @@ def test_psi_matrix_matches_regular_representations():
                 for r in range(n):
                     for c in range(n):
                         reference[r * n + c][i * n + j] = m[r][c]
-        assert psi_matrix(alg) == reference
+        rows, den = integer_psi_matrix(alg)
+        assert [alg.field.from_ints(row, den) for row in rows] == reference
 
 
 def test_minimal_polynomial():

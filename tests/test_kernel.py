@@ -16,16 +16,17 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from gradedk import linalg
-from gradedk.algebra import (Algebra, center, commutator_subspace,
-                             integer_product_form, left_regular_matrix, multiply,
-                             psi_matrix, regular_traces, right_regular_matrix)
+from gradedk.algebra import (Algebra, center, commutator_subspace, integer_product_form,
+                             integer_psi_matrix, left_regular_matrix, multiply,
+                             regular_traces, right_regular_matrix)
 from gradedk.azumaya import EnvelopingAlgebra
 from gradedk.constructors import (construct_group_ring, construct_matrix_algebra,
                                   construct_quaternion, construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
-from gradedk.graded import GradedAlgebra
+from gradedk.graded import GradedAlgebra, _strongly_graded_at, support
 from gradedk.groups import GradeGroup
 from gradedk.ktheory import _lifted_trace_digit
+from gradedk.matrixring import ShiftedMatrixAlgebra
 from gradedk.trace import reduced_char_poly
 
 from randomdata import random_constructed, random_element, random_scalar
@@ -96,7 +97,7 @@ def ref_center_rows(alg):
         for k, c in terms.items():
             rows[i * n + k][j] -= c
             rows[j * n + k][i] += c
-    return [tuple(r) for r in linalg.nullspace(rows, alg.field)]
+    return [tuple(r) for r in linalg.nullspace(linalg.int_rows(rows, alg.field), alg.field)]
 
 
 def ref_commutator_rows(alg):
@@ -110,7 +111,7 @@ def ref_commutator_rows(alg):
             for k, c in alg.products.get((j, i), {}).items():
                 row[k] -= c
             rows.append(row)
-    return [tuple(r) for r in linalg.rref(rows)[0]]
+    return [tuple(r) for r in linalg.rref(linalg.int_rows(rows, alg.field), alg.field)[0]]
 
 
 def ref_reduced_char_poly(alg, a):
@@ -153,6 +154,21 @@ def ref_star(alg, e, x):
     return out
 
 
+def ref_strongly_graded_at(g, gamma):
+    """The certificate from products of basis elements, as field scalars."""
+    alg = g.algebra
+    left = g.component_indices(gamma)
+    right = g.component_indices(gamma.inverse())
+    if not left or not right:
+        return None
+    pairs = [(i, j) for i in left for j in right]
+    cols = [(alg.basis_element(i) * alg.basis_element(j)).coords for i, j in pairs]
+    sol = linalg.solve(linalg.int_rows(zip(*cols, alg.unit_coords), alg.field), alg.field)
+    if sol is None:
+        return None
+    return [(pairs[c], sol[c]) for c in range(len(pairs)) if sol[c]]
+
+
 def ref_lifted_trace_digit(x, i):
     """The digit g_i(x), or None where p^i does not divide the trace."""
     p = x.owner.field.characteristic
@@ -172,15 +188,59 @@ def rebased(alg, rng):
     field, n = alg.field, alg.dim
     while True:
         p = [[random_scalar(field, rng, 3) for _ in range(n)] for _ in range(n)]
-        if linalg.rank(p) == n:
+        if linalg.rank(linalg.int_rows(p, field), field) == n:
             break
     f = [alg.element(row) for row in p]
-    pt = linalg.transpose(p)
-    coords = lambda v: linalg.solve(pt, list(v))
+    coords = lambda v: linalg.solve(linalg.int_rows(zip(*p, v), field), field)
     products = {(i, j): dict(enumerate(coords(ref_multiply(a, b))))
                 for i, a in enumerate(f) for j, b in enumerate(f)}
     return Algebra(field, ["f%d" % i for i in range(n)], products,
                    unit=coords(alg.unit_coords))
+
+
+def rebased_graded(g, rng):
+    """g on a random homogeneous basis: each component's basis replaced by
+    random combinations of itself (an invertible block of `rebased`'s
+    kind), so the constants and the unit are in general not integers."""
+    alg, field, n = g.algebra, g.field, g.dim
+    p = [[field.zero] * n for _ in range(n)]
+    for d in support(g):
+        idx = g.component_indices(d)
+        while True:
+            block = [[random_scalar(field, rng, 3) for _ in idx] for _ in idx]
+            if linalg.rank(linalg.int_rows(block, field), field) == len(idx):
+                break
+        for r, i in enumerate(idx):
+            for c, j in enumerate(idx):
+                p[i][j] = block[r][c]
+    f = [alg.element(row) for row in p]
+    coords = lambda v: linalg.solve(linalg.int_rows(zip(*p, v), field), field)
+    products = {(i, j): dict(enumerate(coords(ref_multiply(a, b))))
+                for i, a in enumerate(f) for j, b in enumerate(f)}
+    return GradedAlgebra(Algebra(field, ["f%d" % i for i in range(n)], products,
+                                 unit=coords(alg.unit_coords)), g.group, g.degrees)
+
+
+def dual_numbers_mod2(field):
+    """F[x]/(x^2) graded by Z/2 with x odd: A_1 A_1 = 0, not strongly graded."""
+    group = GradeGroup.cyclic(2)
+    alg = Algebra(field, ["1", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                  unit=[1, 0])
+    return GradedAlgebra(alg, group, [group.element((0,)), group.element((1,))])
+
+
+def graded_algebras():
+    rng = random.Random(20112)
+    out = [random_constructed(rng) for _ in range(16)]
+    out = [g for g in out if g.dim <= 16]
+    for field in FIELDS:
+        out.append(dual_numbers_mod2(field))
+        base = construct_group_ring(field, GradeGroup.cyclic(2))
+        out.append(ShiftedMatrixAlgebra(base, [base.group.element((c,)) for c in (0, 1)])
+                   .materialized)
+    out += [construct_truncated_polynomial(Q, 3), construct_quaternion(Q, -1, 3),
+            construct_group_ring(Q, GradeGroup.symmetric_3())]
+    return out + [rebased_graded(g, rng) for g in out]
 
 
 def scalar_line(field, c):
@@ -264,7 +324,8 @@ def test_traces_forms_centre_commutators_psi(alg):
     assert same(center(alg).rows, ref_center_rows(alg))
     assert same(commutator_subspace(alg).rows, ref_commutator_rows(alg))
     if alg.dim <= 6:
-        assert same(psi_matrix(alg), ref_psi_matrix(alg))
+        rows, den = integer_psi_matrix(alg)
+        assert same([alg.field.from_ints(row, den) for row in rows], ref_psi_matrix(alg))
 
 
 @pytest.mark.parametrize("alg", [a for a in ALGEBRAS if math.isqrt(a.dim) ** 2 == a.dim],
@@ -286,6 +347,31 @@ def test_star(alg):
     for e in (random_element(tensor, rng), tensor.one, tensor.zero):
         for x in elements(alg, rng):
             assert same(env.star(e, x).coords, tuple(ref_star(alg, e.coords, x)))
+
+
+def test_strong_grading_certificates_read_off_the_table():
+    """`_strongly_graded_at` reads e_i e_j off `Algebra.table`; its
+    certificates equal the solve on products of basis elements, and each
+    one sums to 1, on bases with non-integral constants and unit too."""
+    found = missing = rebased_non_integral = 0
+    for g in graded_algebras():
+        alg = g.algebra
+        if alg.field.kind == "rationals":
+            rebased_non_integral += alg.scale != 1 or any(u.denominator != 1
+                                                          for u in alg.unit_coords)
+        for d in support(g):
+            for gamma in (d, d.inverse()):
+                cert = _strongly_graded_at(g, gamma)
+                assert same(cert, ref_strongly_graded_at(g, gamma)), (g.algebra, gamma)
+                if cert is None:
+                    missing += 1
+                    continue
+                found += 1
+                total = alg.zero
+                for (i, j), c in cert:
+                    total = total + (alg.basis_element(i) * alg.basis_element(j)).scale(c)
+                assert total == alg.one
+    assert found > 50 and missing > 5 and rebased_non_integral >= 6
 
 
 @pytest.mark.parametrize("alg", [a for a in ALGEBRAS if a.field.characteristic],

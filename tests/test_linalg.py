@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.sdm import (
+    sdm_irref, sdm_nullspace_from_rref, sdm_particular_from_rref)
 
 from gradedk import linalg
 from gradedk.algebra import is_central_simple
@@ -25,12 +27,20 @@ def mat_vec(field, a, x):
     return [sum((r * y for r, y in zip(row, x)), field.zero) for row in a]
 
 
+def rref(m, field):
+    return linalg.rref(linalg.int_rows(m, field), field)
+
+
+def solve(a, b, field):
+    return linalg.solve(linalg.int_rows([row + [x] for row, x in zip(a, b)], field), field)
+
+
 def test_rref_canonical_and_idempotent():
     rng = random.Random(1)
     for _ in range(50):
         m = rand_matrix(rng, Q, rng.randint(1, 5), rng.randint(1, 5))
-        red, pivots = linalg.rref(m)
-        again, pivots2 = linalg.rref(red)
+        red, pivots = rref(m, Q)
+        again, pivots2 = rref(red, Q)
         assert red == again and pivots == pivots2
         for row, c in zip(red, pivots):
             assert row[c] == 1
@@ -48,19 +58,20 @@ def test_solve_and_nullspace_agree():
             a = rand_matrix(rng, field, rows, cols)
             x = [random_scalar(field, rng) for _ in range(cols)]
             b = mat_vec(field, a, x)
-            sol = linalg.solve(a, b)
+            sol = solve(a, b, field)
             assert sol is not None
             assert mat_vec(field, a, sol) == b
             # nullspace vectors really annihilate
-            for v in linalg.nullspace(a, field):
+            ints = linalg.int_rows(a, field)
+            for v in linalg.nullspace(ints, field):
                 assert not any(mat_vec(field, a, v))
             # rank-nullity
-            assert linalg.rank(a) + len(linalg.nullspace(a, field)) == cols
+            assert linalg.rank(ints, field) + len(linalg.nullspace(ints, field)) == cols
 
 
 def test_solve_inconsistent():
     a = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert linalg.solve(a, [Fraction(1), Fraction(2)]) is None
+    assert solve(a, [Fraction(1), Fraction(2)], Q) is None
 
 
 def test_mat_mul_skips_zero_entries_and_matches_the_dense_sum():
@@ -121,8 +132,8 @@ def test_charpoly_gf():
 
 
 def test_row_space_contains():
-    rows, _ = linalg.rref([[Fraction(1), Fraction(2), Fraction(0)],
-                           [Fraction(0), Fraction(0), Fraction(1)]])
+    rows, _ = rref([[Fraction(1), Fraction(2), Fraction(0)],
+                    [Fraction(0), Fraction(0), Fraction(1)]], Q)
     assert linalg.row_space_contains(rows, [Fraction(2), Fraction(4), Fraction(7)])
     assert not linalg.row_space_contains(rows, [Fraction(0), Fraction(1), Fraction(0)])
 
@@ -193,20 +204,163 @@ def test_rref_nullspace_solve_match_dense_sympy():
     for field, m in _differential_cases():
         count += 1
         want_rows, want_pivots = _oracle_rref(m, field)
-        assert linalg.rref(m) == (want_rows, want_pivots)
-        assert linalg.rank(m) == len(want_pivots)
-        assert linalg.nullspace(m, field) == _oracle_nullspace(m, field)
+        ints = linalg.int_rows(m, field)
+        assert linalg.rref(ints, field) == (want_rows, want_pivots)
+        assert linalg.rank(ints, field) == len(want_pivots)
+        assert linalg.nullspace(ints, field) == _oracle_nullspace(m, field)
         b = [random_scalar(field, rng, 4) for _ in m]
         aug = [row + [bi] for row, bi in zip(m, b)]
         consistent = len(want_pivots) == len(_oracle_rref(aug, field)[1])
-        sol = linalg.solve(m, b)
+        sol = solve(m, b, field)
         assert (sol is not None) == consistent
         if consistent:
             assert mat_vec(field, m, sol) == b
         x = [random_scalar(field, rng, 4) for _ in m[0]]
-        sol = linalg.solve(m, mat_vec(field, m, x))
+        sol = solve(m, mat_vec(field, m, x), field)
         assert sol is not None and mat_vec(field, m, sol) == mat_vec(field, m, x)
     assert count > 200
+
+
+# -- differential test against the scalar elimination -------------------
+#
+# The reference functions are the elimination that the integer one replaced:
+# sympy's sparse `sdm_irref` run on dict rows of the Fraction or GFElement
+# scalars themselves. The integer elimination must give the same rref, rank,
+# kernel basis and particular solution, with `==` and the same scalar types.
+
+
+def _ref_dict_rows(rows):
+    sparse, ncols = {}, 0
+    for i, row in enumerate(rows):
+        ncols = len(row)
+        nz = {j: x for j, x in enumerate(row) if x}
+        if nz:
+            sparse[i] = nz
+    return sparse, ncols
+
+
+def _ref_dense_rows(sparse, ncols, zero):
+    out = []
+    for nz in sparse:
+        row = [zero] * ncols
+        for j, x in nz.items():
+            row[j] = x
+        out.append(row)
+    return out
+
+
+def ref_rref(rows):
+    sparse, ncols = _ref_dict_rows(rows)
+    red, pivots, _ = sdm_irref(sparse)
+    if not pivots:
+        return [], []
+    one = red[0][pivots[0]]
+    return _ref_dense_rows(red.values(), ncols, one - one), pivots
+
+
+def ref_rank(rows):
+    return len(sdm_irref(_ref_dict_rows(rows)[0])[1])
+
+
+def ref_solve(a, b):
+    if not a:
+        return []
+    sparse, cols = _ref_dict_rows(a)
+    for i, bi in enumerate(b):
+        if bi:
+            sparse.setdefault(i, {})[cols] = bi
+    red, pivots, _ = sdm_irref(sparse)
+    if pivots and pivots[-1] == cols:
+        return None
+    particular = sdm_particular_from_rref(red, cols + 1, pivots)
+    return _ref_dense_rows([particular], cols, b[0] - b[0])[0]
+
+
+def ref_nullspace(a, field):
+    sparse, cols = _ref_dict_rows(a)
+    red, pivots, nonzero_cols = sdm_irref(sparse)
+    kernel, _ = sdm_nullspace_from_rref(red, field.one, cols, pivots, nonzero_cols)
+    return _ref_dense_rows(sdm_irref(dict(enumerate(kernel)))[0].values(), cols, field.zero)
+
+
+def same(a, b):
+    """Equal and of the same scalar types, entry by entry."""
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return type(a) is type(b) and a == b
+
+
+ELIMINATION_FIELDS = [Q] + [FieldSpec.prime_field(p) for p in (2, 3, 5, 7, 101)]
+
+
+def _wide_scalar(field, rng):
+    """A field scalar; over Q with numerators and denominators up to 10^12,
+    so that the rows of one matrix have large, unequal denominators."""
+    if field.kind == "prime-field":
+        return random_scalar(field, rng)
+    return Fraction(rng.randint(-10 ** rng.randint(0, 12), 10 ** rng.randint(0, 12)),
+                    rng.randint(1, 10 ** rng.randint(0, 12)))
+
+
+def _elimination_cases(field, rng):
+    """(kind, matrix) pairs: the edge shapes, then random matrices of every
+    shape, some with zero rows and dependent rows."""
+    zero = field.zero
+    yield "empty", []
+    yield "zero-rows", [[zero] * 4 for _ in range(3)]
+    yield "one-zero-entry", [[zero]]
+    yield "one-row", [[_wide_scalar(field, rng) for _ in range(5)]]
+    for kind, (rows, cols) in (("tall", (9, 3)), ("wide", (3, 9)), ("square", (6, 6)),
+                               ("one-column", (5, 1))) * 6:
+        density = rng.choice((0.2, 0.5, 1.0))
+        m = [[_wide_scalar(field, rng) if rng.random() < density else zero
+              for _ in range(cols)] for _ in range(rows)]
+        yield kind, m
+        if rows > 2:  # rank deficient: a zero row and a sum of two rows
+            deficient = [list(row) for row in m]
+            deficient[0] = [zero] * cols
+            deficient[-1] = [a + b for a, b in zip(m[1], m[2])]
+            yield kind + "-deficient", deficient
+
+
+def test_elimination_matches_the_scalar_sdm_irref():
+    rng = random.Random(181)
+    kinds = set()
+    inconsistent = 0
+    for field in ELIMINATION_FIELDS:
+        for kind, m in _elimination_cases(field, rng):
+            kinds.add(kind)
+            ints = linalg.int_rows(m, field)
+            red, pivots = linalg.rref(ints, field)
+            want_red, want_pivots = ref_rref(m)
+            assert same(red, want_red) and pivots == want_pivots, (field, kind, m)
+            assert linalg.rank(ints, field) == ref_rank(m)
+            assert same(linalg.nullspace(ints, field), ref_nullspace(m, field))
+            rhs = [[_wide_scalar(field, rng) for _ in m]]  # in general inconsistent
+            if m and m[0]:
+                x = [_wide_scalar(field, rng) for _ in m[0]]
+                rhs.append(mat_vec(field, m, x))  # consistent
+            for b in rhs:
+                got = linalg.solve(linalg.int_rows([row + [c] for row, c in zip(m, b)],
+                                                   field), field)
+                want = ref_solve(m, b)
+                assert same(got, want), (field, kind, m, b)
+                inconsistent += got is None
+    assert kinds >= {"empty", "zero-rows", "one-row", "tall", "wide",
+                     "square-deficient", "tall-deficient"}
+    assert inconsistent > 20
+
+
+def test_solve_particular_solution_sets_free_variables_to_zero():
+    # x + 2y = 3 over Q with unequal row denominators: y is free, x = 3
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a = [[half, Fraction(1)], [third, Fraction(2, 3)]]
+    b = [Fraction(3, 2), Fraction(1)]
+    sol = linalg.solve(linalg.int_rows([row + [c] for row, c in zip(a, b)], Q), Q)
+    assert same(sol, [Fraction(3), Fraction(0)]) and same(sol, ref_solve(a, b))
+    f7 = FieldSpec.prime_field(7)
+    sol = linalg.solve([[0, 2, 4, 6], [0, 0, 0, 0]], f7)  # 2y + 4z = 6: y = 3, z = 0
+    assert same(sol, [f7.zero, f7.scalar(3), f7.zero])
 
 
 # -- exactness on large sparse eliminations ----------------------------

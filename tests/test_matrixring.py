@@ -99,7 +99,7 @@ def _identity_in_product_by_solve(m, lam):
         return None
     target = [field.one if i == j and g.is_identity() else field.zero
               for i, j, g in zero_monos]
-    sol = linalg.solve([list(row) for row in zip(*cols)], target)
+    sol = linalg.solve(linalg.int_rows(zip(*cols, target), field), field)
     if sol is None:
         return None
     return [(pairs[c], sol[c]) for c in range(len(pairs)) if sol[c]]
@@ -592,15 +592,16 @@ def _m2_in_basis(field, basis_mats, degrees, group):
     def flat(m):
         return [m[0][0], m[0][1], m[1][0], m[1][1]]
 
-    cols = [[flat(b)[r] for b in basis_mats] for r in range(4)]
+    def coords(m):  # of m on the basis
+        aug = [[flat(b)[r] for b in basis_mats] + [flat(m)[r]] for r in range(4)]
+        return linalg.solve(linalg.int_rows(aug, field), field)
+
     products = {}
     for i, x in enumerate(basis_mats):
         for j, y in enumerate(basis_mats):
-            prod = linalg.mat_mul(x, y)
-            sol = linalg.solve(cols, flat(prod))
+            sol = coords(linalg.mat_mul(x, y))
             products[(i, j)] = {k: c for k, c in enumerate(sol) if c}
-    ident = [[field.one, field.zero], [field.zero, field.one]]
-    unit = linalg.solve(cols, flat(ident))
+    unit = coords([[field.one, field.zero], [field.zero, field.one]])
     alg = Algebra(field, ["v%d" % (t + 1) for t in range(4)], products, unit=unit)
     return GradedAlgebra(alg, group, degrees)
 
@@ -673,4 +674,5 @@ def test_paper_map_is_graded_isomorphism():
         assert s.is_homogeneous(img[i])
         assert s.degree_of(img[i]) == r.degrees[i]
     assert f(r.algebra.one) == s.algebra.one
-    assert linalg.rank([list(img[t].coords) for t in range(4)]) == 4
+    assert linalg.rank(linalg.int_rows([img[t].coords for t in range(4)], s.field),
+                       s.field) == 4

@@ -77,22 +77,23 @@ def test_sparse_kernel_matches_dense_reference():
         comm = [[p - q for p, q in zip(_dense_product(alg, a, b),
                                        _dense_product(alg, b, a))]
                 for a in basis for b in basis]
-        span = linalg.rref([list(x.coords)])[0]
+        rref = lambda vectors: linalg.rref(linalg.int_rows(vectors, alg.field), alg.field)[0]
+        span = rref([x.coords])
         while True:
-            grown = linalg.rref(span + [_dense_product(alg, *pair)
-                                        for v in span for b in basis
-                                        for pair in ((b, v), (v, b))])[0]
+            grown = rref(span + [_dense_product(alg, *pair)
+                                 for v in span for b in basis
+                                 for pair in ((b, v), (v, b))])
             if len(grown) == len(span):
                 break
             span = grown
         subspaces = {
-            "center": (center(alg), linalg.nullspace(rows, alg.field)),
+            "center": (center(alg), linalg.nullspace(linalg.int_rows(rows, alg.field),
+                                                     alg.field)),
             "commutator": (commutator_subspace(alg), comm),
             "ideal": (two_sided_ideal_closure(alg, [x]), span),
         }
         for name, (got, want) in subspaces.items():
-            assert (linalg.rref([list(r) for r in got.rows])[0]
-                    == linalg.rref(want)[0]), name
+            assert rref(got.rows) == rref(want), name
         produced = [(x * y).coords, (x * alg.zero).coords]
         produced += left_regular_matrix(x) + right_regular_matrix(x)
         produced += [r for got, _ in subspaces.values() for r in got.rows]
@@ -123,7 +124,7 @@ def test_graded_module_dimension_additivity():
         k = rng.randrange(alg.dim + 1)
         vectors = [list(random_element(alg, rng, height=3).coords)
                    for _ in range(k)]
-        n_rows = linalg.rref(vectors)[0] if vectors else []
+        n_rows = linalg.rref(linalg.int_rows(vectors, alg.field), alg.field)[0]
         dim_n = len(n_rows)
         # quotient: ambient basis vectors reduced mod N, then count the rank
         reduced = []
@@ -136,7 +137,7 @@ def test_graded_module_dimension_additivity():
                     f = v[pivot]
                     v = [a - f * b for a, b in zip(v, row)]
             reduced.append(v)
-        dim_quot = linalg.rank(reduced)
+        dim_quot = linalg.rank(linalg.int_rows(reduced, alg.field), alg.field)
         assert dim_n + dim_quot == alg.dim
 
 
