@@ -19,7 +19,8 @@ A (x) A^op. Each input vector becomes integer numerators over one common
 denominator (`FieldSpec.to_ints`), the sums run on ints, and each output
 coordinate is converted once at the end (`FieldSpec.from_ints`), so the
 same loop serves Q and GF(p). The rows that the centre, the commutator
-subspace, psi and the inverse hand to `linalg` stay integer rows.
+subspace, psi and the inverse hand to `linalg` are sparse {column: int}
+rows, the row format of `linalg`.
 """
 
 from __future__ import annotations
@@ -64,18 +65,15 @@ class Algebra:
     # -- construction helpers -----------------------------------------
 
     def _find_unit(self):
-        # solve u * e_j = e_j for all j as one linear system in u
-        n = self.dim
-        zero, one = self.field.zero, self.field.one
-        rows = []  # [A | b]
-        for j in range(n):
-            for k in range(n):
-                row = []
-                for i in range(n):
-                    row.append(self.products.get((i, j), {}).get(k, zero))
-                row.append(one if k == j else zero)
-                rows.append(row)
-        u = linalg.solve(linalg.int_rows(rows, self.field), self.field)
+        # solve u * e_j = e_j for all j as one linear system in u: row (j, k)
+        # holds c_ij^k in column i and [j = k] on the right
+        n, field = self.dim, self.field
+        rows = {(j, j): {n: field.one} for j in range(n)}
+        for (i, j), terms in self.products.items():
+            for k, c in terms.items():
+                rows.setdefault((j, k), {})[i] = c
+        u = linalg.solve([dict(zip(r, field.to_ints(list(r.values()))[0]))
+                          for r in rows.values()], n, field)
         if u is None:
             raise ValueError("algebra has no left unit")
         return u
@@ -188,7 +186,8 @@ class Algebra:
 
     def subspace(self, vectors):
         rows = [v.coords if isinstance(v, AlgebraElement) else v for v in vectors]
-        return Subspace(self, linalg.rref(linalg.int_rows(rows, self.field), self.field)[0])
+        return Subspace(self, linalg.rref(linalg.int_rows(rows, self.field), self.dim,
+                                          self.field)[0])
 
     def full_subspace(self):
         """A itself; the identity rows are already its canonical echelon form."""
@@ -320,39 +319,40 @@ def multiply(x, y):
     return AlgebraElement(alg, alg.field.from_ints(out, dx * dy * alg.scale))
 
 
-def integer_regular_columns(alg, coords, left=True):
-    """(cols, den): column j of L_x (left) or R_x (right) for the vector x
-    with these coordinates, that is x e_j or e_j x, as ints over den.
-    Column j of L_x is sum_i x_i c_ij, of R_x sum_i x_i c_ji."""
+def integer_regular_rows(alg, coords, left=True):
+    """(rows, den): row k of L_x (left) or R_x (right) for the vector x with
+    these coordinates, as a sparse {column: int} over den. Column j of L_x
+    is x e_j = sum_i x_i c_ij, of R_x e_j x = sum_i x_i c_ji."""
     xs, dx = alg.field.to_ints(coords)
-    cols = [[0] * alg.dim for _ in range(alg.dim)]
+    rows = [{} for _ in range(alg.dim)]
     for i, row in enumerate(alg.table):
-        if left:  # x_i c_ij into column j
+        if left:  # x_i c_ij^k at (k, j)
             a = xs[i]
             if a:
                 for j, terms in row.items():
-                    col = cols[j]
                     for k, c in terms:
-                        col[k] += a * c
-        else:  # x_j c_ij into column i
-            col = cols[i]
+                        r = rows[k]
+                        r[j] = r.get(j, 0) + a * c
+        else:  # x_j c_ij^k at (k, i)
             for j, terms in row.items():
                 a = xs[j]
                 if a:
                     for k, c in terms:
-                        col[k] += a * c
-    return cols, dx * alg.scale
+                        r = rows[k]
+                        r[i] = r.get(i, 0) + a * c
+    return rows, dx * alg.scale
 
 
 def _regular_columns(alg, coords, left):
-    """The columns of `integer_regular_columns` as field scalars."""
-    cols, den = integer_regular_columns(alg, coords, left)
-    return [alg.field.from_ints(col, den) for col in cols]
+    """The columns of L_x or R_x as field scalars."""
+    rows, den = integer_regular_rows(alg, coords, left)
+    return [alg.field.from_ints([row.get(j, 0) for row in rows], den) for j in range(alg.dim)]
 
 
 def _regular_matrix(x, left):
-    cols, den = integer_regular_columns(x.owner, x.coords, left)
-    return [x.owner.field.from_ints(row, den) for row in zip(*cols)]
+    rows, den = integer_regular_rows(x.owner, x.coords, left)
+    return [x.owner.field.from_ints([row.get(j, 0) for j in range(x.owner.dim)], den)
+            for row in rows]
 
 
 def left_regular_matrix(x):
@@ -389,11 +389,15 @@ def integer_product_form(algebra, w):
 def try_invert(x):
     """Two-sided inverse of x, or None."""
     alg = x.owner
-    # L_x = cols / (dx * scale) and 1 = unit_ints / scale, so L_x y = 1
-    # reads cols y = dx * unit_ints
-    cols, den = integer_regular_columns(alg, x.coords)
+    n = alg.dim
+    # L_x = rows / (dx * scale) and 1 = unit_ints / scale, so L_x y = 1
+    # reads rows y = dx * unit_ints
+    rows, den = integer_regular_rows(alg, x.coords)
     dx = den // alg.scale
-    y = linalg.solve([[*row, dx * u] for row, u in zip(zip(*cols), alg.unit_ints)], alg.field)
+    for row, u in zip(rows, alg.unit_ints):
+        if u:
+            row[n] = dx * u
+    y = linalg.solve(rows, n, alg.field)
     if y is None:
         return None
     y = alg.element(y)
@@ -407,15 +411,15 @@ def center(algebra):
     kernel of x |-> (e_m x - x e_m)_m, whose row (m, k) has entry
     c_jm^k - c_mj^k in column j."""
     n = algebra.dim
-    rows = [[0] * n for _ in range(n * n)]
+    rows = {}  # (m, k) -> its sparse row
     for i, row in enumerate(algebra.table):
         for j, terms in row.items():
             for k, c in terms:
-                rows[i * n + k][j] -= c
-                rows[j * n + k][i] += c
-    # a zero row constrains nothing; one is kept so that there are n columns
-    rows = [r for r in rows if any(r)] or [[0] * n]
-    return Subspace(algebra, linalg.nullspace(rows, algebra.field))
+                r = rows.setdefault(i * n + k, {})
+                r[j] = r.get(j, 0) - c
+                r = rows.setdefault(j * n + k, {})
+                r[i] = r.get(i, 0) + c
+    return Subspace(algebra, linalg.nullspace(rows.values(), n, algebra.field))
 
 
 def two_sided_ideal_closure(algebra, generators):
@@ -449,24 +453,26 @@ def two_sided_ideal_closure(algebra, generators):
             if any(add(col) for col in _regular_columns(algebra, v, left)):
                 return algebra.full_subspace()
     return Subspace(algebra, linalg.rref(linalg.int_rows(basis.values(), algebra.field),
-                                         algebra.field)[0])
+                                         n, algebra.field)[0])
 
 
 def integer_psi_matrix(algebra):
     """(rows, den): the n^2 x n^2 matrix of psi: A (x) A^op -> End(A),
-    psi(a (x) b)(x) = a x b, as integer rows over den, straight from the
-    structure constants. Column i*n + j is the vectorization of
+    psi(a (x) b)(x) = a x b, as sparse integer rows over den, straight from
+    the structure constants. Column i*n + j is the vectorization of
     x |-> e_i x e_j: row r*n + c holds the coefficient of e_r in
     e_i e_c e_j."""
     n = algebra.dim
     table = algebra.table
-    m = [[0] * (n * n) for _ in range(n * n)]
+    m = [{} for _ in range(n * n)]
     for i, row in enumerate(table):
         for c, left in row.items():
             for s, a in left:
                 for j, right in table[s].items():
+                    col = i * n + j
                     for r, b in right:
-                        m[r * n + c][i * n + j] += a * b
+                        out = m[r * n + c]
+                        out[col] = out.get(col, 0) + a * b
     return m, algebra.scale ** 2
 
 
@@ -498,7 +504,8 @@ def is_central_simple(algebra):
     if z.dim != 1:
         return VerdictReport("central-simple", FALSE, EXHAUSTIVE,
                              counterexample=("center-dim", z.dim))
-    kernel = linalg.nullspace(integer_psi_matrix(algebra)[0], algebra.field)
+    kernel = linalg.nullspace(integer_psi_matrix(algebra)[0], algebra.dim ** 2,
+                              algebra.field)
     if kernel:
         return VerdictReport("central-simple", FALSE, EXHAUSTIVE,
                              counterexample=("psi-kernel-vector", kernel[0]))
@@ -516,7 +523,8 @@ def minimal_polynomial(x):
         power = power * x
         # the lower powers are independent, so a solution exists exactly
         # when this power depends on them, and it is unique
-        sol = linalg.solve(linalg.int_rows(zip(*powers, power.coords), field), field)
+        sol = linalg.solve(linalg.int_rows(zip(*powers, power.coords), field),
+                           len(powers), field)
         if sol is not None:
             return [-c for c in sol] + [field.one]
         powers.append(power.coords)
@@ -541,11 +549,8 @@ def commutator_subspace(algebra):
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            row = [0] * n
-            for k, c in table[i].get(j, ()):
-                row[k] += c
+            row = dict(table[i].get(j, ()))
             for k, c in table[j].get(i, ()):
-                row[k] -= c
-            if any(row):  # rref drops a zero row
-                rows.append(row)
-    return Subspace(algebra, linalg.rref(rows, algebra.field)[0])
+                row[k] = row.get(k, 0) - c
+            rows.append(row)
+    return Subspace(algebra, linalg.rref(rows, n, algebra.field)[0])

@@ -133,11 +133,16 @@ def _azumaya_route(g, via):
 
 
 def cmd_k0(args):
-    code = 0
+    for flag in ("exact_sequence", "localize", "compare_localized"):
+        n = getattr(args, flag)
+        if n is not None and n < 1:
+            print("error: --%s needs a positive integer, got %d"
+                  % (flag.replace("_", "-"), n), file=sys.stderr)
+            return 3
     if args.exact_sequence is not None:
         data = kt.ck0_zk0(kt.CsaShape(args.exact_sequence))
         print("zk0=%r; ck0=%r" % (data.zk0, data.ck0))
-        if args.localize:
+        if args.localize is not None:
             print("ck0_localized=%r" % kt.localize(data.ck0, args.localize))
         return 0
     if args.file is None:
@@ -173,9 +178,9 @@ def cmd_k0(args):
                                                 b.division_dim)
               + ("" if b.resolved else ",reason=%s" % b.reason) for b in dec.blocks]
     print("k0gr=%r; radical=%d; blocks=[%s]" % (k0, dec.radical_dim, "; ".join(blocks)))
-    if args.localize:
+    if args.localize is not None:
         print("k0gr_localized=%r" % kt.localize(k0, args.localize))
-    return code
+    return 0
 
 
 def cmd_classify_shift(args):

@@ -114,6 +114,11 @@ class TwistedGroupAlgebra:
             if ab * abc != bc * a_bc:
                 raise ValueError("2-cocycle identity fails on (%r, %r, %r)" % (a, b, c))
 
+    @property
+    def algebra(self):
+        raise ValueError("a lazy twisted group algebra has no finite-dimensional "
+                         "structure constants")
+
     def has_component(self, degree):
         return self.support.contains(degree)
 
@@ -202,11 +207,12 @@ def _strongly_graded_at(g, gamma):
     if not left or not right:
         return None
     pairs = [(i, j) for i in left for j in right]
-    rows = [[0] * len(pairs) + [u] for u in alg.unit_ints]  # [A | 1]
+    m = len(pairs)
+    rows = [{m: u} if u else {} for u in alg.unit_ints]  # [A | 1]
     for c, (i, j) in enumerate(pairs):
         for k, v in alg.table[i].get(j, ()):
             rows[k][c] = v
-    sol = linalg.solve(rows, alg.field)
+    sol = linalg.solve(rows, m, alg.field)
     if sol is None:
         return None
     return [(pairs[c], sol[c]) for c in range(len(pairs)) if sol[c]]
@@ -340,9 +346,8 @@ def graded_radical(g):
     comps = {d: g.component_indices(d) for d in support(g)}
     e_idx = comps[g.group.identity]
     radical = linalg.int_rows(jacobson_radical(identity_component(g)).rows, g.field)
-    ws = [g.field.to_ints(w)[0]
-          for w in linalg.nullspace(radical or [[0] * len(e_idx)], g.field)]
-    image = {k: [(r, w[c]) for r, w in enumerate(ws) if w[c]] for c, k in enumerate(e_idx)}
+    ws = linalg.int_rows(linalg.nullspace(radical, len(e_idx), g.field), g.field)
+    image = {k: [(r, w[c]) for r, w in enumerate(ws) if c in w] for c, k in enumerate(e_idx)}
     parts = []
     for d, idx in comps.items():
         rows = {}  # (j, r) -> coefficients over A_d of w_r(x e_j)
@@ -350,9 +355,10 @@ def graded_radical(g):
             for j in comps.get(d.inverse(), ()):
                 for k, a in g.algebra.table[i].get(j, ()):
                     for r, b in image[k]:
-                        rows.setdefault((j, r), [0] * len(idx))[t] += a * b
-        rows = list(rows.values()) or [[0] * len(idx)]
-        parts += [g.component_element(d, v) for v in linalg.nullspace(rows, g.field)]
+                        row = rows.setdefault((j, r), {})
+                        row[t] = row.get(t, 0) + a * b
+        parts += [g.component_element(d, v)
+                  for v in linalg.nullspace(rows.values(), len(idx), g.field)]
     return g.algebra.subspace(parts)
 
 
@@ -390,7 +396,7 @@ def _component_part(g, subspace, degree):
     combinations of the subspace's rows that vanish off the component."""
     rows = subspace.rows
     off = [[row[i] for row in rows] for i, d in enumerate(g.degrees) if d != degree]
-    kept = linalg.nullspace(linalg.int_rows(off, g.field) or [[0] * len(rows)], g.field)
+    kept = linalg.nullspace(linalg.int_rows(off, g.field), len(rows), g.field)
     return linalg.mat_mul(kept, rows)
 
 
@@ -432,7 +438,7 @@ def graded_module_basis(g, generators):
         by_degree.setdefault(h.degree, []).append(list(h.element.coords))
     basis = []
     for d in sorted(by_degree, key=lambda e: e.coords):
-        reduced, _ = linalg.rref(linalg.int_rows(by_degree[d], g.field), g.field)
+        reduced, _ = linalg.rref(linalg.int_rows(by_degree[d], g.field), g.dim, g.field)
         for row in reduced:
             basis.append(HomogeneousElement(g.algebra.element(row), d))
     return basis, len(basis)

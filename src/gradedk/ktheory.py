@@ -14,7 +14,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from . import linalg
 from .algebra import (Algebra, Subspace, center, evaluate_poly,
-                      integer_product_form, integer_regular_columns,
+                      integer_product_form, integer_regular_rows,
                       minimal_polynomial)
 from .groups import coset_index
 from .matrixring import identity_component
@@ -115,11 +115,9 @@ def _lifted_trace_digit(x, i):
     """g_i(x) = (Tr(L~^(p^i)) mod p^(i+1)) / p^i, with L~ the integer lift of
     L_x; x must lie in I_(i-1), where the trace is divisible by p^i."""
     p = x.owner.field.characteristic
-    # the residue columns of L_x are the rows of the lift's transpose, whose
-    # powers have the same traces
-    cols, _ = integer_regular_columns(x.owner, x.coords)
-    lift = DomainMatrix([[ZZ(c % p) for c in col] for col in cols],
-                        (x.owner.dim, x.owner.dim), ZZ)
+    n = x.owner.dim
+    rows, _ = integer_regular_rows(x.owner, x.coords)
+    lift = DomainMatrix([[ZZ(row.get(j, 0) % p) for j in range(n)] for row in rows], (n, n), ZZ)
     half = lift ** (p ** i // 2)  # Tr(L^k) = sum_ab H_ab K_ba with H K = L^k, k = p^i
     rest = (half if p ** i % 2 == 0 else half * lift).transpose().to_list_flat()
     t = int(sum(h * r for h, r in zip(half.to_list_flat(), rest))) % p ** (i + 1)
@@ -139,20 +137,33 @@ def jacobson_radical(algebra):
     field = algebra.field
     n = algebra.dim
     form = algebra.trace_form[0]  # w(e_r e_c) for g_0, times a constant
-    basis = [[int(r == c) for c in range(n)] for r in range(n)]  # R, the rows of I_(i-1)
+    basis = [{r: 1} for r in range(n)]  # R, the sparse rows of I_(i-1)
     i = 0
     while True:
-        gram = [[form.get((r, c), 0) for c in range(n)] for r in range(n)]
-        # a = sum_s lam_s R_s is kept iff w(a e_t) = (lam R G)_t = 0 for all t
-        kept = linalg.int_rows(
-            linalg.nullspace(linalg.transpose(linalg.mat_mul(basis, gram)), field), field)
-        rows = linalg.rref(linalg.mat_mul(kept, basis), field)[0] if kept else []
+        gram = [{} for _ in range(n)]  # row r of the Gram matrix G
+        for (r, c), v in form.items():
+            gram[r][c] = v
+        # a = sum_s lam_s R_s is kept iff w(a e_t) = (lam R G)_t = 0 for all t:
+        # row t of the constraints holds (R G)_st in column s
+        cons = [{} for _ in range(n)]
+        for s, row in enumerate(basis):
+            for r, a in row.items():
+                for t, v in gram[r].items():
+                    cons[t][s] = cons[t].get(s, 0) + a * v
+        rows = []
+        for lam in linalg.int_rows(linalg.nullspace(cons, len(basis), field), field):
+            vec = {}
+            for s, x in lam.items():
+                for c, y in basis[s].items():
+                    vec[c] = vec.get(c, 0) + x * y
+            rows.append(vec)
+        rows = linalg.rref(rows, n, field)[0] if rows else []
         i += 1
         if not rows or field.kind == "rationals" or field.characteristic ** i > n:
             return Subspace(algebra, rows)
         basis = linalg.int_rows(rows, field)  # the residues: R exactly
         values = [_lifted_trace_digit(algebra.element(r), i) for r in rows]
-        w = linalg.solve([r + [v] for r, v in zip(basis, values)], field)
+        w = linalg.solve([{**r, n: v} for r, v in zip(basis, values)], n, field)
         form = integer_product_form(algebra, w)[0]
 
 
@@ -253,7 +264,7 @@ def split_identity_component(algebra):
     blocks = []
     for e in idems:
         block_basis, _ = linalg.rref(linalg.int_rows([(e * b).coords for b in basis], field),
-                                     field)
+                                     semisimple.dim, field)
         cdim = linalg.rank(linalg.int_rows([(e * z).coords for z in zbasis], field), field)
         blocks.append(BlockSummary(len(block_basis), cdim,
                                    *_block_type(semisimple, e, block_basis, cdim)))
@@ -309,13 +320,13 @@ def _quaternion_block_splits(algebra, e, block_basis):
              if linalg.rank(linalg.int_rows([b.coords, e.coords], field), field) == 2)
     # x^2 = c1 x + c0 e
     c1, c0 = linalg.solve(linalg.int_rows(zip(x.coords, e.coords, (x * x).coords), field),
-                          field)
+                          2, field)
     x = x - e.scale(c1 / 2)
     a = c0 + c1 * c1 / 4
     if not a:
         return True
     lam = linalg.nullspace(linalg.int_rows(zip(*[(x * b + b * x).coords for b in basis]),
-                                           field), field)[0]
+                                           field), len(basis), field)[0]
     j = algebra.zero
     for c, b in zip(lam, basis):
         j = j + b.scale(c)

@@ -1,13 +1,14 @@
 """Exact linear algebra over Q and GF(p), eliminating on integers.
 
-The four eliminations, `rref`, `rank`, `nullspace` and `solve`, take
-integer rows and the field, and return field scalars. Over GF(p) a row
-counts by its residues. Over Q a row counts up to a nonzero factor, since
-scaling a row changes neither the row space nor the kernel; `int_rows`
-turns rows of field scalars into such rows with `FieldSpec.to_ints`, and
-the structure-constant kernel passes its integer rows as they are. `solve`
-takes the rows of the augmented matrix [A | b], so a row is scaled
-together with its right-hand side.
+The row format: `rref`, `rank`, `nullspace` and `solve` take sparse integer
+rows, each a dict {column: int}, with the field, and the column count where
+the result needs it. Only the stored entries are read: a missing column is
+0, and a stored 0 (mod p) is dropped. A row counts by its residues over
+GF(p), and up to a nonzero factor over Q. The structure-constant kernel
+builds its rows so, straight from `Algebra.table`; `int_rows` converts
+dense rows of field scalars. `solve` takes the rows of [A | b], with b in
+column ncols, so a row is scaled together with its right-hand side. The
+results are dense rows of field scalars.
 
 There is one elimination per field. Over GF(p) it is a sparse Gauss-Jordan
 on residues, the loop of sympy's `sdm_irref` with `% p` and
@@ -46,14 +47,11 @@ def mat_mul(a, b):
     return out
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def int_rows(rows, field):
-    """Rows of field scalars as integer rows with the same row space and
-    kernel: each row's numerators over the lcm of its denominators."""
-    return [field.to_ints(row)[0] for row in rows]
+    """Dense rows of field scalars as sparse integer rows with the same row
+    space and kernel: each row's nonzero numerators over the lcm of its
+    denominators."""
+    return [{j: x for j, x in enumerate(field.to_ints(row)[0]) if x} for row in rows]
 
 
 def _irref_mod(rows, p):
@@ -120,36 +118,25 @@ def _eliminate(rows, p):
 
 
 def _reduced(rows, field):
-    """(rows, den, pivots, column count) of `_eliminate` on integer rows."""
+    """`_eliminate` on sparse integer rows, their stored zeros dropped."""
     p = field.characteristic
-    sparse, ncols = [], 0
-    for row in rows:
-        ncols = len(row)
-        if p:
-            nz = {j: r for j, x in enumerate(row) if x and (r := x % p)}
-        else:
-            nz = {j: x for j, x in enumerate(row) if x}
-        if nz:
-            sparse.append(nz)
-    return (*_eliminate(sparse, p), ncols)
+    if p:
+        rows = [r for row in rows if (r := {j: v for j, x in row.items() if (v := x % p)})]
+    else:
+        rows = [r for row in rows if (r := {j: x for j, x in row.items() if x})]
+    return _eliminate(rows, p)
 
 
 def _scalars(rows, den, ncols, field):
     """Dense rows of field scalars from dict rows of ints over den."""
-    out = []
-    for nz in rows:
-        row = [0] * ncols
-        for j, x in nz.items():
-            row[j] = x
-        out.append(field.from_ints(row, den))
-    return out
+    return [field.from_ints([nz.get(j, 0) for j in range(ncols)], den) for nz in rows]
 
 
-def rref(rows, field):
-    """Reduced row echelon form with unit pivots of integer rows; returns
-    (rows, pivot_cols). Zero rows are dropped, so the result is the
-    canonical basis of the row space."""
-    red, den, pivots, ncols = _reduced(rows, field)
+def rref(rows, ncols, field):
+    """Reduced row echelon form with unit pivots of sparse integer rows of
+    ncols columns; returns (rows, pivot_cols). Zero rows are dropped, so
+    the result is the canonical basis of the row space."""
+    red, den, pivots = _reduced(rows, field)
     return _scalars(red, den, ncols, field), pivots
 
 
@@ -180,27 +167,25 @@ def row_space_contains(echelon, vec):
     return not any(reduce_vector(echelon_pairs(echelon), vec))
 
 
-def solve(rows, field):
-    """One solution of A x = b, given the integer rows of [A | b], with
-    every free variable 0; None if inconsistent."""
-    if not rows:
-        return []
-    red, den, pivots, ncols = _reduced(rows, field)
-    cols = ncols - 1
-    if pivots and pivots[-1] == cols:
+def solve(rows, ncols, field):
+    """One solution x of A x = b in ncols unknowns, given the sparse integer
+    rows of [A | b] (b in column ncols), with every free variable 0; None if
+    inconsistent."""
+    red, den, pivots = _reduced(rows, field)
+    if pivots and pivots[-1] == ncols:
         return None
-    x = [0] * cols
+    x = [0] * ncols
     for row, c in zip(red, pivots):
-        x[c] = row.get(cols, 0)
+        x[c] = row.get(ncols, 0)
     return field.from_ints(x, den)
 
 
-def nullspace(rows, field):
-    """Canonical basis (rows) of {x : A x = 0} for integer rows A: a
-    kernel vector per free column j, den at j and minus the rref entries at
-    the pivots, put in rref."""
+def nullspace(rows, ncols, field):
+    """Canonical basis (rows) of {x : A x = 0} for sparse integer rows A of
+    ncols columns: a kernel vector per free column j, den at j and minus
+    the rref entries at the pivots, put in rref."""
     p = field.characteristic
-    red, den, pivots, ncols = _reduced(rows, field)
+    red, den, pivots = _reduced(rows, field)
     kernel = {j: {j: den} for j in range(ncols)}
     for c in pivots:
         del kernel[c]

@@ -99,7 +99,7 @@ def trd_kernel_check(algebra):
     n = _degree(algebra)
     func = trd_functional(algebra)
     kernel = Subspace(algebra, linalg.nullspace(linalg.int_rows([func], algebra.field),
-                                                algebra.field))
+                                                algebra.dim, algebra.field))
     comm = commutator_subspace(algebra)
     details = {"kernel-dim": kernel.dim, "commutator-dim": comm.dim,
                "expected": n * n - 1}

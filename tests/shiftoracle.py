@@ -53,7 +53,8 @@ def pattern_inverse(g, r, d, a):
             add_eq([((j, i, k), r[i][l], "right") for i in range(n)
                     for k in g.component_indices(a[j].inverse() * d[i])],
                    alg.one if j == l else alg.zero)
-    sol = linalg.solve(linalg.int_rows([row + [b] for row, b in zip(rows, rhs)], field), field)
+    sol = linalg.solve(linalg.int_rows([row + [b] for row, b in zip(rows, rhs)], field),
+                       len(slots), field)
     if sol is None:
         return None
     t = [[alg.zero] * n for _ in range(m)]

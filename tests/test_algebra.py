@@ -204,7 +204,8 @@ def _reference_ideal_closure(alg, x):
     """The rref fixed-point loop: close the span under products with every
     basis element until the dimension stops growing."""
     basis = [alg.basis_element(i) for i in range(alg.dim)]
-    rref = lambda vectors: linalg.rref(linalg.int_rows(vectors, alg.field), alg.field)[0]
+    rref = lambda vectors: linalg.rref(linalg.int_rows(vectors, alg.field), alg.dim,
+                                       alg.field)[0]
     span = rref([x.coords])
     while True:
         rows = [alg.element(r) for r in span]
@@ -252,7 +253,8 @@ def upper_triangular_algebra(field, basis):
         for j, (b11, b12, b22) in enumerate(basis):
             ab = [a11 * b11, a11 * b12 + a12 * b22, a22 * b22]
             coords = linalg.solve(linalg.int_rows([row + [field.scalar(x)]
-                                                   for row, x in zip(cols, ab)], field), field)
+                                                   for row, x in zip(cols, ab)], field),
+                                  3, field)
             products[(i, j)] = dict(enumerate(coords))
     return Algebra(field, ["b0", "b1", "b2"], products)
 
@@ -289,6 +291,7 @@ def test_psi_matrix_matches_regular_representations():
                     for c in range(n):
                         reference[r * n + c][i * n + j] = m[r][c]
         rows, den = integer_psi_matrix(alg)
+        rows = [[row.get(c, 0) for c in range(n * n)] for row in rows]
         assert [alg.field.from_ints(row, den) for row in rows] == reference
 
 

@@ -122,6 +122,46 @@ def test_k0_compare_localized_quaternions(capsys, quat_file):
     assert "NOT isomorphic: Z vs Z^4 (localized at 2)" in out
 
 
+@pytest.mark.parametrize("argv", [("--exact-sequence", "0"), ("--exact-sequence", "-3"),
+                                  ("--exact-sequence", "3", "--localize", "0"),
+                                  ("--localize", "-1", "FILE"),
+                                  ("--compare-localized", "0", "FILE")],
+                         ids=["exact-0", "exact-negative", "localize-0",
+                              "localize-file-negative", "compare-0"])
+def test_k0_nonpositive_integer_exit_3(capsys, quat_file, argv):
+    code, out, err = run(capsys, "k0", *[quat_file if a == "FILE" else a for a in argv])
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "positive integer" in err
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("check", "grading"), 0),
+    (("check", "strongly-graded"), 0),
+    (("check", "crossed-product"), 0),
+    (("check", "graded-division"), 0),
+    (("check", "graded-simple"), 0),
+    (("check", "central-simple"), 3),
+    (("check", "azumaya", "--via", "psi"), 0),
+    (("check", "azumaya", "--via", "graded-csa"), 0),
+    (("check", "azumaya", "--via", "braun"), 3),
+    (("check", "azumaya", "--via", "group-ring"), 3),
+    (("k0",), 0),
+    (("k0", "--compare-localized", "2"), 0),
+    (("commutators",), 3),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
+def test_lazy_laurent_file_never_exits_4(capsys, tmp_path, argv, want):
+    # a graded field R is graded Azumaya over itself: psi and graded-csa read
+    # it as the lazy M_1(R)(0); what needs structure constants is bad input
+    path = tmp_path / "l.alg"
+    run(capsys, "construct", "laurent", "-o", str(path))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == want, (out, err)
+    if want == 3:
+        assert err.startswith("error:") and out == ""
+    elif argv[0] == "check":
+        assert "verdict=true" in out
+
+
 def test_k0_twisted_group_algebra(capsys, tmp_path):
     path = tmp_path / "laurent.alg"
     run(capsys, "construct", "laurent", "--field", "Q", "--step", "2",

@@ -355,7 +355,7 @@ def reference_graded_radical(g):
     parts = []
     for d in support(g) if rows else ():
         off = [[row[i] for row in rows] for i, e in enumerate(g.degrees) if e != d]
-        kept = linalg.nullspace(linalg.int_rows(off, field) or [[0] * len(rows)], field)
+        kept = linalg.nullspace(linalg.int_rows(off, field), len(rows), field)
         parts += linalg.mat_mul(kept, rows) if kept else []
     return alg.subspace(parts)
 

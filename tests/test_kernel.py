@@ -59,7 +59,7 @@ def ref_regular_matrix(x, left):
         if a:
             for k, c in terms.items():
                 cols[j][k] += a * c
-    return linalg.transpose(cols)
+    return [list(row) for row in zip(*cols)]
 
 
 def ref_regular_traces(alg):
@@ -97,7 +97,8 @@ def ref_center_rows(alg):
         for k, c in terms.items():
             rows[i * n + k][j] -= c
             rows[j * n + k][i] += c
-    return [tuple(r) for r in linalg.nullspace(linalg.int_rows(rows, alg.field), alg.field)]
+    return [tuple(r) for r in linalg.nullspace(linalg.int_rows(rows, alg.field), n,
+                                               alg.field)]
 
 
 def ref_commutator_rows(alg):
@@ -111,7 +112,8 @@ def ref_commutator_rows(alg):
             for k, c in alg.products.get((j, i), {}).items():
                 row[k] -= c
             rows.append(row)
-    return [tuple(r) for r in linalg.rref(linalg.int_rows(rows, alg.field), alg.field)[0]]
+    return [tuple(r) for r in linalg.rref(linalg.int_rows(rows, alg.field), n,
+                                          alg.field)[0]]
 
 
 def ref_reduced_char_poly(alg, a):
@@ -163,7 +165,8 @@ def ref_strongly_graded_at(g, gamma):
         return None
     pairs = [(i, j) for i in left for j in right]
     cols = [(alg.basis_element(i) * alg.basis_element(j)).coords for i, j in pairs]
-    sol = linalg.solve(linalg.int_rows(zip(*cols, alg.unit_coords), alg.field), alg.field)
+    sol = linalg.solve(linalg.int_rows(zip(*cols, alg.unit_coords), alg.field), len(pairs),
+                       alg.field)
     if sol is None:
         return None
     return [(pairs[c], sol[c]) for c in range(len(pairs)) if sol[c]]
@@ -191,7 +194,7 @@ def rebased(alg, rng):
         if linalg.rank(linalg.int_rows(p, field), field) == n:
             break
     f = [alg.element(row) for row in p]
-    coords = lambda v: linalg.solve(linalg.int_rows(zip(*p, v), field), field)
+    coords = lambda v: linalg.solve(linalg.int_rows(zip(*p, v), field), n, field)
     products = {(i, j): dict(enumerate(coords(ref_multiply(a, b))))
                 for i, a in enumerate(f) for j, b in enumerate(f)}
     return Algebra(field, ["f%d" % i for i in range(n)], products,
@@ -214,7 +217,7 @@ def rebased_graded(g, rng):
             for c, j in enumerate(idx):
                 p[i][j] = block[r][c]
     f = [alg.element(row) for row in p]
-    coords = lambda v: linalg.solve(linalg.int_rows(zip(*p, v), field), field)
+    coords = lambda v: linalg.solve(linalg.int_rows(zip(*p, v), field), n, field)
     products = {(i, j): dict(enumerate(coords(ref_multiply(a, b))))
                 for i, a in enumerate(f) for j, b in enumerate(f)}
     return GradedAlgebra(Algebra(field, ["f%d" % i for i in range(n)], products,
@@ -325,6 +328,7 @@ def test_traces_forms_centre_commutators_psi(alg):
     assert same(commutator_subspace(alg).rows, ref_commutator_rows(alg))
     if alg.dim <= 6:
         rows, den = integer_psi_matrix(alg)
+        rows = [[row.get(c, 0) for c in range(alg.dim ** 2)] for row in rows]
         assert same([alg.field.from_ints(row, den) for row in rows], ref_psi_matrix(alg))
 
 

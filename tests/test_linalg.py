@@ -27,12 +27,21 @@ def mat_vec(field, a, x):
     return [sum((r * y for r, y in zip(row, x)), field.zero) for row in a]
 
 
+def width(m):
+    return len(m[0]) if m else 0
+
+
 def rref(m, field):
-    return linalg.rref(linalg.int_rows(m, field), field)
+    return linalg.rref(linalg.int_rows(m, field), width(m), field)
+
+
+def nullspace(m, field):
+    return linalg.nullspace(linalg.int_rows(m, field), width(m), field)
 
 
 def solve(a, b, field):
-    return linalg.solve(linalg.int_rows([row + [x] for row, x in zip(a, b)], field), field)
+    return linalg.solve(linalg.int_rows([row + [x] for row, x in zip(a, b)], field),
+                        width(a), field)
 
 
 def test_rref_canonical_and_idempotent():
@@ -62,11 +71,11 @@ def test_solve_and_nullspace_agree():
             assert sol is not None
             assert mat_vec(field, a, sol) == b
             # nullspace vectors really annihilate
-            ints = linalg.int_rows(a, field)
-            for v in linalg.nullspace(ints, field):
+            for v in nullspace(a, field):
                 assert not any(mat_vec(field, a, v))
             # rank-nullity
-            assert linalg.rank(ints, field) + len(linalg.nullspace(ints, field)) == cols
+            assert linalg.rank(linalg.int_rows(a, field), field) + len(nullspace(a, field)) \
+                == cols
 
 
 def test_solve_inconsistent():
@@ -204,10 +213,9 @@ def test_rref_nullspace_solve_match_dense_sympy():
     for field, m in _differential_cases():
         count += 1
         want_rows, want_pivots = _oracle_rref(m, field)
-        ints = linalg.int_rows(m, field)
-        assert linalg.rref(ints, field) == (want_rows, want_pivots)
-        assert linalg.rank(ints, field) == len(want_pivots)
-        assert linalg.nullspace(ints, field) == _oracle_nullspace(m, field)
+        assert rref(m, field) == (want_rows, want_pivots)
+        assert linalg.rank(linalg.int_rows(m, field), field) == len(want_pivots)
+        assert nullspace(m, field) == _oracle_nullspace(m, field)
         b = [random_scalar(field, rng, 4) for _ in m]
         aug = [row + [bi] for row, bi in zip(m, b)]
         consistent = len(want_pivots) == len(_oracle_rref(aug, field)[1])
@@ -330,19 +338,17 @@ def test_elimination_matches_the_scalar_sdm_irref():
     for field in ELIMINATION_FIELDS:
         for kind, m in _elimination_cases(field, rng):
             kinds.add(kind)
-            ints = linalg.int_rows(m, field)
-            red, pivots = linalg.rref(ints, field)
+            red, pivots = rref(m, field)
             want_red, want_pivots = ref_rref(m)
             assert same(red, want_red) and pivots == want_pivots, (field, kind, m)
-            assert linalg.rank(ints, field) == ref_rank(m)
-            assert same(linalg.nullspace(ints, field), ref_nullspace(m, field))
+            assert linalg.rank(linalg.int_rows(m, field), field) == ref_rank(m)
+            assert same(nullspace(m, field), ref_nullspace(m, field))
             rhs = [[_wide_scalar(field, rng) for _ in m]]  # in general inconsistent
             if m and m[0]:
                 x = [_wide_scalar(field, rng) for _ in m[0]]
                 rhs.append(mat_vec(field, m, x))  # consistent
             for b in rhs:
-                got = linalg.solve(linalg.int_rows([row + [c] for row, c in zip(m, b)],
-                                                   field), field)
+                got = solve(m, b, field)
                 want = ref_solve(m, b)
                 assert same(got, want), (field, kind, m, b)
                 inconsistent += got is None
@@ -356,11 +362,122 @@ def test_solve_particular_solution_sets_free_variables_to_zero():
     half, third = Fraction(1, 2), Fraction(1, 3)
     a = [[half, Fraction(1)], [third, Fraction(2, 3)]]
     b = [Fraction(3, 2), Fraction(1)]
-    sol = linalg.solve(linalg.int_rows([row + [c] for row, c in zip(a, b)], Q), Q)
+    sol = solve(a, b, Q)
     assert same(sol, [Fraction(3), Fraction(0)]) and same(sol, ref_solve(a, b))
     f7 = FieldSpec.prime_field(7)
-    sol = linalg.solve([[0, 2, 4, 6], [0, 0, 0, 0]], f7)  # 2y + 4z = 6: y = 3, z = 0
+    sol = linalg.solve([{1: 2, 2: 4, 3: 6}, {}], 3, f7)  # 2y + 4z = 6: y = 3, z = 0
     assert same(sol, [f7.zero, f7.scalar(3), f7.zero])
+
+
+# -- differential test against the dense integer-row path ---------------
+#
+# The reference functions are the entry points that sparse rows replaced:
+# they took dense integer rows, read the column count off their length and
+# scanned every entry for the nonzero ones before the shared elimination.
+# Sparse rows must give the same rref, rank, kernel basis and particular
+# solution, with `==` and the same scalar types.
+
+
+def _dense_reduced(rows, field):
+    p = field.characteristic
+    sparse, ncols = [], 0
+    for row in rows:
+        ncols = len(row)
+        if p:
+            nz = {j: r for j, x in enumerate(row) if x and (r := x % p)}
+        else:
+            nz = {j: x for j, x in enumerate(row) if x}
+        if nz:
+            sparse.append(nz)
+    return (*linalg._eliminate(sparse, p), ncols)
+
+
+def dense_rref(rows, field):
+    red, den, pivots, ncols = _dense_reduced(rows, field)
+    return linalg._scalars(red, den, ncols, field), pivots
+
+
+def dense_rank(rows, field):
+    return len(_dense_reduced(rows, field)[2])
+
+
+def dense_solve(rows, field):
+    if not rows:
+        return []
+    red, den, pivots, ncols = _dense_reduced(rows, field)
+    cols = ncols - 1
+    if pivots and pivots[-1] == cols:
+        return None
+    x = [0] * cols
+    for row, c in zip(red, pivots):
+        x[c] = row.get(cols, 0)
+    return field.from_ints(x, den)
+
+
+def dense_nullspace(rows, field):
+    p = field.characteristic
+    red, den, pivots, ncols = _dense_reduced(rows, field)
+    kernel = {j: {j: den} for j in range(ncols)}
+    for c in pivots:
+        del kernel[c]
+    for row, c in zip(red, pivots):
+        for j, x in row.items():
+            if j != c:
+                kernel[j][c] = -x % p if p else -x
+    basis, den, _ = linalg._eliminate(list(kernel.values()), p)
+    return linalg._scalars(basis, den, ncols, field)
+
+
+def _sparse(row, rng, p):
+    """row as a dict of its nonzero entries, with some stored zeros: 0, or
+    a multiple of p over GF(p)."""
+    out = {j: x for j, x in enumerate(row) if x}
+    for j, x in enumerate(row):
+        if not x and rng.random() < 0.3:
+            out[j] = p * rng.randint(-3, 3)
+    return out
+
+
+def _integer_cases(p, rng):
+    """(kind, dense integer rows, column count): the edge shapes, then
+    random matrices, some with multiples of p, zero rows and dependent
+    rows."""
+    yield "empty", [], 0
+    yield "empty-rows-wide", [], 4
+    yield "zero-width", [[], []], 0
+    yield "zero-rows", [[0] * 5 for _ in range(3)], 5
+    for rows, cols in ((1, 1), (1, 6), (6, 1), (4, 7), (7, 4), (6, 6)) * 5:
+        density = rng.choice((0.2, 0.5, 1.0))
+        m = [[rng.randint(-10 ** 6, 10 ** 6) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        if p and rng.random() < 0.5:
+            m[0] = [p * x for x in m[0]]  # 0 mod p, stored as nonzero ints
+        if rows > 2 and rng.random() < 0.5:
+            m[1] = [0] * cols
+            m[-1] = [a - b for a, b in zip(m[0], m[2])]
+        yield "random", m, cols
+
+
+def test_sparse_rows_match_the_dense_integer_path():
+    rng = random.Random(1468)
+    kinds = set()
+    for field in [Q] + [FieldSpec.prime_field(p) for p in (2, 3, 5, 7)]:
+        p = field.characteristic
+        for kind, m, cols in _integer_cases(p, rng):
+            kinds.add(kind)
+            sparse = [_sparse(row, rng, p) for row in m]
+            # an empty row list carries no width; the dense path needed a zero row
+            dense = m or [[0] * cols]
+            assert same(linalg.rref(sparse, cols, field), dense_rref(dense, field)), (field, m)
+            assert linalg.rank(sparse, field) == dense_rank(dense, field)
+            assert same(linalg.nullspace(sparse, cols, field), dense_nullspace(dense, field))
+            for b in ([rng.randint(-9, 9) for _ in dense], [0] * len(dense)):
+                aug = [row + [c] for row, c in zip(dense, b)]
+                got = linalg.solve([{**r, cols: c} if c or rng.random() < 0.5 else r
+                                    for r, c in zip(sparse or [{}] * len(dense), b)],
+                                   cols, field)
+                assert same(got, dense_solve(aug, field)), (field, m, b)
+    assert kinds == {"empty", "empty-rows-wide", "zero-width", "zero-rows", "random"}
 
 
 # -- exactness on large sparse eliminations ----------------------------
