@@ -14,13 +14,14 @@ their denominators (and the unit's). Associativity and the
 unit axiom are checked on this table at construction, on every basis
 triple. Every structure-constant loop runs on it too: products, regular
 matrices and ideal closure, the regular traces and product forms, psi, the
-rows of the centre and of the commutator subspace, and the star action of
-A (x) A^op. Each input vector becomes integer numerators over one common
-denominator (`FieldSpec.to_ints`), the sums run on ints, and each output
-coordinate is converted once at the end (`FieldSpec.from_ints`), so the
-same loop serves Q and GF(p). The rows that the centre, the commutator
-subspace, psi and the inverse hand to `linalg` are sparse {column: int}
-rows, the row format of `linalg`.
+rows of the centre and of the commutator subspace, and A (x) A^op on
+tuples of n^2 scalars, i*n + j for e_i (x) e_j: its star action, its
+product and the rows of the separability conditions. Each input vector
+becomes integer numerators over one common denominator
+(`FieldSpec.to_ints`), the sums run on ints, and each output coordinate
+is converted once at the end (`FieldSpec.from_ints`), so the same loop
+serves Q and GF(p). The rows that the kernel hands to `linalg` are
+sparse {column: int} rows, the row format of `linalg`.
 """
 
 from __future__ import annotations
@@ -494,6 +495,48 @@ def sandwich(algebra, coeffs, x):
                 for r, d in table[s].get(j, ()):
                     out[r] += cab * d
     return AlgebraElement(algebra, algebra.field.from_ints(out, dc * dx * algebra.scale ** 2))
+
+
+def separability_rows(algebra):
+    """The sparse integer rows, over the scale, of the conditions on e in
+    A (x) A^op for a separability idempotent: rows 0..n-1 are e * 1 = 1,
+    u_r in column n^2; then the n^2 rows of (e_a (x) 1 - 1 (x) e_a) e = 0
+    for each basis a, with ((e_a (x) 1) e)_(r, j) = sum_i c_ai^r e_ij and
+    ((1 (x) e_a) e)_(i, s) = sum_j c_ja^s e_ij."""
+    n, table = algebra.dim, algebra.table
+    rows = [{n * n: u} if u else {} for u in algebra.unit_ints]
+    for i, row in enumerate(table):
+        for j, terms in row.items():
+            for r, c in terms:
+                rows[r][i * n + j] = c
+    for a in range(n):
+        block = [{} for _ in range(n * n)]
+        for j in range(n):
+            for i, terms in table[a].items():
+                for r, c in terms:
+                    block[r * n + j][i * n + j] = c
+            for s, c in table[j].get(a, ()):
+                for i in range(n):
+                    block[i * n + s][i * n + j] = block[i * n + s].get(i * n + j, 0) - c
+        rows += block
+    return rows
+
+
+def enveloping_product(algebra, x, y):
+    """The product in A (x) A^op of the coefficient tuples x and y:
+    (e_i (x) e_j)(e_k (x) e_l) = e_i e_k (x) e_l e_j."""
+    n, table = algebra.dim, algebra.table
+    xs, dx = algebra.field.to_ints(x)
+    ys, dy = algebra.field.to_ints(y)
+    ys = [(divmod(t, n), b) for t, b in enumerate(ys) if b]
+    out = [0] * (n * n)
+    for t, a in enumerate(xs):
+        i, j = divmod(t, n)
+        for (k, l), b in ys if a else ():
+            for r, c in table[i].get(k, ()):
+                for s, d in table[l].get(j, ()):
+                    out[r * n + s] += a * b * c * d
+    return tuple(algebra.field.from_ints(out, dx * dy * algebra.scale ** 2))
 
 
 def is_central_simple(algebra):

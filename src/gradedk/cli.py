@@ -20,10 +20,10 @@ from . import azumaya as az
 from . import fileformat as ff
 from . import ktheory as kt
 from . import trace as tr
-from .algebra import is_central_simple
+from .algebra import commutator_subspace, is_central_simple
 from .graded import (TwistedGroupAlgebra, is_crossed_product,
                      is_graded_division, is_graded_simple, is_strongly_graded,
-                     validate_grading)
+                     support_subgroup, validate_grading)
 from .groups import SubgroupSpec
 from .matrixring import canonical_shift, shifted_iso_decision
 from .verdict import TRUE, FALSE
@@ -120,15 +120,9 @@ def _azumaya_route(g, via):
     if via == "graded-csa":
         return az.is_graded_azumaya_csa(g)
     if via == "group-ring":
-        if g.group.kind != "finite-table":
-            raise ValueError("group-ring route needs a finite-table grade group")
         return az.group_ring_azumaya(g.field, g.group)
     if via == "braun":
-        env = az.EnvelopingAlgebra(g)
-        e = az.standard_separability_idempotent(g, env)
-        if e is None:
-            raise ValueError("no separability idempotent found for the braun route")
-        return az.braun_check(g, e, env=env)
+        return az.braun_check(g)
     raise ValueError("unknown azumaya route %r" % via)
 
 
@@ -150,14 +144,9 @@ def cmd_k0(args):
               file=sys.stderr)
         return 3
     g = _load(args.file)
-    if isinstance(g, TwistedGroupAlgebra):
-        out = kt.k0gr_graded_division(g.group, g.support)
-        print("k0gr=%r" % (out,))
-        return 0
     if args.compare_localized is not None:
         # the graded-division formula Z[Gamma/Gamma_D], with Gamma_D the
         # support subgroup, against Z[Gamma] of the trivially graded base field
-        from .graded import support_subgroup
         n = args.compare_localized
         left = kt.k0gr_graded_division(g.group, support_subgroup(g))
         right = kt.k0gr_graded_division(g.group, SubgroupSpec(g.group, []))
@@ -165,19 +154,24 @@ def cmd_k0(args):
         tag = "isomorphic" if report.verdict == TRUE else "NOT isomorphic"
         print("%s: %r vs %r (localized at %d)" % (tag, left, right, n))
         return _exit_code(report)
-    sg = is_strongly_graded(g)
-    if not sg:
-        _emit(sg)
-        return _exit_code(sg)
-    try:
-        k0, dec = kt.k0gr_strongly_graded(g, sg)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    blocks = ["dim=%d,centre=%d,n=%r,div=%r" % (b.dim, b.centre_dim, b.matrix_size,
-                                                b.division_dim)
-              + ("" if b.resolved else ",reason=%s" % b.reason) for b in dec.blocks]
-    print("k0gr=%r; radical=%d; blocks=[%s]" % (k0, dec.radical_dim, "; ".join(blocks)))
+    if isinstance(g, TwistedGroupAlgebra):
+        # a graded field is a graded division ring
+        k0 = kt.k0gr_graded_division(g.group, g.support)
+        print("k0gr=%r" % (k0,))
+    else:
+        sg = is_strongly_graded(g)
+        if not sg:
+            _emit(sg)
+            return _exit_code(sg)
+        try:
+            k0, dec = kt.k0gr_strongly_graded(g, sg)
+        except ValueError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 3
+        blocks = ["dim=%d,centre=%d,n=%r,div=%r" % (b.dim, b.centre_dim, b.matrix_size,
+                                                    b.division_dim)
+                  + ("" if b.resolved else ",reason=%s" % b.reason) for b in dec.blocks]
+        print("k0gr=%r; radical=%d; blocks=[%s]" % (k0, dec.radical_dim, "; ".join(blocks)))
     if args.localize is not None:
         print("k0gr_localized=%r" % kt.localize(k0, args.localize))
     return 0
@@ -214,7 +208,6 @@ def cmd_commutators(args):
         return 3
     report = tr.supp_commutator_lemma_check(g)
     _emit(report)
-    from .algebra import commutator_subspace
     print("commutator_dim=%d" % commutator_subspace(g.algebra).dim)
     return _exit_code(report)
 

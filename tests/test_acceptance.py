@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from gradedk import linalg
 from gradedk.algebra import commutator_subspace, left_regular_matrix
-from gradedk.azumaya import (EnvelopingAlgebra, braun_check,
+from gradedk.azumaya import (braun_check,
                              group_ring_azumaya, is_graded_azumaya_csa,
                              psi_bijective, verify_separability_idempotent)
 from gradedk.constructors import (construct_group_ring, construct_laurent,
@@ -60,13 +60,11 @@ def _run(n, msg, body):
     _line(n, True, msg)
 
 
-def _quaternion_idempotent(H, env):
+def _quaternion_idempotent(H):
+    # 1/4 (1 (x) 1 - i (x) i - j (x) j - k (x) k), coordinate i*4 + j for e_i (x) e_j
     q = Fraction(1, 4)
-    b = [H.algebra.basis_element(t) for t in range(4)]
-    e = env.pure_tensor(b[0], b[0]).scale(q)
-    for t in (1, 2, 3):
-        e = e - env.pure_tensor(b[t], b[t]).scale(q)
-    return e
+    return tuple(q if t == 0 else -q if t in (5, 10, 15) else Fraction(0)
+                 for t in range(16))
 
 
 def test_criterion_1_quaternion_azumaya_chain():
@@ -75,10 +73,9 @@ def test_criterion_1_quaternion_azumaya_chain():
         rep = psi_bijective(H)
         assert rep.verdict == "true"
         assert rep.details["rank"] == 16 and rep.details["size"] == 16
-        env = EnvelopingAlgebra(H)
-        e = _quaternion_idempotent(H, env)
-        assert verify_separability_idempotent(H, e, env).verdict == "true"
-        assert braun_check(H, e, env).verdict == "true"
+        e = _quaternion_idempotent(H)
+        assert verify_separability_idempotent(H, e).verdict == "true"
+        assert braun_check(H, e).verdict == "true"
     _run(1, "psi full rank 16, separability idempotent, Braun test", body)
 
 

@@ -3,31 +3,37 @@ from fractions import Fraction
 
 import pytest
 
-from gradedk.algebra import Algebra
+from gradedk.algebra import Algebra, is_central_simple
 from gradedk.azumaya import (EnvelopingAlgebra, braun_check,
                              group_ring_azumaya, is_graded_azumaya_csa,
                              psi_bijective,
                              psi_bijective_matrix_over_graded_field,
+                             standard_separability_idempotent,
                              verify_separability_idempotent)
-from gradedk.constructors import (construct_laurent, construct_quaternion,
+from gradedk.constructors import (construct_group_ring, construct_laurent,
+                                  construct_matrix_algebra, construct_quaternion,
                                   construct_symbol_algebra)
 from gradedk.fields import FieldSpec
 from gradedk.graded import trivially_graded
 from gradedk.groups import GradeGroup
 from gradedk.matrixring import ShiftedMatrixAlgebra
 from randomdata import random_element
+from test_kernel import ALGEBRAS, graded_algebras
 
 Q = FieldSpec.rationals()
 
 
-def quaternion_idempotent(H, env):
+def pure_tensor(a, b):
+    """a (x) b as the n^2 coefficients of A (x) A^op."""
+    return tuple(x * y for x in a.coords for y in b.coords)
+
+
+def quaternion_idempotent(H):
     # e = 1/4 (1 (x) 1 - i (x) i - j (x) j - k (x) k)
     q = Fraction(1, 4)
     basis = [H.algebra.basis_element(t) for t in range(4)]
-    e = env.pure_tensor(basis[0], basis[0]).scale(q)
-    for t in (1, 2, 3):
-        e = e - env.pure_tensor(basis[t], basis[t]).scale(q)
-    return e
+    terms = [pure_tensor(b, b) for b in basis]
+    return tuple(q * (x - y - z - w) for x, y, z, w in zip(*terms))
 
 
 def test_psi_full_rank_quaternions():
@@ -50,30 +56,84 @@ def test_psi_fails_for_commutative_extension():
 def test_separability_idempotent_checks():
     H = construct_quaternion(Q, -1, -1)
     env = EnvelopingAlgebra(H)
-    e = quaternion_idempotent(H, env)
-    assert verify_separability_idempotent(H, e, env)
+    e = quaternion_idempotent(H)
+    assert verify_separability_idempotent(H, e)
+    # the solve finds the same idempotent
+    assert standard_separability_idempotent(H) == e
     # star action really averages: e * x = Trd-like projection onto the centre
     assert env.star(e, H.algebra.one) == H.algebra.one
     # perturbed element fails
-    bad = e + env.pure_tensor(H.algebra.basis_element(1), H.algebra.basis_element(2))
-    rep = verify_separability_idempotent(H, bad, env)
+    ij = pure_tensor(H.algebra.basis_element(1), H.algebra.basis_element(2))
+    rep = verify_separability_idempotent(H, [x + y for x, y in zip(e, ij)])
     assert rep.verdict == "false"
+    assert rep.counterexample[0] == "star-unit"
+    # 1 (x) 1 has e * 1 = 1, but (i (x) 1) e != (1 (x) i) e
+    one = pure_tensor(H.algebra.one, H.algebra.one)
+    rep = verify_separability_idempotent(H, one)
+    assert rep.counterexample == ("commute-condition", "i")
 
 
 def test_braun_criterion_quaternions():
     H = construct_quaternion(Q, -1, -1)
-    env = EnvelopingAlgebra(H)
-    e = quaternion_idempotent(H, env)
-    assert braun_check(H, e, env)
+    assert braun_check(H, quaternion_idempotent(H))
+    assert braun_check(H)
 
 
 def test_braun_rejects_noncentral_precondition():
     products = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1}}
     c = Algebra(Q, ["1", "i"], products)
     g = trivially_graded(c, GradeGroup.trivial())
-    env = EnvelopingAlgebra(g)
+    for e in (pure_tensor(c.one, c.one), None):
+        rep = braun_check(g, e)
+        assert rep.verdict == "false" and rep.counterexample == ("centre-dim", 2)
     with pytest.raises(ValueError):
-        braun_check(g, env.pure_tensor(c.one, c.one), env)
+        braun_check(g, pure_tensor(c.one, c.one)[:3])
+
+
+def test_braun_without_separability_idempotent_is_false():
+    """The solve is exact, so an inconsistent system proves A is not
+    separable: Q[t]/t^2 and GF(3)[S3], graded by the non-abelian S3."""
+    dual = Algebra(Q, ["1", "t"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
+    for g in (trivially_graded(dual, GradeGroup.trivial()),
+              construct_group_ring(FieldSpec.prime_field(3), GradeGroup.symmetric_3())):
+        assert standard_separability_idempotent(g) is None
+        rep = braun_check(g)
+        assert rep.verdict == "false"
+        assert rep.counterexample == ("no-separability-idempotent",)
+    rep = braun_check(construct_group_ring(Q, GradeGroup.symmetric_3()))
+    assert rep.verdict == "false" and rep.counterexample == ("centre-dim", 3)
+
+
+def braun_inputs():
+    """Trivially and non-trivially graded inputs over Q and GF(p): random
+    constructed ones, bases with non-integral constants, non-abelian
+    gradings, p | n, and the degree-4 symbol algebra over GF(13)."""
+    trivial = GradeGroup.trivial()
+    gf = FieldSpec.prime_field
+    out = [trivially_graded(a, trivial) for a in ALGEBRAS] + graded_algebras()
+    out += [trivially_graded(construct_matrix_algebra(gf(3), 3), trivial),
+            construct_group_ring(gf(3), GradeGroup.cyclic(3)),
+            construct_group_ring(gf(2), GradeGroup.dihedral(4)),
+            construct_symbol_algebra(gf(13), 4, 2, 3, 5)]
+    return out
+
+
+def test_braun_verdict_matches_psi_and_central_simplicity():
+    """Over a field, Azumaya = central separable = central simple: the
+    three routes agree on every input."""
+    seen = {"true": 0, "false": 0}
+    for g in braun_inputs():
+        want = is_central_simple(g.algebra).verdict
+        # psi's nullspace over Q takes about 30 s on the one input whose
+        # constants have a scale above 10^6 (a rebased M_2(Q[C_2]))
+        if g.algebra.scale < 10 ** 6:
+            assert psi_bijective(g).verdict == want, g.algebra
+        rep = braun_check(g)
+        assert rep.verdict == want, (g.algebra, rep)
+        seen[want] += 1
+        if rep:
+            assert verify_separability_idempotent(g, standard_separability_idempotent(g))
+    assert seen["true"] > 20 and seen["false"] > 20, seen
 
 
 def test_graded_csa_route():
@@ -140,4 +200,4 @@ def test_enveloping_star_action():
         a = random_element(H.algebra, rng)
         b = random_element(H.algebra, rng)
         x = random_element(H.algebra, rng)
-        assert env.star(env.pure_tensor(a, b), x) == a * x * b
+        assert env.star(pure_tensor(a, b), x) == a * x * b

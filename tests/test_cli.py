@@ -52,6 +52,20 @@ def test_check_azumaya_routes(capsys, quat_file):
         assert "verdict=true" in out
 
 
+@pytest.mark.parametrize("argv,counterexample", [
+    (("truncated", "--field", "Q", "-m", "3"), "('no-separability-idempotent',)"),
+    (("group-ring", "--field", "GF(3)", "--group", "S3"), "('no-separability-idempotent',)"),
+    (("group-ring", "--field", "Q", "--group", "S3"), "('centre-dim', 3)"),
+], ids=["q-truncated", "gf3-s3", "q-s3"])
+def test_braun_route_false_exit_1(capsys, tmp_path, argv, counterexample):
+    # no separability idempotent, or a centre bigger than the base field
+    path = str(tmp_path / "a.alg")
+    assert run(capsys, "construct", *argv, "-o", path)[0] == 0
+    code, out, err = run(capsys, "check", "azumaya", path, "--via", "braun")
+    assert code == 1 and err == ""
+    assert "verdict=false" in out and "counterexample=%s" % counterexample in out
+
+
 def test_check_group_ring_route(capsys, tmp_path):
     path = tmp_path / "s3.alg"
     code, _, _ = run(capsys, "construct", "group-ring", "--field", "GF(3)",
@@ -146,7 +160,8 @@ def test_k0_nonpositive_integer_exit_3(capsys, quat_file, argv):
     (("check", "azumaya", "--via", "braun"), 3),
     (("check", "azumaya", "--via", "group-ring"), 3),
     (("k0",), 0),
-    (("k0", "--compare-localized", "2"), 0),
+    (("k0", "--compare-localized", "2"), 1),
+    (("k0", "--localize", "2"), 0),
     (("commutators",), 3),
 ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
 def test_lazy_laurent_file_never_exits_4(capsys, tmp_path, argv, want):
@@ -160,6 +175,12 @@ def test_lazy_laurent_file_never_exits_4(capsys, tmp_path, argv, want):
         assert err.startswith("error:") and out == ""
     elif argv[0] == "check":
         assert "verdict=true" in out
+    elif "--compare-localized" in argv:
+        # Z[Gamma/Gamma_D] = Z against Z[Z] of the trivially graded base field
+        assert out == ("NOT isomorphic: Z vs 'free-abelian-of-infinite-rank' "
+                       "(localized at 2)\n")
+    elif "--localize" in argv:
+        assert out == "k0gr=Z\nk0gr_localized=Z\n"
 
 
 def test_k0_twisted_group_algebra(capsys, tmp_path):

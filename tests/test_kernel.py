@@ -16,14 +16,16 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from gradedk import linalg
-from gradedk.algebra import (Algebra, center, commutator_subspace, integer_product_form,
-                             integer_psi_matrix, left_regular_matrix, multiply,
-                             regular_traces, right_regular_matrix)
+from gradedk.algebra import (Algebra, center, commutator_subspace, enveloping_product,
+                             integer_product_form, integer_psi_matrix,
+                             left_regular_matrix, multiply, regular_traces,
+                             right_regular_matrix, separability_rows)
 from gradedk.azumaya import EnvelopingAlgebra
 from gradedk.constructors import (construct_group_ring, construct_matrix_algebra,
                                   construct_quaternion, construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
-from gradedk.graded import GradedAlgebra, _strongly_graded_at, support
+from gradedk.graded import (GradedAlgebra, _strongly_graded_at, graded_tensor, opposite,
+                            support, trivially_graded)
 from gradedk.groups import GradeGroup
 from gradedk.ktheory import _lifted_trace_digit
 from gradedk.matrixring import ShiftedMatrixAlgebra
@@ -341,16 +343,54 @@ def test_reduced_char_poly(alg):
         assert same(q.coeffs, ref_reduced_char_poly(alg, a))
 
 
+def enveloping(alg):
+    """(env, tensor): A (x) A^op read off the table, and materialized as
+    `graded_tensor(g, opposite(g))`, the reference; both index e_i (x) e_j
+    by i*n + j."""
+    g = trivially_graded(alg, GradeGroup.trivial())
+    return EnvelopingAlgebra(g), graded_tensor(g, opposite(g)).algebra
+
+
 @pytest.mark.parametrize("alg", [a for a in ALGEBRAS if a.dim <= 4],
                          ids=lambda a: "%r-dim%d" % (a.field, a.dim))
 def test_star(alg):
     rng = random.Random(alg.dim * 17 + alg.field.characteristic)
-    group = GradeGroup.trivial()
-    env = EnvelopingAlgebra(GradedAlgebra(alg, group, [group.identity] * alg.dim))
-    tensor = env.tensor.algebra
+    env, tensor = enveloping(alg)
     for e in (random_element(tensor, rng), tensor.one, tensor.zero):
         for x in elements(alg, rng):
-            assert same(env.star(e, x).coords, tuple(ref_star(alg, e.coords, x)))
+            assert same(env.star(e.coords, x).coords, tuple(ref_star(alg, e.coords, x)))
+
+
+@pytest.mark.parametrize("alg", [a for a in ALGEBRAS if a.dim <= 4],
+                         ids=lambda a: "%r-dim%d" % (a.field, a.dim))
+def test_enveloping_product_and_separability_rows(alg):
+    """The product and the rows of (e_a (x) 1 - 1 (x) e_a) e, read off A's
+    table, equal the product and the left regular matrices of the
+    materialized A (x) A^op; the rows of e * 1 = 1 hold the products
+    e_i e_j and the unit."""
+    rng = random.Random(alg.dim * 23 + alg.field.characteristic)
+    _, tensor = enveloping(alg)
+    n2 = tensor.dim
+    xs = [random_element(tensor, rng), random_element(tensor, rng, height=30),
+          tensor.basis_element(rng.randrange(n2)), tensor.one, tensor.zero]
+    for x in xs:
+        for y in xs:
+            assert same(enveloping_product(alg, x.coords, y.coords), (x * y).coords)
+    n, one = alg.dim, alg.one.coords
+    rows = [alg.field.from_ints([row.get(c, 0) for c in range(n2 + 1)], alg.scale)
+            for row in separability_rows(alg)]
+    assert len(rows) == n + n * n2
+    basis = [alg.basis_element(i) for i in range(n)]
+    unit_rows = [list(col) + [u] for col, u in zip(zip(*[ref_multiply(a, b) for a in basis
+                                                           for b in basis]), one)]
+    assert same(rows[:n], unit_rows)
+    for a in range(n):
+        ea = basis[a].coords
+        x = tensor.element([u * v for u in ea for v in one]) - tensor.element(
+            [u * v for u in one for v in ea])
+        block = rows[n + a * n2:n + (a + 1) * n2]
+        assert all(not row[n2] for row in block)
+        assert same([row[:n2] for row in block], left_regular_matrix(x))
 
 
 def test_strong_grading_certificates_read_off_the_table():
