@@ -8,11 +8,10 @@ from .groups import (GradeGroup, GroupElement, SubgroupSpec, coset_index,
 from .algebra import (Algebra, AlgebraElement, Subspace, center,
                       commutator_subspace, integer_psi_matrix, is_central_simple,
                       minimal_polynomial, try_invert, two_sided_ideal_closure)
-from .graded import (GradedAlgebra, HomogeneousElement, TwistedGroupAlgebra,
-                     graded_center, graded_module_basis, graded_tensor,
-                     is_crossed_product, is_graded_division, is_graded_simple,
-                     is_strongly_graded, opposite, support, support_subgroup,
-                     trivially_graded, validate_grading,
+from .graded import (GradedAlgebra, TwistedGroupAlgebra, graded_center,
+                     graded_tensor, is_crossed_product, is_graded_division,
+                     is_graded_simple, is_strongly_graded, support,
+                     support_subgroup, trivially_graded, validate_grading,
                      dimension_formula_check)
 from .matrixring import (ShiftedMatrixAlgebra, canonical_shift,
                          identity_component, is_good_grading,

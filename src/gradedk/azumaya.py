@@ -17,15 +17,12 @@ from .verdict import (VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE,
 
 class EnvelopingAlgebra:
     """A^e = A (x) A^op on A's structure constants: an element is n^2
-    scalars, i*n + j for e_i (x) e_j; the star action is (a (x) b) * x = a x b."""
+    scalars, i*n + j for e_i (x) e_j; its action on A, (a (x) b) * x =
+    a x b, is `sandwich`."""
 
     def __init__(self, graded):
         self.source = graded
         self.n = graded.algebra.dim
-
-    def star(self, e, x):
-        """(sum c_ij e_i (x) e_j) * x = sum c_ij e_i x e_j in A."""
-        return sandwich(self.source.algebra, e, x)
 
     def psi_matrix(self):
         """(rows, den): the n^2 x n^2 matrix of psi(a (x) b)(x) = a x b as

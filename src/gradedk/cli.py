@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 = true / success, 1 = false, 2 = undecided, 3 = usage or
-input error, 4 = internal error (an unexpected exception: its traceback,
-then an `internal error:` line, on stderr). Every strategy is deterministic:
-the output depends on the input alone, and --seed is accepted and ignored.
+input error (an unknown subcommand, option or choice included), 4 =
+internal error (an unexpected exception: its traceback, then an `internal
+error:` line, on stderr). `main` returns the code, also for `--help` (0).
+Every strategy is deterministic: the output depends on the input alone, and
+--seed is accepted and ignored.
 
 The argparse tree is built once per process and shared by every `main`
 call; `main` looks the subcommand's `cmd_*` function up when it runs.
@@ -86,44 +88,35 @@ def cmd_construct(args):
     return 0
 
 
+# the `check` predicates and `--via` routes; their keys are argparse's
+# choices. Each entry looks its function up when it runs, so a wrapper set
+# on a module name (as perfbench's tracer does) sees CLI calls too.
+_AZUMAYA_ROUTES = {
+    "psi": lambda g: az.psi_bijective(g),
+    "braun": lambda g: az.braun_check(g),
+    "graded-csa": lambda g: az.is_graded_azumaya_csa(g),
+    "group-ring": lambda g: az.group_ring_azumaya(g.field, g.group),
+}
+_PREDICATES = {
+    "grading": lambda g, via: validate_grading(g),
+    "strongly-graded": lambda g, via: is_strongly_graded(g),
+    "crossed-product": lambda g, via: is_crossed_product(g),
+    "graded-division": lambda g, via: is_graded_division(g),
+    "graded-simple": lambda g, via: is_graded_simple(g),
+    "central-simple": lambda g, via: is_central_simple(g.algebra),
+    "azumaya": lambda g, via: _AZUMAYA_ROUTES[via](g),
+}
+
+
 def cmd_check(args):
     g = _load(args.file)
-    pred = args.predicate
     try:
-        if pred == "grading":
-            report = validate_grading(g)
-        elif pred == "strongly-graded":
-            report = is_strongly_graded(g)
-        elif pred == "crossed-product":
-            report = is_crossed_product(g)
-        elif pred == "graded-division":
-            report = is_graded_division(g)
-        elif pred == "graded-simple":
-            report = is_graded_simple(g)
-        elif pred == "central-simple":
-            report = is_central_simple(g.algebra)
-        elif pred == "azumaya":
-            report = _azumaya_route(g, args.via)
-        else:
-            print("error: unknown predicate %r" % pred, file=sys.stderr)
-            return 3
+        report = _PREDICATES[args.predicate](g, args.via)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     _emit(report)
     return _exit_code(report)
-
-
-def _azumaya_route(g, via):
-    if via == "psi":
-        return az.psi_bijective(g)
-    if via == "graded-csa":
-        return az.is_graded_azumaya_csa(g)
-    if via == "group-ring":
-        return az.group_ring_azumaya(g.field, g.group)
-    if via == "braun":
-        return az.braun_check(g)
-    raise ValueError("unknown azumaya route %r" % via)
 
 
 def cmd_k0(args):
@@ -212,11 +205,19 @@ def cmd_commutators(args):
     return _exit_code(report)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, the bad-input code, with an `error:` line and
+    then the usage on stderr; argparse's own exit 2 would read as
+    "undecided"."""
+
+    def error(self, message):
+        self.exit(3, "error: %s\n%s" % (message, self.format_usage()))
+
+
 @functools.cache
 def build_parser():
-    p = argparse.ArgumentParser(prog="gradedk",
-                                description="exact computations with graded "
-                                            "algebras over Q and GF(p)")
+    p = _Parser(prog="gradedk",
+                description="exact computations with graded algebras over Q and GF(p)")
     p.add_argument("--seed", type=int, default=0, help="no effect: every strategy is deterministic")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -234,13 +235,9 @@ def build_parser():
     c.add_argument("-o", "--output")
 
     c = sub.add_parser("check", help="run a structural predicate")
-    c.add_argument("predicate",
-                   choices=["grading", "strongly-graded", "crossed-product",
-                            "graded-division", "graded-simple",
-                            "central-simple", "azumaya"])
+    c.add_argument("predicate", choices=list(_PREDICATES))
     c.add_argument("file")
-    c.add_argument("--via", default="graded-csa",
-                   choices=["psi", "braun", "graded-csa", "group-ring"])
+    c.add_argument("--via", default="graded-csa", choices=list(_AZUMAYA_ROUTES))
 
     c = sub.add_parser("k0", help="K0-level invariants")
     c.add_argument("file", nargs="?")
@@ -255,8 +252,6 @@ def build_parser():
     c = sub.add_parser("classify-shift", help="canonical forms and the "
                                               "graded-iso decision for shifts")
     c.add_argument("--group", required=True)
-    c.add_argument("--base", default="trivial-K",
-                   help="informational tag for the base graded division ring")
     c.add_argument("--subgroup", default="",
                    help="generators of the homogeneous-unit degree subgroup")
     c.add_argument("shifts", nargs="+",
@@ -269,10 +264,9 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    func = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return func(args)
+        args = build_parser().parse_args(argv)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 3
     except Exception as exc:

@@ -1,6 +1,5 @@
 """Named constructors: quaternion algebras, symbol algebras, Laurent-type
-graded fields, and group rings, each delivered with its grading and
-homogeneous-unit witnesses."""
+graded fields, and group rings, each delivered with its grading."""
 
 from __future__ import annotations
 
@@ -50,12 +49,7 @@ def construct_quaternion(field, a, b, grading="Z2xZ2"):
                    group.element((0, 1)), group.element((1, 1))]
     else:
         raise ValueError("unknown grading %r" % grading)
-    # homogeneous units: i, j, k with closed-form inverses
-    witnesses = {degrees[1]: alg.basis_element(1),
-                 degrees[2]: alg.basis_element(2),
-                 degrees[3]: alg.basis_element(3),
-                 degrees[0]: alg.one}
-    g = GradedAlgebra(alg, group, degrees, unit_witnesses=witnesses)
+    g = GradedAlgebra(alg, group, degrees)
     v = validate_grading(g)
     if not v:
         raise AssertionError("quaternion grading invalid: %r" % (v.counterexample,))
@@ -122,8 +116,7 @@ def construct_symbol_algebra(field, n, a, b, xi):
         degrees = [group.element((i, j)) for i in range(n) for j in range(n)]
     else:
         degrees = [group.identity]
-    witnesses = {degrees[t]: alg.basis_element(t) for t in range(n * n)}
-    g = GradedAlgebra(alg, group, degrees, unit_witnesses=witnesses)
+    g = GradedAlgebra(alg, group, degrees)
     v = validate_grading(g)
     if not v:
         raise AssertionError("symbol grading invalid: %r" % (v.counterexample,))
@@ -158,8 +151,7 @@ def construct_group_ring(field, group):
     unit = [field.zero] * len(elems)
     unit[index[group.identity]] = field.one
     alg = Algebra(field, labels, products, unit=unit)
-    witnesses = {g: alg.basis_element(i) for i, g in enumerate(elems)}
-    out = GradedAlgebra(alg, group, list(elems), unit_witnesses=witnesses)
+    out = GradedAlgebra(alg, group, list(elems))
     v = validate_grading(out)
     if not v:
         raise AssertionError("group-ring grading invalid: %r" % (v.counterexample,))

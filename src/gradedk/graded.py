@@ -23,16 +23,10 @@ from .verdict import (VerdictReport, TRUE, FALSE, UNDECIDED,
                       EXHAUSTIVE, CONSTRUCTIVE, combine)
 
 
-@dataclass
-class HomogeneousElement:
-    element: AlgebraElement
-    degree: object  # GroupElement
-
-
 class GradedAlgebra:
     """An Algebra with a degree assignment on its (homogeneous) basis."""
 
-    def __init__(self, algebra, group, degrees, unit_witnesses=None):
+    def __init__(self, algebra, group, degrees):
         self.algebra = algebra
         self.group = group
         self.degrees = list(degrees)
@@ -41,8 +35,6 @@ class GradedAlgebra:
         for d in self.degrees:
             if d.group is not group and d.group != group:
                 raise ValueError("degree from a different grade group")
-        # invertible homogeneous elements attached by constructors, degree -> element
-        self.unit_witnesses = dict(unit_witnesses or {})
 
     @property
     def field(self):
@@ -424,26 +416,6 @@ def graded_center(g):
     return GradedCenterResult(z, x is None, x)
 
 
-def graded_module_basis(g, generators):
-    """Homogeneous basis and dimension of the span of homogeneous generators,
-    viewed as a module over the (trivially graded) base field.
-
-    Elimination proceeds per degree; pivots are nonzero base-field scalars,
-    hence invertible.
-    """
-    by_degree = {}
-    for h in generators:
-        if h.element.is_zero():
-            continue
-        by_degree.setdefault(h.degree, []).append(list(h.element.coords))
-    basis = []
-    for d in sorted(by_degree, key=lambda e: e.coords):
-        reduced, _ = linalg.rref(linalg.int_rows(by_degree[d], g.field), g.dim, g.field)
-        for row in reduced:
-            basis.append(HomogeneousElement(g.algebra.element(row), d))
-    return basis, len(basis)
-
-
 def graded_tensor(a, b):
     """A (x) B with the product grading; abelian grade groups only."""
     if a.group is not b.group and a.group != b.group:
@@ -475,16 +447,6 @@ def graded_tensor(a, b):
     if not v:
         raise ValueError("tensor grading closure failed: %r" % (v.counterexample,))
     return out
-
-
-def opposite(a):
-    """The opposite graded algebra: transposed structure constants, same
-    degrees."""
-    products = {}
-    for (i, j), terms in a.algebra.products.items():
-        products[(j, i)] = dict(terms)
-    alg = Algebra(a.field, list(a.algebra.labels), products, unit=list(a.algebra.unit_coords))
-    return GradedAlgebra(alg, a.group, list(a.degrees), unit_witnesses=a.unit_witnesses)
 
 
 def trivially_graded(algebra, group):

@@ -13,10 +13,10 @@ results are dense rows of field scalars.
 There is one elimination per field. Over GF(p) it is a sparse Gauss-Jordan
 on residues, the loop of sympy's `sdm_irref` with `% p` and
 `pow(a, -1, p)`. Over Q it is sympy's fraction-free `sdm_rref_den` over ZZ
-(Bareiss-style). Each output coordinate is converted once, by
-`FieldSpec.from_ints`. The results are canonical: rref rows have unit
-pivots and no zero rows, and a kernel basis is its own rref, so subspace
-equality is a data comparison.
+(Bareiss-style), on rows divided by their content. Each output coordinate
+is converted once, by `FieldSpec.from_ints`. The results are canonical:
+rref rows have unit pivots and no zero rows, and a kernel basis is its own
+rref, so subspace equality is a data comparison.
 
 `mat_mul` multiplies ints or field scalars alike. The characteristic
 polynomial is sympy's ``DomainMatrix.charpoly`` over QQ or GF(p), and
@@ -26,6 +26,7 @@ polynomial is sympy's ``DomainMatrix.charpoly`` over QQ or GF(p), and
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -123,7 +124,11 @@ def _reduced(rows, field):
     if p:
         rows = [r for row in rows if (r := {j: v for j, x in row.items() if (v := x % p)})]
     else:
-        rows = [r for row in rows if (r := {j: x for j, x in row.items() if x})]
+        # each row over its content, the gcd of its entries: the same line,
+        # and `sdm_rref_den`'s integers grow from the entries
+        rows = [{j: x // g for j, x in r.items()}
+                for row in rows if (r := {j: x for j, x in row.items() if x})
+                for g in [math.gcd(*r.values())]]
     return _eliminate(rows, p)
 
 

@@ -272,14 +272,10 @@ def _top_dimensions(g, degrees):
 
 
 def _homogeneous_unit(g, degree):
-    """(x, x^-1) for a unit x of the given degree: the attached unit
-    witness, 1 in degree e, or the first invertible basis vector of the
-    component; None when none of these is a unit."""
+    """(x, x^-1) for a unit x of the given degree: 1 in degree e, else the
+    first invertible basis vector of the component; None when there is
+    none."""
     alg = g.algebra
-    w = g.unit_witnesses.get(degree)
-    w_inv = try_invert(w) if w is not None else None
-    if w_inv is not None:
-        return w, w_inv
     if degree == g.group.identity:
         return alg.one, alg.one
     for k in g.component_indices(degree):
@@ -314,10 +310,10 @@ def solve_shift_matrix(base_graded, d, a):
     nonempty, for a materialized graded base R.
 
     n != m is false. The structured search comes first: a permutation
-    matrix of homogeneous units (attached witnesses, 1 in degree e, basis
-    vectors) gives a constructive true with the witness (r, t). Otherwise
-    the tops decide (Nastasescu-Van Oystaeyen, Methods of Graded Rings, LNM
-    1836, 2004): R^n(d) ~gr R^n(a) iff sum_i eps_(d_i) E ~ sum_j eps_(a_j) E
+    matrix of homogeneous units (1 in degree e, basis vectors) gives a
+    constructive true with the witness (r, t). Otherwise the tops decide
+    (Nastasescu-Van Oystaeyen, Methods of Graded Rings, LNM 1836, 2004):
+    R^n(d) ~gr R^n(a) iff sum_i eps_(d_i) E ~ sum_j eps_(a_j) E
     as projective modules over the covering algebra E (see
     `covering_algebra`), and projective modules over a finite-dimensional
     algebra are isomorphic iff their tops are, i.e. iff sum_i v(d_i) =
@@ -403,7 +399,7 @@ def canonical_shift(group, gamma_d, shift):
     if not shift:
         raise ValueError("empty shift vector")
     return ShiftCanonicalForm(_canonical_labels(group, gamma_d, shift,
-                                                _coset_labels(group, gamma_d, shift)))
+                                                _coset_labels(group, gamma_d, shift))[0])
 
 
 def _coset_labels(group, gamma_d, elements):
@@ -438,7 +434,8 @@ def _translate(group, gamma_d, labels, reps, offset):
 
 
 def _canonical_labels(group, gamma_d, entries, labels):
-    """`canonical_shift` from the entries and their `_coset_labels`."""
+    """(form, b): `canonical_shift` from the entries and their
+    `_coset_labels`, and the label b whose translation by -b attains it."""
     counts = Counter(labels)
     distinct, negs = list(counts), [-c for c in counts.values()]
     reps = dict(zip(labels, entries))
@@ -446,16 +443,22 @@ def _canonical_labels(group, gamma_d, entries, labels):
         offsets = [[-v for v in b] for b in distinct]
     else:
         offsets = [reps[b].inverse() for b in distinct]
-    runs = min(sorted(zip(*_translate(group, gamma_d, distinct, reps, t), negs))
-               for t in offsets)
+    runs, b = min(((sorted(zip(*_translate(group, gamma_d, distinct, reps, t), negs)), b)
+                   for t, b in zip(offsets, distinct)), key=lambda pair: pair[0])
     out = tuple(run[:-1] for run in runs for _ in range(-run[-1]))
-    return out if group.kind == "fg-abelian" else tuple(x for (x,) in out)
+    return (out if group.kind == "fg-abelian" else tuple(x for (x,) in out)), b
 
 
 def shifted_iso_decision(group, gamma_d, lam, gam):
     """Graded-isomorphism decision for M_n(D)(lam) vs M_n(D)(gam) over a
     graded division ring with unit-degree subgroup gamma_d; on success the
-    witness is (pi, tau, sigma) with gam[i] = tau[i] * lam[pi[i]] * sigma."""
+    witness is (pi, tau, sigma) with gam[i] = tau[i] * lam[pi[i]] * sigma.
+
+    Equal canonical forms, attained at the entries b of lam and c of gam,
+    give the labels of the gam[i] c^-1 as those of the lam[j] b^-1, so
+    sigma = c b^-1 sends each gam[i] sigma^-1 into the coset of an unused
+    lam[j], which is pi(i), and tau[i] = gam[i] sigma^-1 lam[pi(i)]^-1 lies
+    in Gamma_D."""
     lam = list(lam)
     gam = list(gam)
     if not lam or not gam:
@@ -464,43 +467,32 @@ def shifted_iso_decision(group, gamma_d, lam, gam):
         raise ValueError("shift vectors must have equal length (n = n')")
     lab_l = _coset_labels(group, gamma_d, lam)
     lab_g = _coset_labels(group, gamma_d, gam)
-    cf_l = ShiftCanonicalForm(_canonical_labels(group, gamma_d, lam, lab_l))
-    cf_g = ShiftCanonicalForm(_canonical_labels(group, gamma_d, gam, lab_g))
+    form_l, b = _canonical_labels(group, gamma_d, lam, lab_l)
+    form_g, c = _canonical_labels(group, gamma_d, gam, lab_g)
+    cf_l, cf_g = ShiftCanonicalForm(form_l), ShiftCanonicalForm(form_g)
     if cf_l != cf_g:
         diff = (Counter(cf_g.labels) - Counter(cf_l.labels)) + \
                (Counter(cf_l.labels) - Counter(cf_g.labels))
         return VerdictReport("shifted-matrix-isomorphic", FALSE, EXHAUSTIVE,
                              counterexample=("coset-multiset", dict(diff)),
                              details={"left": cf_l, "right": cf_g})
-    # reconstruct (pi, tau, sigma): try sigma candidates gam[0] - lam[j0]. For
-    # a fixed sigma, tau[i] = gam[i] sigma^-1 lam[j]^-1 lies in Gamma_D iff
-    # gam[i] sigma^-1 and lam[j] share a coset, so lam is bucketed by label
-    # and gam[i] takes the next unused j of its translated label. That works
-    # iff gam's translated label multiset is lam's, which depends on j0 only
-    # through the label of lam[j0], so each label is tried once, at its
-    # first j0.
-    buckets = {}
+    sigma = gam[lab_g.index(c)] * lam[lab_l.index(b)].inverse()
+    sigma_inv = sigma.inverse()
+    # the label of each gam[i] sigma^-1, one translate per distinct label;
+    # over an fg-abelian group the offset is the label difference b - c
+    distinct = list(dict.fromkeys(lab_g))
+    offset = [x - y for x, y in zip(b, c)] if group.kind == "fg-abelian" else sigma_inv
+    moved = dict(zip(distinct, _rows(_translate(group, gamma_d, distinct,
+                                                dict(zip(lab_g, gam)), offset),
+                                     len(distinct))))
+    unused = {}
     for j, x in enumerate(lab_l):
-        buckets.setdefault(x, []).append(j)
-    counts = Counter(lab_g)
-    distinct = list(counts)
-    reps = dict(zip(lab_g, gam))
-    for x0, js in buckets.items():
-        sigma = gam[0] * lam[js[0]].inverse()
-        if group.kind == "fg-abelian":
-            offset = [a - b for a, b in zip(x0, lab_g[0])]
-        else:
-            offset = sigma.inverse()
-        moved = dict(zip(distinct, _rows(_translate(group, gamma_d, distinct, reps, offset),
-                                          len(distinct))))
-        if all(len(buckets.get(moved[y], ())) == c for y, c in counts.items()):
-            unused = {x: iter(js) for x, js in buckets.items()}
-            pi = [next(unused[moved[y]]) for y in lab_g]
-            sigma_inv = sigma.inverse()
-            tau = [g * sigma_inv * lam[j].inverse() for g, j in zip(gam, pi)]
-            return VerdictReport("shifted-matrix-isomorphic", TRUE, CONSTRUCTIVE,
-                                 witness={"pi": pi, "tau": tau, "sigma": sigma})
-    raise AssertionError("canonical forms equal but no witness found")
+        unused.setdefault(x, []).append(j)
+    unused = {x: iter(js) for x, js in unused.items()}
+    pi = [next(unused[moved[y]]) for y in lab_g]
+    tau = [g * sigma_inv * lam[j].inverse() for g, j in zip(gam, pi)]
+    return VerdictReport("shifted-matrix-isomorphic", TRUE, CONSTRUCTIVE,
+                         witness={"pi": pi, "tau": tau, "sigma": sigma})
 
 
 def is_good_grading(g, matrix_units=None):

@@ -35,10 +35,6 @@ class VerdictReport:
     def is_false(self):
         return self.verdict == FALSE
 
-    @property
-    def is_undecided(self):
-        return self.verdict == UNDECIDED
-
     def summary(self):
         return "%s: %s (%s)" % (self.predicate, self.verdict, self.strategy)
 

@@ -116,6 +116,41 @@ def test_malformed_file_exit_3(capsys, tmp_path):
         assert err.startswith("error:") and missing in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "nosuchpred", "FILE"),
+    ("check", "azumaya", "FILE", "--via", "nosuchroute"),
+    ("k0", "--localize", "x"),
+    (),
+    ("--nosuchoption", "k0"),
+    ("classify-shift", "--group", "Z", "--base", "trivial-K", "(0)"),
+], ids=["predicate", "via", "localize-not-int", "no-subcommand", "option", "base"])
+def test_usage_error_exit_3(capsys, quat_file, argv):
+    # argparse's own exit 2 would read as "undecided"
+    code, out, err = run(capsys, *[quat_file if a == "FILE" else a for a in argv])
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "usage: gradedk" in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("check", "-h")], ids=["top", "check"])
+def test_help_exit_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: gradedk")
+
+
+def test_crossed_product_witness_same_on_construct_and_dumped_file(capsys, tmp_path):
+    # the Z2-graded quaternions: a [construct] file and the file `construct`
+    # writes for it give the same unit of the odd degree, j
+    section = tmp_path / "section.alg"
+    section.write_text("[construct]\nkind = quaternion\nfield = Q\na = -1\nb = -1\n"
+                       "grading = Z2\n")
+    dumped = tmp_path / "dumped.alg"
+    assert run(capsys, "construct", "quaternion", "--grading", "Z2", "-o", str(dumped))[0] == 0
+    outs = [run(capsys, "check", "crossed-product", str(f)) for f in (section, dumped)]
+    assert outs[0] == outs[1] == (0, "predicate=crossed-product; verdict=true; "
+                                     "strategy=constructive; witness={(1): 1*j}\n", "")
+
+
 def test_k0_without_input_exit_3(capsys):
     code, _, err = run(capsys, "k0")
     assert code == 3

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from gradedk.algebra import try_invert
 from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_quaternion,
                                   construct_symbol_algebra,
                                   construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
-from gradedk.graded import is_graded_division, validate_grading
+from gradedk.graded import is_graded_division, support, validate_grading
 from gradedk.groups import GradeGroup
+from gradedk.matrixring import _homogeneous_unit
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
@@ -36,11 +36,21 @@ def test_quaternion_rejects_bad_input():
         construct_quaternion(Q, -1, -1, grading="Z3")
 
 
+def assert_homogeneous_units(g):
+    """Every support degree holds the unit that `_homogeneous_unit` finds,
+    with its inverse in the inverse degree."""
+    for deg in support(g):
+        w, w_inv = _homogeneous_unit(g, deg)
+        assert g.degree_of(w) == deg and g.degree_of(w_inv) == deg.inverse()
+        assert w * w_inv == g.algebra.one == w_inv * w
+
+
 def test_quaternion_witnesses_verified_by_multiplication():
-    H = construct_quaternion(Q, -1, -1)
-    for deg, w in H.unit_witnesses.items():
-        assert H.is_homogeneous(w) and H.degree_of(w) == deg
-        assert try_invert(w) is not None
+    for grading in ("Z2xZ2", "Z2", "trivial"):
+        assert_homogeneous_units(construct_quaternion(Q, -1, -1, grading=grading))
+    # on the Z2 grading the odd degree's unit is the first basis vector, j
+    H = construct_quaternion(Q, -1, -1, grading="Z2")
+    assert _homogeneous_unit(H, H.degrees[2])[0] == H.algebra.basis_element(2)
 
 
 def test_symbol_algebra_relations():
@@ -82,10 +92,7 @@ def test_symbol_algebra_n1_is_field():
 def test_symbol_witness_inverses():
     for S in (construct_symbol_algebra(F5, 2, 2, 3, 4),
               construct_symbol_algebra(FieldSpec.prime_field(7), 3, 2, 3, 2)):
-        for deg, w in S.unit_witnesses.items():
-            inv = try_invert(w)
-            assert inv is not None
-            assert S.degree_of(inv) == deg.inverse() or deg.is_identity()
+        assert_homogeneous_units(S)
 
 
 def test_laurent_components():
@@ -116,6 +123,7 @@ def test_group_ring_s3_structure():
     # noncommutative
     a, b = A.algebra.basis_element(1), A.algebra.basis_element(4)
     assert a * b != b * a
+    assert_homogeneous_units(A)
 
 
 def test_truncated_polynomial():

@@ -14,12 +14,11 @@ from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_symbol_algebra,
                                   construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
-from gradedk.graded import (GradedAlgebra, HomogeneousElement,
-                            TwistedGroupAlgebra, dimension_formula_check,
-                            graded_center, graded_module_basis, graded_radical,
-                            graded_tensor,
+from gradedk.graded import (GradedAlgebra, TwistedGroupAlgebra,
+                            dimension_formula_check, graded_center,
+                            graded_radical, graded_tensor,
                             is_crossed_product, is_graded_division,
-                            is_graded_simple, is_strongly_graded, opposite,
+                            is_graded_simple, is_strongly_graded,
                             support, support_subgroup, trivially_graded,
                             validate_grading)
 from gradedk.groups import GradeGroup, SubgroupSpec
@@ -27,6 +26,7 @@ from gradedk.ktheory import jacobson_radical
 from gradedk.matrixring import ShiftedMatrixAlgebra, solve_shift_matrix
 from randomdata import random_constructed
 from shiftoracle import assert_top_certificate
+from test_kernel import opposite
 from test_ktheory import (cyclic_cubic_division_algebra, m2_over_q_sqrt2,
                           product_algebra, scalars, upper_triangular)
 
@@ -590,15 +590,6 @@ def test_graded_tensor_degrees_and_dim():
     # deg(i (x) j) = (1,0)+(0,1)
     idx = t.algebra.labels.index("i(x)j")
     assert t.degrees[idx] == t.group.element((1, 1))
-
-
-def test_graded_module_basis_dimension():
-    H = construct_quaternion(Q, -1, -1)
-    gens = [HomogeneousElement(H.algebra.basis_element(1), H.degrees[1]),
-            HomogeneousElement(H.algebra.basis_element(1).scale(2), H.degrees[1]),
-            HomogeneousElement(H.algebra.basis_element(2), H.degrees[2])]
-    basis, dim = graded_module_basis(H, gens)
-    assert dim == 2
 
 
 def test_dimension_formula():

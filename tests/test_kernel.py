@@ -19,13 +19,12 @@ from gradedk import linalg
 from gradedk.algebra import (Algebra, center, commutator_subspace, enveloping_product,
                              integer_product_form, integer_psi_matrix,
                              left_regular_matrix, multiply, regular_traces,
-                             right_regular_matrix, separability_rows)
-from gradedk.azumaya import EnvelopingAlgebra
+                             right_regular_matrix, sandwich, separability_rows)
 from gradedk.constructors import (construct_group_ring, construct_matrix_algebra,
                                   construct_quaternion, construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
-from gradedk.graded import (GradedAlgebra, _strongly_graded_at, graded_tensor, opposite,
-                            support, trivially_graded)
+from gradedk.graded import (GradedAlgebra, _strongly_graded_at, graded_tensor, support,
+                            trivially_graded)
 from gradedk.groups import GradeGroup
 from gradedk.ktheory import _lifted_trace_digit
 from gradedk.matrixring import ShiftedMatrixAlgebra
@@ -156,6 +155,14 @@ def ref_star(alg, e, x):
                 for r, d in alg.products.get((s, j), {}).items():
                     out[r] += c * a * b * d
     return out
+
+
+def opposite(g):
+    """The opposite graded algebra: transposed structure constants, same
+    degrees."""
+    products = {(j, i): dict(terms) for (i, j), terms in g.algebra.products.items()}
+    alg = Algebra(g.field, list(g.algebra.labels), products, unit=list(g.algebra.unit_coords))
+    return GradedAlgebra(alg, g.group, list(g.degrees))
 
 
 def ref_strongly_graded_at(g, gamma):
@@ -344,21 +351,21 @@ def test_reduced_char_poly(alg):
 
 
 def enveloping(alg):
-    """(env, tensor): A (x) A^op read off the table, and materialized as
-    `graded_tensor(g, opposite(g))`, the reference; both index e_i (x) e_j
-    by i*n + j."""
+    """A (x) A^op materialized as `graded_tensor(g, opposite(g))`, the
+    reference for the kernels that read it off A's table; e_i (x) e_j is
+    basis vector i*n + j."""
     g = trivially_graded(alg, GradeGroup.trivial())
-    return EnvelopingAlgebra(g), graded_tensor(g, opposite(g)).algebra
+    return graded_tensor(g, opposite(g)).algebra
 
 
 @pytest.mark.parametrize("alg", [a for a in ALGEBRAS if a.dim <= 4],
                          ids=lambda a: "%r-dim%d" % (a.field, a.dim))
 def test_star(alg):
     rng = random.Random(alg.dim * 17 + alg.field.characteristic)
-    env, tensor = enveloping(alg)
+    tensor = enveloping(alg)
     for e in (random_element(tensor, rng), tensor.one, tensor.zero):
         for x in elements(alg, rng):
-            assert same(env.star(e.coords, x).coords, tuple(ref_star(alg, e.coords, x)))
+            assert same(sandwich(alg, e.coords, x).coords, tuple(ref_star(alg, e.coords, x)))
 
 
 @pytest.mark.parametrize("alg", [a for a in ALGEBRAS if a.dim <= 4],
@@ -369,7 +376,7 @@ def test_enveloping_product_and_separability_rows(alg):
     materialized A (x) A^op; the rows of e * 1 = 1 hold the products
     e_i e_j and the unit."""
     rng = random.Random(alg.dim * 23 + alg.field.characteristic)
-    _, tensor = enveloping(alg)
+    tensor = enveloping(alg)
     n2 = tensor.dim
     xs = [random_element(tensor, rng), random_element(tensor, rng, height=30),
           tensor.basis_element(rng.randrange(n2)), tensor.one, tensor.zero]

@@ -502,9 +502,12 @@ def _random_shift_pair(rng, group, gens, n):
 
 
 def test_shift_classification_matches_reference():
-    # canonical forms, verdicts, strategies, witnesses, counterexamples and
-    # details agree in repr with the direct O(n^2) reference on 1,530
-    # seeded pairs, and every witness replays
+    # canonical forms, verdicts, strategies, counterexamples and details
+    # agree in repr with the direct O(n^2) reference on 1,530 seeded pairs,
+    # and every witness replays: the reference may reach another (pi, tau,
+    # sigma) for the same pair
+    unwitnessed = lambda r: repr((r.predicate, r.verdict, r.strategy, r.counterexample,
+                                  r.details))
     rng = random.Random(1405)
     spaces = _classification_spaces()
     for t in range(1530):
@@ -517,8 +520,9 @@ def test_shift_classification_matches_reference():
                 repr(reference_canonical_shift(group, gamma_d, vec)), (name, vec)
         rep = shifted_iso_decision(group, gamma_d, lam, gam)
         ref = reference_shifted_iso_decision(group, gamma_d, lam, gam)
-        assert repr(rep) == repr(ref), (name, lam, gam)
+        assert unwitnessed(rep) == unwitnessed(ref), (name, lam, gam)
         if rep:
+            assert_shift_classification_witness(gamma_d, lam, gam, ref.witness)
             assert_shift_classification_witness(gamma_d, lam, gam, rep.witness)
     S3 = GradeGroup.symmetric_3()
     for classify in (canonical_shift, reference_canonical_shift):
