@@ -12,16 +12,18 @@ scale in `Algebra.unit_ints`. Over GF(p) the ints are the residues and the
 scale is 1. Over Q they are the constants times the scale D, the lcm of
 their denominators (and the unit's). Associativity and the
 unit axiom are checked on this table at construction, on every basis
-triple. Every structure-constant loop runs on it too: products, regular
-matrices and ideal closure, the regular traces and product forms, psi, the
-rows of the centre and of the commutator subspace, and A (x) A^op on
-tuples of n^2 scalars, i*n + j for e_i (x) e_j: its star action, its
-product and the rows of the separability conditions. Each input vector
-becomes integer numerators over one common denominator
-(`FieldSpec.to_ints`), the sums run on ints, and each output coordinate
-is converted once at the end (`FieldSpec.from_ints`), so the same loop
-serves Q and GF(p). The rows that the kernel hands to `linalg` are
-sparse {column: int} rows, the row format of `linalg`.
+triple. Every structure-constant loop runs on it too: products (one loop,
+`integer_product`), minimal polynomials on integer powers, polynomial
+evaluation by Horner, regular matrices and ideal closure, the regular
+traces and product forms, psi, the rows of the centre and of the
+commutator subspace, subspace membership, and A (x) A^op on tuples of n^2
+scalars, i*n + j for e_i (x) e_j: its star action, its product and the
+rows of the separability conditions. Each input vector becomes integer
+numerators over one common denominator (`FieldSpec.to_ints`), the sums
+run on ints, and each output coordinate is converted once at the end
+(`FieldSpec.from_ints`), so the same loop serves Q and GF(p). The rows
+that the kernel hands to `linalg` are sparse {column: int} rows, the row
+format of `linalg`.
 """
 
 from __future__ import annotations
@@ -269,7 +271,8 @@ class AlgebraElement:
 
 
 class Subspace:
-    """A subspace in canonical reduced echelon form; equality is data equality."""
+    """A subspace in canonical reduced echelon form; equality is data equality.
+    Membership reads the rows as ints, converted on the first `contains`."""
 
     def __init__(self, owner, echelon_rows):
         self.owner = owner
@@ -279,9 +282,13 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
+    @functools.cached_property
+    def _echelon(self):
+        return linalg.integer_echelon(self.rows, self.owner.field)
+
     def contains(self, x):
         coords = x.coords if isinstance(x, AlgebraElement) else x
-        return linalg.row_space_contains(self.rows, coords)
+        return linalg.row_space_contains(self._echelon, coords, self.owner.field)
 
     def basis_elements(self):
         return [self.owner.element(r) for r in self.rows]
@@ -300,6 +307,21 @@ class Subspace:
 # -- operations -------------------------------------------------------
 
 
+def integer_product(table, xs, ys):
+    """The product of two integer vectors through the table, unreduced: the
+    value is scale * dx * dy times the product of xs / dx and ys / dy."""
+    out = [0] * len(xs)
+    for a, row in zip(xs, table):
+        if a:
+            for j, terms in row.items():
+                b = ys[j]
+                if b:
+                    ab = a * b
+                    for k, c in terms:
+                        out[k] += ab * c
+    return out
+
+
 def multiply(x, y):
     """Bilinear product via the integer table, over the nonzero coordinates
     of x and the nonzero products of their rows."""
@@ -308,16 +330,8 @@ def multiply(x, y):
         raise ValueError("elements of different algebras")
     xs, dx = alg.field.to_ints(x.coords)
     ys, dy = alg.field.to_ints(y.coords)
-    out = [0] * alg.dim
-    for a, row in zip(xs, alg.table):
-        if a:
-            for j, terms in row.items():
-                b = ys[j]
-                if b:
-                    ab = a * b
-                    for k, c in terms:
-                        out[k] += ab * c
-    return AlgebraElement(alg, alg.field.from_ints(out, dx * dy * alg.scale))
+    return AlgebraElement(alg, alg.field.from_ints(integer_product(alg.table, xs, ys),
+                                                   dx * dy * alg.scale))
 
 
 def integer_regular_rows(alg, coords, left=True):
@@ -557,31 +571,57 @@ def is_central_simple(algebra):
 
 
 def minimal_polynomial(x):
-    """Least-degree monic f with f(x) = 0, ascending coefficient list."""
+    """Least-degree monic f with f(x) = 0, ascending coefficient list.
+
+    The powers stay integer vectors: with x = xs / dx and t = dx * scale,
+    x^k is powers[k] / (scale * t^k), residues over GF(p) (t = 1). The
+    system sum_i y_i powers[i] = powers[k] then has y_i = c_i t^(k-i) for
+    x^k = sum_i c_i x^i, so the solution is rescaled once."""
     alg = x.owner
     field = alg.field
-    power = alg.one
-    powers = [power.coords]
+    p = field.characteristic
+    xs, dx = field.to_ints(x.coords)
+    t = dx * alg.scale
+    powers = [alg.unit_ints]
     while True:
-        power = power * x
+        power = integer_product(alg.table, powers[-1], xs)
+        if p:
+            power = [v % p for v in power]
+        k = len(powers)
         # the lower powers are independent, so a solution exists exactly
         # when this power depends on them, and it is unique
-        sol = linalg.solve(linalg.int_rows(zip(*powers, power.coords), field),
-                           len(powers), field)
+        rows = [{i: v for i, v in enumerate(col) if v} for col in zip(*powers, power)]
+        sol = linalg.solve(rows, k, field)
         if sol is not None:
-            return [-c for c in sol] + [field.one]
-        powers.append(power.coords)
+            ys, den = field.to_ints(sol)
+            return field.from_ints([-y * t ** i for i, y in enumerate(ys)], den * t ** k) \
+                + [field.one]
+        powers.append(power)
 
 
 def evaluate_poly(coeffs, x):
-    """Evaluate an ascending-coefficient polynomial at an algebra element."""
+    """Evaluate an ascending-coefficient polynomial at an algebra element,
+    by Horner on ints. With coeffs = cs / dc, x = xs / dx and
+    t = dx * scale, the value after i steps is acc / (dc * scale * t^i), so
+    a step is acc -> acc xs + c t^i unit_ints. Over GF(p), t = dc = 1 and
+    acc is reduced at each step."""
     alg = x.owner
-    out = alg.zero
-    power = alg.one
-    for c in coeffs:
-        out = out + power.scale(c)
-        power = power * x
-    return out
+    field = alg.field
+    p = field.characteristic
+    cs, dc = field.to_ints([field.scalar(c) for c in coeffs])
+    xs, dx = field.to_ints(x.coords)
+    t = dx * alg.scale
+    acc, tk = [0] * alg.dim, 1
+    for i, c in enumerate(reversed(cs)):
+        if i:
+            acc = integer_product(alg.table, acc, xs)
+            tk *= t
+        if c:
+            for k, u in enumerate(alg.unit_ints):
+                acc[k] += c * tk * u
+        if p:
+            acc = [v % p for v in acc]
+    return AlgebraElement(alg, field.from_ints(acc, dc * alg.scale * tk))
 
 
 def commutator_subspace(algebra):

@@ -158,6 +158,33 @@ def is_graded_azumaya_csa(a):
                          counterexample=bad.counterexample, details=details)
 
 
+def graded_group_ring_azumaya(g):
+    """`group_ring_azumaya` for a graded algebra that is F[G] on its group
+    basis: one basis vector e_d of each degree d of G, e_d e_h = 1 e_(dh),
+    and the unit e_e. The criterion is about F[G] alone, so any other
+    algebra is a ValueError."""
+    group = g.group
+    if group.kind != "finite-table":
+        raise ValueError("finite-table group required")
+    if isinstance(g, TwistedGroupAlgebra):
+        raise ValueError("the group-ring route needs a materialized algebra")
+    elems = group.elements()
+    alg = g.algebra
+    index = {d: i for i, d in enumerate(g.degrees)}
+    if len(g.degrees) != len(elems) or index.keys() != set(elems):
+        raise ValueError("not a group ring: the basis is not one vector per group element")
+    one = alg.field.one
+    for d in elems:
+        for h in elems:
+            if alg.products.get((index[d], index[h])) != {index[d * h]: one}:
+                raise ValueError("not a group ring: %s * %s is not the basis vector of degree %r"
+                                 % (alg.labels[index[d]], alg.labels[index[h]], d * h))
+    if list(alg.unit_coords) != [one if i == index[group.identity] else alg.field.zero
+                                 for i in range(alg.dim)]:
+        raise ValueError("not a group ring: the unit is not the basis vector of degree e")
+    return group_ring_azumaya(alg.field, group)
+
+
 def group_ring_azumaya(field, group):
     """DeMeyer-Janusz: R[G] Azumaya iff R Azumaya, [G:Z(G)] finite, and the
     commutator subgroup's order m is invertible in R. Fields are Azumaya."""

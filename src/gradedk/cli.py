@@ -95,7 +95,7 @@ _AZUMAYA_ROUTES = {
     "psi": lambda g: az.psi_bijective(g),
     "braun": lambda g: az.braun_check(g),
     "graded-csa": lambda g: az.is_graded_azumaya_csa(g),
-    "group-ring": lambda g: az.group_ring_azumaya(g.field, g.group),
+    "group-ring": lambda g: az.graded_group_ring_azumaya(g),
 }
 _PREDICATES = {
     "grading": lambda g, via: validate_grading(g),

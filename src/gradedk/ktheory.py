@@ -10,6 +10,9 @@ from math import gcd, isqrt
 
 import sympy
 from sympy import ZZ
+from sympy.polys.densearith import dup_exquo, dup_mul, dup_pow, dup_rem
+from sympy.polys.euclidtools import dup_invert
+from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 
 from . import linalg
@@ -210,16 +213,18 @@ def _spectral_idempotents(x):
 def _crt_idempotents(x, f):
     """The CRT idempotents g_i(x) h_i(x) of the factors f_i^(m_i) of the
     minimal polynomial f of x, with g_i = f / f_i^(m_i) and h_i its inverse
-    mod f_i^(m_i). They are orthogonal and sum to 1; f is factored by sympy
-    over QQ or GF(p)."""
+    mod f_i^(m_i), reduced mod f. They are orthogonal and sum to 1. f is
+    factored by sympy's `dup_factor_list` over QQ or GF(p), the CRT runs on
+    its dense polynomials, and `evaluate_poly` evaluates each g_i h_i at x
+    on ints."""
     field = x.owner.field
-    f = linalg.to_sympy_poly(f, field)
+    f, dom = linalg.to_dense(f, field)
     out = []
-    for fi, m in f.factor_list()[1]:
-        q = fi ** m
-        g = f.exquo(q)
-        coeffs = linalg.from_sympy_poly((g * g.invert(q)) % f, field)
-        out.append((evaluate_poly(coeffs, x), fi.degree()))
+    for fi, m in dup_factor_list(f, dom)[1]:
+        q = dup_pow(fi, m, dom)
+        g = dup_exquo(f, q, dom)
+        e = dup_rem(dup_mul(g, dup_invert(g, q, dom), dom), f, dom)
+        out.append((evaluate_poly(linalg.from_dense(e, field), x), len(fi) - 1))
     return out
 
 
@@ -254,29 +259,34 @@ def split_identity_component(algebra):
     """Wedderburn splitting of A/J, with J the radical: K0(A) = K0(A/J),
     because idempotents lift modulo a nilpotent ideal. The central primitive
     idempotents of A/J cut it into simple blocks, each matched to M_n(D)
-    where the type is decided."""
+    where the type is decided. A block eA is the column space of L_e, read
+    on the integer rows of L_e: its dimension is their rank, and the
+    dimension of its centre eZ is the rank of L_e applied to the centre's
+    rows."""
     radical = jacobson_radical(algebra)
     semisimple, _ = _quotient(algebra, radical)
-    zbasis = center(semisimple).basis_elements()
-    idems = _central_primitive_idempotents(semisimple, zbasis)
-    basis = [semisimple.basis_element(i) for i in range(semisimple.dim)]
+    z = center(semisimple)
+    idems = _central_primitive_idempotents(semisimple, z.basis_elements())
     field = semisimple.field
+    zrows = linalg.int_rows(z.rows, field)
     blocks = []
     for e in idems:
-        block_basis, _ = linalg.rref(linalg.int_rows([(e * b).coords for b in basis], field),
-                                     semisimple.dim, field)
-        cdim = linalg.rank(linalg.int_rows([(e * z).coords for z in zbasis], field), field)
-        blocks.append(BlockSummary(len(block_basis), cdim,
-                                   *_block_type(semisimple, e, block_basis, cdim)))
+        rows, _ = integer_regular_rows(semisimple, e.coords)
+        bdim = linalg.rank(rows, field)
+        # the rows of L_e z for the centre's rows z
+        cdim = linalg.rank([{k: v for k, row in enumerate(rows)
+                             if (v := sum(c * row.get(j, 0) for j, c in zr.items()))}
+                            for zr in zrows], field)
+        blocks.append(BlockSummary(bdim, cdim, *_block_type(semisimple, e, rows, bdim, cdim)))
     order = sorted(range(len(blocks)), key=lambda t: (blocks[t].dim, blocks[t].centre_dim))
     return SemisimpleDecomposition(semisimple,
                                    [blocks[t] for t in order],
                                    [idems[t] for t in order], radical)
 
 
-def _block_type(algebra, e, block_basis, cdim):
+def _block_type(algebra, e, rows, bdim, cdim):
     """(n, dim D, None) with the block eA = M_n(D), or (None, None, reason)
-    if undecided.
+    if undecided; rows are the integer rows of L_e.
 
     A block of dim c * n^2 over its centre K of dim c is M_n(D) with D a
     division algebra central over K. Over GF(p), D = K (Wedderburn's little
@@ -284,13 +294,18 @@ def _block_type(algebra, e, block_basis, cdim):
     dim-4 block is a quaternion algebra decided by Hilbert symbols, and a
     larger one is M_n(Q) when a spectral idempotent of a block basis element
     has a 1-dimensional corner; otherwise it is left undecided, as is every
-    other block whose centre is bigger than Q."""
-    bdim = len(block_basis)
+    other block whose centre is bigger than Q. The block basis, the rref of
+    the columns of L_e, is built only for those two Q cases."""
     if algebra.field.kind == "prime-field" or bdim == cdim:
         return isqrt(bdim // cdim), cdim, None
     n = isqrt(bdim)
     if cdim > 1:
         return None, None, "proper-centre"
+    columns = [{} for _ in range(algebra.dim)]
+    for k, row in enumerate(rows):
+        for j, v in row.items():
+            columns[j][k] = v
+    block_basis, _ = linalg.rref(columns, algebra.dim, algebra.field)
     if n == 2:
         split = _quaternion_block_splits(algebra, e, block_basis)
         return (2, 1, None) if split else (1, 4, None)

@@ -18,17 +18,19 @@ is converted once, by `FieldSpec.from_ints`. The results are canonical:
 rref rows have unit pivots and no zero rows, and a kernel basis is its own
 rref, so subspace equality is a data comparison.
 
-`mat_mul` multiplies ints or field scalars alike. The characteristic
-polynomial is sympy's ``DomainMatrix.charpoly`` over QQ or GF(p), and
-``to_sympy_poly``/``from_sympy_poly`` carry a coefficient list to a sympy
-``Poly`` (for factoring) and back; no polynomial arithmetic is done here.
+Membership in a row space is one comparison on ints (`integer_echelon`,
+`row_space_contains`). `mat_mul` multiplies ints or field scalars alike.
+Polynomials are sympy's dense lists, the level of its `dup_*` functions,
+and `to_dense`/`from_dense` carry an ascending list of field scalars there
+and back. The characteristic polynomial is sympy's
+``DomainMatrix.charpoly`` over QQ or GF(p); no polynomial arithmetic is
+done here.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
@@ -167,9 +169,33 @@ def reduce_vector(echelon, vec):
     return v
 
 
-def row_space_contains(echelon, vec):
-    """Membership of vec in the row space given by canonical echelon rows."""
-    return not any(reduce_vector(echelon_pairs(echelon), vec))
+def integer_echelon(rows, field):
+    """(pairs, den): canonical echelon rows of field scalars as (pivot,
+    {column: int}) pairs over one common den, for `row_space_contains`."""
+    ints, den = field.to_ints([x for row in rows for x in row])
+    n = len(rows[0]) if rows else 0
+    pairs = []
+    for r in range(len(rows)):
+        nz = {j: x for j, x in enumerate(ints[r * n:(r + 1) * n]) if x}
+        pairs.append((min(nz), nz))
+    return pairs, den
+
+
+def row_space_contains(echelon, vec, field):
+    """Membership of the vector vec of field scalars in the row space of
+    `integer_echelon` rows. Those rows have unit pivots and 0 at the other
+    pivots, so vec lies in their span iff vec = sum_i vec[pivot_i] row_i:
+    on ints, den * vs = sum_i vs[pivot_i] * (den row_i), mod p over GF(p)."""
+    pairs, den = echelon
+    vs, _ = field.to_ints(vec)
+    p = field.characteristic
+    rest = [den * v for v in vs]
+    for c, row in pairs:
+        f = vs[c]
+        if f:
+            for j, y in row.items():
+                rest[j] -= f * y
+    return not any(v % p for v in rest) if p else not any(rest)
 
 
 def solve(rows, ncols, field):
@@ -202,10 +228,7 @@ def nullspace(rows, ncols, field):
     return _scalars(basis, den, ncols, field)
 
 
-# -- sympy domains; polynomials are ascending coefficient lists --------
-
-
-_X = sympy.Symbol("x")
+# -- sympy domains; polynomials are sympy's dense lists -----------------
 
 
 def _domain(field):
@@ -216,24 +239,26 @@ def _domain(field):
     return dom, lambda c: dom(c.v)
 
 
-def _scalar(field, x):
-    """The field scalar of a sympy Integer or Rational."""
-    return field.scalar(Fraction(int(x.p), int(x.q)))
-
-
-def to_sympy_poly(coeffs, field):
-    """An ascending coefficient list as a sympy Poly in x over QQ or GF(p)."""
+def to_dense(coeffs, field):
+    """(poly, dom): an ascending coefficient list of field scalars as a
+    dense polynomial of sympy's `dup_*` level, its coefficients in
+    descending order as elements of dom = QQ or GF(p)."""
     dom, conv = _domain(field)
-    return sympy.Poly.from_list([conv(c) for c in reversed(coeffs)], _X, domain=dom)
+    return [conv(c) for c in reversed(coeffs)], dom
 
 
-def from_sympy_poly(poly, field):
-    """The ascending coefficient list, in field scalars, of a sympy Poly."""
-    return [_scalar(field, c) for c in reversed(poly.all_coeffs())]
+def from_dense(poly, field):
+    """The ascending coefficient list, in field scalars, of a dense
+    polynomial over QQ or GF(p)."""
+    p = field.characteristic
+    if p:
+        return field.from_ints([int(c) % p for c in reversed(poly)])
+    den = math.lcm(*[c.denominator for c in poly])
+    return field.from_ints([c.numerator * (den // c.denominator) for c in reversed(poly)], den)
 
 
 def charpoly(a, field):
     """Characteristic polynomial det(xI - A), ascending coefficients."""
     dom, conv = _domain(field)
     dm = DomainMatrix([[conv(x) for x in row] for row in a], (len(a), len(a)), dom)
-    return [_scalar(field, dom.to_sympy(c)) for c in reversed(dm.charpoly())]
+    return from_dense(dm.charpoly(), field)

@@ -3,12 +3,14 @@ commutator-subspace lemmas they control."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from sympy.polys.densearith import dup_mul, dup_pow
+from sympy.polys.factortools import dup_factor_list
+
 from . import linalg
-from .algebra import (Subspace, center, commutator_subspace, left_regular_matrix,
-                      regular_traces)
+from .algebra import (Subspace, center, commutator_subspace, integer_product,
+                      left_regular_matrix, regular_traces)
 from .graded import support
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE
 
@@ -40,17 +42,20 @@ def reduced_char_poly(algebra, a):
     For char 0 or char > n: the power sums Trd(a^k) = Tr(L_(a^k)) / n,
     k = 1..n, give q by Newton's identities. Otherwise: q is the product of
     g^(k/n) over the irreducible factors g^k of charpoly(L_a), factored by
-    sympy over GF(p).
+    sympy's `dup_factor_list` over GF(p).
     """
     field = algebra.field
     n = _degree(algebra)
     if field.characteristic == 0 or field.characteristic > n:
         # Tr(L_(xy)) = sum_(r,c) form[r, c] x_r y_c / den, on ints
         form, den = algebra.trace_form
-        powers = [algebra.one, a]
+        p = field.characteristic
+        xs, da = field.to_ints(a.coords)
+        powers = [(algebra.unit_ints, algebra.scale), (xs, da)]  # a^k as (ints, den)
         for _ in range(1, (n + 1) // 2):
-            powers.append(powers[-1] * a)
-        powers = [field.to_ints(x.coords) for x in powers]
+            v, d = powers[-1]
+            v = integer_product(algebra.table, v, xs)
+            powers.append(([c % p for c in v] if p else v, d * da * algebra.scale))
         sums = []  # Trd(a^k) = Tr(L_(a^ceil(k/2) a^floor(k/2))) / n
         for k in range(1, n + 1):
             (x, dx), (y, dy) = powers[(k + 1) // 2], powers[k // 2]
@@ -63,9 +68,11 @@ def reduced_char_poly(algebra, a):
             q[n - k] = -s / field.scalar(k)
         route = "trace-power-sums"
     else:
-        cp = linalg.to_sympy_poly(linalg.charpoly(left_regular_matrix(a), field), field)
-        q = linalg.from_sympy_poly(math.prod(g ** (k // n) for g, k in cp.factor_list()[1]),
-                                   field)
+        cp, dom = linalg.to_dense(linalg.charpoly(left_regular_matrix(a), field), field)
+        q = [dom.one]
+        for g, k in dup_factor_list(cp, dom)[1]:
+            q = dup_mul(q, dup_pow(g, k // n, dom), dom)
+        q = linalg.from_dense(q, field)
         route = "charpoly-factor-root"
     trd = -q[n - 1]
     nrd = q[0] if n % 2 == 0 else -q[0]

@@ -83,6 +83,55 @@ def test_check_group_ring_route(capsys, tmp_path):
     assert code == 0
 
 
+T2_OVER_S3 = """[algebra]
+field = Q
+group = S3
+basis = e11 e12 e22
+degrees = 0 0 0
+unit = 1 0 1
+[products]
+0 0 0 1
+0 1 1 1
+1 2 1 1
+2 2 2 1
+"""
+C2_TABLE = """[algebra]
+field = Q
+group = table
+basis = a b
+degrees = 0 1
+unit = 1 0
+[group-table]
+0 1
+1 0
+[products]
+0 0 0 1
+0 1 1 1
+1 0 1 1
+1 1 0 %s
+"""
+
+
+@pytest.mark.parametrize("text,want", [
+    (T2_OVER_S3, 3),
+    (C2_TABLE % "2", 3),
+    (C2_TABLE % "1", 0),
+    ("[construct]\nkind = group-ring\nfield = Q\ngroup = S3\n", 0),
+    ("[construct]\nkind = group-ring\nfield = GF(3)\ngroup = S3\n", 1),
+], ids=["t2-over-s3", "twisted-c2", "q-c2", "q-s3", "gf3-s3"])
+def test_group_ring_route_reads_the_file(capsys, tmp_path, text, want):
+    # the DeMeyer-Janusz criterion answers only for F[G] on its group basis;
+    # T_2(Q) graded by S3 and Q[x]/(x^2 - 2) over C2 are bad input
+    path = tmp_path / "a.alg"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", "azumaya", str(path), "--via", "group-ring")
+    assert code == want, (out, err)
+    if want == 3:
+        assert err.startswith("error:") and "not a group ring" in err and out == ""
+    else:
+        assert "predicate=group-ring-azumaya" in out and err == ""
+
+
 def test_check_not_strongly_graded_exit_1(capsys, tmp_path):
     path = tmp_path / "trunc.alg"
     run(capsys, "construct", "truncated", "--field", "Q", "-m", "3",

@@ -1,10 +1,11 @@
 """Differential test of the integer structure-constant kernel.
 
 The reference functions below are the scalar loops the kernel replaced: they
-run on `Algebra.products` with Fraction or GFElement arithmetic. Every kernel
-result must equal them with `==` and hold the same scalar types, on random
-algebras over Q and GF(2/3/5/7), on bases with non-integer constants and a
-non-integer unit, on dim-1 algebras and with zero factors.
+run on `Algebra.products` with Fraction or GFElement arithmetic, and the
+polynomial ones on sympy `Poly` objects. Every kernel result must equal them
+with `==` and hold the same scalar types, on random algebras over Q and
+GF(2/3/5/7), on bases with non-integer constants and a non-integer unit, on
+dim-1 algebras and with zero factors.
 """
 
 import math
@@ -12,21 +13,26 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from gradedk import linalg
 from gradedk.algebra import (Algebra, center, commutator_subspace, enveloping_product,
-                             integer_product_form, integer_psi_matrix,
-                             left_regular_matrix, multiply, regular_traces,
-                             right_regular_matrix, sandwich, separability_rows)
+                             evaluate_poly, integer_product_form, integer_psi_matrix,
+                             left_regular_matrix, minimal_polynomial, multiply,
+                             regular_traces, right_regular_matrix, sandwich,
+                             separability_rows)
 from gradedk.constructors import (construct_group_ring, construct_matrix_algebra,
                                   construct_quaternion, construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
 from gradedk.graded import (GradedAlgebra, _strongly_graded_at, graded_tensor, support,
                             trivially_graded)
 from gradedk.groups import GradeGroup
-from gradedk.ktheory import _lifted_trace_digit
+from gradedk.ktheory import (BlockSummary, _corner_dim, _crt_idempotents,
+                             _lifted_trace_digit, _quaternion_block_splits, _quotient,
+                             _spectral_idempotents, jacobson_radical,
+                             split_identity_component)
 from gradedk.matrixring import ShiftedMatrixAlgebra
 from gradedk.trace import reduced_char_poly
 
@@ -37,6 +43,22 @@ FIELDS = [Q] + [FieldSpec.prime_field(p) for p in (2, 3, 5, 7)]
 
 
 # -- the reference scalar loops ----------------------------------------
+
+
+def to_poly(coeffs, field):
+    """An ascending coefficient list as a sympy Poly in x over QQ or GF(p)."""
+    if field.kind == "rationals":
+        dom, conv = sympy.QQ, lambda c: sympy.QQ(c.numerator, c.denominator)
+    else:
+        dom = sympy.GF(field.characteristic)
+        conv = lambda c: dom(c.v)
+    return sympy.Poly.from_list([conv(c) for c in reversed(coeffs)], sympy.Symbol("x"),
+                                domain=dom)
+
+
+def from_poly(poly, field):
+    """The ascending coefficient list, in field scalars, of a sympy Poly."""
+    return [field.scalar(Fraction(int(c.p), int(c.q))) for c in reversed(poly.all_coeffs())]
 
 
 def ref_multiply(x, y):
@@ -136,9 +158,104 @@ def ref_reduced_char_poly(alg, a):
             s = sum((sums[i - 1] * q[n - k + i] for i in range(1, k + 1)), field.zero)
             q[n - k] = -s / field.scalar(k)
         return q
-    cp = linalg.to_sympy_poly(linalg.charpoly(ref_regular_matrix(a, True), field), field)
-    return linalg.from_sympy_poly(math.prod(g ** (k // n) for g, k in cp.factor_list()[1]),
-                                  field)
+    cp = to_poly(linalg.charpoly(ref_regular_matrix(a, True), field), field)
+    return from_poly(math.prod(g ** (k // n) for g, k in cp.factor_list()[1]), field)
+
+
+def ref_minimal_polynomial(x):
+    alg = x.owner
+    field = alg.field
+    power = alg.one
+    powers = [power.coords]
+    while True:
+        power = power * x
+        sol = linalg.solve(linalg.int_rows(zip(*powers, power.coords), field),
+                           len(powers), field)
+        if sol is not None:
+            return [-c for c in sol] + [field.one]
+        powers.append(power.coords)
+
+
+def ref_evaluate_poly(coeffs, x):
+    alg = x.owner
+    out = alg.zero
+    power = alg.one
+    for c in coeffs:
+        out = out + power.scale(c)
+        power = power * x
+    return out
+
+
+def ref_contains(subspace, x):
+    return not any(linalg.reduce_vector(linalg.echelon_pairs(subspace.rows), x.coords))
+
+
+def ref_crt_idempotents(x, f):
+    field = x.owner.field
+    f = to_poly(f, field)
+    out = []
+    for fi, m in f.factor_list()[1]:
+        q = fi ** m
+        g = f.exquo(q)
+        coeffs = from_poly((g * g.invert(q)) % f, field)
+        out.append((ref_evaluate_poly(coeffs, x), fi.degree()))
+    return out
+
+
+def ref_spectral_idempotents(x):
+    alg = x.owner
+    field = alg.field
+    f = ref_minimal_polynomial(x)
+    if len(f) == 2:
+        return [(alg.one, 1)]
+    if f == [field.zero, -field.one, field.one]:
+        pair = [(x, 1), (alg.one - x, 1)]
+        return pair if field.kind == "rationals" else pair[::-1]
+    return ref_crt_idempotents(x, f)
+
+
+def ref_block_type(algebra, e, block_basis, cdim):
+    bdim = len(block_basis)
+    if algebra.field.kind == "prime-field" or bdim == cdim:
+        return math.isqrt(bdim // cdim), cdim, None
+    n = math.isqrt(bdim)
+    if cdim > 1:
+        return None, None, "proper-centre"
+    if n == 2:
+        split = _quaternion_block_splits(algebra, e, block_basis)
+        return (2, 1, None) if split else (1, 4, None)
+    for row in block_basis:
+        for u, _ in ref_spectral_idempotents(algebra.element(row)):
+            if _corner_dim(algebra, u, block_basis) == 1:
+                return n, 1, None
+    return None, None, "no-rank-one-corner"
+
+
+def ref_split(algebra):
+    """(blocks, idempotents, radical rows) by the block loop on the spans
+    e b_j, with the reference spectral idempotents."""
+    radical = jacobson_radical(algebra)
+    semisimple, _ = _quotient(algebra, radical)
+    zbasis = center(semisimple).basis_elements()
+    idems = [(semisimple.one, 1)]
+    for z in zbasis:
+        if sum(d for _, d in idems) == len(zbasis):
+            break
+        parts = ref_spectral_idempotents(z)
+        idems = [(eu, max(d, du)) for e, d in idems for u, du in parts
+                 if not (eu := e * u).is_zero()]
+    idems = [e for e, _ in idems]
+    basis = [semisimple.basis_element(i) for i in range(semisimple.dim)]
+    field = semisimple.field
+    blocks = []
+    for e in idems:
+        block_basis, _ = linalg.rref(linalg.int_rows([(e * b).coords for b in basis], field),
+                                     semisimple.dim, field)
+        cdim = linalg.rank(linalg.int_rows([(e * z).coords for z in zbasis], field), field)
+        blocks.append(BlockSummary(len(block_basis), cdim,
+                                   *ref_block_type(semisimple, e, block_basis, cdim)))
+    order = sorted(range(len(blocks)), key=lambda t: (blocks[t].dim, blocks[t].centre_dim))
+    return [blocks[t] for t in order], [idems[t] for t in order], radical.rows
 
 
 def ref_star(alg, e, x):
@@ -436,3 +553,97 @@ def test_lifted_trace_digit(alg):
             want = ref_lifted_trace_digit(x, i)
             if want is not None:
                 assert _lifted_trace_digit(x, i) == want
+
+
+def repeated_factor(field):
+    """F[t]/(t^2 (t - 1)) on 1, t, t^2: t has minimal polynomial
+    x^2 (x - 1), two factors, one of them squared."""
+    products = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 0): {1: 1},
+                (2, 0): {2: 1}, (1, 1): {2: 1}, (1, 2): {2: 1}, (2, 1): {2: 1},
+                (2, 2): {2: 1}}
+    return Algebra(field, ["1", "t", "t2"], products, unit=[1, 0, 0])
+
+
+POLY_ALGEBRAS = ALGEBRAS + [repeated_factor(field) for field in FIELDS]
+
+
+def idempotent_pairs(parts):
+    return [(e.coords, d) for e, d in parts]
+
+
+@pytest.mark.parametrize("alg", POLY_ALGEBRAS,
+                         ids=lambda a: "%r-dim%d" % (a.field, a.dim))
+def test_minimal_polynomials_idempotents_and_evaluation(alg):
+    """Minimal polynomials on integer powers, the CRT idempotents on sympy's
+    dense level and Horner on ints equal the Poly and Fraction/GFElement
+    references, the idempotents in order; the t of `repeated_factor` runs
+    the CRT with a squared factor."""
+    rng = random.Random(alg.dim * 29 + alg.field.characteristic)
+    xs = elements(alg, rng) + [alg.basis_element(i) for i in range(min(alg.dim, 3))]
+    for x in xs:
+        f = minimal_polynomial(x)
+        assert same(f, ref_minimal_polynomial(x))
+        assert same(idempotent_pairs(_crt_idempotents(x, f)),
+                    idempotent_pairs(ref_crt_idempotents(x, f)))
+        assert same(idempotent_pairs(_spectral_idempotents(x)),
+                    idempotent_pairs(ref_spectral_idempotents(x)))
+        for length in range(6):
+            coeffs = [random_scalar(alg.field, rng) for _ in range(length)]
+            assert same(evaluate_poly(coeffs, x).coords, ref_evaluate_poly(coeffs, x).coords)
+
+
+def test_repeated_factor_runs_the_crt():
+    for field in FIELDS:
+        t = repeated_factor(field).basis_element(1)
+        f = minimal_polynomial(t)
+        assert f == [field.zero, field.zero, -field.one, field.one]
+        parts = _crt_idempotents(t, f)
+        assert len(parts) == 2 and parts[0][0] + parts[1][0] == t.owner.one
+
+
+def test_subspace_membership():
+    """`Subspace.contains` on ints equals the Fraction/GFElement reduction,
+    on members (random combinations of the rows) and non-members of the
+    centre, the commutator subspace and the radical."""
+    rng = random.Random(20114)
+    members = nonmembers = 0
+    for alg in ALGEBRAS:
+        for sub in (center(alg), commutator_subspace(alg), jacobson_radical(alg),
+                    alg.subspace([])):
+            combos = []
+            for _ in range(3):
+                v = alg.zero
+                for row in sub.rows:
+                    v = v + alg.element(row).scale(random_scalar(alg.field, rng))
+                combos.append(v)
+            others = elements(alg, rng) + [alg.basis_element(i) for i in range(alg.dim)]
+            for x in combos + others:
+                got = sub.contains(x)
+                assert got == ref_contains(sub, x), (alg, sub.rows, x)
+                members += got
+                nonmembers += not got
+            assert all(sub.contains(v) for v in combos)
+    assert members > 500 and nonmembers > 500
+
+
+def split_corpus():
+    rng = random.Random(20113)
+    groups = [GradeGroup.symmetric_3(), GradeGroup.dihedral(4), GradeGroup.cyclic(6),
+              GradeGroup.product_of_cyclic(2, 2)]
+    out = []
+    for field in FIELDS:
+        out += [construct_group_ring(field, group).algebra for group in groups]
+        out += [construct_matrix_algebra(field, 2), construct_matrix_algebra(field, 3)]
+    return out + [rebased(a, rng) for a in out if a.field.kind == "rationals"]
+
+
+@pytest.mark.parametrize("alg", split_corpus(),
+                         ids=lambda a: "%r-dim%d-scale%d" % (a.field, a.dim, a.scale))
+def test_split_identity_component(alg):
+    """The block loop on the integer rows of L_e gives the blocks,
+    idempotents (in order) and radical of the loop on the spans e b_j."""
+    dec = split_identity_component(alg)
+    blocks, idems, radical = ref_split(alg)
+    assert dec.blocks == blocks
+    assert same([e.coords for e in dec.idempotents], [e.coords for e in idems])
+    assert same(dec.radical.rows, radical)

@@ -143,8 +143,9 @@ def test_charpoly_gf():
 def test_row_space_contains():
     rows, _ = rref([[Fraction(1), Fraction(2), Fraction(0)],
                     [Fraction(0), Fraction(0), Fraction(1)]], Q)
-    assert linalg.row_space_contains(rows, [Fraction(2), Fraction(4), Fraction(7)])
-    assert not linalg.row_space_contains(rows, [Fraction(0), Fraction(1), Fraction(0)])
+    echelon = linalg.integer_echelon(rows, Q)
+    assert linalg.row_space_contains(echelon, [Fraction(2), Fraction(4), Fraction(7)], Q)
+    assert not linalg.row_space_contains(echelon, [Fraction(0), Fraction(1), Fraction(0)], Q)
 
 
 # -- differential test against sympy's dense elimination ---------------
