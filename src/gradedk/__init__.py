@@ -8,13 +8,14 @@ from .groups import (GradeGroup, GroupElement, SubgroupSpec, coset_index,
 from .algebra import (Algebra, AlgebraElement, Subspace, center,
                       commutator_subspace, integer_psi_matrix, is_central_simple,
                       minimal_polynomial, try_invert, two_sided_ideal_closure)
+from .wedderburn import SemisimpleDecomposition, split_identity_component
 from .graded import (GradedAlgebra, TwistedGroupAlgebra, graded_center,
-                     graded_tensor, is_crossed_product, is_graded_division,
+                     graded_tensor, is_graded_division,
                      is_graded_simple, is_strongly_graded, support,
                      support_subgroup, trivially_graded, validate_grading,
                      dimension_formula_check)
 from .matrixring import (ShiftedMatrixAlgebra, canonical_shift,
-                         identity_component, is_good_grading,
+                         identity_component, is_crossed_product, is_good_grading,
                          is_graded_simple_matrix, is_strongly_graded_matrix,
                          central_scalar_check, shifted_iso_decision,
                          solve_shift_matrix)
@@ -24,10 +25,9 @@ from .azumaya import (EnvelopingAlgebra, braun_check, group_ring_azumaya,
                       standard_separability_idempotent,
                       verify_separability_idempotent)
 from .ktheory import (CsaShape, FGAbelianGroup, INFINITE_RANK_FREE,
-                      SemisimpleDecomposition, ck0_zk0, compare_localized,
+                      ck0_zk0, compare_localized,
                       k0_of_semisimple, k0gr_graded_division,
-                      k0gr_strongly_graded, localize,
-                      split_identity_component, torsion_bound_check)
+                      k0gr_strongly_graded, localize, torsion_bound_check)
 from .trace import (ReducedCharPoly, nrd, reduced_char_poly,
                     supp_commutator_lemma_check, trd, trd_kernel_check,
                     trd_graded_surjective_check,

@@ -40,7 +40,8 @@ ENUMERATION_BUDGET = 1 << 20
 
 class Algebra:
     def __init__(self, field, labels, products, unit=None):
-        """products: {(i, j): {k: scalar}} with zero entries omitted.
+        """products: {(i, j): {k: scalar}} with zero entries omitted; labels
+        name the basis, which must not be empty.
 
         unit: coordinate vector of 1; if None it is located by solving the
         unit equations.
@@ -48,6 +49,8 @@ class Algebra:
         self.field = field
         self.labels = list(labels)
         self.dim = len(self.labels)
+        if not self.dim:
+            raise ValueError("an algebra needs at least one basis vector")
         self.products = {}
         for (i, j), terms in products.items():
             cleaned = {}

@@ -23,11 +23,10 @@ from . import fileformat as ff
 from . import ktheory as kt
 from . import trace as tr
 from .algebra import commutator_subspace, is_central_simple
-from .graded import (TwistedGroupAlgebra, is_crossed_product,
-                     is_graded_division, is_graded_simple, is_strongly_graded,
-                     support_subgroup, validate_grading)
+from .graded import (TwistedGroupAlgebra, is_graded_division, is_graded_simple,
+                     is_strongly_graded, support_subgroup, validate_grading)
 from .groups import SubgroupSpec
-from .matrixring import canonical_shift, shifted_iso_decision
+from .matrixring import canonical_shift, is_crossed_product, shifted_iso_decision
 from .verdict import TRUE, FALSE
 
 
@@ -60,18 +59,9 @@ def _load(path):
         raise SystemExit(3)
 
 
-# constructor kind -> the options it writes into its [construct] section
-_CONSTRUCT_KEYS = {
-    "quaternion": ("a", "b", "grading"),
-    "symbol": ("n", "a", "b", "xi"),
-    "laurent": ("step",),
-    "group-ring": ("group",),
-    "truncated": ("m",),
-}
-
-
 def cmd_construct(args):
-    keys = ("field",) + _CONSTRUCT_KEYS[args.kind]
+    # the options the kind reads, written into its [construct] section
+    keys = ("field",) + ff.CONSTRUCTORS[args.kind][0]
     section = "".join("%s = %s\n" % (k, getattr(args, k)) for k in keys)
     try:
         g = ff.parse_graded_algebra("[construct]\nkind = %s\n%s" % (args.kind, section))
@@ -176,12 +166,12 @@ def cmd_classify_shift(args):
             raise ValueError("expected one or two shift vectors, got %d" % len(args.shifts))
         group = ff.parse_group(args.group)
         gens = [ff.parse_group_element(group, t)
-                for t in ff._split_tuples(args.subgroup)] if args.subgroup else []
+                for t in ff.split_tuples(args.subgroup)] if args.subgroup else []
         gamma_d = SubgroupSpec(group, gens)
         shifts = []
         for text in args.shifts:
             shifts.append([ff.parse_group_element(group, t)
-                           for t in ff._split_tuples(text)])
+                           for t in ff.split_tuples(text)])
         if len(shifts) == 1:
             print("canonical=%r" % (canonical_shift(group, gamma_d, shifts[0]),))
             return 0
@@ -222,7 +212,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="write a named algebra definition")
-    c.add_argument("kind", choices=list(_CONSTRUCT_KEYS))
+    c.add_argument("kind", choices=list(ff.CONSTRUCTORS))
     c.add_argument("--field", default="Q")
     c.add_argument("-a", default="-1")
     c.add_argument("-b", default="-1")

@@ -17,7 +17,7 @@ from .constructors import (construct_group_ring, construct_laurent,
                            construct_quaternion, construct_symbol_algebra,
                            construct_truncated_polynomial)
 from .fields import FieldSpec
-from .graded import GradedAlgebra, TwistedGroupAlgebra, validate_grading
+from .graded import GradedAlgebra, TwistedGroupAlgebra
 from .groups import GradeGroup
 
 
@@ -119,8 +119,14 @@ def format_group(group):
     return " x ".join(parts) if parts else "trivial"
 
 
-def _parse_scalar(field, token):
-    return field.scalar(Fraction(token) if field.kind == "rationals" else token)
+def parse_scalar(field, token):
+    """A scalar from an integer or p/q token. A token that is not a number,
+    or has a zero denominator or, over GF(p), one divisible by p, is a
+    FormatError."""
+    try:
+        return field.scalar(Fraction(token))
+    except (ValueError, ZeroDivisionError):
+        raise FormatError("bad scalar %r over %s" % (token, format_field(field))) from None
 
 
 def parse_group_element(group, token):
@@ -155,7 +161,7 @@ def parse_graded_algebra(text):
     group = parse_group(kv["group"], sections.get("group-table"))
     labels = kv["basis"].split()
     dim = len(labels)
-    degree_tokens = _split_tuples(kv["degrees"])
+    degree_tokens = split_tuples(kv["degrees"])
     if len(degree_tokens) != dim:
         raise FormatError("need one degree per basis label")
     degrees = [parse_group_element(group, t) for t in degree_tokens]
@@ -167,23 +173,22 @@ def parse_graded_algebra(text):
         i, j, k = (int(p) for p in parts[:3])
         if not all(0 <= t < dim for t in (i, j, k)):
             raise FormatError("line %d: index out of range" % lineno)
-        v = _parse_scalar(field, parts[3])
+        v = parse_scalar(field, parts[3])
         products.setdefault((i, j), {})
         products[(i, j)][k] = products[(i, j)].get(k, field.zero) + v
     unit = None
     if "unit" in kv:
-        unit = [_parse_scalar(field, t) for t in kv["unit"].split()]
+        unit = [parse_scalar(field, t) for t in kv["unit"].split()]
         if len(unit) != dim:
             raise FormatError("unit needs %d coordinates" % dim)
     alg = Algebra(field, labels, products, unit=unit)
-    g = GradedAlgebra(alg, group, degrees)
-    v = validate_grading(g)
-    if not v:
-        raise FormatError("grading closure fails: %r" % (v.counterexample,))
-    return g
+    try:
+        return GradedAlgebra(alg, group, degrees)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
-def _split_tuples(text):
+def split_tuples(text):
     """Split "(0,0) (1,0) 3" into top-level tokens."""
     out = []
     depth = 0
@@ -204,22 +209,26 @@ def _split_tuples(text):
     return out
 
 
+# constructor kind -> (the keys of its [construct] section besides kind and
+# field, the builder from those key-value pairs and the field)
+CONSTRUCTORS = {
+    "quaternion": (("a", "b", "grading"), lambda kv, f: construct_quaternion(
+        f, parse_scalar(f, kv["a"]), parse_scalar(f, kv["b"]),
+        grading=kv.get("grading", "Z2xZ2"))),
+    "symbol": (("n", "a", "b", "xi"), lambda kv, f: construct_symbol_algebra(
+        f, int(kv["n"]), *(parse_scalar(f, kv[k]) for k in ("a", "b", "xi")))),
+    "laurent": (("step",), lambda kv, f: construct_laurent(f, step=int(kv.get("step", "1")))),
+    "group-ring": (("group",), lambda kv, f: construct_group_ring(f, parse_group(kv["group"]))),
+    "truncated": (("m",), lambda kv, f: construct_truncated_polynomial(f, int(kv["m"]))),
+}
+
+
 def _run_constructor(kv):
     kind = kv["kind"]
     field = parse_field(kv["field"])
-    if kind == "quaternion":
-        return construct_quaternion(field, Fraction(kv["a"]), Fraction(kv["b"]),
-                                    grading=kv.get("grading", "Z2xZ2"))
-    if kind == "symbol":
-        return construct_symbol_algebra(field, int(kv["n"]), Fraction(kv["a"]),
-                                        Fraction(kv["b"]), Fraction(kv["xi"]))
-    if kind == "laurent":
-        return construct_laurent(field, step=int(kv.get("step", "1")))
-    if kind == "group-ring":
-        return construct_group_ring(field, parse_group(kv["group"]))
-    if kind == "truncated":
-        return construct_truncated_polynomial(field, int(kv["m"]))
-    raise FormatError("unknown constructor %r" % kind)
+    if kind not in CONSTRUCTORS:
+        raise FormatError("unknown constructor %r" % kind)
+    return CONSTRUCTORS[kind][1](kv, field)
 
 
 def dump_graded_algebra(g):

@@ -6,8 +6,9 @@ twisted group algebras) get a lazy representation with one-dimensional
 components.
 
 Each predicate is one deterministic procedure over Q and GF(p); none samples.
-`ktheory` imports this module through `matrixring`, so it is imported at
-call time.
+The ones that look inside the identity component A_e (graded division,
+the graded radical, graded simplicity) build A_e here and split it with
+`wedderburn`.
 """
 
 from __future__ import annotations
@@ -20,13 +21,19 @@ from . import linalg
 from .algebra import Algebra, AlgebraElement, Subspace, center, try_invert
 from .groups import SubgroupSpec, quotient_invariants
 from .verdict import (VerdictReport, TRUE, FALSE, UNDECIDED,
-                      EXHAUSTIVE, CONSTRUCTIVE, combine)
+                      EXHAUSTIVE, CONSTRUCTIVE)
+from .wedderburn import (central_primitive_idempotents, jacobson_radical,
+                         spectral_idempotents, split_identity_component)
 
 
 class GradedAlgebra:
     """An Algebra with a degree assignment on its (homogeneous) basis."""
 
     def __init__(self, algebra, group, degrees):
+        """The grading is checked here, once: e_i e_j must lie in the
+        component of deg_i deg_j and the unit in degree e. A failure is a
+        ValueError with the counterexample ("closure", i, j, k), a term e_k
+        of e_i e_j in another degree, or ("unit-degree", i)."""
         self.algebra = algebra
         self.group = group
         self.degrees = list(degrees)
@@ -35,6 +42,21 @@ class GradedAlgebra:
         for d in self.degrees:
             if d.group is not group and d.group != group:
                 raise ValueError("degree from a different grade group")
+        degrees = self.degrees
+        index = {}  # distinct degree -> small int id
+        ids = [index.setdefault(d, len(index)) for d in degrees]
+        combined = {}  # (id_i, id_j) -> id of deg_i * deg_j, -1 if no basis degree
+        for (i, j), terms in algebra.products.items():
+            pair = (ids[i], ids[j])
+            want = combined.get(pair)
+            if want is None:
+                want = combined[pair] = index.get(degrees[i] * degrees[j], -1)
+            for k in terms:
+                if ids[k] != want:
+                    raise ValueError("invalid grading: %r" % (("closure", i, j, k),))
+        for i, c in enumerate(algebra.unit_coords):
+            if c and degrees[i] != group.identity:
+                raise ValueError("invalid grading: %r" % (("unit-degree", i),))
 
     @property
     def field(self):
@@ -74,6 +96,17 @@ class GradedAlgebra:
         for i, c in zip(self.component_indices(degree), values):
             full[i] = c
         return AlgebraElement(self.algebra, full)
+
+    def identity_component(self):
+        """A_e as an Algebra on the basis vectors of degree e, in basis
+        order."""
+        idx = self.component_indices(self.group.identity)
+        pos = {i: t for t, i in enumerate(idx)}
+        products = {(pos[i], pos[j]): {pos[k]: c for k, c in terms.items()}
+                    for (i, j), terms in self.algebra.products.items()
+                    if i in pos and j in pos}
+        return Algebra(self.field, [self.algebra.labels[i] for i in idx], products,
+                       unit=[self.algebra.unit_coords[i] for i in idx])
 
     def component_elements(self, degree):
         """One nonzero element per line of a component, in the order of
@@ -138,28 +171,12 @@ class TwistedGroupAlgebra:
 
 
 def validate_grading(g):
-    """Grading closure on structure constants plus the unit-degree rule."""
+    """The report on a grading, which is valid by construction: a
+    GradedAlgebra checked closure and the unit degree on every structure
+    constant when it was built, and a lazy twisted group algebra is graded
+    by its monomials."""
     if isinstance(g, TwistedGroupAlgebra):
         return VerdictReport("valid-grading", TRUE, CONSTRUCTIVE)
-    alg = g.algebra
-    degrees = g.degrees
-    index = {}  # distinct degree -> small int id
-    ids = [index.setdefault(d, len(index)) for d in degrees]
-    combined = {}  # (id_i, id_j) -> id of deg_i * deg_j, -1 if no basis degree
-    for (i, j), terms in alg.products.items():
-        pair = (ids[i], ids[j])
-        want = combined.get(pair)
-        if want is None:
-            want = combined[pair] = index.get(degrees[i] * degrees[j], -1)
-        for k in terms:
-            if ids[k] != want:
-                return VerdictReport("valid-grading", FALSE, EXHAUSTIVE,
-                                     counterexample=("closure", i, j, k))
-    e = g.group.identity
-    for i, c in enumerate(alg.unit_coords):
-        if c and g.degrees[i] != e:
-            return VerdictReport("valid-grading", FALSE, EXHAUSTIVE,
-                                 counterexample=("unit-degree", i))
     return VerdictReport("valid-grading", TRUE, EXHAUSTIVE)
 
 
@@ -188,7 +205,7 @@ def support_subgroup(g):
     return sub
 
 
-def _strongly_graded_at(g, gamma):
+def strongly_graded_at(g, gamma):
     """Certificate that 1 lies in R_gamma * R_{gamma^-1}, or None: a
     solution of sum c_ij e_i e_j = 1 over i in R_gamma, j in R_(gamma^-1).
     The column of e_i e_j is read off `Algebra.table`, at the scale of
@@ -222,7 +239,7 @@ def is_strongly_graded(g):
         for d in (gamma, gamma.inverse()):
             if d in certificates:
                 continue
-            cert = _strongly_graded_at(g, d)
+            cert = strongly_graded_at(g, d)
             if cert is None:
                 return VerdictReport("strongly-graded", FALSE, EXHAUSTIVE,
                                      counterexample=("degree", d))
@@ -230,51 +247,11 @@ def is_strongly_graded(g):
     return VerdictReport("strongly-graded", TRUE, CONSTRUCTIVE, witness=certificates)
 
 
-def is_crossed_product(g):
-    """A homogeneous unit in every degree of the support subgroup, checked
-    on its generators since the degrees of the homogeneous units form a
-    group. A generator is settled by a unit from the structured search of
-    `matrixring.solve_shift_matrix` if it finds one. Otherwise a unit u of
-    degree gamma would give 1 = u u^-1 in A_gamma A_(gamma^-1), so a
-    generator where that fails refutes it, with the counterexample
-    ("degree", gamma, ("not-strongly-graded", gamma)). Otherwise A_gamma
-    holds a unit iff A(gamma) ~gr A, the n = 1 case of `solve_shift_matrix`
-    with d = (e) and a = (gamma), and its top-dimension certificate is the
-    witness. Its structured search would scan the degree for units again,
-    so only its tops are compared."""
-    from .matrixring import _homogeneous_unit, _shift_by_tops
-    if isinstance(g, TwistedGroupAlgebra):
-        return VerdictReport("crossed-product", TRUE, CONSTRUCTIVE,
-                             witness="monomials u_g")
-    e = g.group.identity
-    witnesses = {}
-    strategies = []
-    for gamma in support_subgroup(g).generators or [e]:
-        unit = _homogeneous_unit(g, gamma)
-        if unit is not None:
-            witnesses[gamma] = unit[0]
-            strategies.append(CONSTRUCTIVE)
-            continue
-        if _strongly_graded_at(g, gamma) is None:
-            return VerdictReport("crossed-product", FALSE, EXHAUSTIVE,
-                                 counterexample=("degree", gamma,
-                                                 ("not-strongly-graded", gamma)))
-        rep = _shift_by_tops(g, (e,), (gamma,))
-        if not rep:
-            return VerdictReport("crossed-product", FALSE, EXHAUSTIVE,
-                                 counterexample=("degree", gamma, rep.counterexample))
-        witnesses[gamma] = rep.witness
-        strategies.append(rep.strategy)
-    return VerdictReport("crossed-product", TRUE, combine(*strategies),
-                         witness=witnesses)
-
-
 def _non_unit(g, a0, dec):
     """A nonzero non-unit of A_e as an element of A, given the splitting dec
     of A_e = a0 when it is not one division block: a radical vector, a
     central idempotent other than 1, or a spectral idempotent other than 1 of
     a basis vector or a sum of two; None when none of these is one."""
-    from .ktheory import _spectral_idempotents
     basis = [a0.basis_element(i) for i in range(a0.dim)]
     candidates = itertools.chain(basis, (x + y for x, y in itertools.combinations(basis, 2)))
     if dec.radical_dim:
@@ -282,7 +259,7 @@ def _non_unit(g, a0, dec):
     elif len(dec.idempotents) > 1:
         x = dec.idempotents[0]
     else:
-        x = next((p[0][0] for p in map(_spectral_idempotents, candidates) if len(p) > 1), None)
+        x = next((p[0][0] for p in map(spectral_idempotents, candidates) if len(p) > 1), None)
     return None if x is None else g.component_element(g.group.identity, x.coords)
 
 
@@ -292,8 +269,6 @@ def is_graded_division(g):
     is a right ideal of A_e, nonzero because 1 is in A_g^-1 A_g. Checked in
     turn: the basis vectors of A_e, the strong grading (A_d holds no unit
     where it fails), and the Wedderburn splitting of A_e."""
-    from .ktheory import split_identity_component
-    from .matrixring import identity_component
     if isinstance(g, TwistedGroupAlgebra):
         return VerdictReport("graded-division", TRUE, CONSTRUCTIVE,
                              witness="closed-form monomial inverses")
@@ -309,7 +284,7 @@ def is_graded_division(g):
         idx = g.component_indices(d)
         bad = ("noninvertible", alg.basis_element(idx[0])) if idx else ("degree", d)
         return VerdictReport("graded-division", FALSE, EXHAUSTIVE, counterexample=bad)
-    a0 = identity_component(g)
+    a0 = g.identity_component()
     dec = split_identity_component(a0)
     if dec.radical_dim == 0 and len(dec.blocks) == 1:
         block = dec.blocks[0]
@@ -333,11 +308,9 @@ def graded_radical(g):
     `jacobson_radical` on A_e gives the functionals w_r cutting out J(A_e)
     (coordinates if J(A_e) = 0) and image[k], the nonzero w_r(e_k); then one
     nullspace per support degree d of the w_r(x e_j), j in A_(d^-1)."""
-    from .ktheory import jacobson_radical
-    from .matrixring import identity_component
     comps = {d: g.component_indices(d) for d in support(g)}
     e_idx = comps[g.group.identity]
-    radical = linalg.int_rows(jacobson_radical(identity_component(g)).rows, g.field)
+    radical = linalg.int_rows(jacobson_radical(g.identity_component()).rows, g.field)
     ws = linalg.int_rows(linalg.nullspace(radical, len(e_idx), g.field), g.field)
     image = {k: [(r, w[c]) for r, w in enumerate(ws) if c in w] for c, k in enumerate(e_idx)}
     parts = []
@@ -363,7 +336,6 @@ def is_graded_simple(g):
     algebras A f for central idempotents f of degree e (graded
     Wedderburn-Artin: Nastasescu-Van Oystaeyen, LNM 1836, 2.9), so A is
     graded simple iff Z(A) n A_e has one primitive idempotent."""
-    from .ktheory import _central_primitive_idempotents
     # the division check decides group rings such as F_3[S3] alone, and
     # faster than the graded radical and the centre together
     division = is_graded_division(g)
@@ -375,7 +347,7 @@ def is_graded_simple(g):
     if radical.dim:
         return VerdictReport("graded-simple", FALSE, EXHAUSTIVE, counterexample=(
             "proper-ideal-generator", alg.element(radical.rows[0])))
-    idems = _central_primitive_idempotents(
+    idems = central_primitive_idempotents(
         alg, [alg.element(r) for r in _component_part(g, center(alg), g.group.identity)])
     if len(idems) == 1:
         return VerdictReport("graded-simple", TRUE, EXHAUSTIVE)
@@ -442,11 +414,7 @@ def graded_tensor(a, b):
             for i in range(na) for j in range(nb)]
     alg = Algebra(a.field, labels, products, unit=unit)
     degrees = [a.degrees[i] * b.degrees[j] for i in range(na) for j in range(nb)]
-    out = GradedAlgebra(alg, a.group, degrees)
-    v = validate_grading(out)
-    if not v:
-        raise ValueError("tensor grading closure failed: %r" % (v.counterexample,))
-    return out
+    return GradedAlgebra(alg, a.group, degrees)
 
 
 def trivially_graded(algebra, group):

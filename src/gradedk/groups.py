@@ -268,7 +268,7 @@ class SubgroupSpec:
         return frozenset(_closure(self.group, self.generators))
 
     @functools.cached_property
-    def _smith_form(self):
+    def smith_form(self):
         """(factors, U) for an fg-abelian ambient group: the invariant factors
         of the relation lattice of G/H inside Z^dim, one per coordinate, and
         the left transform U of its Smith normal form. The lattice's columns
@@ -309,7 +309,7 @@ def quotient_invariants(group, subgroup):
     """(free_rank, torsion_factors) of G/H for fg-abelian G."""
     if group.kind != "fg-abelian":
         raise ValueError("quotient invariants only for fg-abelian groups")
-    factors, _ = subgroup._smith_form
+    factors, _ = subgroup.smith_form
     return factors.count(0), [d for d in factors if d > 1]
 
 
@@ -331,7 +331,7 @@ def coset_label(group, subgroup, g):
     elements; labels are equal iff the cosets coincide."""
     if group.kind == "finite-table":
         return min(group.combine(g, h).coords for h in subgroup.element_set())
-    factors, u = subgroup._smith_form
+    factors, u = subgroup.smith_form
     y = (sum(a * c for a, c in zip(row, g.coords)) for row in u)
     return tuple(v % d if d else v for v, d in zip(y, factors))
 

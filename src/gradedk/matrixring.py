@@ -27,9 +27,10 @@ from . import linalg
 from .algebra import (Algebra, AlgebraElement, center, integer_regular_rows,
                       try_invert)
 from .graded import (GradedAlgebra, TwistedGroupAlgebra, graded_radical,
-                     validate_grading, support_subgroup as algebra_support_subgroup)
+                     strongly_graded_at, support_subgroup as algebra_support_subgroup)
 from .groups import SubgroupSpec, coset_label
-from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE
+from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE, combine
+from .wedderburn import central_primitive_idempotents, quotient
 
 
 class ShiftedMatrixAlgebra:
@@ -100,13 +101,8 @@ class ShiftedMatrixAlgebra:
             raise ValueError("infinite base components cannot be materialized")
         base = self.base
         alg, basis = _matrix_algebra(base, self.n, lambda i, j: range(base.dim))
-        out = GradedAlgebra(alg, self.group, [self.element_degree(i, j, base.degrees[t])
-                                              for i, j, t in basis])
-        v = validate_grading(out)
-        if not v:
-            raise ValueError("shifted matrix grading closure failed: %r"
-                             % (v.counterexample,))
-        return out
+        return GradedAlgebra(alg, self.group, [self.element_degree(i, j, base.degrees[t])
+                                               for i, j, t in basis])
 
     def __repr__(self):
         return "M_%d(%r)%r" % (self.n, self.base, tuple(self.shift))
@@ -154,22 +150,13 @@ def _covering(base, degrees):
 
 
 def identity_component(m):
-    """The identity-degree subalgebra of M_n(R)(d) or of a GradedAlgebra.
-    For M_n(R)(d), lazy or not, it is End_gr(sum_i R(d_i^-1)), the covering
-    algebra of (d_1^-1, ..., d_n^-1) with repeated entries kept: its
-    (i, j)-entry is R_(d_i d_j^-1)."""
+    """The identity-degree subalgebra of M_n(R)(d) or of a GradedAlgebra
+    (`GradedAlgebra.identity_component`). For M_n(R)(d), lazy or not, it is
+    End_gr(sum_i R(d_i^-1)), the covering algebra of (d_1^-1, ..., d_n^-1)
+    with repeated entries kept: its (i, j)-entry is R_(d_i d_j^-1)."""
     if isinstance(m, ShiftedMatrixAlgebra):
         return _covering(m.base, [d.inverse() for d in m.shift])[0]
-    g = m
-    idx = g.component_indices(g.group.identity)
-    pos = {i: t for t, i in enumerate(idx)}
-    labels = [g.algebra.labels[i] for i in idx]
-    products = {}
-    for (i, j), terms in g.algebra.products.items():
-        if i in pos and j in pos:
-            products[(pos[i], pos[j])] = {pos[k]: c for k, c in terms.items()}
-    unit = [g.algebra.unit_coords[i] for i in idx]
-    return Algebra(g.field, labels, products, unit=unit)
+    return m.identity_component()
 
 
 def is_strongly_graded_matrix(m):
@@ -257,13 +244,12 @@ def _top_dimensions(g, degrees):
     dim(simple module) copies of the simple module of the block f_b. E/J is
     the covering algebra of R/J^gr, as J(E) has the J^gr_(s^-1 t) as its
     (s, t) entries (Peirce decomposition; Lam, GTM 131, 21)."""
-    from .ktheory import _central_primitive_idempotents, _quotient
     radical = graded_radical(g)
     pivots = {c for c, _ in linalg.echelon_pairs(radical.rows)}
-    quotient = GradedAlgebra(_quotient(g.algebra, radical)[0], g.group,
-                             [d for c, d in enumerate(g.degrees) if c not in pivots])
-    top, eps = covering_algebra(quotient, degrees)
-    idems = _central_primitive_idempotents(top, center(top).basis_elements())
+    semisimple = GradedAlgebra(quotient(g.algebra, radical)[0], g.group,
+                               [d for c, d in enumerate(g.degrees) if c not in pivots])
+    top, eps = covering_algebra(semisimple, degrees)
+    idems = central_primitive_idempotents(top, center(top).basis_elements())
     # rank L_y is the rank of its sparse integer rows
     dims = {s: tuple(linalg.rank(integer_regular_rows(top, (x * f).coords)[0], top.field)
                      for f in idems)
@@ -348,6 +334,44 @@ def _shift_by_tops(base_graded, d, a):
                          details=details)
 
 
+def is_crossed_product(g):
+    """A homogeneous unit in every degree of the support subgroup, checked
+    on its generators since the degrees of the homogeneous units form a
+    group. A generator is settled by a unit from the structured search of
+    `solve_shift_matrix` if it finds one. Otherwise a unit u of degree
+    gamma would give 1 = u u^-1 in A_gamma A_(gamma^-1), so a generator
+    where that fails refutes it, with the counterexample ("degree", gamma,
+    ("not-strongly-graded", gamma)). Otherwise A_gamma holds a unit iff
+    A(gamma) ~gr A, the n = 1 case of `solve_shift_matrix` with d = (e) and
+    a = (gamma), and its top-dimension certificate is the witness. Its
+    structured search would scan the degree for units again, so only its
+    tops are compared."""
+    if isinstance(g, TwistedGroupAlgebra):
+        return VerdictReport("crossed-product", TRUE, CONSTRUCTIVE,
+                             witness="monomials u_g")
+    e = g.group.identity
+    witnesses = {}
+    strategies = []
+    for gamma in algebra_support_subgroup(g).generators or [e]:
+        unit = _homogeneous_unit(g, gamma)
+        if unit is not None:
+            witnesses[gamma] = unit[0]
+            strategies.append(CONSTRUCTIVE)
+            continue
+        if strongly_graded_at(g, gamma) is None:
+            return VerdictReport("crossed-product", FALSE, EXHAUSTIVE,
+                                 counterexample=("degree", gamma,
+                                                 ("not-strongly-graded", gamma)))
+        rep = _shift_by_tops(g, (e,), (gamma,))
+        if not rep:
+            return VerdictReport("crossed-product", FALSE, EXHAUSTIVE,
+                                 counterexample=("degree", gamma, rep.counterexample))
+        witnesses[gamma] = rep.witness
+        strategies.append(rep.strategy)
+    return VerdictReport("crossed-product", TRUE, combine(*strategies),
+                         witness=witnesses)
+
+
 def _perfect_matching(n, edges):
     """Assignment i -> match[i] using the given (i, j) edge set, or None."""
     match_of_j = {}
@@ -410,7 +434,7 @@ def _coset_labels(group, gamma_d, elements):
         raise ValueError("classification requires an abelian grade group")
     if group.kind != "fg-abelian":
         return [(coset_label(group, gamma_d, g),) for g in elements]
-    factors, u = gamma_d._smith_form
+    factors, u = gamma_d.smith_form
     points = [g.coords for g in elements]
     cols = [[sum(map(mul, row, p)) for p in points] for row in u]
     return _rows([[y % d for y in col] if d else col for col, d in zip(cols, factors)],
@@ -430,7 +454,7 @@ def _translate(group, gamma_d, labels, reps, offset):
     if group.kind != "fg-abelian":
         return [[coset_label(group, gamma_d, reps[x] * offset) for x in labels]]
     return [[(x + t) % d for x in col] if d else [x + t for x in col]
-            for col, t, d in zip(zip(*labels), offset, gamma_d._smith_form[0])]
+            for col, t, d in zip(zip(*labels), offset, gamma_d.smith_form[0])]
 
 
 def _canonical_labels(group, gamma_d, entries, labels):

@@ -1,0 +1,301 @@
+"""The Wedderburn layer: the radical J of a finite-dimensional algebra, the
+semisimple quotient A/J and its central primitive idempotents, and the
+splitting of A/J into simple blocks M_n(D). The graded predicates that look
+inside an identity component, and graded K0, run through it."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import isqrt
+
+import sympy
+from sympy import ZZ
+from sympy.polys.densearith import dup_exquo, dup_mul, dup_pow, dup_rem
+from sympy.polys.euclidtools import dup_invert
+from sympy.polys.factortools import dup_factor_list
+from sympy.polys.matrices import DomainMatrix
+
+from . import linalg
+from .algebra import (Algebra, Subspace, center, evaluate_poly,
+                      integer_product_form, integer_regular_rows,
+                      minimal_polynomial)
+
+@dataclass
+class BlockSummary:
+    dim: int                 # dimension over the base field
+    centre_dim: int          # dimension of the block's centre
+    matrix_size: int = None  # n with block = M_n(division), when identified
+    division_dim: int = None # dim of the division part over the base field
+    reason: str = None       # why a block is untyped: "proper-centre" or
+                             # "no-rank-one-corner"; None when resolved
+
+    @property
+    def resolved(self):
+        return self.matrix_size is not None
+
+
+@dataclass
+class SemisimpleDecomposition:
+    algebra: Algebra         # A/J: the input itself when its radical J is 0
+    blocks: list             # list of BlockSummary
+    idempotents: list        # central primitive idempotents of A/J, matching order
+    radical: Subspace        # the radical J of the input
+
+    @property
+    def radical_dim(self):
+        return self.radical.dim
+
+    @property
+    def fully_resolved(self):
+        return all(b.resolved for b in self.blocks)
+
+
+def _lifted_trace_digit(x, i):
+    """g_i(x) = (Tr(L~^(p^i)) mod p^(i+1)) / p^i, with L~ the integer lift of
+    L_x; x must lie in I_(i-1), where the trace is divisible by p^i."""
+    p = x.owner.field.characteristic
+    n = x.owner.dim
+    rows, _ = integer_regular_rows(x.owner, x.coords)
+    lift = DomainMatrix([[ZZ(row.get(j, 0) % p) for j in range(n)] for row in rows], (n, n), ZZ)
+    half = lift ** (p ** i // 2)  # Tr(L^k) = sum_ab H_ab K_ba with H K = L^k, k = p^i
+    rest = (half if p ** i % 2 == 0 else half * lift).transpose().to_list_flat()
+    t = int(sum(h * r for h, r in zip(half.to_list_flat(), rest))) % p ** (i + 1)
+    assert t % p ** i == 0
+    return t // p ** i
+
+
+def jacobson_radical(algebra):
+    """The radical J as a canonical subspace (Cohen-Ivanyos-Wales, JPAA
+    117/118 (1997)): I_(-1) = A, I_i = {a in I_(i-1) : g_i(ab) = 0 for all b}
+    for i = 0 .. floor(log_p dim), and J is the last one. g_0 = Tr(L_x) is
+    linear on A, g_i (i >= 1) on I_(i-1), where it is read on a basis and
+    extended to a functional w; a round is one nullspace of w's Gram matrix,
+    and over Q (Dickson) or GF(p) with p > dim round 0 is the only one. The
+    graded layer passes ungraded algebras: A_e in `graded.graded_radical`,
+    and the input of `split_identity_component`."""
+    field = algebra.field
+    n = algebra.dim
+    form = algebra.trace_form[0]  # w(e_r e_c) for g_0, times a constant
+    basis = [{r: 1} for r in range(n)]  # R, the sparse rows of I_(i-1)
+    i = 0
+    while True:
+        gram = [{} for _ in range(n)]  # row r of the Gram matrix G
+        for (r, c), v in form.items():
+            gram[r][c] = v
+        # a = sum_s lam_s R_s is kept iff w(a e_t) = (lam R G)_t = 0 for all t:
+        # row t of the constraints holds (R G)_st in column s
+        cons = [{} for _ in range(n)]
+        for s, row in enumerate(basis):
+            for r, a in row.items():
+                for t, v in gram[r].items():
+                    cons[t][s] = cons[t].get(s, 0) + a * v
+        rows = []
+        for lam in linalg.int_rows(linalg.nullspace(cons, len(basis), field), field):
+            vec = {}
+            for s, x in lam.items():
+                for c, y in basis[s].items():
+                    vec[c] = vec.get(c, 0) + x * y
+            rows.append(vec)
+        rows = linalg.rref(rows, n, field)[0] if rows else []
+        i += 1
+        if not rows or field.kind == "rationals" or field.characteristic ** i > n:
+            return Subspace(algebra, rows)
+        basis = linalg.int_rows(rows, field)  # the residues: R exactly
+        values = [_lifted_trace_digit(algebra.element(r), i) for r in rows]
+        w = linalg.solve([{**r, n: v} for r, v in zip(basis, values)], n, field)
+        form = integer_product_form(algebra, w)[0]
+
+
+def quotient(algebra, radical):
+    """(A/J, project): A/J on the basis vectors at the non-pivot columns of
+    J's echelon rows, and the map from A onto it. A vector is reduced by the
+    rows, which leaves it 0 at every pivot. For J = 0 it is (A, identity)."""
+    if not radical.dim:
+        return algebra, lambda x: x
+    echelon = linalg.echelon_pairs(radical.rows)
+    pivots = {c for c, _ in echelon}
+    keep = [c for c in range(algebra.dim) if c not in pivots]
+
+    def reduce(v):
+        v = linalg.reduce_vector(echelon, v)
+        return [v[c] for c in keep]
+
+    basis = [algebra.basis_element(c) for c in keep]
+    products = {(s, t): dict(enumerate(reduce((x * y).coords)))
+                for s, x in enumerate(basis) for t, y in enumerate(basis)}
+    semisimple = Algebra(algebra.field, [algebra.labels[c] for c in keep], products,
+                         unit=reduce(algebra.unit_coords))
+    return semisimple, lambda x: semisimple.element(reduce(x.coords))
+
+
+def spectral_idempotents(x):
+    """(idempotent, degree of f_i) for each irreducible factor f_i of the
+    minimal polynomial f = prod f_i^(m_i) of x, in the order of sympy's
+    factorization. A scalar (deg f = 1) gives 1, and an idempotent
+    (f = x^2 - x) gives x and 1 - x with no factoring; otherwise see
+    `_crt_idempotents`."""
+    alg = x.owner
+    field = alg.field
+    f = minimal_polynomial(x)
+    if len(f) == 2:
+        return [(alg.one, 1)]
+    if f == [field.zero, -field.one, field.one]:
+        # sympy lists x - 1 before x over QQ and after it over GF(p)
+        pair = [(x, 1), (alg.one - x, 1)]
+        return pair if field.kind == "rationals" else pair[::-1]
+    return _crt_idempotents(x, f)
+
+
+def _crt_idempotents(x, f):
+    """The CRT idempotents g_i(x) h_i(x) of the factors f_i^(m_i) of the
+    minimal polynomial f of x, with g_i = f / f_i^(m_i) and h_i its inverse
+    mod f_i^(m_i), reduced mod f. They are orthogonal and sum to 1. f is
+    factored by sympy's `dup_factor_list` over QQ or GF(p), the CRT runs on
+    its dense polynomials, and `evaluate_poly` evaluates each g_i h_i at x
+    on ints."""
+    field = x.owner.field
+    f, dom = linalg.to_dense(f, field)
+    out = []
+    for fi, m in dup_factor_list(f, dom)[1]:
+        q = dup_pow(fi, m, dom)
+        g = dup_exquo(f, q, dom)
+        e = dup_rem(dup_mul(g, dup_invert(g, q, dom), dom), f, dom)
+        out.append((evaluate_poly(linalg.from_dense(e, field), x), len(fi) - 1))
+    return out
+
+
+def central_primitive_idempotents(algebra, zbasis):
+    """Refine {1} by the spectral idempotents of each centre basis element,
+    keeping the nonzero products; no search is needed. Two field components
+    K_1, K_2 of Z stay together only if every basis element projects to a
+    pair (z_1, z_2) with equal minimal polynomials, and such pairs lie in a
+    proper subspace of Z, which a basis cannot. Over Q it is the kernel of
+    d_2 Tr_1 - d_1 Tr_2 (d_i = [K_i : Q]). Over GF(p), z_1 and z_2 lie in
+    the largest common subfield of K_1 and K_2; when that is all of both,
+    the pairs lie in the kernel of Tr_1 - Tr_2 (absolute traces). Each
+    idempotent e carries a lower bound for the degree of the field Ze; once
+    the bounds add up to dim Z every Ze is a field and the refinement
+    stops."""
+    idems = [(algebra.one, 1)]
+    for z in zbasis:
+        if sum(d for _, d in idems) == len(zbasis):
+            break
+        parts = spectral_idempotents(z)
+        refined = []
+        for e, d in idems:
+            for u, du in parts:
+                eu = e * u
+                if not eu.is_zero():
+                    refined.append((eu, max(d, du)))
+        idems = refined
+    return [e for e, _ in idems]
+
+
+def split_identity_component(algebra):
+    """Wedderburn splitting of A/J, with J the radical: K0(A) = K0(A/J),
+    because idempotents lift modulo a nilpotent ideal. The central primitive
+    idempotents of A/J cut it into simple blocks, each matched to M_n(D)
+    where the type is decided. A block eA is the column space of L_e, read
+    on the integer rows of L_e: its dimension is their rank, and the
+    dimension of its centre eZ is the rank of L_e applied to the centre's
+    rows."""
+    radical = jacobson_radical(algebra)
+    semisimple, _ = quotient(algebra, radical)
+    z = center(semisimple)
+    idems = central_primitive_idempotents(semisimple, z.basis_elements())
+    field = semisimple.field
+    zrows = linalg.int_rows(z.rows, field)
+    blocks = []
+    for e in idems:
+        rows, _ = integer_regular_rows(semisimple, e.coords)
+        bdim = linalg.rank(rows, field)
+        # the rows of L_e z for the centre's rows z
+        cdim = linalg.rank([{k: v for k, row in enumerate(rows)
+                             if (v := sum(c * row.get(j, 0) for j, c in zr.items()))}
+                            for zr in zrows], field)
+        blocks.append(BlockSummary(bdim, cdim, *_block_type(semisimple, e, rows, bdim, cdim)))
+    order = sorted(range(len(blocks)), key=lambda t: (blocks[t].dim, blocks[t].centre_dim))
+    return SemisimpleDecomposition(semisimple,
+                                   [blocks[t] for t in order],
+                                   [idems[t] for t in order], radical)
+
+
+def _block_type(algebra, e, rows, bdim, cdim):
+    """(n, dim D, None) with the block eA = M_n(D), or (None, None, reason)
+    if undecided; rows are the integer rows of L_e.
+
+    A block of dim c * n^2 over its centre K of dim c is M_n(D) with D a
+    division algebra central over K. Over GF(p), D = K (Wedderburn's little
+    theorem). A block equal to its centre is a field. Over Q with K = Q, a
+    dim-4 block is a quaternion algebra decided by Hilbert symbols, and a
+    larger one is M_n(Q) when a spectral idempotent of a block basis element
+    has a 1-dimensional corner; otherwise it is left undecided, as is every
+    other block whose centre is bigger than Q. The block basis, the rref of
+    the columns of L_e, is built only for those two Q cases."""
+    if algebra.field.kind == "prime-field" or bdim == cdim:
+        return isqrt(bdim // cdim), cdim, None
+    n = isqrt(bdim)
+    if cdim > 1:
+        return None, None, "proper-centre"
+    columns = [{} for _ in range(algebra.dim)]
+    for k, row in enumerate(rows):
+        for j, v in row.items():
+            columns[j][k] = v
+    block_basis, _ = linalg.rref(columns, algebra.dim, algebra.field)
+    if n == 2:
+        split = _quaternion_block_splits(algebra, e, block_basis)
+        return (2, 1, None) if split else (1, 4, None)
+    for row in block_basis:
+        for u, _ in spectral_idempotents(algebra.element(row)):
+            if _corner_dim(algebra, u, block_basis) == 1:
+                return n, 1, None
+    return None, None, "no-rank-one-corner"
+
+
+def _corner_dim(algebra, u, block_basis):
+    return linalg.rank(linalg.int_rows([(u * algebra.element(r) * u).coords
+                                        for r in block_basis], algebra.field), algebra.field)
+
+
+def _quaternion_block_splits(algebra, e, block_basis):
+    """A 4-dim block B with centre Q e is the quaternion algebra (a, b): x in
+    B off Q e, shifted to trace zero, has x^2 = a e, and j != 0 with
+    xj = -jx has j^2 = b e. B = M_2(Q) iff a or b is 0, or the Hilbert
+    symbol (a, b)_v is 1 at every place v (Serre, A Course in Arithmetic,
+    ch. III). It is 1 at the odd primes not dividing ab, and by Hilbert
+    reciprocity (the product over all places is 1) the place 2 follows from
+    the others, so infinity and the odd primes dividing ab decide it."""
+    field = algebra.field
+    basis = [algebra.element(r) for r in block_basis]
+    x = next(b for b in basis
+             if linalg.rank(linalg.int_rows([b.coords, e.coords], field), field) == 2)
+    # x^2 = c1 x + c0 e
+    c1, c0 = linalg.solve(linalg.int_rows(zip(x.coords, e.coords, (x * x).coords), field),
+                          2, field)
+    x = x - e.scale(c1 / 2)
+    a = c0 + c1 * c1 / 4
+    if not a:
+        return True
+    lam = linalg.nullspace(linalg.int_rows(zip(*[(x * b + b * x).coords for b in basis]),
+                                           field), len(basis), field)[0]
+    j = algebra.zero
+    for c, b in zip(lam, basis):
+        j = j + b.scale(c)
+    k = next(k for k, c in enumerate(e.coords) if c)
+    b = (j * j).coords[k] / e.coords[k]
+    if not b:
+        return True
+    a, b = a.numerator * a.denominator, b.numerator * b.denominator
+    if a < 0 and b < 0:
+        return False  # (a, b) is -1 at infinity
+    return all(_hilbert_symbol(a, b, p) == 1 for p in sympy.primefactors(a * b) if p != 2)
+
+
+def _hilbert_symbol(a, b, p):
+    """(a, b)_p for nonzero integers a, b and an odd prime p (Serre, ch. III,
+    Theorem 1)."""
+    alpha, beta = sympy.multiplicity(p, a), sympy.multiplicity(p, b)
+    u, v = a // p ** alpha, b // p ** beta
+    legendre = lambda t: 0 if pow(t, (p - 1) // 2, p) == 1 else 1
+    exponent = alpha * beta * (p - 1) // 2 + beta * legendre(u) + alpha * legendre(v)
+    return -1 if exponent % 2 else 1

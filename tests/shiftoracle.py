@@ -15,7 +15,7 @@ from collections import Counter
 from gradedk import linalg
 from gradedk.algebra import center, left_regular_matrix
 from gradedk.groups import coset_label
-from gradedk.ktheory import _central_primitive_idempotents, _quotient, jacobson_radical
+from gradedk.wedderburn import central_primitive_idempotents, jacobson_radical, quotient
 from gradedk.matrixring import ShiftCanonicalForm, ShiftedMatrixAlgebra, identity_component
 from gradedk.verdict import CONSTRUCTIVE, EXHAUSTIVE, FALSE, TRUE, VerdictReport
 
@@ -106,8 +106,8 @@ def recompute_top_dimensions(g, cover):
     (i, j) entries lie in R_(s_i^-1 s_j) and eps_i is its i-th diagonal
     unit."""
     e_alg = identity_component(ShiftedMatrixAlgebra(g, [s.inverse() for s in cover]).materialized)
-    top, project = _quotient(e_alg, jacobson_radical(e_alg))
-    idems = _central_primitive_idempotents(top, center(top).basis_elements())
+    top, project = quotient(e_alg, jacobson_radical(e_alg))
+    idems = central_primitive_idempotents(top, center(top).basis_elements())
     dims = {}
     for i, s in enumerate(cover):
         diagonal = "E%d%d*" % (i + 1, i + 1)
@@ -156,7 +156,7 @@ def reference_canonical_shift(group, gamma_d, shift):
         raise ValueError("classification requires an abelian grade group")
     shift = list(shift)
     if group.kind == "fg-abelian":
-        factors, u = gamma_d._smith_form
+        factors, u = gamma_d.smith_form
         ys = [[sum(a * c for a, c in zip(row, s.coords)) for row in u] for s in shift]
         forms = (sorted(tuple((a - b) % d if d else a - b
                               for a, b, d in zip(y, base, factors)) for y in ys)

@@ -17,7 +17,7 @@ from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_quaternion,
                                   construct_symbol_algebra)
 from gradedk.fields import FieldSpec
-from gradedk.graded import (graded_center, is_crossed_product,
+from gradedk.graded import (graded_center,
                             is_graded_division, is_strongly_graded, support,
                             support_subgroup,
                             validate_grading)
@@ -26,7 +26,7 @@ from gradedk.ktheory import (CsaShape, FGAbelianGroup, ck0_zk0,
                              compare_localized, k0gr_graded_division,
                              k0gr_strongly_graded, localize,
                              torsion_bound_check)
-from gradedk.matrixring import (ShiftedMatrixAlgebra, is_good_grading,
+from gradedk.matrixring import (ShiftedMatrixAlgebra, is_crossed_product, is_good_grading,
                                 is_strongly_graded_matrix,
                                 shifted_iso_decision)
 from gradedk.trace import (nrd, trd, trd_graded_surjective_check,

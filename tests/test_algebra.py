@@ -27,6 +27,12 @@ def test_unit_located_automatically():
     assert alg.unit_coords == (Fraction(1), Fraction(0))
 
 
+def test_empty_basis_rejected():
+    for unit in (None, []):
+        with pytest.raises(ValueError, match="at least one basis vector"):
+            Algebra(Q, [], {}, unit=unit)
+
+
 def test_nonassociative_rejected():
     # e1*e1 = e2, e2*e1 = e1 but e1*(e1*e1) != (e1*e1)*e1 style failure
     products = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},

@@ -165,6 +165,64 @@ def test_malformed_file_exit_3(capsys, tmp_path):
         assert err.startswith("error:") and missing in err
 
 
+GF3_ONE_THIRD = """[algebra]
+field = GF(3)
+group = trivial
+basis = e
+degrees = ()
+unit = 1
+[products]
+0 0 0 1/3
+"""
+UNIT_OVER_ZERO = """[algebra]
+field = Q
+group = trivial
+basis = e
+degrees = ()
+unit = 1/0
+[products]
+0 0 0 1
+"""
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("construct", "quaternion", "-a", "1/0"), None),
+    (("construct", "quaternion", "--field", "GF(3)", "-a", "1/3"), None),
+    (("construct", "symbol", "--field", "GF(7)", "-n", "3", "-a", "2", "-b", "3",
+      "--xi", "1/7"), None),
+    (("check", "grading", "FILE"), GF3_ONE_THIRD),
+    (("check", "grading", "FILE"), UNIT_OVER_ZERO),
+    (("check", "grading", "FILE"), "[construct]\nkind = quaternion\nfield = Q\na = 1/0\n"
+                                   "b = -1\n"),
+], ids=["construct-zero-denominator", "construct-gf3-third", "construct-gf7-xi",
+        "products-gf3-third", "unit-zero-denominator", "construct-section"])
+def test_bad_scalar_token_exit_3(capsys, tmp_path, argv, text):
+    # a zero denominator, or one divisible by p over GF(p), is bad input
+    path = tmp_path / "a.alg"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 3 and out == ""
+    assert err.startswith("error: bad scalar")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "graded-division", "FILE"),
+    ("check", "graded-simple", "FILE"),
+    ("check", "crossed-product", "FILE"),
+    ("check", "azumaya", "FILE", "--via", "graded-csa"),
+    ("k0", "FILE"),
+    ("k0", "FILE", "--localize", "2"),
+], ids=["graded-division", "graded-simple", "crossed-product", "graded-csa", "k0",
+        "k0-localize"])
+def test_empty_basis_exit_3(capsys, tmp_path, argv):
+    path = tmp_path / "a.alg"
+    path.write_text("[algebra]\nfield = Q\ngroup = trivial\nbasis =\ndegrees =\n")
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert (code, out) == (3, "")
+    assert err == "error: an algebra needs at least one basis vector\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "nosuchpred", "FILE"),
     ("check", "azumaya", "FILE", "--via", "nosuchroute"),

@@ -26,15 +26,15 @@ from gradedk.algebra import (Algebra, center, commutator_subspace, enveloping_pr
 from gradedk.constructors import (construct_group_ring, construct_matrix_algebra,
                                   construct_quaternion, construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
-from gradedk.graded import (GradedAlgebra, _strongly_graded_at, graded_tensor, support,
+from gradedk.graded import (GradedAlgebra, graded_tensor, strongly_graded_at, support,
                             trivially_graded)
 from gradedk.groups import GradeGroup
-from gradedk.ktheory import (BlockSummary, _corner_dim, _crt_idempotents,
-                             _lifted_trace_digit, _quaternion_block_splits, _quotient,
-                             _spectral_idempotents, jacobson_radical,
-                             split_identity_component)
 from gradedk.matrixring import ShiftedMatrixAlgebra
 from gradedk.trace import reduced_char_poly
+from gradedk.wedderburn import (BlockSummary, _corner_dim, _crt_idempotents,
+                                _lifted_trace_digit, _quaternion_block_splits,
+                                jacobson_radical, quotient, spectral_idempotents,
+                                split_identity_component)
 
 from randomdata import random_constructed, random_element, random_scalar
 
@@ -235,7 +235,7 @@ def ref_split(algebra):
     """(blocks, idempotents, radical rows) by the block loop on the spans
     e b_j, with the reference spectral idempotents."""
     radical = jacobson_radical(algebra)
-    semisimple, _ = _quotient(algebra, radical)
+    semisimple, _ = quotient(algebra, radical)
     zbasis = center(semisimple).basis_elements()
     idems = [(semisimple.one, 1)]
     for z in zbasis:
@@ -518,7 +518,7 @@ def test_enveloping_product_and_separability_rows(alg):
 
 
 def test_strong_grading_certificates_read_off_the_table():
-    """`_strongly_graded_at` reads e_i e_j off `Algebra.table`; its
+    """`strongly_graded_at` reads e_i e_j off `Algebra.table`; its
     certificates equal the solve on products of basis elements, and each
     one sums to 1, on bases with non-integral constants and unit too."""
     found = missing = rebased_non_integral = 0
@@ -529,7 +529,7 @@ def test_strong_grading_certificates_read_off_the_table():
                                                           for u in alg.unit_coords)
         for d in support(g):
             for gamma in (d, d.inverse()):
-                cert = _strongly_graded_at(g, gamma)
+                cert = strongly_graded_at(g, gamma)
                 assert same(cert, ref_strongly_graded_at(g, gamma)), (g.algebra, gamma)
                 if cert is None:
                     missing += 1
@@ -585,7 +585,7 @@ def test_minimal_polynomials_idempotents_and_evaluation(alg):
         assert same(f, ref_minimal_polynomial(x))
         assert same(idempotent_pairs(_crt_idempotents(x, f)),
                     idempotent_pairs(ref_crt_idempotents(x, f)))
-        assert same(idempotent_pairs(_spectral_idempotents(x)),
+        assert same(idempotent_pairs(spectral_idempotents(x)),
                     idempotent_pairs(ref_spectral_idempotents(x)))
         for length in range(6):
             coeffs = [random_scalar(alg.field, rng) for _ in range(length)]

@@ -15,13 +15,13 @@ from gradedk.fields import FieldSpec
 from gradedk.graded import graded_tensor, support_subgroup, trivially_graded
 from gradedk.groups import GradeGroup, SubgroupSpec
 from gradedk.ktheory import (INFINITE_RANK_FREE, CsaShape, FGAbelianGroup,
-                             _crt_idempotents, _spectral_idempotents,
-                             ck0_zk0, compare_localized, jacobson_radical,
+                             ck0_zk0, compare_localized,
                              k0_of_semisimple, k0gr_graded_division,
-                             k0gr_strongly_graded, localize,
-                             split_identity_component, torsion_bound_check)
+                             k0gr_strongly_graded, localize, torsion_bound_check)
 from gradedk.matrixring import ShiftedMatrixAlgebra, identity_component, \
     is_strongly_graded_matrix
+from gradedk.wedderburn import (_crt_idempotents, jacobson_radical,
+                                spectral_idempotents, split_identity_component)
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
@@ -448,6 +448,6 @@ def test_spectral_idempotents_shortcuts_match_factoring():
         elements = [m2.one, m2.zero, m2.one.scale(3), e11, m2.one - e11,
                     e11 + m2.basis_element(1)]
         for x in elements:
-            got = _spectral_idempotents(x)
+            got = spectral_idempotents(x)
             assert got == _crt_idempotents(x, minimal_polynomial(x))
             assert len(got) == (1 if len(minimal_polynomial(x)) == 2 else 2)

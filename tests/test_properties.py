@@ -7,9 +7,9 @@ from gradedk import linalg
 from gradedk.algebra import (center, commutator_subspace, left_regular_matrix,
                              right_regular_matrix, two_sided_ideal_closure)
 from gradedk.fields import GFElement
-from gradedk.graded import is_crossed_product, is_strongly_graded
+from gradedk.graded import is_strongly_graded
 from gradedk.groups import GradeGroup, SubgroupSpec
-from gradedk.matrixring import canonical_shift
+from gradedk.matrixring import canonical_shift, is_crossed_product
 from randomdata import random_constructed, random_element
 
 
