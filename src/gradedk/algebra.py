@@ -23,7 +23,9 @@ numerators over one common denominator (`FieldSpec.to_ints`), the sums
 run on ints, and each output coordinate is converted once at the end
 (`FieldSpec.from_ints`), so the same loop serves Q and GF(p). The rows
 that the kernel hands to `linalg` are sparse {column: int} rows, the row
-format of `linalg`.
+format of `linalg`, and the echelons and solutions it gets back stay ints:
+a `Subspace` holds its echelon, and a value becomes field scalars where it
+leaves the library (an element, a subspace's `rows`, a witness).
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class Algebra:
                           for r in rows.values()], n, field)
         if u is None:
             raise ValueError("algebra has no left unit")
-        return u
+        return field.from_ints(*u)
 
     def _integer_constants(self):
         """(table, scale, unit): the structure constants and the unit as
@@ -192,19 +194,18 @@ class Algebra:
 
     def subspace(self, vectors):
         rows = [v.coords if isinstance(v, AlgebraElement) else v for v in vectors]
-        return Subspace(self, linalg.rref(linalg.int_rows(rows, self.field), self.dim,
-                                          self.field)[0])
+        return Subspace(self, linalg.rref(linalg.int_rows(rows, self.field), self.field))
 
     def full_subspace(self):
-        """A itself; the identity rows are already its canonical echelon form."""
-        return Subspace(self, [self.basis_element(i).coords for i in range(self.dim)])
+        """A itself; the identity rows are already its echelon."""
+        return Subspace(self, ([{i: 1} for i in range(self.dim)], 1, list(range(self.dim))))
 
     @functools.cached_property
     def trace_form(self):
         """(form, den): the trace form (x, y) -> Tr(L_(xy)) as
         `integer_product_form` of the regular traces, built on first use;
         it depends on the structure constants alone."""
-        return integer_product_form(self, regular_traces(self))
+        return integer_product_form(self, *regular_traces(self))
 
     def __repr__(self):
         return "Algebra(dim=%d over %r)" % (self.dim, self.field)
@@ -274,27 +275,35 @@ class AlgebraElement:
 
 
 class Subspace:
-    """A subspace in canonical reduced echelon form; equality is data equality.
-    Membership reads the rows as ints, converted on the first `contains`."""
+    """A subspace held once, as its `linalg` echelon (rows, den, pivots).
+    `rows`, its canonical reduced rows as tuples of field scalars, are built
+    on first use; equality and hash read them, since over Q the same space
+    can come with another (rows, den)."""
 
-    def __init__(self, owner, echelon_rows):
+    def __init__(self, owner, echelon):
         self.owner = owner
-        self.rows = [tuple(r) for r in echelon_rows]
+        self.echelon = echelon
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.echelon[2])
+
+    @property
+    def pivots(self):
+        return self.echelon[2]
 
     @functools.cached_property
-    def _echelon(self):
-        return linalg.integer_echelon(self.rows, self.owner.field)
+    def rows(self):
+        red, den, _ = self.echelon
+        n, field = self.owner.dim, self.owner.field
+        return [tuple(field.from_ints([r.get(j, 0) for j in range(n)], den)) for r in red]
 
     def contains(self, x):
         coords = x.coords if isinstance(x, AlgebraElement) else x
-        return linalg.row_space_contains(self._echelon, coords, self.owner.field)
+        return linalg.row_space_contains(self.echelon, coords, self.owner.field)
 
     def basis_elements(self):
-        return [self.owner.element(r) for r in self.rows]
+        return [AlgebraElement(self.owner, r) for r in self.rows]
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.owner is self.owner
@@ -337,11 +346,10 @@ def multiply(x, y):
                                                    dx * dy * alg.scale))
 
 
-def integer_regular_rows(alg, coords, left=True):
-    """(rows, den): row k of L_x (left) or R_x (right) for the vector x with
-    these coordinates, as a sparse {column: int} over den. Column j of L_x
-    is x e_j = sum_i x_i c_ij, of R_x e_j x = sum_i x_i c_ji."""
-    xs, dx = alg.field.to_ints(coords)
+def integer_regular_rows(alg, xs, left=True):
+    """Row k of L_x (left) or R_x (right) for the integer vector xs, as a
+    sparse {column: int}, at scale times the scale of xs. Column j of L_x is
+    x e_j = sum_i x_i c_ij, of R_x e_j x = sum_i x_i c_ji."""
     rows = [{} for _ in range(alg.dim)]
     for i, row in enumerate(alg.table):
         if left:  # x_i c_ij^k at (k, j)
@@ -358,19 +366,24 @@ def integer_regular_rows(alg, coords, left=True):
                     for k, c in terms:
                         r = rows[k]
                         r[i] = r.get(i, 0) + a * c
-    return rows, dx * alg.scale
+    return rows
 
 
-def _regular_columns(alg, coords, left):
-    """The columns of L_x or R_x as field scalars."""
-    rows, den = integer_regular_rows(alg, coords, left)
-    return [alg.field.from_ints([row.get(j, 0) for row in rows], den) for j in range(alg.dim)]
+def _regular_columns(alg, xs, left):
+    """The products x e_j (left) or e_j x for the integer vector xs, one
+    sparse integer row per basis vector e_j: the columns of L_x or R_x."""
+    cols = [{} for _ in range(alg.dim)]
+    for k, row in enumerate(integer_regular_rows(alg, xs, left)):
+        for j, v in row.items():
+            cols[j][k] = v
+    return cols
 
 
 def _regular_matrix(x, left):
-    rows, den = integer_regular_rows(x.owner, x.coords, left)
-    return [x.owner.field.from_ints([row.get(j, 0) for j in range(x.owner.dim)], den)
-            for row in rows]
+    xs, dx = x.owner.field.to_ints(x.coords)
+    return [x.owner.field.from_ints([row.get(j, 0) for j in range(x.owner.dim)],
+                                    dx * x.owner.scale)
+            for row in integer_regular_rows(x.owner, xs, left)]
 
 
 def left_regular_matrix(x):
@@ -384,17 +397,16 @@ def right_regular_matrix(x):
 
 
 def regular_traces(algebra):
-    """t with t_k = Tr(L_{e_k}) = sum_m c_km^m, so Tr(L_x) = sum_k t_k x_k."""
-    t = [sum(c for m, terms in row.items() for k, c in terms if k == m)
-         for row in algebra.table]
-    return algebra.field.from_ints(t, algebra.scale)
+    """(t, scale) with t_k / scale = Tr(L_{e_k}) = sum_m c_km^m, so
+    Tr(L_x) = sum_k t_k x_k / scale."""
+    return [sum(c for m, terms in row.items() for k, c in terms if k == m)
+            for row in algebra.table], algebra.scale
 
 
-def integer_product_form(algebra, w):
+def integer_product_form(algebra, ws, dw):
     """(form, den): the bilinear form (x, y) -> w(xy) of the linear form
-    with coordinates w, as {(r, c): w(e_r e_c) * den} over the products
-    e_r e_c that are nonzero. Over GF(p) a value may be 0 mod p."""
-    ws, dw = algebra.field.to_ints(w)
+    w = ws / dw, given as ints, as {(r, c): w(e_r e_c) * den} over the
+    products e_r e_c that are nonzero. Over GF(p) a value may be 0 mod p."""
     form = {}
     for r, row in enumerate(algebra.table):
         for c, terms in row.items():
@@ -410,15 +422,15 @@ def try_invert(x):
     n = alg.dim
     # L_x = rows / (dx * scale) and 1 = unit_ints / scale, so L_x y = 1
     # reads rows y = dx * unit_ints
-    rows, den = integer_regular_rows(alg, x.coords)
-    dx = den // alg.scale
+    xs, dx = alg.field.to_ints(x.coords)
+    rows = integer_regular_rows(alg, xs)
     for row, u in zip(rows, alg.unit_ints):
         if u:
             row[n] = dx * u
     y = linalg.solve(rows, n, alg.field)
     if y is None:
         return None
-    y = alg.element(y)
+    y = AlgebraElement(alg, alg.field.from_ints(*y))
     if x * y != alg.one or y * x != alg.one:
         return None
     return y
@@ -442,36 +454,25 @@ def center(algebra):
 
 def two_sided_ideal_closure(algebra, generators):
     """Smallest subspace containing the generators closed under left and
-    right multiplication by basis elements, by spinning: each generator and
-    each product x e_j, e_j x of a newly added basis vector x is reduced
-    against an echelon basis, and a nonzero remainder joins the basis and
-    the queue. The spin stops as soon as the basis spans A."""
-    n = algebra.dim
-    one = algebra.field.one
-    basis = {}  # pivot column -> row with 1 there and 0 at the earlier pivots
-    queue = []
-
-    def add(v):
-        # True once the basis spans A; reducing in insertion order leaves
-        # every earlier pivot at 0
-        v = linalg.reduce_vector(basis.items(), v)
-        c = next((c for c, a in enumerate(v) if a), None)
-        if c is None:
-            return False
-        inv = one / v[c]
-        basis[c] = [a * inv for a in v]
-        queue.append(basis[c])
-        return len(basis) == n
-
-    if any(add(g.coords) for g in generators):
-        return algebra.full_subspace()
-    while queue:
-        v = queue.pop()
+    right multiplication by basis elements, by spinning on integer rows:
+    each product x e_j, e_j x of a vector x new to the span is reduced
+    against the span's echelon, and a nonzero remainder is new: it joins
+    the echelon and the queue. The spin stops as soon as the echelon spans
+    A."""
+    n, field = algebra.dim, algebra.field
+    echelon = algebra.subspace(generators).echelon
+    queue = list(echelon[0])
+    while queue and len(echelon[2]) < n:
+        x = queue.pop()
         for left in (True, False):
-            if any(add(col) for col in _regular_columns(algebra, v, left)):
-                return algebra.full_subspace()
-    return Subspace(algebra, linalg.rref(linalg.int_rows(basis.values(), algebra.field),
-                                         n, algebra.field)[0])
+            for v in _regular_columns(algebra, [x.get(j, 0) for j in range(n)], left):
+                r = linalg.reduce_row(echelon, v, field)
+                if r:
+                    echelon = linalg.rref(echelon[0] + [r], field)
+                    queue.append(r)
+                    if len(echelon[2]) == n:
+                        return algebra.full_subspace()
+    return Subspace(algebra, echelon)
 
 
 def integer_psi_matrix(algebra):
@@ -564,13 +565,14 @@ def is_central_simple(algebra):
     if z.dim != 1:
         return VerdictReport("central-simple", FALSE, EXHAUSTIVE,
                              counterexample=("center-dim", z.dim))
-    kernel = linalg.nullspace(integer_psi_matrix(algebra)[0], algebra.dim ** 2,
-                              algebra.field)
+    full = algebra.dim ** 2
+    kernel, den, _ = linalg.nullspace(integer_psi_matrix(algebra)[0], full, algebra.field)
     if kernel:
+        vector = algebra.field.from_ints([kernel[0].get(j, 0) for j in range(full)], den)
         return VerdictReport("central-simple", FALSE, EXHAUSTIVE,
-                             counterexample=("psi-kernel-vector", kernel[0]))
+                             counterexample=("psi-kernel-vector", vector))
     return VerdictReport("central-simple", TRUE, EXHAUSTIVE,
-                         details={"psi-rank": algebra.dim ** 2})
+                         details={"psi-rank": full})
 
 
 def minimal_polynomial(x):
@@ -596,7 +598,7 @@ def minimal_polynomial(x):
         rows = [{i: v for i, v in enumerate(col) if v} for col in zip(*powers, power)]
         sol = linalg.solve(rows, k, field)
         if sol is not None:
-            ys, den = field.to_ints(sol)
+            ys, den = sol
             return field.from_ints([-y * t ** i for i, y in enumerate(ys)], den * t ** k) \
                 + [field.one]
         powers.append(power)
@@ -639,4 +641,4 @@ def commutator_subspace(algebra):
             for k, c in table[j].get(i, ()):
                 row[k] = row.get(k, 0) - c
             rows.append(row)
-    return Subspace(algebra, linalg.rref(rows, n, algebra.field)[0])
+    return Subspace(algebra, linalg.rref(rows, algebra.field))

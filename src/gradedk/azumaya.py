@@ -45,12 +45,13 @@ def psi_bijective(graded):
         return psi_bijective_matrix_over_graded_field(graded)
     env = EnvelopingAlgebra(graded)
     full = env.n * env.n
-    kernel = linalg.nullspace(env.psi_matrix()[0], full, graded.field)
+    kernel, den, _ = linalg.nullspace(env.psi_matrix()[0], full, graded.field)
     details = {"rank": full - len(kernel), "size": full}
     if not kernel:
         return VerdictReport("psi-bijective", TRUE, EXHAUSTIVE, details=details)
+    vector = graded.field.from_ints([kernel[0].get(j, 0) for j in range(full)], den)
     return VerdictReport("psi-bijective", FALSE, EXHAUSTIVE,
-                         counterexample=("kernel-vector", kernel[0]),
+                         counterexample=("kernel-vector", vector),
                          details=details)
 
 
@@ -105,7 +106,8 @@ def standard_separability_idempotent(g):
     separable. A solution has e^2 = (e * 1 (x) 1) e = e, checked again."""
     src = g.algebra
     e = linalg.solve(separability_rows(src), src.dim ** 2, src.field)
-    return tuple(e) if e is not None and enveloping_product(src, e, e) == tuple(e) else None
+    e = None if e is None else tuple(src.field.from_ints(*e))
+    return e if e is not None and enveloping_product(src, e, e) == e else None
 
 
 def braun_check(graded, e=None):
@@ -164,8 +166,8 @@ def graded_group_ring_azumaya(g):
     and the unit e_e. The criterion is about F[G] alone, so any other
     algebra is a ValueError."""
     group = g.group
-    if group.kind != "finite-table":
-        raise ValueError("finite-table group required")
+    if not group.is_finite():
+        raise ValueError("finite grade group required")
     if isinstance(g, TwistedGroupAlgebra):
         raise ValueError("the group-ring route needs a materialized algebra")
     elems = group.elements()
@@ -188,12 +190,12 @@ def graded_group_ring_azumaya(g):
 def group_ring_azumaya(field, group):
     """DeMeyer-Janusz: R[G] Azumaya iff R Azumaya, [G:Z(G)] finite, and the
     commutator subgroup's order m is invertible in R. Fields are Azumaya."""
-    if group.kind != "finite-table":
-        raise ValueError("finite-table group required")
+    if not group.is_finite():
+        raise ValueError("finite grade group required")
     elems = group.elements()
     centre = [g for g in elems
               if all(g * h == h * g for h in elems)]
-    centre_index = group.size // len(centre)
+    centre_index = group.order // len(centre)
     _, m = derived_subgroup(group)
     m_invertible = field.is_invertible_int(m)
     details = {"base-azumaya": True, "centre-index": centre_index,

@@ -70,8 +70,12 @@ def cmd_construct(args):
         return 3
     text = ff.dump_graded_algebra(g)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 3
         print("wrote %s" % args.output)
     else:
         sys.stdout.write(text)

@@ -10,6 +10,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import sympy
+
 
 class GFElement:
     """An element of GF(p), stored as a residue in [0, p)."""
@@ -113,8 +115,10 @@ class FieldSpec:
                 raise ValueError("rationals have characteristic 0")
         else:
             p = characteristic
-            if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-                raise ValueError("prime-field characteristic must be prime, got %r" % p)
+            # sympy's isprime is a proof below 2^64, and BPSW above
+            if not 2 <= p < 1 << 64 or not sympy.isprime(p):
+                raise ValueError("prime-field characteristic must be a prime below 2^64, "
+                                 "got %r" % p)
         self.kind = kind
         self.characteristic = characteristic
         self.zero = self.scalar(0)

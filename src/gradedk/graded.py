@@ -224,7 +224,7 @@ def strongly_graded_at(g, gamma):
     sol = linalg.solve(rows, m, alg.field)
     if sol is None:
         return None
-    return [(pairs[c], sol[c]) for c in range(len(pairs)) if sol[c]]
+    return [(pair, c) for pair, c in zip(pairs, alg.field.from_ints(*sol)) if c]
 
 
 def is_strongly_graded(g):
@@ -310,8 +310,8 @@ def graded_radical(g):
     nullspace per support degree d of the w_r(x e_j), j in A_(d^-1)."""
     comps = {d: g.component_indices(d) for d in support(g)}
     e_idx = comps[g.group.identity]
-    radical = linalg.int_rows(jacobson_radical(g.identity_component()).rows, g.field)
-    ws = linalg.int_rows(linalg.nullspace(radical, len(e_idx), g.field), g.field)
+    radical = jacobson_radical(g.identity_component()).echelon[0]
+    ws = linalg.nullspace(radical, len(e_idx), g.field)[0]
     image = {k: [(r, w[c]) for r, w in enumerate(ws) if c in w] for c, k in enumerate(e_idx)}
     parts = []
     for d, idx in comps.items():
@@ -322,9 +322,9 @@ def graded_radical(g):
                     for r, b in image[k]:
                         row = rows.setdefault((j, r), {})
                         row[t] = row.get(t, 0) + a * b
-        parts += [g.component_element(d, v)
-                  for v in linalg.nullspace(rows.values(), len(idx), g.field)]
-    return g.algebra.subspace(parts)
+        parts += [{idx[t]: v for t, v in row.items()}
+                  for row in linalg.nullspace(rows.values(), len(idx), g.field)[0]]
+    return Subspace(g.algebra, linalg.rref(parts, g.field))
 
 
 def is_graded_simple(g):
@@ -348,7 +348,7 @@ def is_graded_simple(g):
         return VerdictReport("graded-simple", FALSE, EXHAUSTIVE, counterexample=(
             "proper-ideal-generator", alg.element(radical.rows[0])))
     idems = central_primitive_idempotents(
-        alg, [alg.element(r) for r in _component_part(g, center(alg), g.group.identity)])
+        alg, _component_part(g, center(alg), g.group.identity))
     if len(idems) == 1:
         return VerdictReport("graded-simple", TRUE, EXHAUSTIVE)
     return VerdictReport("graded-simple", FALSE, EXHAUSTIVE,
@@ -356,12 +356,16 @@ def is_graded_simple(g):
 
 
 def _component_part(g, subspace, degree):
-    """Rows spanning subspace n A_degree (a nonzero subspace): the
-    combinations of the subspace's rows that vanish off the component."""
-    rows = subspace.rows
-    off = [[row[i] for row in rows] for i, d in enumerate(g.degrees) if d != degree]
-    kept = linalg.nullspace(linalg.int_rows(off, g.field), len(rows), g.field)
-    return linalg.mat_mul(kept, rows)
+    """Elements spanning subspace n A_degree (a nonzero subspace): the
+    combinations of the subspace's echelon rows that vanish off the
+    component, one per row of the kernel's echelon."""
+    rows, den, _ = subspace.echelon
+    off = [{s: row[i] for s, row in enumerate(rows) if i in row}
+           for i, d in enumerate(g.degrees) if d != degree]
+    kept, dk, _ = linalg.nullspace(off, len(rows), g.field)
+    return [AlgebraElement(g.algebra, g.field.from_ints(
+        [sum(c * rows[s].get(j, 0) for s, c in lam.items()) for j in range(g.dim)], dk * den))
+        for lam in kept]
 
 
 def _ungraded_row(g, subspace):

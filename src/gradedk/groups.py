@@ -337,9 +337,9 @@ def coset_label(group, subgroup, g):
 
 
 def derived_subgroup(group):
-    """The commutator subgroup of a finite-table group, with its order."""
-    if group.kind != "finite-table":
-        raise ValueError("derived subgroup requires a finite-table group")
+    """The commutator subgroup of a finite group, with its order."""
+    if not group.is_finite():
+        raise ValueError("derived subgroup requires a finite group")
     elems = group.elements()
     commutators = []
     for g in elems:

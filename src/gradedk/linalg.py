@@ -1,30 +1,34 @@
-"""Exact linear algebra over Q and GF(p), eliminating on integers.
+"""Exact linear algebra over Q and GF(p): integer rows in, integer rows out.
 
-The row format: `rref`, `rank`, `nullspace` and `solve` take sparse integer
-rows, each a dict {column: int}, with the field, and the column count where
-the result needs it. Only the stored entries are read: a missing column is
-0, and a stored 0 (mod p) is dropped. A row counts by its residues over
-GF(p), and up to a nonzero factor over Q. The structure-constant kernel
-builds its rows so, straight from `Algebra.table`; `int_rows` converts
-dense rows of field scalars. `solve` takes the rows of [A | b], with b in
-column ncols, so a row is scaled together with its right-hand side. The
-results are dense rows of field scalars.
+`rref`, `rank`, `nullspace` and `solve` take sparse integer rows, each a
+dict {column: int}, with the field, and the column count where the result
+needs it. A missing column is 0, and a stored 0 (mod p) is dropped. A row
+counts by its residues over GF(p), and up to a nonzero factor over Q. The
+structure-constant kernel builds its rows so, from `Algebra.table`;
+`int_rows` is the one adapter for dense rows of field scalars. `solve`
+takes the rows of [A | b], with b in column ncols.
+
+The results are ints too. `rref` and `nullspace` return an echelon (rows,
+den, pivots): one sparse row per pivot, in pivot order, den times the
+reduced row (1 at its pivot, 0 at the other pivots). Over GF(p) the rows
+are residues and den is 1. Over Q the reduced rows are canonical but
+(rows, den) is not: the same space can come back scaled. `solve` returns
+(x, den) with x dense. A caller converts to field scalars once, with
+`FieldSpec.from_ints`, where a value leaves the library.
 
 There is one elimination per field. Over GF(p) it is a sparse Gauss-Jordan
 on residues, the loop of sympy's `sdm_irref` with `% p` and
 `pow(a, -1, p)`. Over Q it is sympy's fraction-free `sdm_rref_den` over ZZ
-(Bareiss-style), on rows divided by their content. Each output coordinate
-is converted once, by `FieldSpec.from_ints`. The results are canonical:
-rref rows have unit pivots and no zero rows, and a kernel basis is its own
-rref, so subspace equality is a data comparison.
+(Bareiss-style), on rows divided by their content. `rank`, `solve` and
+`nullspace` call it directly, not through `rref`.
 
-Membership in a row space is one comparison on ints (`integer_echelon`,
-`row_space_contains`). `mat_mul` multiplies ints or field scalars alike.
-Polynomials are sympy's dense lists, the level of its `dup_*` functions,
-and `to_dense`/`from_dense` carry an ascending list of field scalars there
-and back. The characteristic polynomial is sympy's
-``DomainMatrix.charpoly`` over QQ or GF(p); no polynomial arithmetic is
-done here.
+`reduce_row` reduces an integer row against an echelon, for membership
+(`row_space_contains`), quotients and the ideal spin. `mat_mul`
+multiplies ints or field scalars alike. Polynomials are sympy's dense
+lists, the level of its `dup_*` functions, and `to_dense`/`from_dense`
+carry an ascending list of field scalars there and back. The
+characteristic polynomial is sympy's ``DomainMatrix.charpoly`` over QQ or
+GF(p); no polynomial arithmetic is done here.
 """
 
 from __future__ import annotations
@@ -108,99 +112,64 @@ def _irref_mod(rows, p):
     return [pivot_row[j] for j in pivots], pivots
 
 
-def _eliminate(rows, p):
-    """(rows, den, pivots): the rref of nonzero dict rows of ints, one row
-    per pivot in pivot order, holding den at its pivot. Over GF(p) (p > 0)
-    the entries are residues and den is 1; over Q (p = 0) the row of
-    pivots[i] is den times the rref row."""
+def _reduced(rows, field):
+    """The echelon (rows, den, pivots) of sparse integer rows, their stored
+    zeros dropped: one row per pivot in pivot order, den times the rref
+    row. Over GF(p) the entries are residues and den is 1."""
+    p = field.characteristic
     if p:
+        rows = [r for row in rows if (r := {j: v for j, x in row.items() if (v := x % p)})]
         red, pivots = _irref_mod(rows, p)
         return red, 1, pivots
+    # each row over its content, the gcd of its entries: the same line,
+    # and `sdm_rref_den`'s integers grow from the entries
+    rows = [{j: x // g for j, x in r.items()}
+            for row in rows if (r := {j: x for j, x in row.items() if x})
+            for g in [math.gcd(*r.values())]]
     red, den, pivots = sdm_rref_den(dict(enumerate(rows)), sympy.ZZ)
     return list(red.values()), den, pivots
 
 
-def _reduced(rows, field):
-    """`_eliminate` on sparse integer rows, their stored zeros dropped."""
-    p = field.characteristic
-    if p:
-        rows = [r for row in rows if (r := {j: v for j, x in row.items() if (v := x % p)})]
-    else:
-        # each row over its content, the gcd of its entries: the same line,
-        # and `sdm_rref_den`'s integers grow from the entries
-        rows = [{j: x // g for j, x in r.items()}
-                for row in rows if (r := {j: x for j, x in row.items() if x})
-                for g in [math.gcd(*r.values())]]
-    return _eliminate(rows, p)
-
-
-def _scalars(rows, den, ncols, field):
-    """Dense rows of field scalars from dict rows of ints over den."""
-    return [field.from_ints([nz.get(j, 0) for j in range(ncols)], den) for nz in rows]
-
-
-def rref(rows, ncols, field):
-    """Reduced row echelon form with unit pivots of sparse integer rows of
-    ncols columns; returns (rows, pivot_cols). Zero rows are dropped, so
-    the result is the canonical basis of the row space."""
-    red, den, pivots = _reduced(rows, field)
-    return _scalars(red, den, ncols, field), pivots
+def rref(rows, field):
+    """The echelon (rows, den, pivots) of the row space of sparse integer
+    rows; zero rows are dropped."""
+    return _reduced(rows, field)
 
 
 def rank(rows, field):
     return len(_reduced(rows, field)[2])
 
 
-def echelon_pairs(rows):
-    """(pivot column, row) for each row of an echelon basis."""
-    return [(next(c for c, x in enumerate(row) if x), row) for row in rows]
-
-
-def reduce_vector(echelon, vec):
-    """vec less the multiples of the echelon rows that clear it at their
-    pivots. echelon is (pivot, row) pairs, each row 1 at its pivot and 0 at
-    the pivots of the pairs before it, so the result is 0 at every pivot,
-    and it is 0 iff vec lies in the span of the rows."""
-    v = vec
-    for c, row in echelon:
-        f = v[c]
+def reduce_row(echelon, v, field):
+    """den v less v[c] times the echelon row of each pivot c, for a sparse
+    integer row v and an echelon (rows, den, pivots): den times the
+    reduction of v against the rows, its nonzero entries only (residues
+    over GF(p)). Each row holds den at its pivot and 0 at the other pivots,
+    so the result is 0 at every pivot, and it is empty iff v lies in the
+    row space."""
+    rows, den, pivots = echelon
+    out = {j: den * x for j, x in v.items()}
+    for c, row in zip(pivots, rows):
+        f = v.get(c)
         if f:
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
-def integer_echelon(rows, field):
-    """(pairs, den): canonical echelon rows of field scalars as (pivot,
-    {column: int}) pairs over one common den, for `row_space_contains`."""
-    ints, den = field.to_ints([x for row in rows for x in row])
-    n = len(rows[0]) if rows else 0
-    pairs = []
-    for r in range(len(rows)):
-        nz = {j: x for j, x in enumerate(ints[r * n:(r + 1) * n]) if x}
-        pairs.append((min(nz), nz))
-    return pairs, den
+            for j, y in row.items():
+                out[j] = out.get(j, 0) - f * y
+    p = field.characteristic
+    if p:
+        return {j: r for j, x in out.items() if (r := x % p)}
+    return {j: x for j, x in out.items() if x}
 
 
 def row_space_contains(echelon, vec, field):
-    """Membership of the vector vec of field scalars in the row space of
-    `integer_echelon` rows. Those rows have unit pivots and 0 at the other
-    pivots, so vec lies in their span iff vec = sum_i vec[pivot_i] row_i:
-    on ints, den * vs = sum_i vs[pivot_i] * (den row_i), mod p over GF(p)."""
-    pairs, den = echelon
-    vs, _ = field.to_ints(vec)
-    p = field.characteristic
-    rest = [den * v for v in vs]
-    for c, row in pairs:
-        f = vs[c]
-        if f:
-            for j, y in row.items():
-                rest[j] -= f * y
-    return not any(v % p for v in rest) if p else not any(rest)
+    """Membership of the vector vec of field scalars in the row space of an
+    echelon."""
+    return not reduce_row(echelon, dict(enumerate(field.to_ints(vec)[0])), field)
 
 
 def solve(rows, ncols, field):
-    """One solution x of A x = b in ncols unknowns, given the sparse integer
-    rows of [A | b] (b in column ncols), with every free variable 0; None if
+    """One solution of A x = b in ncols unknowns, given the sparse integer
+    rows of [A | b] (b in column ncols), with every free variable 0: (x,
+    den) with x a dense list of ints and the solution x / den; None if
     inconsistent."""
     red, den, pivots = _reduced(rows, field)
     if pivots and pivots[-1] == ncols:
@@ -208,14 +177,13 @@ def solve(rows, ncols, field):
     x = [0] * ncols
     for row, c in zip(red, pivots):
         x[c] = row.get(ncols, 0)
-    return field.from_ints(x, den)
+    return x, den
 
 
 def nullspace(rows, ncols, field):
-    """Canonical basis (rows) of {x : A x = 0} for sparse integer rows A of
-    ncols columns: a kernel vector per free column j, den at j and minus
-    the rref entries at the pivots, put in rref."""
-    p = field.characteristic
+    """The echelon of {x : A x = 0} for sparse integer rows A of ncols
+    columns: a kernel vector per free column j, den at j and minus the rref
+    entries at the pivots, put in rref."""
     red, den, pivots = _reduced(rows, field)
     kernel = {j: {j: den} for j in range(ncols)}
     for c in pivots:
@@ -223,9 +191,8 @@ def nullspace(rows, ncols, field):
     for row, c in zip(red, pivots):
         for j, x in row.items():
             if j != c:
-                kernel[j][c] = -x % p if p else -x
-    basis, den, _ = _eliminate(list(kernel.values()), p)
-    return _scalars(basis, den, ncols, field)
+                kernel[j][c] = -x
+    return _reduced(kernel.values(), field)
 
 
 # -- sympy domains; polynomials are sympy's dense lists -----------------

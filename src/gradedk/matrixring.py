@@ -245,13 +245,14 @@ def _top_dimensions(g, degrees):
     the covering algebra of R/J^gr, as J(E) has the J^gr_(s^-1 t) as its
     (s, t) entries (Peirce decomposition; Lam, GTM 131, 21)."""
     radical = graded_radical(g)
-    pivots = {c for c, _ in linalg.echelon_pairs(radical.rows)}
+    pivots = set(radical.pivots)
     semisimple = GradedAlgebra(quotient(g.algebra, radical)[0], g.group,
                                [d for c, d in enumerate(g.degrees) if c not in pivots])
     top, eps = covering_algebra(semisimple, degrees)
     idems = central_primitive_idempotents(top, center(top).basis_elements())
     # rank L_y is the rank of its sparse integer rows
-    dims = {s: tuple(linalg.rank(integer_regular_rows(top, (x * f).coords)[0], top.field)
+    dims = {s: tuple(linalg.rank(integer_regular_rows(top, top.field.to_ints((x * f).coords)[0]),
+                                 top.field)
                      for f in idems)
             for s, x in eps.items()}
     return dims, idems

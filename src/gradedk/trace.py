@@ -3,6 +3,7 @@ commutator-subspace lemmas they control."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from sympy.polys.densearith import dup_mul, dup_pow
@@ -56,16 +57,19 @@ def reduced_char_poly(algebra, a):
             v, d = powers[-1]
             v = integer_product(algebra.table, v, xs)
             powers.append(([c % p for c in v] if p else v, d * da * algebra.scale))
-        sums = []  # Trd(a^k) = Tr(L_(a^ceil(k/2) a^floor(k/2))) / n
+        # Newton on ints: Trd(a^k) = Tr(L_(a^ceil(k/2) a^floor(k/2))) / n is
+        # P_k / d^k with P_k = sums[k-1], and q's coefficient c_(n-k) is
+        # C_k / (d^k k!) with C_0 = 1, C_k = -sum_(i=1..k) P_i C_(k-i) (k-1)! / (k-i)!
+        d, f = n * den * da * algebra.scale, math.factorial
+        sums, cs = [], [1]
         for k in range(1, n + 1):
             (x, dx), (y, dy) = powers[(k + 1) // 2], powers[k // 2]
             s = sum(v * x[r] * y[c] for (r, c), v in form.items())
-            sums.append(field.from_ints([s], n * den * dx * dy)[0])
-        # Newton: q = sum_i c_i x^i, k c_(n-k) = -sum_(i=1..k) p_i c_(n-k+i), p_i = sums[i-1]
-        q = [field.zero] * n + [field.one]
-        for k in range(1, n + 1):
-            s = sum((sums[i - 1] * q[n - k + i] for i in range(1, k + 1)), field.zero)
-            q[n - k] = -s / field.scalar(k)
+            sums.append(s * (d ** k // (n * den * dx * dy)))
+            c = -sum(sums[i - 1] * cs[k - i] * (f(k - 1) // f(k - i)) for i in range(1, k + 1))
+            cs.append(c % p if p else c)
+        q = field.from_ints([cs[n - i] * d ** i * (f(n) // f(n - i)) for i in range(n + 1)],
+                            d ** n * f(n))
         route = "trace-power-sums"
     else:
         cp, dom = linalg.to_dense(linalg.charpoly(left_regular_matrix(a), field), field)
@@ -95,8 +99,8 @@ def trd_functional(algebra):
     field = algebra.field
     n = _degree(algebra)
     if field.characteristic == 0 or field.characteristic > n:
-        inv_n = field.one / field.scalar(n)
-        return [inv_n * t for t in regular_traces(algebra)]
+        t, scale = regular_traces(algebra)
+        return field.from_ints(t, n * scale)
     return [trd(algebra, algebra.basis_element(i)) for i in range(algebra.dim)]
 
 
@@ -152,13 +156,7 @@ def trd_na_plus_commutator_check(algebra, a):
 
 def commutator_support(g):
     """The set of degrees met by [A, A]."""
-    alg = g.algebra
-    comm = commutator_subspace(alg)
-    out = set()
-    for row in comm.rows:
-        x = alg.element(row)
-        out.update(g.homogeneous_components(x))
-    return out
+    return {g.degrees[j] for row in commutator_subspace(g.algebra).echelon[0] for j in row}
 
 
 def supp_commutator_lemma_check(g):

@@ -6,6 +6,7 @@ inside an identity component, and graded K0, run through it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 
 import sympy
@@ -16,8 +17,8 @@ from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 
 from . import linalg
-from .algebra import (Algebra, Subspace, center, evaluate_poly,
-                      integer_product_form, integer_regular_rows,
+from .algebra import (Algebra, AlgebraElement, Subspace, center, evaluate_poly,
+                      integer_product, integer_product_form, integer_regular_rows,
                       minimal_polynomial)
 
 @dataclass
@@ -50,12 +51,13 @@ class SemisimpleDecomposition:
         return all(b.resolved for b in self.blocks)
 
 
-def _lifted_trace_digit(x, i):
+def _lifted_trace_digit(algebra, x, i):
     """g_i(x) = (Tr(L~^(p^i)) mod p^(i+1)) / p^i, with L~ the integer lift of
-    L_x; x must lie in I_(i-1), where the trace is divisible by p^i."""
-    p = x.owner.field.characteristic
-    n = x.owner.dim
-    rows, _ = integer_regular_rows(x.owner, x.coords)
+    L_x, for x given by its sparse residue row; x must lie in I_(i-1), where
+    the trace is divisible by p^i."""
+    p = algebra.field.characteristic
+    n = algebra.dim
+    rows = integer_regular_rows(algebra, [x.get(j, 0) for j in range(n)])
     lift = DomainMatrix([[ZZ(row.get(j, 0) % p) for j in range(n)] for row in rows], (n, n), ZZ)
     half = lift ** (p ** i // 2)  # Tr(L^k) = sum_ab H_ab K_ba with H K = L^k, k = p^i
     rest = (half if p ** i % 2 == 0 else half * lift).transpose().to_list_flat()
@@ -74,6 +76,7 @@ def jacobson_radical(algebra):
     graded layer passes ungraded algebras: A_e in `graded.graded_radical`,
     and the input of `split_identity_component`."""
     field = algebra.field
+    p = field.characteristic
     n = algebra.dim
     form = algebra.trace_form[0]  # w(e_r e_c) for g_0, times a constant
     basis = [{r: 1} for r in range(n)]  # R, the sparse rows of I_(i-1)
@@ -90,42 +93,49 @@ def jacobson_radical(algebra):
                 for t, v in gram[r].items():
                     cons[t][s] = cons[t].get(s, 0) + a * v
         rows = []
-        for lam in linalg.int_rows(linalg.nullspace(cons, len(basis), field), field):
+        for lam in linalg.nullspace(cons, len(basis), field)[0]:
             vec = {}
             for s, x in lam.items():
                 for c, y in basis[s].items():
                     vec[c] = vec.get(c, 0) + x * y
             rows.append(vec)
-        rows = linalg.rref(rows, n, field)[0] if rows else []
+        echelon = linalg.rref(rows, field) if rows else ([], 1, [])
         i += 1
-        if not rows or field.kind == "rationals" or field.characteristic ** i > n:
-            return Subspace(algebra, rows)
-        basis = linalg.int_rows(rows, field)  # the residues: R exactly
-        values = [_lifted_trace_digit(algebra.element(r), i) for r in rows]
+        if not echelon[2] or not p or p ** i > n:
+            return Subspace(algebra, echelon)
+        basis = echelon[0]  # residue rows, 1 at their pivots: R exactly
+        values = [_lifted_trace_digit(algebra, r, i) for r in basis]
         w = linalg.solve([{**r, n: v} for r, v in zip(basis, values)], n, field)
-        form = integer_product_form(algebra, w)[0]
+        form = integer_product_form(algebra, *w)[0]
 
 
 def quotient(algebra, radical):
     """(A/J, project): A/J on the basis vectors at the non-pivot columns of
-    J's echelon rows, and the map from A onto it. A vector is reduced by the
-    rows, which leaves it 0 at every pivot. For J = 0 it is (A, identity)."""
+    J's echelon, and the map from A onto it. A vector is reduced against
+    the echelon, which leaves it 0 at every pivot: A/J's table is A's table
+    rows e_s e_t so reduced, for s, t off the pivots. For J = 0 it is
+    (A, identity)."""
     if not radical.dim:
         return algebra, lambda x: x
-    echelon = linalg.echelon_pairs(radical.rows)
-    pivots = {c for c, _ in echelon}
+    field, table, scale = algebra.field, algebra.table, algebra.scale
+    pivots = set(radical.pivots)
     keep = [c for c in range(algebra.dim) if c not in pivots]
+    den = radical.echelon[1]
 
-    def reduce(v):
-        v = linalg.reduce_vector(echelon, v)
-        return [v[c] for c in keep]
+    def reduce(v, dv):
+        # v / dv reduced, as field scalars at the kept columns
+        r = linalg.reduce_row(radical.echelon, v, field)
+        return field.from_ints([r.get(c, 0) for c in keep], den * dv)
 
-    basis = [algebra.basis_element(c) for c in keep]
-    products = {(s, t): dict(enumerate(reduce((x * y).coords)))
-                for s, x in enumerate(basis) for t, y in enumerate(basis)}
-    semisimple = Algebra(algebra.field, [algebra.labels[c] for c in keep], products,
-                         unit=reduce(algebra.unit_coords))
-    return semisimple, lambda x: semisimple.element(reduce(x.coords))
+    products = {(s, t): dict(enumerate(reduce(dict(table[a].get(b, ())), scale)))
+                for s, a in enumerate(keep) for t, b in enumerate(keep)}
+    semisimple = Algebra(field, [algebra.labels[c] for c in keep], products,
+                         unit=reduce(dict(enumerate(algebra.unit_ints)), scale))
+
+    def project(x):
+        xs, dx = field.to_ints(x.coords)
+        return AlgebraElement(semisimple, reduce(dict(enumerate(xs)), dx))
+    return semisimple, project
 
 
 def spectral_idempotents(x):
@@ -204,15 +214,14 @@ def split_identity_component(algebra):
     z = center(semisimple)
     idems = central_primitive_idempotents(semisimple, z.basis_elements())
     field = semisimple.field
-    zrows = linalg.int_rows(z.rows, field)
     blocks = []
     for e in idems:
-        rows, _ = integer_regular_rows(semisimple, e.coords)
+        rows = integer_regular_rows(semisimple, field.to_ints(e.coords)[0])
         bdim = linalg.rank(rows, field)
         # the rows of L_e z for the centre's rows z
         cdim = linalg.rank([{k: v for k, row in enumerate(rows)
                              if (v := sum(c * row.get(j, 0) for j, c in zr.items()))}
-                            for zr in zrows], field)
+                            for zr in z.echelon[0]], field)
         blocks.append(BlockSummary(bdim, cdim, *_block_type(semisimple, e, rows, bdim, cdim)))
     order = sorted(range(len(blocks)), key=lambda t: (blocks[t].dim, blocks[t].centre_dim))
     return SemisimpleDecomposition(semisimple,
@@ -230,9 +239,10 @@ def _block_type(algebra, e, rows, bdim, cdim):
     dim-4 block is a quaternion algebra decided by Hilbert symbols, and a
     larger one is M_n(Q) when a spectral idempotent of a block basis element
     has a 1-dimensional corner; otherwise it is left undecided, as is every
-    other block whose centre is bigger than Q. The block basis, the rref of
-    the columns of L_e, is built only for those two Q cases."""
-    if algebra.field.kind == "prime-field" or bdim == cdim:
+    other block whose centre is bigger than Q. The block basis, the echelon
+    of the columns of L_e, is built only for those two Q cases."""
+    field = algebra.field
+    if field.kind == "prime-field" or bdim == cdim:
         return isqrt(bdim // cdim), cdim, None
     n = isqrt(bdim)
     if cdim > 1:
@@ -241,48 +251,55 @@ def _block_type(algebra, e, rows, bdim, cdim):
     for k, row in enumerate(rows):
         for j, v in row.items():
             columns[j][k] = v
-    block_basis, _ = linalg.rref(columns, algebra.dim, algebra.field)
+    block, den, _ = linalg.rref(columns, field)
+    basis = [[r.get(j, 0) for j in range(algebra.dim)] for r in block]
     if n == 2:
-        split = _quaternion_block_splits(algebra, e, block_basis)
+        split = _quaternion_block_splits(algebra, e, basis)
         return (2, 1, None) if split else (1, 4, None)
-    for row in block_basis:
-        for u, _ in spectral_idempotents(algebra.element(row)):
-            if _corner_dim(algebra, u, block_basis) == 1:
+    for b in basis:
+        for u, _ in spectral_idempotents(AlgebraElement(algebra, field.from_ints(b, den))):
+            if _corner_dim(algebra, u, basis) == 1:
                 return n, 1, None
     return None, None, "no-rank-one-corner"
 
 
-def _corner_dim(algebra, u, block_basis):
-    return linalg.rank(linalg.int_rows([(u * algebra.element(r) * u).coords
-                                        for r in block_basis], algebra.field), algebra.field)
+def _corner_dim(algebra, u, basis):
+    """dim u B u for the block B with the integer rows basis."""
+    us, t = algebra.field.to_ints(u.coords)[0], algebra.table
+    return linalg.rank([dict(enumerate(integer_product(t, integer_product(t, us, b), us)))
+                        for b in basis], algebra.field)
 
 
-def _quaternion_block_splits(algebra, e, block_basis):
+def _quaternion_block_splits(algebra, e, basis):
     """A 4-dim block B with centre Q e is the quaternion algebra (a, b): x in
     B off Q e, shifted to trace zero, has x^2 = a e, and j != 0 with
     xj = -jx has j^2 = b e. B = M_2(Q) iff a or b is 0, or the Hilbert
     symbol (a, b)_v is 1 at every place v (Serre, A Course in Arithmetic,
     ch. III). It is 1 at the odd primes not dividing ab, and by Hilbert
     reciprocity (the product over all places is 1) the place 2 follows from
-    the others, so infinity and the odd primes dividing ab decide it."""
-    field = algebra.field
-    basis = [algebra.element(r) for r in block_basis]
+    the others, so infinity and the odd primes dividing ab decide it. x and
+    j are integer combinations of the integer rows basis: their scale
+    multiplies a and b by squares, which leave the symbols as they are."""
+    table, scale, field = algebra.table, algebra.scale, algebra.field
+    es, de = field.to_ints(e.coords)
     x = next(b for b in basis
-             if linalg.rank(linalg.int_rows([b.coords, e.coords], field), field) == 2)
-    # x^2 = c1 x + c0 e
-    c1, c0 = linalg.solve(linalg.int_rows(zip(x.coords, e.coords, (x * x).coords), field),
-                          2, field)
-    x = x - e.scale(c1 / 2)
+             if linalg.rank([dict(enumerate(b)), dict(enumerate(es))], field) == 2)
+    # x^2 = xx / scale = c1 x + c0 e: xx = y0 x + y1 es over den
+    xx = integer_product(table, x, x)
+    (y0, y1), den = linalg.solve([{0: u, 1: v, 2: w} for u, v, w in zip(x, es, xx)], 2, field)
+    c1, c0 = Fraction(y0, den * scale), Fraction(y1 * de, den * scale)
     a = c0 + c1 * c1 / 4
     if not a:
         return True
-    lam = linalg.nullspace(linalg.int_rows(zip(*[(x * b + b * x).coords for b in basis]),
-                                           field), len(basis), field)[0]
-    j = algebra.zero
-    for c, b in zip(lam, basis):
-        j = j + b.scale(c)
-    k = next(k for k, c in enumerate(e.coords) if c)
-    b = (j * j).coords[k] / e.coords[k]
+    # x - (c1 / 2) e, times 2 den scale de
+    x = [2 * den * scale * de * u - y0 * v for u, v in zip(x, es)]
+    anti = [[u + v for u, v in zip(integer_product(table, x, b), integer_product(table, b, x))]
+            for b in basis]
+    lam = linalg.nullspace([{t: col[k] for t, col in enumerate(anti)}
+                            for k in range(algebra.dim)], len(basis), field)[0][0]
+    j = [sum(c * basis[t][k] for t, c in lam.items()) for k in range(algebra.dim)]
+    k = next(k for k, c in enumerate(es) if c)
+    b = Fraction(integer_product(table, j, j)[k] * de, scale * es[k])
     if not b:
         return True
     a, b = a.numerator * a.denominator, b.numerator * b.denominator

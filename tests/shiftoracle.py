@@ -19,6 +19,8 @@ from gradedk.wedderburn import central_primitive_idempotents, jacobson_radical, 
 from gradedk.matrixring import ShiftCanonicalForm, ShiftedMatrixAlgebra, identity_component
 from gradedk.verdict import CONSTRUCTIVE, EXHAUSTIVE, FALSE, TRUE, VerdictReport
 
+import scalarlinalg
+
 
 def pattern_inverse(g, r, d, a):
     """Two-sided inverse t of r (entries in the materialized base g) with
@@ -53,8 +55,7 @@ def pattern_inverse(g, r, d, a):
             add_eq([((j, i, k), r[i][l], "right") for i in range(n)
                     for k in g.component_indices(a[j].inverse() * d[i])],
                    alg.one if j == l else alg.zero)
-    sol = linalg.solve(linalg.int_rows([row + [b] for row, b in zip(rows, rhs)], field),
-                       len(slots), field)
+    sol = scalarlinalg.solve([row + [b] for row, b in zip(rows, rhs)], len(slots), field)
     if sol is None:
         return None
     t = [[alg.zero] * n for _ in range(m)]

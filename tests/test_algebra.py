@@ -15,6 +15,7 @@ from gradedk.constructors import (construct_matrix_algebra,
 from gradedk.fields import FieldSpec
 from gradedk.algebra import Algebra
 from randomdata import random_constructed, random_element, random_scalar
+import scalarlinalg
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -210,8 +211,7 @@ def _reference_ideal_closure(alg, x):
     """The rref fixed-point loop: close the span under products with every
     basis element until the dimension stops growing."""
     basis = [alg.basis_element(i) for i in range(alg.dim)]
-    rref = lambda vectors: linalg.rref(linalg.int_rows(vectors, alg.field), alg.dim,
-                                       alg.field)[0]
+    rref = lambda vectors: scalarlinalg.rref(vectors, alg.dim, alg.field)[0]
     span = rref([x.coords])
     while True:
         rows = [alg.element(r) for r in span]
@@ -258,9 +258,8 @@ def upper_triangular_algebra(field, basis):
     for i, (a11, a12, a22) in enumerate(basis):
         for j, (b11, b12, b22) in enumerate(basis):
             ab = [a11 * b11, a11 * b12 + a12 * b22, a22 * b22]
-            coords = linalg.solve(linalg.int_rows([row + [field.scalar(x)]
-                                                   for row, x in zip(cols, ab)], field),
-                                  3, field)
+            coords = scalarlinalg.solve([row + [field.scalar(x)] for row, x in zip(cols, ab)],
+                                        3, field)
             products[(i, j)] = dict(enumerate(coords))
     return Algebra(field, ["b0", "b1", "b2"], products)
 

@@ -83,6 +83,26 @@ def test_check_group_ring_route(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("group", ["Z/3", "Z/2xZ/2"])
+@pytest.mark.parametrize("field", ["Q", "GF(2)"])
+def test_group_ring_route_on_finite_abelian_groups(capsys, tmp_path, group, field):
+    # the derived subgroup of an abelian group is trivial: Azumaya in every
+    # characteristic
+    path = str(tmp_path / "a.alg")
+    assert run(capsys, "construct", "group-ring", "--field", field, "--group", group,
+               "-o", path)[0] == 0
+    code, out, err = run(capsys, "check", "azumaya", path, "--via", "group-ring")
+    assert (code, err) == (0, "")
+    assert "verdict=true" in out and "commutator-order=1;" in out
+
+
+def test_construct_unwritable_output_exit_3(capsys, tmp_path):
+    code, out, err = run(capsys, "construct", "quaternion",
+                         "-o", str(tmp_path / "nodir" / "q.alg"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "internal error" not in err
+
+
 T2_OVER_S3 = """[algebra]
 field = Q
 group = S3

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,18 @@ def test_prime_field_requires_prime():
         FieldSpec.prime_field(1)
     FieldSpec.prime_field(2)
     FieldSpec.prime_field(97)
+
+
+def test_prime_field_large_characteristic():
+    # primality is sympy's isprime, a proof below 2^64 and answered at once;
+    # trial division up to sqrt(p) ran for hours at 2^61 - 1
+    start = time.perf_counter()
+    assert FieldSpec.prime_field(2 ** 61 - 1).characteristic == 2 ** 61 - 1
+    with pytest.raises(ValueError, match="must be a prime"):
+        FieldSpec.prime_field((2 ** 31 - 1) ** 2)
+    assert time.perf_counter() - start < 5
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        FieldSpec.prime_field(2 ** 64 + 13)
 
 
 def test_gf_arithmetic_matches_integer_oracle():

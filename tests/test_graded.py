@@ -24,6 +24,7 @@ from gradedk.groups import GradeGroup, SubgroupSpec
 from gradedk.matrixring import ShiftedMatrixAlgebra, is_crossed_product, solve_shift_matrix
 from gradedk.wedderburn import jacobson_radical
 from randomdata import random_constructed
+import scalarlinalg
 from shiftoracle import assert_top_certificate
 from test_kernel import opposite
 from test_ktheory import (cyclic_cubic_division_algebra, m2_over_q_sqrt2,
@@ -352,7 +353,7 @@ def reference_graded_radical(g):
     parts = []
     for d in support(g) if rows else ():
         off = [[row[i] for row in rows] for i, e in enumerate(g.degrees) if e != d]
-        kept = linalg.nullspace(linalg.int_rows(off, field), len(rows), field)
+        kept = scalarlinalg.nullspace(off, len(rows), field)
         parts += linalg.mat_mul(kept, rows) if kept else []
     return alg.subspace(parts)
 

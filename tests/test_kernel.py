@@ -37,6 +37,7 @@ from gradedk.wedderburn import (BlockSummary, _corner_dim, _crt_idempotents,
                                 split_identity_component)
 
 from randomdata import random_constructed, random_element, random_scalar
+import scalarlinalg
 
 Q = FieldSpec.rationals()
 FIELDS = [Q] + [FieldSpec.prime_field(p) for p in (2, 3, 5, 7)]
@@ -120,8 +121,7 @@ def ref_center_rows(alg):
         for k, c in terms.items():
             rows[i * n + k][j] -= c
             rows[j * n + k][i] += c
-    return [tuple(r) for r in linalg.nullspace(linalg.int_rows(rows, alg.field), n,
-                                               alg.field)]
+    return [tuple(r) for r in scalarlinalg.nullspace(rows, n, alg.field)]
 
 
 def ref_commutator_rows(alg):
@@ -135,8 +135,7 @@ def ref_commutator_rows(alg):
             for k, c in alg.products.get((j, i), {}).items():
                 row[k] -= c
             rows.append(row)
-    return [tuple(r) for r in linalg.rref(linalg.int_rows(rows, alg.field), n,
-                                          alg.field)[0]]
+    return [tuple(r) for r in scalarlinalg.rref(rows, n, alg.field)[0]]
 
 
 def ref_reduced_char_poly(alg, a):
@@ -169,8 +168,7 @@ def ref_minimal_polynomial(x):
     powers = [power.coords]
     while True:
         power = power * x
-        sol = linalg.solve(linalg.int_rows(zip(*powers, power.coords), field),
-                           len(powers), field)
+        sol = scalarlinalg.solve(zip(*powers, power.coords), len(powers), field)
         if sol is not None:
             return [-c for c in sol] + [field.one]
         powers.append(power.coords)
@@ -187,7 +185,13 @@ def ref_evaluate_poly(coeffs, x):
 
 
 def ref_contains(subspace, x):
-    return not any(linalg.reduce_vector(linalg.echelon_pairs(subspace.rows), x.coords))
+    """x less the multiples of the reduced rows that clear it at their pivots
+    is 0."""
+    v = x.coords
+    for row in subspace.rows:
+        f = v[next(c for c, a in enumerate(row) if a)]
+        v = [a - f * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 def ref_crt_idempotents(x, f):
@@ -221,12 +225,13 @@ def ref_block_type(algebra, e, block_basis, cdim):
     n = math.isqrt(bdim)
     if cdim > 1:
         return None, None, "proper-centre"
+    ints = [algebra.field.to_ints(row)[0] for row in block_basis]
     if n == 2:
-        split = _quaternion_block_splits(algebra, e, block_basis)
+        split = _quaternion_block_splits(algebra, e, ints)
         return (2, 1, None) if split else (1, 4, None)
     for row in block_basis:
         for u, _ in ref_spectral_idempotents(algebra.element(row)):
-            if _corner_dim(algebra, u, block_basis) == 1:
+            if _corner_dim(algebra, u, ints) == 1:
                 return n, 1, None
     return None, None, "no-rank-one-corner"
 
@@ -249,8 +254,8 @@ def ref_split(algebra):
     field = semisimple.field
     blocks = []
     for e in idems:
-        block_basis, _ = linalg.rref(linalg.int_rows([(e * b).coords for b in basis], field),
-                                     semisimple.dim, field)
+        block_basis, _ = scalarlinalg.rref([(e * b).coords for b in basis], semisimple.dim,
+                                           field)
         cdim = linalg.rank(linalg.int_rows([(e * z).coords for z in zbasis], field), field)
         blocks.append(BlockSummary(len(block_basis), cdim,
                                    *ref_block_type(semisimple, e, block_basis, cdim)))
@@ -291,8 +296,7 @@ def ref_strongly_graded_at(g, gamma):
         return None
     pairs = [(i, j) for i in left for j in right]
     cols = [(alg.basis_element(i) * alg.basis_element(j)).coords for i, j in pairs]
-    sol = linalg.solve(linalg.int_rows(zip(*cols, alg.unit_coords), alg.field), len(pairs),
-                       alg.field)
+    sol = scalarlinalg.solve(zip(*cols, alg.unit_coords), len(pairs), alg.field)
     if sol is None:
         return None
     return [(pairs[c], sol[c]) for c in range(len(pairs)) if sol[c]]
@@ -320,7 +324,7 @@ def rebased(alg, rng):
         if linalg.rank(linalg.int_rows(p, field), field) == n:
             break
     f = [alg.element(row) for row in p]
-    coords = lambda v: linalg.solve(linalg.int_rows(zip(*p, v), field), n, field)
+    coords = lambda v: scalarlinalg.solve(zip(*p, v), n, field)
     products = {(i, j): dict(enumerate(coords(ref_multiply(a, b))))
                 for i, a in enumerate(f) for j, b in enumerate(f)}
     return Algebra(field, ["f%d" % i for i in range(n)], products,
@@ -343,7 +347,7 @@ def rebased_graded(g, rng):
             for c, j in enumerate(idx):
                 p[i][j] = block[r][c]
     f = [alg.element(row) for row in p]
-    coords = lambda v: linalg.solve(linalg.int_rows(zip(*p, v), field), n, field)
+    coords = lambda v: scalarlinalg.solve(zip(*p, v), n, field)
     products = {(i, j): dict(enumerate(coords(ref_multiply(a, b))))
                 for i, a in enumerate(f) for j, b in enumerate(f)}
     return GradedAlgebra(Algebra(field, ["f%d" % i for i in range(n)], products,
@@ -443,11 +447,11 @@ def test_products_and_regular_matrices(alg):
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=ids())
 def test_traces_forms_centre_commutators_psi(alg):
     rng = random.Random(alg.dim * 11 + alg.field.characteristic)
-    t = regular_traces(alg)
+    t = alg.field.from_ints(*regular_traces(alg))
     assert same(t, ref_regular_traces(alg))
     for w in (t, [random_scalar(alg.field, rng) for _ in range(alg.dim)],
               [alg.field.zero] * alg.dim):
-        form, den = integer_product_form(alg, w)
+        form, den = integer_product_form(alg, *alg.field.to_ints(w))
         values = zip(form, alg.field.from_ints(form.values(), den))
         assert same({key: v for key, v in values if v}, ref_product_form(alg, w))
     assert same(center(alg).rows, ref_center_rows(alg))
@@ -552,7 +556,8 @@ def test_lifted_trace_digit(alg):
         for i in (0, 1):
             want = ref_lifted_trace_digit(x, i)
             if want is not None:
-                assert _lifted_trace_digit(x, i) == want
+                residues = dict(enumerate(alg.field.to_ints(x.coords)[0]))
+                assert _lifted_trace_digit(alg, residues, i) == want
 
 
 def repeated_factor(field):
@@ -624,6 +629,32 @@ def test_subspace_membership():
                 nonmembers += not got
             assert all(sub.contains(v) for v in combos)
     assert members > 500 and nonmembers > 500
+
+
+def test_subspace_equality_reads_rows_not_the_echelon():
+    """A subspace keeps the echelon of whatever generated it, which over Q
+    is canonical only up to a common factor: two generating sets of one
+    space (permuted, rescaled, plus a redundant combination) give equal
+    rows, == and hash, on hand-picked and rebased algebras alike."""
+    alg = construct_matrix_algebra(Q, 2)
+    x, y = alg.element([2, 1, 0, 1]), alg.element([0, 3, 1, 0])
+    a, b = alg.subspace([x, y]), alg.subspace([y, x + y, x.scale(Fraction(1, 2))])
+    assert a.echelon != b.echelon
+    assert a.rows == b.rows and a == b and hash(a) == hash(b)
+    rng = random.Random(20115)
+    checked = differ = 0
+    for alg in ALGEBRAS:
+        for sub in (center(alg), commutator_subspace(alg), alg.full_subspace()):
+            gens = [v.scale(random_scalar(alg.field, rng) or alg.field.one)
+                    for v in sub.basis_elements()]
+            rng.shuffle(gens)
+            gens += [gens[0] + gens[-1]] if gens else []
+            other = alg.subspace(gens)
+            assert other.rows == sub.rows and other == sub and hash(other) == hash(sub)
+            assert other.pivots == sub.pivots and other.dim == sub.dim
+            checked += 1
+            differ += other.echelon != sub.echelon
+    assert checked == 3 * len(ALGEBRAS) and differ > 10
 
 
 def split_corpus():

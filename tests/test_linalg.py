@@ -13,6 +13,8 @@ from gradedk.azumaya import psi_bijective
 from gradedk.constructors import construct_matrix_algebra, construct_symbol_algebra
 from gradedk.fields import FieldSpec
 from randomdata import random_scalar
+import scalarlinalg
+from scalarlinalg import scalar_rows
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
@@ -32,16 +34,41 @@ def width(m):
 
 
 def rref(m, field):
-    return linalg.rref(linalg.int_rows(m, field), width(m), field)
+    return scalarlinalg.rref(m, width(m), field)
 
 
 def nullspace(m, field):
-    return linalg.nullspace(linalg.int_rows(m, field), width(m), field)
+    return scalarlinalg.nullspace(m, width(m), field)
 
 
 def solve(a, b, field):
-    return linalg.solve(linalg.int_rows([row + [x] for row, x in zip(a, b)], field),
-                        width(a), field)
+    return scalarlinalg.solve([row + [x] for row, x in zip(a, b)], width(a), field)
+
+
+def test_results_are_integer_echelons():
+    """rref and nullspace return (rows, den, pivots), sparse integer rows
+    holding den at their pivots and 0 at the other pivots; solve returns
+    (x, den) with x dense."""
+    rng = random.Random(3)
+    for field in (Q, F5):
+        p = field.characteristic
+        for _ in range(30):
+            m = rand_matrix(rng, field, rng.randint(1, 5), rng.randint(1, 5))
+            ints = linalg.int_rows(m, field)
+            for rows, den, pivots in (linalg.rref(ints, field),
+                                      linalg.nullspace(ints, width(m), field)):
+                assert len(rows) == len(pivots) and pivots == sorted(pivots)
+                assert den == 1 or not p
+                for row, c in zip(rows, pivots):
+                    assert all(type(x) is int and x for x in row.values())
+                    assert all(0 <= x < p for x in row.values()) or not p
+                    assert row[c] == den and not any(row.get(d) for d in pivots if d != c)
+            x = [random_scalar(field, rng) for _ in m[0]]
+            b = mat_vec(field, m, x)
+            sol, den = linalg.solve(linalg.int_rows([row + [y] for row, y in zip(m, b)], field),
+                                    width(m), field)
+            assert len(sol) == width(m) and all(type(v) is int for v in sol)
+            assert mat_vec(field, m, field.from_ints(sol, den)) == b
 
 
 def test_rref_canonical_and_idempotent():
@@ -141,9 +168,8 @@ def test_charpoly_gf():
 
 
 def test_row_space_contains():
-    rows, _ = rref([[Fraction(1), Fraction(2), Fraction(0)],
-                    [Fraction(0), Fraction(0), Fraction(1)]], Q)
-    echelon = linalg.integer_echelon(rows, Q)
+    echelon = linalg.rref(linalg.int_rows([[Fraction(1), Fraction(2), Fraction(0)],
+                                           [Fraction(0), Fraction(0), Fraction(3)]], Q), Q)
     assert linalg.row_space_contains(echelon, [Fraction(2), Fraction(4), Fraction(7)], Q)
     assert not linalg.row_space_contains(echelon, [Fraction(0), Fraction(1), Fraction(0)], Q)
 
@@ -367,7 +393,7 @@ def test_solve_particular_solution_sets_free_variables_to_zero():
     assert same(sol, [Fraction(3), Fraction(0)]) and same(sol, ref_solve(a, b))
     f7 = FieldSpec.prime_field(7)
     sol = linalg.solve([{1: 2, 2: 4, 3: 6}, {}], 3, f7)  # 2y + 4z = 6: y = 3, z = 0
-    assert same(sol, [f7.zero, f7.scalar(3), f7.zero])
+    assert sol == ([0, 3, 0], 1)
 
 
 # -- differential test against the dense integer-row path ---------------
@@ -390,12 +416,12 @@ def _dense_reduced(rows, field):
             nz = {j: x for j, x in enumerate(row) if x}
         if nz:
             sparse.append(nz)
-    return (*linalg._eliminate(sparse, p), ncols)
+    return (*linalg._reduced(sparse, field), ncols)
 
 
 def dense_rref(rows, field):
     red, den, pivots, ncols = _dense_reduced(rows, field)
-    return linalg._scalars(red, den, ncols, field), pivots
+    return scalar_rows((red, den, pivots), ncols, field), pivots
 
 
 def dense_rank(rows, field):
@@ -425,8 +451,7 @@ def dense_nullspace(rows, field):
         for j, x in row.items():
             if j != c:
                 kernel[j][c] = -x % p if p else -x
-    basis, den, _ = linalg._eliminate(list(kernel.values()), p)
-    return linalg._scalars(basis, den, ncols, field)
+    return scalar_rows(linalg._reduced(list(kernel.values()), field), ncols, field)
 
 
 def _sparse(row, rng, p):
@@ -469,14 +494,18 @@ def test_sparse_rows_match_the_dense_integer_path():
             sparse = [_sparse(row, rng, p) for row in m]
             # an empty row list carries no width; the dense path needed a zero row
             dense = m or [[0] * cols]
-            assert same(linalg.rref(sparse, cols, field), dense_rref(dense, field)), (field, m)
+            echelon = linalg.rref(sparse, field)
+            assert same((scalar_rows(echelon, cols, field), echelon[2]),
+                        dense_rref(dense, field)), (field, m)
             assert linalg.rank(sparse, field) == dense_rank(dense, field)
-            assert same(linalg.nullspace(sparse, cols, field), dense_nullspace(dense, field))
+            assert same(scalar_rows(linalg.nullspace(sparse, cols, field), cols, field),
+                        dense_nullspace(dense, field))
             for b in ([rng.randint(-9, 9) for _ in dense], [0] * len(dense)):
                 aug = [row + [c] for row, c in zip(dense, b)]
                 got = linalg.solve([{**r, cols: c} if c or rng.random() < 0.5 else r
                                     for r, c in zip(sparse or [{}] * len(dense), b)],
                                    cols, field)
+                got = None if got is None else field.from_ints(*got)
                 assert same(got, dense_solve(aug, field)), (field, m, b)
     assert kinds == {"empty", "empty-rows-wide", "zero-width", "zero-rows", "random"}
 

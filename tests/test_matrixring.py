@@ -18,6 +18,7 @@ from gradedk.matrixring import (ShiftedMatrixAlgebra, canonical_shift,
                                 is_graded_simple_matrix,
                                 is_strongly_graded_matrix,
                                 shifted_iso_decision, solve_shift_matrix)
+import scalarlinalg
 from shiftoracle import (assert_shift_classification_witness, assert_shift_witness,
                          assert_top_certificate, exhaustive_shift_search,
                          reference_canonical_shift, reference_shifted_iso_decision)
@@ -99,7 +100,7 @@ def _identity_in_product_by_solve(m, lam):
         return None
     target = [field.one if i == j and g.is_identity() else field.zero
               for i, j, g in zero_monos]
-    sol = linalg.solve(linalg.int_rows(zip(*cols, target), field), len(cols), field)
+    sol = scalarlinalg.solve(zip(*cols, target), len(cols), field)
     if sol is None:
         return None
     return [(pairs[c], sol[c]) for c in range(len(pairs)) if sol[c]]
@@ -195,7 +196,7 @@ def reference_central_scalar_check(m):
                     d[t] = d.get(t, field.zero) - res[1]
             for coeffs in prods.values():
                 rows.append([coeffs.get(t, field.zero) for t in range(len(monos))])
-        dim = len(linalg.nullspace(linalg.int_rows(rows, field), len(monos), field))
+        dim = len(linalg.nullspace(linalg.int_rows(rows, field), len(monos), field)[0])
         if dim != (1 if m.base.has_component(lam) else 0):
             return "false", len(reps)
     return "true", len(reps)
@@ -645,7 +646,7 @@ def _m2_in_basis(field, basis_mats, degrees, group):
 
     def coords(m):  # of m on the basis
         aug = [[flat(b)[r] for b in basis_mats] + [flat(m)[r]] for r in range(4)]
-        return linalg.solve(linalg.int_rows(aug, field), len(basis_mats), field)
+        return scalarlinalg.solve(aug, len(basis_mats), field)
 
     products = {}
     for i, x in enumerate(basis_mats):

@@ -11,6 +11,7 @@ from gradedk.graded import is_strongly_graded
 from gradedk.groups import GradeGroup, SubgroupSpec
 from gradedk.matrixring import canonical_shift, is_crossed_product
 from randomdata import random_constructed, random_element
+import scalarlinalg
 
 
 def test_associativity_of_constructed_algebras():
@@ -77,8 +78,7 @@ def test_sparse_kernel_matches_dense_reference():
         comm = [[p - q for p, q in zip(_dense_product(alg, a, b),
                                        _dense_product(alg, b, a))]
                 for a in basis for b in basis]
-        rref = lambda vectors: linalg.rref(linalg.int_rows(vectors, alg.field), alg.dim,
-                                           alg.field)[0]
+        rref = lambda vectors: scalarlinalg.rref(vectors, alg.dim, alg.field)[0]
         span = rref([x.coords])
         while True:
             grown = rref(span + [_dense_product(alg, *pair)
@@ -88,8 +88,7 @@ def test_sparse_kernel_matches_dense_reference():
                 break
             span = grown
         subspaces = {
-            "center": (center(alg), linalg.nullspace(linalg.int_rows(rows, alg.field),
-                                                     alg.dim, alg.field)),
+            "center": (center(alg), scalarlinalg.nullspace(rows, alg.dim, alg.field)),
             "commutator": (commutator_subspace(alg), comm),
             "ideal": (two_sided_ideal_closure(alg, [x]), span),
         }
@@ -125,7 +124,7 @@ def test_graded_module_dimension_additivity():
         k = rng.randrange(alg.dim + 1)
         vectors = [list(random_element(alg, rng, height=3).coords)
                    for _ in range(k)]
-        n_rows = linalg.rref(linalg.int_rows(vectors, alg.field), alg.dim, alg.field)[0]
+        n_rows = scalarlinalg.rref(vectors, alg.dim, alg.field)[0]
         dim_n = len(n_rows)
         # quotient: ambient basis vectors reduced mod N, then count the rank
         reduced = []
