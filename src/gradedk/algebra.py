@@ -14,7 +14,7 @@ their denominators (and the unit's). Associativity and the
 unit axiom are checked on this table at construction, on every basis
 triple. Every structure-constant loop runs on it too: products (one loop,
 `integer_product`), minimal polynomials on integer powers, polynomial
-evaluation by Horner, regular matrices and ideal closure, the regular
+evaluation by Horner, the rows of L_x and R_x and ideal closure, the regular
 traces and product forms, psi, the rows of the centre and of the
 commutator subspace, subspace membership, and A (x) A^op on tuples of n^2
 scalars, i*n + j for e_i (x) e_j: its star action, its product and the
@@ -377,23 +377,6 @@ def _regular_columns(alg, xs, left):
         for j, v in row.items():
             cols[j][k] = v
     return cols
-
-
-def _regular_matrix(x, left):
-    xs, dx = x.owner.field.to_ints(x.coords)
-    return [x.owner.field.from_ints([row.get(j, 0) for j in range(x.owner.dim)],
-                                    dx * x.owner.scale)
-            for row in integer_regular_rows(x.owner, xs, left)]
-
-
-def left_regular_matrix(x):
-    """L_x with column j = coordinates of x * e_j."""
-    return _regular_matrix(x, left=True)
-
-
-def right_regular_matrix(x):
-    """R_x with column j = coordinates of e_j * x."""
-    return _regular_matrix(x, left=False)
 
 
 def regular_traces(algebra):

@@ -32,8 +32,13 @@ class EnvelopingAlgebra:
 
 
 def _lazy_matrix_ring(a):
-    """A twisted-group-algebra graded field R as the lazy M_1(R)(e)."""
-    return ShiftedMatrixAlgebra(a, [a.group.identity]) if isinstance(a, TwistedGroupAlgebra) else a
+    """A twisted-group-algebra graded field R as the lazy M_1(R)(e), and a
+    shifted matrix ring over a materialized base as its `GradedAlgebra`."""
+    if isinstance(a, TwistedGroupAlgebra):
+        return ShiftedMatrixAlgebra(a, [a.group.identity])
+    if isinstance(a, ShiftedMatrixAlgebra) and not a.lazy:
+        return a.materialized
+    return a
 
 
 def psi_bijective(graded):
@@ -41,7 +46,7 @@ def psi_bijective(graded):
     a lazy matrix ring, or a graded field as M_1 over itself, goes to
     `psi_bijective_matrix_over_graded_field`."""
     graded = _lazy_matrix_ring(graded)
-    if isinstance(graded, ShiftedMatrixAlgebra) and graded.lazy:
+    if isinstance(graded, ShiftedMatrixAlgebra):
         return psi_bijective_matrix_over_graded_field(graded)
     env = EnvelopingAlgebra(graded)
     full = env.n * env.n
@@ -140,7 +145,7 @@ def is_graded_azumaya_csa(a):
     centre exactly the base graded field. A graded field is read as M_1
     over itself."""
     a = _lazy_matrix_ring(a)
-    if isinstance(a, ShiftedMatrixAlgebra) and a.lazy:
+    if isinstance(a, ShiftedMatrixAlgebra):
         simple = is_graded_simple_matrix(a)
         central = central_scalar_check(a)
     else:

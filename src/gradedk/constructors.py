@@ -1,12 +1,50 @@
 """Named constructors: quaternion algebras, symbol algebras, Laurent-type
-graded fields, and group rings, each delivered with its grading, which
-`GradedAlgebra` checks when it is built."""
+graded fields, group rings and truncated polynomial rings, each delivered
+with its grading, which `GradedAlgebra` checks when it is built, and the
+ungraded matrix algebras M_n(F).
+
+Every finite one has a basis that is closed under multiplication up to a
+scalar, e_s e_t = c e_u or 0, and `_basis_algebra` builds the `Algebra`
+from that rule on the basis keys. The quaternion algebra (a, b) is the
+symbol algebra of degree 2 with xi = -1, on the basis 1, x, y, xy named
+1, i, j, k.
+"""
 
 from __future__ import annotations
 
 from .algebra import Algebra
 from .graded import GradedAlgebra, TwistedGroupAlgebra
 from .groups import GradeGroup, SubgroupSpec
+
+
+def _basis_algebra(field, keys, product, labels, unit):
+    """The algebra with basis e_k, k in keys, named by labels:
+    product(s, t) is (u, c) for e_s e_t = c e_u, or None for 0, and 1 is
+    the sum of the e_k for k in unit."""
+    index = {k: t for t, k in enumerate(keys)}
+    products = {}
+    for i, s in enumerate(keys):
+        for j, t in enumerate(keys):
+            uc = product(s, t)
+            if uc is not None:
+                products[(i, j)] = {index[uc[0]]: uc[1]}
+    return Algebra(field, labels, products,
+                   unit=[field.one if k in unit else field.zero for k in keys])
+
+
+def _symbol_product(n, a, b, xi):
+    """The product of x^i y^j, keyed (i, j), in the algebra x^n = a,
+    y^n = b, xy = xi yx:
+    (x^i y^j)(x^k y^l) = xi^(-kj) a^[i+k >= n] b^[j+l >= n] x^(i+k) y^(j+l)."""
+    def product(s, t):
+        (i, j), (k, l) = s, t
+        c = xi ** (-(k * j) % n)
+        if i + k >= n:
+            c = c * a
+        if j + l >= n:
+            c = c * b
+        return ((i + k) % n, (j + l) % n), c
+    return product
 
 
 def construct_quaternion(field, a, b, grading="Z2xZ2"):
@@ -20,34 +58,18 @@ def construct_quaternion(field, a, b, grading="Z2xZ2"):
         raise ValueError("parameters must be nonzero")
     if not field.is_invertible_int(2):
         raise ValueError("characteristic 2 is not supported")
-    one, neg = field.one, -field.one
-    ab = a * b
-    products = {
-        (0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one}, (0, 3): {3: one},
-        (1, 0): {1: one}, (2, 0): {2: one}, (3, 0): {3: one},
-        (1, 1): {0: a},
-        (1, 2): {3: one},
-        (1, 3): {2: a},
-        (2, 1): {3: neg},
-        (2, 2): {0: b},
-        (2, 3): {1: -b},
-        (3, 1): {2: -a},
-        (3, 2): {1: b},
-        (3, 3): {0: -ab},
-    }
-    alg = Algebra(field, ["1", "i", "j", "k"], products,
-                  unit=[one, field.zero, field.zero, field.zero])
+    keys = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    alg = _basis_algebra(field, keys, _symbol_product(2, a, b, -field.one),
+                         ["1", "i", "j", "k"], [(0, 0)])
     if grading == "trivial":
         group = GradeGroup.trivial()
         degrees = [group.identity] * 4
     elif grading == "Z2":
         group = GradeGroup.cyclic(2)
-        degrees = [group.element((0,)), group.element((0,)),
-                   group.element((1,)), group.element((1,))]
+        degrees = [group.element((j,)) for i, j in keys]
     elif grading == "Z2xZ2":
         group = GradeGroup.product_of_cyclic(2, 2)
-        degrees = [group.element((0, 0)), group.element((1, 0)),
-                   group.element((0, 1)), group.element((1, 1))]
+        degrees = [group.element(key) for key in keys]
     else:
         raise ValueError("unknown grading %r" % grading)
     return GradedAlgebra(alg, group, degrees)
@@ -77,41 +99,24 @@ def construct_symbol_algebra(field, n, a, b, xi):
     if pw != field.one:
         raise ValueError("xi is not an n-th root of unity")
 
-    def index(i, j):
-        return i * n + j
-
+    keys = [(i, j) for i in range(n) for j in range(n)]
     labels = []
-    for i in range(n):
-        for j in range(n):
-            if i == 0 and j == 0:
-                labels.append("1")
-            else:
-                lab = ""
-                if i:
-                    lab += "x" if i == 1 else "x^%d" % i
-                if j:
-                    lab += "y" if j == 1 else "y^%d" % j
-                labels.append(lab)
-    products = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    # (x^i y^j)(x^k y^l) = xi^(-kj) x^(i+k) y^(j+l)
-                    c = xi ** (-(k * j) % (n * n))
-                    if i + k >= n:
-                        c = c * a
-                    if j + l >= n:
-                        c = c * b
-                    products[(index(i, j), index(k, l))] = {
-                        index((i + k) % n, (j + l) % n): c}
-    unit = [field.zero] * (n * n)
-    unit[0] = field.one
-    alg = Algebra(field, labels, products, unit=unit)
-    group = GradeGroup.product_of_cyclic(n, n) if n > 1 else GradeGroup.trivial()
+    for i, j in keys:
+        if i == 0 and j == 0:
+            labels.append("1")
+        else:
+            lab = ""
+            if i:
+                lab += "x" if i == 1 else "x^%d" % i
+            if j:
+                lab += "y" if j == 1 else "y^%d" % j
+            labels.append(lab)
+    alg = _basis_algebra(field, keys, _symbol_product(n, a, b, xi), labels, [(0, 0)])
     if n > 1:
-        degrees = [group.element((i, j)) for i in range(n) for j in range(n)]
+        group = GradeGroup.product_of_cyclic(n, n)
+        degrees = [group.element(key) for key in keys]
     else:
+        group = GradeGroup.trivial()
         degrees = [group.identity]
     return GradedAlgebra(alg, group, degrees)
 
@@ -129,22 +134,12 @@ def construct_laurent(field, step=1, cocycle=None):
 
 def construct_group_ring(field, group):
     """F[G] for a finite group, graded by G with deg(g) = g."""
-    if group.kind == "finite-table":
-        elems = group.elements()
-    elif group.is_finite():
-        elems = group.elements()
-    else:
+    if not group.is_finite():
         raise ValueError("finite groups only")
-    index = {g: t for t, g in enumerate(elems)}
-    labels = ["u[%r]" % g for g in elems]
-    products = {}
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            products[(i, j)] = {index[g * h]: field.one}
-    unit = [field.zero] * len(elems)
-    unit[index[group.identity]] = field.one
-    alg = Algebra(field, labels, products, unit=unit)
-    return GradedAlgebra(alg, group, list(elems))
+    elems = group.elements()
+    alg = _basis_algebra(field, elems, lambda g, h: (g * h, 1),
+                         ["u[%r]" % g for g in elems], [group.identity])
+    return GradedAlgebra(alg, group, elems)
 
 
 def construct_truncated_polynomial(field, m):
@@ -154,28 +149,15 @@ def construct_truncated_polynomial(field, m):
     if m < 2:
         raise ValueError("need m >= 2")
     group = GradeGroup.integers()
-    products = {}
-    for i in range(m):
-        for j in range(m):
-            if i + j < m:
-                products[(i, j)] = {i + j: field.one}
     labels = ["1"] + ["t" if i == 1 else "t^%d" % i for i in range(1, m)]
-    unit = [field.one] + [field.zero] * (m - 1)
-    alg = Algebra(field, labels, products, unit=unit)
-    degrees = [group.element((i,)) for i in range(m)]
-    return GradedAlgebra(alg, group, degrees)
+    alg = _basis_algebra(field, range(m), lambda i, j: (i + j, 1) if i + j < m else None,
+                         labels, [0])
+    return GradedAlgebra(alg, group, [group.element((i,)) for i in range(m)])
 
 
 def construct_matrix_algebra(field, n):
     """M_n(F) on the matrix-unit basis e_ij (row-major), ungraded."""
-    labels = ["e%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
-    products = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        products[(i * n + j, k * n + l)] = {i * n + l: field.one}
-    unit = [field.one if i == j else field.zero
-            for i in range(n) for j in range(n)]
-    return Algebra(field, labels, products, unit=unit)
+    keys = [(i, j) for i in range(n) for j in range(n)]
+    return _basis_algebra(field, keys, lambda s, t: ((s[0], t[1]), 1) if s[1] == t[0] else None,
+                          ["e%d%d" % (i + 1, j + 1) for i, j in keys],
+                          [(i, i) for i in range(n)])

@@ -1,9 +1,10 @@
 """Exact linear algebra over Q and GF(p): integer rows in, integer rows out.
 
-`rref`, `rank`, `nullspace` and `solve` take sparse integer rows, each a
-dict {column: int}, with the field, and the column count where the result
-needs it. A missing column is 0, and a stored 0 (mod p) is dropped. A row
-counts by its residues over GF(p), and up to a nonzero factor over Q. The
+`rref`, `rank`, `nullspace`, `solve` and `charpoly` take sparse integer
+rows, each a dict {column: int}, with the field, and the column count
+where the result needs it. A missing column is 0, and a stored 0 (mod p)
+is dropped. A row counts by its residues over GF(p), and over Q up to a
+nonzero factor, except in `charpoly`, whose matrix is the rows as given. The
 structure-constant kernel builds its rows so, from `Algebra.table`;
 `int_rows` is the one adapter for dense rows of field scalars. `solve`
 takes the rows of [A | b], with b in column ncols.
@@ -27,8 +28,9 @@ on residues, the loop of sympy's `sdm_irref` with `% p` and
 multiplies ints or field scalars alike. Polynomials are sympy's dense
 lists, the level of its `dup_*` functions, and `to_dense`/`from_dense`
 carry an ascending list of field scalars there and back. The
-characteristic polynomial is sympy's ``DomainMatrix.charpoly`` over QQ or
-GF(p); no polynomial arithmetic is done here.
+characteristic polynomial of the square matrix of the rows is sympy's
+``DomainMatrix.charpoly`` over QQ or GF(p), returned as field scalars; no
+polynomial arithmetic is done here.
 """
 
 from __future__ import annotations
@@ -224,8 +226,11 @@ def from_dense(poly, field):
     return field.from_ints([c.numerator * (den // c.denominator) for c in reversed(poly)], den)
 
 
-def charpoly(a, field):
-    """Characteristic polynomial det(xI - A), ascending coefficients."""
-    dom, conv = _domain(field)
-    dm = DomainMatrix([[conv(x) for x in row] for row in a], (len(a), len(a)), dom)
+def charpoly(rows, n, field):
+    """The characteristic polynomial det(xI - A), ascending coefficients in
+    field scalars, of the n x n matrix A with the sparse integer rows."""
+    dom = _domain(field)[0]
+    dm = DomainMatrix({i: r for i, row in enumerate(rows)
+                       if (r := {j: v for j, x in row.items() if (v := dom(x))})},
+                      (n, n), dom)
     return from_dense(dm.charpoly(), field)

@@ -19,6 +19,7 @@ matrix example.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import mul
@@ -529,7 +530,7 @@ def is_good_grading(g, matrix_units=None):
     """
     alg = g.algebra
     if matrix_units is None:
-        n = round(len(alg.labels) ** 0.5)
+        n = math.isqrt(alg.dim)
         if n * n != alg.dim:
             raise ValueError("no designated matrix units and dim is not a square")
         matrix_units = [[alg.basis_element(i * n + j) for j in range(n)]

@@ -11,7 +11,7 @@ from sympy.polys.factortools import dup_factor_list
 
 from . import linalg
 from .algebra import (Subspace, center, commutator_subspace, integer_product,
-                      left_regular_matrix, regular_traces)
+                      integer_regular_rows, regular_traces)
 from .graded import support
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE
 
@@ -26,9 +26,7 @@ class ReducedCharPoly:
 
 
 def _degree(algebra):
-    n = 1
-    while n * n < algebra.dim:
-        n += 1
+    n = math.isqrt(algebra.dim)
     if n * n != algebra.dim:
         raise ValueError("dimension %d is not a perfect square" % algebra.dim)
     return n
@@ -72,7 +70,9 @@ def reduced_char_poly(algebra, a):
                             d ** n * f(n))
         route = "trace-power-sums"
     else:
-        cp, dom = linalg.to_dense(linalg.charpoly(left_regular_matrix(a), field), field)
+        # 0 < p <= n: the residues of a, at den and scale 1, give L_a exactly
+        rows = integer_regular_rows(algebra, field.to_ints(a.coords)[0])
+        cp, dom = linalg.to_dense(linalg.charpoly(rows, algebra.dim, field), field)
         q = [dom.one]
         for g, k in dup_factor_list(cp, dom)[1]:
             q = dup_mul(q, dup_pow(g, k // n, dom), dom)

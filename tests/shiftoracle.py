@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 
 from gradedk import linalg
-from gradedk.algebra import center, left_regular_matrix
+from gradedk.algebra import center, integer_regular_rows
 from gradedk.groups import coset_label
 from gradedk.wedderburn import central_primitive_idempotents, jacobson_radical, quotient
 from gradedk.matrixring import ShiftCanonicalForm, ShiftedMatrixAlgebra, identity_component
@@ -114,8 +114,8 @@ def recompute_top_dimensions(g, cover):
         diagonal = "E%d%d*" % (i + 1, i + 1)
         eps = e_alg.element([c if label.startswith(diagonal) else 0
                              for c, label in zip(e_alg.unit_coords, e_alg.labels)])
-        dims[s] = tuple(linalg.rank(linalg.int_rows(left_regular_matrix(project(eps) * f),
-                                                    top.field), top.field)
+        dims[s] = tuple(linalg.rank(integer_regular_rows(top, top.field.to_ints(
+                            (project(eps) * f).coords)[0]), top.field)
                         for f in idems)
     return dims, idems
 

@@ -147,8 +147,8 @@ def test_graded_csa_route_lazy_matrix():
     m = ShiftedMatrixAlgebra(L, [g.element((0,)), g.element((1,)), g.element((1,))])
     rep = is_graded_azumaya_csa(m)
     assert rep
-    # the centre check decides every component from one degree per coset of
-    # the base support, so the combined verdict is exhaustive
+    # the centre check is a closed form over the commutative base, so the
+    # combined verdict is exhaustive
     assert rep.details["graded-simple"].strategy == "constructive"
     assert rep.details["centre"].strategy == "exhaustive"
     assert rep.strategy == "exhaustive"
@@ -156,6 +156,20 @@ def test_graded_csa_route_lazy_matrix():
     m5 = ShiftedMatrixAlgebra(L, [g.element((c,)) for c in (0, 1, 1, 3, 4)])
     rep = psi_bijective_matrix_over_graded_field(m5)
     assert rep.verdict == "true" and rep.details["rank"] == 5 ** 4
+
+
+def test_psi_and_graded_csa_on_a_materialized_base_matrix_ring():
+    # M_2(GF(3))(0, 1) over Z/2 on a trivially graded base: the predicates
+    # decide its materialization, as they do when handed that directly
+    z2 = GradeGroup.cyclic(2)
+    base = trivially_graded(Algebra(FieldSpec.prime_field(3), ["1"], {(0, 0): {0: 1}},
+                                    unit=[1]), z2)
+    m = ShiftedMatrixAlgebra(base, [z2.element((0,)), z2.element((1,))])
+    assert not m.lazy
+    for predicate in (psi_bijective, is_graded_azumaya_csa):
+        rep = predicate(m)
+        assert rep.verdict == "true"
+        assert rep == predicate(m.materialized)
 
 
 def test_psi_bijective_does_not_build_the_enveloping_algebra(monkeypatch):

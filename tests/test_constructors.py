@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from gradedk.fields import FieldSpec
 from gradedk.graded import is_graded_division, support, validate_grading
 from gradedk.groups import GradeGroup
 from gradedk.matrixring import _homogeneous_unit
+
+from constructorgrid import grid_text
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
@@ -34,6 +37,31 @@ def test_quaternion_rejects_bad_input():
         construct_quaternion(FieldSpec.prime_field(2), 1, 1)
     with pytest.raises(ValueError):
         construct_quaternion(Q, -1, -1, grading="Z3")
+
+
+def test_quaternion_is_the_degree_2_symbol_algebra():
+    # 1, i, j, k are 1, x, y, xy: basis vectors 0, 2, 1, 3 of the symbol
+    # algebra, whose basis x^i y^j is in row-major order
+    to_symbol = [0, 2, 1, 3]
+    for field in (Q, FieldSpec.prime_field(3), F5, FieldSpec.prime_field(7)):
+        for a, b in [(-1, -1), (2, -2), (Fraction(1, 2), 11)]:
+            H = construct_quaternion(field, a, b)
+            S = construct_symbol_algebra(field, 2, a, b, -1)
+            assert H.algebra.labels == ["1", "i", "j", "k"]
+            assert [H.algebra.unit_coords[t] for t in range(4)] \
+                == [S.algebra.unit_coords[to_symbol[t]] for t in range(4)]
+            assert H.degrees == [S.degrees[to_symbol[t]] for t in range(4)]
+            for s in range(4):
+                for t in range(4):
+                    assert {to_symbol[k]: c for k, c in H.algebra.products[(s, t)].items()} \
+                        == S.algebra.products[(to_symbol[s], to_symbol[t])]
+
+
+def test_constructor_grid_matches_golden_text():
+    """The dump text or the error of each constructor call on the grid of
+    `constructorgrid` equals the golden file byte for byte."""
+    with open(Path(__file__).parent / "golden" / "constructors.txt", encoding="utf-8") as fh:
+        assert grid_text() == fh.read()
 
 
 def assert_homogeneous_units(g):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gradedk import linalg
-from gradedk.algebra import (Algebra, center, left_regular_matrix, try_invert,
+from gradedk.algebra import (Algebra, center, integer_regular_rows, try_invert,
                              two_sided_ideal_closure)
 from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_matrix_algebra,
@@ -224,7 +224,7 @@ def test_graded_simple_witness_matches_full_scan():
     assert is_graded_simple(g).counterexample[1] == _proper_ideal_generator(g)
     # F_3[Z/3] is commutative, so the ideal of x is x*A, the column space of L_x
     x = is_graded_simple(_f3_cyclic3_trivially_graded()).counterexample[1]
-    assert linalg.rank(linalg.int_rows(left_regular_matrix(x), x.owner.field),
+    assert linalg.rank(integer_regular_rows(x.owner, x.owner.field.to_ints(x.coords)[0]),
                        x.owner.field) < 3
 
 

@@ -20,9 +20,8 @@ from sympy.polys.matrices import DomainMatrix
 from gradedk import linalg
 from gradedk.algebra import (Algebra, center, commutator_subspace, enveloping_product,
                              evaluate_poly, integer_product_form, integer_psi_matrix,
-                             left_regular_matrix, minimal_polynomial, multiply,
-                             regular_traces, right_regular_matrix, sandwich,
-                             separability_rows)
+                             integer_regular_rows, minimal_polynomial, multiply,
+                             regular_traces, sandwich, separability_rows)
 from gradedk.constructors import (construct_group_ring, construct_matrix_algebra,
                                   construct_quaternion, construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
@@ -84,6 +83,19 @@ def ref_regular_matrix(x, left):
             for k, c in terms.items():
                 cols[j][k] += a * c
     return [list(row) for row in zip(*cols)]
+
+
+def ref_charpoly(m, field):
+    """The characteristic polynomial of a square matrix of field scalars by
+    sympy's `Matrix.charpoly` over QQ (GF(p) entries lifted to ints), as a
+    Poly in x over QQ or GF(p)."""
+    x = sympy.Symbol("x")
+    if field.kind == "rationals":
+        dom, lift = sympy.QQ, lambda c: sympy.Rational(c.numerator, c.denominator)
+    else:
+        dom, lift = sympy.GF(field.characteristic), lambda c: c.v
+    cp = sympy.Matrix([[lift(c) for c in row] for row in m]).charpoly(x)
+    return sympy.Poly(cp.as_expr(), x, domain=dom)
 
 
 def ref_regular_traces(alg):
@@ -157,7 +169,7 @@ def ref_reduced_char_poly(alg, a):
             s = sum((sums[i - 1] * q[n - k + i] for i in range(1, k + 1)), field.zero)
             q[n - k] = -s / field.scalar(k)
         return q
-    cp = to_poly(linalg.charpoly(ref_regular_matrix(a, True), field), field)
+    cp = ref_charpoly(ref_regular_matrix(a, True), field)
     return from_poly(math.prod(g ** (k // n) for g, k in cp.factor_list()[1]), field)
 
 
@@ -433,13 +445,22 @@ def ids():
 # -- the comparisons -----------------------------------------------------
 
 
+def kernel_regular_matrix(x, left):
+    """L_x (left) or R_x as field scalars, read off `integer_regular_rows`
+    at the scale of x times the algebra's scale."""
+    alg, field = x.owner, x.owner.field
+    xs, dx = field.to_ints(x.coords)
+    return [field.from_ints([row.get(j, 0) for j in range(alg.dim)], dx * alg.scale)
+            for row in integer_regular_rows(alg, xs, left)]
+
+
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=ids())
 def test_products_and_regular_matrices(alg):
     rng = random.Random(alg.dim * 7 + alg.field.characteristic)
     xs = elements(alg, rng)
     for x in xs:
-        assert same(left_regular_matrix(x), ref_regular_matrix(x, True))
-        assert same(right_regular_matrix(x), ref_regular_matrix(x, False))
+        assert same(kernel_regular_matrix(x, True), ref_regular_matrix(x, True))
+        assert same(kernel_regular_matrix(x, False), ref_regular_matrix(x, False))
         for y in xs:
             assert same(multiply(x, y).coords, tuple(ref_multiply(x, y)))
 
@@ -518,7 +539,7 @@ def test_enveloping_product_and_separability_rows(alg):
             [u * v for u in one for v in ea])
         block = rows[n + a * n2:n + (a + 1) * n2]
         assert all(not row[n2] for row in block)
-        assert same([row[:n2] for row in block], left_regular_matrix(x))
+        assert same([row[:n2] for row in block], ref_regular_matrix(x, True))
 
 
 def test_strong_grading_certificates_read_off_the_table():

@@ -138,10 +138,12 @@ def _leibniz_det(m, field):
     return total
 
 
-def _assert_charpoly_by_leibniz(a, field):
-    """charpoly(a) is monic of degree n and equals det(tI - A) at t = 0..n."""
-    n = len(a)
-    got = linalg.charpoly(a, field)
+def _assert_charpoly_by_leibniz(ints, field):
+    """charpoly of the integer rows of ints, their zeros stored, is monic of
+    degree n and equals det(tI - A) at t = 0..n, A the ints as field scalars."""
+    n = len(ints)
+    got = linalg.charpoly([dict(enumerate(row)) for row in ints], n, field)
+    a = [[field.scalar(x) for x in row] for row in ints]
     assert len(got) == n + 1 and got[-1] == field.one
     for t in map(field.scalar, range(n + 1)):
         shifted = [[(t if i == j else field.zero) - x for j, x in enumerate(row)]
@@ -155,15 +157,16 @@ def test_charpoly_against_sympy():
     rng = random.Random(4)
     for _ in range(25):
         n = rng.randint(1, 4)
-        a = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-        _assert_charpoly_by_leibniz(a, Q)
+        _assert_charpoly_by_leibniz([[rng.randint(-5, 5) for _ in range(n)]
+                                     for _ in range(n)], Q)
 
 
 def test_charpoly_gf():
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randint(1, 4)
-        _assert_charpoly_by_leibniz([[F5.scalar(rng.randrange(5)) for _ in range(n)]
+        # residues and not: a row may hold -7..7
+        _assert_charpoly_by_leibniz([[rng.randint(-7, 7) for _ in range(n)]
                                      for _ in range(n)], F5)
 
 
