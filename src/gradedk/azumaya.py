@@ -197,10 +197,7 @@ def group_ring_azumaya(field, group):
     commutator subgroup's order m is invertible in R. Fields are Azumaya."""
     if not group.is_finite():
         raise ValueError("finite grade group required")
-    elems = group.elements()
-    centre = [g for g in elems
-              if all(g * h == h * g for h in elems)]
-    centre_index = group.order // len(centre)
+    centre_index = group.order // group.centre_order()
     _, m = derived_subgroup(group)
     m_invertible = field.is_invertible_int(m)
     details = {"base-azumaya": True, "centre-index": centre_index,

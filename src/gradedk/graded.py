@@ -13,6 +13,7 @@ the graded radical, graded simplicity) build A_e here and split it with
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +28,11 @@ from .wedderburn import (central_primitive_idempotents, jacobson_radical,
 
 
 class GradedAlgebra:
-    """An Algebra with a degree assignment on its (homogeneous) basis."""
+    """An Algebra with a degree assignment on its (homogeneous) basis.
+
+    Immutable after construction: the structure of the grading is computed
+    at most once and kept, namely the degree -> basis indices index that the
+    grading check builds, the support subgroup and A_e."""
 
     def __init__(self, algebra, group, degrees):
         """The grading is checked here, once: e_i e_j must lie in the
@@ -39,24 +44,28 @@ class GradedAlgebra:
         self.degrees = list(degrees)
         if len(self.degrees) != algebra.dim:
             raise ValueError("one degree per basis vector required")
-        for d in self.degrees:
-            if d.group is not group and d.group != group:
-                raise ValueError("degree from a different grade group")
+        if not all(map(group._owns, self.degrees)):
+            raise ValueError("degree from a different grade group")
         degrees = self.degrees
-        index = {}  # distinct degree -> small int id
-        ids = [index.setdefault(d, len(index)) for d in degrees]
+        components = {}  # distinct degree -> its basis indices, in basis order
+        for i, d in enumerate(degrees):
+            components.setdefault(d, []).append(i)
+        index = {d.coords: t for t, d in enumerate(components)}  # small int ids
+        ids = [index[d.coords] for d in degrees]
         combined = {}  # (id_i, id_j) -> id of deg_i * deg_j, -1 if no basis degree
         for (i, j), terms in algebra.products.items():
             pair = (ids[i], ids[j])
             want = combined.get(pair)
             if want is None:
-                want = combined[pair] = index.get(degrees[i] * degrees[j], -1)
+                want = combined[pair] = index.get(
+                    group._mul(degrees[i].coords, degrees[j].coords), -1)
             for k in terms:
                 if ids[k] != want:
                     raise ValueError("invalid grading: %r" % (("closure", i, j, k),))
         for i, c in enumerate(algebra.unit_coords):
             if c and degrees[i] != group.identity:
                 raise ValueError("invalid grading: %r" % (("unit-degree", i),))
+        self._components = components
 
     @property
     def field(self):
@@ -67,7 +76,19 @@ class GradedAlgebra:
         return self.algebra.dim
 
     def component_indices(self, degree):
-        return [i for i, d in enumerate(self.degrees) if d == degree]
+        """The basis indices of degree `degree`, in basis order (a new list)."""
+        return list(self._components.get(degree, ()))
+
+    @functools.cached_property
+    def support_subgroup(self):
+        """The subgroup generated by the support. Over a finite group its
+        generators are the support degrees (in coordinate order) that the
+        earlier ones do not already generate; over an infinite group, where a
+        membership test costs a Smith normal form, the whole support."""
+        degrees = sorted(self._components, key=lambda d: d.coords)
+        if not self.group.is_finite():
+            return SubgroupSpec(self.group, degrees)
+        return SubgroupSpec.generated_by(self.group, [d.coords for d in degrees])
 
     def homogeneous_components(self, x):
         """Decompose an element into its nonzero homogeneous components."""
@@ -98,8 +119,12 @@ class GradedAlgebra:
         return AlgebraElement(self.algebra, full)
 
     def identity_component(self):
-        """A_e as an Algebra on the basis vectors of degree e, in basis
-        order."""
+        """A_e as an Algebra on the basis vectors of degree e, in basis order,
+        built and checked once: every call returns the same object."""
+        return self._identity_component
+
+    @functools.cached_property
+    def _identity_component(self):
         idx = self.component_indices(self.group.identity)
         pos = {i: t for t, i in enumerate(idx)}
         products = {(pos[i], pos[j]): {pos[k]: c for k, c in terms.items()}
@@ -185,24 +210,15 @@ def support(g):
     graded fields)."""
     if isinstance(g, TwistedGroupAlgebra):
         return g.support
-    return {d for d in g.degrees}
+    return set(g._components)
 
 
 def support_subgroup(g):
-    """The subgroup generated by the support. Over a finite group its
-    generators are the support degrees (in coordinate order) that the
-    earlier ones do not already generate; over an infinite group, where a
-    membership test costs a Smith normal form, the whole support."""
+    """The subgroup generated by the support (`GradedAlgebra.support_subgroup`,
+    computed once per graded algebra); a lazy graded field's support."""
     if isinstance(g, TwistedGroupAlgebra):
         return g.support
-    degrees = sorted(support(g), key=lambda d: d.coords)
-    if not g.group.is_finite():
-        return SubgroupSpec(g.group, degrees)
-    sub = SubgroupSpec(g.group, [])
-    for d in degrees:
-        if not sub.contains(d):
-            sub = SubgroupSpec(g.group, sub.generators + (d,))
-    return sub
+    return g.support_subgroup
 
 
 def strongly_graded_at(g, gamma):
@@ -308,7 +324,7 @@ def graded_radical(g):
     `jacobson_radical` on A_e gives the functionals w_r cutting out J(A_e)
     (coordinates if J(A_e) = 0) and image[k], the nonzero w_r(e_k); then one
     nullspace per support degree d of the w_r(x e_j), j in A_(d^-1)."""
-    comps = {d: g.component_indices(d) for d in support(g)}
+    comps = g._components
     e_idx = comps[g.group.identity]
     radical = jacobson_radical(g.identity_component()).echelon[0]
     ws = linalg.nullspace(radical, len(e_idx), g.field)[0]
@@ -360,8 +376,9 @@ def _component_part(g, subspace, degree):
     combinations of the subspace's echelon rows that vanish off the
     component, one per row of the kernel's echelon."""
     rows, den, _ = subspace.echelon
+    inside = set(g._components.get(degree, ()))
     off = [{s: row[i] for s, row in enumerate(rows) if i in row}
-           for i, d in enumerate(g.degrees) if d != degree]
+           for i in range(g.dim) if i not in inside]
     kept, dk, _ = linalg.nullspace(off, len(rows), g.field)
     return [AlgebraElement(g.algebra, g.field.from_ints(
         [sum(c * rows[s].get(j, 0) for s, c in lam.items()) for j in range(g.dim)], dk * den))

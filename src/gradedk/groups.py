@@ -60,6 +60,7 @@ class GradeGroup:
             if rank < 0 or any(n < 2 for n in self.torsion):
                 raise ValueError("bad fg-abelian signature")
             self.dim = rank + len(self.torsion)
+            self._identity_coords = (0,) * self.dim
         elif kind == "finite-table":
             self.table = [list(row) for row in table]
             self.size = len(self.table)
@@ -147,7 +148,7 @@ class GradeGroup:
                 break
         if ident is None:
             raise ValueError("table has no identity")
-        self._identity_index = ident
+        self._identity_coords = ident
         self._inverse_table = [None] * m
         for i in range(m):
             for j in range(m):
@@ -180,9 +181,10 @@ class GradeGroup:
 
     @property
     def identity(self):
-        if self.kind == "finite-table":
-            return GroupElement(self, self._identity_index)
-        return GroupElement(self, (0,) * self.dim)
+        return GroupElement(self, self._identity_coords)
+
+    def _owns(self, g):
+        return g.group is self or g.group == self
 
     def combine(self, g, h):
         if (g.group is not self and g.group != self) or \
@@ -199,11 +201,28 @@ class GradeGroup:
             return GroupElement(self, self._inverse_table[g.coords])
         return GroupElement(self, self._normalize(tuple(map(neg, g.coords))))
 
+    # `combine` and `inverse` on coordinates (table indices or normalized
+    # tuples), with no group check; those two keep their own copy of the
+    # arithmetic, so a GroupElement product costs no extra call
+    def _mul(self, a, b):
+        if self.kind == "finite-table":
+            return self.table[a][b]
+        return self._normalize(tuple(map(add, a, b)))
+
+    def _inv(self, a):
+        if self.kind == "finite-table":
+            return self._inverse_table[a]
+        return self._normalize(tuple(map(neg, a)))
+
     def is_abelian(self):
+        return self.kind == "fg-abelian" or self.centre_order() == self.size
+
+    def centre_order(self):
+        """|Z(G)| for a finite group."""
         if self.kind == "fg-abelian":
-            return True
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(self.size) for j in range(self.size))
+            return self.order
+        t, n = self.table, self.size
+        return sum(all(t[i][j] == t[j][i] for j in range(n)) for i in range(n))
 
     def is_finite(self):
         if self.kind == "finite-table":
@@ -254,18 +273,27 @@ class SubgroupSpec:
         self.group = group
         self.generators = tuple(generators)
         for g in self.generators:
-            if g.group is not group and g.group != group:
+            if not group._owns(g):
                 raise ValueError("generator from a different group")
+
+    @classmethod
+    def generated_by(cls, group, candidates):
+        """The subgroup of a finite group generated by the candidates, given
+        by their coordinates; its generators are the candidates that the
+        earlier ones do not generate, in the given order."""
+        kept, coords = _closure(group, candidates)
+        spec = cls(group, [GroupElement(group, c) for c in kept])
+        spec._coords = coords
+        return spec
 
     def element_set(self):
         """The subgroup's elements; only for finite ambient groups."""
-        return self._elements
+        return frozenset(GroupElement(self.group, c) for c in self._coords)
 
     @functools.cached_property
-    def _elements(self):
-        if not self.group.is_finite():
-            raise ValueError("cannot enumerate subgroup of an infinite group")
-        return frozenset(_closure(self.group, self.generators))
+    def _coords(self):
+        """The coordinates of the subgroup's elements."""
+        return _closure(self.group, [g.coords for g in self.generators])[1]
 
     @functools.cached_property
     def smith_form(self):
@@ -283,26 +311,37 @@ class SubgroupSpec:
 
     @property
     def order(self):
-        return len(self.element_set())
+        return len(self._coords)
 
     def contains(self, g):
+        """Whether g lies in the subgroup; False for another group's element."""
+        if not self.group._owns(g):
+            return False
         if self.group.is_finite():
-            return g in self.element_set()
-        return all(c == 0 for c in coset_label(self.group, self, g))
+            return g.coords in self._coords
+        return not any(coset_label(self.group, self, g))
 
 
-def _closure(group, generators):
-    seen = {group.identity}
-    frontier = [group.identity]
-    gens = list(generators) + [g.inverse() for g in generators]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.combine(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
+def _closure(group, candidates):
+    """(kept, elements) on coordinates, in a finite group: the candidates
+    that the earlier ones do not generate, and the subgroup they generate.
+    One closure: at each kept candidate it grows from the elements so far."""
+    if not group.is_finite():
+        raise ValueError("cannot enumerate subgroup of an infinite group")
+    mul = group._mul
+    kept, seen = [], {group._identity_coords}
+    for c in candidates:
+        if c not in seen:
+            kept.append(c)
+            frontier = list(seen)
+            while frontier:
+                x = frontier.pop()
+                for g in kept:
+                    y = mul(x, g)
+                    if y not in seen:
+                        seen.add(y)
+                        frontier.append(y)
+    return kept, frozenset(seen)
 
 
 def quotient_invariants(group, subgroup):
@@ -330,21 +369,23 @@ def coset_label(group, subgroup, g):
     """A canonical label for the coset g + H, as a tuple comparable across
     elements; labels are equal iff the cosets coincide."""
     if group.kind == "finite-table":
-        return min(group.combine(g, h).coords for h in subgroup.element_set())
+        if not group._owns(g):
+            raise ValueError("element belongs to a different group")
+        row = group.table[g.coords]
+        return min(row[h] for h in subgroup._coords)
     factors, u = subgroup.smith_form
     y = (sum(a * c for a, c in zip(row, g.coords)) for row in u)
     return tuple(v % d if d else v for v, d in zip(y, factors))
 
 
 def derived_subgroup(group):
-    """The commutator subgroup of a finite group, with its order."""
+    """The commutator subgroup of a finite group, with its order; its
+    generators are the commutators g h g^-1 h^-1, in the order of (g, h)
+    over `elements`, that the earlier ones do not generate."""
     if not group.is_finite():
         raise ValueError("derived subgroup requires a finite group")
-    elems = group.elements()
-    commutators = []
-    for g in elems:
-        for h in elems:
-            c = g * h * g.inverse() * h.inverse()
-            commutators.append(c)
-    spec = SubgroupSpec(group, commutators)
+    mul, inv = group._mul, group._inv
+    elems = [g.coords for g in group.elements()]
+    spec = SubgroupSpec.generated_by(group, (mul(mul(g, h), mul(inv(g), inv(h)))
+                                             for g in elems for h in elems))
     return spec, spec.order

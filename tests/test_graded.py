@@ -26,6 +26,7 @@ from gradedk.wedderburn import jacobson_radical
 from randomdata import random_constructed
 import scalarlinalg
 from shiftoracle import assert_top_certificate
+from test_groups import brute_closure
 from test_kernel import opposite
 from test_ktheory import (cyclic_cubic_division_algebra, m2_over_q_sqrt2,
                           product_algebra, scalars, upper_triangular)
@@ -643,3 +644,99 @@ def test_support_subgroup():
     H = construct_quaternion(Q, -1, -1, grading="Z2")
     s = support_subgroup(H)
     assert s.order == 2
+
+
+def reference_support_subgroup(g):
+    """(generators, elements) by the per-generator loop: a fresh closure of
+    the generators so far for each support degree, in coordinate order.
+    Over an infinite group the generators are the whole support and the
+    elements None."""
+    degrees = sorted(set(g.degrees), key=lambda d: d.coords)
+    if not g.group.is_finite():
+        return degrees, None
+    gens = []
+    for d in degrees:
+        if d not in brute_closure(g.group, gens):
+            gens.append(d)
+    return gens, brute_closure(g.group, gens)
+
+
+def _shifted_scalars(group, shift):
+    """M_n(F_5)(shift) with trivially graded scalars: its support is the
+    set of differences of the shift entries."""
+    base = trivially_graded(Algebra(F5, ["1"], {(0, 0): {0: 1}}, unit=[1]), group)
+    return ShiftedMatrixAlgebra(base, [group.element(c) for c in shift]).materialized
+
+
+def _support_subgroup_inputs():
+    from test_kernel import graded_algebras
+    S3, D4, D5 = GradeGroup.symmetric_3(), GradeGroup.dihedral(4), GradeGroup.dihedral(5)
+    Z, Z2Z4, ZZ2 = GradeGroup.integers(), GradeGroup.product_of_cyclic(2, 4), \
+        GradeGroup.fg_abelian(1, (2,))
+    out = [construct_group_ring(F3, group) for group in (S3, D4, D5, GradeGroup.dihedral(3))]
+    out += [_shifted_scalars(S3, [0, 4]), _shifted_scalars(S3, [0, 1, 4]),
+            _shifted_scalars(D4, [0, 2]), _shifted_scalars(D4, [0, 4, 1]),
+            _shifted_scalars(D5, [0, 5, 1]), _shifted_scalars(Z2Z4, [(0, 0), (0, 2), (1, 0)]),
+            _shifted_scalars(Z2Z4, [(0, 0), (1, 1)]), construct_quaternion(Q, -1, -1),
+            construct_truncated_polynomial(Q, 3), _shifted_scalars(Z, [(0,), (2,), (3,)]),
+            _shifted_scalars(ZZ2, [(0, 0), (1, 1), (2, 0)])]
+    return out + [g for g in graded_algebras() if isinstance(g, GradedAlgebra)]
+
+
+def test_support_subgroup_matches_per_generator_loop():
+    inputs = _support_subgroup_inputs()
+    assert {g.group.is_finite() for g in inputs} == {True, False}
+    for g in inputs:
+        gens, elems = reference_support_subgroup(g)
+        got = support_subgroup(g)
+        assert list(got.generators) == gens
+        assert [d.coords for d in got.generators] == [d.coords for d in gens]
+        if elems is not None:
+            assert got.element_set() == elems and got.order == len(elems)
+
+
+def test_grading_structure_is_built_once_and_kept():
+    g = construct_group_ring(F3, GradeGroup.symmetric_3())
+    e = g.group.identity
+    idx = g.component_indices(e)
+    idx.append(5)
+    assert g.component_indices(e) == [0]
+    assert support_subgroup(g) is support_subgroup(g)
+    a0 = g.identity_component()
+    assert g.identity_component() is a0
+    fresh = GradedAlgebra(g.algebra, g.group, g.degrees).identity_component()
+    assert fresh is not a0
+    assert (a0.labels, a0.products, a0.unit_coords) == \
+        (fresh.labels, fresh.products, fresh.unit_coords)
+
+
+def test_identity_component_associativity_checked_once(monkeypatch):
+    import gradedk.algebra as algebra_module
+    calls = []
+    real = algebra_module.Algebra._check_associativity
+    monkeypatch.setattr(algebra_module.Algebra, "_check_associativity",
+                        lambda self, p: calls.append(self) or real(self, p))
+    g = construct_group_ring(F3, GradeGroup.dihedral(4))
+    for _ in range(3):
+        is_graded_division(g)
+        is_graded_simple(g)
+    a0 = g.identity_component()
+    assert [a for a in calls if a is a0] == [a0]
+
+
+def test_invalid_grading_raises_before_any_cache(monkeypatch):
+    Z2 = GradeGroup.cyclic(2)
+    alg = Algebra(Q, ["1", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                                  (1, 1): {1: 1}}, unit=[1, 0])
+    built = []
+    real_init = GradedAlgebra.__init__
+
+    def spy(self, *args):
+        built.append(self)
+        real_init(self, *args)
+    monkeypatch.setattr(GradedAlgebra, "__init__", spy)
+    with pytest.raises(ValueError, match="closure"):
+        GradedAlgebra(alg, Z2, [Z2.element((0,)), Z2.element((1,))])
+    assert len(built) == 1
+    assert not {"_components", "support_subgroup", "_identity_component"} & \
+        vars(built[0]).keys()

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from gradedk.azumaya import group_ring_azumaya
+from gradedk.fields import FieldSpec
 from gradedk.groups import (GradeGroup, SubgroupSpec, coset_index, coset_label,
                             derived_subgroup, quotient_invariants)
 
@@ -134,3 +136,36 @@ def test_random_quotients_vs_enumeration():
         assert coset_index(G, H) == len(labels)
         hset = H.element_set() if gens else {G.identity}
         assert len(labels) * len(hset) == t1 * t2
+
+
+def brute_closure(group, gens):
+    """The subgroup generated by gens, by GroupElement products."""
+    seen, frontier = {group.identity}, [group.identity]
+    steps = list(gens) + [g.inverse() for g in gens]
+    while frontier:
+        x = frontier.pop()
+        for s in steps:
+            y = x * s
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("group", [
+    GradeGroup.symmetric_3(), GradeGroup.dihedral(4), GradeGroup.dihedral(5),
+    GradeGroup.from_table([[(i + j) % 3 for j in range(3)] for i in range(3)]),
+    GradeGroup.product_of_cyclic(2, 4)], ids=["S3", "D4", "D5", "Z3-table", "Z2xZ4"])
+def test_derived_subgroup_and_centre_against_brute_force(group):
+    elems = group.elements()
+    commutators = [g * h * g.inverse() * h.inverse() for g in elems for h in elems]
+    derived = brute_closure(group, commutators)
+    spec, order = derived_subgroup(group)
+    assert order == len(derived) and spec.element_set() == derived
+    assert set(spec.generators) <= set(commutators)
+    centre = [g for g in elems if all(g * h == h * g for h in elems)]
+    assert group.centre_order() == len(centre)
+    index = group.order // len(centre)
+    rep = group_ring_azumaya(FieldSpec.prime_field(3), group)
+    assert rep.details["centre-index"] == index
+    assert rep.details["commutator-order"] == len(derived)
