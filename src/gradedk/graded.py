@@ -50,15 +50,14 @@ class GradedAlgebra:
         components = {}  # distinct degree -> its basis indices, in basis order
         for i, d in enumerate(degrees):
             components.setdefault(d, []).append(i)
-        index = {d.coords: t for t, d in enumerate(components)}  # small int ids
-        ids = [index[d.coords] for d in degrees]
+        index = {d: t for t, d in enumerate(components)}  # small int ids
+        ids = [index[d] for d in degrees]
         combined = {}  # (id_i, id_j) -> id of deg_i * deg_j, -1 if no basis degree
         for (i, j), terms in algebra.products.items():
             pair = (ids[i], ids[j])
             want = combined.get(pair)
             if want is None:
-                want = combined[pair] = index.get(
-                    group._mul(degrees[i].coords, degrees[j].coords), -1)
+                want = combined[pair] = index.get(degrees[i] * degrees[j], -1)
             for k in terms:
                 if ids[k] != want:
                     raise ValueError("invalid grading: %r" % (("closure", i, j, k),))
@@ -80,11 +79,7 @@ class GradedAlgebra:
         return list(self._components.get(degree, ()))
 
     @functools.cached_property
-    def support_subgroup(self):
-        """The subgroup generated by the support. Over a finite group its
-        generators are the support degrees (in coordinate order) that the
-        earlier ones do not already generate; over an infinite group, where a
-        membership test costs a Smith normal form, the whole support."""
+    def _support_subgroup(self):
         degrees = sorted(self._components, key=lambda d: d.coords)
         if not self.group.is_finite():
             return SubgroupSpec(self.group, degrees)
@@ -214,11 +209,14 @@ def support(g):
 
 
 def support_subgroup(g):
-    """The subgroup generated by the support (`GradedAlgebra.support_subgroup`,
-    computed once per graded algebra); a lazy graded field's support."""
+    """The subgroup generated by the support, computed once per graded
+    algebra. Over a finite group its generators are the support degrees (in
+    coordinate order) that the earlier ones do not already generate; over an
+    infinite group, where a membership test costs a Smith normal form, the
+    whole support. A lazy graded field's support is its own subgroup."""
     if isinstance(g, TwistedGroupAlgebra):
         return g.support
-    return g.support_subgroup
+    return g._support_subgroup
 
 
 def strongly_graded_at(g, gamma):
@@ -376,9 +374,8 @@ def _component_part(g, subspace, degree):
     combinations of the subspace's echelon rows that vanish off the
     component, one per row of the kernel's echelon."""
     rows, den, _ = subspace.echelon
-    inside = set(g._components.get(degree, ()))
     off = [{s: row[i] for s, row in enumerate(rows) if i in row}
-           for i in range(g.dim) if i not in inside]
+           for i, d in enumerate(g.degrees) if d != degree]
     kept, dk, _ = linalg.nullspace(off, len(rows), g.field)
     return [AlgebraElement(g.algebra, g.field.from_ints(
         [sum(c * rows[s].get(j, 0) for s, c in lam.items()) for j in range(g.dim)], dk * den))

@@ -187,24 +187,17 @@ class GradeGroup:
         return g.group is self or g.group == self
 
     def combine(self, g, h):
-        if (g.group is not self and g.group != self) or \
-                (h.group is not self and h.group != self):
+        if not (self._owns(g) and self._owns(h)):
             raise ValueError("elements belong to a different group")
-        if self.kind == "finite-table":
-            return GroupElement(self, self.table[g.coords][h.coords])
-        return GroupElement(self, self._normalize(tuple(map(add, g.coords, h.coords))))
+        return GroupElement(self, self._mul(g.coords, h.coords))
 
     def inverse(self, g):
-        if g.group is not self and g.group != self:
+        if not self._owns(g):
             raise ValueError("element belongs to a different group")
-        if self.kind == "finite-table":
-            return GroupElement(self, self._inverse_table[g.coords])
-        return GroupElement(self, self._normalize(tuple(map(neg, g.coords))))
+        return GroupElement(self, self._inv(g.coords))
 
-    # `combine` and `inverse` on coordinates (table indices or normalized
-    # tuples), with no group check; those two keep their own copy of the
-    # arithmetic, so a GroupElement product costs no extra call
     def _mul(self, a, b):
+        """`combine` on coordinates (table indices or normalized tuples)."""
         if self.kind == "finite-table":
             return self.table[a][b]
         return self._normalize(tuple(map(add, a, b)))
@@ -379,9 +372,7 @@ def coset_label(group, subgroup, g):
 
 
 def derived_subgroup(group):
-    """The commutator subgroup of a finite group, with its order; its
-    generators are the commutators g h g^-1 h^-1, in the order of (g, h)
-    over `elements`, that the earlier ones do not generate."""
+    """The commutator subgroup of a finite group, with its order."""
     if not group.is_finite():
         raise ValueError("derived subgroup requires a finite group")
     mul, inv = group._mul, group._inv

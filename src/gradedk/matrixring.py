@@ -45,9 +45,8 @@ class ShiftedMatrixAlgebra:
         if self.n < 1:
             raise ValueError("empty shift vector")
         self.group = base.group
-        for d in self.shift:
-            if d.group is not self.group and d.group != self.group:
-                raise ValueError("shift entries must live in the base grade group")
+        if not all(map(self.group._owns, self.shift)):
+            raise ValueError("shift entries must live in the base grade group")
         self.lazy = isinstance(base, TwistedGroupAlgebra)
 
     # -- degree bookkeeping -------------------------------------------

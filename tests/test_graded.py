@@ -738,5 +738,5 @@ def test_invalid_grading_raises_before_any_cache(monkeypatch):
     with pytest.raises(ValueError, match="closure"):
         GradedAlgebra(alg, Z2, [Z2.element((0,)), Z2.element((1,))])
     assert len(built) == 1
-    assert not {"_components", "support_subgroup", "_identity_component"} & \
+    assert not {"_components", "_support_subgroup", "_identity_component"} & \
         vars(built[0]).keys()
