@@ -150,11 +150,7 @@ def cmd_k0(args):
         if not sg:
             _emit(sg)
             return _exit_code(sg)
-        try:
-            k0, dec = kt.k0gr_strongly_graded(g, sg)
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 3
+        k0, dec = kt.k0gr_strongly_graded(g, sg)
         blocks = ["dim=%d,centre=%d,n=%r,div=%r" % (b.dim, b.centre_dim, b.matrix_size,
                                                     b.division_dim)
                   + ("" if b.resolved else ",reason=%s" % b.reason) for b in dec.blocks]

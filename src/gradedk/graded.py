@@ -210,10 +210,11 @@ def support(g):
 
 def support_subgroup(g):
     """The subgroup generated by the support, computed once per graded
-    algebra. Over a finite group its generators are the support degrees (in
-    coordinate order) that the earlier ones do not already generate; over an
-    infinite group, where a membership test costs a Smith normal form, the
-    whole support. A lazy graded field's support is its own subgroup."""
+    algebra or shifted matrix ring. Over a finite group its generators are
+    the support degrees (in coordinate order) that the earlier ones do not
+    already generate; over an infinite group, where a membership test costs
+    a Smith normal form, the whole support. A lazy graded field's support is
+    its own subgroup."""
     if isinstance(g, TwistedGroupAlgebra):
         return g.support
     return g._support_subgroup

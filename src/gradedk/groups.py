@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, mod, neg
+import math
+from operator import add, mod, mul, neg
 
 from .snf import smith_normal_form
 
@@ -95,35 +96,19 @@ class GradeGroup:
         return GradeGroup("finite-table", table=table)
 
     @staticmethod
-    def from_permutations(perms):
-        """Finite group from a list of permutations (tuples), closed under
-        composition; the table index order follows the given list."""
-        index = {p: i for i, p in enumerate(perms)}
-        n = len(perms)
-        table = [[None] * n for _ in range(n)]
-        for i, p in enumerate(perms):
-            for j, q in enumerate(perms):
-                # (p o q)(x) = p(q(x))
-                comp = tuple(p[q[x]] for x in range(len(p)))
-                if comp not in index:
-                    raise ValueError("permutation list is not closed")
-                table[i][j] = index[comp]
-        return GradeGroup.from_table(table)
-
-    @staticmethod
+    @functools.cache
     def symmetric_3():
-        """S3 with elements ordered e, (23), (13), (12), (123), (132)."""
-        e = (0, 1, 2)
-        a = (0, 2, 1)
-        b = (2, 1, 0)
-        c = (1, 0, 2)
-        d = (1, 2, 0)
-        f = (2, 0, 1)
-        return GradeGroup.from_permutations([e, a, b, c, d, f])
+        """S3 with elements ordered e, (23), (13), (12), (123), (132), where
+        (p q)(x) = p(q(x)); one shared group per process."""
+        return GradeGroup.from_table([[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3],
+                                      [2, 5, 0, 4, 3, 1], [3, 4, 5, 0, 1, 2],
+                                      [4, 3, 1, 2, 5, 0], [5, 2, 3, 1, 0, 4]])
 
     @staticmethod
+    @functools.cache
     def dihedral(n):
-        """D_n of order 2n: r^i and s r^i as table indices i and n+i."""
+        """D_n of order 2n: r^i and s r^i as table indices i and n+i; one
+        shared group per n per process."""
         size = 2 * n
         table = [[0] * size for _ in range(size)]
         for i in range(n):
@@ -228,10 +213,7 @@ class GradeGroup:
             return self.size
         if self.rank > 0:
             return None
-        n = 1
-        for t in self.torsion:
-            n *= t
-        return n
+        return math.prod(self.torsion)
 
     def elements(self):
         if self.kind == "finite-table":
@@ -352,10 +334,7 @@ def coset_index(group, subgroup):
     free_rank, torsion = quotient_invariants(group, subgroup)
     if free_rank > 0:
         return "infinite"
-    n = 1
-    for d in torsion:
-        n *= d
-    return n
+    return math.prod(torsion)
 
 
 def coset_label(group, subgroup, g):
@@ -366,9 +345,16 @@ def coset_label(group, subgroup, g):
             raise ValueError("element belongs to a different group")
         row = group.table[g.coords]
         return min(row[h] for h in subgroup._coords)
+    return next(zip(*coset_label_columns(subgroup, [g.coords])), ())
+
+
+def coset_label_columns(subgroup, points):
+    """The `coset_label`s of the coordinate tuples `points` of an fg-abelian
+    group, one list per label coordinate: (U g) mod d for the Smith form
+    (d, U) of the subgroup, where d = 0 leaves the coordinate as it is."""
     factors, u = subgroup.smith_form
-    y = (sum(a * c for a, c in zip(row, g.coords)) for row in u)
-    return tuple(v % d if d else v for v, d in zip(y, factors))
+    cols = [[sum(map(mul, row, p)) for p in points] for row in u]
+    return [[y % d for y in col] if d else col for col, d in zip(cols, factors)]
 
 
 def derived_subgroup(group):

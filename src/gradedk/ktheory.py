@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import coset_index
+from .groups import GradeGroup, SubgroupSpec, coset_index, quotient_invariants
 from .matrixring import identity_component
-from .snf import smith_normal_form
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE
 from .wedderburn import split_identity_component
 
@@ -31,14 +30,13 @@ class FGAbelianGroup:
 
     @staticmethod
     def from_presentation(rank, torsion):
-        """Normalize arbitrary cyclic factors into invariant-factor form."""
+        """Normalize cyclic factors Z/t, t >= 1, into invariant-factor form."""
         torsion = [int(t) for t in torsion if int(t) != 1]
         if not torsion:
             return FGAbelianGroup(rank)
-        diag = [[torsion[i] if i == j else 0 for j in range(len(torsion))]
-                for i in range(len(torsion))]
-        factors, _, _, _ = smith_normal_form(diag)
-        return FGAbelianGroup(rank, tuple(d for d in factors if d > 1))
+        group = GradeGroup.product_of_cyclic(*torsion)
+        _, factors = quotient_invariants(group, SubgroupSpec(group, []))
+        return FGAbelianGroup(rank, tuple(factors))
 
     def __repr__(self):
         parts = []
@@ -112,7 +110,6 @@ class CsaShape:
 class ExactSequenceData:
     zk0: FGAbelianGroup
     ck0: FGAbelianGroup
-    map_matrix: list  # the multiplication-by-n map K0(F) -> K0(A) on Z
 
 
 def ck0_zk0(shape):
@@ -121,8 +118,7 @@ def ck0_zk0(shape):
     n = shape.n * shape.index
     d = abs(n)
     ck0 = FGAbelianGroup(1) if d == 0 else FGAbelianGroup(0, (d,) if d > 1 else ())
-    return ExactSequenceData(zk0=FGAbelianGroup(1 if d == 0 else 0), ck0=ck0,
-                             map_matrix=[[n]])
+    return ExactSequenceData(zk0=FGAbelianGroup(1 if d == 0 else 0), ck0=ck0)
 
 
 def torsion_bound_check(g, deg):

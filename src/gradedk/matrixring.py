@@ -22,14 +22,13 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import mul
 
 from . import linalg
 from .algebra import (Algebra, AlgebraElement, center, integer_regular_rows,
                       try_invert)
 from .graded import (GradedAlgebra, TwistedGroupAlgebra, graded_radical,
-                     strongly_graded_at, support_subgroup as algebra_support_subgroup)
-from .groups import SubgroupSpec, coset_label
+                     strongly_graded_at, support_subgroup)
+from .groups import SubgroupSpec, coset_label, coset_label_columns
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE, combine
 from .wedderburn import central_primitive_idempotents, quotient
 
@@ -59,8 +58,10 @@ class ShiftedMatrixAlgebra:
         """Degree of the matrix with a single degree-eps entry at (i, j)."""
         return self.shift[i].inverse() * eps * self.shift[j]
 
-    def support_subgroup(self):
-        gens = list(algebra_support_subgroup(self.base).generators)
+    @functools.cached_property
+    def _support_subgroup(self):
+        """`graded.support_subgroup`: the base's, with each d_i^-1 d_j."""
+        gens = list(support_subgroup(self.base).generators)
         for i in range(self.n):
             for j in range(self.n):
                 g = self.shift[i].inverse() * self.shift[j]
@@ -170,7 +171,7 @@ def is_strongly_graded_matrix(m):
         raise ValueError("materialized algebras use graded.is_strongly_graded")
     base = m.base
     certificates = {}
-    for lam in m.support_subgroup().generators:
+    for lam in support_subgroup(m).generators:
         for d in (lam, lam.inverse()):
             if d in certificates:
                 continue
@@ -353,7 +354,7 @@ def is_crossed_product(g):
     e = g.group.identity
     witnesses = {}
     strategies = []
-    for gamma in algebra_support_subgroup(g).generators or [e]:
+    for gamma in support_subgroup(g).generators or [e]:
         unit = _homogeneous_unit(g, gamma)
         if unit is not None:
             witnesses[gamma] = unit[0]
@@ -428,18 +429,15 @@ def canonical_shift(group, gamma_d, shift):
 
 
 def _coset_labels(group, gamma_d, elements):
-    """Each element's `coset_label` as a tuple: over an fg-abelian group
-    (U g) mod d for the Smith form (d, U) of Gamma_D, one coordinate at a
-    time; over a finite table the 1-tuple (coset_label(g),)."""
+    """Each element's `coset_label` as a tuple: over an fg-abelian group read
+    across `coset_label_columns`; over a finite table the 1-tuple
+    (coset_label(g),)."""
     if not group.is_abelian():
         raise ValueError("classification requires an abelian grade group")
     if group.kind != "fg-abelian":
         return [(coset_label(group, gamma_d, g),) for g in elements]
-    factors, u = gamma_d.smith_form
     points = [g.coords for g in elements]
-    cols = [[sum(map(mul, row, p)) for p in points] for row in u]
-    return _rows([[y % d for y in col] if d else col for col, d in zip(cols, factors)],
-                 len(points))
+    return _rows(coset_label_columns(gamma_d, points), len(points))
 
 
 def _rows(cols, m):

@@ -167,12 +167,11 @@ def supp_commutator_lemma_check(g):
     The first case is forced when D is totally ramified (D_e inside Z(D)).
     """
     alg = g.algebra
-    comm = commutator_subspace(alg)
-    if comm.dim == 0:
+    supp_c = commutator_support(g)  # empty exactly when [D, D] = 0
+    if not supp_c:
         return VerdictReport("commutator-support", TRUE, EXHAUSTIVE,
                              details={"case": "commutative"})
     supp_d = set(support(g))
-    supp_c = commutator_support(g)
     z = center(alg)
     e = g.group.identity
     totally_ramified = all(z.contains(alg.basis_element(i))

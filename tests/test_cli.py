@@ -160,6 +160,11 @@ def test_check_not_strongly_graded_exit_1(capsys, tmp_path):
     assert code == 1
     assert "verdict=false" in out
     assert "counterexample" in out
+    # graded K0 through A_e needs a strong grading; the refutation is the output
+    code, out, err = run(capsys, "k0", str(path))
+    assert (code, err) == (1, "")
+    assert out == ("predicate=strongly-graded; verdict=false; strategy=exhaustive; "
+                   "counterexample=('degree', (1))\n")
 
 
 def test_check_missing_file_exit_3(capsys):

@@ -56,6 +56,14 @@ def test_gf_arithmetic_matches_integer_oracle():
         assert (-x).v == (-a) % p
 
 
+def test_gf_reflected_operators():
+    F = FieldSpec.prime_field(7)
+    assert 5 - F.scalar(3) == F.scalar(2)
+    assert 5 / F.scalar(3) == F.scalar(4)
+    with pytest.raises(ZeroDivisionError):
+        5 / F.scalar(0)
+
+
 def test_gf_pow_negative_exponent():
     F = FieldSpec.prime_field(5)
     x = F.scalar(2)

@@ -4,6 +4,7 @@ import pytest
 
 from gradedk.azumaya import group_ring_azumaya
 from gradedk.fields import FieldSpec
+from gradedk.fileformat import load_graded_algebra
 from gradedk.groups import (GradeGroup, SubgroupSpec, coset_index, coset_label,
                             derived_subgroup, quotient_invariants)
 
@@ -29,6 +30,37 @@ def test_s3_matches_permutation_composition():
             assert got == index[comp]
     assert not S3.is_abelian()
     assert S3.order == 6
+
+
+def test_builtin_groups_are_shared():
+    assert GradeGroup.symmetric_3() is GradeGroup.symmetric_3()
+    assert GradeGroup.dihedral(4) is GradeGroup.dihedral(4)
+    assert GradeGroup.dihedral(4) is not GradeGroup.dihedral(5)
+
+
+def test_table_checked_once_per_builtin_group(monkeypatch, tmp_path):
+    # repeated loads of S3 and D4 files check each builtin table once; a
+    # [group-table] is checked on every load
+    checked = []
+    real = GradeGroup._check_table
+
+    def count(self):
+        checked.append(self.size)
+        real(self)
+    monkeypatch.setattr(GradeGroup, "_check_table", count)
+    GradeGroup.symmetric_3.cache_clear()
+    GradeGroup.dihedral.cache_clear()
+    for group in ("S3", "D4"):
+        (tmp_path / (group + ".alg")).write_text(
+            "[construct]\nkind = group-ring\nfield = GF(5)\ngroup = %s\n" % group)
+    (tmp_path / "z2.alg").write_text(
+        "[algebra]\nfield = Q\ngroup = table\nbasis = a b\ndegrees = 0 1\n"
+        "unit = 1 0\n[group-table]\n0 1\n1 0\n"
+        "[products]\n0 0 0 1\n0 1 1 1\n1 0 1 1\n1 1 0 1\n")
+    for _ in range(3):
+        for name in ("S3.alg", "D4.alg", "z2.alg"):
+            load_graded_algebra(str(tmp_path / name))
+    assert sorted(checked) == [2, 2, 2, 6, 8]
 
 
 def test_bad_tables_rejected():

@@ -242,6 +242,11 @@ def test_torsion_bound_violation_detected():
     assert rep.verdict == "false"
 
 
+def test_torsion_bound_on_infinite_rank_is_constructive():
+    rep = torsion_bound_check(INFINITE_RANK_FREE, 3)
+    assert (rep.verdict, rep.strategy) == ("true", "constructive")
+
+
 def test_coset_formula_vs_brute_force_module_classes():
     # trivially graded GF(2) base over finite Gamma: the number of iso classes
     # of rank-1 graded free modules equals the coset count driving the rank of

@@ -7,10 +7,10 @@ import pytest
 from gradedk import linalg
 from gradedk.algebra import Algebra, try_invert
 from gradedk.constructors import (construct_group_ring, construct_laurent,
-                                  construct_quaternion)
+                                  construct_matrix_algebra, construct_quaternion)
 from gradedk.fields import FieldSpec
-from gradedk.graded import (GradedAlgebra, TwistedGroupAlgebra, trivially_graded,
-                            validate_grading)
+from gradedk.graded import (GradedAlgebra, TwistedGroupAlgebra, support_subgroup,
+                            trivially_graded, validate_grading)
 from gradedk.groups import GradeGroup, SubgroupSpec, coset_label
 from gradedk.matrixring import (ShiftedMatrixAlgebra, canonical_shift,
                                 central_scalar_check, covering_algebra,
@@ -110,7 +110,7 @@ def strongly_graded_by_solve(m):
     """(verdict, certificates or the failing degree) from one linear solve
     per support-subgroup generator and inverse, in the closed form's order."""
     certificates = {}
-    for lam in m.support_subgroup().generators:
+    for lam in support_subgroup(m).generators:
         for d in (lam, lam.inverse()):
             if d not in certificates:
                 cert = _identity_in_product_by_solve(m, d)
@@ -699,6 +699,15 @@ def test_good_grading_r_and_not_s():
     units_s = [[e11, e12], [e21, e22]]
     assert is_good_grading(s, units_s) is None
     assert not s.is_homogeneous(e11)
+
+
+def test_good_grading_default_matrix_units():
+    # M_3(Q)(0, 2, 5) on its row-major basis E_ij: the shift comes back
+    base = trivially_graded(construct_matrix_algebra(Q, 1), Z)
+    m = ShiftedMatrixAlgebra(base, [Z.element((s,)) for s in (0, 2, 5)]).materialized
+    assert [g.coords for g in is_good_grading(m)] == [(0,), (2,), (5,)]
+    with pytest.raises(ValueError, match="not a square"):
+        is_good_grading(construct_group_ring(Q, GradeGroup.cyclic(2)))
 
 
 def test_paper_map_is_graded_isomorphism():

@@ -185,6 +185,11 @@ def test_commutator_support_quaternions():
     assert sorted(d.coords for d in supp_c) == [(0, 1), (1, 0), (1, 1)]
     rep = supp_commutator_lemma_check(H)
     assert rep.verdict == "true"
+    # Z/2-graded H: H_e = Q(i) is not central, so the lemma's second case
+    rep = supp_commutator_lemma_check(construct_quaternion(Q, -1, -1, grading="Z2"))
+    assert rep.verdict == "true"
+    assert not rep.details["totally_ramified"]
+    assert rep.details["case"] == "support equality or proper avoidance"
 
 
 def test_commutative_case():
