@@ -10,9 +10,11 @@ The kernel. Construction also keeps the constants as plain ints,
 e_i e_j, and their scale `Algebra.scale`, with the unit at the same
 scale in `Algebra.unit_ints`. Over GF(p) the ints are the residues and the
 scale is 1. Over Q they are the constants times the scale D, the lcm of
-their denominators (and the unit's). Associativity and the
-unit axiom are checked on this table at construction, on every basis
-triple. Every structure-constant loop runs on it too: products (one loop,
+their denominators (and the unit's). The unit axiom and associativity
+are checked on this table at construction, associativity by Light's test:
+the middle factor of a basis triple runs over a generating set, from an
+index closure when every e_i e_j is c e_k or 0, else the whole basis.
+Every structure-constant loop runs on the table too: products (one loop,
 `integer_product`), minimal polynomials on integer powers, polynomial
 evaluation by Horner, the rows of L_x and R_x and ideal closure, the regular
 traces and product forms, psi, the rows of the centre and of the
@@ -127,35 +129,67 @@ class Algebra:
                 raise ValueError("unit axiom fails on basis element %s" % self.labels[j])
 
     def _check_associativity(self, p):
-        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, compared on
-        the integer constants: sum_s c_ij^s c_sk^t against
-        sum_u c_jk^u c_iu^t. For each pair (i, j) the differences over all
-        k and t go into one dict keyed k*n + t; a triple that neither side
-        reaches is 0 = 0."""
-        n = self.dim
-        table = self.table
+        """(e_i e_j) e_k = e_i (e_j e_k) for all i, k and the middles e_j of
+        `_generating_set`, on the integer constants: sum_s c_ij^s c_sk^t
+        against sum_u c_jk^u c_iu^t, with the differences over all k and t
+        in one dict keyed k*n + t (a triple neither side reaches is 0 = 0).
+        Light's test (Clifford and Preston, Algebraic Theory of Semigroups I,
+        1.2): the b with (ab)c = a(bc) for all a, c form a subalgebra, which
+        holds 1 once the unit axiom does, so generating middles prove every
+        triple. A violation reruns the scan on the whole basis, so the triple
+        reported is the first in basis order."""
+        n, table = self.dim, self.table
         # flat[s]: (k*n + t, c_sk^t) for every nonzero constant of a row e_s e_k
         flat = [[(k * n + t, c) for k, terms in row.items() for t, c in terms]
                 for row in table]
         rows = [[(k * n, terms) for k, terms in row.items()]  # (k*n, e_s e_k)
                 for row in table]
-        for i in range(n):
-            left = [table[i].get(u, ()) for u in range(n)]  # e_i e_u
-            for j in range(n):
-                diff = {}
-                for s, a in table[i].get(j, ()):
-                    for key, c in flat[s]:
-                        diff[key] = diff.get(key, 0) + a * c
-                for kn, terms in rows[j]:
-                    for u, a in terms:
-                        for t, c in left[u]:
-                            key = kn + t
-                            diff[key] = diff.get(key, 0) - a * c
-                bad = [key for key, v in diff.items() if (v % p if p else v)]
-                if bad:
-                    raise ValueError(
-                        "associativity fails on basis triple (%s, %s, %s)"
-                        % (self.labels[i], self.labels[j], self.labels[min(bad) // n]))
+
+        def first_failure(middles):
+            for i in range(n):
+                left = [table[i].get(u, ()) for u in range(n)]  # e_i e_u
+                for j in middles:
+                    diff = {}
+                    for s, a in table[i].get(j, ()):
+                        for key, c in flat[s]:
+                            diff[key] = diff.get(key, 0) + a * c
+                    for kn, terms in rows[j]:
+                        for u, a in terms:
+                            for t, c in left[u]:
+                                key = kn + t
+                                diff[key] = diff.get(key, 0) - a * c
+                    bad = [key for key, v in diff.items() if (v % p if p else v)]
+                    if bad:
+                        return i, j, min(bad) // n
+
+        if first_failure(self._generating_set()):
+            i, j, k = first_failure(range(n))
+            raise ValueError("associativity fails on basis triple (%s, %s, %s)"
+                             % (self.labels[i], self.labels[j], self.labels[k]))
+
+    def _generating_set(self):
+        """Basis indices whose e_j generate A with 1. When every nonzero
+        e_i e_j is one term c e_k, j joins when the product closure of the
+        earlier ones (and of the unit's index, when 1 is a multiple of one
+        e_u) misses it; any other table keeps the whole basis."""
+        table, n = self.table, self.dim
+        if any(len(terms) > 1 for row in table for terms in row.values()):
+            return range(n)
+        support = [i for i, u in enumerate(self.unit_ints) if u]
+        closed, gens = set(support) if len(support) == 1 else set(), []
+        for j in range(n):
+            if j not in closed:
+                gens.append(j)
+                closed.add(j)
+                frontier = [j]
+                while frontier:
+                    x = frontier.pop()
+                    for y in list(closed):
+                        for k, _ in table[x].get(y, ()) + table[y].get(x, ()):
+                            if k not in closed:
+                                closed.add(k)
+                                frontier.append(k)
+        return gens
 
     # -- elements -----------------------------------------------------
 

@@ -137,8 +137,9 @@ def construct_group_ring(field, group):
     if not group.is_finite():
         raise ValueError("finite groups only")
     elems = group.elements()
-    alg = _basis_algebra(field, elems, lambda g, h: (g * h, 1),
-                         ["u[%r]" % g for g in elems], [group.identity])
+    mul = group._mul
+    alg = _basis_algebra(field, [g.coords for g in elems], lambda g, h: (mul(g, h), 1),
+                         ["u[%r]" % g for g in elems], [group._identity_coords])
     return GradedAlgebra(alg, group, elems)
 
 

@@ -122,9 +122,10 @@ def format_group(group):
 def parse_scalar(field, token):
     """A scalar from an integer or p/q token. A token that is not a number,
     or has a zero denominator or, over GF(p), one divisible by p, is a
-    FormatError."""
+    FormatError. A plain integer, the common token, goes through the
+    cheaper `int`, which reads it as Fraction does."""
     try:
-        return field.scalar(Fraction(token))
+        return field.scalar(int(token) if token.lstrip("+-").isdecimal() else Fraction(token))
     except (ValueError, ZeroDivisionError):
         raise FormatError("bad scalar %r over %s" % (token, format_field(field))) from None
 
@@ -174,8 +175,8 @@ def parse_graded_algebra(text):
         if not all(0 <= t < dim for t in (i, j, k)):
             raise FormatError("line %d: index out of range" % lineno)
         v = parse_scalar(field, parts[3])
-        products.setdefault((i, j), {})
-        products[(i, j)][k] = products[(i, j)].get(k, field.zero) + v
+        terms = products.setdefault((i, j), {})
+        terms[k] = terms[k] + v if k in terms else v
     unit = None
     if "unit" in kv:
         unit = [parse_scalar(field, t) for t in kv["unit"].split()]

@@ -46,25 +46,26 @@ class GradedAlgebra:
             raise ValueError("one degree per basis vector required")
         if not all(map(group._owns, self.degrees)):
             raise ValueError("degree from a different grade group")
-        degrees = self.degrees
-        components = {}  # distinct degree -> its basis indices, in basis order
-        for i, d in enumerate(degrees):
-            components.setdefault(d, []).append(i)
-        index = {d: t for t, d in enumerate(components)}  # small int ids
-        ids = [index[d] for d in degrees]
+        coords = [d.coords for d in self.degrees]
+        components = {}  # degree coords -> its basis indices, in basis order
+        for i, c in enumerate(coords):
+            components.setdefault(c, []).append(i)
+        index = {c: t for t, c in enumerate(components)}  # small int ids
+        ids = [index[c] for c in coords]
+        mul = group._mul
         combined = {}  # (id_i, id_j) -> id of deg_i * deg_j, -1 if no basis degree
         for (i, j), terms in algebra.products.items():
             pair = (ids[i], ids[j])
             want = combined.get(pair)
             if want is None:
-                want = combined[pair] = index.get(degrees[i] * degrees[j], -1)
+                want = combined[pair] = index.get(mul(coords[i], coords[j]), -1)
             for k in terms:
                 if ids[k] != want:
                     raise ValueError("invalid grading: %r" % (("closure", i, j, k),))
         for i, c in enumerate(algebra.unit_coords):
-            if c and degrees[i] != group.identity:
+            if c and coords[i] != group._identity_coords:
                 raise ValueError("invalid grading: %r" % (("unit-degree", i),))
-        self._components = components
+        self._components = {self.degrees[idx[0]]: idx for idx in components.values()}
 
     @property
     def field(self):

@@ -294,7 +294,7 @@ class SubgroupSpec:
             return False
         if self.group.is_finite():
             return g.coords in self._coords
-        return not any(coset_label(self.group, self, g))
+        return not any(col[0] for col in coset_label_columns(self, [g.coords]))
 
 
 def _closure(group, candidates):
@@ -339,10 +339,11 @@ def coset_index(group, subgroup):
 
 def coset_label(group, subgroup, g):
     """A canonical label for the coset g + H, as a tuple comparable across
-    elements; labels are equal iff the cosets coincide."""
+    elements; labels are equal iff the cosets coincide. An element of
+    another group is a ValueError."""
+    if not group._owns(g):
+        raise ValueError("element belongs to a different group")
     if group.kind == "finite-table":
-        if not group._owns(g):
-            raise ValueError("element belongs to a different group")
         row = group.table[g.coords]
         return min(row[h] for h in subgroup._coords)
     return next(zip(*coset_label_columns(subgroup, [g.coords])), ())

@@ -9,11 +9,12 @@ from gradedk.algebra import (center, commutator_subspace, integer_psi_matrix,
                              is_central_simple, minimal_polynomial,
                              try_invert,
                              two_sided_ideal_closure, evaluate_poly)
-from gradedk.constructors import (construct_matrix_algebra,
+from gradedk.constructors import (construct_group_ring, construct_matrix_algebra,
                                   construct_quaternion,
                                   construct_symbol_algebra)
 from gradedk.fields import FieldSpec
 from gradedk.algebra import Algebra
+from gradedk.groups import GradeGroup
 from randomdata import random_constructed, random_element, random_scalar
 import scalarlinalg
 from test_kernel import ref_regular_matrix
@@ -133,6 +134,100 @@ def test_integer_checks_match_scalar_reference():
         assert _construction_error(field, labels, perturbed, unit) == want
         rejected += want is not None
     assert rejected > 150
+
+
+def _group_tables():
+    """Multiplication tables with identity 0: Z/n, Z/2 x Z/2, S3, D4."""
+    cyclic = [[[(i + j) % n for j in range(n)] for i in range(n)] for n in (2, 3, 4, 5)]
+    klein = [[i ^ j for j in range(4)] for i in range(4)]
+    return cyclic + [klein, GradeGroup.symmetric_3().table, GradeGroup.dihedral(4).table]
+
+
+def _twisted_group_algebra(field, table, sigma):
+    """F^sigma[G]: u_g u_h = sigma[g][h] u_gh, labelled g0, g1, ..."""
+    m = len(table)
+    products = {(g, h): {table[g][h]: sigma[g][h]} for g in range(m) for h in range(m)}
+    return ["g%d" % g for g in range(m)], products
+
+
+def _nonzero_scalar(field, rng):
+    c = field.zero
+    while not c:
+        c = random_scalar(field, rng, height=4)
+    return c
+
+
+def test_generating_set_check_matches_scalar_reference():
+    # twisted group algebras with sigma a coboundary f(g) f(h) / f(gh),
+    # which is associative with unit u_e / f(e) (the unit's row scaled when
+    # f(e) != 1), then with one entry moved, or random off the unit's row and
+    # column, or with one entry of the unit's row moved (the unit axiom fails)
+    rng = random.Random(2811)
+    fields = [Q, FieldSpec.prime_field(3), FieldSpec.prime_field(5), FieldSpec.prime_field(7)]
+    tables = _group_tables()
+    verdicts = {"accepted": 0, "associativity": 0, "unit": 0}
+    for t in range(300):
+        field, table = rng.choice(fields), rng.choice(tables)
+        m = len(table)
+        f = [_nonzero_scalar(field, rng) for _ in range(m)]
+        sigma = [[f[g] * f[h] / f[table[g][h]] for h in range(m)] for g in range(m)]
+        mode = t % 4
+        if mode == 1:
+            g, h = rng.randrange(1, m), rng.randrange(1, m)
+            sigma[g][h] = sigma[g][h] * _nonzero_scalar(field, rng)
+        elif mode == 2:
+            for g, h in itertools.product(range(1, m), repeat=2):
+                sigma[g][h] = _nonzero_scalar(field, rng)
+        elif mode == 3:
+            c = field.one
+            while c == field.one:
+                c = _nonzero_scalar(field, rng)
+            sigma[0][rng.randrange(1, m)] *= c
+        labels, products = _twisted_group_algebra(field, table, sigma)
+        unit = [field.one / f[0]] + [field.zero] * (m - 1)
+        want = _reference_construction_error(field, labels, products, unit)
+        assert _construction_error(field, labels, products, unit) == want
+        verdicts["accepted" if want is None else want.split()[0]] += 1
+    assert min(verdicts.values()) >= 40, verdicts
+
+
+def _closure_of(alg, indices):
+    """The basis indices reached from `indices` and the unit's support by
+    products of basis vectors, for a table of single-term products."""
+    closed = set(indices) | {i for i, u in enumerate(alg.unit_coords) if u}
+    while True:
+        new = {k for (i, j), terms in alg.products.items()
+               if i in closed and j in closed for k in terms} - closed
+        if not new:
+            return closed
+        closed |= new
+
+
+def test_generating_set_generates_the_basis():
+    F5, F7 = FieldSpec.prime_field(5), FieldSpec.prime_field(7)
+    for alg in (construct_group_ring(Q, GradeGroup.symmetric_3()).algebra,
+                construct_group_ring(F5, GradeGroup.dihedral(4)).algebra,
+                construct_matrix_algebra(Q, 3),
+                construct_symbol_algebra(F7, 3, 2, 3, 2).algebra):
+        gens = alg._generating_set()
+        assert len(gens) < alg.dim
+        assert _closure_of(alg, gens) == set(range(alg.dim))
+    # a product with two terms: every basis vector stays a middle
+    quadratic = Algebra(Q, ["1", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                                        (1, 1): {0: 1, 1: 1}}, unit=[1, 0])
+    assert list(quadratic._generating_set()) == [0, 1]
+
+
+def test_unit_on_two_basis_vectors_does_not_seed_the_generating_set():
+    # T_2 on a = e11, b = e22, c = e12, with c^2 = c put in: the unit a + b
+    # still holds, and only the middle a sees the failure (ca)c = 0 != c = c(ac)
+    labels = ["a", "b", "c"]
+    products = {(0, 0): {0: 1}, (1, 1): {1: 1}, (0, 2): {2: 1}, (2, 1): {2: 1},
+                (2, 2): {2: 1}}
+    with pytest.raises(ValueError, match=r"basis triple \(c, a, c\)"):
+        Algebra(Q, labels, products, unit=[1, 1, 0])
+    assert (_reference_construction_error(Q, labels, products, [1, 1, 0])
+            == "associativity fails on basis triple (c, a, c)")
 
 
 def test_rational_constants_with_different_denominators():

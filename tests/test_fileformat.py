@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from gradedk.constructors import (construct_group_ring, construct_quaternion,
@@ -7,7 +9,8 @@ from gradedk.fileformat import (FormatError, dump_graded_algebra, format_field,
                                 format_group, format_group_element,
                                 load_graded_algebra, parse_field,
                                 parse_graded_algebra, parse_group,
-                                parse_group_element, save_graded_algebra)
+                                parse_group_element, parse_scalar,
+                                save_graded_algebra)
 from gradedk.groups import GradeGroup
 
 Q = FieldSpec.rationals()
@@ -147,6 +150,32 @@ unit = 2
     e = g.algebra.basis_element(0)
     assert e * e == e.scale(g.field.scalar(2))
     assert g.algebra.one == e.scale(g.field.scalar(2))
+
+
+def test_parse_scalar_matches_fraction_parse():
+    tokens = ("+3", "-0", "007", "3.5", "1e2", "1/0", "1/7", "-", "\u0663", "\u00b2", "1_0")
+    for field in (Q, FieldSpec.prime_field(7)):
+        for token in tokens:
+            try:
+                want = field.scalar(Fraction(token))
+            except (ValueError, ZeroDivisionError):
+                with pytest.raises(FormatError) as err:
+                    parse_scalar(field, token)
+                assert str(err.value) == "bad scalar %r over %s" % (token, format_field(field))
+                continue
+            got = parse_scalar(field, token)
+            assert type(got) is type(want) and got == want
+
+
+def test_repeated_products_lines_sum():
+    # i*i = -1 over three lines, and 1*1 = 0*1 over two lines that cancel:
+    # the zero sum is dropped before the grading check sees a term of degree 1
+    for field, split in (("Q", "1 1 0 2\n1 1 0 -4\n1 1 0 1\n0 0 1 5\n0 0 1 -5"),
+                         ("GF(7)", "1 1 0 3\n1 1 0 2\n1 1 0 1\n0 0 1 3\n0 0 1 4")):
+        plain = COMPLEX_NUMBERS.replace("field = Q", "field = " + field)
+        g = parse_graded_algebra(plain.replace("1 1 0 -1", split))
+        assert g.algebra.products == parse_graded_algebra(plain).algebra.products
+        assert (0, 0) in g.algebra.products and 1 not in g.algebra.products[(0, 0)]
 
 
 def test_load_save_files(tmp_path):

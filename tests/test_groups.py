@@ -127,6 +127,20 @@ def test_coset_label_finite_table():
     assert len(labels) == 2
 
 
+def test_coset_label_rejects_another_groups_element():
+    Z2 = GradeGroup.fg_abelian(2)
+    H = SubgroupSpec(Z2, [Z2.element((2, 0))])
+    V4 = GradeGroup.product_of_cyclic(2, 2)
+    with pytest.raises(ValueError, match="element belongs to a different group"):
+        coset_label(Z2, H, V4.element((1, 1)))
+    assert not H.contains(V4.element((1, 1)))
+    S3, D3 = GradeGroup.symmetric_3(), GradeGroup.dihedral(3)
+    a3 = SubgroupSpec(S3, [S3.element(4)])
+    with pytest.raises(ValueError, match="element belongs to a different group"):
+        coset_label(S3, a3, D3.element(1))
+    assert not a3.contains(D3.element(1))
+
+
 def test_derived_subgroup_s3():
     S3 = GradeGroup.symmetric_3()
     spec, order = derived_subgroup(S3)
