@@ -1,19 +1,22 @@
 """Finite-dimensional unital algebras given by structure constants.
 
 All arithmetic is exact. The structure constants come sparsely as
-{(i, j): {k: scalar}}, meaning e_i * e_j = sum_k c[k] e_k, and
-`Algebra.products` keeps them so, as field scalars. It must not be mutated
-after construction: the kernel below is built from it once.
+{(i, j): {k: scalar}}, meaning e_i * e_j = sum_k c[k] e_k. `Algebra` keeps
+one copy of them, the integer table below; `Algebra.products` is a view
+of it in the input form, built on first use for where values leave.
 
-The kernel. Construction also keeps the constants as plain ints,
+The kernel. Construction coerces each constant once, drops the zeros, and
+converts the constants and the unit in one `FieldSpec.to_ints` pass into
 `Algebra.table`, with row i = {j: ((k, c), ...)} over the nonzero products
-e_i e_j, and their scale `Algebra.scale`, with the unit at the same
-scale in `Algebra.unit_ints`. Over GF(p) the ints are the residues and the
-scale is 1. Over Q they are the constants times the scale D, the lcm of
-their denominators (and the unit's). The unit axiom and associativity
-are checked on this table at construction, associativity by Light's test:
-the middle factor of a basis triple runs over a generating set, from an
-index closure when every e_i e_j is c e_k or 0, else the whole basis.
+e_i e_j, their scale `Algebra.scale`, and the unit at the same scale in
+`Algebra.unit_ints`. Over GF(p) the ints are the residues, the scale is 1
+and a sum is zero when it is 0 mod p. Over Q they are the constants times
+the scale D, the lcm of their denominators (and the unit's), so a sum of
+products of two of them is D^2 times the true sum. The unit axiom and
+associativity are checked on this table at construction, associativity by
+Light's test: the middle factor of a basis triple runs over a generating
+set, from an index closure when every e_i e_j is c e_k or 0, else the
+whole basis.
 Every structure-constant loop runs on the table too: products (one loop,
 `integer_product`), minimal polynomials on integer powers, polynomial
 evaluation by Horner, the rows of L_x and R_x and ideal closure, the regular
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 from . import linalg
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE
@@ -55,7 +57,7 @@ class Algebra:
         self.dim = len(self.labels)
         if not self.dim:
             raise ValueError("an algebra needs at least one basis vector")
-        self.products = {}
+        constants = {}  # (i, j) -> {k: scalar}, zeros dropped
         for (i, j), terms in products.items():
             cleaned = {}
             for k, v in terms.items():
@@ -63,23 +65,37 @@ class Algebra:
                 if v:
                     cleaned[k] = v
             if cleaned:
-                self.products[(i, j)] = cleaned
+                constants[(i, j)] = cleaned
         if unit is None:
-            unit = self._find_unit()
+            unit = self._find_unit(constants)
         self.unit_coords = tuple(field.scalar(v) for v in unit)
-        self.table, self.scale, self.unit_ints = self._integer_constants()
+        ints, self.scale = field.to_ints([c for terms in constants.values()
+                                          for c in terms.values()] + list(self.unit_coords))
+        ints = iter(ints)
+        self.table = [{} for _ in range(self.dim)]
+        for (i, j), terms in constants.items():
+            self.table[i][j] = tuple((k, next(ints)) for k in terms)
+        self.unit_ints = list(ints)
         p = field.characteristic
-        self._check_unit(self.unit_ints, self.scale ** 2, p)
+        self._check_unit(p)
         self._check_associativity(p)
+
+    @functools.cached_property
+    def products(self):
+        """{(i, j): {k: scalar}}: the structure constants as field scalars,
+        zeros omitted, read off the table on first use."""
+        return {(i, j): dict(zip([k for k, _ in terms],
+                                 self.field.from_ints([c for _, c in terms], self.scale)))
+                for i, row in enumerate(self.table) for j, terms in row.items()}
 
     # -- construction helpers -----------------------------------------
 
-    def _find_unit(self):
+    def _find_unit(self, constants):
         # solve u * e_j = e_j for all j as one linear system in u: row (j, k)
         # holds c_ij^k in column i and [j = k] on the right
         n, field = self.dim, self.field
         rows = {(j, j): {n: field.one} for j in range(n)}
-        for (i, j), terms in self.products.items():
+        for (i, j), terms in constants.items():
             for k, c in terms.items():
                 rows.setdefault((j, k), {})[i] = c
         u = linalg.solve([dict(zip(r, field.to_ints(list(r.values()))[0]))
@@ -88,44 +104,15 @@ class Algebra:
             raise ValueError("algebra has no left unit")
         return field.from_ints(*u)
 
-    def _integer_constants(self):
-        """(table, scale, unit): the structure constants and the unit as
-        plain ints. Over GF(p) they are the residues, the scale is 1, and a
-        sum is zero when it is 0 mod p. Over Q they are the values times the
-        scale D, the lcm of all their denominators: a product of two scaled
-        values is D^2 times the true product, so a sum of such products is
-        zero exactly when the true sum is."""
-        unit = self.unit_coords
-        if self.field.kind == "prime-field":
-            d, value = 1, lambda c: c.v
-        else:
-            d = math.lcm(*(c.denominator for terms in self.products.values()
-                           for c in terms.values()),
-                         *(u.denominator for u in unit))
-            value = lambda c: c.numerator * (d // c.denominator)
-        table = [{} for _ in range(self.dim)]
-        for (i, j), terms in self.products.items():
-            table[i][j] = tuple((k, value(c)) for k, c in terms.items())
-        return table, d, [value(u) for u in unit]
-
-    def _check_unit(self, unit, one, p):
-        """Column j of L_1 and of R_1 must be e_j: sum_i u_i c_ij^k and
-        sum_i u_i c_ji^k are `one` (the scaled value of 1 * 1) at k = j and
-        zero elsewhere."""
-        n = self.dim
-        left = [{j: -one} for j in range(n)]
-        right = [{j: -one} for j in range(n)]
-        for i, row in enumerate(self.table):
-            for j, terms in row.items():
-                a, b = unit[i], unit[j]
-                for k, c in terms:
-                    if a:
-                        left[j][k] = left[j].get(k, 0) + a * c
-                    if b:
-                        right[i][k] = right[i].get(k, 0) + b * c
-        for j in range(n):
-            if any(v % p if p else v
-                   for col in (left[j], right[j]) for v in col.values()):
+    def _check_unit(self, p):
+        """Column j of L_1 and of R_1 must be e_j: scale^2 (the scaled value
+        of 1 * 1) at e_j and zero elsewhere."""
+        u, one = self.unit_ints, self.scale ** 2
+        for j, cols in enumerate(zip(_regular_columns(self, u, True),
+                                     _regular_columns(self, u, False))):
+            for col in cols:
+                col[j] = col.get(j, 0) - one
+            if any(v % p if p else v for col in cols for v in col.values()):
                 raise ValueError("unit axiom fails on basis element %s" % self.labels[j])
 
     def _check_associativity(self, p):

@@ -38,7 +38,7 @@ def _exit_code(report):
     return 2
 
 
-def _emit(report, out=None):
+def _emit(report):
     parts = ["predicate=%s" % report.predicate,
              "verdict=%s" % report.verdict,
              "strategy=%s" % report.strategy]
@@ -48,7 +48,7 @@ def _emit(report, out=None):
         parts.append("counterexample=%r" % (report.counterexample,))
     for k in sorted(report.details, key=str):
         parts.append("%s=%r" % (k, report.details[k]))
-    print("; ".join(parts), file=out or sys.stdout)
+    print("; ".join(parts))
 
 
 def _load(path):

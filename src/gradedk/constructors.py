@@ -138,7 +138,7 @@ def construct_group_ring(field, group):
         raise ValueError("finite groups only")
     elems = group.elements()
     mul = group._mul
-    alg = _basis_algebra(field, [g.coords for g in elems], lambda g, h: (mul(g, h), 1),
+    alg = _basis_algebra(field, [g.coords for g in elems], lambda g, h: (mul(g, h), field.one),
                          ["u[%r]" % g for g in elems], [group._identity_coords])
     return GradedAlgebra(alg, group, elems)
 
@@ -151,7 +151,7 @@ def construct_truncated_polynomial(field, m):
         raise ValueError("need m >= 2")
     group = GradeGroup.integers()
     labels = ["1"] + ["t" if i == 1 else "t^%d" % i for i in range(1, m)]
-    alg = _basis_algebra(field, range(m), lambda i, j: (i + j, 1) if i + j < m else None,
+    alg = _basis_algebra(field, range(m), lambda i, j: (i + j, field.one) if i + j < m else None,
                          labels, [0])
     return GradedAlgebra(alg, group, [group.element((i,)) for i in range(m)])
 
@@ -159,6 +159,7 @@ def construct_truncated_polynomial(field, m):
 def construct_matrix_algebra(field, n):
     """M_n(F) on the matrix-unit basis e_ij (row-major), ungraded."""
     keys = [(i, j) for i in range(n) for j in range(n)]
-    return _basis_algebra(field, keys, lambda s, t: ((s[0], t[1]), 1) if s[1] == t[0] else None,
+    return _basis_algebra(field, keys,
+                          lambda s, t: ((s[0], t[1]), field.one) if s[1] == t[0] else None,
                           ["e%d%d" % (i + 1, j + 1) for i, j in keys],
                           [(i, i) for i in range(n)])

@@ -38,7 +38,8 @@ class GradedAlgebra:
         """The grading is checked here, once: e_i e_j must lie in the
         component of deg_i deg_j and the unit in degree e. A failure is a
         ValueError with the counterexample ("closure", i, j, k), a term e_k
-        of e_i e_j in another degree, or ("unit-degree", i)."""
+        of e_i e_j in another degree (the first in the table's row order),
+        or ("unit-degree", i)."""
         self.algebra = algebra
         self.group = group
         self.degrees = list(degrees)
@@ -54,14 +55,15 @@ class GradedAlgebra:
         ids = [index[c] for c in coords]
         mul = group._mul
         combined = {}  # (id_i, id_j) -> id of deg_i * deg_j, -1 if no basis degree
-        for (i, j), terms in algebra.products.items():
-            pair = (ids[i], ids[j])
-            want = combined.get(pair)
-            if want is None:
-                want = combined[pair] = index.get(mul(coords[i], coords[j]), -1)
-            for k in terms:
-                if ids[k] != want:
-                    raise ValueError("invalid grading: %r" % (("closure", i, j, k),))
+        for i, row in enumerate(algebra.table):
+            for j, terms in row.items():
+                pair = (ids[i], ids[j])
+                want = combined.get(pair)
+                if want is None:
+                    want = combined[pair] = index.get(mul(coords[i], coords[j]), -1)
+                for k, _ in terms:
+                    if ids[k] != want:
+                        raise ValueError("invalid grading: %r" % (("closure", i, j, k),))
         for i, c in enumerate(algebra.unit_coords):
             if c and coords[i] != group._identity_coords:
                 raise ValueError("invalid grading: %r" % (("unit-degree", i),))
@@ -121,13 +123,17 @@ class GradedAlgebra:
 
     @functools.cached_property
     def _identity_component(self):
+        alg = self.algebra
         idx = self.component_indices(self.group.identity)
         pos = {i: t for t, i in enumerate(idx)}
-        products = {(pos[i], pos[j]): {pos[k]: c for k, c in terms.items()}
-                    for (i, j), terms in self.algebra.products.items()
-                    if i in pos and j in pos}
-        return Algebra(self.field, [self.algebra.labels[i] for i in idx], products,
-                       unit=[self.algebra.unit_coords[i] for i in idx])
+        products = {}
+        for i in idx:
+            for j, terms in alg.table[i].items():
+                if j in pos:
+                    cs = self.field.from_ints([c for _, c in terms], alg.scale)
+                    products[(pos[i], pos[j])] = {pos[k]: c for (k, _), c in zip(terms, cs)}
+        return Algebra(self.field, [alg.labels[i] for i in idx], products,
+                       unit=[alg.unit_coords[i] for i in idx])
 
     def component_elements(self, degree):
         """One nonzero element per line of a component, in the order of

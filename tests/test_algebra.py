@@ -12,8 +12,12 @@ from gradedk.algebra import (center, commutator_subspace, integer_psi_matrix,
 from gradedk.constructors import (construct_group_ring, construct_matrix_algebra,
                                   construct_quaternion,
                                   construct_symbol_algebra)
+from gradedk.azumaya import (braun_check, graded_group_ring_azumaya,
+                             is_graded_azumaya_csa, psi_bijective)
 from gradedk.fields import FieldSpec
+from gradedk.fileformat import dump_graded_algebra, parse_graded_algebra
 from gradedk.algebra import Algebra
+from gradedk.graded import is_strongly_graded
 from gradedk.groups import GradeGroup
 from randomdata import random_constructed, random_element, random_scalar
 import scalarlinalg
@@ -240,6 +244,41 @@ def test_rational_constants_with_different_denominators():
         Algebra(Q, H.labels, products, unit=H.unit_coords)
     assert (_reference_construction_error(Q, H.labels, products, H.unit_coords)
             == "associativity fails on basis triple (i, j, k)")
+
+
+def test_products_view_is_the_coerced_input():
+    # the quaternions (1/2, -3/4) on 1, i, j, k, and T_2 on e11, e12, e22
+    # with two products that are zero, each product padded with a zero term
+    # (7 over GF(7)); the unit is solved for
+    a, b = Fraction(1, 2), Fraction(-3, 4)
+    quaternion = {(0, t): {t: 1} for t in range(4)}
+    quaternion.update({(t, 0): {t: 1} for t in range(1, 4)})
+    quaternion.update({(1, 1): {0: a}, (2, 2): {0: b}, (3, 3): {0: -a * b},
+                       (1, 2): {3: 1}, (2, 1): {3: -1}, (1, 3): {2: a},
+                       (3, 1): {2: -a}, (2, 3): {1: -b}, (3, 2): {1: b}})
+    triangular = {(0, 0): {0: 1}, (0, 1): {1: Fraction(3, 3)}, (1, 2): {1: 1}, (2, 2): {2: 1},
+                  (1, 0): {1: 0}, (2, 1): {0: 0}}
+    for field, zero in ((Q, Fraction(0, 5)), (FieldSpec.prime_field(7), 7)):
+        for n, given in ((4, quaternion), (3, triangular)):
+            padded = {key: {**terms, (min(terms) + 1) % n: zero} for key, terms in given.items()}
+            alg = Algebra(field, ["e%d" % t for t in range(n)], padded)
+            want = {key: {k: field.scalar(c) for k, c in terms.items() if field.scalar(c)}
+                    for key, terms in padded.items()}
+            assert alg.products == {key: terms for key, terms in want.items() if terms}
+            assert {type(c) for terms in alg.products.values()
+                    for c in terms.values()} == {type(field.one)}
+
+
+def test_routes_on_a_loaded_file_read_only_the_table():
+    quaternion = dump_graded_algebra(construct_quaternion(Q, -1, 3))
+    group_ring = "[construct]\nkind = group-ring\nfield = GF(5)\ngroup = S3\n"
+    for text in (quaternion, group_ring):
+        g = parse_graded_algebra(text)
+        for route in (psi_bijective, braun_check, is_graded_azumaya_csa, is_strongly_graded):
+            route(g)
+        assert "products" not in g.algebra.__dict__
+    graded_group_ring_azumaya(g)  # g is the group ring
+    assert "products" not in g.algebra.__dict__
 
 
 def test_left_unit_that_is_not_a_right_unit_rejected():

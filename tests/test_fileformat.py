@@ -11,6 +11,7 @@ from gradedk.fileformat import (FormatError, dump_graded_algebra, format_field,
                                 parse_graded_algebra, parse_group,
                                 parse_group_element, parse_scalar,
                                 save_graded_algebra)
+from gradedk.graded import validate_grading
 from gradedk.groups import GradeGroup
 
 Q = FieldSpec.rationals()
@@ -131,6 +132,26 @@ def test_grading_violation_rejected():
     bad = COMPLEX_NUMBERS.replace("degrees = (0) (1)", "degrees = (1) (0)")
     with pytest.raises(FormatError, match="grading"):
         parse_graded_algebra(bad)
+
+
+def test_constant_zero_mod_p_in_a_wrong_degree_is_no_violation():
+    # i * i = -1 + 7 i: over GF(7) the term 7 i of degree 1 is 0, and is
+    # dropped before the grading check; over Q it breaks the grading
+    text = COMPLEX_NUMBERS.replace("field = Q", "field = GF(7)") + "1 1 1 7\n"
+    assert validate_grading(parse_graded_algebra(text))
+    with pytest.raises(FormatError, match=r"\('closure', 1, 1, 1\)"):
+        parse_graded_algebra(text.replace("GF(7)", "Q"))
+
+
+def test_grading_violation_named_in_row_order():
+    # x^2 = x and y^2 = y with x, y in degree 1 break the grading twice; the
+    # file lists row 2 first, and the check names the triple of row 1
+    text = COMPLEX_NUMBERS.replace("basis = one i", "basis = one x y").replace(
+        "degrees = (0) (1)", "degrees = (0) (1) (1)").replace("unit = 1 0", "unit = 1 0 0")
+    text = text.split("[products]")[0] + "[products]\n" + "\n".join(
+        ["0 0 0 1", "0 1 1 1", "0 2 2 1", "1 0 1 1", "2 0 2 1", "2 2 2 1", "1 1 1 1"])
+    with pytest.raises(FormatError, match=r"\('closure', 1, 1, 1\)"):
+        parse_graded_algebra(text)
 
 
 def test_gf_scalars_and_comments():
