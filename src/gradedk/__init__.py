@@ -9,11 +9,10 @@ from .algebra import (Algebra, AlgebraElement, Subspace, center,
                       commutator_subspace, integer_psi_matrix, is_central_simple,
                       minimal_polynomial, try_invert, two_sided_ideal_closure)
 from .wedderburn import SemisimpleDecomposition, split_identity_component
-from .graded import (GradedAlgebra, TwistedGroupAlgebra, graded_center,
-                     graded_tensor, is_graded_division,
-                     is_graded_simple, is_strongly_graded, support,
-                     support_subgroup, trivially_graded, validate_grading,
-                     dimension_formula_check)
+from .graded import (GradedAlgebra, TwistedGroupAlgebra, graded_tensor,
+                     is_graded_division, is_graded_simple, is_strongly_graded,
+                     support, support_subgroup, trivially_graded,
+                     validate_grading, dimension_formula_check)
 from .matrixring import (ShiftedMatrixAlgebra, canonical_shift,
                          identity_component, is_crossed_product, is_good_grading,
                          is_graded_simple_matrix, is_strongly_graded_matrix,

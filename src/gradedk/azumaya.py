@@ -92,7 +92,7 @@ def verify_separability_idempotent(graded, e):
     src = graded.algebra
     n, e = src.dim, _separability_element(src, e)
     es, de = src.field.to_ints(e)
-    for t, row in enumerate(separability_rows(src)):
+    for t, row in enumerate(separability_rows(src, range(n))):
         v = sum(c * es[k] for k, c in row.items() if k < n * n) - row.get(n * n, 0) * de
         if any(src.field.from_ints([v])):
             bad = (("star-unit", sandwich(src, e, src.one)) if t < n
@@ -107,10 +107,11 @@ def verify_separability_idempotent(graded, e):
 
 def standard_separability_idempotent(g):
     """The solution e, free variables 0, of (a (x) 1 - 1 (x) a) e = 0 for
-    basis a and e * 1 = 1; None when there is none, which proves A is not
-    separable. A solution has e^2 = (e * 1 (x) 1) e = e, checked again."""
+    a in a generating set and e * 1 = 1, the same solutions as for every
+    basis a; None when there is none, which proves A is not separable. A
+    solution has e^2 = (e * 1 (x) 1) e = e, checked again."""
     src = g.algebra
-    e = linalg.solve(separability_rows(src), src.dim ** 2, src.field)
+    e = linalg.solve(separability_rows(src, src.generating_set()), src.dim ** 2, src.field)
     e = None if e is None else tuple(src.field.from_ints(*e))
     return e if e is not None and enveloping_product(src, e, e) == e else None
 

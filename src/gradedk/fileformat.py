@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from .algebra import Algebra
 from .constructors import (construct_group_ring, construct_laurent,
-                           construct_quaternion, construct_symbol_algebra,
-                           construct_truncated_polynomial)
+                           construct_matrix_algebra, construct_quaternion,
+                           construct_symbol_algebra, construct_truncated_polynomial)
 from .fields import FieldSpec
-from .graded import GradedAlgebra, TwistedGroupAlgebra
+from .graded import GradedAlgebra, TwistedGroupAlgebra, trivially_graded
 from .groups import GradeGroup
 
 
@@ -221,6 +221,8 @@ CONSTRUCTORS = {
     "laurent": (("step",), lambda kv, f: construct_laurent(f, step=int(kv.get("step", "1")))),
     "group-ring": (("group",), lambda kv, f: construct_group_ring(f, parse_group(kv["group"]))),
     "truncated": (("m",), lambda kv, f: construct_truncated_polynomial(f, int(kv["m"]))),
+    "matrix": (("n",), lambda kv, f: trivially_graded(construct_matrix_algebra(f, int(kv["n"])),
+                                                      GradeGroup.trivial())),
 }
 
 

@@ -7,8 +7,8 @@ components.
 
 Each predicate is one deterministic procedure over Q and GF(p); none samples.
 The ones that look inside the identity component A_e (graded division,
-the graded radical, graded simplicity) build A_e here and split it with
-`wedderburn`.
+the graded radical, graded simplicity) build A_e here, take its radical
+from `algebra` and split it with `wedderburn`.
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import linalg
-from .algebra import Algebra, AlgebraElement, Subspace, center, try_invert
+from .algebra import (Algebra, AlgebraElement, Subspace, center, jacobson_radical,
+                      try_invert)
 from .groups import SubgroupSpec, quotient_invariants
 from .verdict import (VerdictReport, TRUE, FALSE, UNDECIDED,
                       EXHAUSTIVE, CONSTRUCTIVE)
-from .wedderburn import (central_primitive_idempotents, jacobson_radical,
-                         spectral_idempotents, split_identity_component)
+from .wedderburn import (central_primitive_idempotents, spectral_idempotents,
+                         split_identity_component)
 
 
 class GradedAlgebra:
@@ -388,30 +388,6 @@ def _component_part(g, subspace, degree):
     return [AlgebraElement(g.algebra, g.field.from_ints(
         [sum(c * rows[s].get(j, 0) for s, c in lam.items()) for j in range(g.dim)], dk * den))
         for lam in kept]
-
-
-def _ungraded_row(g, subspace):
-    """A row of the subspace with a homogeneous component outside it, or
-    None when the subspace is graded."""
-    for row in subspace.rows:
-        x = g.algebra.element(row)
-        if any(not subspace.contains(c) for c in g.homogeneous_components(x).values()):
-            return x
-    return None
-
-
-@dataclass
-class GradedCenterResult:
-    subspace: Subspace
-    is_graded: bool
-    witness: object = None  # central element whose components are not central
-
-
-def graded_center(g):
-    """Z(A) plus whether it decomposes into homogeneous pieces."""
-    z = center(g.algebra)
-    x = _ungraded_row(g, z)
-    return GradedCenterResult(z, x is None, x)
 
 
 def graded_tensor(a, b):

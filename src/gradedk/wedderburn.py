@@ -1,25 +1,30 @@
-"""The Wedderburn layer: the radical J of a finite-dimensional algebra, the
-semisimple quotient A/J and its central primitive idempotents, and the
-splitting of A/J into simple blocks M_n(D). The graded predicates that look
-inside an identity component, and graded K0, run through it."""
+"""The Wedderburn layer: the semisimple quotient A/J of a finite-dimensional
+algebra by its radical J (`algebra.jacobson_radical`), the central
+primitive idempotents of A/J, and the splitting of A/J into simple blocks
+M_n(D). A minimal polynomial with deg f distinct rational roots gives its
+spectral idempotents as Lagrange polynomials, with no factoring; others are
+factored by sympy. Block dimensions are traces of idempotent maps when
+char F is 0 or above dim A/J, and ranks otherwise. The graded predicates
+that look inside an identity component, and graded K0, run through it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import sympy
-from sympy import ZZ
 from sympy.polys.densearith import dup_exquo, dup_mul, dup_pow, dup_rem
 from sympy.polys.euclidtools import dup_invert
 from sympy.polys.factortools import dup_factor_list
-from sympy.polys.matrices import DomainMatrix
 
 from . import linalg
 from .algebra import (Algebra, AlgebraElement, Subspace, center, evaluate_poly,
-                      integer_product, integer_product_form, integer_regular_rows,
-                      minimal_polynomial)
+                      integer_product, integer_regular_rows, jacobson_radical,
+                      minimal_polynomial, regular_traces)
+
+ROOT_SEARCH_BOUND = 1 << 16
+
 
 @dataclass
 class BlockSummary:
@@ -49,64 +54,6 @@ class SemisimpleDecomposition:
     @property
     def fully_resolved(self):
         return all(b.resolved for b in self.blocks)
-
-
-def _lifted_trace_digit(algebra, x, i):
-    """g_i(x) = (Tr(L~^(p^i)) mod p^(i+1)) / p^i, with L~ the integer lift of
-    L_x, for x given by its sparse residue row; x must lie in I_(i-1), where
-    the trace is divisible by p^i."""
-    p = algebra.field.characteristic
-    n = algebra.dim
-    rows = integer_regular_rows(algebra, [x.get(j, 0) for j in range(n)])
-    lift = DomainMatrix([[ZZ(row.get(j, 0) % p) for j in range(n)] for row in rows], (n, n), ZZ)
-    half = lift ** (p ** i // 2)  # Tr(L^k) = sum_ab H_ab K_ba with H K = L^k, k = p^i
-    rest = (half if p ** i % 2 == 0 else half * lift).transpose().to_list_flat()
-    t = int(sum(h * r for h, r in zip(half.to_list_flat(), rest))) % p ** (i + 1)
-    assert t % p ** i == 0
-    return t // p ** i
-
-
-def jacobson_radical(algebra):
-    """The radical J as a canonical subspace (Cohen-Ivanyos-Wales, JPAA
-    117/118 (1997)): I_(-1) = A, I_i = {a in I_(i-1) : g_i(ab) = 0 for all b}
-    for i = 0 .. floor(log_p dim), and J is the last one. g_0 = Tr(L_x) is
-    linear on A, g_i (i >= 1) on I_(i-1), where it is read on a basis and
-    extended to a functional w; a round is one nullspace of w's Gram matrix,
-    and over Q (Dickson) or GF(p) with p > dim round 0 is the only one. The
-    graded layer passes ungraded algebras: A_e in `graded.graded_radical`,
-    and the input of `split_identity_component`."""
-    field = algebra.field
-    p = field.characteristic
-    n = algebra.dim
-    form = algebra.trace_form[0]  # w(e_r e_c) for g_0, times a constant
-    basis = [{r: 1} for r in range(n)]  # R, the sparse rows of I_(i-1)
-    i = 0
-    while True:
-        gram = [{} for _ in range(n)]  # row r of the Gram matrix G
-        for (r, c), v in form.items():
-            gram[r][c] = v
-        # a = sum_s lam_s R_s is kept iff w(a e_t) = (lam R G)_t = 0 for all t:
-        # row t of the constraints holds (R G)_st in column s
-        cons = [{} for _ in range(n)]
-        for s, row in enumerate(basis):
-            for r, a in row.items():
-                for t, v in gram[r].items():
-                    cons[t][s] = cons[t].get(s, 0) + a * v
-        rows = []
-        for lam in linalg.nullspace(cons, len(basis), field)[0]:
-            vec = {}
-            for s, x in lam.items():
-                for c, y in basis[s].items():
-                    vec[c] = vec.get(c, 0) + x * y
-            rows.append(vec)
-        echelon = linalg.rref(rows, field) if rows else ([], 1, [])
-        i += 1
-        if not echelon[2] or not p or p ** i > n:
-            return Subspace(algebra, echelon)
-        basis = echelon[0]  # residue rows, 1 at their pivots: R exactly
-        values = [_lifted_trace_digit(algebra, r, i) for r in basis]
-        w = linalg.solve([{**r, n: v} for r, v in zip(basis, values)], n, field)
-        form = integer_product_form(algebra, *w)[0]
 
 
 def quotient(algebra, radical):
@@ -159,11 +106,23 @@ def spectral_idempotents(x):
 def _crt_idempotents(x, f):
     """The CRT idempotents g_i(x) h_i(x) of the factors f_i^(m_i) of the
     minimal polynomial f of x, with g_i = f / f_i^(m_i) and h_i its inverse
-    mod f_i^(m_i), reduced mod f. They are orthogonal and sum to 1. f is
-    factored by sympy's `dup_factor_list` over QQ or GF(p), the CRT runs on
-    its dense polynomials, and `evaluate_poly` evaluates each g_i h_i at x
-    on ints."""
+    mod f_i^(m_i), reduced mod f. They are orthogonal and sum to 1. When f
+    has deg f distinct rational roots r_i (`_rational_roots`), g_i h_i is
+    the Lagrange polynomial prod_(j != i) (x - r_j) / (r_i - r_j). Otherwise
+    f is factored by sympy's `dup_factor_list` over QQ or GF(p) and the CRT
+    runs on its dense polynomials. `evaluate_poly` evaluates each g_i h_i at
+    x on ints."""
     field = x.owner.field
+    roots = _rational_roots(f) if field.kind == "rationals" else None
+    if roots is not None:
+        out = []
+        for r in roots:
+            coeffs = [Fraction(1)]
+            for s in roots:
+                if s != r:  # times (x - s) / (r - s)
+                    coeffs = [(b - s * a) / (r - s) for a, b in zip(coeffs + [0], [0] + coeffs)]
+            out.append((evaluate_poly(coeffs, x), 1))
+        return out
     f, dom = linalg.to_dense(f, field)
     out = []
     for fi, m in dup_factor_list(f, dom)[1]:
@@ -172,6 +131,31 @@ def _crt_idempotents(x, f):
         e = dup_rem(dup_mul(g, dup_invert(g, q, dom), dom), f, dom)
         out.append((evaluate_poly(linalg.from_dense(e, field), x), len(fi) - 1))
     return out
+
+
+def _rational_roots(f):
+    """The roots of the monic f (ascending Fractions) when it has deg f
+    distinct rational roots, in sympy's factor order: ascending
+    (denominator, -numerator). Else None, as also past the search bound. A
+    root s/q in lowest terms of the integer multiple a_0 + ... + a_d x^d of
+    f (a_0 != 0 once a root 0 is divided out) has s | a_0 and q | a_d. The
+    search runs only when |a_0|, |a_d| <= ROOT_SEARCH_BOUND = 2^16: at most
+    256 trial divisions per divisor list and 2 * 120^2 candidates."""
+    den = lcm(*[c.denominator for c in f])
+    a = [c.numerator * (den // c.denominator) for c in f]
+    roots = [Fraction(0)] if not a[0] else []
+    a = a[len(roots):]
+    if not a[0] or max(abs(a[0]), a[-1]) > ROOT_SEARCH_BOUND:
+        return None
+    divisors = lambda m: {d for k in range(1, isqrt(m) + 1) if not m % k for d in (k, m // k)}
+    for q in divisors(a[-1]):
+        for m in divisors(abs(a[0])):
+            for s in (m, -m) if gcd(m, q) == 1 else ():
+                if not sum(c * s ** i * q ** (len(a) - 1 - i) for i, c in enumerate(a)):
+                    roots.append(Fraction(s, q))
+    if len(roots) != len(f) - 1:
+        return None
+    return sorted(roots, key=lambda r: (r.denominator, -r.numerator))
 
 
 def central_primitive_idempotents(algebra, zbasis):
@@ -205,33 +189,43 @@ def split_identity_component(algebra):
     """Wedderburn splitting of A/J, with J the radical: K0(A) = K0(A/J),
     because idempotents lift modulo a nilpotent ideal. The central primitive
     idempotents of A/J cut it into simple blocks, each matched to M_n(D)
-    where the type is decided. A block eA is the column space of L_e, read
-    on the integer rows of L_e: its dimension is their rank, and the
-    dimension of its centre eZ is the rank of L_e applied to the centre's
-    rows."""
+    where the type is decided. A block eA is the image of L_e and its
+    centre eZ that of z -> ez on the centre Z. Both maps are idempotent, so
+    their ranks are their traces when char F is 0 or above dim A/J (the
+    rule of the radical's round 0): dim eA = Tr(L_e), read off the regular
+    traces, and dim eZ = sum_r (e z_r)[pivot_r] / den over the echelon rows
+    z_r of Z. Over a smaller GF(p) they are the ranks of the rows of L_e
+    and of the e z_r."""
     radical = jacobson_radical(algebra)
     semisimple, _ = quotient(algebra, radical)
     z = center(semisimple)
     idems = central_primitive_idempotents(semisimple, z.basis_elements())
-    field = semisimple.field
+    field, n, table = semisimple.field, semisimple.dim, semisimple.table
+    p = field.characteristic
+    traces, scale = regular_traces(semisimple)
+    zrows, zden, zpivots = z.echelon
+    zrows = [[r.get(j, 0) for j in range(n)] for r in zrows]
+    value = lambda v, den: v % p if p else v // den  # over GF(p) every den is 1
     blocks = []
     for e in idems:
-        rows = integer_regular_rows(semisimple, field.to_ints(e.coords)[0])
-        bdim = linalg.rank(rows, field)
-        # the rows of L_e z for the centre's rows z
-        cdim = linalg.rank([{k: v for k, row in enumerate(rows)
-                             if (v := sum(c * row.get(j, 0) for j, c in zr.items()))}
-                            for zr in z.echelon[0]], field)
-        blocks.append(BlockSummary(bdim, cdim, *_block_type(semisimple, e, rows, bdim, cdim)))
+        es, de = field.to_ints(e.coords)
+        ez = [integer_product(table, es, zr) for zr in zrows]  # e z_r, spanning eZ
+        if not p or p > n:
+            bdim = value(sum(t * c for t, c in zip(traces, es)), scale * de)
+            cdim = value(sum(v[k] for v, k in zip(ez, zpivots)), scale * de * zden)
+        else:
+            bdim = linalg.rank(integer_regular_rows(semisimple, es), field)
+            cdim = linalg.rank([{j: x for j, x in enumerate(v) if x} for v in ez], field)
+        blocks.append(BlockSummary(bdim, cdim, *_block_type(semisimple, e, bdim, cdim)))
     order = sorted(range(len(blocks)), key=lambda t: (blocks[t].dim, blocks[t].centre_dim))
     return SemisimpleDecomposition(semisimple,
                                    [blocks[t] for t in order],
                                    [idems[t] for t in order], radical)
 
 
-def _block_type(algebra, e, rows, bdim, cdim):
+def _block_type(algebra, e, bdim, cdim):
     """(n, dim D, None) with the block eA = M_n(D), or (None, None, reason)
-    if undecided; rows are the integer rows of L_e.
+    if undecided.
 
     A block of dim c * n^2 over its centre K of dim c is M_n(D) with D a
     division algebra central over K. Over GF(p), D = K (Wedderburn's little
@@ -248,7 +242,7 @@ def _block_type(algebra, e, rows, bdim, cdim):
     if cdim > 1:
         return None, None, "proper-centre"
     columns = [{} for _ in range(algebra.dim)]
-    for k, row in enumerate(rows):
+    for k, row in enumerate(integer_regular_rows(algebra, field.to_ints(e.coords)[0])):
         for j, v in row.items():
             columns[j][k] = v
     block, den, _ = linalg.rref(columns, field)

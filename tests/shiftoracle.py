@@ -13,9 +13,9 @@ import itertools
 from collections import Counter
 
 from gradedk import linalg
-from gradedk.algebra import center, integer_regular_rows
+from gradedk.algebra import center, integer_regular_rows, jacobson_radical
 from gradedk.groups import coset_label
-from gradedk.wedderburn import central_primitive_idempotents, jacobson_radical, quotient
+from gradedk.wedderburn import central_primitive_idempotents, quotient
 from gradedk.matrixring import ShiftCanonicalForm, ShiftedMatrixAlgebra, identity_component
 from gradedk.verdict import CONSTRUCTIVE, EXHAUSTIVE, FALSE, TRUE, VerdictReport
 

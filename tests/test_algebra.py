@@ -213,13 +213,13 @@ def test_generating_set_generates_the_basis():
                 construct_group_ring(F5, GradeGroup.dihedral(4)).algebra,
                 construct_matrix_algebra(Q, 3),
                 construct_symbol_algebra(F7, 3, 2, 3, 2).algebra):
-        gens = alg._generating_set()
+        gens = alg.generating_set()
         assert len(gens) < alg.dim
         assert _closure_of(alg, gens) == set(range(alg.dim))
     # a product with two terms: every basis vector stays a middle
     quadratic = Algebra(Q, ["1", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
                                         (1, 1): {0: 1, 1: 1}}, unit=[1, 0])
-    assert list(quadratic._generating_set()) == [0, 1]
+    assert list(quadratic.generating_set()) == [0, 1]
 
 
 def test_unit_on_two_basis_vectors_does_not_seed_the_generating_set():
@@ -401,21 +401,20 @@ def upper_triangular_algebra(field, basis):
 
 def test_central_simple_false_on_triangular_units():
     # every basis vector is a unit, so each generates the whole algebra as a
-    # two-sided ideal; only the kernel of psi shows T_2 is not simple
+    # two-sided ideal; the radical shows T_2 is not simple: the ideal that
+    # the counterexample generates is nilpotent
     for field in (Q, FieldSpec.prime_field(5)):
         t2 = upper_triangular_algebra(field, [(1, 0, 1), (1, 0, 2), (1, 1, 1)])
         rep = is_central_simple(t2)
         assert rep.verdict == "false" and rep.strategy == "exhaustive"
-        tag, v = rep.counterexample
-        assert tag == "psi-kernel-vector" and any(v)
-        n = t2.dim
-        basis = [t2.basis_element(i) for i in range(n)]
-        for ek in basis:
-            image = t2.zero
-            for i in range(n):
-                for j in range(n):
-                    image = image + (basis[i] * ek * basis[j]).scale(v[i * n + j])
-            assert image.is_zero()
+        tag, x = rep.counterexample
+        assert tag == "radical-element" and not x.is_zero()
+        ideal = two_sided_ideal_closure(t2, [x]).basis_elements()
+        assert 0 < len(ideal) < t2.dim
+        power = ideal
+        for _ in range(t2.dim):
+            power = t2.subspace([a * b for a in power for b in ideal]).basis_elements()
+        assert not power
 
 
 def test_psi_matrix_matches_regular_representations():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from gradedk import linalg
-from gradedk.algebra import (Algebra, center, integer_regular_rows, try_invert,
-                             two_sided_ideal_closure)
+from gradedk.algebra import (Algebra, center, integer_regular_rows, jacobson_radical,
+                             try_invert, two_sided_ideal_closure)
 from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_matrix_algebra,
                                   construct_quaternion,
@@ -15,14 +15,12 @@ from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
 from gradedk.graded import (GradedAlgebra, TwistedGroupAlgebra,
-                            dimension_formula_check, graded_center,
-                            graded_radical, graded_tensor, is_graded_division,
+                            dimension_formula_check, graded_radical, graded_tensor, is_graded_division,
                             is_graded_simple, is_strongly_graded,
                             support, support_subgroup, trivially_graded,
                             validate_grading)
 from gradedk.groups import GradeGroup, SubgroupSpec
 from gradedk.matrixring import ShiftedMatrixAlgebra, is_crossed_product, solve_shift_matrix
-from gradedk.wedderburn import jacobson_radical
 from randomdata import random_constructed
 import scalarlinalg
 from shiftoracle import assert_top_certificate
@@ -549,26 +547,6 @@ def test_component_elements_one_per_line():
             multiples = {x.scale(c) for x in lines for c in (1, 2)}
             assert len(multiples) == 2 * len(lines)
             assert multiples == set(_full_scan(g, d))
-
-
-def test_graded_center_group_ring_s3():
-    A = construct_group_ring(Q, GradeGroup.symmetric_3())
-    res = graded_center(A)
-    assert res.subspace.dim == 3
-    assert not res.is_graded
-    assert res.witness is not None
-    # the witness is central but has a non-central homogeneous component
-    z = center(A.algebra)
-    assert z.contains(res.witness)
-    comps = A.homogeneous_components(res.witness)
-    assert any(not z.contains(v) for v in comps.values())
-
-
-def test_graded_center_of_quaternions():
-    H = construct_quaternion(Q, -1, -1)
-    res = graded_center(H)
-    assert res.subspace.dim == 1
-    assert res.is_graded
 
 
 def test_opposite_quaternions():

@@ -17,13 +17,16 @@ import sympy
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from gradedk import linalg
-from gradedk.algebra import (Algebra, center, commutator_subspace, enveloping_product,
-                             evaluate_poly, integer_product_form, integer_psi_matrix,
-                             integer_regular_rows, minimal_polynomial, multiply,
-                             regular_traces, sandwich, separability_rows)
+from gradedk import algebra as algebra_module, linalg
+from gradedk.algebra import (Algebra, _lifted_trace_digit, center, commutator_subspace,
+                             enveloping_product, evaluate_poly, integer_product_form,
+                             integer_psi_matrix, integer_regular_rows, is_central_simple,
+                             jacobson_radical, minimal_polynomial, multiply, regular_traces,
+                             sandwich, separability_rows)
+from gradedk.azumaya import standard_separability_idempotent
 from gradedk.constructors import (construct_group_ring, construct_matrix_algebra,
-                                  construct_quaternion, construct_truncated_polynomial)
+                                  construct_quaternion, construct_symbol_algebra,
+                                  construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
 from gradedk.graded import (GradedAlgebra, graded_tensor, strongly_graded_at, support,
                             trivially_graded)
@@ -31,10 +34,10 @@ from gradedk.groups import GradeGroup
 from gradedk.matrixring import ShiftedMatrixAlgebra
 from gradedk.trace import reduced_char_poly
 from gradedk.wedderburn import (BlockSummary, _corner_dim, _crt_idempotents,
-                                _lifted_trace_digit, _quaternion_block_splits,
-                                jacobson_radical, quotient, spectral_idempotents,
-                                split_identity_component)
+                                _quaternion_block_splits, _rational_roots, quotient,
+                                spectral_idempotents, split_identity_component)
 
+from constructorgrid import cases as constructor_cases
 from randomdata import random_constructed, random_element, random_scalar
 import scalarlinalg
 
@@ -59,6 +62,13 @@ def to_poly(coeffs, field):
 def from_poly(poly, field):
     """The ascending coefficient list, in field scalars, of a sympy Poly."""
     return [field.scalar(Fraction(int(c.p), int(c.q))) for c in reversed(poly.all_coeffs())]
+
+
+def ref_is_central_simple(alg):
+    """The psi criterion: dim Z(A) = 1 and psi: A (x) A^op -> End(A),
+    a (x) b -> (x -> a x b), bijective."""
+    kernel = linalg.nullspace(integer_psi_matrix(alg)[0], alg.dim ** 2, alg.field)[0]
+    return center(alg).dim == 1 and not kernel
 
 
 def ref_multiply(x, y):
@@ -527,7 +537,7 @@ def test_enveloping_product_and_separability_rows(alg):
             assert same(enveloping_product(alg, x.coords, y.coords), (x * y).coords)
     n, one = alg.dim, alg.one.coords
     rows = [alg.field.from_ints([row.get(c, 0) for c in range(n2 + 1)], alg.scale)
-            for row in separability_rows(alg)]
+            for row in separability_rows(alg, range(alg.dim))]
     assert len(rows) == n + n * n2
     basis = [alg.basis_element(i) for i in range(n)]
     unit_rows = [list(col) + [u] for col, u in zip(zip(*[ref_multiply(a, b) for a in basis
@@ -699,3 +709,126 @@ def test_split_identity_component(alg):
     assert dec.blocks == blocks
     assert same([e.coords for e in dec.idempotents], [e.coords for e in idems])
     assert same(dec.radical.rows, radical)
+
+
+def central_simple_corpus():
+    """The constructor grid; M_2, T_2, F[C_2] and M_3 in random bases over Q
+    (M_3 only over GF(p)) and GF(2, 3, 5, 7); and algebras with
+    char F <= dim, where the radical's CIW rounds run."""
+    out = []
+    for _, call in constructor_cases():
+        try:
+            out.append(call().algebra)
+        except (ValueError, ArithmeticError):
+            pass
+    rng = random.Random(20116)
+    for field in FIELDS:
+        bases = [construct_matrix_algebra(field, 2), triangular(field),
+                 construct_group_ring(field, GradeGroup.cyclic(2)).algebra]
+        if field.characteristic:
+            bases.append(construct_matrix_algebra(field, 3))
+        out += [rebased(alg, rng) for alg in bases]
+    F2, F3 = FieldSpec.prime_field(2), FieldSpec.prime_field(3)
+    return out + [construct_matrix_algebra(F2, 2), construct_matrix_algebra(F3, 3),
+                  triangular(F2), construct_group_ring(F2, GradeGroup.cyclic(2)).algebra]
+
+
+def test_central_simple_matches_the_psi_criterion(monkeypatch):
+    """dim Z(A) = 1 and J(A) = 0 gives the verdict of dim Z(A) = 1 and psi
+    bijective; a radical counterexample is a nonzero element of J(A). The
+    CIW rounds run on the small-characteristic inputs."""
+    rounds = []
+    real = algebra_module._lifted_trace_digit
+    monkeypatch.setattr(algebra_module, "_lifted_trace_digit",
+                        lambda alg, x, i: rounds.append(alg) or real(alg, x, i))
+    corpus = central_simple_corpus()
+    tags = {"true": 0, "center-dim": 0, "radical-element": 0}
+    for alg in corpus:
+        rep = is_central_simple(alg)
+        assert (rep.verdict == "true") == ref_is_central_simple(alg), alg
+        if rep.verdict == "true":
+            tags["true"] += 1
+            continue
+        tag, x = rep.counterexample
+        tags[tag] += 1
+        if tag == "radical-element":
+            assert not x.is_zero() and jacobson_radical(alg).contains(x)
+    assert tags["true"] > 60 and tags["center-dim"] > 30 and tags["radical-element"] >= 6
+    ciw = {id(alg) for alg in rounds}
+    assert all(id(alg) in ciw for alg in corpus[-4:-1])
+
+
+def polynomial_quotient(f):
+    """Q[t]/(f) on 1, t, ..., t^(d-1) for a monic f (ascending Fractions):
+    t has minimal polynomial f."""
+    d = len(f) - 1
+    powers = [[int(i == k) for i in range(d)] for k in range(d)]  # t^k reduced mod f
+    while len(powers) < 2 * d - 1:
+        prev = powers[-1]
+        powers.append([(prev[i - 1] if i else 0) - prev[-1] * f[i] for i in range(d)])
+    products = {(i, j): dict(enumerate(powers[i + j])) for i in range(d) for j in range(d)}
+    return Algebra(Q, ["t%d" % i for i in range(d)], products, unit=powers[0])
+
+
+def poly_from_roots(roots, *factors):
+    """The ascending coefficients of prod (x - r) times the given factors."""
+    f = [Fraction(1)]
+    for g in [[-Fraction(r), 1] for r in roots] + list(factors):
+        out = [Fraction(0)] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+        f = out
+    return f
+
+
+def test_lagrange_idempotents_match_the_crt():
+    """On polynomials with deg f distinct rational roots (negative, zero,
+    non-integer), `_rational_roots` finds them in sympy's factor order and
+    the Lagrange idempotents equal the CRT reference; an irreducible
+    quadratic factor, a repeated root and coefficients over the search
+    bound fall back to sympy with the same result."""
+    third = Fraction(1, 3)
+    split = [[0, -2, third, Fraction(-3, 4), 5], [1, -1, 2], [third, Fraction(2, 3)],
+             [Fraction(-7, 2), 0], [256, -256, 1]]
+    fallbacks = [poly_from_roots([1], [1, 0, 1]), poly_from_roots([1, 1, -2]),
+                 poly_from_roots([0, 0, 1]), poly_from_roots([65537, -1]),
+                 poly_from_roots([Fraction(1, 65537), 1])]
+    rng = random.Random(20117)
+    for _ in range(40):
+        roots, k = set(), rng.randrange(2, 6)
+        while len(roots) < k:
+            roots.add(Fraction(rng.randint(-12, 12), rng.randint(1, 12)))
+        split.append(list(roots))
+    for f in [poly_from_roots(roots) for roots in split] + fallbacks:
+        t = polynomial_quotient(f)
+        x = t.basis_element(1)
+        assert minimal_polynomial(x) == f
+        roots = _rational_roots(f)
+        if f in fallbacks:
+            assert roots is None
+        else:
+            factors = [from_poly(g, Q) for g, _ in to_poly(f, Q).factor_list()[1]]
+            assert roots == [-c0 / c1 for c0, c1 in factors]
+        want = idempotent_pairs(ref_crt_idempotents(x, f))
+        assert same(idempotent_pairs(_crt_idempotents(x, f)), want)
+
+
+SEPARABILITY = [a for a in ALGEBRAS if a.dim <= 9] + [
+    construct_symbol_algebra(FieldSpec.prime_field(7), 3, 2, 3, 2).algebra,
+    construct_group_ring(FieldSpec.prime_field(3), GradeGroup.symmetric_3()).algebra,
+    construct_truncated_polynomial(Q, 3).algebra]
+
+
+@pytest.mark.parametrize("alg", SEPARABILITY,
+                         ids=lambda a: "%r-dim%d" % (a.field, a.dim))
+def test_separability_solve_on_a_generating_set(alg):
+    """The commutation rows of a generating set give the solution of the
+    rows of the whole basis, and the standard idempotent is that
+    solution."""
+    n2, field = alg.dim ** 2, alg.field
+    solve = lambda rows: (None if (e := linalg.solve(rows, n2, field)) is None
+                          else tuple(field.from_ints(*e)))
+    full = solve(separability_rows(alg, range(alg.dim)))
+    assert solve(separability_rows(alg, alg.generating_set())) == full
+    assert standard_separability_idempotent(trivially_graded(alg, GradeGroup.trivial())) == full

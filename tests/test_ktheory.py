@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from gradedk.algebra import Algebra, minimal_polynomial
+from gradedk.algebra import Algebra, jacobson_radical, minimal_polynomial
 from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_matrix_algebra, construct_quaternion,
                                   construct_truncated_polynomial)
@@ -20,8 +20,8 @@ from gradedk.ktheory import (INFINITE_RANK_FREE, CsaShape, FGAbelianGroup,
                              k0gr_strongly_graded, localize, torsion_bound_check)
 from gradedk.matrixring import ShiftedMatrixAlgebra, identity_component, \
     is_strongly_graded_matrix
-from gradedk.wedderburn import (_crt_idempotents, jacobson_radical,
-                                spectral_idempotents, split_identity_component)
+from gradedk.wedderburn import (_crt_idempotents, spectral_idempotents,
+                                split_identity_component)
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)

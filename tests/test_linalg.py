@@ -12,6 +12,8 @@ from gradedk.algebra import is_central_simple
 from gradedk.azumaya import psi_bijective
 from gradedk.constructors import construct_matrix_algebra, construct_symbol_algebra
 from gradedk.fields import FieldSpec
+from gradedk.graded import trivially_graded
+from gradedk.groups import GradeGroup
 from randomdata import random_scalar
 import scalarlinalg
 from scalarlinalg import scalar_rows
@@ -517,8 +519,10 @@ def test_sparse_rows_match_the_dense_integer_path():
 
 
 def test_central_simple_m5_rationals():
-    rep = is_central_simple(construct_matrix_algebra(Q, 5))
-    assert rep.verdict == "true" and rep.details["psi-rank"] == 625
+    alg = construct_matrix_algebra(Q, 5)
+    assert is_central_simple(alg).verdict == "true"
+    rep = psi_bijective(trivially_graded(alg, GradeGroup.trivial()))
+    assert rep.verdict == "true" and rep.details["rank"] == 625
 
 
 def test_psi_bijective_degree5_symbol_gf11():
