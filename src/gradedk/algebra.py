@@ -156,11 +156,12 @@ class Algebra:
                     if bad:
                         return i, j, min(bad) // n
 
-        if first_failure(self.generating_set()):
+        if first_failure(self.generating_set):
             i, j, k = first_failure(range(n))
             raise ValueError("associativity fails on basis triple (%s, %s, %s)"
                              % (self.labels[i], self.labels[j], self.labels[k]))
 
+    @functools.cached_property
     def generating_set(self):
         """Basis indices whose e_j generate A with 1. When every nonzero
         e_i e_j is one term c e_k, j joins when the product closure of the
@@ -448,18 +449,21 @@ def try_invert(x):
 
 
 def center(algebra):
-    """The centralizer of the whole algebra, as a canonical subspace: the
-    kernel of x |-> (e_m x - x e_m)_m, whose row (m, k) has entry
-    c_jm^k - c_mj^k in column j."""
+    """The centre, as a canonical subspace: the kernel of x |-> (e_m x -
+    x e_m)_m for the m of `Algebra.generating_set` (whose centralizer it
+    is), whose row (m, k) has entry c_jm^k - c_mj^k in column j."""
     n = algebra.dim
+    gens = set(algebra.generating_set)
     rows = {}  # (m, k) -> its sparse row
     for i, row in enumerate(algebra.table):
         for j, terms in row.items():
             for k, c in terms:
-                r = rows.setdefault(i * n + k, {})
-                r[j] = r.get(j, 0) - c
-                r = rows.setdefault(j * n + k, {})
-                r[i] = r.get(i, 0) + c
+                if i in gens:
+                    r = rows.setdefault(i * n + k, {})
+                    r[j] = r.get(j, 0) - c
+                if j in gens:
+                    r = rows.setdefault(j * n + k, {})
+                    r[i] = r.get(i, 0) + c
     return Subspace(algebra, linalg.nullspace(rows.values(), n, algebra.field))
 
 
@@ -564,24 +568,26 @@ def integer_psi_matrix(algebra):
     return m, algebra.scale ** 2
 
 
-def sandwich(algebra, coeffs, x):
-    """sum_(i,j) coeffs[i*n + j] e_i x e_j, the star action of
-    A (x) A^op on A, with e_i x e_j = sum_m sum_s x_m c_im^s e_s e_j."""
-    n, table = algebra.dim, algebra.table
-    cs, dc = algebra.field.to_ints(coeffs)
-    xs, dx = algebra.field.to_ints(x.coords)
-    xs = [(m, a) for m, a in enumerate(xs) if a]
-    out = [0] * n
-    for t, c in enumerate(cs):
-        if not c:
-            continue
-        i, j = divmod(t, n)
-        for m, a in xs:
-            for s, b in table[i].get(m, ()):
-                cab = c * a * b
-                for r, d in table[s].get(j, ()):
-                    out[r] += cab * d
-    return AlgebraElement(algebra, algebra.field.from_ints(out, dc * dx * algebra.scale ** 2))
+def star_action(algebra, coeffs):
+    """The star action of A (x) A^op on A: the map x |-> sum_(i,j)
+    coeffs[i*n + j] e_i x e_j, with e_i x e_j = sum_m sum_s x_m c_im^s
+    e_s e_j, and coeffs converted to ints once, its nonzero terms kept."""
+    n, table, field = algebra.dim, algebra.table, algebra.field
+    cs, dc = field.to_ints(coeffs)
+    terms = [divmod(t, n) + (c,) for t, c in enumerate(cs) if c]
+
+    def act(x):
+        xs, dx = field.to_ints(x.coords)
+        xs = [(m, a) for m, a in enumerate(xs) if a]
+        out = [0] * n
+        for i, j, c in terms:
+            for m, a in xs:
+                for s, b in table[i].get(m, ()):
+                    cab = c * a * b
+                    for r, d in table[s].get(j, ()):
+                        out[r] += cab * d
+        return AlgebraElement(algebra, field.from_ints(out, dc * dx * algebra.scale ** 2))
+    return act
 
 
 def separability_rows(algebra, generators):
@@ -701,15 +707,17 @@ def evaluate_poly(coeffs, x):
 
 
 def commutator_subspace(algebra):
-    """Additive span of all commutators [x, y]; the basis pairs i < j
-    suffice, with [e_i, e_j] = sum_k (c_ij^k - c_ji^k) e_k."""
-    n = algebra.dim
+    """Additive span of all commutators [x, y]: [ab, c] = [a, bc] + [b, ca],
+    so the [e_g, e_j] = sum_k (c_gj^k - c_jg^k) e_k for g in
+    `Algebra.generating_set` span it, a pair of generators written once."""
     table = algebra.table
+    gens = set(algebra.generating_set)
     rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = dict(table[i].get(j, ()))
-            for k, c in table[j].get(i, ()):
-                row[k] = row.get(k, 0) - c
-            rows.append(row)
+    for g in sorted(gens):
+        for j in range(algebra.dim):
+            if j > g or j not in gens:
+                row = dict(table[g].get(j, ()))
+                for k, c in table[j].get(g, ()):
+                    row[k] = row.get(k, 0) - c
+                rows.append(row)
     return Subspace(algebra, linalg.rref(rows, algebra.field))

@@ -5,8 +5,8 @@ criterion."""
 from __future__ import annotations
 
 from . import linalg
-from .algebra import (center, enveloping_product, integer_psi_matrix, sandwich,
-                      separability_rows)
+from .algebra import (center, enveloping_product, integer_psi_matrix, separability_rows,
+                      star_action)
 from .graded import TwistedGroupAlgebra, is_graded_simple
 from .groups import derived_subgroup
 from .matrixring import (ShiftedMatrixAlgebra, is_graded_simple_matrix,
@@ -18,7 +18,7 @@ from .verdict import (VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE,
 class EnvelopingAlgebra:
     """A^e = A (x) A^op on A's structure constants: an element is n^2
     scalars, i*n + j for e_i (x) e_j; its action on A, (a (x) b) * x =
-    a x b, is `sandwich`."""
+    a x b, is `star_action`."""
 
     def __init__(self, graded):
         self.source = graded
@@ -95,7 +95,7 @@ def verify_separability_idempotent(graded, e):
     for t, row in enumerate(separability_rows(src, range(n))):
         v = sum(c * es[k] for k, c in row.items() if k < n * n) - row.get(n * n, 0) * de
         if any(src.field.from_ints([v])):
-            bad = (("star-unit", sandwich(src, e, src.one)) if t < n
+            bad = (("star-unit", star_action(src, e)(src.one)) if t < n
                    else ("commute-condition", src.labels[(t - n) // n ** 2]))
             return VerdictReport("separability-idempotent", FALSE, EXHAUSTIVE,
                                  counterexample=bad)
@@ -111,7 +111,7 @@ def standard_separability_idempotent(g):
     basis a; None when there is none, which proves A is not separable. A
     solution has e^2 = (e * 1 (x) 1) e = e, checked again."""
     src = g.algebra
-    e = linalg.solve(separability_rows(src, src.generating_set()), src.dim ** 2, src.field)
+    e = linalg.solve(separability_rows(src, src.generating_set), src.dim ** 2, src.field)
     e = None if e is None else tuple(src.field.from_ints(*e))
     return e if e is not None and enveloping_product(src, e, e) == e else None
 
@@ -129,12 +129,13 @@ def braun_check(graded, e=None):
     if z.dim != 1:
         return VerdictReport("braun-azumaya", FALSE, EXHAUSTIVE,
                              counterexample=("centre-dim", z.dim))
-    unit = sandwich(src, e, src.one)
+    star = star_action(src, e)
+    unit = star(src.one)
     if unit != src.one:
         return VerdictReport("braun-azumaya", FALSE, EXHAUSTIVE,
                              counterexample=("star-unit", unit))
     for i in range(src.dim):
-        v = sandwich(src, e, src.basis_element(i))
+        v = star(src.basis_element(i))
         if not z.contains(v):
             return VerdictReport("braun-azumaya", FALSE, EXHAUSTIVE,
                                  counterexample=("star-image", src.labels[i], v))

@@ -253,9 +253,17 @@ class SubgroupSpec:
 
     @classmethod
     def generated_by(cls, group, candidates):
-        """The subgroup of a finite group generated by the candidates, given
-        by their coordinates; its generators are the candidates that the
-        earlier ones do not generate, in the given order."""
+        """The subgroup generated by the candidates' coordinates. Over a
+        finite group its generators are the candidates that the earlier ones
+        do not generate; over an infinite one, the basis of nonzero columns
+        of A V for the Smith form U A V = D of the candidates and torsion
+        relations A, reduced into G (at most dim G, identities dropped)."""
+        if not group.is_finite():
+            a = _relation_matrix(group, candidates)
+            factors, _, v, _ = smith_normal_form(a)
+            basis = (group.element([sum(map(mul, row, col)) for row in a])
+                     for col, d in zip(zip(*v), factors) if d)
+            return cls(group, [g for g in basis if not g.is_identity()])
         kept, coords = _closure(group, candidates)
         spec = cls(group, [GroupElement(group, c) for c in kept])
         spec._coords = coords
@@ -277,11 +285,8 @@ class SubgroupSpec:
         the left transform U of its Smith normal form. The lattice's columns
         are H's generators and the torsion relations n_i e_(rank+i)."""
         group = self.group
-        cols = [g.coords for g in self.generators]
-        cols += [tuple(n if k == group.rank + i else 0 for k in range(group.dim))
-                 for i, n in enumerate(group.torsion)]
         factors, u, _, _ = smith_normal_form(
-            [[col[k] for col in cols] for k in range(group.dim)])
+            _relation_matrix(group, [g.coords for g in self.generators]))
         return factors + [0] * (group.dim - len(factors)), u
 
     @property
@@ -295,6 +300,13 @@ class SubgroupSpec:
         if self.group.is_finite():
             return g.coords in self._coords
         return not any(col[0] for col in coset_label_columns(self, [g.coords]))
+
+
+def _relation_matrix(group, points):
+    """The matrix with the points, then the n_i e_(rank+i), as columns."""
+    cols = list(points) + [tuple(n if k == group.rank + i else 0 for k in range(group.dim))
+                           for i, n in enumerate(group.torsion)]
+    return [[col[k] for col in cols] for k in range(group.dim)]
 
 
 def _closure(group, candidates):
@@ -328,9 +340,10 @@ def quotient_invariants(group, subgroup):
 
 
 def coset_index(group, subgroup):
-    """|G:H|, either a positive integer or the string "infinite"."""
-    if group.kind == "finite-table":
-        return group.size // subgroup.order
+    """|G:H|, either a positive integer or the string "infinite"; on a
+    finite group |G| // |H|."""
+    if group.is_finite():
+        return group.order // subgroup.order
     free_rank, torsion = quotient_invariants(group, subgroup)
     if free_rank > 0:
         return "infinite"

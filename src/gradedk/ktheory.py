@@ -1,8 +1,9 @@
 """K0-level invariants computed as isomorphism types of finitely generated
 abelian groups: graded K0 of strongly graded algebras through the Wedderburn
-splitting of the identity component (`wedderburn.split_identity_component`),
-graded K0 of graded division rings through cosets, and the CK0 / ZK0
-exact-sequence data with torsion bounds and localization."""
+splitting of the identity component (`wedderburn.split_identity_component`,
+by theorem for a lazy matrix ring), graded K0 of graded division rings
+through cosets, and the CK0 / ZK0 exact-sequence data with torsion bounds
+and localization."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .groups import GradeGroup, SubgroupSpec, coset_index, quotient_invariants
-from .matrixring import identity_component
+from .matrixring import ShiftedMatrixAlgebra, identity_component, split_lazy_identity_component
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE
 from .wedderburn import split_identity_component
 
@@ -55,19 +56,17 @@ INFINITE_RANK_FREE = "free-abelian-of-infinite-rank"
 
 
 def localize(g, n):
-    """G (x) Z[1/n]: the free part survives, torsion prime to n survives."""
+    """G (x) Z[1/n]: the free part survives, torsion prime to n survives.
+    Each factor loses the primes of n, which keeps the divisibility chain."""
     if g == INFINITE_RANK_FREE:
         return g
     torsion = []
     for d in g.torsion:
-        while True:
-            k = gcd(d, n)
-            if k == 1:
-                break
+        while (k := gcd(d, n)) > 1:
             d //= k
         if d > 1:
             torsion.append(d)
-    return FGAbelianGroup.from_presentation(g.rank, torsion)
+    return FGAbelianGroup(g.rank, tuple(torsion))
 
 
 def k0_of_semisimple(dec):
@@ -88,11 +87,13 @@ def k0gr_graded_division(group, gamma_d):
 
 def k0gr_strongly_graded(m, strongly_graded_report):
     """Graded K0 of a strongly graded algebra through its identity component;
-    requires a true strong-gradedness certificate."""
+    requires a true strong-gradedness certificate. A lazy M_n(D)(d) has it
+    split by theorem (`split_lazy_identity_component`)."""
     if not strongly_graded_report:
         raise ValueError("a true strongly-graded certificate is required")
-    a0 = identity_component(m)
-    dec = split_identity_component(a0)
+    lazy = isinstance(m, ShiftedMatrixAlgebra) and m.lazy
+    dec = split_lazy_identity_component(m) if lazy else split_identity_component(
+        identity_component(m))
     return k0_of_semisimple(dec), dec
 
 

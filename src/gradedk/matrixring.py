@@ -6,6 +6,8 @@ entry (i, j) holds a chosen list of R's basis keys k, on the basis
 key of R; the covering algebra End_gr(sum_i R(s_i)) takes the keys of
 R_(s_i^-1 s_j); and the identity component of M_n(R)(d), lazy or not, is
 the covering algebra of (d_1^-1, ..., d_n^-1).
+Over a lazy graded field R, strong grading, the identity component and its
+blocks are read off the Gamma_D-coset labels of the shift entries.
 
 Degree conventions (abelian groups written additively):
   * the ij-entry of the lam-component lies in R_{delta_i + lam - delta_j};
@@ -24,13 +26,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import (Algebra, AlgebraElement, center, integer_regular_rows,
+from .algebra import (Algebra, AlgebraElement, Subspace, center, integer_regular_rows,
                       try_invert)
 from .graded import (GradedAlgebra, TwistedGroupAlgebra, graded_radical,
                      strongly_graded_at, support_subgroup)
 from .groups import SubgroupSpec, coset_label, coset_label_columns
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE, combine
-from .wedderburn import central_primitive_idempotents, quotient
+from .wedderburn import (BlockSummary, SemisimpleDecomposition,
+                         central_primitive_idempotents, quotient)
 
 
 class ShiftedMatrixAlgebra:
@@ -60,14 +63,16 @@ class ShiftedMatrixAlgebra:
 
     @functools.cached_property
     def _support_subgroup(self):
-        """`graded.support_subgroup`: the base's, with each d_i^-1 d_j."""
-        gens = list(support_subgroup(self.base).generators)
-        for i in range(self.n):
-            for j in range(self.n):
-                g = self.shift[i].inverse() * self.shift[j]
-                if not g.is_identity():
-                    gens.append(g)
-        return SubgroupSpec(self.group, gens)
+        """`graded.support_subgroup`: `SubgroupSpec.generated_by`'s basis of the
+        base's and the d_1^-1 d_j, as d_i^-1 d_j = (d_1^-1 d_i)^-1 d_1^-1 d_j."""
+        d1 = self.shift[0].inverse()
+        gens = list(support_subgroup(self.base).generators) + [d1 * d for d in self.shift[1:]]
+        return SubgroupSpec.generated_by(self.group, [g.coords for g in gens])
+
+    @functools.cached_property
+    def labels(self):
+        """Each shift entry's coset label for the lazy base's support."""
+        return _coset_labels(self.group, self.base.support, self.shift)
 
     # -- lazy component algebra ---------------------------------------
 
@@ -139,54 +144,62 @@ def _matrix_algebra(base, n, entry_keys):
     return Algebra(field, labels, products, unit=unit), basis
 
 
-def _covering(base, degrees):
-    """`_matrix_algebra` with the keys of R_(s_i^-1 s_j) at (i, j), for the
-    given degrees s_1, ..., s_n, repeats kept."""
-    if isinstance(base, TwistedGroupAlgebra):
-        keys = lambda g: [g] if base.has_component(g) else []
-    else:
-        keys = base.component_indices
-    return _matrix_algebra(base, len(degrees),
-                           lambda i, j: keys(degrees[i].inverse() * degrees[j]))
-
-
 def identity_component(m):
     """The identity-degree subalgebra of M_n(R)(d) or of a GradedAlgebra
     (`GradedAlgebra.identity_component`). For M_n(R)(d), lazy or not, it is
     End_gr(sum_i R(d_i^-1)), the covering algebra of (d_1^-1, ..., d_n^-1)
-    with repeated entries kept: its (i, j)-entry is R_(d_i d_j^-1)."""
-    if isinstance(m, ShiftedMatrixAlgebra):
-        return _covering(m.base, [d.inverse() for d in m.shift])[0]
-    return m.identity_component()
+    with repeated entries kept: its (i, j)-entry is R_(d_i d_j^-1), which
+    for a lazy R is F u_(d_i d_j^-1) when d_i and d_j share a label, else 0."""
+    if not isinstance(m, ShiftedMatrixAlgebra):
+        return m.identity_component()
+    d, base = m.shift, m.base
+    if m.lazy:
+        keys = lambda i, j: [d[i] * d[j].inverse()] if m.labels[i] == m.labels[j] else []
+    else:
+        keys = lambda i, j: base.component_indices(d[i] * d[j].inverse())
+    return _matrix_algebra(base, m.n, keys)[0]
+
+
+def split_lazy_identity_component(m):
+    """A_e's `SemisimpleDecomposition` for a lazy M_n(D)(d), by theorem:
+    M_n(D)(d)_e = prod_c M_(n_c)(D_e) with D_e = F, one block per label
+    class c of the shift entries, n_c its size (Nastasescu-Van Oystaeyen,
+    Methods of Graded Rings, LNM 1836, 2.10; Hazrat, Graded Rings and Graded
+    Grothendieck Groups, 2016, 1.3). The idempotent of c is sum_(i in c)
+    E_ii u_e, the radical is 0, and blocks sort as in `split_identity_component`."""
+    a0, label, n = identity_component(m), m.labels, m.n
+    one, zero = a0.field.one, a0.field.zero
+    classes = sorted({x: [i for i in range(n) if label[i] == x] for x in label}.values(), key=len)
+    idems = [AlgebraElement(a0, [one if i == j and i in c else zero for i in range(n)
+                                 for j in range(n) if label[i] == label[j]]) for c in classes]
+    return SemisimpleDecomposition(a0, [BlockSummary(len(c) ** 2, 1, len(c), 1) for c in classes],
+                                   idems, Subspace(a0, ([], 1, [])))
 
 
 def is_strongly_graded_matrix(m):
     """Strong gradedness of a lazy M_n(R)(d), on each support-subgroup
     generator lam and its inverse. I lies in A_lam A_(lam^-1) iff every row
-    i has a j with g = d_i lam d_j^-1 in the support of R: then
-    (E_ij u_g)(E_ji u_(g^-1)) = c(g, g^-1) E_ii, and a row with no such j is
-    0 in every product. The certificate pairs ((i, j, g), (j, i, g^-1)) at
-    the first such j of each row, with coefficient 1 / c(g, g^-1)."""
+    i has a j with g = d_i lam d_j^-1 in R's support, label(d_j) = label(d_i
+    lam): then (E_ij u_g)(E_ji u_(g^-1)) = c(g, g^-1) E_ii, and a row with
+    no such j is 0 in every product. The certificate pairs ((i, j, g), (j,
+    i, g^-1)) at the first such j of each row, coefficient 1 / c(g, g^-1)."""
     if not m.lazy:
         raise ValueError("materialized algebras use graded.is_strongly_graded")
     base = m.base
+    first = {x: m.labels.index(x) for x in m.labels}  # the first j of each label
     certificates = {}
     for lam in support_subgroup(m).generators:
         for d in (lam, lam.inverse()):
             if d in certificates:
                 continue
-            cert = []
-            for i in range(m.n):
-                for j in range(m.n):
-                    g = m.entry_degree(i, j, d)
-                    if base.has_component(g):
-                        cert.append((((i, j, g), (j, i, g.inverse())),
-                                     base.field.one / base.cocycle(g, g.inverse())))
-                        break
-                else:
-                    return VerdictReport("strongly-graded", FALSE, EXHAUSTIVE,
-                                         counterexample=("degree", d))
-            certificates[d] = cert
+            moved = _coset_labels(m.group, base.support, [di * d for di in m.shift])
+            if not all(x in first for x in moved):
+                return VerdictReport("strongly-graded", FALSE, EXHAUSTIVE,
+                                     counterexample=("degree", d))
+            certificates[d] = [(((i, j, g), (j, i, g.inverse())),
+                                base.field.one / base.cocycle(g, g.inverse()))
+                               for i, j in enumerate(map(first.get, moved))
+                               for g in [m.entry_degree(i, j, d)]]
     return VerdictReport("strongly-graded", TRUE, CONSTRUCTIVE,
                          witness=certificates)
 
@@ -231,7 +244,8 @@ def covering_algebra(g, degrees):
     (s, t, x)(t, u, y) = (s, u, xy) and 0 when the middle degrees differ;
     eps[s] = (s, s, 1) is the idempotent of R(s)."""
     degrees = tuple(dict.fromkeys(degrees))
-    cover, basis = _covering(g, degrees)
+    cover, basis = _matrix_algebra(g, len(degrees), lambda i, j: g.component_indices(
+        degrees[i].inverse() * degrees[j]))
     eps = {s: AlgebraElement(cover, [c if i == t else cover.field.zero
                                      for c, (i, _, _) in zip(cover.unit_coords, basis)])
            for t, s in enumerate(degrees)}

@@ -108,20 +108,23 @@ def _crt_idempotents(x, f):
     minimal polynomial f of x, with g_i = f / f_i^(m_i) and h_i its inverse
     mod f_i^(m_i), reduced mod f. They are orthogonal and sum to 1. When f
     has deg f distinct rational roots r_i (`_rational_roots`), g_i h_i is
-    the Lagrange polynomial prod_(j != i) (x - r_j) / (r_i - r_j). Otherwise
-    f is factored by sympy's `dup_factor_list` over QQ or GF(p) and the CRT
-    runs on its dense polynomials. `evaluate_poly` evaluates each g_i h_i at
-    x on ints."""
+    the Lagrange polynomial prod_(j != i) (x - r_j) / (r_i - r_j), built on
+    ints as prod_(j != i) (q_j x - n_j) q_i / (n_i q_j - n_j q_i), r = n / q.
+    Otherwise f is factored by sympy's `dup_factor_list` over QQ or GF(p)
+    and the CRT runs on its dense polynomials. `evaluate_poly` evaluates
+    each g_i h_i at x on ints."""
     field = x.owner.field
     roots = _rational_roots(f) if field.kind == "rationals" else None
     if roots is not None:
         out = []
         for r in roots:
-            coeffs = [Fraction(1)]
+            coeffs, den = [1], 1
             for s in roots:
-                if s != r:  # times (x - s) / (r - s)
-                    coeffs = [(b - s * a) / (r - s) for a, b in zip(coeffs + [0], [0] + coeffs)]
-            out.append((evaluate_poly(coeffs, x), 1))
+                if s != r:  # times (q_s x - n_s) q_r, over n_r q_s - n_s q_r
+                    coeffs = [(s.denominator * a - s.numerator * b) * r.denominator
+                              for a, b in zip([0] + coeffs, coeffs + [0])]
+                    den *= r.numerator * s.denominator - s.numerator * r.denominator
+            out.append((evaluate_poly([Fraction(c, den) for c in coeffs], x), 1))
         return out
     f, dom = linalg.to_dense(f, field)
     out = []

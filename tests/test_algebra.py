@@ -213,13 +213,13 @@ def test_generating_set_generates_the_basis():
                 construct_group_ring(F5, GradeGroup.dihedral(4)).algebra,
                 construct_matrix_algebra(Q, 3),
                 construct_symbol_algebra(F7, 3, 2, 3, 2).algebra):
-        gens = alg.generating_set()
+        gens = alg.generating_set
         assert len(gens) < alg.dim
         assert _closure_of(alg, gens) == set(range(alg.dim))
     # a product with two terms: every basis vector stays a middle
     quadratic = Algebra(Q, ["1", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
                                         (1, 1): {0: 1, 1: 1}}, unit=[1, 0])
-    assert list(quadratic.generating_set()) == [0, 1]
+    assert list(quadratic.generating_set) == [0, 1]
 
 
 def test_unit_on_two_basis_vectors_does_not_seed_the_generating_set():

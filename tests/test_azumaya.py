@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedk.algebra import Algebra, is_central_simple, sandwich
+from gradedk.algebra import Algebra, is_central_simple, star_action
 from gradedk.azumaya import (EnvelopingAlgebra, braun_check,
                              group_ring_azumaya, is_graded_azumaya_csa,
                              psi_bijective,
@@ -60,7 +60,7 @@ def test_separability_idempotent_checks():
     # the solve finds the same idempotent
     assert standard_separability_idempotent(H) == e
     # star action really averages: e * x = Trd-like projection onto the centre
-    assert sandwich(H.algebra, e, H.algebra.one) == H.algebra.one
+    assert star_action(H.algebra, e)(H.algebra.one) == H.algebra.one
     # perturbed element fails
     ij = pure_tensor(H.algebra.basis_element(1), H.algebra.basis_element(2))
     rep = verify_separability_idempotent(H, [x + y for x, y in zip(e, ij)])
@@ -213,4 +213,4 @@ def test_enveloping_star_action():
         a = random_element(H.algebra, rng)
         b = random_element(H.algebra, rng)
         x = random_element(H.algebra, rng)
-        assert sandwich(H.algebra, pure_tensor(a, b), x) == a * x * b
+        assert star_action(H.algebra, pure_tensor(a, b))(x) == a * x * b

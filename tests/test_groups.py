@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -105,6 +106,31 @@ def test_coset_index():
     S3 = GradeGroup.symmetric_3()
     a3 = SubgroupSpec(S3, [S3.element(4)])
     assert coset_index(S3, a3) == 2
+
+
+def test_coset_index_of_a_finite_group_is_the_order_quotient():
+    rng = random.Random(29)
+    for _ in range(60):
+        torsion = [rng.choice([2, 3, 4, 6]) for _ in range(rng.randint(1, 3))]
+        G = GradeGroup.product_of_cyclic(*torsion)
+        H = SubgroupSpec(G, [G.element([rng.randrange(t) for t in torsion])
+                             for _ in range(rng.randint(0, 3))])
+        free, tor = quotient_invariants(G, H)
+        assert free == 0 and coset_index(G, H) == math.prod(tor)
+
+
+def test_generated_by_keeps_a_basis_on_an_infinite_group():
+    rng = random.Random(31)
+    for _ in range(60):
+        G = GradeGroup.fg_abelian(rng.randint(1, 3),
+                                  [rng.choice([2, 3, 4]) for _ in range(rng.randint(0, 2))])
+        cands = [G.element([rng.randint(-6, 6) for _ in range(G.dim)])
+                 for _ in range(rng.randint(0, 6))]
+        basis = SubgroupSpec.generated_by(G, [g.coords for g in cands]).generators
+        assert len(basis) <= G.dim and not any(g.is_identity() for g in basis)
+        full, fresh = SubgroupSpec(G, cands), SubgroupSpec(G, basis)
+        assert all(fresh.contains(g) for g in cands)
+        assert all(full.contains(g) for g in basis)
 
 
 def test_coset_label_separates_cosets():

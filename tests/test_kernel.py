@@ -22,7 +22,7 @@ from gradedk.algebra import (Algebra, _lifted_trace_digit, center, commutator_su
                              enveloping_product, evaluate_poly, integer_product_form,
                              integer_psi_matrix, integer_regular_rows, is_central_simple,
                              jacobson_radical, minimal_polynomial, multiply, regular_traces,
-                             sandwich, separability_rows)
+                             separability_rows, star_action)
 from gradedk.azumaya import standard_separability_idempotent
 from gradedk.constructors import (construct_group_ring, construct_matrix_algebra,
                                   construct_quaternion, construct_symbol_algebra,
@@ -517,7 +517,7 @@ def test_star(alg):
     tensor = enveloping(alg)
     for e in (random_element(tensor, rng), tensor.one, tensor.zero):
         for x in elements(alg, rng):
-            assert same(sandwich(alg, e.coords, x).coords, tuple(ref_star(alg, e.coords, x)))
+            assert same(star_action(alg, e.coords)(x).coords, tuple(ref_star(alg, e.coords, x)))
 
 
 @pytest.mark.parametrize("alg", [a for a in ALGEBRAS if a.dim <= 4],
@@ -733,6 +733,35 @@ def central_simple_corpus():
                   triangular(F2), construct_group_ring(F2, GradeGroup.cyclic(2)).algebra]
 
 
+def generating_set_corpus():
+    """The constructor grid's algebras, whose one-term tables give proper
+    generating sets, and rebased bases over Q and GF(2, 3, 5, 7), whose
+    tables keep the whole basis."""
+    out = []
+    for _, call in constructor_cases():
+        try:
+            out.append(call().algebra)
+        except (ValueError, ArithmeticError):
+            pass
+    rng = random.Random(20118)
+    for field in FIELDS:
+        out += [rebased(alg, rng) for alg in (
+            construct_matrix_algebra(field, 2), triangular(field),
+            construct_group_ring(field, GradeGroup.symmetric_3()).algebra)]
+    return out
+
+
+def test_centre_and_commutators_on_a_generating_set():
+    """The commutation rows of a generating set cut out the centre of the
+    rows of the whole basis, and the commutators [e_g, e_j] of a generating
+    set span those of all basis pairs."""
+    corpus = generating_set_corpus()
+    assert sum(len(alg.generating_set) < alg.dim for alg in corpus) > 100
+    for alg in corpus:
+        assert same(center(alg).rows, ref_center_rows(alg))
+        assert same(commutator_subspace(alg).rows, ref_commutator_rows(alg))
+
+
 def test_central_simple_matches_the_psi_criterion(monkeypatch):
     """dim Z(A) = 1 and J(A) = 0 gives the verdict of dim Z(A) = 1 and psi
     bijective; a radical counterexample is a nonzero element of J(A). The
@@ -830,5 +859,5 @@ def test_separability_solve_on_a_generating_set(alg):
     solve = lambda rows: (None if (e := linalg.solve(rows, n2, field)) is None
                           else tuple(field.from_ints(*e)))
     full = solve(separability_rows(alg, range(alg.dim)))
-    assert solve(separability_rows(alg, alg.generating_set())) == full
+    assert solve(separability_rows(alg, alg.generating_set)) == full
     assert standard_separability_idempotent(trivially_graded(alg, GradeGroup.trivial())) == full

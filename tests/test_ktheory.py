@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from gradedk import ktheory as ktheory_module
 from gradedk.algebra import Algebra, jacobson_radical, minimal_polynomial
 from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_matrix_algebra, construct_quaternion,
@@ -22,6 +23,8 @@ from gradedk.matrixring import ShiftedMatrixAlgebra, identity_component, \
     is_strongly_graded_matrix
 from gradedk.wedderburn import (_crt_idempotents, spectral_idempotents,
                                 split_identity_component)
+
+from test_matrixring import lazy_matrix_rings
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
@@ -130,6 +133,37 @@ def test_localize_idempotent_and_multiplicative(rank, torsion, n, m):
     ln = localize(g, n)
     assert localize(ln, n) == ln
     assert localize(g, n * m) == localize(localize(g, n), m)
+
+
+def test_localize_matches_the_smith_normalization():
+    # each factor of a chain stripped of n's primes gives the invariant
+    # factors that the Smith form of the stripped factors gives
+    rng = random.Random(20119)
+    for _ in range(300):
+        chain, d = [], 1
+        for _ in range(rng.randint(0, 4)):
+            d *= rng.choice([1, 2, 3, 4, 5, 6, 9, 10])
+            if d > 1:
+                chain.append(d)
+        g, n = FGAbelianGroup(rng.randint(0, 2), tuple(chain)), rng.randint(1, 40)
+        stripped = [d // gcd(d, n ** d.bit_length()) for d in chain]
+        assert localize(g, n) == FGAbelianGroup.from_presentation(g.rank, stripped)
+
+
+def test_lazy_k0_by_theorem_matches_the_general_split(monkeypatch):
+    # K0 of each strongly graded lazy ring is free on its label classes, as
+    # the general split of A_e finds, and no general split runs for it
+    rings = [m for m in lazy_matrix_rings() if is_strongly_graded_matrix(m)]
+    want = [k0_of_semisimple(split_identity_component(identity_component(m))) for m in rings]
+
+    def general_split(alg):
+        raise AssertionError("a lazy ring went through the general split")
+    monkeypatch.setattr(ktheory_module, "split_identity_component", general_split)
+    for m, k0_ref in zip(rings, want):
+        k0, dec = k0gr_strongly_graded(m, is_strongly_graded_matrix(m))
+        assert k0 == k0_ref == FGAbelianGroup(len(set(m.labels)))
+        check_decomposition(dec.algebra, dec)
+    assert len(rings) > 20
 
 
 def test_k0gr_graded_division_cosets():

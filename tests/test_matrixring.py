@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,13 +13,16 @@ from gradedk.constructors import (construct_group_ring, construct_laurent,
 from gradedk.fields import FieldSpec
 from gradedk.graded import (GradedAlgebra, TwistedGroupAlgebra, support_subgroup,
                             trivially_graded, validate_grading)
-from gradedk.groups import GradeGroup, SubgroupSpec, coset_label
-from gradedk.matrixring import (ShiftedMatrixAlgebra, canonical_shift,
+from gradedk.groups import (GradeGroup, SubgroupSpec, coset_index, coset_label,
+                            coset_label_columns)
+from gradedk.matrixring import (ShiftedMatrixAlgebra, _matrix_algebra, canonical_shift,
                                 central_scalar_check, covering_algebra,
                                 identity_component, is_good_grading,
                                 is_graded_simple_matrix,
                                 is_strongly_graded_matrix,
-                                shifted_iso_decision, solve_shift_matrix)
+                                shifted_iso_decision, solve_shift_matrix,
+                                split_lazy_identity_component)
+from gradedk.wedderburn import split_identity_component
 import scalarlinalg
 from shiftoracle import (assert_shift_classification_witness, assert_shift_witness,
                          assert_top_certificate, exhaustive_shift_search,
@@ -158,6 +163,59 @@ def test_strong_grading_closed_form_matches_linear_solve():
             assert rep.counterexample == ref, m
         verdicts.append(verdict)
     assert verdicts.count("true") > 20 and verdicts.count("false") > 20
+
+
+def all_pairs_support_subgroup(m):
+    """The support subgroup of a lazy M_n(R)(d) on its long generator list:
+    R's support generators and every d_i^-1 d_j other than e."""
+    gens = list(m.base.support.generators)
+    gens += [di.inverse() * dj for di in m.shift for dj in m.shift if di != dj]
+    return SubgroupSpec(m.group, gens)
+
+
+def test_support_basis_generates_the_all_pairs_subgroup():
+    # the basis and the all-pairs list generate one subgroup: each contains
+    # the other's generators, the index agrees, and so do the cosets of a
+    # grid of points read off the two Smith forms
+    for m in lazy_matrix_rings():
+        group, basis = m.group, support_subgroup(m).generators
+        assert len(basis) <= group.dim
+        full, fresh = all_pairs_support_subgroup(m), SubgroupSpec(group, basis)
+        assert all(fresh.contains(g) for g in full.generators), m
+        assert all(full.contains(g) for g in basis), m
+        assert coset_index(group, fresh) == coset_index(group, full)
+        points = list(itertools.product(range(-3, 4), repeat=group.dim))
+        labels = [list(zip(*coset_label_columns(spec, points))) for spec in (full, fresh)]
+        assert len(set(labels[0])) == len(set(zip(*labels))) == len(set(labels[1]))
+
+
+def test_lazy_identity_component_on_labels_matches_the_support_test():
+    # label(d_i) = label(d_j) keeps the entries where R_(d_i d_j^-1) != 0
+    for m in lazy_matrix_rings():
+        a0 = identity_component(m)
+        degree = lambda i, j: m.shift[i] * m.shift[j].inverse()
+        ref = _matrix_algebra(m.base, m.n, lambda i, j: [degree(i, j)]
+                              if m.base.has_component(degree(i, j)) else [])[0]
+        assert (a0.labels, a0.products, a0.unit_coords) == \
+            (ref.labels, ref.products, ref.unit_coords), m
+
+
+def test_lazy_identity_split_matches_the_general_split():
+    """The closed form prod_c M_(n_c)(F) against the Wedderburn split of
+    the same A_e: the same blocks in the same order, the same idempotents,
+    radical 0, and every block the general split types typed alike."""
+    for m in lazy_matrix_rings():
+        dec = split_lazy_identity_component(m)
+        ref = split_identity_component(identity_component(m))
+        assert dec.radical_dim == ref.radical_dim == 0
+        assert [(b.dim, b.centre_dim) for b in dec.blocks] == \
+            [(b.dim, b.centre_dim) for b in ref.blocks], m
+        assert {e.coords for e in dec.idempotents} == {e.coords for e in ref.idempotents}
+        assert all(b.resolved and b.matrix_size == math.isqrt(b.dim) and b.division_dim == 1
+                   for b in dec.blocks)
+        typed = Counter((b.dim, b.matrix_size, b.division_dim) for b in ref.blocks if b.resolved)
+        assert not typed - Counter((b.dim, b.matrix_size, b.division_dim) for b in dec.blocks)
+        assert sorted(Counter(m.labels).values()) == [b.matrix_size for b in dec.blocks]
 
 
 def test_graded_simple_and_centre_lazy():
