@@ -115,8 +115,8 @@ class Algebra:
         """Column j of L_1 and of R_1 must be e_j: scale^2 (the scaled value
         of 1 * 1) at e_j and zero elsewhere."""
         u, one = self.unit_ints, self.scale ** 2
-        for j, cols in enumerate(zip(_regular_columns(self, u, True),
-                                     _regular_columns(self, u, False))):
+        for j, cols in enumerate(zip(regular_columns(self, u, True),
+                                     regular_columns(self, u, False))):
             for col in cols:
                 col[j] = col.get(j, 0) - one
             if any(v % p if p else v for col in cols for v in col.values()):
@@ -205,12 +205,6 @@ class Algebra:
     @property
     def one(self):
         return AlgebraElement(self, self.unit_coords)
-
-    def from_label_dict(self, terms):
-        coords = [self.field.zero] * self.dim
-        for label, v in terms.items():
-            coords[self.labels.index(label)] = self.field.scalar(v)
-        return self.element(coords)
 
     def elements(self):
         """All elements; only for prime fields within the enumeration budget."""
@@ -398,7 +392,7 @@ def integer_regular_rows(alg, xs, left=True):
     return rows
 
 
-def _regular_columns(alg, xs, left):
+def regular_columns(alg, xs, left):
     """The products x e_j (left) or e_j x for the integer vector xs, one
     sparse integer row per basis vector e_j: the columns of L_x or R_x."""
     cols = [{} for _ in range(alg.dim)]
@@ -538,7 +532,7 @@ def two_sided_ideal_closure(algebra, generators):
     while queue and len(echelon[2]) < n:
         x = queue.pop()
         for left in (True, False):
-            for v in _regular_columns(algebra, [x.get(j, 0) for j in range(n)], left):
+            for v in regular_columns(algebra, [x.get(j, 0) for j in range(n)], left):
                 r = linalg.reduce_row(echelon, v, field)
                 if r:
                     echelon = linalg.rref(echelon[0] + [r], field)
@@ -644,7 +638,7 @@ def is_central_simple(algebra):
     z = center(algebra)
     if z.dim != 1:
         return VerdictReport("central-simple", FALSE, EXHAUSTIVE,
-                             counterexample=("center-dim", z.dim))
+                             counterexample=("centre-dim", z.dim))
     radical = jacobson_radical(algebra)
     if radical.dim:
         return VerdictReport("central-simple", FALSE, EXHAUSTIVE,

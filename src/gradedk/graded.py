@@ -178,12 +178,6 @@ class TwistedGroupAlgebra:
         """(cg*u_g)(ch*u_h) as a (coefficient, degree) pair."""
         return cg * ch * self.cocycle(g, h), g * h
 
-    def monomial_inverse(self, c, g):
-        if not c:
-            raise ZeroDivisionError("zero homogeneous element")
-        t = self.cocycle(g, g.inverse())
-        return self.field.one / (c * t), g.inverse()
-
     def noncommuting_pair(self):
         """Support generators a, b with u_a u_b != u_b u_a, or None."""
         gens = list(self.support.generators)
@@ -249,24 +243,33 @@ def strongly_graded_at(g, gamma):
     return [(pair, c) for pair, c in zip(pairs, alg.field.from_ints(*sol)) if c]
 
 
-def is_strongly_graded(g):
-    """1 in R_gamma R_{gamma^-1} for each support-subgroup generator; the
-    generator reduction is valid because the component products compose."""
-    if isinstance(g, TwistedGroupAlgebra):
-        # u_g has homogeneous inverse, so 1 is in R_g R_{g^-1} for every g
-        return VerdictReport("strongly-graded", TRUE, CONSTRUCTIVE,
-                             witness="homogeneous units u_g")
+def strong_grading_report(generators, certify):
+    """The strong-grading report on support-subgroup generators, valid as
+    the component products compose: certify(d), a certificate that 1 lies
+    in R_d R_(d^-1) or None, is asked of each generator and its inverse,
+    and the first None is a false with ("degree", d)."""
     certificates = {}
-    for gamma in support_subgroup(g).generators:
+    for gamma in generators:
         for d in (gamma, gamma.inverse()):
             if d in certificates:
                 continue
-            cert = strongly_graded_at(g, d)
+            cert = certify(d)
             if cert is None:
                 return VerdictReport("strongly-graded", FALSE, EXHAUSTIVE,
                                      counterexample=("degree", d))
             certificates[d] = cert
     return VerdictReport("strongly-graded", TRUE, CONSTRUCTIVE, witness=certificates)
+
+
+def is_strongly_graded(g):
+    """1 in R_gamma R_{gamma^-1} for each support-subgroup generator and its
+    inverse, by `strongly_graded_at`."""
+    if isinstance(g, TwistedGroupAlgebra):
+        # u_g has homogeneous inverse, so 1 is in R_g R_{g^-1} for every g
+        return VerdictReport("strongly-graded", TRUE, CONSTRUCTIVE,
+                             witness="homogeneous units u_g")
+    return strong_grading_report(support_subgroup(g).generators,
+                                 functools.partial(strongly_graded_at, g))
 
 
 def _non_unit(g, a0, dec):

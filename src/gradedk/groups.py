@@ -269,10 +269,6 @@ class SubgroupSpec:
         spec._coords = coords
         return spec
 
-    def element_set(self):
-        """The subgroup's elements; only for finite ambient groups."""
-        return frozenset(GroupElement(self.group, c) for c in self._coords)
-
     @functools.cached_property
     def _coords(self):
         """The coordinates of the subgroup's elements."""

@@ -3,14 +3,14 @@ abelian groups: graded K0 of strongly graded algebras through the Wedderburn
 splitting of the identity component (`wedderburn.split_identity_component`,
 by theorem for a lazy matrix ring), graded K0 of graded division rings
 through cosets, and the CK0 / ZK0 exact-sequence data with torsion bounds
-and localization."""
+and localization. Invariant factors are computed only in `groups`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import GradeGroup, SubgroupSpec, coset_index, quotient_invariants
+from .groups import coset_index
 from .matrixring import ShiftedMatrixAlgebra, identity_component, split_lazy_identity_component
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE
 from .wedderburn import split_identity_component
@@ -29,16 +29,6 @@ class FGAbelianGroup:
         if any(d < 2 for d in self.torsion):
             raise ValueError("torsion factors must be at least 2")
 
-    @staticmethod
-    def from_presentation(rank, torsion):
-        """Normalize cyclic factors Z/t, t >= 1, into invariant-factor form."""
-        torsion = [int(t) for t in torsion if int(t) != 1]
-        if not torsion:
-            return FGAbelianGroup(rank)
-        group = GradeGroup.product_of_cyclic(*torsion)
-        _, factors = quotient_invariants(group, SubgroupSpec(group, []))
-        return FGAbelianGroup(rank, tuple(factors))
-
     def __repr__(self):
         parts = []
         if self.rank == 1:
@@ -48,8 +38,6 @@ class FGAbelianGroup:
         parts += ["Z/%d" % d for d in self.torsion]
         return " x ".join(parts) if parts else "0"
 
-
-TRIVIAL_GROUP = FGAbelianGroup(0)
 
 # graded K0 of a graded division ring with infinitely many cosets
 INFINITE_RANK_FREE = "free-abelian-of-infinite-rank"

@@ -5,9 +5,10 @@ entry (i, j) holds a chosen list of R's basis keys k, on the basis
 (i, j, k), with (i, j, x)(j, l, y) = (i, l, xy). `materialized` takes every
 key of R; the covering algebra End_gr(sum_i R(s_i)) takes the keys of
 R_(s_i^-1 s_j); and the identity component of M_n(R)(d), lazy or not, is
-the covering algebra of (d_1^-1, ..., d_n^-1).
+the covering algebra of (d_1^-1, ..., d_n^-1), built once per ring.
 Over a lazy graded field R, strong grading, the identity component and its
-blocks are read off the Gamma_D-coset labels of the shift entries.
+blocks are read off the Gamma_D-coset labels of the shift entries, and a
+shift classification's witness pairs entries by their translated labels.
 
 Degree conventions (abelian groups written additively):
   * the ij-entry of the lam-component lies in R_{delta_i + lam - delta_j};
@@ -29,7 +30,7 @@ from . import linalg
 from .algebra import (Algebra, AlgebraElement, Subspace, center, integer_regular_rows,
                       try_invert)
 from .graded import (GradedAlgebra, TwistedGroupAlgebra, graded_radical,
-                     strongly_graded_at, support_subgroup)
+                     strong_grading_report, strongly_graded_at, support_subgroup)
 from .groups import SubgroupSpec, coset_label, coset_label_columns
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE, combine
 from .wedderburn import (BlockSummary, SemisimpleDecomposition,
@@ -73,6 +74,16 @@ class ShiftedMatrixAlgebra:
     def labels(self):
         """Each shift entry's coset label for the lazy base's support."""
         return _coset_labels(self.group, self.base.support, self.shift)
+
+    @functools.cached_property
+    def _identity_component(self):
+        """A_e, built and checked once; see `identity_component`."""
+        d, base = self.shift, self.base
+        if self.lazy:
+            keys = lambda i, j: [d[i] * d[j].inverse()] if self.labels[i] == self.labels[j] else []
+        else:
+            keys = lambda i, j: base.component_indices(d[i] * d[j].inverse())
+        return _matrix_algebra(base, self.n, keys)[0]
 
     # -- lazy component algebra ---------------------------------------
 
@@ -149,15 +160,11 @@ def identity_component(m):
     (`GradedAlgebra.identity_component`). For M_n(R)(d), lazy or not, it is
     End_gr(sum_i R(d_i^-1)), the covering algebra of (d_1^-1, ..., d_n^-1)
     with repeated entries kept: its (i, j)-entry is R_(d_i d_j^-1), which
-    for a lazy R is F u_(d_i d_j^-1) when d_i and d_j share a label, else 0."""
+    for a lazy R is F u_(d_i d_j^-1) when d_i and d_j share a label, else 0.
+    Either way it is built once: every call returns the same object."""
     if not isinstance(m, ShiftedMatrixAlgebra):
         return m.identity_component()
-    d, base = m.shift, m.base
-    if m.lazy:
-        keys = lambda i, j: [d[i] * d[j].inverse()] if m.labels[i] == m.labels[j] else []
-    else:
-        keys = lambda i, j: base.component_indices(d[i] * d[j].inverse())
-    return _matrix_algebra(base, m.n, keys)[0]
+    return m._identity_component
 
 
 def split_lazy_identity_component(m):
@@ -187,21 +194,15 @@ def is_strongly_graded_matrix(m):
         raise ValueError("materialized algebras use graded.is_strongly_graded")
     base = m.base
     first = {x: m.labels.index(x) for x in m.labels}  # the first j of each label
-    certificates = {}
-    for lam in support_subgroup(m).generators:
-        for d in (lam, lam.inverse()):
-            if d in certificates:
-                continue
-            moved = _coset_labels(m.group, base.support, [di * d for di in m.shift])
-            if not all(x in first for x in moved):
-                return VerdictReport("strongly-graded", FALSE, EXHAUSTIVE,
-                                     counterexample=("degree", d))
-            certificates[d] = [(((i, j, g), (j, i, g.inverse())),
-                                base.field.one / base.cocycle(g, g.inverse()))
-                               for i, j in enumerate(map(first.get, moved))
-                               for g in [m.entry_degree(i, j, d)]]
-    return VerdictReport("strongly-graded", TRUE, CONSTRUCTIVE,
-                         witness=certificates)
+
+    def certify(d):
+        moved = _coset_labels(m.group, base.support, [di * d for di in m.shift])
+        if not all(x in first for x in moved):
+            return None
+        return [(((i, j, g), (j, i, g.inverse())), base.field.one / base.cocycle(g, g.inverse()))
+                for i, j in enumerate(map(first.get, moved))
+                for g in [m.entry_degree(i, j, d)]]
+    return strong_grading_report(support_subgroup(m).generators, certify)
 
 
 def is_graded_simple_matrix(m):
@@ -459,31 +460,30 @@ def _rows(cols, m):
     return list(zip(*cols)) if cols else [()] * m
 
 
-def _translate(group, gamma_d, labels, reps, offset):
-    """The label columns of the cosets x + offset for the labels x: over an
-    fg-abelian group offset is in label coordinates, added modulo the
-    invariant factors; over a finite table it is an element, and the one
-    column holds coset_label(reps[x] + offset)."""
+def _translate(group, gamma_d, labels, reps, b):
+    """The label columns of the cosets x - b for the labels x and b: over an
+    fg-abelian group label arithmetic modulo the invariant factors; over a
+    finite table the one column holds coset_label(reps[x] - reps[b])."""
     if group.kind != "fg-abelian":
+        offset = reps[b].inverse()
         return [[coset_label(group, gamma_d, reps[x] * offset) for x in labels]]
-    return [[(x + t) % d for x in col] if d else [x + t for x in col]
-            for col, t, d in zip(zip(*labels), offset, gamma_d.smith_form[0])]
+    return [[(x - t) % d if d else x - t for x in col]
+            for col, t, d in zip(zip(*labels), b, gamma_d.smith_form[0])]
 
 
 def _canonical_labels(group, gamma_d, entries, labels):
-    """(form, b): `canonical_shift` from the entries and their
-    `_coset_labels`, and the label b whose translation by -b attains it."""
+    """(form, b, moved): `canonical_shift` from the entries and their
+    `_coset_labels`, the label b whose translation by -b attains it, and
+    moved[x], the label of x - b, for each distinct label x."""
     counts = Counter(labels)
     distinct, negs = list(counts), [-c for c in counts.values()]
     reps = dict(zip(labels, entries))
-    if group.kind == "fg-abelian":
-        offsets = [[-v for v in b] for b in distinct]
-    else:
-        offsets = [reps[b].inverse() for b in distinct]
-    runs, b = min(((sorted(zip(*_translate(group, gamma_d, distinct, reps, t), negs)), b)
-                   for t, b in zip(offsets, distinct)), key=lambda pair: pair[0])
+    runs, b, cols = min(((sorted(zip(*cols, negs)), b, cols) for b in distinct
+                         for cols in [_translate(group, gamma_d, distinct, reps, b)]),
+                        key=lambda found: found[0])
     out = tuple(run[:-1] for run in runs for _ in range(-run[-1]))
-    return (out if group.kind == "fg-abelian" else tuple(x for (x,) in out)), b
+    form = out if group.kind == "fg-abelian" else tuple(x for (x,) in out)
+    return form, b, dict(zip(distinct, _rows(cols, len(distinct))))
 
 
 def shifted_iso_decision(group, gamma_d, lam, gam):
@@ -494,8 +494,8 @@ def shifted_iso_decision(group, gamma_d, lam, gam):
     Equal canonical forms, attained at the entries b of lam and c of gam,
     give the labels of the gam[i] c^-1 as those of the lam[j] b^-1, so
     sigma = c b^-1 sends each gam[i] sigma^-1 into the coset of an unused
-    lam[j], which is pi(i), and tau[i] = gam[i] sigma^-1 lam[pi(i)]^-1 lies
-    in Gamma_D."""
+    lam[j] whose translate by b^-1 has the label of gam[i] c^-1, which is
+    pi(i), and tau[i] = gam[i] sigma^-1 lam[pi(i)]^-1 lies in Gamma_D."""
     lam = list(lam)
     gam = list(gam)
     if not lam or not gam:
@@ -504,8 +504,8 @@ def shifted_iso_decision(group, gamma_d, lam, gam):
         raise ValueError("shift vectors must have equal length (n = n')")
     lab_l = _coset_labels(group, gamma_d, lam)
     lab_g = _coset_labels(group, gamma_d, gam)
-    form_l, b = _canonical_labels(group, gamma_d, lam, lab_l)
-    form_g, c = _canonical_labels(group, gamma_d, gam, lab_g)
+    form_l, b, moved_l = _canonical_labels(group, gamma_d, lam, lab_l)
+    form_g, c, moved_g = _canonical_labels(group, gamma_d, gam, lab_g)
     cf_l, cf_g = ShiftCanonicalForm(form_l), ShiftCanonicalForm(form_g)
     if cf_l != cf_g:
         diff = (Counter(cf_g.labels) - Counter(cf_l.labels)) + \
@@ -515,18 +515,11 @@ def shifted_iso_decision(group, gamma_d, lam, gam):
                              details={"left": cf_l, "right": cf_g})
     sigma = gam[lab_g.index(c)] * lam[lab_l.index(b)].inverse()
     sigma_inv = sigma.inverse()
-    # the label of each gam[i] sigma^-1, one translate per distinct label;
-    # over an fg-abelian group the offset is the label difference b - c
-    distinct = list(dict.fromkeys(lab_g))
-    offset = [x - y for x, y in zip(b, c)] if group.kind == "fg-abelian" else sigma_inv
-    moved = dict(zip(distinct, _rows(_translate(group, gamma_d, distinct,
-                                                dict(zip(lab_g, gam)), offset),
-                                     len(distinct))))
     unused = {}
     for j, x in enumerate(lab_l):
-        unused.setdefault(x, []).append(j)
+        unused.setdefault(moved_l[x], []).append(j)
     unused = {x: iter(js) for x, js in unused.items()}
-    pi = [next(unused[moved[y]]) for y in lab_g]
+    pi = [next(unused[moved_g[y]]) for y in lab_g]
     tau = [g * sigma_inv * lam[j].inverse() for g, j in zip(gam, pi)]
     return VerdictReport("shifted-matrix-isomorphic", TRUE, CONSTRUCTIVE,
                          witness={"pi": pi, "tau": tau, "sigma": sigma})

@@ -21,7 +21,7 @@ from sympy.polys.factortools import dup_factor_list
 from . import linalg
 from .algebra import (Algebra, AlgebraElement, Subspace, center, evaluate_poly,
                       integer_product, integer_regular_rows, jacobson_radical,
-                      minimal_polynomial, regular_traces)
+                      minimal_polynomial, regular_columns, regular_traces)
 
 ROOT_SEARCH_BOUND = 1 << 16
 
@@ -50,10 +50,6 @@ class SemisimpleDecomposition:
     @property
     def radical_dim(self):
         return self.radical.dim
-
-    @property
-    def fully_resolved(self):
-        return all(b.resolved for b in self.blocks)
 
 
 def quotient(algebra, radical):
@@ -244,11 +240,8 @@ def _block_type(algebra, e, bdim, cdim):
     n = isqrt(bdim)
     if cdim > 1:
         return None, None, "proper-centre"
-    columns = [{} for _ in range(algebra.dim)]
-    for k, row in enumerate(integer_regular_rows(algebra, field.to_ints(e.coords)[0])):
-        for j, v in row.items():
-            columns[j][k] = v
-    block, den, _ = linalg.rref(columns, field)
+    block, den, _ = linalg.rref(regular_columns(algebra, field.to_ints(e.coords)[0], True),
+                                field)
     basis = [[r.get(j, 0) for j in range(algebra.dim)] for r in block]
     if n == 2:
         split = _quaternion_block_splits(algebra, e, basis)

@@ -6,8 +6,9 @@ here as the oracle, and re-checks of its (r, t) witnesses and of its
 top-dimension certificates. For the classification of shift vectors over a
 graded division ring: the direct canonical form and witness search that
 `canonical_shift` and `shifted_iso_decision` replaced, which label every
-translate of every entry with `coset_label`, and a replay of their
-(pi, tau, sigma) witnesses."""
+translate of every entry with `coset_label`; the second pass that built
+`shifted_iso_decision`'s witness before it paired entries by the translates
+of the canonical forms; and a replay of their (pi, tau, sigma) witnesses."""
 
 import itertools
 from collections import Counter
@@ -202,6 +203,33 @@ def reference_shifted_iso_decision(group, gamma_d, lam, gam):
             return VerdictReport("shifted-matrix-isomorphic", TRUE, CONSTRUCTIVE,
                                  witness={"pi": pi, "tau": tau, "sigma": sigma})
     raise AssertionError("canonical forms equal but no witness found")
+
+
+def reference_shift_witness(group, gamma_d, lam, gam):
+    """The (pi, tau, sigma) of `shifted_iso_decision` on shift vectors of
+    equal canonical form, by its earlier second pass: sigma = c b^-1 for the
+    first entries b of lam and c of gam whose translates attain the form,
+    then each gam[i] sigma^-1 labelled again and matched to the next unused
+    lam[j] of that label. Labels are those of `reference_canonical_shift`:
+    (U x) mod d over an fg-abelian group, `coset_label` otherwise."""
+    factors, u = gamma_d.smith_form if group.kind == "fg-abelian" else (None, None)
+
+    def label(x):
+        if u is None:
+            return coset_label(group, gamma_d, x)
+        ys = [sum(a * c for a, c in zip(row, x.coords)) for row in u]
+        return tuple(y % d if d else y for y, d in zip(ys, factors))
+    first_minimal = lambda shift: min(shift, key=lambda base: sorted(
+        label(s * base.inverse()) for s in shift))
+    sigma = first_minimal(gam) * first_minimal(lam).inverse()
+    sigma_inv = sigma.inverse()
+    unused = {}
+    for j, x in enumerate(lam):
+        unused.setdefault(label(x), []).append(j)
+    unused = {x: iter(js) for x, js in unused.items()}
+    pi = [next(unused[label(g * sigma_inv)]) for g in gam]
+    tau = [g * sigma_inv * lam[j].inverse() for g, j in zip(gam, pi)]
+    return {"pi": pi, "tau": tau, "sigma": sigma}
 
 
 def assert_shift_classification_witness(gamma_d, lam, gam, witness):

@@ -329,13 +329,13 @@ def test_ideal_closure():
 def test_ideal_closure_stops_at_full_dimension(monkeypatch):
     m3 = construct_matrix_algebra(FieldSpec.prime_field(5), 3)
     calls = []
-    regular_columns = algebra_module._regular_columns
+    regular_columns = algebra_module.regular_columns
 
     def counted(*args, **kwargs):
         calls.append(args)
         return regular_columns(*args, **kwargs)
 
-    monkeypatch.setattr(algebra_module, "_regular_columns", counted)
+    monkeypatch.setattr(algebra_module, "regular_columns", counted)
     ideal = two_sided_ideal_closure(m3, [m3.one])
     # the left products of 1 already span A
     assert len(calls) <= 2

@@ -83,8 +83,8 @@ def test_quaternion_witnesses_verified_by_multiplication():
 
 def test_symbol_algebra_relations():
     S = construct_symbol_algebra(F5, 2, 2, 3, 4)
-    x = S.algebra.from_label_dict({"x": 1})
-    y = S.algebra.from_label_dict({"y": 1})
+    x = S.algebra.basis_element(S.algebra.labels.index("x"))
+    y = S.algebra.basis_element(S.algebra.labels.index("y"))
     assert x * x == S.algebra.one.scale(2)
     assert y * y == S.algebra.one.scale(3)
     # xy = xi yx with xi = 4
@@ -94,8 +94,8 @@ def test_symbol_algebra_relations():
 def test_symbol_algebra_gf7():
     S = construct_symbol_algebra(FieldSpec.prime_field(7), 3, 2, 3, 2)
     assert S.dim == 9
-    x = S.algebra.from_label_dict({"x": 1})
-    y = S.algebra.from_label_dict({"y": 1})
+    x = S.algebra.basis_element(S.algebra.labels.index("x"))
+    y = S.algebra.basis_element(S.algebra.labels.index("y"))
     assert x ** 3 == S.algebra.one.scale(2)
     assert y ** 3 == S.algebra.one.scale(3)
     assert x * y == (y * x).scale(FieldSpec.prime_field(7).scalar(2))

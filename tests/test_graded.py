@@ -16,7 +16,7 @@ from gradedk.constructors import (construct_group_ring, construct_laurent,
 from gradedk.fields import FieldSpec
 from gradedk.graded import (GradedAlgebra, TwistedGroupAlgebra,
                             dimension_formula_check, graded_radical, graded_tensor, is_graded_division,
-                            is_graded_simple, is_strongly_graded,
+                            is_graded_simple, is_strongly_graded, strong_grading_report,
                             support, support_subgroup, trivially_graded,
                             validate_grading)
 from gradedk.groups import GradeGroup, SubgroupSpec
@@ -95,6 +95,26 @@ def test_truncated_polynomial_not_strongly_graded():
     assert is_graded_division(T).verdict == "false"
 
 
+def test_strong_grading_report_asks_each_generator_and_its_inverse():
+    # 1 in R_g R_(g^-1) says nothing of R_(g^-1) R_g: a certificate at g
+    # alone is a false at g^-1, and no degree is asked twice
+    G = GradeGroup.cyclic(3)
+    g, h = G.element((1,)), G.element((2,))
+    asked = []
+
+    def certify(d):
+        asked.append(d)
+        return None if d == h else ("certificate", d)
+    rep = strong_grading_report([g], certify)
+    assert rep.verdict == "false" and rep.counterexample == ("degree", h)
+    assert asked == [g, h]
+    asked.clear()
+    rep = strong_grading_report([g, h], lambda d: asked.append(d) or ("certificate", d))
+    assert rep.verdict == "true" and rep.strategy == "constructive"
+    assert rep.witness == {g: ("certificate", g), h: ("certificate", h)}
+    assert asked == [g, h]
+
+
 def test_laurent_twisted_group_algebra():
     L = construct_laurent(Q, step=2)
     g2 = L.group.element((2,))
@@ -103,8 +123,6 @@ def test_laurent_twisted_group_algebra():
     assert not L.has_component(g1)  # odd degrees vanish
     c, g = L.monomial_product(Fraction(2), g2, Fraction(3), g2)
     assert c == 6 and g == L.group.element((4,))
-    ci, gi = L.monomial_inverse(Fraction(2), g2)
-    assert ci == Fraction(1, 2) and gi == L.group.element((-2,))
     assert is_strongly_graded(L)
     assert is_graded_division(L)
     assert L.is_commutative()
@@ -670,7 +688,8 @@ def test_support_subgroup_matches_per_generator_loop():
         assert list(got.generators) == gens
         assert [d.coords for d in got.generators] == [d.coords for d in gens]
         if elems is not None:
-            assert got.element_set() == elems and got.order == len(elems)
+            assert {x for x in g.group.elements() if got.contains(x)} == elems
+            assert got.order == len(elems)
 
 
 def test_grading_structure_is_built_once_and_kept():

@@ -771,7 +771,7 @@ def test_central_simple_matches_the_psi_criterion(monkeypatch):
     monkeypatch.setattr(algebra_module, "_lifted_trace_digit",
                         lambda alg, x, i: rounds.append(alg) or real(alg, x, i))
     corpus = central_simple_corpus()
-    tags = {"true": 0, "center-dim": 0, "radical-element": 0}
+    tags = {"true": 0, "centre-dim": 0, "radical-element": 0}
     for alg in corpus:
         rep = is_central_simple(alg)
         assert (rep.verdict == "true") == ref_is_central_simple(alg), alg
@@ -782,7 +782,7 @@ def test_central_simple_matches_the_psi_criterion(monkeypatch):
         tags[tag] += 1
         if tag == "radical-element":
             assert not x.is_zero() and jacobson_radical(alg).contains(x)
-    assert tags["true"] > 60 and tags["center-dim"] > 30 and tags["radical-element"] >= 6
+    assert tags["true"] > 60 and tags["centre-dim"] > 30 and tags["radical-element"] >= 6
     ciw = {id(alg) for alg in rounds}
     assert all(id(alg) in ciw for alg in corpus[-4:-1])
 

@@ -26,7 +26,8 @@ from gradedk.wedderburn import split_identity_component
 import scalarlinalg
 from shiftoracle import (assert_shift_classification_witness, assert_shift_witness,
                          assert_top_certificate, exhaustive_shift_search,
-                         reference_canonical_shift, reference_shifted_iso_decision)
+                         reference_canonical_shift, reference_shift_witness,
+                         reference_shifted_iso_decision)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -198,6 +199,24 @@ def test_lazy_identity_component_on_labels_matches_the_support_test():
                               if m.base.has_component(degree(i, j)) else [])[0]
         assert (a0.labels, a0.products, a0.unit_coords) == \
             (ref.labels, ref.products, ref.unit_coords), m
+
+
+def test_identity_component_is_built_once_per_ring(monkeypatch):
+    # K0 reads A_e on every call; each ring, lazy or materialized, lays it
+    # out once and hands the same Algebra to every caller
+    import gradedk.matrixring as matrixring
+    real, built = matrixring._matrix_algebra, []
+    monkeypatch.setattr(matrixring, "_matrix_algebra",
+                        lambda *args: built.append(args) or real(*args))
+    lazy = ShiftedMatrixAlgebra(construct_laurent(Q, step=2), [Z.element((c,)) for c in (0, 1, 1)])
+    base = construct_group_ring(Q, GradeGroup.cyclic(2))
+    shifted = ShiftedMatrixAlgebra(base, [base.group.element((c,)) for c in (0, 1)])
+    for m in (lazy, shifted):
+        a0 = identity_component(m)
+        assert identity_component(m) is a0
+    assert all(split_lazy_identity_component(lazy).algebra is identity_component(lazy)
+               for _ in range(3))
+    assert len(built) == 2
 
 
 def test_lazy_identity_split_matches_the_general_split():
@@ -587,6 +606,31 @@ def test_shift_classification_matches_reference():
     for classify in (canonical_shift, reference_canonical_shift):
         with pytest.raises(ValueError):
             classify(S3, SubgroupSpec(S3, []), S3.elements())
+
+
+def test_shift_witness_matches_the_second_pass_reference():
+    # the witness paired by the canonical forms' translates is the one the
+    # earlier second pass built by labelling each gam[i] sigma^-1 again,
+    # byte for byte, over the classification spaces and spaces with
+    # Gamma_D = G, whose labels are all zero ("1/1" has no label columns)
+    Z2, Z2T6, C6 = GradeGroup.fg_abelian(2), GradeGroup.fg_abelian(2, (6,)), _cyclic_table(6)
+    spaces = _classification_spaces() + [
+        ("Z/all", Z, [Z.element((1,))]),
+        ("Z2/all", Z2, [Z2.element((1, 0)), Z2.element((0, 1))]),
+        ("Z2xZ6/all", Z2T6, [Z2T6.element(c) for c in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]),
+        ("C6/all", C6, [C6.element(1)])]
+    rng = random.Random(3303)
+    decided = Counter()
+    for t in range(1600):
+        name, group, gens = spaces[t % len(spaces)]
+        gamma_d = SubgroupSpec(group, gens)
+        lam, gam = _random_shift_pair(rng, group, gens, rng.choice([1, 2, 3, 4, 6, 9]))
+        rep = shifted_iso_decision(group, gamma_d, lam, gam)
+        decided[rep.verdict] += 1
+        if rep:
+            assert repr(rep.witness) == repr(reference_shift_witness(group, gamma_d, lam, gam)), \
+                (name, lam, gam)
+    assert decided["true"] > 800 and decided["false"] > 100, decided
 
 
 def test_shift_classification_labels_each_entry_once(monkeypatch):

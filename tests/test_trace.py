@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from gradedk.algebra import commutator_subspace
+from gradedk.algebra import center, commutator_subspace
 from gradedk.constructors import (construct_group_ring,
                                   construct_matrix_algebra,
                                   construct_quaternion,
@@ -18,7 +19,7 @@ from gradedk.trace import (central_commutators_imply_commutative_check,
                            trd_kernel_check, trd_graded_surjective_check,
                            trd_na_plus_commutator_check)
 from randomdata import random_element, random_scalar
-from test_kernel import ref_charpoly, ref_regular_matrix
+from test_kernel import central_simple_corpus, ref_charpoly, ref_regular_matrix
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
@@ -208,6 +209,36 @@ def test_central_commutators_vacuous_for_matrix_ring():
     rep = central_commutators_imply_commutative_check(m2)
     assert rep.verdict == "true"
     assert rep.details.get("vacuous")
+
+
+def ref_central_commutators(alg):
+    """(verdict, vacuous) of `central_commutators_imply_commutative_check`
+    by its earlier loop: the basis commutators [e_i, e_j], i < j, formed
+    element by element and tested against the centre one at a time, with
+    commutativity read off the same products."""
+    z = center(alg)
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    commutators = [x * y - y * x for i, x in enumerate(basis) for y in basis[i + 1:]]
+    if any(not z.contains(c) for c in commutators):
+        return "true", True
+    return ("true" if all(c.is_zero() for c in commutators) else "false"), False
+
+
+def test_central_commutators_match_the_elementwise_loop():
+    # [A, A] in Z(A) on one commutator subspace and one centre gives the
+    # verdict and the vacuous flag of the element-by-element loop, on the
+    # constructor grid and rebased M_2, T_2, F[C_2] and M_3; the detail is
+    # an element of [A, A] outside Z(A)
+    seen = Counter()
+    for alg in central_simple_corpus():
+        rep = central_commutators_imply_commutative_check(alg)
+        vacuous = bool(rep.details.get("vacuous"))
+        assert (rep.verdict, vacuous) == ref_central_commutators(alg), alg
+        seen[rep.verdict, vacuous] += 1
+        if vacuous:
+            x = rep.details["noncentral-commutator"]
+            assert commutator_subspace(alg).contains(x) and not center(alg).contains(x)
+    assert seen["true", True] > 90 and seen["true", False] > 40 and seen["false", False], seen
 
 
 def test_group_ring_commutator_support_equals_support():
