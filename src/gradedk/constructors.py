@@ -32,6 +32,11 @@ def _basis_algebra(field, keys, product, labels, unit):
                    unit=[field.one if k in unit else field.zero for k in keys])
 
 
+def _power(var, i):
+    """The label of var^i: "" for i = 0, var for i = 1, else var^i."""
+    return "" if i == 0 else var if i == 1 else "%s^%d" % (var, i)
+
+
 def _symbol_product(n, a, b, xi):
     """The product of x^i y^j, keyed (i, j), in the algebra x^n = a,
     y^n = b, xy = xi yx:
@@ -100,17 +105,7 @@ def construct_symbol_algebra(field, n, a, b, xi):
         raise ValueError("xi is not an n-th root of unity")
 
     keys = [(i, j) for i in range(n) for j in range(n)]
-    labels = []
-    for i, j in keys:
-        if i == 0 and j == 0:
-            labels.append("1")
-        else:
-            lab = ""
-            if i:
-                lab += "x" if i == 1 else "x^%d" % i
-            if j:
-                lab += "y" if j == 1 else "y^%d" % j
-            labels.append(lab)
+    labels = [_power("x", i) + _power("y", j) or "1" for i, j in keys]
     alg = _basis_algebra(field, keys, _symbol_product(n, a, b, xi), labels, [(0, 0)])
     if n > 1:
         group = GradeGroup.product_of_cyclic(n, n)
@@ -121,15 +116,15 @@ def construct_symbol_algebra(field, n, a, b, xi):
     return GradedAlgebra(alg, group, degrees)
 
 
-def construct_laurent(field, step=1, cocycle=None):
+def construct_laurent(field, step=1):
     """The Laurent-type graded field with support step*Z inside Z: components
-    F * u_(step*m), trivial cocycle by default."""
+    F * u_(step*m) with the trivial cocycle."""
     step = int(step)
     if step < 1:
         raise ValueError("step must be positive")
     group = GradeGroup.integers()
     supp = SubgroupSpec(group, [group.element((step,))])
-    return TwistedGroupAlgebra(field, group, supp, cocycle=cocycle)
+    return TwistedGroupAlgebra(field, group, supp)
 
 
 def construct_group_ring(field, group):
@@ -150,7 +145,7 @@ def construct_truncated_polynomial(field, m):
     if m < 2:
         raise ValueError("need m >= 2")
     group = GradeGroup.integers()
-    labels = ["1"] + ["t" if i == 1 else "t^%d" % i for i in range(1, m)]
+    labels = [_power("t", i) or "1" for i in range(m)]
     alg = _basis_algebra(field, range(m), lambda i, j: (i + j, field.one) if i + j < m else None,
                          labels, [0])
     return GradedAlgebra(alg, group, [group.element((i,)) for i in range(m)])

@@ -223,6 +223,5 @@ class FieldSpec:
         return hash((self.kind, self.characteristic))
 
     def __repr__(self):
-        if self.kind == "rationals":
-            return "QQ"
-        return "GF(%d)" % self.characteristic
+        """The file notation: Q or GF(p)."""
+        return "Q" if self.kind == "rationals" else "GF(%d)" % self.characteristic

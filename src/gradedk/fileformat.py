@@ -18,7 +18,7 @@ from .constructors import (construct_group_ring, construct_laurent,
                            construct_symbol_algebra, construct_truncated_polynomial)
 from .fields import FieldSpec
 from .graded import GradedAlgebra, TwistedGroupAlgebra, trivially_graded
-from .groups import GradeGroup
+from .groups import GradeGroup, signature_text
 
 
 class FormatError(ValueError):
@@ -72,10 +72,6 @@ def parse_field(text):
     raise FormatError("unknown field %r" % text)
 
 
-def format_field(field):
-    return "Q" if field.kind == "rationals" else "GF(%d)" % field.order
-
-
 def parse_group(text, table_lines=None):
     t = text.strip()
     if t in ("trivial", "1"):
@@ -110,13 +106,7 @@ def parse_group(text, table_lines=None):
 def format_group(group):
     if group.kind == "finite-table":
         return "table"
-    parts = []
-    if group.rank == 1:
-        parts.append("Z")
-    elif group.rank > 1:
-        parts.append("Z^%d" % group.rank)
-    parts += ["Z/%d" % n for n in group.torsion]
-    return " x ".join(parts) if parts else "trivial"
+    return signature_text(group.rank, group.torsion) or "trivial"
 
 
 def parse_scalar(field, token):
@@ -127,7 +117,7 @@ def parse_scalar(field, token):
     try:
         return field.scalar(int(token) if token.lstrip("+-").isdecimal() else Fraction(token))
     except (ValueError, ZeroDivisionError):
-        raise FormatError("bad scalar %r over %s" % (token, format_field(field))) from None
+        raise FormatError("bad scalar %r over %r" % (token, field)) from None
 
 
 def parse_group_element(group, token):
@@ -142,9 +132,7 @@ def parse_group_element(group, token):
 
 
 def format_group_element(g):
-    if g.group.kind == "finite-table":
-        return str(g.coords)
-    return "(" + ",".join(str(c) for c in g.coords) + ")"
+    return str(g.coords) if g.group.kind == "finite-table" else repr(g)
 
 
 # -- whole files -------------------------------------------------------
@@ -239,11 +227,11 @@ def dump_graded_algebra(g):
     if isinstance(g, TwistedGroupAlgebra):
         step = g.support.generators[0].coords[0] if g.support.generators else 0
         return "\n".join(["[construct]", "kind = laurent",
-                          "field = %s" % format_field(g.field),
+                          "field = %r" % g.field,
                           "step = %d" % abs(step), ""])
     alg = g.algebra
     lines = ["[algebra]",
-             "field = %s" % format_field(alg.field),
+             "field = %r" % alg.field,
              "group = %s" % format_group(g.group),
              "basis = %s" % " ".join(alg.labels),
              "degrees = %s" % " ".join(format_group_element(d) for d in g.degrees),

@@ -8,7 +8,9 @@ components.
 Each predicate is one deterministic procedure over Q and GF(p); none samples.
 The ones that look inside the identity component A_e (graded division,
 the graded radical, graded simplicity) build A_e here, take its radical
-from `algebra` and split it with `wedderburn`.
+from `algebra` and split it with `wedderburn`. Over every grade group the
+support subgroup is `SubgroupSpec.generated_by` of the support degrees, and
+e is never among its generators.
 """
 
 from __future__ import annotations
@@ -83,10 +85,7 @@ class GradedAlgebra:
 
     @functools.cached_property
     def _support_subgroup(self):
-        degrees = sorted(self._components, key=lambda d: d.coords)
-        if not self.group.is_finite():
-            return SubgroupSpec(self.group, degrees)
-        return SubgroupSpec.generated_by(self.group, [d.coords for d in degrees])
+        return SubgroupSpec.generated_by(self.group, sorted(d.coords for d in self._components))
 
     def homogeneous_components(self, x):
         """Decompose an element into its nonzero homogeneous components."""
@@ -211,11 +210,9 @@ def support(g):
 
 def support_subgroup(g):
     """The subgroup generated by the support, computed once per graded
-    algebra or shifted matrix ring. Over a finite group its generators are
-    the support degrees (in coordinate order) that the earlier ones do not
-    already generate; over an infinite group, where a membership test costs
-    a Smith normal form, the whole support. A lazy graded field's support is
-    its own subgroup."""
+    algebra or shifted matrix ring by `SubgroupSpec.generated_by` on the
+    support degrees in coordinate order, over every grade group. A lazy
+    graded field's support is its own subgroup."""
     if isinstance(g, TwistedGroupAlgebra):
         return g.support
     return g._support_subgroup
@@ -427,24 +424,22 @@ def trivially_graded(algebra, group):
     return GradedAlgebra(algebra, group, [group.identity] * algebra.dim)
 
 
-def dimension_formula_check(d, gamma_f=None):
-    """[D:F] = [D_0:F_0] |Gamma_D : Gamma_F| for F the base field (trivially
-    graded, so F_0 = F and Gamma_F is trivial unless supplied), with
-    Gamma_D the support subgroup. Over an infinite group the index is read
-    off G/Gamma_F -> G/Gamma_D, whose kernel is Gamma_D/Gamma_F: it is
-    infinite iff the two quotients differ in free rank, and otherwise the
-    ratio of their torsion orders. An infinite index fails the formula."""
+def dimension_formula_check(d):
+    """[D:F] = [D_0:F_0] |Gamma_D : Gamma_F| for F the base field, trivially
+    graded, so F_0 = F, Gamma_F is trivial and the index is |Gamma_D|, with
+    Gamma_D the support subgroup. Over an infinite group G it is read off
+    G/Gamma_D: infinite iff G/Gamma_D has a lower free rank than G, and
+    otherwise the ratio of their torsion orders. An infinite index fails
+    the formula."""
     total = d.dim
     d0 = len(d.component_indices(d.group.identity))
     supp_sub = support_subgroup(d)
-    if gamma_f is None:
-        gamma_f = SubgroupSpec(d.group, [])
     if d.group.is_finite():
-        index = supp_sub.order // gamma_f.order
+        index = supp_sub.order
     else:
-        (rank_f, torsion_f), (rank_d, torsion_d) = (
-            quotient_invariants(d.group, h) for h in (gamma_f, supp_sub))
-        index = "infinite" if rank_f != rank_d else math.prod(torsion_f) // math.prod(torsion_d)
+        rank, torsion = quotient_invariants(d.group, supp_sub)
+        index = ("infinite" if rank != d.group.rank
+                 else math.prod(d.group.torsion) // math.prod(torsion))
     ok = index != "infinite" and total == d0 * index
     return VerdictReport(
         "dimension-formula", TRUE if ok else FALSE, EXHAUSTIVE,

@@ -237,8 +237,13 @@ class GradeGroup:
     def __repr__(self):
         if self.kind == "finite-table":
             return "GradeGroup(table, order=%d)" % self.size
-        parts = ["Z"] * self.rank + ["Z/%d" % n for n in self.torsion]
-        return "GradeGroup(%s)" % (" x ".join(parts) if parts else "1")
+        return "GradeGroup(%s)" % (signature_text(self.rank, self.torsion) or "1")
+
+
+def signature_text(rank, torsion):
+    """Z^rank x Z/n1 x ... as text, with Z for rank 1, and "" if trivial."""
+    parts = ["Z" if rank == 1 else "Z^%d" % rank] if rank else []
+    return " x ".join(parts + ["Z/%d" % n for n in torsion])
 
 
 class SubgroupSpec:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import coset_index
+from .groups import coset_index, signature_text
 from .matrixring import ShiftedMatrixAlgebra, identity_component, split_lazy_identity_component
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE, CONSTRUCTIVE
 from .wedderburn import split_identity_component
@@ -30,13 +30,7 @@ class FGAbelianGroup:
             raise ValueError("torsion factors must be at least 2")
 
     def __repr__(self):
-        parts = []
-        if self.rank == 1:
-            parts.append("Z")
-        elif self.rank > 1:
-            parts.append("Z^%d" % self.rank)
-        parts += ["Z/%d" % d for d in self.torsion]
-        return " x ".join(parts) if parts else "0"
+        return signature_text(self.rank, self.torsion) or "0"
 
 
 # graded K0 of a graded division ring with infinitely many cosets

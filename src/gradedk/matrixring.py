@@ -262,7 +262,7 @@ def _top_dimensions(g, degrees):
     (s, t) entries (Peirce decomposition; Lam, GTM 131, 21)."""
     radical = graded_radical(g)
     pivots = set(radical.pivots)
-    semisimple = GradedAlgebra(quotient(g.algebra, radical)[0], g.group,
+    semisimple = GradedAlgebra(quotient(g.algebra, radical), g.group,
                                [d for c, d in enumerate(g.degrees) if c not in pivots])
     top, eps = covering_algebra(semisimple, degrees)
     idems = central_primitive_idempotents(top, center(top).basis_elements())

@@ -53,13 +53,12 @@ class SemisimpleDecomposition:
 
 
 def quotient(algebra, radical):
-    """(A/J, project): A/J on the basis vectors at the non-pivot columns of
-    J's echelon, and the map from A onto it. A vector is reduced against
-    the echelon, which leaves it 0 at every pivot: A/J's table is A's table
-    rows e_s e_t so reduced, for s, t off the pivots. For J = 0 it is
-    (A, identity)."""
+    """A/J on the basis vectors at the non-pivot columns of J's echelon. A
+    vector is reduced against the echelon, which leaves it 0 at every pivot:
+    A/J's table is A's table rows e_s e_t so reduced, for s, t off the
+    pivots. For J = 0 it is A itself."""
     if not radical.dim:
-        return algebra, lambda x: x
+        return algebra
     field, table, scale = algebra.field, algebra.table, algebra.scale
     pivots = set(radical.pivots)
     keep = [c for c in range(algebra.dim) if c not in pivots]
@@ -72,13 +71,8 @@ def quotient(algebra, radical):
 
     products = {(s, t): dict(enumerate(reduce(dict(table[a].get(b, ())), scale)))
                 for s, a in enumerate(keep) for t, b in enumerate(keep)}
-    semisimple = Algebra(field, [algebra.labels[c] for c in keep], products,
-                         unit=reduce(dict(enumerate(algebra.unit_ints)), scale))
-
-    def project(x):
-        xs, dx = field.to_ints(x.coords)
-        return AlgebraElement(semisimple, reduce(dict(enumerate(xs)), dx))
-    return semisimple, project
+    return Algebra(field, [algebra.labels[c] for c in keep], products,
+                   unit=reduce(dict(enumerate(algebra.unit_ints)), scale))
 
 
 def spectral_idempotents(x):
@@ -196,7 +190,7 @@ def split_identity_component(algebra):
     z_r of Z. Over a smaller GF(p) they are the ranks of the rows of L_e
     and of the e z_r."""
     radical = jacobson_radical(algebra)
-    semisimple, _ = quotient(algebra, radical)
+    semisimple = quotient(algebra, radical)
     z = center(semisimple)
     idems = central_primitive_idempotents(semisimple, z.basis_elements())
     field, n, table = semisimple.field, semisimple.dim, semisimple.table

@@ -108,7 +108,16 @@ def recompute_top_dimensions(g, cover):
     (i, j) entries lie in R_(s_i^-1 s_j) and eps_i is its i-th diagonal
     unit."""
     e_alg = identity_component(ShiftedMatrixAlgebra(g, [s.inverse() for s in cover]).materialized)
-    top, project = quotient(e_alg, jacobson_radical(e_alg))
+    radical = jacobson_radical(e_alg)
+    top = quotient(e_alg, radical)
+    keep = [c for c in range(e_alg.dim) if c not in set(radical.pivots)]
+
+    def project(x):
+        # x reduced against J's echelon, read at A/J's columns
+        xs, dx = e_alg.field.to_ints(x.coords)
+        r = linalg.reduce_row(radical.echelon, dict(enumerate(xs)), e_alg.field)
+        return top.element(e_alg.field.from_ints([r.get(c, 0) for c in keep],
+                                                 radical.echelon[1] * dx))
     idems = central_primitive_idempotents(top, center(top).basis_elements())
     dims = {}
     for i, s in enumerate(cover):

@@ -89,6 +89,22 @@ def test_braun_rejects_noncentral_precondition():
         braun_check(g, pure_tensor(c.one, c.one)[:3])
 
 
+def test_braun_star_conditions_name_their_counterexample():
+    # on M_2(Q), 1 (x) 1 acts as the identity: e * 1 = 1, and e * e11 = e11
+    # lies outside the centre; 2 (1 (x) 1) already sends 1 to 2
+    g = trivially_graded(construct_matrix_algebra(Q, 2), GradeGroup.trivial())
+    alg = g.algebra
+    e11 = alg.basis_element(0)
+    one = pure_tensor(alg.one, alg.one)
+    assert [k for k, c in enumerate(one) if c] == [0, 3, 12, 15]
+    rep = braun_check(g, one)
+    assert (rep.verdict, rep.counterexample) == ("false", ("star-image", "e11", e11))
+    assert repr(rep.counterexample) == "('star-image', 'e11', 1*e11)"
+    rep = braun_check(g, [2 * c for c in one])
+    assert (rep.verdict, rep.counterexample) == ("false", ("star-unit", alg.one.scale(Q.scalar(2))))
+    assert repr(rep.counterexample) == "('star-unit', 2*e11 + 2*e22)"
+
+
 def test_braun_without_separability_idempotent_is_false():
     """The solve is exact, so an inconsistent system proves A is not
     separable: Q[t]/t^2 and GF(3)[S3], graded by the non-abelian S3."""

@@ -19,8 +19,9 @@ from gradedk.graded import (GradedAlgebra, TwistedGroupAlgebra,
                             is_graded_simple, is_strongly_graded, strong_grading_report,
                             support, support_subgroup, trivially_graded,
                             validate_grading)
-from gradedk.groups import GradeGroup, SubgroupSpec
+from gradedk.groups import GradeGroup, SubgroupSpec, coset_label_columns, quotient_invariants
 from gradedk.matrixring import ShiftedMatrixAlgebra, is_crossed_product, solve_shift_matrix
+from constructorgrid import cases
 from randomdata import random_constructed
 import scalarlinalg
 from shiftoracle import assert_top_certificate
@@ -597,8 +598,8 @@ def test_dimension_formula():
 
 
 def test_dimension_formula_index_over_an_infinite_group():
-    # |Gamma_D : Gamma_F| is infinite when G/Gamma_F and G/Gamma_D differ in
-    # free rank, and the ratio of their torsion orders otherwise
+    # |Gamma_D| is infinite when G/Gamma_D has a lower free rank than G, and
+    # the ratio of their torsion orders otherwise
     for m in (2, 3, 4):
         rep = dimension_formula_check(construct_truncated_polynomial(Q, m))
         assert (rep.verdict, rep.counterexample) == ("false", (m, 1, "infinite"))
@@ -612,11 +613,6 @@ def test_dimension_formula_index_over_an_infinite_group():
     sqrt2 = Algebra(Q, ["1", "r"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
                                     (1, 1): {0: 2}}, unit=[1, 0])
     rep = dimension_formula_check(GradedAlgebra(sqrt2, g, [g.identity, g.element((0, 2))]))
-    assert (rep.verdict, rep.details["support_index"]) == ("true", 2)
-    # Q[t]/t^2 over Z against Gamma_F = 2Z: |Z : 2Z| = 2
-    rep = dimension_formula_check(construct_truncated_polynomial(Q, 2),
-                                  SubgroupSpec(GradeGroup.integers(),
-                                               [GradeGroup.integers().element((2,))]))
     assert (rep.verdict, rep.details["support_index"]) == ("true", 2)
 
 
@@ -643,13 +639,13 @@ def test_support_subgroup():
 
 
 def reference_support_subgroup(g):
-    """(generators, elements) by the per-generator loop: a fresh closure of
-    the generators so far for each support degree, in coordinate order.
-    Over an infinite group the generators are the whole support and the
-    elements None."""
+    """(generators, elements) by the per-generator loop over a finite group:
+    a fresh closure of the generators so far for each support degree, in
+    coordinate order. Over an infinite group, (None, the subgroup on the
+    whole support), which the basis must generate."""
     degrees = sorted(set(g.degrees), key=lambda d: d.coords)
     if not g.group.is_finite():
-        return degrees, None
+        return None, SubgroupSpec(g.group, degrees)
     gens = []
     for d in degrees:
         if d not in brute_closure(g.group, gens):
@@ -683,13 +679,77 @@ def test_support_subgroup_matches_per_generator_loop():
     inputs = _support_subgroup_inputs()
     assert {g.group.is_finite() for g in inputs} == {True, False}
     for g in inputs:
-        gens, elems = reference_support_subgroup(g)
+        gens, ref = reference_support_subgroup(g)
         got = support_subgroup(g)
+        if gens is None:
+            # a basis of at most dim G degrees, generating the support's subgroup
+            assert len(got.generators) <= g.group.dim
+            assert all(ref.contains(x) for x in got.generators)
+            assert all(got.contains(d) for d in ref.generators)
+            assert quotient_invariants(g.group, got) == quotient_invariants(g.group, ref)
+            continue
         assert list(got.generators) == gens
         assert [d.coords for d in got.generators] == [d.coords for d in gens]
-        if elems is not None:
-            assert {x for x in g.group.elements() if got.contains(x)} == elems
-            assert got.order == len(elems)
+        assert {x for x in g.group.elements() if got.contains(x)} == ref
+        assert got.order == len(ref)
+
+
+def all_support_generators(g):
+    """The strong-grading generators of the earlier rule: over a finite
+    group the per-generator loop's, over an infinite group every support
+    degree in coordinate order, the identity included."""
+    gens, _ = reference_support_subgroup(g)
+    return gens if gens is not None else sorted(set(g.degrees), key=lambda d: d.coords)
+
+
+def z_graded_sweep():
+    """The graded algebras over infinite groups that the support rule is
+    checked on besides the truncated polynomials: M_2(Q)(0, s) over Z for
+    s = 0, 1, 3, Q(sqrt 2) with sqrt 2 in degree (0, 1) of Z x Z/2, and the
+    dual numbers with t in degree (1, 0) of Z^2."""
+    Z, ZZ2, Z2 = GradeGroup.integers(), GradeGroup.fg_abelian(1, (2,)), GradeGroup.fg_abelian(2)
+    base = trivially_graded(Algebra(Q, ["1"], {(0, 0): {0: 1}}, unit=[1]), Z)
+    out = [ShiftedMatrixAlgebra(base, [Z.element((0,)), Z.element((s,))]).materialized
+           for s in (0, 1, 3)]
+    sqrt2 = Algebra(Q, ["1", "r"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                                    (1, 1): {0: 2}}, unit=[1, 0])
+    dual = Algebra(Q, ["1", "t"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                   unit=[1, 0])
+    return out + [GradedAlgebra(sqrt2, ZZ2, [ZZ2.identity, ZZ2.element((0, 1))]),
+                  GradedAlgebra(dual, Z2, [Z2.identity, Z2.element((1, 0))])]
+
+
+def _grid_and_sweep():
+    out = []
+    for _, call in cases():
+        try:
+            out.append(call())
+        except (ValueError, ArithmeticError):
+            pass
+    return out + z_graded_sweep()
+
+
+def test_support_subgroup_generates_the_all_support_subgroup():
+    # the one generated_by rule against the earlier one on every grade group:
+    # the same subgroup, never the identity among the generators, and the
+    # same strong-grading, crossed-product and graded-division verdicts
+    inputs = _grid_and_sweep()
+    assert sum(not g.group.is_finite() for g in inputs) >= 20
+    for g in inputs:
+        group, got = g.group, support_subgroup(g)
+        old = SubgroupSpec(group, all_support_generators(g))
+        assert group.identity not in got.generators
+        if group.is_finite():
+            assert [got.contains(x) for x in group.elements()] == \
+                [old.contains(x) for x in group.elements()]
+        else:
+            assert quotient_invariants(group, got) == quotient_invariants(group, old)
+            points = [d.coords for d in g.degrees]
+            assert coset_label_columns(got, points) == coset_label_columns(old, points)
+        ref = GradedAlgebra(g.algebra, group, g.degrees)
+        ref.__dict__["_support_subgroup"] = old
+        for predicate in (is_strongly_graded, is_crossed_product, is_graded_division):
+            assert predicate(g).verdict == predicate(ref).verdict, (predicate, g)
 
 
 def test_grading_structure_is_built_once_and_kept():

@@ -5,9 +5,10 @@ import pytest
 
 from gradedk.azumaya import group_ring_azumaya
 from gradedk.fields import FieldSpec
-from gradedk.fileformat import load_graded_algebra
+from gradedk.fileformat import format_group, load_graded_algebra
 from gradedk.groups import (GradeGroup, SubgroupSpec, coset_index, coset_label,
-                            derived_subgroup, quotient_invariants)
+                            derived_subgroup, quotient_invariants, signature_text)
+from gradedk.ktheory import FGAbelianGroup
 
 
 def test_fg_abelian_normalization():
@@ -241,3 +242,28 @@ def test_derived_subgroup_and_centre_against_brute_force(group):
     rep = group_ring_azumaya(FieldSpec.prime_field(3), group)
     assert rep.details["centre-index"] == index
     assert rep.details["commutator-order"] == len(derived)
+
+
+def reference_signature(rank, torsion, empty):
+    """The earlier renderers' text of Z^rank x Z/n1 x ...: "Z" or "Z^r",
+    then each "Z/n", joined by " x ", and `empty` for the trivial group."""
+    parts = []
+    if rank == 1:
+        parts.append("Z")
+    elif rank > 1:
+        parts.append("Z^%d" % rank)
+    parts += ["Z/%d" % n for n in torsion]
+    return " x ".join(parts) if parts else empty
+
+
+def test_signature_text_matches_the_earlier_renderers():
+    chains = [(), (2,), (6,), (2, 4), (3, 6), (2, 2, 4), (2, 6, 12)]
+    for rank in range(4):
+        for torsion in chains:
+            text = signature_text(rank, torsion)
+            assert text == reference_signature(rank, torsion, "")
+            assert format_group(GradeGroup.fg_abelian(rank, torsion)) == \
+                reference_signature(rank, torsion, "trivial")
+            assert repr(FGAbelianGroup(rank, torsion)) == reference_signature(rank, torsion, "0")
+            assert repr(GradeGroup.fg_abelian(rank, torsion)) == "GradeGroup(%s)" % (text or "1")
+    assert repr(GradeGroup.fg_abelian(2, (2,))) == "GradeGroup(Z^2 x Z/2)"

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from gradedk.algebra import center, commutator_subspace
+from gradedk.algebra import Algebra, center, commutator_subspace
 from gradedk.constructors import (construct_group_ring,
                                   construct_matrix_algebra,
                                   construct_quaternion,
                                   construct_symbol_algebra)
 from gradedk.fields import FieldSpec
-from gradedk.graded import trivially_graded
+from gradedk.graded import GradedAlgebra, trivially_graded
 from gradedk.groups import GradeGroup
 from gradedk.trace import (central_commutators_imply_commutative_check,
                            commutator_support, nrd, reduced_char_poly,
@@ -195,7 +195,6 @@ def test_commutator_support_quaternions():
 
 def test_commutative_case():
     products = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1}}
-    from gradedk.algebra import Algebra
     c = Algebra(Q, ["1", "i"], products)
     g = trivially_graded(c, GradeGroup.trivial())
     rep = supp_commutator_lemma_check(g)
@@ -248,3 +247,35 @@ def test_group_ring_commutator_support_equals_support():
     rep = supp_commutator_lemma_check(A)
     assert rep.verdict in ("true", "false")  # structural smoke: must not raise
     assert commutator_subspace(A.algebra).dim > 0
+
+
+def product_of_four_lines():
+    """Q^4 = Q x Q x Q x Q on its primitive idempotents a, b, c, d."""
+    return Algebra(Q, list("abcd"), {(i, i): {i: 1} for i in range(4)}, unit=[1] * 4)
+
+
+def test_trace_checks_fail_on_a_commutative_product():
+    # Q^4 read as degree 2: Trd(e_i) = Tr(L_(e_i)) / 2 = 1/2, so ker Trd has
+    # dimension 3 while [A, A] = 0, and 2a - Trd(a) 1 is not a commutator
+    alg = product_of_four_lines()
+    rep = trd_kernel_check(alg)
+    assert (rep.verdict, rep.counterexample) == ("false", ("dims", 3, 0))
+    rep = trd_na_plus_commutator_check(alg, alg.basis_element(0))
+    assert rep.verdict == "false"
+    assert rep.counterexample == ("element", alg.element([Fraction(3, 2)] + [Fraction(-1, 2)] * 3))
+    assert repr(rep.counterexample) == "('element', 3/2*a + -1/2*b + -1/2*c + -1/2*d)"
+
+
+def test_commutator_support_of_the_exterior_algebra():
+    # Lambda(Q^2) = <1, a, b, ab> with a, b odd over Z/2: D_e = <1, ab> is
+    # central, [a, b] = 2ab, so Supp[D, D] = {e} meets the identity
+    products = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
+                (1, 0): {1: 1}, (2, 0): {2: 1}, (3, 0): {3: 1},
+                (1, 2): {3: 1}, (2, 1): {3: -1}}
+    ext = Algebra(Q, ["1", "a", "b", "ab"], products, unit=[1, 0, 0, 0])
+    z2 = GradeGroup.cyclic(2)
+    even, odd = z2.identity, z2.element((1,))
+    rep = supp_commutator_lemma_check(GradedAlgebra(ext, z2, [even, odd, odd, even]))
+    assert rep.verdict == "false" and rep.details["totally_ramified"]
+    assert rep.counterexample == ("supports", {even}, {even, odd})
+    assert repr(rep.counterexample) == "('supports', {(0)}, {(0), (1)})"
