@@ -42,9 +42,6 @@ from __future__ import annotations
 import functools
 import itertools
 
-from sympy import ZZ
-from sympy.polys.matrices import DomainMatrix
-
 from . import linalg
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE
 
@@ -461,17 +458,33 @@ def center(algebra):
     return Subspace(algebra, linalg.nullspace(rows.values(), n, algebra.field))
 
 
+def _row_product(a, b, q):
+    """The sparse rows of the product of the matrices of sparse integer rows
+    a and b, their entries mod q (as ints for q = 0), the zeros dropped."""
+    out = []
+    for row in a:
+        r = {}
+        for k, u in row.items():
+            for j, v in b[k].items():
+                r[j] = r.get(j, 0) + u * v
+        out.append({j: w for j, v in r.items() if (w := v % q if q else v)})
+    return out
+
+
 def _lifted_trace_digit(algebra, x, i):
-    """g_i(x) = (Tr(L~^(p^i)) mod p^(i+1)) / p^i, with L~ the integer lift of
-    L_x, for x given by its sparse residue row; x must lie in I_(i-1), where
-    the trace is divisible by p^i."""
+    """g_i(x) = (Tr(L^(p^i)) mod p^(i+1)) / p^i for L the lift of L_x to [0, p),
+    x a sparse residue row in I_(i-1), where p^i divides the trace: H = L^(p^i // 2)
+    mod p^(i+1) by square-and-multiply on sparse rows, Tr = sum_ab H_ab (H L^(p^i % 2))_ba."""
     p = algebra.field.characteristic
-    n = algebra.dim
-    rows = integer_regular_rows(algebra, [x.get(j, 0) for j in range(n)])
-    lift = DomainMatrix([[ZZ(row.get(j, 0) % p) for j in range(n)] for row in rows], (n, n), ZZ)
-    half = lift ** (p ** i // 2)  # Tr(L^k) = sum_ab H_ab K_ba with H K = L^k, k = p^i
-    rest = (half if p ** i % 2 == 0 else half * lift).transpose().to_list_flat()
-    t = int(sum(h * r for h, r in zip(half.to_list_flat(), rest))) % p ** (i + 1)
+    q = p ** (i + 1)
+    rows = integer_regular_rows(algebra, [x.get(j, 0) for j in range(algebra.dim)])
+    lift = [{j: v % p for j, v in row.items() if v % p} for row in rows]
+    half, power, e = [{a: 1} for a in range(algebra.dim)], lift, p ** i // 2
+    while e:  # square-and-multiply, low bit first
+        half, e = _row_product(half, power, q) if e & 1 else half, e >> 1
+        power = _row_product(power, power, q) if e else power
+    rest = _row_product(half, lift, q) if p ** i % 2 else half
+    t = sum(h * rest[b].get(a, 0) for a, row in enumerate(half) for b, h in row.items()) % q
     assert t % p ** i == 0
     return t // p ** i
 
@@ -480,11 +493,11 @@ def jacobson_radical(algebra):
     """The radical J as a canonical subspace (Cohen-Ivanyos-Wales, JPAA
     117/118 (1997)): I_(-1) = A, I_i = {a in I_(i-1) : g_i(ab) = 0 for all b}
     for i = 0 .. floor(log_p dim), and J is the last one. g_0 = Tr(L_x) is
-    linear on A, g_i (i >= 1) on I_(i-1), where it is read on a basis and
-    extended to a functional w; a round is one nullspace of w's Gram matrix,
-    and over Q (Dickson) or GF(p) with p > dim round 0 is the only one. The
-    graded layer passes ungraded algebras: A_e in `graded.graded_radical`,
-    and the input of `split_identity_component`."""
+    linear on A, g_i (i >= 1) on I_(i-1), where it is read on a basis, on
+    ints mod p^(i+1) (`_lifted_trace_digit`), and extended to a functional w;
+    a round is one nullspace of w's Gram matrix, and over Q (Dickson) or
+    GF(p) with p > dim round 0 is the only one. The graded layer calls it
+    on A_e, once per graded predicate."""
     field = algebra.field
     p = field.characteristic
     n = algebra.dim
@@ -502,13 +515,7 @@ def jacobson_radical(algebra):
             for r, a in row.items():
                 for t, v in gram[r].items():
                     cons[t][s] = cons[t].get(s, 0) + a * v
-        rows = []
-        for lam in linalg.nullspace(cons, len(basis), field)[0]:
-            vec = {}
-            for s, x in lam.items():
-                for c, y in basis[s].items():
-                    vec[c] = vec.get(c, 0) + x * y
-            rows.append(vec)
+        rows = _row_product(linalg.nullspace(cons, len(basis), field)[0], basis, p)
         echelon = linalg.rref(rows, field) if rows else ([], 1, [])
         i += 1
         if not echelon[2] or not p or p ** i > n:

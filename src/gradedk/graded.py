@@ -220,9 +220,9 @@ def support_subgroup(g):
 
 def strongly_graded_at(g, gamma):
     """Certificate that 1 lies in R_gamma * R_{gamma^-1}, or None: a
-    solution of sum c_ij e_i e_j = 1 over i in R_gamma, j in R_(gamma^-1).
-    The column of e_i e_j is read off `Algebra.table`, at the scale of
-    `Algebra.unit_ints`."""
+    solution of sum c_ij e_i e_j = 1 over i in R_gamma, j in R_(gamma^-1),
+    on the coordinates of A_e, where every e_i e_j and 1 lie. The column of
+    e_i e_j is read off `Algebra.table`, at the scale of `Algebra.unit_ints`."""
     alg = g.algebra
     left = g.component_indices(gamma)
     right = g.component_indices(gamma.inverse())
@@ -230,11 +230,11 @@ def strongly_graded_at(g, gamma):
         return None
     pairs = [(i, j) for i in left for j in right]
     m = len(pairs)
-    rows = [{m: u} if u else {} for u in alg.unit_ints]  # [A | 1]
+    rows = {k: {m: alg.unit_ints[k]} for k in g._components[g.group.identity]}  # [A | 1]
     for c, (i, j) in enumerate(pairs):
         for k, v in alg.table[i].get(j, ()):
             rows[k][c] = v
-    sol = linalg.solve(rows, m, alg.field)
+    sol = linalg.solve(rows.values(), m, alg.field)
     if sol is None:
         return None
     return [(pair, c) for pair, c in zip(pairs, alg.field.from_ints(*sol)) if c]
@@ -289,51 +289,58 @@ def is_graded_division(g):
     """Every nonzero homogeneous element invertible, which holds iff A_e is a
     division algebra and A is strongly graded: for nonzero x in A_g, x A_g^-1
     is a right ideal of A_e, nonzero because 1 is in A_g^-1 A_g. Checked in
-    turn: the basis vectors of A_e, the strong grading (A_d holds no unit
-    where it fails), and the Wedderburn splitting of A_e."""
+    turn: the basis vectors of A_e, inverted in A_e (if xy = yx = 1, then
+    x y_e = y_e x = 1 for the degree-e part y_e of y), the strong grading
+    (A_d holds no unit where it fails), and the Wedderburn splitting of A_e."""
+    return _graded_division(g)[0]
+
+
+def _graded_division(g):
+    """(the report, the splitting of A_e, or None where it was not reached)."""
     if isinstance(g, TwistedGroupAlgebra):
         return VerdictReport("graded-division", TRUE, CONSTRUCTIVE,
-                             witness="closed-form monomial inverses")
-    alg = g.algebra
-    for i in g.component_indices(g.group.identity):
-        b = alg.basis_element(i)
-        if try_invert(b) is None:
-            return VerdictReport("graded-division", FALSE, CONSTRUCTIVE,
-                                 counterexample=("noninvertible", b))
+                             witness="closed-form monomial inverses"), None
+    alg, a0 = g.algebra, g.identity_component()
+    for i, k in enumerate(g._components[g.group.identity]):
+        if try_invert(a0.basis_element(i)) is None:
+            return VerdictReport("graded-division", FALSE, CONSTRUCTIVE, counterexample=(
+                "noninvertible", alg.basis_element(k))), None
     sg = is_strongly_graded(g)
     if not sg:
         d = sg.counterexample[1]
         idx = g.component_indices(d)
         bad = ("noninvertible", alg.basis_element(idx[0])) if idx else ("degree", d)
-        return VerdictReport("graded-division", FALSE, EXHAUSTIVE, counterexample=bad)
-    a0 = g.identity_component()
+        return VerdictReport("graded-division", FALSE, EXHAUSTIVE, counterexample=bad), None
     dec = split_identity_component(a0)
     if dec.radical_dim == 0 and len(dec.blocks) == 1:
         block = dec.blocks[0]
         if block.matrix_size == 1:
             return VerdictReport("graded-division", TRUE, EXHAUSTIVE,
                                  witness={"identity-component": block,
-                                          "strongly-graded": sg.witness})
+                                          "strongly-graded": sg.witness}), dec
         if block.matrix_size is None:
             return VerdictReport("graded-division", UNDECIDED, EXHAUSTIVE,
                                  details={"reason": "identity-component-untyped",
-                                          "block-reason": block.reason})
+                                          "block-reason": block.reason}), dec
     x = _non_unit(g, a0, dec)
     bad = ("noninvertible", x) if x is not None else ("identity-component", dec.blocks)
-    return VerdictReport("graded-division", FALSE, EXHAUSTIVE, counterexample=bad)
+    return VerdictReport("graded-division", FALSE, EXHAUSTIVE, counterexample=bad), dec
 
 
 def graded_radical(g):
     """J^gr as a canonical subspace of A, on homogeneous echelon rows: its
     degree-d part is {x in A_d : x A_(d^-1) in J(A_e)} (Nastasescu-Van
-    Oystaeyen, Methods of Graded Rings, LNM 1836, 2004, 2.9). One call of
-    `jacobson_radical` on A_e gives the functionals w_r cutting out J(A_e)
+    Oystaeyen, Methods of Graded Rings, LNM 1836, 2004, 2.9)."""
+    return _graded_radical(g, jacobson_radical(g.identity_component()))
+
+
+def _graded_radical(g, radical):
+    """J^gr from J(A_e), which gives the functionals w_r cutting it out
     (coordinates if J(A_e) = 0) and image[k], the nonzero w_r(e_k); then one
     nullspace per support degree d of the w_r(x e_j), j in A_(d^-1)."""
     comps = g._components
     e_idx = comps[g.group.identity]
-    radical = jacobson_radical(g.identity_component()).echelon[0]
-    ws = linalg.nullspace(radical, len(e_idx), g.field)[0]
+    ws = linalg.nullspace(radical.echelon[0], len(e_idx), g.field)[0]
     image = {k: [(r, w[c]) for r, w in enumerate(ws) if c in w] for c, k in enumerate(e_idx)}
     parts = []
     for d, idx in comps.items():
@@ -357,15 +364,16 @@ def is_graded_simple(g):
     a proper graded ideal. For J^gr = 0, A is a product of graded simple
     algebras A f for central idempotents f of degree e (graded
     Wedderburn-Artin: Nastasescu-Van Oystaeyen, LNM 1836, 2.9), so A is
-    graded simple iff Z(A) n A_e has one primitive idempotent."""
+    graded simple iff Z(A) n A_e has one primitive idempotent. J(A_e) comes
+    from the division check's splitting where that ran, so it is computed once."""
     # the division check decides group rings such as F_3[S3] alone, and
     # faster than the graded radical and the centre together
-    division = is_graded_division(g)
+    division, dec = _graded_division(g)
     if division:
         return VerdictReport("graded-simple", TRUE, CONSTRUCTIVE,
                              witness="graded division ring")
     alg = g.algebra
-    radical = graded_radical(g)
+    radical = _graded_radical(g, dec.radical if dec else jacobson_radical(g.identity_component()))
     if radical.dim:
         return VerdictReport("graded-simple", FALSE, EXHAUSTIVE, counterexample=(
             "proper-ideal-generator", alg.element(radical.rows[0])))

@@ -14,6 +14,7 @@ from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_symbol_algebra,
                                   construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
+from gradedk import graded as graded_module
 from gradedk.graded import (GradedAlgebra, TwistedGroupAlgebra,
                             dimension_formula_check, graded_radical, graded_tensor, is_graded_division,
                             is_graded_simple, is_strongly_graded, strong_grading_report,
@@ -21,6 +22,8 @@ from gradedk.graded import (GradedAlgebra, TwistedGroupAlgebra,
                             validate_grading)
 from gradedk.groups import GradeGroup, SubgroupSpec, coset_label_columns, quotient_invariants
 from gradedk.matrixring import ShiftedMatrixAlgebra, is_crossed_product, solve_shift_matrix
+from gradedk.verdict import VerdictReport
+from gradedk.wedderburn import central_primitive_idempotents, split_identity_component
 from constructorgrid import cases
 from randomdata import random_constructed
 import scalarlinalg
@@ -630,6 +633,98 @@ def test_graded_division_reads_the_radical_of_the_splitting(monkeypatch):
     kind, x = rep.counterexample
     assert kind == "noninvertible" and (x * x).is_zero() and not x.is_zero()
     assert len(calls) == 1
+
+
+def test_graded_simple_computes_the_radical_of_the_identity_component_once(monkeypatch):
+    # M_2(Q) as the quaternions (1, 1), trivially graded: its basis vectors
+    # are units, so the division check splits A_e, and the graded radical
+    # reads J(A_e) from that splitting
+    import gradedk.wedderburn as wb
+    calls = []
+    real = wb.jacobson_radical
+    for module in (wb, graded_module):
+        monkeypatch.setattr(module, "jacobson_radical", lambda a: calls.append(a) or real(a))
+    rep = is_graded_simple(construct_quaternion(Q, 1, 1, "trivial"))
+    assert (rep.verdict, rep.strategy) == ("true", "exhaustive")
+    assert len(calls) == 1
+
+
+def ref_is_graded_division(g):
+    """The division check with each basis vector of A_e inverted in A, by a
+    dim-A system, and the rest as in `is_graded_division`."""
+    if isinstance(g, TwistedGroupAlgebra):
+        return is_graded_division(g)
+    alg = g.algebra
+    for i in g.component_indices(g.group.identity):
+        b = alg.basis_element(i)
+        if try_invert(b) is None:
+            return VerdictReport("graded-division", "false", "constructive",
+                                 counterexample=("noninvertible", b))
+    sg = is_strongly_graded(g)
+    if not sg:
+        d = sg.counterexample[1]
+        idx = g.component_indices(d)
+        bad = ("noninvertible", alg.basis_element(idx[0])) if idx else ("degree", d)
+        return VerdictReport("graded-division", "false", "exhaustive", counterexample=bad)
+    a0 = g.identity_component()
+    dec = split_identity_component(a0)
+    if dec.radical_dim == 0 and len(dec.blocks) == 1:
+        block = dec.blocks[0]
+        if block.matrix_size == 1:
+            return VerdictReport("graded-division", "true", "exhaustive",
+                                 witness={"identity-component": block,
+                                          "strongly-graded": sg.witness})
+        if block.matrix_size is None:
+            return VerdictReport("graded-division", "undecided", "exhaustive",
+                                 details={"reason": "identity-component-untyped",
+                                          "block-reason": block.reason})
+    x = graded_module._non_unit(g, a0, dec)
+    bad = ("noninvertible", x) if x is not None else ("identity-component", dec.blocks)
+    return VerdictReport("graded-division", "false", "exhaustive", counterexample=bad)
+
+
+def ref_is_graded_simple(g):
+    """Graded simplicity from `ref_is_graded_division`, then the graded
+    radical on a J(A_e) of its own, then Z(A) n A_e."""
+    if ref_is_graded_division(g):
+        return VerdictReport("graded-simple", "true", "constructive",
+                             witness="graded division ring")
+    radical = graded_radical(g)
+    if radical.dim:
+        return VerdictReport("graded-simple", "false", "exhaustive", counterexample=(
+            "proper-ideal-generator", g.algebra.element(radical.rows[0])))
+    idems = central_primitive_idempotents(
+        g.algebra, graded_module._component_part(g, center(g.algebra), g.group.identity))
+    if len(idems) == 1:
+        return VerdictReport("graded-simple", "true", "exhaustive")
+    return VerdictReport("graded-simple", "false", "exhaustive",
+                         counterexample=("proper-ideal-generator", idems[0]))
+
+
+def test_graded_division_and_simplicity_match_the_units_of_a():
+    """Units of A_e decided in A_e, strong grading on A_e's rows and one
+    J(A_e) per call give the reports of the inversions in A, over the
+    constructor grid, rebased graded algebras, and inputs with a non-unit
+    basis vector of A_e: M_2(GF(3)) and Q[t]/t^2 on 1, t, trivially graded."""
+    from test_kernel import graded_algebras, rebased_graded
+    rng = random.Random(35)
+    grid = [g for g in _grid_and_sweep() if g.dim <= 16]
+    dual = Algebra(Q, ["1", "t"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                   unit=[1, 0])
+    inputs = grid + [rebased_graded(g, rng) for g in grid if g.dim <= 9] + graded_algebras() + [
+        trivially_graded(construct_matrix_algebra(F3, 2), GradeGroup.trivial()),
+        trivially_graded(dual, GradeGroup.trivial())]
+    report = lambda r: repr((r.verdict, r.strategy, r.witness, r.counterexample, r.details))
+    noninvertible = 0
+    for g in inputs:
+        got = is_graded_division(g)
+        assert report(got) == report(ref_is_graded_division(g)), g
+        noninvertible += (got.verdict, got.strategy) == ("false", "constructive")
+        assert report(is_graded_simple(g)) == report(ref_is_graded_simple(g)), g
+    assert len(inputs) > 200 and noninvertible > 20
+    for g in inputs[-2:]:
+        rep = is_graded_division(g)
+        assert (rep.strategy, rep.counterexample[0]) == ("constructive", "noninvertible")
 
 
 def test_support_subgroup():

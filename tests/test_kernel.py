@@ -43,6 +43,7 @@ import scalarlinalg
 
 Q = FieldSpec.rationals()
 FIELDS = [Q] + [FieldSpec.prime_field(p) for p in (2, 3, 5, 7)]
+F3 = FieldSpec.prime_field(3)
 
 
 # -- the reference scalar loops ----------------------------------------
@@ -582,18 +583,36 @@ def test_strong_grading_certificates_read_off_the_table():
     assert found > 50 and missing > 5 and rebased_non_integral >= 6
 
 
-@pytest.mark.parametrize("alg", [a for a in ALGEBRAS if a.field.characteristic],
+@pytest.mark.parametrize("alg", [a for a in ALGEBRAS if a.field.characteristic] + [
+                             construct_matrix_algebra(F3, 3),
+                             construct_group_ring(F3, GradeGroup.product_of_cyclic(3, 3)).algebra],
                          ids=lambda a: "%s-dim%d" % (field_id(a.field), a.dim))
 def test_lifted_trace_digit(alg):
     """The integer lift of L_x read from the kernel's residue columns gives
-    the digits of the reference lift, wherever a digit is defined."""
-    rng = random.Random(alg.dim * 19 + alg.field.characteristic)
-    for x in elements(alg, rng):
-        for i in (0, 1):
+    the digits of the reference lift, wherever a digit is defined: round 2
+    where p^2 <= dim, on the radical's basis too (J lies in every I_i)."""
+    p = alg.field.characteristic
+    rng = random.Random(alg.dim * 19 + p)
+    for x in elements(alg, rng) + jacobson_radical(alg).basis_elements():
+        for i in (0, 1, 2) if p * p <= alg.dim else (0, 1):
             want = ref_lifted_trace_digit(x, i)
             if want is not None:
                 residues = dict(enumerate(alg.field.to_ints(x.coords)[0]))
                 assert _lifted_trace_digit(alg, residues, i) == want
+
+
+def test_radical_of_a_45_dim_ring_matches_the_reference_digits(monkeypatch):
+    """J of M_3(F_5[C_5])(0, 1, 2) (rounds 1 and 2 of Cohen-Ivanyos-Wales)
+    is the same echelon with the digits from dense `DomainMatrix` powers."""
+    base = construct_group_ring(FieldSpec.prime_field(5), GradeGroup.cyclic(5))
+    ring = ShiftedMatrixAlgebra(base, [base.group.element((c,)) for c in (0, 1, 2)])
+    alg = ring.materialized.algebra
+    shipped = jacobson_radical(alg).echelon
+    residues = lambda a, x: a.element(a.field.from_ints([x.get(j, 0) for j in range(a.dim)], 1))
+    monkeypatch.setattr(algebra_module, "_lifted_trace_digit",
+                        lambda a, x, i: ref_lifted_trace_digit(residues(a, x), i))
+    assert jacobson_radical(alg).echelon == shipped
+    assert len(shipped[0]) == 36
 
 
 def repeated_factor(field):
