@@ -420,7 +420,9 @@ def integer_product_form(algebra, ws, dw):
 
 
 def try_invert(x):
-    """Two-sided inverse of x, or None."""
+    """Two-sided inverse of x, or None: the solution y of L_x y = 1. Then
+    xy = 1, so L_x is onto (x(ya) = a), hence bijective in finite dimension,
+    and x(yx) = x = x1 gives yx = 1."""
     alg = x.owner
     n = alg.dim
     # L_x = rows / (dx * scale) and 1 = unit_ints / scale, so L_x y = 1
@@ -431,12 +433,7 @@ def try_invert(x):
         if u:
             row[n] = dx * u
     y = linalg.solve(rows, n, alg.field)
-    if y is None:
-        return None
-    y = AlgebraElement(alg, alg.field.from_ints(*y))
-    if x * y != alg.one or y * x != alg.one:
-        return None
-    return y
+    return None if y is None else AlgebraElement(alg, alg.field.from_ints(*y))
 
 
 def center(algebra):

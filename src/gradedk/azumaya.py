@@ -88,17 +88,24 @@ def _separability_element(src, e):
 
 def verify_separability_idempotent(graded, e):
     """e * 1 = 1, (a (x) 1) e = (1 (x) a) e for every basis a, and e^2 = e,
-    for e in A (x) A^op as n^2 coefficients (see `EnvelopingAlgebra`)."""
+    for e in A (x) A^op as n^2 coefficients (see `EnvelopingAlgebra`). The
+    a with (a (x) 1) e = (1 (x) a) e form a subalgebra holding 1, so the
+    rows are written for `Algebra.generating_set`; a failure reruns them on
+    the whole basis, so the a reported is the first in basis order."""
     src = graded.algebra
     n, e = src.dim, _separability_element(src, e)
     es, de = src.field.to_ints(e)
-    for t, row in enumerate(separability_rows(src, range(n))):
-        v = sum(c * es[k] for k, c in row.items() if k < n * n) - row.get(n * n, 0) * de
-        if any(src.field.from_ints([v])):
-            bad = (("star-unit", star_action(src, e)(src.one)) if t < n
-                   else ("commute-condition", src.labels[(t - n) // n ** 2]))
-            return VerdictReport("separability-idempotent", FALSE, EXHAUSTIVE,
-                                 counterexample=bad)
+
+    def first_failure(generators):
+        for t, row in enumerate(separability_rows(src, generators)):
+            v = sum(c * es[k] for k, c in row.items() if k < n * n) - row.get(n * n, 0) * de
+            if any(src.field.from_ints([v])):
+                return (("star-unit", star_action(src, e)(src.one)) if t < n
+                        else ("commute-condition", src.labels[generators[(t - n) // n ** 2]]))
+
+    bad = first_failure(src.generating_set) and first_failure(range(n))
+    if bad:
+        return VerdictReport("separability-idempotent", FALSE, EXHAUSTIVE, counterexample=bad)
     if enveloping_product(src, e, e) != e:
         return VerdictReport("separability-idempotent", FALSE, EXHAUSTIVE,
                              counterexample=("not-idempotent", e))

@@ -4,8 +4,10 @@ primitive idempotents of A/J, and the splitting of A/J into simple blocks
 M_n(D). A minimal polynomial with deg f distinct rational roots gives its
 spectral idempotents as Lagrange polynomials, with no factoring; others are
 factored by sympy. Block dimensions are traces of idempotent maps when
-char F is 0 or above dim A/J, and ranks otherwise. The graded predicates
-that look inside an identity component, and graded K0, run through it."""
+char F is 0 or above dim A/J, and ranks otherwise. A 1-dimensional A is
+F.1, split at once with the values the general path computes. The graded
+predicates that look inside an identity component, and graded K0, run
+through it."""
 
 from __future__ import annotations
 
@@ -188,7 +190,15 @@ def split_identity_component(algebra):
     rule of the radical's round 0): dim eA = Tr(L_e), read off the regular
     traces, and dim eZ = sum_r (e z_r)[pivot_r] / den over the echelon rows
     z_r of Z. Over a smaller GF(p) they are the ranks of the rows of L_e
-    and of the e z_r."""
+    and of the e z_r.
+
+    A unital A of dim 1 is F.1, a field: J = 0, A/J = A, the one central
+    idempotent is 1 and the one block M_1(F) has dim, centre and division
+    dim 1, as the general path finds. That is every A_e of a graded division
+    algebra with A_e = F, such as a group ring or a symbol algebra."""
+    if algebra.dim == 1:
+        return SemisimpleDecomposition(algebra, [BlockSummary(1, 1, 1, 1)], [algebra.one],
+                                       Subspace(algebra, ([], 1, [])))
     radical = jacobson_radical(algebra)
     semisimple = quotient(algebra, radical)
     z = center(semisimple)

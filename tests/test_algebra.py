@@ -312,6 +312,24 @@ def test_try_invert():
     y = try_invert(x)
     assert y is not None and x * y == m2.one
     assert try_invert(m2.basis_element(1)) is None  # e12 nilpotent
+    # over Q and GF(p): an inverse exactly when L_x has full rank, and then
+    # two-sided, which try_invert itself no longer multiplies out
+    rng = random.Random(3636)
+    seen = {"Q": [0, 0], "GF(p)": [0, 0]}
+    for _ in range(60):
+        alg = random_constructed(rng).algebra
+        xs = [random_element(alg, rng) for _ in range(3)]
+        for i in range(alg.dim):
+            xs += [alg.basis_element(i), alg.one - alg.basis_element(i)]
+        xs.append(xs[0] * alg.basis_element(rng.randrange(alg.dim)))
+        for x in xs:
+            y = try_invert(x)
+            lx = ref_regular_matrix(x, True)
+            assert (y is None) == (len(scalarlinalg.rref(lx, alg.dim, alg.field)[1]) < alg.dim)
+            if y is not None:
+                assert x * y == alg.one and y * x == alg.one
+            seen["Q" if alg.field.kind == "rationals" else "GF(p)"][y is None] += 1
+    assert all(units > 20 and non_units > 20 for units, non_units in seen.values()), seen
 
 
 def test_ideal_closure():

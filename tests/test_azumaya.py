@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedk.algebra import Algebra, is_central_simple, star_action
+from gradedk.algebra import Algebra, enveloping_product, is_central_simple, star_action
 from gradedk.azumaya import (EnvelopingAlgebra, braun_check,
                              group_ring_azumaya, is_graded_azumaya_csa,
                              psi_bijective,
@@ -70,6 +70,50 @@ def test_separability_idempotent_checks():
     one = pure_tensor(H.algebra.one, H.algebra.one)
     rep = verify_separability_idempotent(H, one)
     assert rep.counterexample == ("commute-condition", "i")
+
+
+def _first_noncommuting(alg, e):
+    """The label of the first basis a, in basis order, with
+    (a (x) 1) e != (1 (x) a) e, or None."""
+    for i in range(alg.dim):
+        a = alg.basis_element(i)
+        if (enveloping_product(alg, pure_tensor(a, alg.one), e)
+                != enveloping_product(alg, pure_tensor(alg.one, a), e)):
+            return alg.labels[i]
+    return None
+
+
+def test_separability_verifier_reports_the_first_failing_basis_element():
+    # the standard idempotent plus b_i (x) b_j - b_i b_j (x) 1, which keeps
+    # e * 1 = 1, checked on generators first and reported in basis order
+    rng = random.Random(3607)
+    graded = [trivially_graded(construct_matrix_algebra(Q, 3), GradeGroup.trivial()),
+              construct_quaternion(Q, -1, -1),
+              construct_group_ring(Q, GradeGroup.symmetric_3()),
+              construct_group_ring(FieldSpec.prime_field(5), GradeGroup.dihedral(4))]
+    labels = set()
+    for g in graded:
+        alg = g.algebra
+        e = standard_separability_idempotent(g)
+        for _ in range(6):
+            bi, bj = (alg.basis_element(rng.randrange(alg.dim)) for _ in range(2))
+            moved = [x + y - z for x, y, z in
+                     zip(e, pure_tensor(bi, bj), pure_tensor(bi * bj, alg.one))]
+            want = _first_noncommuting(alg, moved)
+            rep = verify_separability_idempotent(g, moved)
+            assert rep.verdict == ("false" if want else "true")
+            assert rep.counterexample == (("commute-condition", want) if want else None)
+            labels.add(want)
+    assert len(labels) > 4
+    # M_3(Q) generated by e12, e21, e23, e32: 1 (x) 1 fails first at e11,
+    # outside that set; the generator pass stops at e12 and the rescan of the
+    # basis reports e11
+    m3 = construct_matrix_algebra(Q, 3)
+    m3.generating_set = [1, 3, 5, 7]
+    one = pure_tensor(m3.one, m3.one)
+    assert _first_noncommuting(m3, one) == "e11"
+    rep = verify_separability_idempotent(trivially_graded(m3, GradeGroup.trivial()), one)
+    assert rep.counterexample == ("commute-condition", "e11")
 
 
 def test_braun_criterion_quaternions():

@@ -7,13 +7,14 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from gradedk import ktheory as ktheory_module
+from gradedk import ktheory as ktheory_module, wedderburn as wedderburn_module
 from gradedk.algebra import Algebra, jacobson_radical, minimal_polynomial
 from gradedk.constructors import (construct_group_ring, construct_laurent,
                                   construct_matrix_algebra, construct_quaternion,
                                   construct_truncated_polynomial)
 from gradedk.fields import FieldSpec
-from gradedk.graded import graded_tensor, support_subgroup, trivially_graded
+from gradedk.graded import (graded_tensor, is_graded_division, is_strongly_graded,
+                            support_subgroup, trivially_graded)
 from gradedk.groups import GradeGroup, SubgroupSpec, quotient_invariants
 from gradedk.ktheory import (INFINITE_RANK_FREE, CsaShape, FGAbelianGroup,
                              ck0_zk0, compare_localized,
@@ -21,7 +22,7 @@ from gradedk.ktheory import (INFINITE_RANK_FREE, CsaShape, FGAbelianGroup,
                              k0gr_strongly_graded, localize, torsion_bound_check)
 from gradedk.matrixring import ShiftedMatrixAlgebra, identity_component, \
     is_strongly_graded_matrix
-from gradedk.wedderburn import (_crt_idempotents, spectral_idempotents,
+from gradedk.wedderburn import (BlockSummary, _crt_idempotents, spectral_idempotents,
                                 split_identity_component)
 
 from test_matrixring import lazy_matrix_rings
@@ -255,6 +256,34 @@ def test_split_quotients_the_radical():
     dec = checked_split(dual)
     assert dec.radical_dim == 1 and dec.radical.rows == [(0, 1)]
     assert [(b.dim, b.matrix_size) for b in dec.blocks] == [(1, 1)]
+
+
+@pytest.mark.parametrize("field, c", [(Q, 1), (Q, 2), (Q, Fraction(-1, 3)),
+                                      (F5, 1), (F5, 3), (FieldSpec.prime_field(7), 1),
+                                      (FieldSpec.prime_field(7), 3)])
+def test_split_of_a_one_dimensional_algebra_is_the_field(field, c):
+    # e0^2 = c e0 has unit e0 / c: F.1, a field, whose radical is 0 as the
+    # general path computes it
+    alg = Algebra(field, ["e0"], {(0, 0): {0: c}})
+    dec = checked_split(alg)
+    assert dec.algebra is alg
+    assert dec.blocks == [BlockSummary(1, 1, 1, 1)]
+    assert dec.idempotents == [alg.one] and alg.one.coords == (1 / field.scalar(c),)
+    assert dec.radical_dim == 0 and dec.radical == jacobson_radical(alg)
+
+
+def test_one_dimensional_identity_components_skip_the_general_split(monkeypatch):
+    # A_e = F for the group rings F5[D4] and F3[S3]: neither graded division
+    # nor graded K0 computes a radical or a centre of A_e
+    def general(alg):
+        raise AssertionError("a 1-dimensional A_e went through the general split")
+    monkeypatch.setattr(wedderburn_module, "jacobson_radical", general)
+    monkeypatch.setattr(wedderburn_module, "center", general)
+    d4 = construct_group_ring(F5, GradeGroup.dihedral(4))
+    assert is_graded_division(d4).verdict == "true"
+    s3 = construct_group_ring(FieldSpec.prime_field(3), GradeGroup.symmetric_3())
+    k0, dec = k0gr_strongly_graded(s3, is_strongly_graded(s3))
+    assert k0 == FGAbelianGroup(1) and dec.blocks == [BlockSummary(1, 1, 1, 1)]
 
 
 def test_split_group_ring_s3():
