@@ -5,18 +5,19 @@ All arithmetic is exact. The structure constants come sparsely as
 one copy of them, the integer table below; `Algebra.products` is a view
 of it in the input form, built on first use for where values leave.
 
-The kernel. Construction coerces each constant once, drops the zeros, and
-converts the constants and the unit in one `FieldSpec.to_ints` pass into
-`Algebra.table`, with row i = {j: ((k, c), ...)} over the nonzero products
-e_i e_j, their scale `Algebra.scale`, and the unit at the same scale in
-`Algebra.unit_ints`. Over GF(p) the ints are the residues, the scale is 1
-and a sum is zero when it is 0 mod p. Over Q they are the constants times
-the scale D, the lcm of their denominators (and the unit's), so a sum of
-products of two of them is D^2 times the true sum. The unit axiom and
-associativity are checked on this table at construction, associativity by
-Light's test: the middle factor of a basis triple runs over a generating
-set, from an index closure when every e_i e_j is c e_k or 0, else the
-whole basis.
+The kernel. Construction reads each constant and unit coordinate once, by
+`FieldSpec.ratio` (an int as it is, a Fraction by its slots, a GFElement by
+its residue), drops the zeros and writes `Algebra.table`, with row
+i = {j: ((k, c), ...)} over the nonzero products e_i e_j, their scale
+`Algebra.scale`, and the unit at the same scale in `Algebra.unit_ints`.
+Over GF(p) the ints are the residues, the scale is 1 and a sum is zero
+when it is 0 mod p. Over Q they are the constants times the scale D, the
+lcm of their denominators (and the unit's), so a sum of products of two of
+them is D^2 times the true sum. The unit axiom (on the unit's table rows
+and columns) and associativity are checked on this table at construction,
+associativity by Light's test: the middle factor of a basis triple runs
+over a generating set, from an index closure when every e_i e_j is c e_k
+or 0, else the whole basis.
 Every structure-constant loop runs on the table too: products (one loop,
 `integer_product`), minimal polynomials on integer powers, polynomial
 evaluation by Horner, the rows of L_x and R_x and ideal closure, the regular
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from . import linalg
 from .verdict import VerdictReport, TRUE, FALSE, EXHAUSTIVE
@@ -58,28 +60,26 @@ class Algebra:
         """
         self.field = field
         self.labels = list(labels)
-        self.dim = len(self.labels)
-        if not self.dim:
+        self.dim = n = len(self.labels)
+        if not n:
             raise ValueError("an algebra needs at least one basis vector")
-        constants = {}  # (i, j) -> {k: scalar}, zeros dropped
+        ratio = field.ratio
+        constants = []  # (i, j, k, numerator, den) of each nonzero constant
         for (i, j), terms in products.items():
-            cleaned = {}
             for k, v in terms.items():
-                v = field.scalar(v)
-                if v:
-                    cleaned[k] = v
-            if cleaned:
-                constants[(i, j)] = cleaned
-        if unit is None:
-            unit = self._find_unit(constants)
-        self.unit_coords = tuple(field.scalar(v) for v in unit)
-        ints, self.scale = field.to_ints([c for terms in constants.values()
-                                          for c in terms.values()] + list(self.unit_coords))
-        ints = iter(ints)
-        self.table = [{} for _ in range(self.dim)]
-        for (i, j), terms in constants.items():
-            self.table[i][j] = tuple((k, next(ints)) for k in terms)
-        self.unit_ints = list(ints)
+                a, d = ratio(v)
+                if a:
+                    constants.append((i, j, k, a, d))
+        units = [ratio(v) for v in (self._find_unit(constants) if unit is None else unit)]
+        if len(units) != n:
+            raise ValueError("the unit needs %d coordinates" % n)
+        self.scale = scale = math.lcm(*{c[4] for c in constants}, *(d for _, d in units))
+        self.table = table = [{} for _ in range(n)]
+        for i, j, k, a, d in constants:
+            row = table[i]
+            row[j] = row.get(j, ()) + ((k, a * (scale // d)),)
+        self.unit_ints = [a * (scale // d) for a, d in units]
+        self.unit_coords = tuple(field.from_ints(self.unit_ints, scale))
         p = field.characteristic
         self._check_unit(p)
         self._check_associativity(p)
@@ -96,62 +96,65 @@ class Algebra:
 
     def _find_unit(self, constants):
         # solve u * e_j = e_j for all j as one linear system in u: row (j, k)
-        # holds c_ij^k in column i and [j = k] on the right
-        n, field = self.dim, self.field
-        rows = {(j, j): {n: field.one} for j in range(n)}
-        for (i, j), terms in constants.items():
-            for k, c in terms.items():
-                rows.setdefault((j, k), {})[i] = c
-        u = linalg.solve([dict(zip(r, field.to_ints(list(r.values()))[0]))
-                          for r in rows.values()], n, field)
+        # holds D c_ij^k in column i and D [j = k] on the right, D the lcm of dens
+        n, scale = self.dim, math.lcm(*{c[4] for c in constants})
+        rows = {(j, j): {n: scale} for j in range(n)}
+        for i, j, k, a, d in constants:
+            rows.setdefault((j, k), {})[i] = a * (scale // d)
+        u = linalg.solve(rows.values(), n, self.field)
         if u is None:
             raise ValueError("algebra has no left unit")
-        return field.from_ints(*u)
+        return self.field.from_ints(*u)
 
     def _check_unit(self, p):
-        """Column j of L_1 and of R_1 must be e_j: scale^2 (the scaled value
-        of 1 * 1) at e_j and zero elsewhere."""
-        u, one = self.unit_ints, self.scale ** 2
-        for j, cols in enumerate(zip(regular_columns(self, u, True),
-                                     regular_columns(self, u, False))):
-            for col in cols:
-                col[j] = col.get(j, 0) - one
-            if any(v % p if p else v for col in cols for v in col.values()):
-                raise ValueError("unit axiom fails on basis element %s" % self.labels[j])
+        """Column j of L_1 and of R_1, the sums of u e_u e_j and u e_j e_u over
+        the unit's support, must be scale^2 (the scaled 1 * 1) at e_j, else 0."""
+        n, table, one = self.dim, self.table, self.scale ** 2
+        left = {j * n + j: -one for j in range(n)}  # L_1 - 1, column j at j*n + k
+        right = dict(left)  # R_1 - 1
+        for i, u in [(i, u) for i, u in enumerate(self.unit_ints) if u]:
+            for j, terms in table[i].items():  # u e_i e_j
+                for k, c in terms:
+                    left[j * n + k] = left.get(j * n + k, 0) + u * c
+            for j, row in enumerate(table):  # u e_j e_i
+                for k, c in row.get(i, ()):
+                    right[j * n + k] = right.get(j * n + k, 0) + u * c
+        bad = [key // n for col in (left, right) for key, v in col.items() if (v % p if p else v)]
+        if bad:
+            raise ValueError("unit axiom fails on basis element %s" % self.labels[min(bad)])
 
     def _check_associativity(self, p):
         """(e_i e_j) e_k = e_i (e_j e_k) for all i, k and the middles e_j of
         `generating_set`, on the integer constants: sum_s c_ij^s c_sk^t
         against sum_u c_jk^u c_iu^t, with the differences over all k and t
-        in one dict keyed k*n + t (a triple neither side reaches is 0 = 0).
-        Light's test (Clifford and Preston, Algebraic Theory of Semigroups I,
-        1.2): the b with (ab)c = a(bc) for all a, c form a subalgebra, which
-        holds 1 once the unit axiom does, so generating middles prove every
-        triple. A violation reruns the scan on the whole basis, so the triple
-        reported is the first in basis order."""
+        in one dict per i keyed (j*n + k)*n + t (0 = 0 where neither side
+        reaches). Light's test (Clifford and Preston, Algebraic Theory of
+        Semigroups I, 1.2): the b with (ab)c = a(bc) for all a, c form a
+        subalgebra, which holds 1 once the unit axiom does, so generating
+        middles prove every triple. A violation reruns the scan on the whole
+        basis, so the triple reported is the first in basis order."""
         n, table = self.dim, self.table
         # flat[s]: (k*n + t, c_sk^t) for every nonzero constant of a row e_s e_k
         flat = [[(k * n + t, c) for k, terms in row.items() for t, c in terms]
                 for row in table]
-        rows = [[(k * n, terms) for k, terms in row.items()]  # (k*n, e_s e_k)
-                for row in table]
 
         def first_failure(middles):
-            for i in range(n):
-                left = [table[i].get(u, ()) for u in range(n)]  # e_i e_u
+            for i, left in enumerate(table):  # left: the products e_i e_u
+                diff = {}
                 for j in middles:
-                    diff = {}
-                    for s, a in table[i].get(j, ()):
+                    jn = j * n * n
+                    for s, a in left.get(j, ()):
                         for key, c in flat[s]:
+                            key += jn
                             diff[key] = diff.get(key, 0) + a * c
-                    for kn, terms in rows[j]:
+                    for k, terms in table[j].items():
+                        kn = jn + k * n
                         for u, a in terms:
-                            for t, c in left[u]:
-                                key = kn + t
-                                diff[key] = diff.get(key, 0) - a * c
-                    bad = [key for key, v in diff.items() if (v % p if p else v)]
-                    if bad:
-                        return i, j, min(bad) // n
+                            for t, c in left.get(u, ()):
+                                diff[kn + t] = diff.get(kn + t, 0) - a * c
+                bad = [key // n for key, v in diff.items() if (v % p if p else v)]
+                if bad:
+                    return (i,) + divmod(min(bad), n)
 
         if first_failure(self.generating_set):
             i, j, k = first_failure(range(n))
@@ -163,23 +166,25 @@ class Algebra:
         """Basis indices whose e_j generate A with 1. When every nonzero
         e_i e_j is one term c e_k, j joins when the product closure of the
         earlier ones (and of the unit's index, when 1 is a multiple of one
-        e_u) misses it; any other table keeps the whole basis."""
+        e_u) misses it; any other table keeps the whole basis. The closure
+        multiplies by generators on the right: its products span A once it
+        reaches every index, as Light's test needs."""
         table, n = self.table, self.dim
-        if any(len(terms) > 1 for row in table for terms in row.values()):
+        if any(sum(map(len, row.values())) > len(row) for row in table):
             return range(n)
         support = [i for i, u in enumerate(self.unit_ints) if u]
         closed, gens = set(support) if len(support) == 1 else set(), []
         for j in range(n):
             if j not in closed:
                 gens.append(j)
-                closed.add(j)
-                frontier = [j]
+                frontier = [j] + [k for x in closed for k, _ in table[x].get(j, ())]
                 while frontier:
                     x = frontier.pop()
-                    for y in list(closed):
-                        for k, _ in table[x].get(y, ()) + table[y].get(x, ()):
-                            if k not in closed:
-                                closed.add(k)
+                    if x not in closed:
+                        closed.add(x)
+                        row = table[x]
+                        for g in gens:
+                            for k, _ in row.get(g, ()):
                                 frontier.append(k)
         return gens
 

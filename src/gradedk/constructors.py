@@ -28,8 +28,7 @@ def _basis_algebra(field, keys, product, labels, unit):
             uc = product(s, t)
             if uc is not None:
                 products[(i, j)] = {index[uc[0]]: uc[1]}
-    return Algebra(field, labels, products,
-                   unit=[field.one if k in unit else field.zero for k in keys])
+    return Algebra(field, labels, products, unit=[int(k in unit) for k in keys])
 
 
 def _power(var, i):
@@ -41,9 +40,11 @@ def _symbol_product(n, a, b, xi):
     """The product of x^i y^j, keyed (i, j), in the algebra x^n = a,
     y^n = b, xy = xi yx:
     (x^i y^j)(x^k y^l) = xi^(-kj) a^[i+k >= n] b^[j+l >= n] x^(i+k) y^(j+l)."""
+    powers = [xi ** e for e in range(n)]
+
     def product(s, t):
         (i, j), (k, l) = s, t
-        c = xi ** (-(k * j) % n)
+        c = powers[-(k * j) % n]
         if i + k >= n:
             c = c * a
         if j + l >= n:
@@ -95,13 +96,10 @@ def construct_symbol_algebra(field, n, a, b, xi):
     xi = field.scalar(xi)
     if not a or not b:
         raise ValueError("parameters must be nonzero")
-    pw = field.one
-    for k in range(1, n):
-        pw = pw * xi
-        if pw == field.one:
-            raise ValueError("xi has order %d < n" % k)
-    pw = pw * xi
-    if pw != field.one:
+    order = next((k for k in range(1, n + 1) if xi ** k == field.one), None)
+    if order is not None and order < n:
+        raise ValueError("xi has order %d < n" % order)
+    if order != n:
         raise ValueError("xi is not an n-th root of unity")
 
     keys = [(i, j) for i in range(n) for j in range(n)]
@@ -133,7 +131,7 @@ def construct_group_ring(field, group):
         raise ValueError("finite groups only")
     elems = group.elements()
     mul = group._mul
-    alg = _basis_algebra(field, [g.coords for g in elems], lambda g, h: (mul(g, h), field.one),
+    alg = _basis_algebra(field, [g.coords for g in elems], lambda g, h: (mul(g, h), 1),
                          ["u[%r]" % g for g in elems], [group._identity_coords])
     return GradedAlgebra(alg, group, elems)
 
@@ -146,7 +144,7 @@ def construct_truncated_polynomial(field, m):
         raise ValueError("need m >= 2")
     group = GradeGroup.integers()
     labels = [_power("t", i) or "1" for i in range(m)]
-    alg = _basis_algebra(field, range(m), lambda i, j: (i + j, field.one) if i + j < m else None,
+    alg = _basis_algebra(field, range(m), lambda i, j: (i + j, 1) if i + j < m else None,
                          labels, [0])
     return GradedAlgebra(alg, group, [group.element((i,)) for i in range(m)])
 
@@ -155,6 +153,6 @@ def construct_matrix_algebra(field, n):
     """M_n(F) on the matrix-unit basis e_ij (row-major), ungraded."""
     keys = [(i, j) for i in range(n) for j in range(n)]
     return _basis_algebra(field, keys,
-                          lambda s, t: ((s[0], t[1]), field.one) if s[1] == t[0] else None,
+                          lambda s, t: ((s[0], t[1]), 1) if s[1] == t[0] else None,
                           ["e%d%d" % (i + 1, j + 1) for i, j in keys],
                           [(i, i) for i in range(n)])

@@ -151,6 +151,16 @@ class FieldSpec:
             return GFElement(p, 1)._coerce(x)
         return GFElement(p, x)
 
+    def ratio(self, x):
+        """(numerator, den) of `scalar(x)`, with its errors: the residue and 1
+        over GF(p). An int, a Fraction over Q or a GFElement is read as it is."""
+        p = self.characteristic
+        if type(x) is int:
+            return (x % p if p else x), 1
+        if type(x) is not (GFElement if p else Fraction) or p and x.p != p:
+            x = self.scalar(x)
+        return (x.v, 1) if p else (x._numerator, x._denominator)
+
     def to_ints(self, coords):
         """(numerators, den) with coords[i] = numerators[i] / den: the
         residues and 1 over GF(p); over Q, den is the lcm of the

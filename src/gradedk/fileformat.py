@@ -68,7 +68,7 @@ def parse_field(text):
     if t in ("Q", "q", "rationals"):
         return FieldSpec.rationals()
     if t.upper().startswith("GF(") and t.endswith(")"):
-        return FieldSpec.prime_field(int(t[3:-1]))
+        return FieldSpec.prime_field(_integer(t[3:-1], "bad characteristic"))
     raise FormatError("unknown field %r" % text)
 
 
@@ -83,7 +83,8 @@ def parse_group(text, table_lines=None):
     if t == "table":
         if not table_lines:
             raise FormatError("group = table needs a [group-table] section")
-        table = [[int(x) for x in line.split()] for _, line in table_lines]
+        table = [[_integer(x, "line %d: bad group-table entry" % lineno) for x in line.split()]
+                 for lineno, line in table_lines]
         return GradeGroup.from_table(table)
     rank = 0
     torsion = []
@@ -109,6 +110,14 @@ def format_group(group):
     return signature_text(group.rank, group.torsion) or "trivial"
 
 
+def _integer(token, what):
+    """int(token), or a FormatError of what and the token."""
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError("%s %r" % (what, token)) from None
+
+
 def parse_scalar(field, token):
     """A scalar from an integer or p/q token. A token that is not a number,
     or has a zero denominator or, over GF(p), one divisible by p, is a
@@ -123,11 +132,11 @@ def parse_scalar(field, token):
 def parse_group_element(group, token):
     token = token.strip()
     if group.kind == "finite-table":
-        return group.element(int(token))
+        return group.element(_integer(token, "bad group element"))
     if not (token.startswith("(") and token.endswith(")")):
         raise FormatError("expected a parenthesized tuple, got %r" % token)
     inner = token[1:-1].strip()
-    coords = [int(x) for x in inner.split(",")] if inner else []
+    coords = [_integer(x, "bad coordinate") for x in inner.split(",")] if inner else []
     return group.element(coords)
 
 
@@ -159,10 +168,16 @@ def parse_graded_algebra(text):
         parts = line.split()
         if len(parts) != 4:
             raise FormatError("line %d: expected i j k value" % lineno)
-        i, j, k = (int(p) for p in parts[:3])
-        if not all(0 <= t < dim for t in (i, j, k)):
+        try:
+            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:  # name the first token that is not an integer
+            i, j, k = (_integer(t, "line %d: bad index" % lineno) for t in parts[:3])
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise FormatError("line %d: index out of range" % lineno)
-        v = parse_scalar(field, parts[3])
+        try:  # an integer stays an int, which `Algebra` reads as it is
+            v = int(parts[3])
+        except ValueError:
+            v = parse_scalar(field, parts[3])
         terms = products.setdefault((i, j), {})
         terms[k] = terms[k] + v if k in terms else v
     unit = None
@@ -178,23 +193,15 @@ def parse_graded_algebra(text):
 
 
 def split_tuples(text):
-    """Split "(0,0) (1,0) 3" into top-level tokens."""
-    out = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch.isspace() and depth == 0:
-            if cur:
-                out.append(cur)
-            cur = ""
+    """Split "(0,0) (1,0) 3" into top-level tokens: whitespace splits only
+    outside parentheses, and a run of it inside becomes one space."""
+    out, depth = [], 0
+    for word in text.split():
+        if depth:
+            out[-1] += " " + word
         else:
-            cur += ch
-    if cur:
-        out.append(cur)
+            out.append(word)
+        depth += word.count("(") - word.count(")")
     return out
 
 

@@ -56,17 +56,17 @@ class GradedAlgebra:
         index = {c: t for t, c in enumerate(components)}  # small int ids
         ids = [index[c] for c in coords]
         mul = group._mul
-        combined = {}  # (id_i, id_j) -> id of deg_i * deg_j, -1 if no basis degree
+        combined = [[None] * len(index) for _ in index]  # [id_i][id_j]: id of deg_i deg_j, or -1
         for i, row in enumerate(algebra.table):
+            wants = combined[ids[i]]
             for j, terms in row.items():
-                pair = (ids[i], ids[j])
-                want = combined.get(pair)
+                want = wants[ids[j]]
                 if want is None:
-                    want = combined[pair] = index.get(mul(coords[i], coords[j]), -1)
+                    want = wants[ids[j]] = index.get(mul(coords[i], coords[j]), -1)
                 for k, _ in terms:
                     if ids[k] != want:
                         raise ValueError("invalid grading: %r" % (("closure", i, j, k),))
-        for i, c in enumerate(algebra.unit_coords):
+        for i, c in enumerate(algebra.unit_ints):
             if c and coords[i] != group._identity_coords:
                 raise ValueError("invalid grading: %r" % (("unit-degree", i),))
         self._components = {self.degrees[idx[0]]: idx for idx in components.values()}

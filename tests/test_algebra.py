@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedk import algebra as algebra_module, linalg
+from gradedk import algebra as algebra_module, constructors, linalg
 from gradedk.algebra import (center, commutator_subspace, integer_psi_matrix,
                              is_central_simple, minimal_polynomial,
                              try_invert,
@@ -19,6 +19,7 @@ from gradedk.fileformat import dump_graded_algebra, parse_graded_algebra
 from gradedk.algebra import Algebra
 from gradedk.graded import is_strongly_graded
 from gradedk.groups import GradeGroup
+from constructorgrid import cases as constructor_cases
 from randomdata import random_constructed, random_element, random_scalar
 import scalarlinalg
 from test_kernel import ref_regular_matrix
@@ -267,6 +268,171 @@ def test_products_view_is_the_coerced_input():
             assert alg.products == {key: terms for key, terms in want.items() if terms}
             assert {type(c) for terms in alg.products.values()
                     for c in terms.values()} == {type(field.one)}
+
+
+def _reference_table(field, n, products, unit):
+    """(table, scale, unit_ints, products) by way of field scalars: each
+    constant through `FieldSpec.scalar`, the zeros dropped, then one
+    `FieldSpec.to_ints` pass over the constants and the unit."""
+    constants = {}
+    for key, terms in products.items():
+        kept = {k: c for k, c in ((k, field.scalar(v)) for k, v in terms.items()) if c}
+        if kept:
+            constants[key] = kept
+    ints, scale = field.to_ints([c for terms in constants.values() for c in terms.values()]
+                                + [field.scalar(v) for v in unit])
+    ints = iter(ints)
+    table = [{} for _ in range(n)]
+    for (i, j), terms in constants.items():
+        table[i][j] = tuple((k, next(ints)) for k in terms)
+    return table, scale, list(ints), constants
+
+
+def _reference_generating_set(table, unit_ints):
+    """`Algebra.generating_set` by the closure under every product of two
+    closed indices."""
+    n = len(table)
+    if any(len(terms) > 1 for row in table for terms in row.values()):
+        return list(range(n))
+    support = [i for i, u in enumerate(unit_ints) if u]
+    closed, gens = set(support) if len(support) == 1 else set(), []
+    for j in range(n):
+        if j not in closed:
+            gens.append(j)
+            closed.add(j)
+            frontier = [j]
+            while frontier:
+                x = frontier.pop()
+                for y in list(closed):
+                    for k, _ in table[x].get(y, ()) + table[y].get(x, ()):
+                        if k not in closed:
+                            closed.add(k)
+                            frontier.append(k)
+    return gens
+
+
+def _assert_matches_reference(field, labels, products, unit, find_unit=False):
+    alg = Algebra(field, labels, products, unit=None if find_unit else unit)
+    table, scale, unit_ints, constants = _reference_table(field, len(labels), products, unit)
+    assert (alg.table, alg.scale, alg.unit_ints) == (table, scale, unit_ints)
+    assert alg.products == constants
+    assert alg.unit_coords == tuple(field.scalar(u) for u in unit)
+    assert list(alg.generating_set) == _reference_generating_set(table, unit_ints)
+    return alg
+
+
+def test_table_matches_reference_on_the_constructor_grid(monkeypatch):
+    # the inputs each constructor of the grid hands to Algebra, ints and
+    # field scalars mixed; every fifth one with its unit solved for
+    inputs = []
+
+    def recording(field, labels, products, unit=None):
+        alg = Algebra(field, labels, products, unit=unit)
+        inputs.append((field, labels, products, unit))
+        return alg
+
+    monkeypatch.setattr(constructors, "Algebra", recording)
+    for _, call in constructor_cases():
+        try:
+            call()
+        except (ValueError, ArithmeticError):
+            pass
+    assert len(inputs) > 100
+    assert {type(c) for _, _, products, _ in inputs
+            for terms in products.values() for c in terms.values()} >= {int, Fraction}
+    for t, (field, labels, products, unit) in enumerate(inputs):
+        _assert_matches_reference(field, labels, products, unit, find_unit=t % 5 == 0)
+
+
+def test_table_matches_reference_on_fractional_constants():
+    # random algebras over Q on a rescaled basis d_i e_i, so that the
+    # constants c_ij^k d_i d_j / d_k have denominators (scale > 1), an
+    # integral constant given as an int and zero terms put in
+    rng = random.Random(3737)
+    scales = []
+    while len(scales) < 60:
+        alg = random_constructed(rng).algebra
+        if alg.field != Q:
+            continue
+        d = [_nonzero_scalar(Q, rng) for _ in range(alg.dim)]
+        products = {}
+        for (i, j), terms in alg.products.items():
+            row = {k: c * d[i] * d[j] / d[k] for k, c in terms.items()}
+            products[(i, j)] = {k: int(c) if c.denominator == 1 else c for k, c in row.items()}
+            if rng.random() < 0.2:
+                products[(i, j)].setdefault(rng.randrange(alg.dim), Fraction(0, 3))
+        unit = [u / dk for u, dk in zip(alg.unit_coords, d)]
+        scales.append(_assert_matches_reference(Q, alg.labels, products, unit,
+                                                find_unit=len(scales) % 3 == 0).scale)
+    assert len(set(scales)) > 10 and sum(s > 1 for s in scales) > 50
+
+
+def test_generating_set_takes_left_products_with_a_new_generator():
+    # 1, a, b, ab with a^2 = b^2 = ba = 0: ab is reached as a b only, a
+    # closed index times the later generator b
+    products = {(0, t): {t: 1} for t in range(4)}
+    products.update({(t, 0): {t: 1} for t in range(1, 4)})
+    products[(1, 2)] = {3: 1}
+    alg = _assert_matches_reference(Q, ["1", "a", "b", "ab"], products, [1, 0, 0, 0])
+    assert alg.generating_set == [1, 2]
+
+
+def _residue_as(field, c, rng):
+    """The GF(p) value c given as an int, a Fraction or a GFElement."""
+    p, kind = field.characteristic, rng.randrange(3)
+    if kind == 0:
+        return c.v + p * rng.randint(-3, 3)
+    if kind == 1:
+        d = rng.randrange(1, p)
+        return Fraction(c.v * d + p * rng.randint(-3, 3), d)
+    return c
+
+
+def test_table_matches_reference_on_mixed_residue_inputs():
+    rng = random.Random(4949)
+    kinds = set()
+    for t in range(150):
+        alg = random_constructed(rng).algebra
+        field = alg.field
+        if field == Q:
+            continue
+        p = field.characteristic
+        products = {key: {k: _residue_as(field, c, rng) for k, c in terms.items()}
+                    for key, terms in alg.products.items()}
+        for terms in list(products.values())[::3]:  # a term that is 0 mod p
+            terms.setdefault(rng.randrange(alg.dim), p * rng.randint(-2, 2))
+        unit = [_residue_as(field, u, rng) for u in alg.unit_coords]
+        kinds |= {type(c) for terms in products.values() for c in terms.values()}
+        got = _assert_matches_reference(field, alg.labels, products, unit, find_unit=t % 4 == 0)
+        assert (got.table, got.unit_ints) == (alg.table, alg.unit_ints)
+    assert kinds == {int, Fraction, type(F2.one)}
+
+
+def test_repeated_lines_summing_to_zero_mod_p_leave_the_table():
+    rng = random.Random(5151)
+    for p in (3, 5, 7):
+        g = construct_group_ring(FieldSpec.prime_field(p), GradeGroup.symmetric_3())
+        text = dump_graded_algebra(g)
+        extra = ["%d %d %d %d\n%d %d %d %d" % (i, j, k, a, i, j, k, p - a)
+                 for i, j, k, a in ((rng.randrange(6), rng.randrange(6), rng.randrange(6),
+                                     rng.randrange(1, p)) for _ in range(5))]
+        loaded = parse_graded_algebra(text + "\n".join(extra) + "\n").algebra
+        assert (loaded.table, loaded.scale, loaded.unit_ints) == \
+            (g.algebra.table, g.algebra.scale, g.algebra.unit_ints)
+
+
+def test_constants_outside_the_field_rejected():
+    F5, F7 = FieldSpec.prime_field(5), FieldSpec.prime_field(7)
+    square = {(0, 0): {0: 1}}
+    for field, message in ((F5, "wrong characteristic"), (Q, "cannot coerce GF element")):
+        with pytest.raises(ValueError, match=message):
+            Algebra(field, ["e"], {(0, 0): {0: F7.one}}, unit=[1])
+        with pytest.raises(ValueError, match=message):
+            Algebra(field, ["e"], square, unit=[F7.one])
+    with pytest.raises(ZeroDivisionError, match="denominator divisible by 5"):
+        Algebra(F5, ["e"], {(0, 0): {0: Fraction(1, 5)}}, unit=[1])
+    with pytest.raises(ValueError, match="the unit needs 2 coordinates"):
+        Algebra(Q, ["e", "f"], {(0, 0): {0: 1}, (1, 1): {1: 1}}, unit=[1])
 
 
 def test_routes_on_a_loaded_file_read_only_the_table():

@@ -119,6 +119,26 @@ def test_error_positions():
         parse_graded_algebra(bad_index)
 
 
+def test_non_integer_tokens_named():
+    # each a FormatError naming the token (and the line, where a products
+    # or group-table line holds it), not int()'s message
+    table_group = COMPLEX_NUMBERS.replace("group = Z/2", "group = table").replace(
+        "degrees = (0) (1)", "degrees = 0 1") + "[group-table]\n0 1\n1 y\n"
+    for old, new, message in (
+            ("0 1 1 1", "0 x 1 1", "line 11: bad index 'x'"),
+            ("1 0 1 1", "1 0 1.5e 1", "line 12: bad index '1.5e'"),
+            ("degrees = (0) (1)", "degrees = (0) (x)", "bad coordinate 'x'"),
+            ("group = Z/2\n", "group = D1\n", "bad group element '(0)'"),
+            ("field = Q", "field = GF(x)", "bad characteristic 'x'")):
+        text = COMPLEX_NUMBERS.replace(old, new)
+        with pytest.raises(FormatError) as err:
+            parse_graded_algebra(text)
+        assert str(err.value) == message
+    with pytest.raises(FormatError) as err:
+        parse_graded_algebra(table_group)
+    assert str(err.value) == "line 16: bad group-table entry 'y'"
+
+
 def test_bad_degree_count_and_unit_length():
     with pytest.raises(FormatError, match="one degree per basis"):
         parse_graded_algebra(COMPLEX_NUMBERS.replace("degrees = (0) (1)",
