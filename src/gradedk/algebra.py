@@ -24,14 +24,12 @@ evaluation by Horner, the rows of L_x and R_x and ideal closure, the regular
 traces and product forms, psi, the rows of the centre and of the
 commutator subspace, subspace membership, and A (x) A^op on tuples of n^2
 scalars, i*n + j for e_i (x) e_j: its star action, its product and the
-rows of the separability conditions. Each input vector becomes integer
-numerators over one common denominator (`FieldSpec.to_ints`), the sums
-run on ints, and each output coordinate is converted once at the end
-(`FieldSpec.from_ints`), so the same loop serves Q and GF(p). The rows
-that the kernel hands to `linalg` are sparse {column: int} rows, the row
-format of `linalg`, and the echelons and solutions it gets back stay ints:
-a `Subspace` holds its echelon, and a value becomes field scalars where it
-leaves the library (an element, a subspace's `rows`, a witness).
+rows of the separability conditions. An `AlgebraElement` holds the same
+format, ints over one den (residues over GF(p)): a loop reads them as they
+are and hands its sums to `element_from_ints`, so one loop serves Q and
+GF(p). `linalg` takes and returns sparse integer rows, and a `Subspace`
+holds its echelon. Field scalars are made only where a value leaves the
+library: an element's `coords`, a subspace's `rows`, a witness.
 
 On the kernel sit the centre, the commutators, the radical J(A) (the
 Cohen-Ivanyos-Wales rounds on trace forms) and central simplicity, which
@@ -191,22 +189,22 @@ class Algebra:
     # -- elements -----------------------------------------------------
 
     def element(self, coords):
-        coords = tuple(self.field.scalar(c) for c in coords)
+        coords = [self.field.scalar(c) for c in coords]
         if len(coords) != self.dim:
             raise ValueError("expected %d coordinates" % self.dim)
-        return AlgebraElement(self, coords)
+        ints, den = self.field.to_ints(coords)  # canonical: den is the lcm of reduced dens
+        return AlgebraElement(self, tuple(ints), den)
 
     def basis_element(self, i):
-        return AlgebraElement(self, [self.field.one if k == i else self.field.zero
-                                     for k in range(self.dim)])
+        return AlgebraElement(self, tuple([int(k == i) for k in range(self.dim)]))
 
     @property
     def zero(self):
-        return AlgebraElement(self, [self.field.zero] * self.dim)
+        return AlgebraElement(self, (0,) * self.dim)
 
     @property
     def one(self):
-        return AlgebraElement(self, self.unit_coords)
+        return element_from_ints(self, self.unit_ints, self.scale)
 
     def elements(self):
         """All elements; only for prime fields within the enumeration budget."""
@@ -214,12 +212,14 @@ class Algebra:
             raise ValueError("cannot enumerate over an infinite field")
         if self.field.order ** self.dim > ENUMERATION_BUDGET:
             raise ValueError("element space exceeds the enumeration budget")
-        for coords in itertools.product(self.field.elements(), repeat=self.dim):
-            yield self.element(coords)
+        for residues in itertools.product(range(self.field.order), repeat=self.dim):
+            yield AlgebraElement(self, residues)
 
     def subspace(self, vectors):
-        rows = [v.coords if isinstance(v, AlgebraElement) else v for v in vectors]
-        return Subspace(self, linalg.rref(linalg.int_rows(rows, self.field), self.field))
+        """The span of elements, or of vectors of field scalars."""
+        rows = [dict(enumerate(v.ints)) if isinstance(v, AlgebraElement)
+                else linalg.int_rows([v], self.field)[0] for v in vectors]
+        return Subspace(self, linalg.rref(rows, self.field))
 
     def full_subspace(self):
         """A itself; the identity rows are already its echelon."""
@@ -237,15 +237,21 @@ class Algebra:
 
 
 class AlgebraElement:
-    """An element by its coordinates. The constructor trusts its input to be
-    field scalars of the owner's field (the kernel's own results);
-    `Algebra.element` coerces outside input."""
+    """An element in the kernel's format, coordinates ints / den: residues
+    and den 1 over GF(p); over Q, den > 0 and gcd(den, *ints) = 1, the pair
+    that `==` and `hash` read. The constructor trusts its input; `coords`
+    makes the field scalars, for where a value leaves the library."""
 
-    __slots__ = ("owner", "coords")
+    __slots__ = ("owner", "ints", "den")
 
-    def __init__(self, owner, coords):
+    def __init__(self, owner, ints, den=1):
         self.owner = owner
-        self.coords = tuple(coords)
+        self.ints = ints
+        self.den = den
+
+    @property
+    def coords(self):
+        return tuple(self.owner.field.from_ints(self.ints, self.den))
 
     def _same(self, other):
         if not isinstance(other, AlgebraElement) or other.owner is not self.owner:
@@ -253,42 +259,43 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._same(other)
-        return AlgebraElement(self.owner, [a + b for a, b in zip(self.coords, other.coords)])
+        dx, dy = self.den, other.den
+        sums = [a * dy + b * dx for a, b in zip(self.ints, other.ints)]
+        return element_from_ints(self.owner, sums, dx * dy)
 
     def __sub__(self, other):
         self._same(other)
-        return AlgebraElement(self.owner, [a - b for a, b in zip(self.coords, other.coords)])
+        return self + -other
 
     def __neg__(self):
-        return AlgebraElement(self.owner, [-a for a in self.coords])
+        return element_from_ints(self.owner, [-a for a in self.ints], self.den)
 
     def scale(self, c):
-        c = self.owner.field.scalar(c)
-        return AlgebraElement(self.owner, [c * a for a in self.coords])
+        a, d = self.owner.field.ratio(c)
+        return element_from_ints(self.owner, [a * v for v in self.ints], d * self.den)
 
-    def __rmul__(self, c):
-        return self.scale(c)
+    __rmul__ = scale
 
     def __mul__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return self.scale(other)
-        return multiply(self, other)
+        return multiply(self, other) if isinstance(other, AlgebraElement) else self.scale(other)
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power %d: invert with try_invert" % n)
         out = self.owner.one
         for _ in range(n):
             out = out * self
         return out
 
     def is_zero(self):
-        return not any(self.coords)
+        return not any(self.ints)
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement) and other.owner is self.owner
-                and self.coords == other.coords)
+                and self.ints == other.ints and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.ints, self.den))
 
     def __repr__(self):
         alg = self.owner
@@ -324,11 +331,12 @@ class Subspace:
         return [tuple(field.from_ints([r.get(j, 0) for j in range(n)], den)) for r in red]
 
     def contains(self, x):
-        coords = x.coords if isinstance(x, AlgebraElement) else x
-        return linalg.row_space_contains(self.echelon, coords, self.owner.field)
+        return not linalg.reduce_row(self.echelon, dict(enumerate(x.ints)), self.owner.field)
 
     def basis_elements(self):
-        return [AlgebraElement(self.owner, r) for r in self.rows]
+        red, den, _ = self.echelon
+        n = self.owner.dim
+        return [element_from_ints(self.owner, [r.get(j, 0) for j in range(n)], den) for r in red]
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.owner is self.owner
@@ -359,16 +367,26 @@ def integer_product(table, xs, ys):
     return out
 
 
+def element_from_ints(alg, values, den=1):
+    """The element values / den of alg (ints, den != 0) made canonical:
+    residues over GF(p); over Q, values and den over their gcd, den > 0."""
+    p = alg.field.characteristic
+    if p:
+        inv = 1 if den == 1 else pow(den, -1, p)
+        return AlgebraElement(alg, tuple([v * inv % p for v in values]))
+    g = math.gcd(den, *values) if den > 0 else -math.gcd(den, *values)
+    return AlgebraElement(alg, tuple([v // g for v in values]) if g != 1 else tuple(values),
+                          den // g)
+
+
 def multiply(x, y):
     """Bilinear product via the integer table, over the nonzero coordinates
     of x and the nonzero products of their rows."""
     alg = x.owner
     if y.owner is not alg:
         raise ValueError("elements of different algebras")
-    xs, dx = alg.field.to_ints(x.coords)
-    ys, dy = alg.field.to_ints(y.coords)
-    return AlgebraElement(alg, alg.field.from_ints(integer_product(alg.table, xs, ys),
-                                                   dx * dy * alg.scale))
+    return element_from_ints(alg, integer_product(alg.table, x.ints, y.ints),
+                             x.den * y.den * alg.scale)
 
 
 def integer_regular_rows(alg, xs, left=True):
@@ -430,15 +448,14 @@ def try_invert(x):
     and x(yx) = x = x1 gives yx = 1."""
     alg = x.owner
     n = alg.dim
-    # L_x = rows / (dx * scale) and 1 = unit_ints / scale, so L_x y = 1
-    # reads rows y = dx * unit_ints
-    xs, dx = alg.field.to_ints(x.coords)
-    rows = integer_regular_rows(alg, xs)
+    # L_x = rows / (den * scale) and 1 = unit_ints / scale, so L_x y = 1
+    # reads rows y = den * unit_ints
+    rows = integer_regular_rows(alg, x.ints)
     for row, u in zip(rows, alg.unit_ints):
         if u:
-            row[n] = dx * u
+            row[n] = x.den * u
     y = linalg.solve(rows, n, alg.field)
-    return None if y is None else AlgebraElement(alg, alg.field.from_ints(*y))
+    return None if y is None else element_from_ints(alg, *y)
 
 
 def center(algebra):
@@ -580,8 +597,7 @@ def star_action(algebra, coeffs):
     terms = [divmod(t, n) + (c,) for t, c in enumerate(cs) if c]
 
     def act(x):
-        xs, dx = field.to_ints(x.coords)
-        xs = [(m, a) for m, a in enumerate(xs) if a]
+        xs = [(m, a) for m, a in enumerate(x.ints) if a]
         out = [0] * n
         for i, j, c in terms:
             for m, a in xs:
@@ -589,7 +605,7 @@ def star_action(algebra, coeffs):
                     cab = c * a * b
                     for r, d in table[s].get(j, ()):
                         out[r] += cab * d
-        return AlgebraElement(algebra, field.from_ints(out, dc * dx * algebra.scale ** 2))
+        return element_from_ints(algebra, out, dc * x.den * algebra.scale ** 2)
     return act
 
 
@@ -658,18 +674,17 @@ def is_central_simple(algebra):
 def minimal_polynomial(x):
     """Least-degree monic f with f(x) = 0, ascending coefficient list.
 
-    The powers stay integer vectors: with x = xs / dx and t = dx * scale,
+    The powers stay integer vectors: with x = ints / den, t = den * scale,
     x^k is powers[k] / (scale * t^k), residues over GF(p) (t = 1). The
     system sum_i y_i powers[i] = powers[k] then has y_i = c_i t^(k-i) for
     x^k = sum_i c_i x^i, so the solution is rescaled once."""
     alg = x.owner
     field = alg.field
     p = field.characteristic
-    xs, dx = field.to_ints(x.coords)
-    t = dx * alg.scale
+    t = x.den * alg.scale
     powers = [alg.unit_ints]
     while True:
-        power = integer_product(alg.table, powers[-1], xs)
+        power = integer_product(alg.table, powers[-1], x.ints)
         if p:
             power = [v % p for v in power]
         k = len(powers)
@@ -686,27 +701,26 @@ def minimal_polynomial(x):
 
 def evaluate_poly(coeffs, x):
     """Evaluate an ascending-coefficient polynomial at an algebra element,
-    by Horner on ints. With coeffs = cs / dc, x = xs / dx and
-    t = dx * scale, the value after i steps is acc / (dc * scale * t^i), so
-    a step is acc -> acc xs + c t^i unit_ints. Over GF(p), t = dc = 1 and
+    by Horner on ints. With coeffs = cs / dc, x = ints / den and
+    t = den * scale, the value after i steps is acc / (dc * scale * t^i), so
+    a step is acc -> acc ints + c t^i unit_ints. Over GF(p), t = dc = 1 and
     acc is reduced at each step."""
     alg = x.owner
     field = alg.field
     p = field.characteristic
     cs, dc = field.to_ints([field.scalar(c) for c in coeffs])
-    xs, dx = field.to_ints(x.coords)
-    t = dx * alg.scale
+    t = x.den * alg.scale
     acc, tk = [0] * alg.dim, 1
     for i, c in enumerate(reversed(cs)):
         if i:
-            acc = integer_product(alg.table, acc, xs)
+            acc = integer_product(alg.table, acc, x.ints)
             tk *= t
         if c:
             for k, u in enumerate(alg.unit_ints):
                 acc[k] += c * tk * u
         if p:
             acc = [v % p for v in acc]
-    return AlgebraElement(alg, field.from_ints(acc, dc * alg.scale * tk))
+    return element_from_ints(alg, acc, dc * alg.scale * tk)
 
 
 def commutator_subspace(algebra):

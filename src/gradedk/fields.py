@@ -202,16 +202,17 @@ class FieldSpec:
         return [GFElement(p, v) for v in range(p)]
 
     def line_representatives(self, k):
-        """One nonzero vector per line of GF(p)^k, the one whose first
-        nonzero coordinate is 1, as tuples. They come in the order of all
+        """One nonzero vector of residues per line of GF(p)^k, the one whose
+        first nonzero coordinate is 1, as tuples. They come in the order of all
         nonzero vectors in `itertools.product` order with the other multiples
         left out; a line's first vector in that order is this one, so a scan
         for a property shared by each line finds the same first vector as a
         scan over all vectors."""
-        zero, one, elements = self.zero, self.one, self.elements()
+        if self.kind != "prime-field":
+            raise ValueError("cannot enumerate an infinite field")
         for t in reversed(range(k)):
-            for tail in itertools.product(elements, repeat=k - 1 - t):
-                yield (zero,) * t + (one,) + tail
+            for tail in itertools.product(range(self.characteristic), repeat=k - 1 - t):
+                yield (0,) * t + (1,) + tail
 
     @property
     def order(self):

@@ -20,7 +20,7 @@ import itertools
 import math
 
 from . import linalg
-from .algebra import (Algebra, AlgebraElement, Subspace, center, jacobson_radical,
+from .algebra import (Algebra, Subspace, center, element_from_ints, jacobson_radical,
                       try_invert)
 from .groups import SubgroupSpec, quotient_invariants
 from .verdict import (VerdictReport, TRUE, FALSE, UNDECIDED,
@@ -90,13 +90,10 @@ class GradedAlgebra:
     def homogeneous_components(self, x):
         """Decompose an element into its nonzero homogeneous components."""
         out = {}
-        for i, c in enumerate(x.coords):
-            if c:
-                d = self.degrees[i]
-                if d not in out:
-                    out[d] = [self.field.zero] * self.dim
-                out[d][i] = c
-        return {d: self.algebra.element(v) for d, v in out.items()}
+        for i, a in enumerate(x.ints):
+            if a:
+                out.setdefault(self.degrees[i], [0] * self.dim)[i] = a
+        return {d: element_from_ints(self.algebra, v, x.den) for d, v in out.items()}
 
     def is_homogeneous(self, x):
         return len(self.homogeneous_components(x)) <= 1
@@ -107,13 +104,13 @@ class GradedAlgebra:
             raise ValueError("element is not homogeneous (or is zero)")
         return next(iter(comps))
 
-    def component_element(self, degree, values):
-        """The element with the given field scalars as its coordinates on a
-        component, in basis order, and 0 elsewhere."""
-        full = [self.field.zero] * self.dim
-        for i, c in zip(self.component_indices(degree), values):
-            full[i] = c
-        return AlgebraElement(self.algebra, full)
+    def component_element(self, degree, ints, den=1):
+        """The element with coordinates ints / den on a component, in basis
+        order, and 0 elsewhere."""
+        full = [0] * self.dim
+        for i, a in zip(self.component_indices(degree), ints):
+            full[i] = a
+        return element_from_ints(self.algebra, full, den)
 
     def identity_component(self):
         """A_e as an Algebra on the basis vectors of degree e, in basis order,
@@ -277,12 +274,12 @@ def _non_unit(g, a0, dec):
     basis = [a0.basis_element(i) for i in range(a0.dim)]
     candidates = itertools.chain(basis, (x + y for x, y in itertools.combinations(basis, 2)))
     if dec.radical_dim:
-        x = a0.element(dec.radical.rows[0])
+        x = dec.radical.basis_elements()[0]
     elif len(dec.idempotents) > 1:
         x = dec.idempotents[0]
     else:
         x = next((p[0][0] for p in map(spectral_idempotents, candidates) if len(p) > 1), None)
-    return None if x is None else g.component_element(g.group.identity, x.coords)
+    return None if x is None else g.component_element(g.group.identity, x.ints, x.den)
 
 
 def is_graded_division(g):
@@ -376,7 +373,7 @@ def is_graded_simple(g):
     radical = _graded_radical(g, dec.radical if dec else jacobson_radical(g.identity_component()))
     if radical.dim:
         return VerdictReport("graded-simple", FALSE, EXHAUSTIVE, counterexample=(
-            "proper-ideal-generator", alg.element(radical.rows[0])))
+            "proper-ideal-generator", radical.basis_elements()[0]))
     idems = central_primitive_idempotents(
         alg, _component_part(g, center(alg), g.group.identity))
     if len(idems) == 1:
@@ -393,9 +390,9 @@ def _component_part(g, subspace, degree):
     off = [{s: row[i] for s, row in enumerate(rows) if i in row}
            for i, d in enumerate(g.degrees) if d != degree]
     kept, dk, _ = linalg.nullspace(off, len(rows), g.field)
-    return [AlgebraElement(g.algebra, g.field.from_ints(
-        [sum(c * rows[s].get(j, 0) for s, c in lam.items()) for j in range(g.dim)], dk * den))
-        for lam in kept]
+    return [element_from_ints(
+        g.algebra, [sum(c * rows[s].get(j, 0) for s, c in lam.items()) for j in range(g.dim)],
+        dk * den) for lam in kept]
 
 
 def graded_tensor(a, b):

@@ -14,8 +14,7 @@ den, pivots): one sparse row per pivot, in pivot order, den times the
 reduced row (1 at its pivot, 0 at the other pivots). Over GF(p) the rows
 are residues and den is 1. Over Q the reduced rows are canonical but
 (rows, den) is not: the same space can come back scaled. `solve` returns
-(x, den) with x dense. A caller converts to field scalars once, with
-`FieldSpec.from_ints`, where a value leaves the library.
+(x, den) with x dense; an `AlgebraElement` holds the same ints over a den.
 
 There is one elimination per field. Over GF(p) it is a sparse Gauss-Jordan
 on residues, the loop of sympy's `sdm_irref` with `% p` and
@@ -24,7 +23,7 @@ on residues, the loop of sympy's `sdm_irref` with `% p` and
 `nullspace` call it directly, not through `rref`.
 
 `reduce_row` reduces an integer row against an echelon, for membership
-(`row_space_contains`), quotients and the ideal spin. `mat_mul`
+(`Subspace.contains`), quotients and the ideal spin. `mat_mul`
 multiplies ints or field scalars alike. Polynomials are sympy's dense
 lists, the level of its `dup_*` functions, and `to_dense`/`from_dense`
 carry an ascending list of field scalars there and back. The
@@ -160,12 +159,6 @@ def reduce_row(echelon, v, field):
     if p:
         return {j: r for j, x in out.items() if (r := x % p)}
     return {j: x for j, x in out.items() if x}
-
-
-def row_space_contains(echelon, vec, field):
-    """Membership of the vector vec of field scalars in the row space of an
-    echelon."""
-    return not reduce_row(echelon, dict(enumerate(field.to_ints(vec)[0])), field)
 
 
 def solve(rows, ncols, field):

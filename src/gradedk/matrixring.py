@@ -27,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import (Algebra, AlgebraElement, Subspace, center, integer_regular_rows,
-                      try_invert)
+from .algebra import (Algebra, AlgebraElement, Subspace, center, element_from_ints,
+                      integer_regular_rows, try_invert)
 from .graded import (GradedAlgebra, TwistedGroupAlgebra, graded_radical,
                      strong_grading_report, strongly_graded_at, support_subgroup)
 from .groups import SubgroupSpec, coset_label, coset_label_columns
@@ -175,10 +175,9 @@ def split_lazy_identity_component(m):
     Grothendieck Groups, 2016, 1.3). The idempotent of c is sum_(i in c)
     E_ii u_e, the radical is 0, and blocks sort as in `split_identity_component`."""
     a0, label, n = identity_component(m), m.labels, m.n
-    one, zero = a0.field.one, a0.field.zero
     classes = sorted({x: [i for i in range(n) if label[i] == x] for x in label}.values(), key=len)
-    idems = [AlgebraElement(a0, [one if i == j and i in c else zero for i in range(n)
-                                 for j in range(n) if label[i] == label[j]]) for c in classes]
+    idems = [AlgebraElement(a0, tuple(int(i == j and i in c) for i in range(n)
+                                      for j in range(n) if label[i] == label[j])) for c in classes]
     return SemisimpleDecomposition(a0, [BlockSummary(len(c) ** 2, 1, len(c), 1) for c in classes],
                                    idems, Subspace(a0, ([], 1, [])))
 
@@ -247,8 +246,8 @@ def covering_algebra(g, degrees):
     degrees = tuple(dict.fromkeys(degrees))
     cover, basis = _matrix_algebra(g, len(degrees), lambda i, j: g.component_indices(
         degrees[i].inverse() * degrees[j]))
-    eps = {s: AlgebraElement(cover, [c if i == t else cover.field.zero
-                                     for c, (i, _, _) in zip(cover.unit_coords, basis)])
+    eps = {s: element_from_ints(cover, [u if i == t else 0 for u, (i, _, _) in
+                                        zip(cover.unit_ints, basis)], cover.scale)
            for t, s in enumerate(degrees)}
     return cover, eps
 
@@ -267,9 +266,7 @@ def _top_dimensions(g, degrees):
     top, eps = covering_algebra(semisimple, degrees)
     idems = central_primitive_idempotents(top, center(top).basis_elements())
     # rank L_y is the rank of its sparse integer rows
-    dims = {s: tuple(linalg.rank(integer_regular_rows(top, top.field.to_ints((x * f).coords)[0]),
-                                 top.field)
-                     for f in idems)
+    dims = {s: tuple(linalg.rank(integer_regular_rows(top, (x * f).ints), top.field) for f in idems)
             for s, x in eps.items()}
     return dims, idems
 

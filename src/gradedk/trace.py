@@ -49,16 +49,15 @@ def reduced_char_poly(algebra, a):
         # Tr(L_(xy)) = sum_(r,c) form[r, c] x_r y_c / den, on ints
         form, den = algebra.trace_form
         p = field.characteristic
-        xs, da = field.to_ints(a.coords)
-        powers = [(algebra.unit_ints, algebra.scale), (xs, da)]  # a^k as (ints, den)
+        powers = [(algebra.unit_ints, algebra.scale), (a.ints, a.den)]  # a^k as (ints, den)
         for _ in range(1, (n + 1) // 2):
             v, d = powers[-1]
-            v = integer_product(algebra.table, v, xs)
-            powers.append(([c % p for c in v] if p else v, d * da * algebra.scale))
+            v = integer_product(algebra.table, v, a.ints)
+            powers.append(([c % p for c in v] if p else v, d * a.den * algebra.scale))
         # Newton on ints: Trd(a^k) = Tr(L_(a^ceil(k/2) a^floor(k/2))) / n is
         # P_k / d^k with P_k = sums[k-1], and q's coefficient c_(n-k) is
         # C_k / (d^k k!) with C_0 = 1, C_k = -sum_(i=1..k) P_i C_(k-i) (k-1)! / (k-i)!
-        d, f = n * den * da * algebra.scale, math.factorial
+        d, f = n * den * a.den * algebra.scale, math.factorial
         sums, cs = [], [1]
         for k in range(1, n + 1):
             (x, dx), (y, dy) = powers[(k + 1) // 2], powers[k // 2]
@@ -71,7 +70,7 @@ def reduced_char_poly(algebra, a):
         route = "trace-power-sums"
     else:
         # 0 < p <= n: the residues of a, at den and scale 1, give L_a exactly
-        rows = integer_regular_rows(algebra, field.to_ints(a.coords)[0])
+        rows = integer_regular_rows(algebra, a.ints)
         cp, dom = linalg.to_dense(linalg.charpoly(rows, algebra.dim, field), field)
         q = [dom.one]
         for g, k in dup_factor_list(cp, dom)[1]:

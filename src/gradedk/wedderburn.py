@@ -21,7 +21,7 @@ from sympy.polys.euclidtools import dup_invert
 from sympy.polys.factortools import dup_factor_list
 
 from . import linalg
-from .algebra import (Algebra, AlgebraElement, Subspace, center, evaluate_poly,
+from .algebra import (Algebra, Subspace, center, element_from_ints, evaluate_poly,
                       integer_product, integer_regular_rows, jacobson_radical,
                       minimal_polynomial, regular_columns, regular_traces)
 
@@ -211,7 +211,7 @@ def split_identity_component(algebra):
     value = lambda v, den: v % p if p else v // den  # over GF(p) every den is 1
     blocks = []
     for e in idems:
-        es, de = field.to_ints(e.coords)
+        es, de = e.ints, e.den
         ez = [integer_product(table, es, zr) for zr in zrows]  # e z_r, spanning eZ
         if not p or p > n:
             bdim = value(sum(t * c for t, c in zip(traces, es)), scale * de)
@@ -244,14 +244,13 @@ def _block_type(algebra, e, bdim, cdim):
     n = isqrt(bdim)
     if cdim > 1:
         return None, None, "proper-centre"
-    block, den, _ = linalg.rref(regular_columns(algebra, field.to_ints(e.coords)[0], True),
-                                field)
+    block, den, _ = linalg.rref(regular_columns(algebra, e.ints, True), field)
     basis = [[r.get(j, 0) for j in range(algebra.dim)] for r in block]
     if n == 2:
         split = _quaternion_block_splits(algebra, e, basis)
         return (2, 1, None) if split else (1, 4, None)
     for b in basis:
-        for u, _ in spectral_idempotents(AlgebraElement(algebra, field.from_ints(b, den))):
+        for u, _ in spectral_idempotents(element_from_ints(algebra, b, den)):
             if _corner_dim(algebra, u, basis) == 1:
                 return n, 1, None
     return None, None, "no-rank-one-corner"
@@ -259,7 +258,7 @@ def _block_type(algebra, e, bdim, cdim):
 
 def _corner_dim(algebra, u, basis):
     """dim u B u for the block B with the integer rows basis."""
-    us, t = algebra.field.to_ints(u.coords)[0], algebra.table
+    us, t = u.ints, algebra.table
     return linalg.rank([dict(enumerate(integer_product(t, integer_product(t, us, b), us)))
                         for b in basis], algebra.field)
 
@@ -275,7 +274,7 @@ def _quaternion_block_splits(algebra, e, basis):
     j are integer combinations of the integer rows basis: their scale
     multiplies a and b by squares, which leave the symbols as they are."""
     table, scale, field = algebra.table, algebra.scale, algebra.field
-    es, de = field.to_ints(e.coords)
+    es, de = e.ints, e.den
     x = next(b for b in basis
              if linalg.rank([dict(enumerate(b)), dict(enumerate(es))], field) == 2)
     # x^2 = xx / scale = c1 x + c0 e: xx = y0 x + y1 es over den

@@ -655,3 +655,33 @@ def test_enumeration_budget_guard():
     big = construct_matrix_algebra(FieldSpec.prime_field(5), 3)
     with pytest.raises(ValueError):
         list(big.elements())
+
+
+def test_negative_power_rejected():
+    m2 = construct_matrix_algebra(Q, 2)
+    x = m2.element([2, 0, 0, 3])
+    with pytest.raises(ValueError):
+        x ** -1
+    assert x ** 0 == m2.one
+    assert x ** 2 == m2.element([4, 0, 0, 9])
+
+
+def test_element_operations_run_without_field_scalars(monkeypatch):
+    # an element is the kernel's ints: products, sums, negation, inversion
+    # and membership convert nothing to or from field scalars
+    algebras = [construct_matrix_algebra(Q, 3),
+                construct_group_ring(FieldSpec.prime_field(5), GradeGroup.dihedral(4)).algebra]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field scalar conversion")
+
+    monkeypatch.setattr(FieldSpec, "to_ints", refuse)
+    monkeypatch.setattr(FieldSpec, "from_ints", refuse)
+    for alg in algebras:
+        xs = [alg.basis_element(i) for i in range(alg.dim)] + [alg.one]
+        for x in xs:
+            for y in xs:
+                assert x * y + -(x * y) == alg.zero and x + y == y + x
+            inverse = try_invert(x)
+            assert inverse is None or x * inverse == alg.one
+        assert center(alg).contains(alg.one)

@@ -172,13 +172,6 @@ def test_charpoly_gf():
                                      for _ in range(n)], F5)
 
 
-def test_row_space_contains():
-    echelon = linalg.rref(linalg.int_rows([[Fraction(1), Fraction(2), Fraction(0)],
-                                           [Fraction(0), Fraction(0), Fraction(3)]], Q), Q)
-    assert linalg.row_space_contains(echelon, [Fraction(2), Fraction(4), Fraction(7)], Q)
-    assert not linalg.row_space_contains(echelon, [Fraction(0), Fraction(1), Fraction(0)], Q)
-
-
 # -- differential test against sympy's dense elimination ---------------
 
 

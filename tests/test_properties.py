@@ -1,5 +1,6 @@
 """Seeded property suites, >= 200 instances each."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -196,3 +197,40 @@ def test_canonical_shift_three_move_invariance():
         # and all three at once
         mixed = [shift[perm[i]] * gd_element() * sigma for i in range(n)]
         assert canonical_shift(G, gd, mixed) == base
+
+
+def test_element_format_matches_field_scalar_arithmetic():
+    # (ints, den) is canonical: equal exactly when the coordinates are, and
+    # equal elements reached by different routes hash alike
+    rng = random.Random(383838)
+    fields = set()
+    for _ in range(200):
+        alg = random_constructed(rng).algebra
+        fields.add(alg.field.kind)
+        x, y, z = (random_element(alg, rng, height=4) for _ in range(3))
+        c = rng.choice([2, 3, -1, Fraction(2, 3)]) if alg.field.kind == "rationals" else 2
+        xc, yc = x.coords, y.coords
+        assert (x + y).coords == tuple(a + b for a, b in zip(xc, yc))
+        assert (x - y).coords == tuple(a - b for a, b in zip(xc, yc))
+        assert (-x).coords == tuple(-a for a in xc)
+        assert x.scale(c).coords == tuple(alg.field.scalar(c) * a for a in xc)
+        assert (x * y).coords == tuple(_dense_product(alg, xc, yc))
+        cube = _dense_product(alg, _dense_product(alg, xc, xc), xc)
+        assert (x ** 3).coords == tuple(cube) and x ** 0 == alg.one
+        # x again from unreduced input: 'p/q' strings over a common multiple
+        # over Q, ints off the residue range over GF(p)
+        p = alg.field.characteristic
+        again = alg.element([a.v - 2 * p for a in xc] if p else
+                            ["%d/%d" % (6 * a.numerator, 6 * a.denominator) for a in xc])
+        same = [(x + x, x.scale(2)), (x + x, 2 * x), ((x * y) * z, x * (y * z)), (x, again)]
+        for a, b in same:
+            assert (a.ints, a.den) == (b.ints, b.den) and a == b and hash(a) == hash(b)
+        elements = [x, y, z, again, x + y, y + x, x * y, x.scale(c), alg.zero, alg.one]
+        for a in elements:
+            if alg.field.kind == "rationals":
+                assert a.den > 0 and math.gcd(a.den, *a.ints) == 1
+            else:
+                assert a.den == 1 and all(0 <= v < alg.field.characteristic for v in a.ints)
+            for b in elements:
+                assert ((a.ints, a.den) == (b.ints, b.den)) == (a.coords == b.coords)
+    assert fields == {"rationals", "prime-field"}
