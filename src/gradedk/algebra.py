@@ -307,10 +307,9 @@ class AlgebraElement:
 
 
 class Subspace:
-    """A subspace held once, as its `linalg` echelon (rows, den, pivots).
-    `rows`, its canonical reduced rows as tuples of field scalars, are built
-    on first use; equality and hash read them, since over Q the same space
-    can come with another (rows, den)."""
+    """A subspace held once, as its `linalg` echelon (rows, den, pivots),
+    which one space always gives alike: equality and hash read it. `rows`,
+    its reduced rows as tuples of field scalars, are built on first use."""
 
     def __init__(self, owner, echelon):
         self.owner = owner
@@ -340,10 +339,10 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.owner is self.owner
-                and self.rows == other.rows)
+                and self.echelon == other.echelon)
 
     def __hash__(self):
-        return hash(tuple(self.rows))
+        return hash((self.echelon[1], tuple(self.pivots)))
 
     def __repr__(self):
         return "Subspace(dim=%d)" % self.dim

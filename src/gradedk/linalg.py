@@ -12,15 +12,14 @@ takes the rows of [A | b], with b in column ncols.
 The results are ints too. `rref` and `nullspace` return an echelon (rows,
 den, pivots): one sparse row per pivot, in pivot order, den times the
 reduced row (1 at its pivot, 0 at the other pivots). Over GF(p) the rows
-are residues and den is 1. Over Q the reduced rows are canonical but
-(rows, den) is not: the same space can come back scaled. `solve` returns
-(x, den) with x dense; an `AlgebraElement` holds the same ints over a den.
+are residues and den is 1; over Q den is the least common denominator.
+So one row space gives one echelon. `solve` returns (x, den) with x
+dense; an `AlgebraElement` holds the same ints over a den.
 
-There is one elimination per field. Over GF(p) it is a sparse Gauss-Jordan
-on residues, the loop of sympy's `sdm_irref` with `% p` and
-`pow(a, -1, p)`. Over Q it is sympy's fraction-free `sdm_rref_den` over ZZ
-(Bareiss-style), on rows divided by their content. `rank`, `solve` and
-`nullspace` call it directly, not through `rref`.
+There is one elimination per field, a sparse Gauss-Jordan in the loop of
+sympy's `sdm_irref`: over GF(p) on residues, with `% p` and
+`pow(a, -1, p)`; over Q on primitive integer rows, so with no division
+but by a gcd. `rank`, `solve` and `nullspace` call it directly.
 
 `reduce_row` reduces an integer row against an echelon, for membership
 (`Subspace.contains`), quotients and the ideal spin. `mat_mul`
@@ -39,7 +38,6 @@ from collections import defaultdict
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.sdm import sdm_rref_den
 
 
 def mat_mul(a, b):
@@ -113,6 +111,75 @@ def _irref_mod(rows, p):
     return [pivot_row[j] for j in pivots], pivots
 
 
+def _irref_int(rows):
+    """(rows, den, pivots): den times the rref over Q of integer dict rows,
+    by the loop of `_irref_mod` on primitive rows: b is cleared at pivot c
+    by b <- (p/g) b - (f/g) row_c (p = row_c[c], f = b[c], g = gcd(p, f)),
+    then divided by its content. Row c times den / p, den > 0 the lcm of
+    the pivot entries, is then canonical whatever the sign of p."""
+    pivot_row = {}  # pivot column -> its primitive row
+    single, multi = set(), set()  # pivots of rows with one / more entries
+    holding = defaultdict(set)  # column -> pivots of the multi rows nonzero there
+    for a in rows:
+        a = {j: x for j, x in a.items() if x and j not in single}
+        for c in multi & a.keys():
+            b = pivot_row[c]
+            f = a.pop(c)
+            g = math.gcd(b[c], f)
+            if (s := b[c] // g) != 1:
+                a = {k: s * x for k, x in a.items()}
+            f //= g
+            for k, y in b.items():
+                if k != c:
+                    v = a.get(k, 0) - f * y
+                    if v:
+                        a[k] = v
+                    else:
+                        a.pop(k, None)
+        if not a:
+            continue
+        j = min(a)
+        g = math.gcd(*a.values())
+        if g != 1:
+            a = {k: x // g for k, x in a.items()}
+        p = a[j]
+        for c in holding.pop(j, ()):
+            b = pivot_row[c]
+            f = b.pop(j)
+            g = math.gcd(p, f)
+            if (s := p // g) != 1:
+                for k in b:
+                    b[k] *= s
+            f //= g
+            for k, y in a.items():
+                if k != j:
+                    v = b.get(k, 0) - f * y
+                    if v:
+                        b[k] = v
+                        holding[k].add(c)
+                    elif b.pop(k, None) is not None:
+                        holding[k].discard(c)
+            g = math.gcd(*b.values())
+            if g != 1:
+                for k in b:
+                    b[k] //= g
+            if len(b) == 1:
+                multi.discard(c)
+                single.add(c)
+        pivot_row[j] = a
+        if len(a) == 1:
+            single.add(j)
+        else:
+            multi.add(j)
+            for k in a:
+                if k != j:
+                    holding[k].add(j)
+    pivots = sorted(pivot_row)
+    den = math.lcm(*[pivot_row[c][c] for c in pivots])
+    return ([{k: s * x for k, x in b.items()} if (s := den // b[c]) != 1 else b
+             for c in pivots for b in [pivot_row[c]]], den, pivots)
+
+
 def _reduced(rows, field):
     """The echelon (rows, den, pivots) of sparse integer rows, their stored
     zeros dropped: one row per pivot in pivot order, den times the rref
@@ -122,13 +189,7 @@ def _reduced(rows, field):
         rows = [r for row in rows if (r := {j: v for j, x in row.items() if (v := x % p)})]
         red, pivots = _irref_mod(rows, p)
         return red, 1, pivots
-    # each row over its content, the gcd of its entries: the same line,
-    # and `sdm_rref_den`'s integers grow from the entries
-    rows = [{j: x // g for j, x in r.items()}
-            for row in rows if (r := {j: x for j, x in row.items() if x})
-            for g in [math.gcd(*r.values())]]
-    red, den, pivots = sdm_rref_den(dict(enumerate(rows)), sympy.ZZ)
-    return list(red.values()), den, pivots
+    return _irref_int(rows)
 
 
 def rref(rows, field):

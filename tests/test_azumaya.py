@@ -18,7 +18,7 @@ from gradedk.graded import trivially_graded
 from gradedk.groups import GradeGroup
 from gradedk.matrixring import ShiftedMatrixAlgebra
 from randomdata import random_element
-from test_kernel import ALGEBRAS, graded_algebras
+from test_kernel import ALGEBRAS, graded_algebras, rebased
 
 Q = FieldSpec.rationals()
 
@@ -190,6 +190,21 @@ def test_braun_verdict_matches_psi_and_central_simplicity():
         if rep:
             assert verify_separability_idempotent(g, standard_separability_idempotent(g))
     assert seen["true"] > 20 and seen["false"] > 20, seen
+
+
+def test_psi_and_braun_on_rebased_m3_rationals():
+    """M_3(Q) on a random basis with fractional constants: the 81 x 81 psi
+    system and Braun's solve, whose integer rows grow under elimination."""
+    g = trivially_graded(rebased(construct_matrix_algebra(Q, 3), random.Random(5)),
+                         GradeGroup.trivial())
+    rep = psi_bijective(g)
+    assert rep.verdict == "true" and rep.details == {"rank": 81, "size": 81}
+    assert braun_check(g).verdict == "true"
+
+
+def test_braun_m6_rationals():
+    g = trivially_graded(construct_matrix_algebra(Q, 6), GradeGroup.trivial())
+    assert braun_check(g).verdict == "true"
 
 
 def test_graded_csa_route():

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.sdm import (
-    sdm_irref, sdm_nullspace_from_rref, sdm_particular_from_rref)
+    sdm_irref, sdm_nullspace_from_rref, sdm_particular_from_rref, sdm_rref_den)
 
 from gradedk import linalg
 from gradedk.algebra import is_central_simple
@@ -506,6 +507,78 @@ def test_sparse_rows_match_the_dense_integer_path():
                 got = None if got is None else field.from_ints(*got)
                 assert same(got, dense_solve(aug, field)), (field, m, b)
     assert kinds == {"empty", "empty-rows-wide", "zero-width", "zero-rows", "random"}
+
+
+# -- the Q elimination against sympy's fraction-free one ----------------
+#
+# The reference is sympy's Bareiss-style `sdm_rref_den` over ZZ, the Q
+# elimination that the primitive-row loop replaced: the same reduced rows,
+# read as Fractions, and the same pivots.
+
+
+def _rational_cases(rng):
+    """Sparse integer row sets: the edge cases, then random sparse and dense
+    ones of 2- to 80-bit entries, each with a row of content > 1, some with
+    negative leading entries, stored zeros, and duplicate and dependent
+    rows."""
+    yield []
+    yield [{}, {0: 0, 3: 0}]
+    yield [{0: 3}]
+    yield [{2: -6, 5: 4}]
+    yield [{0: 2, 1: 4}, {0: 2, 1: 4}, {0: -1, 1: -2}]
+    big = 2 ** 64
+    yield [{1: big + 1, 2: -4 * big}, {0: 3 ** 50, 2: 1},
+           {0: 3 ** 50, 1: big + 1, 2: 1 - 4 * big}]
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.choice((0.2, 0.5, 1.0))
+        h = 2 ** rng.choice((2, 8, 64, 80))
+        rows = [{j: rng.randint(-h, h) for j in range(ncols) if rng.random() < density}
+                for _ in range(nrows)]
+        k = rng.randint(2, 12)
+        rows[0] = {j: k * x for j, x in rows[0].items()}
+        if rng.random() < 0.5:
+            rows[-1] = {j: -abs(x) for j, x in rows[-1].items()}
+        if nrows > 2:
+            rows.append(dict(rows[1]))
+            rows.append({j: 3 * rows[1].get(j, 0) - k * rows[2].get(j, 0) for j in range(ncols)})
+        rng.shuffle(rows)
+        yield rows
+
+
+def _fractions(rows, den):
+    return [{j: Fraction(x, den) for j, x in row.items()} for row in rows]
+
+
+def test_rational_elimination_matches_sdm_rref_den():
+    for rows in _rational_cases(random.Random(1101)):
+        red, den, pivots = linalg.rref(rows, Q)
+        nonzero = [r for row in rows if (r := {j: x for j, x in row.items() if x})]
+        want, want_den, want_pivots = sdm_rref_den(dict(enumerate(nonzero)), sympy.ZZ)
+        assert pivots == want_pivots, rows
+        assert _fractions(red, den) == _fractions(want.values(), int(want_den)), rows
+
+
+def test_rational_echelon_is_canonical():
+    """Each row holds den at its pivot and 0 at the other pivots, gcd(den,
+    every entry) = 1, and a shuffled, rescaled generating set plus a
+    redundant combination gives the identical echelon and kernel."""
+    rng = random.Random(1468)
+    for rows in _rational_cases(rng):
+        echelon = linalg.rref(rows, Q)
+        red, den, pivots = echelon
+        assert den > 0 and math.gcd(den, *[x for row in red for x in row.values()]) == 1
+        for row, c in zip(red, pivots):
+            assert row[c] == den and not any(row.get(d) for d in pivots if d != c)
+        gens = [{j: k * x for j, x in row.items()}
+                for row in rows for k in [rng.choice((-3, -1, 1, 2, 7))]]
+        rng.shuffle(gens)
+        if len(gens) > 1:
+            gens.append({j: gens[0].get(j, 0) - 5 * gens[1].get(j, 0)
+                         for j in gens[0].keys() | gens[1].keys()})
+        assert linalg.rref(gens, Q) == echelon, rows
+        ncols = 1 + max((j for row in rows for j in row), default=0)
+        assert linalg.nullspace(gens, ncols, Q) == linalg.nullspace(rows, ncols, Q)
 
 
 # -- exactness on large sparse eliminations ----------------------------
