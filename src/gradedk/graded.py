@@ -53,18 +53,12 @@ class GradedAlgebra:
         components = {}  # degree coords -> its basis indices, in basis order
         for i, c in enumerate(coords):
             components.setdefault(c, []).append(i)
-        index = {c: t for t, c in enumerate(components)}  # small int ids
-        ids = [index[c] for c in coords]
         mul = group._mul
-        combined = [[None] * len(index) for _ in index]  # [id_i][id_j]: id of deg_i deg_j, or -1
         for i, row in enumerate(algebra.table):
-            wants = combined[ids[i]]
             for j, terms in row.items():
-                want = wants[ids[j]]
-                if want is None:
-                    want = wants[ids[j]] = index.get(mul(coords[i], coords[j]), -1)
+                want = mul(coords[i], coords[j])
                 for k, _ in terms:
-                    if ids[k] != want:
+                    if coords[k] != want:
                         raise ValueError("invalid grading: %r" % (("closure", i, j, k),))
         for i, c in enumerate(algebra.unit_ints):
             if c and coords[i] != group._identity_coords:

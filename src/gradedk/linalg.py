@@ -16,10 +16,11 @@ are residues and den is 1; over Q den is the least common denominator.
 So one row space gives one echelon. `solve` returns (x, den) with x
 dense; an `AlgebraElement` holds the same ints over a den.
 
-There is one elimination per field, a sparse Gauss-Jordan in the loop of
-sympy's `sdm_irref`: over GF(p) on residues, with `% p` and
-`pow(a, -1, p)`; over Q on primitive integer rows, so with no division
-but by a gcd. `rank`, `solve` and `nullspace` call it directly.
+There is one elimination per field, a sparse Gauss-Jordan on the integer
+rows as given: over GF(p) on residues, each row taken mod p as it is read;
+over Q on primitive rows, so with no division but by a gcd. Its one index,
+`holding`, names for each column the pivot rows nonzero there, from which
+a new pivot's column is cleared. `rank`, `solve` and `nullspace` call it.
 
 `reduce_row` reduces an integer row against an echelon, for membership
 (`Subspace.contains`), quotients and the ideal spin. `mat_mul`
@@ -61,17 +62,17 @@ def int_rows(rows, field):
 
 
 def _irref_mod(rows, p):
-    """(rows, pivots): the reduced row echelon form over GF(p) of nonzero
-    residue dict rows, one row per pivot in pivot order, 1 at its pivot.
-    Each new row is cleared at the earlier pivots; its leading entry then
-    becomes a pivot, scaled to 1, and is cleared from the earlier rows that
-    hold its column. A row that is its pivot alone needs no more work."""
+    """(rows, pivots): the reduced row echelon form over GF(p) of integer
+    dict rows, taken mod p as they come in, one row per pivot in pivot
+    order, 1 at its pivot. Each new row is cleared at the pivots it holds in
+    one pass: a pivot row is 0 at every other pivot, so clearing puts in no
+    pivot column. Its leading entry then becomes a pivot, scaled to 1, and
+    is cleared from the earlier rows that `holding` says hold its column."""
     pivot_row = {}  # pivot column -> its row
-    single, multi = set(), set()  # pivots of rows with one / more entries
-    holding = defaultdict(set)  # column -> pivots of the multi rows nonzero there
+    holding = defaultdict(set)  # column -> the pivots whose rows are nonzero there
     for a in rows:
-        a = {j: x for j, x in a.items() if j not in single}
-        for c in multi & a.keys():
+        a = {j: v for j, x in a.items() if (v := x % p)}
+        for c in a.keys() & pivot_row.keys():
             f = a.pop(c)
             for k, y in pivot_row[c].items():
                 if k != c:
@@ -96,17 +97,10 @@ def _irref_mod(rows, p):
                         holding[k].add(c)
                     elif b.pop(k, None) is not None:
                         holding[k].discard(c)
-            if len(b) == 1:
-                multi.discard(c)
-                single.add(c)
         pivot_row[j] = a
-        if len(a) == 1:
-            single.add(j)
-        else:
-            multi.add(j)
-            for k in a:
-                if k != j:
-                    holding[k].add(j)
+        for k in a:
+            if k != j:
+                holding[k].add(j)
     pivots = sorted(pivot_row)
     return [pivot_row[j] for j in pivots], pivots
 
@@ -115,14 +109,15 @@ def _irref_int(rows):
     """(rows, den, pivots): den times the rref over Q of integer dict rows,
     by the loop of `_irref_mod` on primitive rows: b is cleared at pivot c
     by b <- (p/g) b - (f/g) row_c (p = row_c[c], f = b[c], g = gcd(p, f)),
-    then divided by its content. Row c times den / p, den > 0 the lcm of
-    the pivot entries, is then canonical whatever the sign of p."""
+    then divided by its content. A new row is divided by its content signed
+    as its pivot entry, so every p is positive (p/g > 0 keeps it so), and
+    clearing at p = 1 rescales nothing. Row c times den / p, den the lcm of
+    the pivot entries, is then canonical."""
     pivot_row = {}  # pivot column -> its primitive row
-    single, multi = set(), set()  # pivots of rows with one / more entries
-    holding = defaultdict(set)  # column -> pivots of the multi rows nonzero there
+    holding = defaultdict(set)  # column -> the pivots whose rows are nonzero there
     for a in rows:
-        a = {j: x for j, x in a.items() if x and j not in single}
-        for c in multi & a.keys():
+        a = {j: x for j, x in a.items() if x}
+        for c in a.keys() & pivot_row.keys():
             b = pivot_row[c]
             f = a.pop(c)
             g = math.gcd(b[c], f)
@@ -139,7 +134,7 @@ def _irref_int(rows):
         if not a:
             continue
         j = min(a)
-        g = math.gcd(*a.values())
+        g = math.gcd(*a.values()) * (-1 if a[j] < 0 else 1)
         if g != 1:
             a = {k: x // g for k, x in a.items()}
         p = a[j]
@@ -163,17 +158,10 @@ def _irref_int(rows):
             if g != 1:
                 for k in b:
                     b[k] //= g
-            if len(b) == 1:
-                multi.discard(c)
-                single.add(c)
         pivot_row[j] = a
-        if len(a) == 1:
-            single.add(j)
-        else:
-            multi.add(j)
-            for k in a:
-                if k != j:
-                    holding[k].add(j)
+        for k in a:
+            if k != j:
+                holding[k].add(j)
     pivots = sorted(pivot_row)
     den = math.lcm(*[pivot_row[c][c] for c in pivots])
     return ([{k: s * x for k, x in b.items()} if (s := den // b[c]) != 1 else b
@@ -186,7 +174,6 @@ def _reduced(rows, field):
     row. Over GF(p) the entries are residues and den is 1."""
     p = field.characteristic
     if p:
-        rows = [r for row in rows if (r := {j: v for j, x in row.items() if (v := x % p)})]
         red, pivots = _irref_mod(rows, p)
         return red, 1, pivots
     return _irref_int(rows)

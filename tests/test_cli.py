@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import gradedk.cli
@@ -7,6 +9,7 @@ from gradedk.fields import FieldSpec
 from gradedk.fileformat import save_graded_algebra
 from gradedk.graded import trivially_graded
 from gradedk.groups import GradeGroup
+from test_kernel import rebased
 from test_ktheory import (cyclic_cubic_division_algebra, m2_over_q_sqrt2,
                           product_algebra, scalars, upper_triangular)
 
@@ -427,6 +430,21 @@ def test_check_graded_division_split_quaternion_exit_1(capsys, tmp_path):
     code, out, _ = run(capsys, "--seed", "3", "check", "graded-division", str(path))
     assert code == 1
     assert "verdict=false" in out and "noninvertible" in out
+
+
+def test_check_undecided_exit_2(capsys, tmp_path):
+    # rebased M_4(Q), trivially graded: no spectral idempotent of A_e's
+    # block basis has a rank-one corner, so the block is left untyped and
+    # the verdict is undecided, exit code 2, until Q blocks are typed by a
+    # maximal order
+    path = tmp_path / "m4.alg"
+    alg = rebased(construct_matrix_algebra(FieldSpec.rationals(), 4), random.Random(1))
+    save_graded_algebra(trivially_graded(alg, GradeGroup.trivial()), str(path))
+    code, out, err = run(capsys, "check", "graded-division", str(path))
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "predicate=graded-division; verdict=undecided; strategy=exhaustive; "
+        "block-reason='no-rank-one-corner'; reason='identity-component-untyped'"]
 
 
 F2, F3, F5 = (FieldSpec.prime_field(p) for p in (2, 3, 5))
