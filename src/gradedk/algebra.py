@@ -23,8 +23,8 @@ Every structure-constant loop runs on the table too: products (one loop,
 evaluation by Horner, the rows of L_x and R_x and ideal closure, the regular
 traces and product forms, psi, the rows of the centre and of the
 commutator subspace, subspace membership, and A (x) A^op on tuples of n^2
-scalars, i*n + j for e_i (x) e_j: its star action, its product and the
-rows of the separability conditions. An `AlgebraElement` holds the same
+scalars, i*n + j for e_i (x) e_j: its star action and the rows of the
+separability conditions. An `AlgebraElement` holds the same
 format, ints over one den (residues over GF(p)): a loop reads them as they
 are and hands its sums to `element_from_ints`, so one loop serves Q and
 GF(p). `linalg` takes and returns sparse integer rows, and a `Subspace`
@@ -634,23 +634,6 @@ def separability_rows(algebra, generators):
                     block[i * n + s][i * n + j] = block[i * n + s].get(i * n + j, 0) - c
         rows += block
     return rows
-
-
-def enveloping_product(algebra, x, y):
-    """The product in A (x) A^op of the coefficient tuples x and y:
-    (e_i (x) e_j)(e_k (x) e_l) = e_i e_k (x) e_l e_j."""
-    n, table = algebra.dim, algebra.table
-    xs, dx = algebra.field.to_ints(x)
-    ys, dy = algebra.field.to_ints(y)
-    ys = [(divmod(t, n), b) for t, b in enumerate(ys) if b]
-    out = [0] * (n * n)
-    for t, a in enumerate(xs):
-        i, j = divmod(t, n)
-        for (k, l), b in ys if a else ():
-            for r, c in table[i].get(k, ()):
-                for s, d in table[l].get(j, ()):
-                    out[r * n + s] += a * b * c * d
-    return tuple(algebra.field.from_ints(out, dx * dy * algebra.scale ** 2))
 
 
 def is_central_simple(algebra):

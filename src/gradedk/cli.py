@@ -121,6 +121,12 @@ def cmd_k0(args):
                   % (flag.replace("_", "-"), n), file=sys.stderr)
             return 3
     if args.exact_sequence is not None:
+        for given, name in ((args.file, "a definition file"),
+                            (args.compare_localized, "--compare-localized")):
+            if given is not None:
+                print("error: --exact-sequence cannot be combined with %s" % name,
+                      file=sys.stderr)
+                return 3
         data = kt.ck0_zk0(kt.CsaShape(args.exact_sequence))
         print("zk0=%r; ck0=%r" % (data.zk0, data.ck0))
         if args.localize is not None:

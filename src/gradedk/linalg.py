@@ -16,11 +16,16 @@ are residues and den is 1; over Q den is the least common denominator.
 So one row space gives one echelon. `solve` returns (x, den) with x
 dense; an `AlgebraElement` holds the same ints over a den.
 
-There is one elimination per field, a sparse Gauss-Jordan on the integer
-rows as given: over GF(p) on residues, each row taken mod p as it is read;
-over Q on primitive rows, so with no division but by a gcd. Its one index,
-`holding`, names for each column the pivot rows nonzero there, from which
-a new pivot's column is cleared. `rank`, `solve` and `nullspace` call it.
+There is one elimination, `_reduced`, a sparse Gauss-Jordan on the integer
+rows as given, which `rref`, `rank`, `solve` and `nullspace` call. Its one
+index, `holding`, names for each column the pivot rows nonzero there, from
+which a new pivot's column is cleared. Four steps depend on the field: a
+row is taken mod p as it is read; each entry a clearing step writes is
+taken mod p; a new row is scaled to 1 at its pivot over GF(p), and over Q
+divided by its content signed as its pivot entry, so rows stay primitive
+and no division is made but by a gcd; and den is 1 over GF(p), the lcm
+of the pivot entries over Q. Every other rescaling over Q is skipped at a
+pivot entry of 1, so it never runs over GF(p).
 
 `reduce_row` reduces an integer row against an echelon, for membership
 (`Subspace.contains`), quotients and the ideal spin. `mat_mul`
@@ -61,72 +66,31 @@ def int_rows(rows, field):
     return [{j: x for j, x in enumerate(field.to_ints(row)[0]) if x} for row in rows]
 
 
-def _irref_mod(rows, p):
-    """(rows, pivots): the reduced row echelon form over GF(p) of integer
-    dict rows, taken mod p as they come in, one row per pivot in pivot
-    order, 1 at its pivot. Each new row is cleared at the pivots it holds in
-    one pass: a pivot row is 0 at every other pivot, so clearing puts in no
-    pivot column. Its leading entry then becomes a pivot, scaled to 1, and
-    is cleared from the earlier rows that `holding` says hold its column."""
+def _reduced(rows, field):
+    """The echelon (rows, den, pivots) of sparse integer rows, their stored
+    zeros dropped: one row per pivot in pivot order, den times the rref row.
+    Over Q the rows are primitive with positive pivot entries: b is cleared
+    at pivot c by b <- (pc/g) b - (f/g) row_c (pc = row_c[c], f = b[c],
+    g = gcd(pc, f)), then divided by its content, and at the end row c
+    times den / pc, den the lcm of the pivot entries, is canonical. Over
+    GF(p) every pivot entry is 1, so none of this rescales, and den is 1."""
+    p = field.characteristic
     pivot_row = {}  # pivot column -> its row
     holding = defaultdict(set)  # column -> the pivots whose rows are nonzero there
     for a in rows:
-        a = {j: v for j, x in a.items() if (v := x % p)}
-        for c in a.keys() & pivot_row.keys():
-            f = a.pop(c)
-            for k, y in pivot_row[c].items():
-                if k != c:
-                    v = (a.get(k, 0) - f * y) % p
-                    if v:
-                        a[k] = v
-                    else:
-                        a.pop(k, None)
-        if not a:
-            continue
-        j = min(a)
-        inv = pow(a[j], -1, p)
-        a = {k: x * inv % p for k, x in a.items()}
-        for c in holding.pop(j, ()):
-            b = pivot_row[c]
-            f = b.pop(j)
-            for k, y in a.items():
-                if k != j:
-                    v = (b.get(k, 0) - f * y) % p
-                    if v:
-                        b[k] = v
-                        holding[k].add(c)
-                    elif b.pop(k, None) is not None:
-                        holding[k].discard(c)
-        pivot_row[j] = a
-        for k in a:
-            if k != j:
-                holding[k].add(j)
-    pivots = sorted(pivot_row)
-    return [pivot_row[j] for j in pivots], pivots
-
-
-def _irref_int(rows):
-    """(rows, den, pivots): den times the rref over Q of integer dict rows,
-    by the loop of `_irref_mod` on primitive rows: b is cleared at pivot c
-    by b <- (p/g) b - (f/g) row_c (p = row_c[c], f = b[c], g = gcd(p, f)),
-    then divided by its content. A new row is divided by its content signed
-    as its pivot entry, so every p is positive (p/g > 0 keeps it so), and
-    clearing at p = 1 rescales nothing. Row c times den / p, den the lcm of
-    the pivot entries, is then canonical."""
-    pivot_row = {}  # pivot column -> its primitive row
-    holding = defaultdict(set)  # column -> the pivots whose rows are nonzero there
-    for a in rows:
-        a = {j: x for j, x in a.items() if x}
+        a = ({j: v for j, x in a.items() if (v := x % p)} if p
+             else {j: x for j, x in a.items() if x})
         for c in a.keys() & pivot_row.keys():
             b = pivot_row[c]
             f = a.pop(c)
-            g = math.gcd(b[c], f)
-            if (s := b[c] // g) != 1:
-                a = {k: s * x for k, x in a.items()}
-            f //= g
+            if (pc := b[c]) != 1:
+                g = math.gcd(pc, f)
+                if (s := pc // g) != 1:
+                    a = {k: s * x for k, x in a.items()}
+                f //= g
             for k, y in b.items():
                 if k != c:
-                    v = a.get(k, 0) - f * y
+                    v = (a.get(k, 0) - f * y) % p if p else a.get(k, 0) - f * y
                     if v:
                         a[k] = v
                     else:
@@ -134,28 +98,30 @@ def _irref_int(rows):
         if not a:
             continue
         j = min(a)
-        g = math.gcd(*a.values()) * (-1 if a[j] < 0 else 1)
-        if g != 1:
+        if p:
+            inv = pow(a[j], -1, p)
+            a = {k: x * inv % p for k, x in a.items()}
+        elif (g := math.gcd(*a.values()) * (-1 if a[j] < 0 else 1)) != 1:
             a = {k: x // g for k, x in a.items()}
-        p = a[j]
+        pj = a[j]
         for c in holding.pop(j, ()):
             b = pivot_row[c]
             f = b.pop(j)
-            g = math.gcd(p, f)
-            if (s := p // g) != 1:
-                for k in b:
-                    b[k] *= s
-            f //= g
+            if pj != 1:
+                g = math.gcd(pj, f)
+                if (s := pj // g) != 1:
+                    for k in b:
+                        b[k] *= s
+                f //= g
             for k, y in a.items():
                 if k != j:
-                    v = b.get(k, 0) - f * y
+                    v = (b.get(k, 0) - f * y) % p if p else b.get(k, 0) - f * y
                     if v:
                         b[k] = v
                         holding[k].add(c)
                     elif b.pop(k, None) is not None:
                         holding[k].discard(c)
-            g = math.gcd(*b.values())
-            if g != 1:
+            if b[c] != 1 and (g := math.gcd(*b.values())) != 1:
                 for k in b:
                     b[k] //= g
         pivot_row[j] = a
@@ -163,20 +129,11 @@ def _irref_int(rows):
             if k != j:
                 holding[k].add(j)
     pivots = sorted(pivot_row)
+    if p:
+        return [pivot_row[c] for c in pivots], 1, pivots
     den = math.lcm(*[pivot_row[c][c] for c in pivots])
     return ([{k: s * x for k, x in b.items()} if (s := den // b[c]) != 1 else b
              for c in pivots for b in [pivot_row[c]]], den, pivots)
-
-
-def _reduced(rows, field):
-    """The echelon (rows, den, pivots) of sparse integer rows, their stored
-    zeros dropped: one row per pivot in pivot order, den times the rref
-    row. Over GF(p) the entries are residues and den is 1."""
-    p = field.characteristic
-    if p:
-        red, pivots = _irref_mod(rows, p)
-        return red, 1, pivots
-    return _irref_int(rows)
 
 
 def rref(rows, field):

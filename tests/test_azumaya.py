@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedk.algebra import Algebra, enveloping_product, is_central_simple, star_action
+from gradedk.algebra import Algebra, is_central_simple, star_action
 from gradedk.azumaya import (EnvelopingAlgebra, braun_check,
                              group_ring_azumaya, is_graded_azumaya_csa,
                              psi_bijective,
@@ -17,6 +17,7 @@ from gradedk.fields import FieldSpec
 from gradedk.graded import trivially_graded
 from gradedk.groups import GradeGroup
 from gradedk.matrixring import ShiftedMatrixAlgebra
+from enveloping import enveloping_product
 from randomdata import random_element
 from test_kernel import ALGEBRAS, graded_algebras, rebased
 

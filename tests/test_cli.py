@@ -300,6 +300,19 @@ def test_k0_exact_sequence(capsys):
     assert "ck0_localized=0" in out
 
 
+@pytest.mark.parametrize("argv,extra", [
+    (("nosuch.alg", "--exact-sequence", "3"), "a definition file"),
+    (("FILE", "--exact-sequence", "3"), "a definition file"),
+    (("--exact-sequence", "3", "--compare-localized", "2"), "--compare-localized"),
+], ids=["missing-file", "file", "compare-localized"])
+def test_k0_exact_sequence_takes_no_file_or_comparison_exit_3(capsys, quat_file, argv, extra):
+    # --exact-sequence reads no algebra, so a file or a comparison given
+    # with it would be ignored: bad input, and the file is never opened
+    code, out, err = run(capsys, "k0", *[quat_file if a == "FILE" else a for a in argv])
+    assert (code, out) == (3, "")
+    assert err == "error: --exact-sequence cannot be combined with %s\n" % extra
+
+
 def test_k0_compare_localized_quaternions(capsys, quat_file):
     code, out, _ = run(capsys, "k0", "--compare-localized", "2", quat_file)
     assert code == 1

@@ -19,7 +19,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from gradedk import algebra as algebra_module, linalg
 from gradedk.algebra import (Algebra, _lifted_trace_digit, center, commutator_subspace,
-                             enveloping_product, evaluate_poly, integer_product_form,
+                             evaluate_poly, integer_product_form,
                              integer_psi_matrix, integer_regular_rows, is_central_simple,
                              jacobson_radical, minimal_polynomial, multiply, regular_traces,
                              separability_rows, star_action)
@@ -38,6 +38,7 @@ from gradedk.wedderburn import (BlockSummary, _corner_dim, _crt_idempotents,
                                 spectral_idempotents, split_identity_component)
 
 from constructorgrid import cases as constructor_cases
+from enveloping import enveloping_product
 from randomdata import random_constructed, random_element, random_scalar
 import scalarlinalg
 

@@ -560,25 +560,33 @@ def test_rational_elimination_matches_sdm_rref_den():
 
 
 def test_rational_echelon_is_canonical():
-    """Each row holds den at its pivot and 0 at the other pivots, gcd(den,
-    every entry) = 1, and a shuffled, rescaled generating set plus a
-    redundant combination gives the identical echelon and kernel."""
+    """Over Q and GF(p) alike, each row holds den at its pivot and 0 at the
+    other pivots, over Q with gcd(den, every entry) = 1 and over GF(p) with
+    den = 1 and residue entries; and a shuffled generating set, each row
+    rescaled by a unit, plus a redundant combination gives the identical
+    echelon and kernel."""
     rng = random.Random(1468)
-    for rows in _rational_cases(rng):
-        echelon = linalg.rref(rows, Q)
-        red, den, pivots = echelon
-        assert den > 0 and math.gcd(den, *[x for row in red for x in row.values()]) == 1
-        for row, c in zip(red, pivots):
-            assert row[c] == den and not any(row.get(d) for d in pivots if d != c)
-        gens = [{j: k * x for j, x in row.items()}
-                for row in rows for k in [rng.choice((-3, -1, 1, 2, 7))]]
-        rng.shuffle(gens)
-        if len(gens) > 1:
-            gens.append({j: gens[0].get(j, 0) - 5 * gens[1].get(j, 0)
-                         for j in gens[0].keys() | gens[1].keys()})
-        assert linalg.rref(gens, Q) == echelon, rows
-        ncols = 1 + max((j for row in rows for j in row), default=0)
-        assert linalg.nullspace(gens, ncols, Q) == linalg.nullspace(rows, ncols, Q)
+    for field in [Q] + [FieldSpec.prime_field(p) for p in (2, 7, 2 ** 61 - 1)]:
+        p = field.characteristic
+        units = [k for k in (-3, -1, 1, 2, 7) if not p or k % p]
+        for rows in _rational_cases(rng):
+            echelon = linalg.rref(rows, field)
+            red, den, pivots = echelon
+            if p:
+                assert den == 1 and all(0 < x < p for row in red for x in row.values())
+            else:
+                assert den > 0 and math.gcd(den, *[x for row in red for x in row.values()]) == 1
+            for row, c in zip(red, pivots):
+                assert row[c] == den and not any(row.get(d) for d in pivots if d != c)
+            gens = [{j: k * x for j, x in row.items()}
+                    for row in rows for k in [rng.choice(units)]]
+            rng.shuffle(gens)
+            if len(gens) > 1:
+                gens.append({j: gens[0].get(j, 0) - 5 * gens[1].get(j, 0)
+                             for j in gens[0].keys() | gens[1].keys()})
+            assert linalg.rref(gens, field) == echelon, (field, rows)
+            ncols = 1 + max((j for row in rows for j in row), default=0)
+            assert linalg.nullspace(gens, ncols, field) == linalg.nullspace(rows, ncols, field)
 
 
 # -- exactness on large sparse eliminations ----------------------------
