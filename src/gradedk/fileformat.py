@@ -78,7 +78,7 @@ def parse_group(text, table_lines=None):
         return GradeGroup.trivial()
     if t == "S3":
         return GradeGroup.symmetric_3()
-    if t.startswith("D") and t[1:].isdigit():
+    if t.startswith("D") and t[1:].isdigit() and int(t[1:]) >= 1:
         return GradeGroup.dihedral(int(t[1:]))
     if t == "table":
         if not table_lines:
@@ -212,12 +212,14 @@ CONSTRUCTORS = {
         f, parse_scalar(f, kv["a"]), parse_scalar(f, kv["b"]),
         grading=kv.get("grading", "Z2xZ2"))),
     "symbol": (("n", "a", "b", "xi"), lambda kv, f: construct_symbol_algebra(
-        f, int(kv["n"]), *(parse_scalar(f, kv[k]) for k in ("a", "b", "xi")))),
-    "laurent": (("step",), lambda kv, f: construct_laurent(f, step=int(kv.get("step", "1")))),
+        f, _integer(kv["n"], "bad n"), *(parse_scalar(f, kv[k]) for k in ("a", "b", "xi")))),
+    "laurent": (("step",), lambda kv, f: construct_laurent(
+        f, step=_integer(kv.get("step", "1"), "bad step"))),
     "group-ring": (("group",), lambda kv, f: construct_group_ring(f, parse_group(kv["group"]))),
-    "truncated": (("m",), lambda kv, f: construct_truncated_polynomial(f, int(kv["m"]))),
-    "matrix": (("n",), lambda kv, f: trivially_graded(construct_matrix_algebra(f, int(kv["n"])),
-                                                      GradeGroup.trivial())),
+    "truncated": (("m",), lambda kv, f: construct_truncated_polynomial(
+        f, _integer(kv["m"], "bad m"))),
+    "matrix": (("n",), lambda kv, f: trivially_graded(
+        construct_matrix_algebra(f, _integer(kv["n"], "bad n")), GradeGroup.trivial())),
 }
 
 

@@ -211,19 +211,32 @@ def support_subgroup(g):
 
 def strongly_graded_at(g, gamma):
     """Certificate that 1 lies in R_gamma * R_{gamma^-1}, or None: a
-    solution of sum c_ij e_i e_j = 1 over i in R_gamma, j in R_(gamma^-1),
-    on the coordinates of A_e, where every e_i e_j and 1 lie. The column of
-    e_i e_j is read off `Algebra.table`, at the scale of `Algebra.unit_ints`."""
-    alg = g.algebra
-    left = g.component_indices(gamma)
-    right = g.component_indices(gamma.inverse())
+    solution, free variables 0, of sum c_ij e_i e_j = 1 over i in R_gamma,
+    j in R_(gamma^-1), on the coordinates of A_e, where every e_i e_j and 1
+    lie. The column of e_i e_j is read off `Algebra.table`, at the scale of
+    `Algebra.unit_ints`. If each e_i e_j is 0 or one term v e_k, the first
+    column at a coordinate k of 1 is its pivot, x = u_k / v there, and a k
+    with no column means None; otherwise the system is solved."""
+    alg, comps = g.algebra, g._components
+    left, right = comps.get(gamma), comps.get(gamma.inverse())
     if not left or not right:
         return None
     pairs = [(i, j) for i in left for j in right]
+    cols = [alg.table[i].get(j, ()) for i, j in pairs]
+    if all(len(terms) <= 1 for terms in cols):
+        first = {}  # coordinate k -> (its first column, the entry there)
+        for c, terms in enumerate(cols):
+            for k, v in terms:
+                first.setdefault(k, (c, v))
+        unit = [(k, u) for k in comps[g.group.identity] if (u := alg.unit_ints[k])]
+        if any(k not in first for k, _ in unit):
+            return None
+        return [(pairs[c], alg.field.from_ints([u], v)[0])
+                for (c, v), u in sorted((first[k], u) for k, u in unit)]
     m = len(pairs)
-    rows = {k: {m: alg.unit_ints[k]} for k in g._components[g.group.identity]}  # [A | 1]
-    for c, (i, j) in enumerate(pairs):
-        for k, v in alg.table[i].get(j, ()):
+    rows = {k: {m: alg.unit_ints[k]} for k in comps[g.group.identity]}  # [A | 1]
+    for c, terms in enumerate(cols):
+        for k, v in terms:
             rows[k][c] = v
     sol = linalg.solve(rows.values(), m, alg.field)
     if sol is None:

@@ -234,6 +234,27 @@ def test_bad_scalar_token_exit_3(capsys, tmp_path, argv, text):
     assert err.startswith("error: bad scalar")
 
 
+@pytest.mark.parametrize("argv,text,want", [
+    (("construct", "truncated", "-m", "x"), None, "bad m 'x'"),
+    (("construct", "symbol", "-n", "y"), None, "bad n 'y'"),
+    (("construct", "laurent", "--step", "z"), None, "bad step 'z'"),
+    (("construct", "matrix", "-n", "q"), None, "bad n 'q'"),
+    (("check", "grading", "FILE"), "[construct]\nkind = truncated\nfield = Q\nm = 2x\n",
+     "bad m '2x'"),
+    (("check", "grading", "FILE"), "[construct]\nkind = laurent\nfield = Q\nstep = 1.5\n",
+     "bad step '1.5'"),
+    (("construct", "group-ring", "--group", "D0"), None, "unknown group factor 'D0'"),
+], ids=["truncated-m", "symbol-n", "laurent-step", "matrix-n", "section-m", "section-step",
+        "dihedral-0"])
+def test_bad_constructor_integer_exit_3(capsys, tmp_path, argv, text, want):
+    # an integer key names itself and the token; D_n needs n >= 1
+    path = tmp_path / "a.alg"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert (code, out, err) == (3, "", "error: %s\n" % want)
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "graded-division", "FILE"),
     ("check", "graded-simple", "FILE"),

@@ -386,6 +386,41 @@ def dual_numbers_mod2(field):
     return GradedAlgebra(alg, group, [group.element((0,)), group.element((1,))])
 
 
+def scaled_square_z2(field, c, a):
+    """F[x]/(x^2 - a) graded by Z/2 with x odd, on the basis f = c*1, x:
+    f f = c f, f x = x f = c x, x x = (a/c) f, and the unit (1/c) f."""
+    group = GradeGroup.cyclic(2)
+    c, a = field.scalar(c), field.scalar(a)
+    alg = Algebra(field, ["f", "x"], {(0, 0): {0: c}, (0, 1): {1: c}, (1, 0): {1: c},
+                                      (1, 1): {0: a / c}}, unit=[field.one / c, field.zero])
+    return GradedAlgebra(alg, group, [group.element((0,)), group.element((1,))])
+
+
+def matrix_units_z(field):
+    """M_2 graded by Z with e12 in degree 1 and e21 in degree -1: every
+    product has one term, and A_1 A_(-1) = F e11 misses e22 in 1 = e11 + e22."""
+    group = GradeGroup.fg_abelian(1, [])
+    products = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {0: 1}, (1, 3): {1: 1},
+                (2, 0): {2: 1}, (2, 1): {3: 1}, (3, 2): {2: 1}, (3, 3): {3: 1}}
+    alg = Algebra(field, ["e11", "e12", "e21", "e22"], products, unit=[1, 0, 0, 1])
+    return GradedAlgebra(alg, group, [group.element((d,)) for d in (0, 1, -1, 0)])
+
+
+def rescaled_graded(g, rng):
+    """g on the basis f_i = s_i e_i for random nonzero scalars s_i: one term
+    wherever g's table has one, now with the coefficients s_i s_j c / s_k,
+    and the unit's coordinates u_i / s_i."""
+    field, s = g.field, []
+    while len(s) < g.dim:
+        if x := random_scalar(field, rng, 3):
+            s.append(x)
+    products = {(i, j): {k: s[i] * s[j] * c / s[k] for k, c in terms.items()}
+                for (i, j), terms in g.algebra.products.items()}
+    unit = [u / x for u, x in zip(g.algebra.unit_coords, s)]
+    return GradedAlgebra(Algebra(field, ["f%d" % i for i in range(g.dim)], products,
+                                 unit=unit), g.group, g.degrees)
+
+
 def graded_algebras():
     rng = random.Random(20112)
     out = [random_constructed(rng) for _ in range(16)]
@@ -443,6 +478,8 @@ def elements(alg, rng):
 
 def same(a, b):
     """Equal and of the same scalar types, entry by entry."""
+    if a is None or b is None:
+        return a is b
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)):
@@ -562,26 +599,45 @@ def test_enveloping_product_and_separability_rows(alg):
 def test_strong_grading_certificates_read_off_the_table():
     """`strongly_graded_at` reads e_i e_j off `Algebra.table`; its
     certificates equal the solve on products of basis elements, and each
-    one sums to 1, on bases with non-integral constants and unit too."""
-    found = missing = rebased_non_integral = 0
-    for g in graded_algebras():
+    one sums to 1, on bases with non-integral constants and unit too. Both
+    sides of its one-term test run: blocks whose products e_i e_j all have
+    at most one term (read off the table, here also with scaled constants
+    and a unit whose coefficients are not 1) and blocks with a product of
+    two or more terms (solved)."""
+    rng = random.Random(20113)
+    inputs = graded_algebras()
+    monomial = [g for g in inputs
+                if all(len(t) <= 1 for row in g.algebra.table for t in row.values())]
+    inputs += [rescaled_graded(g, rng) for g in monomial]
+    for field in (Q, F3, FieldSpec.prime_field(7)):
+        inputs += [scaled_square_z2(field, 2, -1), scaled_square_z2(field, -1, 5),
+                   matrix_units_z(field)]
+    found = missing = rebased_non_integral = scaled_unit = 0
+    blocks = {True: 0, False: 0}  # one-term block? -> how many ran
+    for g in inputs:
         alg = g.algebra
         if alg.field.kind == "rationals":
             rebased_non_integral += alg.scale != 1 or any(u.denominator != 1
                                                           for u in alg.unit_coords)
         for d in support(g):
             for gamma in (d, d.inverse()):
+                one_term = all(len(alg.table[i].get(j, ())) <= 1
+                               for i in g.component_indices(gamma)
+                               for j in g.component_indices(gamma.inverse()))
+                blocks[one_term] += 1
                 cert = strongly_graded_at(g, gamma)
                 assert same(cert, ref_strongly_graded_at(g, gamma)), (g.algebra, gamma)
                 if cert is None:
                     missing += 1
                     continue
                 found += 1
+                scaled_unit += one_term and any(u not in (0, 1) for u in alg.unit_coords)
                 total = alg.zero
                 for (i, j), c in cert:
                     total = total + (alg.basis_element(i) * alg.basis_element(j)).scale(c)
                 assert total == alg.one
     assert found > 50 and missing > 5 and rebased_non_integral >= 6
+    assert blocks[True] > 500 and blocks[False] >= 15 and scaled_unit > 100, (blocks, scaled_unit)
 
 
 @pytest.mark.parametrize("alg", [a for a in ALGEBRAS if a.field.characteristic] + [
